@@ -2,8 +2,7 @@
 //! in, measured separately so a regression names its layer.
 //!
 //! * `cache_lookup` — the memo-cache warm path (interned id through a
-//!   [`arcs_powersim::CacheReader`], lock-free on warm hits) against the
-//!   string-keyed compatibility path it replaced.
+//!   [`arcs_powersim::CacheReader`], lock-free on warm hits).
 //! * `region_eval` — one fully-warm tuned run of sp.B (every simulate
 //!   memoised; what remains is pure driver semantics).
 //! * `sweep_cell` — one cell of the fig. 4 grid end to end.
@@ -40,13 +39,6 @@ fn cache_lookup(c: &mut Criterion) {
                 None,
                 || unreachable!("warm"),
             ))
-        })
-    });
-    g.bench_function("warm_hit_string_keyed", |b| {
-        b.iter(|| {
-            black_box(cache.get_or_insert_with(&region.name, region.iterations, cfg, 85.0, || {
-                unreachable!("warm")
-            }))
         })
     });
     g.finish();

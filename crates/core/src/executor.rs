@@ -30,18 +30,20 @@ use arcs_apex::Apex;
 use arcs_harmony::History;
 use arcs_metrics::MetricsRegistry;
 use arcs_powersim::{
-    simulate_region_with, CacheBindError, CacheReader, FaultPlan, FxBuildHasher, InvocationFaults,
-    Machine, MeasureError, PackageEnergy, Rapl, RegionId, RegionModel, SharedSimCache, SimConfig,
-    SimReport, SimScratch, WorkloadDescriptor,
+    simulate_region_with_table, CacheBindError, CacheReader, FaultPlan, FxBuildHasher,
+    InvocationFaults, Machine, MeasureError, PackageEnergy, Rapl, RegionId, RegionModel,
+    SharedSimCache, SimConfig, SimReport, SimScratch, WeightTable, WorkloadDescriptor,
 };
 use arcs_trace::{TraceEvent, TraceSink};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Per-region executor state: the cache-interned id (resolved once, not
-/// per lookup) and the invocation ordinal feeding the noise model.
+/// per lookup), the cache's shared weight table (resolved on the first
+/// miss) and the invocation ordinal feeding the noise model.
 struct RegionSlot {
     id: RegionId,
+    table: Option<Arc<WeightTable>>,
     invocations: u64,
 }
 
@@ -63,9 +65,9 @@ pub struct SimExecutor {
     trace: Option<Arc<dyn TraceSink>>,
     metrics: Option<Arc<MetricsRegistry>>,
     energy_meter: PackageEnergy,
-    /// Per-region slots: interned cache id + invocation ordinal (the
-    /// ordinal feeds the stateless noise model and persists across runs so
-    /// repeated training passes see fresh noise).
+    /// Per-region slots: interned cache id, weight table and invocation
+    /// ordinal (the ordinal feeds the stateless noise model and persists
+    /// across runs so repeated training passes see fresh noise).
     regions: HashMap<String, RegionSlot, FxBuildHasher>,
     faults: Option<FaultClock>,
     /// Externally-owned cap, polled at region boundaries (the broker's
@@ -274,18 +276,18 @@ impl SimExecutor {
         freq_limit_ghz: Option<f64>,
     ) -> Arc<SimReport> {
         let id = self.region_id(&region.name);
-        let cap_w = self.cap_w;
-        let machine = &self.machine;
-        let scratch = &mut self.scratch;
-        self.cache.get_or_insert_id(
-            &mut self.reader,
-            id,
-            region.iterations,
-            cfg,
-            cap_w,
-            freq_limit_ghz,
-            || simulate_region_with(machine, cap_w, region, cfg, freq_limit_ghz, scratch),
-        )
+        let SimExecutor { machine, cap_w, cache, reader, scratch, regions, .. } = self;
+        let cap_w = *cap_w;
+        cache.get_or_insert_id(reader, id, region.iterations, cfg, cap_w, freq_limit_ghz, || {
+            let slot = &mut regions.get_mut(&region.name).expect("slot made by region_id").table;
+            // A name does not identify a model: re-resolve if the slot's
+            // table was built for another trip count or profile.
+            let table = match slot {
+                Some(table) if table.matches(region) => table,
+                _ => slot.insert(cache.weight_table(region)),
+            };
+            simulate_region_with_table(machine, cap_w, region, table, cfg, freq_limit_ghz, scratch)
+        })
     }
 
     /// The cache-interned id for `region`, resolved once per region per
@@ -295,7 +297,7 @@ impl SimExecutor {
             return slot.id;
         }
         let id = self.cache.intern(region);
-        self.regions.insert(region.to_string(), RegionSlot { id, invocations: 0 });
+        self.regions.insert(region.to_string(), RegionSlot { id, table: None, invocations: 0 });
         id
     }
 
@@ -307,7 +309,7 @@ impl SimExecutor {
             inv
         } else {
             let id = self.cache.intern(region);
-            self.regions.insert(region.to_string(), RegionSlot { id, invocations: 1 });
+            self.regions.insert(region.to_string(), RegionSlot { id, table: None, invocations: 1 });
             0
         }
     }

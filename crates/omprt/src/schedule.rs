@@ -409,6 +409,10 @@ pub fn chunk_count(len: usize, nthreads: usize, schedule: Schedule) -> usize {
             None => nthreads.min(len),
             Some(c) => len.div_ceil(c.max(1)),
         },
+        // Fixed-size grabs: every chunk is `min_chunk` but a trailing
+        // remainder, so offline sweeps pricing `dynamic,1` on a
+        // million-iteration loop do not walk the stream just to count it.
+        ScheduleKind::Dynamic => len.div_ceil(schedule.min_chunk()),
         _ => ChunkStream::new(len, nthreads, schedule).count(),
     }
 }

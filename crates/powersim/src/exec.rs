@@ -16,7 +16,9 @@
 //! 3. chunks are produced by the *same* schedule arithmetic as the live
 //!    runtime (`arcs-omprt::schedule`); static chunks go to their owning
 //!    thread, on-demand chunks to the earliest-finishing thread (greedy
-//!    list scheduling — exactly what a work queue does);
+//!    list scheduling — exactly what a work queue does); a chunk's weight
+//!    is a difference of the region's [`WeightTable`] prefix sums, which
+//!    depend on no configuration and are built once per region;
 //! 4. per-chunk dispatch costs: bookkeeping for static, an atomic
 //!    grab (plus contention) for dynamic/guided;
 //! 5. the region ends at a tree barrier after the slowest thread; energy
@@ -25,11 +27,10 @@
 
 use crate::cache::{analyze, CacheReport};
 use crate::machine::Machine;
-use crate::workload::{ImbalanceProfile, RegionModel};
-use arcs_omprt::schedule::{static_chunks_for_thread, ChunkStream, Schedule};
+use crate::workload::{RegionModel, WeightTable};
+use arcs_omprt::schedule::{ChunkStream, Schedule, ScheduleKind};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// The tunable configuration, in simulator form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -172,26 +173,21 @@ fn smt_overlap_finish_times_into(
 
 /// Reusable working memory for [`simulate_region_with`]. One scratch per
 /// executor (or per sweep worker) removes every transient allocation from
-/// the region-evaluation hot path; buffers grow to the largest region
-/// seen and are reused verbatim afterwards.
+/// the region-evaluation hot path; buffers grow to the largest team seen
+/// and are reused verbatim afterwards.
 ///
-/// A scratch carries no results between calls — simulating with a fresh
-/// `SimScratch::default()` is bit-identical to simulating with a warm one.
+/// A scratch carries nothing that can change a result — simulating with a
+/// fresh `SimScratch::default()` is bit-identical to simulating with a
+/// warm one.
 #[derive(Debug, Default)]
 pub struct SimScratch {
-    /// Iteration-weight prefix sums (`prefix[i] = Σ weights[..i]`);
-    /// untouched for uniform regions, which use closed-form sums.
-    prefix: Vec<f64>,
-    /// Raw per-iteration weights feeding `prefix`.
-    weights: Vec<f64>,
+    /// The table [`simulate_region_with`] built last, kept while the next
+    /// call prices the same `(profile, trip count)`.
+    table: Option<Arc<WeightTable>>,
     busy_ns: Vec<f64>,
-    chunks_per_thread: Vec<u64>,
-    /// On-demand chunk sizes in dispatch order (any non-static policy).
-    sizes: Vec<usize>,
-    /// Greedy list-scheduling queue keyed by femtosecond finish clocks.
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Per-thread femtosecond clocks for the small-team argmin dispatcher.
-    clocks: Vec<u64>,
+    /// The on-demand dispatcher's team as `(femtosecond clock, thread)`,
+    /// kept sorted circularly from the dispatcher's head index.
+    ring: Vec<(u64, usize)>,
     /// thread → flat core index during SMT grouping (entries consumed as
     /// groups are processed).
     core_idx: Vec<usize>,
@@ -228,8 +224,11 @@ pub fn simulate_region_at_freq(
     simulate_region_with(machine, cap_w, region, cfg, freq_limit_ghz, &mut SimScratch::default())
 }
 
-/// [`simulate_region_at_freq`] with caller-owned working memory: the
-/// allocation-free form executors and sweep workers call per invocation.
+/// [`simulate_region_at_freq`] with caller-owned working memory. Builds
+/// the region's [`WeightTable`] unless `scratch` still holds it from the
+/// previous call; callers pricing many regions share tables through
+/// [`crate::SharedSimCache::weight_table`] and call
+/// [`simulate_region_with_table`] directly.
 pub fn simulate_region_with(
     machine: &Machine,
     cap_w: f64,
@@ -238,6 +237,32 @@ pub fn simulate_region_with(
     freq_limit_ghz: Option<f64>,
     scratch: &mut SimScratch,
 ) -> SimReport {
+    let table = match scratch.table.take() {
+        Some(table) if table.matches(region) => table,
+        _ => Arc::new(WeightTable::for_region(region)),
+    };
+    let report =
+        simulate_region_with_table(machine, cap_w, region, &table, cfg, freq_limit_ghz, scratch);
+    scratch.table = Some(table);
+    report
+}
+
+/// The integrator: one invocation of `region`, whose weights are `table`,
+/// under `cfg`. Allocates nothing but the returned report.
+///
+/// # Panics
+/// If `table` was not built from `region`'s imbalance profile and trip
+/// count.
+pub fn simulate_region_with_table(
+    machine: &Machine,
+    cap_w: f64,
+    region: &RegionModel,
+    table: &WeightTable,
+    cfg: SimConfig,
+    freq_limit_ghz: Option<f64>,
+    scratch: &mut SimScratch,
+) -> SimReport {
+    assert!(table.matches(region), "weight table built for another region than `{}`", region.name);
     let threads = cfg.threads.clamp(1, machine.hw_threads());
     let schedule = cfg.schedule;
     let n = region.iterations;
@@ -255,34 +280,17 @@ pub fn simulate_region_with(
 
     // Cost of iteration i at solo speed (SMT sharing applied later):
     //   weight_i × cycles / f  +  stall (f-independent).
-    //
-    // Uniform regions take a closed form: every weight is exactly 1.0, so
-    // the prefix sums are the exact integers 0..=n and any range sum is
-    // `(b − a) as f64` — bit-identical to materialising the prefix array
-    // (integer f64 sums are exact below 2^53) without touching memory.
-    let uniform = matches!(region.imbalance, ImbalanceProfile::Uniform);
-    if !uniform {
-        region.imbalance.fill_weights(n, &mut scratch.weights);
-        scratch.prefix.clear();
-        scratch.prefix.reserve(n + 1);
-        scratch.prefix.push(0.0);
-        let mut running = 0.0;
-        for &w in &scratch.weights {
-            running += w;
-            scratch.prefix.push(running);
-        }
-    }
-    let prefix = &scratch.prefix;
-    let weight_sum = move |a: usize, b: usize| -> f64 {
-        if uniform {
-            (b - a) as f64
-        } else {
-            prefix[b] - prefix[a]
+    let prefix = table.prefix();
+    let weight_sum = |a: usize, b: usize| -> f64 {
+        match prefix {
+            Some(prefix) => prefix[b] - prefix[a],
+            None => (b - a) as f64,
         }
     };
     let cycle_ns_per_weight = region.cycles_per_iter / f_ghz; // ns per unit weight
-                                                              // Uncore DVFS: a capped package slows its L3/memory path along with
-                                                              // the cores, inflating miss latencies.
+
+    // Uncore DVFS: a capped package slows its L3/memory path along with
+    // the cores, inflating miss latencies.
     let uncore_factor =
         1.0 + machine.caches.uncore_slowdown * (machine.f_base_ghz / f_ghz - 1.0).max(0.0);
     let stall_ns_per_iter =
@@ -291,126 +299,138 @@ pub fn simulate_region_with(
     let fork_ns = machine.fork_base_ns + threads as f64 * machine.fork_per_thread_ns;
     scratch.busy_ns.clear();
     scratch.busy_ns.resize(threads, 0.0);
-    scratch.chunks_per_thread.clear();
-    scratch.chunks_per_thread.resize(threads, 0);
     let busy_ns = &mut scratch.busy_ns;
-    let chunks_per_thread = &mut scratch.chunks_per_thread;
+    let chunks_dispatched: u64;
 
-    match schedule.kind {
-        arcs_omprt::ScheduleKind::Static => {
-            // Per-thread work at solo speed; SMT sharing is applied after
-            // the match via sibling overlap (a sibling that finishes early
-            // returns its core's resources to the survivor — this is what
-            // lets 32 hyper-threads absorb part of the 102-iterations-on-
-            // 32-threads granularity imbalance on real hardware).
-            for (t, (work, count)) in
-                busy_ns.iter_mut().zip(chunks_per_thread.iter_mut()).enumerate()
-            {
-                for ch in static_chunks_for_thread(n, threads, schedule.chunk, t) {
-                    *count += 1;
-                    *work += machine.chunk_setup_ns
-                        + weight_sum(ch.start, ch.end) * cycle_ns_per_weight
-                        + ch.len() as f64 * stall_ns_per_iter;
+    // Both arms store per-thread work at solo speed; SMT sharing is
+    // applied after the match via sibling overlap (a sibling that finishes
+    // early returns its core's resources to the survivor — this is what
+    // lets 32 hyper-threads absorb part of the 102-iterations-on-32-threads
+    // granularity imbalance on real hardware).
+    if schedule.kind == ScheduleKind::Static {
+        let chunk_ns = |start: usize, end: usize| -> f64 {
+            machine.chunk_setup_ns
+                + weight_sum(start, end) * cycle_ns_per_weight
+                + (end - start) as f64 * stall_ns_per_iter
+        };
+        match schedule.chunk {
+            None => {
+                // Block partition, one chunk per thread, the first `rem`
+                // threads one iteration longer (`static_chunks_for_thread`).
+                let (base, rem) = (n / threads, n % threads);
+                let mut start = 0usize;
+                for (t, work) in busy_ns.iter_mut().enumerate() {
+                    let end = start + base + usize::from(t < rem);
+                    if end > start {
+                        *work += chunk_ns(start, end);
+                    }
+                    start = end;
                 }
+                chunks_dispatched = threads.min(n) as u64;
+            }
+            Some(c) => {
+                // Round-robin ownership: chunk `idx` belongs to thread
+                // `idx % threads`. One pass in chunk order still adds each
+                // thread's chunks in increasing order, so every per-thread
+                // sum is the one a thread-by-thread walk produces.
+                let c = c.max(1);
+                let (mut start, mut t) = (0usize, 0usize);
+                while start < n {
+                    let end = (start + c).min(n);
+                    busy_ns[t] += chunk_ns(start, end);
+                    start = end;
+                    t = if t + 1 == threads { 0 } else { t + 1 };
+                }
+                chunks_dispatched = n.div_ceil(c) as u64;
             }
         }
-        _ => {
-            // Greedy list scheduling: each chunk (in dispatch order) goes to
-            // the thread that becomes free first — what the shared-counter
-            // dispensers do in real time. The sizes come from the same
-            // ChunkStream generator the live runtime dispenses from, for
-            // every on-demand policy in the portfolio. Assignment runs on
-            // solo-speed clocks; SMT sharing is applied afterwards via the
-            // same sibling-overlap model as the static path.
-            scratch.sizes.clear();
-            scratch.sizes.extend(ChunkStream::new(n, threads, schedule));
-            let dispatch_ns = machine.dispatch_ns
-                + machine.dispatch_contention_ns * (threads as f64).ln().max(0.0);
-            let sizes = &scratch.sizes;
-            let nchunks = sizes.len();
-            // Equal-cost fast path (uniform weights + equal chunk sizes up
-            // to a trailing remainder — i.e. `dynamic` on a uniform
-            // region): with every pending clock tied each round, the heap
-            // pops threads in index order, so greedy dispatch IS
-            // round-robin and each thread's femtosecond clock is a
-            // closed-form multiple of the per-chunk cost. u64
-            // multiplication is exact repeated addition, so the bits match
-            // the simulated heap exactly.
-            let equal_cost = uniform
-                && nchunks > 0
-                && sizes[..nchunks - 1].iter().all(|&s| s == sizes[0])
-                && sizes[nchunks - 1] <= sizes[0];
-            if equal_cost {
-                let chunk_fp = |sz: usize| -> u64 {
-                    let cost = dispatch_ns
-                        + sz as f64 * cycle_ns_per_weight
-                        + sz as f64 * stall_ns_per_iter;
-                    (cost * 1e6) as u64
-                };
-                let step_fp = chunk_fp(sizes[0]);
-                let last_sz = sizes[nchunks - 1];
-                let last_fp = if last_sz == sizes[0] { step_fp } else { chunk_fp(last_sz) };
-                for t in 0..threads {
-                    let k = (nchunks / threads + usize::from(t < nchunks % threads)) as u64;
-                    chunks_per_thread[t] = k;
-                    let mut clock_fp = k * step_fp;
-                    if k > 0 && (nchunks - 1) % threads == t {
-                        clock_fp = clock_fp - step_fp + last_fp;
-                    }
-                    busy_ns[t] = clock_fp as f64 * 1e-6;
+    } else {
+        // Greedy list scheduling: each chunk (in dispatch order) goes to
+        // the thread that becomes free first — what the shared-counter
+        // dispensers do in real time. The sizes come from the same
+        // ChunkStream generator the live runtime dispenses from, for
+        // every on-demand policy in the portfolio. Assignment runs on
+        // solo-speed femtosecond clocks.
+        let dispatch_ns =
+            machine.dispatch_ns + machine.dispatch_contention_ns * (threads as f64).ln().max(0.0);
+        let chunk_fp = |start: usize, end: usize| -> u64 {
+            let cost = dispatch_ns
+                + weight_sum(start, end) * cycle_ns_per_weight
+                + (end - start) as f64 * stall_ns_per_iter;
+            (cost * 1e6) as u64
+        };
+        if prefix.is_none() && schedule.kind == ScheduleKind::Dynamic && n > 0 {
+            // `dynamic` on a uniform region: every chunk costs the same
+            // but a cheaper trailing remainder, so with every pending
+            // clock tied each round greedy dispatch IS round-robin and a
+            // thread's clock is a closed-form multiple of the per-chunk
+            // cost. u64 multiplication is exact repeated addition, so the
+            // bits match the dispatcher below exactly.
+            let c = schedule.min_chunk();
+            let nchunks = n.div_ceil(c);
+            let step_fp = chunk_fp(0, c.min(n));
+            let last_fp = chunk_fp((nchunks - 1) * c, n);
+            for (t, busy) in busy_ns.iter_mut().enumerate() {
+                let k = (nchunks / threads + usize::from(t < nchunks % threads)) as u64;
+                let mut clock_fp = k * step_fp;
+                if k > 0 && (nchunks - 1) % threads == t {
+                    clock_fp = clock_fp - step_fp + last_fp;
                 }
-            } else if threads <= 32 {
-                // Small teams: a linear argmin over the clock array beats
-                // heap maintenance per chunk. First-minimum scanning picks
-                // the lowest thread index among tied clocks — exactly the
-                // `Reverse((clock, t))` heap order — so the assignment
-                // sequence (and every femtosecond sum) is bit-identical to
-                // the heap branch below.
-                let clocks = &mut scratch.clocks;
-                clocks.clear();
-                clocks.resize(threads, 0u64);
-                let mut start = 0usize;
-                for &sz in sizes {
-                    let mut t = 0usize;
-                    let mut best = clocks[0];
-                    for (i, &c) in clocks.iter().enumerate().skip(1) {
-                        if c < best {
-                            best = c;
-                            t = i;
+                *busy = clock_fp as f64 * 1e-6;
+            }
+            chunks_dispatched = nchunks as u64;
+        } else {
+            // `ring` holds the team sorted by `(clock, thread)`, starting
+            // at `head` and wrapping. Serving a chunk pops the front and
+            // re-inserts it scanning from the back; the freed front slot
+            // is, on a full ring, exactly the slot after the back. A chunk
+            // rarely costs less than the spread of the clocks, so the
+            // thread just served is almost always the new last finisher
+            // and the scan stops at once; shrinking chunks (`guided`) pay
+            // at worst the O(threads) an argmin would. Thread ids make the
+            // keys unique, so the pop order is the `(clock, thread)`
+            // minimum — lowest thread index among tied clocks.
+            let ring = &mut scratch.ring;
+            ring.clear();
+            ring.extend((0..threads).map(|t| (0u64, t)));
+            let mut head = 0usize;
+            // Costs are priced a block at a time (no dependency between
+            // chunks) and then assigned (integers only), so neither loop
+            // waits on the other's latency chain and no per-chunk buffer
+            // outlives the block.
+            let mut costs = [0u64; 256];
+            let mut stream = ChunkStream::new(n, threads, schedule);
+            let (mut start, mut nchunks) = (0usize, 0u64);
+            loop {
+                let mut filled = 0usize;
+                for (slot, sz) in costs.iter_mut().zip(&mut stream) {
+                    *slot = chunk_fp(start, start + sz);
+                    start += sz;
+                    filled += 1;
+                }
+                for &cost_fp in &costs[..filled] {
+                    let served = (ring[head].0 + cost_fp, ring[head].1);
+                    let mut pos = head;
+                    head = if head + 1 == threads { 0 } else { head + 1 };
+                    while pos != head {
+                        let prev = if pos == 0 { threads - 1 } else { pos - 1 };
+                        if ring[prev] < served {
+                            break;
                         }
+                        ring[pos] = ring[prev];
+                        pos = prev;
                     }
-                    let end = start + sz;
-                    let cost = dispatch_ns
-                        + weight_sum(start, end) * cycle_ns_per_weight
-                        + sz as f64 * stall_ns_per_iter;
-                    start = end;
-                    chunks_per_thread[t] += 1;
-                    clocks[t] = best + (cost * 1e6) as u64;
+                    ring[pos] = served;
                 }
-                for (t, &c) in clocks.iter().enumerate() {
-                    busy_ns[t] = c as f64 * 1e-6;
-                }
-            } else {
-                let heap = &mut scratch.heap;
-                heap.clear();
-                heap.extend((0..threads).map(|t| Reverse((0u64, t))));
-                let mut start = 0usize;
-                for &sz in sizes {
-                    let Reverse((clock_fp, t)) = heap.pop().expect("team is non-empty");
-                    let end = start + sz;
-                    let cost = dispatch_ns
-                        + weight_sum(start, end) * cycle_ns_per_weight
-                        + sz as f64 * stall_ns_per_iter;
-                    start = end;
-                    chunks_per_thread[t] += 1;
-                    // Femtosecond integer clocks keep the heap strict-weak.
-                    let clock_fp = clock_fp + (cost * 1e6) as u64;
-                    heap.push(Reverse((clock_fp, t)));
-                }
-                for Reverse((clock_fp, t)) in heap.drain() {
-                    busy_ns[t] = clock_fp as f64 * 1e-6;
+                nchunks += filled as u64;
+                if filled < costs.len() {
+                    break;
                 }
             }
+            for &(clock_fp, t) in ring.iter() {
+                busy_ns[t] = clock_fp as f64 * 1e-6;
+            }
+            chunks_dispatched = nchunks;
         }
     }
 
@@ -545,7 +565,7 @@ pub fn simulate_region_with(
         wait_sum_s: per_thread_wait_s.iter().sum(),
         per_thread_busy_s,
         per_thread_wait_s,
-        chunks_dispatched: chunks_per_thread.iter().sum(),
+        chunks_dispatched,
         threads,
         schedule,
     }

@@ -59,8 +59,8 @@ pub mod workload;
 
 pub use cache::{analyze, CacheReport};
 pub use exec::{
-    simulate_region, simulate_region_at_freq, simulate_region_with, SimConfig, SimReport,
-    SimScratch,
+    simulate_region, simulate_region_at_freq, simulate_region_with, simulate_region_with_table,
+    SimConfig, SimReport, SimScratch,
 };
 pub use fault::{
     CapFault, FaultPlan, InvocationFaults, MeasureError, NodeFault, NodeFaultClass, NodeFaultPlan,
@@ -72,4 +72,7 @@ pub use memo::{
     SharedSimCache,
 };
 pub use rapl::{PackageEnergy, Rapl};
-pub use workload::{ImbalanceProfile, MemoryProfile, RegionModel, StrideClass, WorkloadDescriptor};
+pub use workload::{
+    ImbalanceProfile, MemoryProfile, RegionModel, StrideClass, WeightStream, WeightTable,
+    WorkloadDescriptor,
+};

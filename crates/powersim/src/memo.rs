@@ -34,6 +34,7 @@
 //! distinct cells resolved regardless of interleaving).
 
 use crate::exec::{SimConfig, SimReport};
+use crate::workload::{ImbalanceProfile, RegionModel, WeightTable};
 use arcs_metrics::{Counter, MetricsRegistry};
 use arcs_trace::{TraceEvent, TraceSink};
 use parking_lot::Mutex;
@@ -354,6 +355,9 @@ pub struct SharedSimCache {
     machine: String,
     interner: RegionInterner,
     shards: Vec<Shard>,
+    /// Weight tables of the non-uniform regions priced so far; see
+    /// [`SharedSimCache::weight_table`].
+    tables: Mutex<Vec<Arc<WeightTable>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Optional event sink; set once, read with one atomic load per
@@ -380,6 +384,7 @@ impl SharedSimCache {
             machine: machine.into(),
             interner: RegionInterner::default(),
             shards: (0..SHARDS).map(|_| Shard::new()).collect(),
+            tables: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             trace: OnceLock::new(),
@@ -409,6 +414,30 @@ impl SharedSimCache {
     /// Intern `name`, returning the id every id-keyed lookup uses.
     pub fn intern(&self, name: &str) -> RegionId {
         self.interner.intern(name)
+    }
+
+    /// The [`WeightTable`] of `region`, built by the first executor to ask
+    /// and shared by every later one: the table depends on neither the
+    /// configuration nor the cap, so all cells of a sweep and all quanta
+    /// of a job price a region off one copy. Tables are found by value
+    /// (imbalance profile and trip count), never by name, and a cache
+    /// holds one per distinct non-uniform region model — a cold path,
+    /// once per region per executor. Uniform regions need no array and
+    /// get a fresh, empty table.
+    pub fn weight_table(&self, region: &RegionModel) -> Arc<WeightTable> {
+        if matches!(region.imbalance, ImbalanceProfile::Uniform) {
+            return Arc::new(WeightTable::for_region(region));
+        }
+        // Built under the lock: cells of one workload start together and
+        // ask for the same table, so the second waits instead of building
+        // (and holding) a duplicate.
+        let mut tables = self.tables.lock();
+        if let Some(table) = tables.iter().find(|t| t.matches(region)) {
+            return Arc::clone(table);
+        }
+        let table = Arc::new(WeightTable::for_region(region));
+        tables.push(Arc::clone(&table));
+        table
     }
 
     /// A fresh per-executor reader over this cache's shard snapshots.
@@ -494,40 +523,6 @@ impl SharedSimCache {
         }
     }
 
-    /// Fetch the memoised report for `(name, iterations, cfg, cap_w)` or
-    /// compute and store it. `compute` runs without any lock held.
-    ///
-    /// This is the compatibility entry point: it interns `name` per call
-    /// and probes under the shard lock. Executors on the hot path intern
-    /// once and use [`SharedSimCache::get_or_insert_id`] with a
-    /// [`CacheReader`] instead.
-    pub fn get_or_insert_with(
-        &self,
-        name: &str,
-        iterations: usize,
-        cfg: SimConfig,
-        cap_w: f64,
-        compute: impl FnOnce() -> SimReport,
-    ) -> Arc<SimReport> {
-        self.get_or_insert_with_freq(name, iterations, cfg, cap_w, None, compute)
-    }
-
-    /// [`SharedSimCache::get_or_insert_with`] with an additional DVFS
-    /// frequency-limit knob in the key (`None` = uncapped frequency, the
-    /// same key the frequency-free entry point uses).
-    pub fn get_or_insert_with_freq(
-        &self,
-        name: &str,
-        iterations: usize,
-        cfg: SimConfig,
-        cap_w: f64,
-        freq_limit_ghz: Option<f64>,
-        compute: impl FnOnce() -> SimReport,
-    ) -> Arc<SimReport> {
-        let region = self.interner.intern(name);
-        self.lookup(None, region, iterations, cfg, cap_w, freq_limit_ghz, compute)
-    }
-
     /// The hot-path lookup: keyed by an interned [`RegionId`], reading
     /// through `reader`'s cached snapshots (no shard lock on warm hits).
     /// `compute` runs without any lock held.
@@ -546,36 +541,20 @@ impl SharedSimCache {
             reader.tag, self as *const _ as usize,
             "CacheReader used with a cache other than the one that created it"
         );
-        self.lookup(Some(reader), region, iterations, cfg, cap_w, freq_limit_ghz, compute)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn lookup(
-        &self,
-        reader: Option<&mut CacheReader>,
-        region: RegionId,
-        iterations: usize,
-        cfg: SimConfig,
-        cap_w: f64,
-        freq_limit_ghz: Option<f64>,
-        compute: impl FnOnce() -> SimReport,
-    ) -> Arc<SimReport> {
         let key = CellKey::new(region, iterations, cfg, cap_w, freq_limit_ghz);
         let si = key.shard();
         let shard = &self.shards[si];
 
         // Lock-free warm path: probe the reader's cached frozen snapshot
         // while the shard generation is unchanged.
-        let snap = reader.map(|r| &mut r.snaps[si]);
+        let snap = &mut reader.snaps[si];
         let mut snap_current = false;
-        if let Some(slot) = &snap {
-            if let Some((gen, map)) = slot.as_ref() {
-                if *gen == shard.gen.load(Ordering::Acquire) {
-                    snap_current = true;
-                    if let Some(rep) = map.get(&key) {
-                        self.note_hit(region);
-                        return Arc::clone(rep);
-                    }
+        if let Some((gen, map)) = snap.as_ref() {
+            if *gen == shard.gen.load(Ordering::Acquire) {
+                snap_current = true;
+                if let Some(rep) = map.get(&key) {
+                    self.note_hit(region);
+                    return Arc::clone(rep);
                 }
             }
         }
@@ -587,9 +566,7 @@ impl SharedSimCache {
             let inner = shard.inner.lock();
             let mut found = None;
             if !snap_current {
-                if let Some(slot) = snap {
-                    *slot = Some((inner.gen, Arc::clone(&inner.frozen)));
-                }
+                *snap = Some((inner.gen, Arc::clone(&inner.frozen)));
                 found = inner.frozen.get(&key).cloned();
             }
             if found.is_none() {
@@ -675,6 +652,22 @@ mod tests {
         }
     }
 
+    /// One lookup of `r` (by interned id, through `reader`), simulating on
+    /// a miss.
+    fn lookup(
+        cache: &SharedSimCache,
+        reader: &mut CacheReader,
+        m: &Machine,
+        r: &RegionModel,
+        cfg: SimConfig,
+        cap_w: f64,
+    ) -> Arc<SimReport> {
+        let id = cache.intern(&r.name);
+        cache.get_or_insert_id(reader, id, r.iterations, cfg, cap_w, None, || {
+            simulate_region(m, cap_w, r, cfg)
+        })
+    }
+
     fn counters(cache: &SharedSimCache) -> (u64, u64) {
         let s = cache.stats();
         (s.hits, s.misses)
@@ -686,11 +679,12 @@ mod tests {
         let cache = SharedSimCache::new(&m.name);
         let r = region("a");
         let cfg = SimConfig { threads: 8, schedule: Schedule::static_block() };
-        let first = cache.get_or_insert_with(&r.name, r.iterations, cfg, 85.0, || {
-            simulate_region(&m, 85.0, &r, cfg)
+        let mut reader = cache.reader();
+        let first = lookup(&cache, &mut reader, &m, &r, cfg, 85.0);
+        let id = cache.intern(&r.name);
+        let second = cache.get_or_insert_id(&mut reader, id, r.iterations, cfg, 85.0, None, || {
+            panic!("must not recompute")
         });
-        let second = cache
-            .get_or_insert_with(&r.name, r.iterations, cfg, 85.0, || panic!("must not recompute"));
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(counters(&cache), (1, 1));
     }
@@ -701,16 +695,13 @@ mod tests {
         let cache = SharedSimCache::new(&m.name);
         let r = region("a");
         let cfg = SimConfig { threads: 8, schedule: Schedule::static_block() };
+        let mut reader = cache.reader();
         for cap in [55.0, 85.0] {
-            cache.get_or_insert_with(&r.name, r.iterations, cfg, cap, || {
-                simulate_region(&m, cap, &r, cfg)
-            });
+            lookup(&cache, &mut reader, &m, &r, cfg, cap);
         }
-        cache.get_or_insert_with(&r.name, 512, cfg, 55.0, || {
-            let mut r2 = region("a");
-            r2.iterations = 512;
-            simulate_region(&m, 55.0, &r2, cfg)
-        });
+        let mut r2 = region("a");
+        r2.iterations = 512;
+        lookup(&cache, &mut reader, &m, &r2, cfg, 55.0);
         assert_eq!(counters(&cache), (0, 3));
     }
 
@@ -722,15 +713,7 @@ mod tests {
         let cfg = SimConfig { threads: 16, schedule: Schedule::dynamic(8) };
         let times: Vec<f64> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    s.spawn(|| {
-                        cache
-                            .get_or_insert_with(&r.name, r.iterations, cfg, 70.0, || {
-                                simulate_region(&m, 70.0, &r, cfg)
-                            })
-                            .time_s
-                    })
-                })
+                .map(|_| s.spawn(|| lookup(&cache, &mut cache.reader(), &m, &r, cfg, 70.0).time_s))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
@@ -738,24 +721,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.lookups(), 8);
         assert!(stats.misses >= 1);
-    }
-
-    #[test]
-    fn id_keyed_reads_through_a_reader_match_string_lookups() {
-        let m = Machine::crill();
-        let cache = SharedSimCache::new(&m.name);
-        let r = region("a");
-        let cfg = SimConfig { threads: 8, schedule: Schedule::static_block() };
-        let by_name = cache.get_or_insert_with(&r.name, r.iterations, cfg, 85.0, || {
-            simulate_region(&m, 85.0, &r, cfg)
-        });
-        let id = cache.intern(&r.name);
-        let mut reader = cache.reader();
-        let by_id = cache.get_or_insert_id(&mut reader, id, r.iterations, cfg, 85.0, None, || {
-            panic!("must not recompute")
-        });
-        assert!(Arc::ptr_eq(&by_name, &by_id));
-        assert_eq!(counters(&cache), (1, 1));
     }
 
     #[test]
@@ -796,22 +761,20 @@ mod tests {
     }
 
     #[test]
-    fn frequency_limits_key_separately_from_the_capless_entry() {
+    fn frequency_limits_key_separately_from_the_unlimited_cell() {
         use crate::exec::simulate_region_at_freq;
         let m = Machine::crill();
         let cache = SharedSimCache::new(&m.name);
         let r = region("a");
         let cfg = SimConfig { threads: 8, schedule: Schedule::static_block() };
-        cache.get_or_insert_with(&r.name, r.iterations, cfg, 85.0, || {
-            simulate_region(&m, 85.0, &r, cfg)
-        });
-        // The frequency-free entry point and an explicit `None` limit
-        // share one cell...
-        cache.get_or_insert_with_freq(&r.name, r.iterations, cfg, 85.0, None, || {
+        let mut reader = cache.reader();
+        let id = cache.intern(&r.name);
+        lookup(&cache, &mut reader, &m, &r, cfg, 85.0);
+        cache.get_or_insert_id(&mut reader, id, r.iterations, cfg, 85.0, None, || {
             panic!("must not recompute")
         });
-        // ...while each frequency limit is its own cell.
-        cache.get_or_insert_with_freq(&r.name, r.iterations, cfg, 85.0, Some(2.1), || {
+        // Each frequency limit is its own cell.
+        cache.get_or_insert_id(&mut reader, id, r.iterations, cfg, 85.0, Some(2.1), || {
             simulate_region_at_freq(&m, 85.0, &r, cfg, Some(2.1))
         });
         assert_eq!(counters(&cache), (1, 2));
@@ -836,11 +799,10 @@ mod tests {
         let m = Machine::crill();
         let cache = SharedSimCache::new(&m.name);
         let r = region("occ");
+        let mut reader = cache.reader();
         for threads in [4usize, 8, 16] {
             let cfg = SimConfig { threads, schedule: Schedule::static_block() };
-            cache.get_or_insert_with(&r.name, r.iterations, cfg, 85.0, || {
-                simulate_region(&m, 85.0, &r, cfg)
-            });
+            lookup(&cache, &mut reader, &m, &r, cfg, 85.0);
         }
         let s = cache.stats();
         assert_eq!(s.entries, 3);
@@ -881,10 +843,9 @@ mod tests {
 
         let r = region("a");
         let cfg = SimConfig { threads: 8, schedule: Schedule::static_block() };
+        let mut reader = cache.reader();
         for _ in 0..3 {
-            cache.get_or_insert_with(&r.name, r.iterations, cfg, 85.0, || {
-                simulate_region(&m, 85.0, &r, cfg)
-            });
+            lookup(&cache, &mut reader, &m, &r, cfg, 85.0);
         }
         let snap = registry.snapshot();
         assert_eq!(snap.counter("powersim/cache/hits"), 2);
@@ -906,10 +867,9 @@ mod tests {
 
         let r = region("a");
         let cfg = SimConfig { threads: 8, schedule: Schedule::static_block() };
+        let mut reader = cache.reader();
         for _ in 0..2 {
-            cache.get_or_insert_with(&r.name, r.iterations, cfg, 85.0, || {
-                simulate_region(&m, 85.0, &r, cfg)
-            });
+            lookup(&cache, &mut reader, &m, &r, cfg, 85.0);
         }
         let records = sink.drain();
         assert_eq!(records.len(), 2);

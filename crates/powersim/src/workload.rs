@@ -27,47 +27,145 @@ pub enum ImbalanceProfile {
 }
 
 impl ImbalanceProfile {
-    /// Per-iteration weight vector, mean ≈ 1.
-    pub fn weights(&self, n: usize) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.fill_weights(n, &mut out);
-        out
-    }
-
-    /// [`ImbalanceProfile::weights`] into a caller-owned buffer (cleared
-    /// first) so the simulator can reuse one allocation per invocation.
-    pub fn fill_weights(&self, n: usize, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(n);
-        match *self {
-            ImbalanceProfile::Uniform => out.resize(n, 1.0),
-            ImbalanceProfile::Linear { slope } => out.extend((0..n).map(|i| {
-                let x = if n > 1 { i as f64 / (n - 1) as f64 } else { 0.5 };
-                (1.0 + slope * (x - 0.5)).max(0.05)
-            })),
+    /// The `n` per-iteration weights (mean ≈ 1) as a stream: consumers
+    /// that only fold over them — prefix sums, totals — never hold the
+    /// vector.
+    pub fn weight_stream(&self, n: usize) -> WeightStream {
+        let law = match *self {
+            ImbalanceProfile::Uniform => WeightLaw::Uniform,
+            ImbalanceProfile::Linear { slope } => {
+                WeightLaw::Linear { slope, span: n.saturating_sub(1) as f64 }
+            }
             ImbalanceProfile::Blocked { heavy_fraction, heavy_factor } => {
                 let heavy = ((n as f64) * heavy_fraction).round() as usize;
                 // Normalise so the mean stays ~1.
                 let mean =
                     (heavy as f64 * heavy_factor + (n - heavy.min(n)) as f64) / n.max(1) as f64;
-                out.extend((0..n).map(|i| if i < heavy { heavy_factor / mean } else { 1.0 / mean }))
+                WeightLaw::Blocked { heavy, heavy_w: heavy_factor / mean, light_w: 1.0 / mean }
             }
-            ImbalanceProfile::Random { cv, seed } => {
-                let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-                out.extend((0..n).map(|_| {
-                    // splitmix64 → uniform in [0,1).
-                    state = state.wrapping_add(0x9E3779B97F4A7C15);
-                    let mut z = state;
-                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-                    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-                    let u = ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64;
-                    // Uniform noise with mean 1, cv ≈ cv (uniform on
-                    // [1-a, 1+a] has cv = a/√3).
-                    let a = (cv * 3f64.sqrt()).min(0.95);
-                    1.0 - a + 2.0 * a * u
-                }))
-            }
+            ImbalanceProfile::Random { cv, seed } => WeightLaw::Random {
+                state: seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1),
+                // Uniform noise with mean 1, cv ≈ cv (uniform on
+                // [1-a, 1+a] has cv = a/√3).
+                a: (cv * 3f64.sqrt()).min(0.95),
+            },
+        };
+        WeightStream { i: 0, n, law }
+    }
+
+    /// Per-iteration weight vector, mean ≈ 1.
+    pub fn weights(&self, n: usize) -> Vec<f64> {
+        self.weight_stream(n).collect()
+    }
+}
+
+/// Per-profile generator state of a [`WeightStream`], with everything
+/// that does not depend on the iteration index computed once.
+#[derive(Debug, Clone)]
+enum WeightLaw {
+    Uniform,
+    Linear { slope: f64, span: f64 },
+    Blocked { heavy: usize, heavy_w: f64, light_w: f64 },
+    Random { state: u64, a: f64 },
+}
+
+/// Iterator over the weights of one `(ImbalanceProfile, n)`; see
+/// [`ImbalanceProfile::weight_stream`].
+#[derive(Debug, Clone)]
+pub struct WeightStream {
+    i: usize,
+    n: usize,
+    law: WeightLaw,
+}
+
+impl Iterator for WeightStream {
+    type Item = f64;
+
+    #[inline]
+    fn next(&mut self) -> Option<f64> {
+        if self.i >= self.n {
+            return None;
         }
+        let i = self.i;
+        self.i += 1;
+        Some(match &mut self.law {
+            WeightLaw::Uniform => 1.0,
+            WeightLaw::Linear { slope, span } => {
+                let x = if self.n > 1 { i as f64 / *span } else { 0.5 };
+                (1.0 + *slope * (x - 0.5)).max(0.05)
+            }
+            WeightLaw::Blocked { heavy, heavy_w, light_w } => {
+                if i < *heavy {
+                    *heavy_w
+                } else {
+                    *light_w
+                }
+            }
+            WeightLaw::Random { state, a } => {
+                // splitmix64 → uniform in [0,1).
+                *state = state.wrapping_add(0x9E3779B97F4A7C15);
+                let mut z = *state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+                let u = ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64;
+                1.0 - *a + 2.0 * *a * u
+            }
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.n - self.i;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for WeightStream {}
+
+/// The iteration-weight prefix sums of one `(ImbalanceProfile, n)`:
+/// `Σ weights[a..b]` is `prefix[b] − prefix[a]`. Everything the simulator
+/// needs of a region's imbalance, and independent of the configuration and
+/// cap being priced — so it is built once per region and shared (see
+/// [`crate::SharedSimCache::weight_table`]).
+///
+/// Uniform profiles carry no array: every weight is exactly 1.0, so the
+/// prefix sums are the exact integers `0..=n` and a range sum is
+/// `(b − a) as f64` — bit-identical to materialising them (integer `f64`
+/// sums are exact below 2^53) without touching memory.
+#[derive(Debug, Clone)]
+pub struct WeightTable {
+    profile: ImbalanceProfile,
+    iterations: usize,
+    prefix: Vec<f64>,
+}
+
+impl WeightTable {
+    pub fn new(profile: &ImbalanceProfile, iterations: usize) -> Self {
+        let mut prefix = Vec::new();
+        if !matches!(profile, ImbalanceProfile::Uniform) {
+            prefix.reserve_exact(iterations + 1);
+            let mut running = 0.0;
+            prefix.push(running);
+            prefix.extend(profile.weight_stream(iterations).map(|w| {
+                running += w;
+                running
+            }));
+        }
+        WeightTable { profile: profile.clone(), iterations, prefix }
+    }
+
+    pub fn for_region(region: &RegionModel) -> Self {
+        WeightTable::new(&region.imbalance, region.iterations)
+    }
+
+    /// Was this table built from `region`'s profile and trip count? By
+    /// value — region names do not identify a model.
+    pub fn matches(&self, region: &RegionModel) -> bool {
+        self.iterations == region.iterations && self.profile == region.imbalance
+    }
+
+    /// The `n + 1` prefix sums, or `None` for a uniform profile.
+    pub fn prefix(&self) -> Option<&[f64]> {
+        (!self.prefix.is_empty()).then_some(&self.prefix[..])
     }
 }
 
