@@ -3,12 +3,47 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Block until the server started as PID accepts connections on
+# loopback PORT (10 s); a server that died or never listened fails the
+# run here, by name, instead of as a connection error two commands on.
+wait_for_port() {
+    local port="$1" pid="$2"
+    for _ in $(seq 1 50); do
+        if (exec 3<>"/dev/tcp/127.0.0.1/$port") 2>/dev/null; then
+            return 0
+        fi
+        if ! kill -0 "$pid" 2>/dev/null; then
+            echo "ci: server (pid $pid) died before listening on port $port" >&2
+            exit 1
+        fi
+        sleep 0.2
+    done
+    echo "ci: server (pid $pid) is not listening on port $port after 10 s" >&2
+    exit 1
+}
+
 cargo build --release
 cargo test -q
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
+# One interpreter: outside the trace crate (definition), the broker
+# (emission) and the fold (meaning), no source may match a broker event.
+# `JobRequeued` stands in for the family — whoever re-interprets the
+# stream needs it. Test modules sit at the end of a file by convention
+# here, so everything from `#[cfg(test)]` on is skipped.
+strays="$(find crates src examples -name '*.rs' \
+    -not -path 'crates/trace/*' -not -path '*/tests/*' \
+    -not -path 'crates/serve/src/broker.rs' \
+    -not -path 'crates/metrics/src/broker_fold.rs' \
+    -exec awk '/#\[cfg\(test\)\]/ { nextfile } /TraceEvent::JobRequeued/ { print FILENAME ":" FNR ": " $0 }' {} +)"
+if [ -n "$strays" ]; then
+    echo "ci: broker events are interpreted outside BrokerFold:" >&2
+    echo "$strays" >&2
+    exit 1
+fi
 
 # Trace smoke: a tuned run must emit JSONL that validates against the
 # published schema (--check exits non-zero otherwise) plus a Chrome trace.
@@ -144,13 +179,7 @@ cargo run --release -q -p arcs-serve --bin arcs-serve -- \
     --port "$serve_port" --nodes 2 --machine crill --budget 300 \
     --trace "$trace_tmp/broker.trace.jsonl" &
 serve_pid=$!
-for _ in $(seq 1 50); do
-    if (exec 3<>"/dev/tcp/127.0.0.1/$serve_port") 2>/dev/null; then
-        exec 3>&- 3<&-
-        break
-    fi
-    sleep 0.2
-done
+wait_for_port "$serve_port" "$serve_pid"
 cargo run --release -q -p arcs-serve --bin arcs-serve-loadgen -- \
     --connect "127.0.0.1:$serve_port" --jobs 3 --tenants 2 --seed 11 \
     --reject-every 0 --fault-every 0
@@ -170,13 +199,7 @@ cargo run --release -q -p arcs-serve --bin arcs-serve -- \
     --port "$telemetry_port" --nodes 2 --machine crill --budget 300 \
     --trace "$trace_tmp/telemetry.trace.jsonl" &
 telemetry_pid=$!
-for _ in $(seq 1 50); do
-    if (exec 3<>"/dev/tcp/127.0.0.1/$telemetry_port") 2>/dev/null; then
-        exec 3>&- 3<&-
-        break
-    fi
-    sleep 0.2
-done
+wait_for_port "$telemetry_port" "$telemetry_pid"
 exec 3<>"/dev/tcp/127.0.0.1/$telemetry_port"
 printf '{"op":"submit","tenant":"acme","workload":"sp.S","timesteps":4,"weight":2}\n' >&3; read -r _ <&3
 printf '{"op":"submit","tenant":"umbrella","workload":"cg.S","timesteps":4}\n' >&3; read -r _ <&3
@@ -252,13 +275,7 @@ cargo run --release -q -p arcs-serve --bin arcs-serve -- \
     --port "$recover_port" --nodes 2 --machine crill --budget 300 \
     --node-faults node-flap:7 --journal "$trace_tmp/broker.journal.jsonl" &
 recover_pid=$!
-for _ in $(seq 1 50); do
-    if (exec 3<>"/dev/tcp/127.0.0.1/$recover_port") 2>/dev/null; then
-        exec 3>&- 3<&-
-        break
-    fi
-    sleep 0.2
-done
+wait_for_port "$recover_port" "$recover_pid"
 exec 3<>"/dev/tcp/127.0.0.1/$recover_port"
 printf '{"op":"submit","tenant":"acme","workload":"sp.S","timesteps":6}\n' >&3; read -r _ <&3
 printf '{"op":"submit","tenant":"umbrella","workload":"cg.S","timesteps":6}\n' >&3; read -r _ <&3
@@ -278,13 +295,7 @@ cargo run --release -q -p arcs-serve --bin arcs-serve -- \
     --port "$recover_port2" --recover "$trace_tmp/broker.journal.jsonl" \
     --journal "$trace_tmp/broker.journal2.jsonl" &
 recover_pid=$!
-for _ in $(seq 1 50); do
-    if (exec 3<>"/dev/tcp/127.0.0.1/$recover_port2") 2>/dev/null; then
-        exec 3>&- 3<&-
-        break
-    fi
-    sleep 0.2
-done
+wait_for_port "$recover_port2" "$recover_pid"
 exec 3<>"/dev/tcp/127.0.0.1/$recover_port2"
 printf '{"op":"stats"}\n' >&3; read -r post_recover <&3
 grep -q "$pre_submitted" <<< "$post_recover"

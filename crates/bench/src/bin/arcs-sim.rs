@@ -160,29 +160,13 @@ fn parse_args() -> Args {
         };
         match flag.as_str() {
             "--class" => {
-                args.class = match value("--class").as_str() {
-                    "S" => Class::S,
-                    "W" => Class::W,
-                    "A" => Class::A,
-                    "B" => Class::B,
-                    "C" => Class::C,
-                    other => {
-                        eprintln!("unknown class {other}");
-                        usage()
-                    }
-                }
+                args.class = value("--class").parse().unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    usage()
+                })
             }
             "--mesh" => args.mesh = value("--mesh").parse().unwrap_or_else(|_| usage()),
-            "--machine" => {
-                args.machine = match value("--machine").as_str() {
-                    "crill" => Machine::crill(),
-                    "minotaur" => Machine::minotaur(),
-                    other => {
-                        eprintln!("unknown machine {other}");
-                        usage()
-                    }
-                }
-            }
+            "--machine" => args.machine = machine_arg(&value("--machine"), usage),
             "--machine-file" => {
                 let path = value("--machine-file");
                 let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -227,24 +211,23 @@ fn workload(args: &Args) -> WorkloadDescriptor {
     wl
 }
 
-/// Parse an `APP[.CLASS]` workload spec (class defaults to B); the shared
-/// parser behind the `trace`, `chaos` and `schedule` subcommands.
-fn workload_from_spec(spec: &str) -> Result<WorkloadDescriptor, String> {
-    let (app, class) = spec.split_once('.').unwrap_or((spec, "B"));
-    let class = match class {
-        "S" => Class::S,
-        "W" => Class::W,
-        "A" => Class::A,
-        "B" => Class::B,
-        "C" => Class::C,
-        other => return Err(format!("unknown class {other}")),
-    };
-    Ok(match app {
-        "bt" => model::bt(class),
-        "sp" => model::sp(class),
-        "lulesh" => model::lulesh(45),
-        "mc" => model::mc(class),
-        other => return Err(format!("unknown workload {other}")),
+/// Resolve an `APP[.CLASS]` workload spec (class defaults to B) for the
+/// `trace`, `chaos` and `schedule` subcommands, or print why not and
+/// leave through `usage`.
+fn workload_arg(spec: &str, usage: fn() -> !) -> WorkloadDescriptor {
+    let full = if spec.contains('.') { spec.to_string() } else { format!("{spec}.B") };
+    model::by_spec(&full).unwrap_or_else(|| {
+        eprintln!("unknown workload {spec}");
+        usage()
+    })
+}
+
+/// The built-in machine model a `--machine` flag names, or leave
+/// through `usage`.
+fn machine_arg(name: &str, usage: fn() -> !) -> Machine {
+    Machine::by_name(name).unwrap_or_else(|| {
+        eprintln!("unknown machine {name}");
+        usage()
     })
 }
 
@@ -282,16 +265,7 @@ fn trace_main(argv: &[String]) {
         };
         match flag.as_str() {
             "--workload" => workload_spec = value("--workload"),
-            "--machine" => {
-                machine = match value("--machine").as_str() {
-                    "crill" => Machine::crill(),
-                    "minotaur" => Machine::minotaur(),
-                    other => {
-                        eprintln!("unknown machine {other}");
-                        trace_usage()
-                    }
-                }
-            }
+            "--machine" => machine = machine_arg(&value("--machine"), trace_usage),
             "--cap" => cap = Some(value("--cap").parse().unwrap_or_else(|_| trace_usage())),
             "--strategy" => strategy = value("--strategy"),
             "--objective" => {
@@ -314,10 +288,7 @@ fn trace_main(argv: &[String]) {
         }
     }
 
-    let mut wl = workload_from_spec(&workload_spec).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        trace_usage()
-    });
+    let mut wl = workload_arg(&workload_spec, trace_usage);
     if let Some(t) = timesteps {
         wl.timesteps = t;
     }
@@ -469,16 +440,7 @@ fn schedule_main(argv: &[String]) {
         };
         match flag.as_str() {
             "--workload" => workload_spec = value("--workload"),
-            "--machine" => {
-                machine = match value("--machine").as_str() {
-                    "crill" => Machine::crill(),
-                    "minotaur" => Machine::minotaur(),
-                    other => {
-                        eprintln!("unknown machine {other}");
-                        schedule_usage()
-                    }
-                }
-            }
+            "--machine" => machine = machine_arg(&value("--machine"), schedule_usage),
             "--cap" => cap = Some(value("--cap").parse().unwrap_or_else(|_| schedule_usage())),
             "--threads" => {
                 threads = Some(value("--threads").parse().unwrap_or_else(|_| schedule_usage()))
@@ -496,10 +458,7 @@ fn schedule_main(argv: &[String]) {
         }
     }
 
-    let mut wl = workload_from_spec(&workload_spec).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        schedule_usage()
-    });
+    let mut wl = workload_arg(&workload_spec, schedule_usage);
     if let Some(t) = timesteps {
         wl.timesteps = t;
     }
@@ -720,16 +679,7 @@ fn chaos_main(argv: &[String]) {
         };
         match flag.as_str() {
             "--workload" => workload_spec = value("--workload"),
-            "--machine" => {
-                machine = match value("--machine").as_str() {
-                    "crill" => Machine::crill(),
-                    "minotaur" => Machine::minotaur(),
-                    other => {
-                        eprintln!("unknown machine {other}");
-                        chaos_usage()
-                    }
-                }
-            }
+            "--machine" => machine = machine_arg(&value("--machine"), chaos_usage),
             "--cap" => cap = Some(value("--cap").parse().unwrap_or_else(|_| chaos_usage())),
             "--plan" => plan_name = value("--plan"),
             "--seed" => seed = value("--seed").parse().unwrap_or_else(|_| chaos_usage()),
@@ -753,10 +703,7 @@ fn chaos_main(argv: &[String]) {
         }
     }
 
-    let mut wl = workload_from_spec(&workload_spec).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        chaos_usage()
-    });
+    let mut wl = workload_arg(&workload_spec, chaos_usage);
     if let Some(t) = timesteps {
         wl.timesteps = t;
     }
@@ -1079,16 +1026,7 @@ fn bench_main(argv: &[String]) {
                     bench_usage()
                 }
             }
-            "--machine" => {
-                machine = match value("--machine").as_str() {
-                    "crill" => Machine::crill(),
-                    "minotaur" => Machine::minotaur(),
-                    other => {
-                        eprintln!("unknown machine {other}");
-                        bench_usage()
-                    }
-                }
-            }
+            "--machine" => machine = machine_arg(&value("--machine"), bench_usage),
             "--out" => out = Some(value("--out").into()),
             "--append" => append = Some(value("--append").into()),
             "--label" => label = value("--label"),

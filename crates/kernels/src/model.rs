@@ -543,6 +543,27 @@ pub fn mc(class: Class) -> WorkloadDescriptor {
     WorkloadDescriptor { name: format!("mc.{}", class.name()), step, timesteps: 30 }
 }
 
+/// Resolve a strict `<kernel>.<class>` workload spec — e.g. `sp.W`,
+/// `cg.S`, `mc.B` — to its descriptor. Kernels: `sp`, `bt`, `cg`, `ep`,
+/// `mg`, `mc`, `lulesh` (always the paper's mesh 45; the class is
+/// required but unused); classes: `S`, `W`, `A`, `B`, `C`. `None` for
+/// anything else — this is the check job submissions arriving over the
+/// wire go through.
+pub fn by_spec(spec: &str) -> Option<WorkloadDescriptor> {
+    let (kernel, class) = spec.split_once('.')?;
+    let class: Class = class.parse().ok()?;
+    Some(match kernel {
+        "sp" => sp(class),
+        "bt" => bt(class),
+        "cg" => cg(class),
+        "ep" => ep(class),
+        "mg" => mg(class),
+        "mc" => mc(class),
+        "lulesh" => lulesh(45),
+        _ => return None,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -766,6 +787,18 @@ mod tests {
         // signal the adaptive ladder keys on.
         let rep = simulate_region(&m, 115.0, track, default_cfg(&m));
         assert!(rep.imbalance() > 0.2, "default imbalance {}", rep.imbalance());
+    }
+
+    #[test]
+    fn specs_resolve_strictly() {
+        for name in ["sp.S", "bt.W", "cg.A", "ep.B", "mg.C", "mc.S", "lulesh.B"] {
+            let wl = by_spec(name).unwrap_or_else(|| panic!("{name} must resolve"));
+            assert!(wl.timesteps > 0);
+            assert!(!wl.step.is_empty());
+        }
+        for bad in ["sp", "sp.X", "lu.S", "", "sp.S.extra", "lulesh", "lulesh.45"] {
+            assert!(by_spec(bad).is_none(), "{bad} must not resolve");
+        }
     }
 
     #[test]

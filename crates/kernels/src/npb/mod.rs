@@ -70,6 +70,18 @@ impl Class {
     }
 }
 
+/// Parses the one-letter class name (`S`, `W`, `A`, `B`, `C`).
+impl std::str::FromStr for Class {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        [Class::S, Class::W, Class::A, Class::B, Class::C]
+            .into_iter()
+            .find(|c| c.name() == s)
+            .ok_or_else(|| format!("unknown class {s}"))
+    }
+}
+
 /// Shared problem constants.
 #[derive(Debug, Clone, Copy)]
 pub struct Problem {

@@ -9,6 +9,7 @@
 //! trace streams through [`TraceAnalysis`] in constant memory (the cache
 //! timeline decimates itself, see [`CacheReport::timeline`]).
 
+use crate::broker_fold::BrokerFold;
 use arcs_trace::{Objective, TraceEvent, TraceRecord, SCHEMA_VERSION};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -474,7 +475,7 @@ pub struct TenantBreakdown {
     pub completed: u64,
     /// Jobs admission control refused.
     pub rejected: u64,
-    /// Completions whose final status was not `ok`.
+    /// Completions whose final status was `degraded`.
     pub degraded: u64,
     /// Jobs that exhausted their retry budget (v9; 0 before).
     #[serde(default)]
@@ -1058,9 +1059,9 @@ pub struct TraceAnalysis {
     current_cap: Option<usize>,
     timeline_stride: u64,
     since_last_point: u64,
-    /// job id → tenant, learned from `JobSubmitted`/`JobScheduled`, so
-    /// `CapReallocated` allocations can be attributed per tenant.
-    job_tenants: BTreeMap<u64, String>,
+    /// The broker's events go through the one interpreter; `finish`
+    /// reads `report.broker` and `report.recovery` out of it.
+    broker: BrokerFold,
     /// region → chunk policy announced by its latest `RegionBegin`, so
     /// `RegionEnd` totals can be attributed per policy.
     region_policy: BTreeMap<String, String>,
@@ -1072,6 +1073,7 @@ impl TraceAnalysis {
     }
 
     pub fn consume(&mut self, rec: &TraceRecord) {
+        self.broker.apply_record(rec);
         let r = &mut self.report;
         r.records += 1;
         r.schema = rec.schema;
@@ -1157,49 +1159,6 @@ impl TraceAnalysis {
             TraceEvent::TunerDegraded { region, .. } => {
                 r.faults.degraded_regions.push(region.clone());
             }
-            TraceEvent::JobSubmitted { job, tenant, .. } => {
-                r.broker.submitted += 1;
-                r.broker.tenants.entry(tenant.clone()).or_default().submitted += 1;
-                self.job_tenants.insert(*job, tenant.clone());
-            }
-            TraceEvent::JobRejected { job, tenant, .. } => {
-                r.broker.rejected += 1;
-                r.broker.tenants.entry(tenant.clone()).or_default().rejected += 1;
-                self.job_tenants.remove(job);
-            }
-            TraceEvent::JobScheduled { job, tenant, .. } => {
-                r.broker.scheduled += 1;
-                r.broker.tenants.entry(tenant.clone()).or_default().scheduled += 1;
-                self.job_tenants.entry(*job).or_insert_with(|| tenant.clone());
-            }
-            TraceEvent::CapReallocated { budget_w, total_w, allocations, .. } => {
-                r.broker.reallocations += 1;
-                r.broker.budget_w = *budget_w;
-                let alloc_sum: f64 = allocations.iter().map(|a| a.cap_w).sum();
-                let total = total_w.max(alloc_sum);
-                r.broker.max_total_w = r.broker.max_total_w.max(total);
-                if total > budget_w * (1.0 + 1e-9) + 1e-9 {
-                    r.broker.over_budget_events += 1;
-                }
-                for a in allocations {
-                    if let Some(tenant) = self.job_tenants.get(&a.job) {
-                        let t = r.broker.tenants.entry(tenant.clone()).or_default();
-                        t.alloc_w_sum += a.cap_w;
-                        t.alloc_samples += 1;
-                    }
-                }
-            }
-            TraceEvent::JobCompleted { job, tenant, status, time_s, energy_j, .. } => {
-                r.broker.completed += 1;
-                let t = r.broker.tenants.entry(tenant.clone()).or_default();
-                t.completed += 1;
-                if status != "ok" {
-                    t.degraded += 1;
-                }
-                t.time_s += time_s;
-                t.energy_j += energy_j;
-                self.job_tenants.remove(job);
-            }
             TraceEvent::DriverPhases {
                 invocations,
                 tune_s,
@@ -1243,38 +1202,8 @@ impl TraceAnalysis {
                 r.policy_switches += 1;
                 r.policies.entry(to.clone()).or_default().switches_in += 1;
             }
-            TraceEvent::NodeFailed { class, permanent, .. } => {
-                r.recovery.node_failures += 1;
-                *r.recovery.failures_by_class.entry(class.clone()).or_default() += 1;
-                if *permanent {
-                    r.recovery.permanent_failures += 1;
-                }
-            }
-            TraceEvent::NodeRecovered { down_s, .. } => {
-                r.recovery.node_recoveries += 1;
-                r.recovery.total_down_s += down_s;
-            }
-            TraceEvent::JobRequeued { tenant, .. } => {
-                r.recovery.requeues += 1;
-                r.broker.tenants.entry(tenant.clone()).or_default().requeued += 1;
-            }
-            TraceEvent::JobFailed { job, tenant, .. } => {
-                r.broker.failed += 1;
-                r.broker.tenants.entry(tenant.clone()).or_default().failed += 1;
-                self.job_tenants.remove(job);
-            }
-            TraceEvent::JobShed { job, tenant, .. } => {
-                r.broker.shed += 1;
-                r.broker.tenants.entry(tenant.clone()).or_default().shed += 1;
-                self.job_tenants.remove(job);
-            }
-            TraceEvent::CheckpointRecovered { .. } => {
-                r.recovery.checkpoint_recoveries += 1;
-            }
-            TraceEvent::BrokerConfigured { budget_w, .. } => {
-                r.broker.budget_w = *budget_w;
-            }
-            TraceEvent::PolicyFired { .. } | TraceEvent::BrokerStep {} => {}
+            // Broker events are the fold's to interpret (fed above).
+            _ => {}
         }
     }
 
@@ -1301,6 +1230,8 @@ impl TraceAnalysis {
 
     pub fn finish(mut self, seq_gaps: u64) -> TraceReport {
         self.report.seq_gaps = seq_gaps;
+        self.report.broker = self.broker.broker_report();
+        self.report.recovery = self.broker.recovery_report();
         self.report
     }
 }

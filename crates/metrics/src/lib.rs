@@ -18,8 +18,14 @@
 //! is fully explained by region time plus charged overhead.
 //! [`compare_reports`] turns two such [`TraceReport`]s into a
 //! perf-regression gate (`arcs-sim compare --fail-on <pct>`).
+//!
+//! Between the two sits [`broker_fold`]: the one interpreter of the
+//! power-budget broker's events, which keeps the `serve/*` series in a
+//! registry and reads out dashboard frames ([`TelemetrySnapshot`]) and
+//! the analyser's [`BrokerReport`]/[`RecoveryReport`] alike.
 
 pub mod analysis;
+pub mod broker_fold;
 pub mod registry;
 
 pub use analysis::{
@@ -28,6 +34,7 @@ pub use analysis::{
     RegionBreakdown, SelfProfile, TenantBreakdown, TraceAnalysis, TraceReadError, TraceReader,
     TraceReport,
 };
+pub use broker_fold::{BrokerFold, Digest, TelemetrySnapshot, TenantTelemetry, EVENT_PANE};
 pub use registry::{
     BucketCount, Counter, CounterFamily, Gauge, GaugeFamily, Histogram, HistogramFamily,
     HistogramSummary, LabelId, MetricValue, MetricsRegistry, Snapshot, Timer,

@@ -352,6 +352,17 @@ impl Machine {
         serde_json::to_string_pretty(self).expect("machine serialises")
     }
 
+    /// The built-in model called `name` (`crill` or `minotaur`) — the one
+    /// place a machine name on a command line, in a config or in a
+    /// journal header becomes a [`Machine`].
+    pub fn by_name(name: &str) -> Option<Machine> {
+        match name {
+            "crill" => Some(Machine::crill()),
+            "minotaur" => Some(Machine::minotaur()),
+            _ => None,
+        }
+    }
+
     /// Dual-socket Sandy Bridge "Crill" (University of Houston).
     ///
     /// Coefficients are calibrated so that 8 busy cores at the 2.4 GHz base

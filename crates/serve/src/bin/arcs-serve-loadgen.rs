@@ -294,13 +294,9 @@ fn verify_trace(path: &str, expect: &VerifyExpectations) -> i32 {
 }
 
 fn run_in_process(args: &Args) -> i32 {
-    let machine = match args.machine.as_str() {
-        "crill" => Machine::crill(),
-        "minotaur" => Machine::minotaur(),
-        other => {
-            eprintln!("unknown machine {other:?}");
-            return 2;
-        }
+    let Some(machine) = Machine::by_name(&args.machine) else {
+        eprintln!("unknown machine {:?}", args.machine);
+        return 2;
     };
     let fleet = Fleet::homogeneous(machine, args.nodes);
     // Default: 100 W per node — between the fleet's floor (~57.5 W/node

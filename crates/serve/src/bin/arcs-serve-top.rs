@@ -22,8 +22,8 @@
 //! `--check-budget` turns the conservation invariant into an exit code:
 //! any frame with `allocated_w > budget_w` fails the run.
 
-use arcs_metrics::TraceReader;
-use arcs_serve::{TelemetrySnapshot, TraceTelemetry};
+use arcs_metrics::{BrokerFold, TraceReader};
+use arcs_serve::TelemetrySnapshot;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
@@ -103,8 +103,8 @@ fn parse_args() -> Args {
 /// float accumulation across reallocations). A zero budget means the
 /// frame predates the first `CapReallocated` record — replay has no
 /// budget reference yet, so there is nothing to check.
-fn check_budget(snap: &TelemetrySnapshot) -> bool {
-    snap.budget_w <= 0.0 || snap.allocated_w <= snap.budget_w + 1e-6
+fn check_budget(allocated_w: f64, budget_w: f64) -> bool {
+    budget_w <= 0.0 || allocated_w <= budget_w + 1e-6
 }
 
 fn bar(fill: f64, width: usize) -> String {
@@ -212,17 +212,22 @@ fn run_replay(args: &Args) -> i32 {
             return 1;
         }
     };
-    let mut tt = TraceTelemetry::new();
+    let mut fold = BrokerFold::new();
     let mut violation = false;
     for rec in reader {
         match rec {
             Ok(rec) => {
-                tt.consume(&rec);
+                fold.apply_record(&rec);
                 // A placement and the reallocation it triggers are one
                 // atomic step in the live broker but two trace records;
                 // the invariant only holds at reallocation boundaries.
-                let settled = matches!(rec.event, arcs_trace::TraceEvent::CapReallocated { .. });
-                if args.check_budget && settled && !check_budget(&tt.snapshot()) {
+                // Only the boundary is read off the record — what is
+                // allocated is the fold's to say.
+                let settled = rec.event.kind() == "CapReallocated";
+                if args.check_budget
+                    && settled
+                    && !check_budget(fold.allocated_w(), fold.budget_w())
+                {
                     violation = true;
                 }
             }
@@ -232,8 +237,7 @@ fn run_replay(args: &Args) -> i32 {
             }
         }
     }
-    let snap = tt.snapshot();
-    render(&snap, args.format, false);
+    render(&fold.snapshot(), args.format, false);
     if violation {
         eprintln!("budget violated: some frame allocated more than the budget");
         return 1;
@@ -276,7 +280,7 @@ fn run_live(args: &Args) -> i32 {
                 return 1;
             }
         };
-        if args.check_budget && !check_budget(&snap) {
+        if args.check_budget && !check_budget(snap.allocated_w, snap.budget_w) {
             render(&snap, args.format, false);
             eprintln!(
                 "budget violated at t={:.3}s: allocated {:.3} W > budget {:.3} W",

@@ -171,14 +171,10 @@ fn main() {
             }
         }
     } else {
-        let machine = match args.machine.as_str() {
-            "crill" => Machine::crill(),
-            "minotaur" => Machine::minotaur(),
-            other => {
-                eprintln!("unknown machine {other:?} (expected crill or minotaur)");
-                std::process::exit(2)
-            }
-        };
+        let machine = Machine::by_name(&args.machine).unwrap_or_else(|| {
+            eprintln!("unknown machine {:?} (expected crill or minotaur)", args.machine);
+            std::process::exit(2)
+        });
         let fleet = Fleet::homogeneous(machine, args.nodes);
         // Default budget: enough to run every node at 75 % of its
         // maximum — tight enough that arbitration matters, loose enough

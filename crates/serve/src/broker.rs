@@ -37,19 +37,29 @@
 //!   above the floor, which both preserves the invariant under float
 //!   arithmetic and keeps the per-cap memo-cache key space small.
 //!
+//! # Reporting
+//!
+//! The broker keeps what it needs to *arbitrate* and nothing else.
+//! Every decision leaves through one `emit`, which folds the event into
+//! an [`arcs_metrics::BrokerFold`] before recording it: counters, SLO
+//! series, per-tenant rows and the event pane are read-outs of that
+//! fold — the same interpreter `arcs-serve-top --replay` and the trace
+//! analyser run over the recorded stream, so live and replayed views
+//! cannot drift apart.
+//!
 //! Determinism: all state lives in `BTreeMap`/`BTreeSet` (iteration
 //! order is the id order), virtual time is integral, and the simulator
 //! underneath is deterministic — the same submission sequence always
 //! produces byte-identical traces.
 
-use crate::job::{resolve_workload, JobSpec, JobState};
+use crate::job::{JobSpec, JobState};
 use crate::journal::{load_journal, BrokerJournal, JournalError};
-use crate::telemetry::{self, event_line, push_event, Digest, TelemetrySnapshot, TenantTelemetry};
 use arcs::backend::Runner;
 use arcs::{
     CapHandle, ConfigSpace, RegionTuner, ResilienceOptions, RunStatus, SimExecutor, TunerOptions,
 };
-use arcs_metrics::{Counter, Gauge, GaugeFamily, Histogram, HistogramFamily, MetricsRegistry};
+use arcs_kernels::model;
+use arcs_metrics::{BrokerFold, MetricsRegistry, TelemetrySnapshot};
 use arcs_powersim::{FaultPlan, Fleet, Machine, NodeFaultClass, NodeFaultPlan, WorkloadDescriptor};
 use arcs_trace::{JobAllocation, TraceEvent, TraceSink};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -221,8 +231,8 @@ struct QueuedJob {
     degraded: bool,
     /// Placements consumed so far (0 for a never-placed job).
     attempts: u64,
-    /// True once the job has been requeued at least once — queue-wait
-    /// is sampled only on first placement.
+    /// True once the job has been requeued at least once: it resumes
+    /// from `remaining` instead of the workload's full length.
     requeued: bool,
 }
 
@@ -245,81 +255,52 @@ pub struct BrokerCounters {
     pub nodes_down: u64,
 }
 
-/// Per-tenant handles resolved once (at the tenant's first submission)
-/// from the broker's label families, so steady-state emission allocates
-/// nothing.
-struct TenantHandles {
-    wait: Histogram,
-    turnaround: Histogram,
-    alloc_w: Gauge,
+/// One running job's claim on the budget.
+struct Claim {
+    /// Pinned minimum: the job never holds less.
+    floor_w: f64,
+    /// Node hardware maximum: the job never holds more.
+    max_w: f64,
+    /// Share of the surplus; 0 pins the job at its floor (degraded).
+    weight: f64,
 }
 
-/// The broker's always-on SLO instrumentation. The registry is created
-/// in [`Broker::new`] (not attached) so `stats`, `watch` and the
-/// Prometheus `metrics` op are always rich — the broker is a service,
-/// not a hot loop, and its emission points are coarse (submission,
-/// placement, reallocation, completion).
-struct BrokerMetrics {
-    registry: Arc<MetricsRegistry>,
-    /// `serve/queue_wait_s`: submission → placement, virtual seconds.
-    queue_wait_s: Histogram,
-    /// `serve/turnaround_s`: submission → completion, virtual seconds.
-    turnaround_s: Histogram,
-    /// `serve/realloc_churn_w`: Σ |Δ allocation| per reallocation.
-    realloc_churn_w: Histogram,
-    /// `serve/reallocations`: how many times the budget was re-divided.
-    reallocations: Counter,
-    /// `serve/admission{outcome="admitted"|"rejected"|"shed"}`.
-    admitted: Counter,
-    rejected: Counter,
-    shed: Counter,
-    /// `serve/requeues`: jobs put back in the queue after losing a node.
-    requeues: Counter,
-    /// `serve/node_failures`: fleet outages (crash and drain alike).
-    node_failures: Counter,
-    /// `serve/job_failures`: jobs that failed terminally.
-    failed: Counter,
-    wait_by_tenant: HistogramFamily,
-    turnaround_by_tenant: HistogramFamily,
-    alloc_by_tenant: GaugeFamily,
-    tenants: BTreeMap<String, TenantHandles>,
-}
-
-impl BrokerMetrics {
-    fn new() -> Self {
-        let registry = Arc::new(MetricsRegistry::new());
-        let admission = registry.counter_family("serve/admission", "outcome");
-        BrokerMetrics {
-            queue_wait_s: registry.histogram("serve/queue_wait_s"),
-            turnaround_s: registry.histogram("serve/turnaround_s"),
-            realloc_churn_w: registry.histogram("serve/realloc_churn_w"),
-            reallocations: registry.counter("serve/reallocations"),
-            admitted: admission.with_label("admitted"),
-            rejected: admission.with_label("rejected"),
-            shed: admission.with_label("shed"),
-            requeues: registry.counter("serve/requeues"),
-            node_failures: registry.counter("serve/node_failures"),
-            failed: registry.counter("serve/job_failures"),
-            wait_by_tenant: registry.histogram_family("serve/queue_wait_s", "tenant"),
-            turnaround_by_tenant: registry.histogram_family("serve/turnaround_s", "tenant"),
-            alloc_by_tenant: registry.gauge_family("serve/alloc_w", "tenant"),
-            tenants: BTreeMap::new(),
-            registry,
+/// Split `budget_w` over `claims`: every floor first, then the surplus
+/// water-filled by weight — each round shares what is left among the
+/// unsaturated claims; a claim that reaches its maximum leaves the pool
+/// and its leftover flows to the next round (a round either saturates
+/// somebody or distributes everything, so this terminates). The surplus
+/// part of each allocation is then quantized down to
+/// [`ALLOC_QUANTUM_W`] steps, so Σ never creeps past the budget and
+/// per-cap cache keys stay coarse. Pure: the result, in claim order,
+/// depends on nothing but the arguments.
+fn water_fill(budget_w: f64, claims: &[Claim]) -> Vec<f64> {
+    let mut alloc: Vec<f64> = claims.iter().map(|c| c.floor_w).collect();
+    let mut unsat: Vec<usize> = (0..claims.len())
+        .filter(|&i| claims[i].weight > 0.0 && claims[i].max_w > claims[i].floor_w + EPS_W)
+        .collect();
+    loop {
+        let used: f64 = alloc.iter().sum();
+        let surplus = budget_w - used;
+        if surplus <= ALLOC_QUANTUM_W / 2.0 || unsat.is_empty() {
+            break;
+        }
+        let total_weight: f64 = unsat.iter().map(|&i| claims[i].weight).sum();
+        let before = unsat.len();
+        unsat.retain(|&i| {
+            let give = surplus * claims[i].weight / total_weight;
+            let saturates = alloc[i] + give >= claims[i].max_w - EPS_W;
+            alloc[i] = if saturates { claims[i].max_w } else { alloc[i] + give };
+            !saturates
+        });
+        if unsat.len() == before {
+            break;
         }
     }
-
-    /// Resolve (or create) the per-tenant handles for `name`.
-    fn tenant(&mut self, name: &str) -> &TenantHandles {
-        if !self.tenants.contains_key(name) {
-            let handles = TenantHandles {
-                wait: self.wait_by_tenant.with_label(name),
-                turnaround: self.turnaround_by_tenant.with_label(name),
-                alloc_w: self.alloc_by_tenant.with_label(name),
-            };
-            self.tenants.insert(name.to_string(), handles);
-        }
-        &self.tenants[name]
+    for (a, c) in alloc.iter_mut().zip(claims) {
+        *a = c.floor_w + ((*a - c.floor_w) / ALLOC_QUANTUM_W).floor() * ALLOC_QUANTUM_W;
     }
+    alloc
 }
 
 /// One `watch` subscriber: a channel plus its push period in quantum
@@ -362,22 +343,14 @@ pub struct Broker {
     draining: BTreeMap<u64, Option<u64>>,
     /// Tenant → fair-share weight (first submission wins).
     tenants: BTreeMap<String, f64>,
-    /// Tenant → rejected-job count (for telemetry rows).
-    tenant_rejected: BTreeMap<String, u64>,
-    tenant_failed: BTreeMap<String, u64>,
-    tenant_shed: BTreeMap<String, u64>,
-    tenant_requeued: BTreeMap<String, u64>,
-    requeues: u64,
     /// Write-ahead journal; when attached, every submit and step is
     /// recorded (and flushed) before it is applied.
     journal: Option<BrokerJournal>,
     free_nodes: BTreeSet<u64>,
-    /// Submission time (virtual µs) of every live job, for queue-wait
-    /// and turnaround attribution; entries die with the job.
-    submit_us: BTreeMap<u64, u64>,
-    metrics: BrokerMetrics,
-    /// Rolling narrative for the dashboard's events pane.
-    event_pane: VecDeque<String>,
+    /// Everything observable — counts, SLO series, per-tenant rows, the
+    /// event pane — is read out of this fold of the emitted events; the
+    /// fields above exist to arbitrate, not to report.
+    fold: BrokerFold,
     watchers: Vec<Watcher>,
 }
 
@@ -400,7 +373,7 @@ impl Broker {
                 }
             }
         }
-        Broker {
+        let mut broker = Broker {
             fleet,
             cfg,
             trace,
@@ -418,17 +391,32 @@ impl Broker {
             down_nodes: BTreeMap::new(),
             draining: BTreeMap::new(),
             tenants: BTreeMap::new(),
-            tenant_rejected: BTreeMap::new(),
-            tenant_failed: BTreeMap::new(),
-            tenant_shed: BTreeMap::new(),
-            tenant_requeued: BTreeMap::new(),
-            requeues: 0,
             journal: None,
             free_nodes,
-            submit_us: BTreeMap::new(),
-            metrics: BrokerMetrics::new(),
-            event_pane: VecDeque::new(),
+            fold: BrokerFold::new(),
             watchers: Vec::new(),
+        };
+        // The budget is known from birth, not from the first
+        // reallocation: the fold learns it the way a journal reader does.
+        let configured = broker.configured();
+        broker.fold.apply(0.0, &configured);
+        broker
+    }
+
+    /// The [`TraceEvent::BrokerConfigured`] describing how to rebuild
+    /// this broker — the journal's header record.
+    fn configured(&self) -> TraceEvent {
+        TraceEvent::BrokerConfigured {
+            budget_w: self.cfg.budget_w,
+            quantum_timesteps: self.cfg.quantum_timesteps as u64,
+            machines: self.fleet.nodes().iter().map(|n| n.machine.name.clone()).collect(),
+            max_queue: self.cfg.max_queue.map(|q| q as u64),
+            max_retries: self.cfg.max_retries,
+            backoff_base_s: self.cfg.backoff_base_s,
+            resilience: serde_json::to_string(&self.cfg.resilience)
+                .expect("resilience options serialize"),
+            node_faults: serde_json::to_string(&self.cfg.node_faults)
+                .expect("node-fault plans serialize"),
         }
     }
 
@@ -437,21 +425,7 @@ impl Broker {
     /// [`TraceEvent::BrokerConfigured`] header describing how to rebuild
     /// this broker, and recovery replays every op recorded after it.
     pub fn attach_journal(&mut self, journal: BrokerJournal) {
-        journal.append(
-            self.now_s(),
-            TraceEvent::BrokerConfigured {
-                budget_w: self.cfg.budget_w,
-                quantum_timesteps: self.cfg.quantum_timesteps as u64,
-                machines: self.fleet.nodes().iter().map(|n| n.machine.name.clone()).collect(),
-                max_queue: self.cfg.max_queue.map(|q| q as u64),
-                max_retries: self.cfg.max_retries,
-                backoff_base_s: self.cfg.backoff_base_s,
-                resilience: serde_json::to_string(&self.cfg.resilience)
-                    .expect("resilience options serialize"),
-                node_faults: serde_json::to_string(&self.cfg.node_faults)
-                    .expect("node-fault plans serialize"),
-            },
-        );
+        journal.append(self.now_s(), self.configured());
         self.journal = Some(journal);
     }
 
@@ -505,13 +479,8 @@ impl Broker {
         };
         let mut fleet = Fleet::new();
         for name in &machines {
-            let machine = match name.as_str() {
-                "crill" => Machine::crill(),
-                "minotaur" => Machine::minotaur(),
-                other => {
-                    return Err(JournalError::Header(format!("unknown machine model {other:?}")))
-                }
-            };
+            let machine = Machine::by_name(name)
+                .ok_or_else(|| JournalError::Header(format!("unknown machine model {name:?}")))?;
             fleet.push(machine);
         }
         let resilience: Option<ResilienceOptions> = serde_json::from_str(&resilience)
@@ -579,11 +548,11 @@ impl Broker {
         self.cfg.budget_w
     }
 
-    /// The broker's own metrics registry — always present (every broker
-    /// owns one from birth). The server wires its thread-pool gauges here;
-    /// the `arcs-serve` binary bridges trace write errors into it.
+    /// The broker's own metrics registry — the fold's, always present.
+    /// The server wires its thread-pool gauges here; the `arcs-serve`
+    /// binary bridges trace write errors into it.
     pub fn registry(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.metrics.registry)
+        self.fold.registry()
     }
 
     /// Virtual time, seconds.
@@ -598,12 +567,11 @@ impl Broker {
             running: self.running.len() as u64,
             completed: self.completed.len() as u64,
             rejected: self.rejected.len() as u64,
-            degraded: self.completed.values().filter(|c| c.status == RunStatus::Degraded).count()
-                as u64
+            degraded: self.fold.degraded()
                 + self.running.values().filter(|r| r.degraded).count() as u64,
             failed: self.failed.len() as u64,
             shed: self.shed.len() as u64,
-            requeued: self.requeues,
+            requeued: self.fold.requeues(),
             nodes_down: (self.down_nodes.len() + self.draining.len()) as u64,
         }
     }
@@ -658,9 +626,13 @@ impl Broker {
         !self.events.is_empty() || !self.queue.is_empty()
     }
 
-    fn emit(&self, event: TraceEvent) {
+    /// Everything the broker decides leaves through here: the event is
+    /// folded into the broker's own read-outs, then recorded.
+    fn emit(&mut self, event: TraceEvent) {
+        let now_s = self.now_s();
+        self.fold.apply(now_s, &event);
         if self.trace.enabled() {
-            self.trace.record(Some(self.now_s()), event);
+            self.trace.record(Some(now_s), event);
         }
     }
 
@@ -699,14 +671,10 @@ impl Broker {
         };
         self.journal_op(submitted.clone());
         self.emit(submitted);
-        self.metrics.tenant(&spec.tenant);
-        let line =
-            event_line(self.now_s(), telemetry::fmt_submitted(job, &spec.tenant, &spec.workload));
-        push_event(&mut self.event_pane, line);
 
         let reason = if self.fleet.is_empty() {
             Some("the fleet has no nodes".to_string())
-        } else if resolve_workload(&spec.workload).is_none() {
+        } else if model::by_spec(&spec.workload).is_none() {
             Some(format!("unknown workload {:?}", spec.workload))
         } else if min_floor.is_none() {
             Some("floor cap exceeds every node's capacity".to_string())
@@ -722,11 +690,6 @@ impl Broker {
                 floor_w,
                 reason: reason.clone(),
             });
-            self.metrics.rejected.inc();
-            *self.tenant_rejected.entry(spec.tenant.clone()).or_insert(0) += 1;
-            let line =
-                event_line(self.now_s(), telemetry::fmt_rejected(job, &spec.tenant, &reason));
-            push_event(&mut self.event_pane, line);
             self.rejected.insert(job, reason.clone());
             return SubmitOutcome::Rejected { job, reason };
         }
@@ -748,18 +711,14 @@ impl Broker {
                     queue_depth,
                     retry_after_s,
                 });
-                self.metrics.shed.inc();
-                *self.tenant_shed.entry(spec.tenant.clone()).or_insert(0) += 1;
-                let line =
-                    event_line(self.now_s(), telemetry::fmt_shed(job, &spec.tenant, queue_depth));
-                push_event(&mut self.event_pane, line);
                 self.shed.insert(job, reason.clone());
                 return SubmitOutcome::Shed { job, reason, retry_after_s, queue_depth };
             }
         }
 
-        self.metrics.admitted.inc();
-        self.submit_us.insert(job, self.now_us);
+        // Admission emits no event of its own, so this one series is
+        // bumped here (see the fold's module docs).
+        self.fold.admitted().inc();
         self.queue.push_back(job);
         self.queued.insert(
             job,
@@ -847,18 +806,6 @@ impl Broker {
                 time_s: rj.time_s,
                 energy_j: rj.energy_j,
             });
-            if let Some(at) = self.submit_us.remove(&job) {
-                // Seconds-differenced to match trace replay bitwise (see
-                // the queue-wait sample in `place`).
-                let turn_s = (self.now_us as f64 / 1e6 - at as f64 / 1e6).max(0.0);
-                self.metrics.turnaround_s.record(turn_s);
-                self.metrics.tenant(&rj.spec.tenant).turnaround.record(turn_s);
-            }
-            let line = event_line(
-                self.now_s(),
-                telemetry::fmt_completed(job, &rj.spec.tenant, &status.to_string(), rj.time_s),
-            );
-            push_event(&mut self.event_pane, line);
             self.completed.insert(
                 job,
                 CompletedJob {
@@ -880,32 +827,9 @@ impl Broker {
             self.schedule();
         } else if draining {
             let rj = self.running.remove(&job).expect("present above");
-            self.emit(TraceEvent::JobRequeued {
-                job,
-                tenant: rj.spec.tenant.clone(),
-                node,
-                attempt: rj.attempts,
-                backoff_s: 0.0,
-            });
-            self.requeues += 1;
-            self.metrics.requeues.inc();
-            *self.tenant_requeued.entry(rj.spec.tenant.clone()).or_insert(0) += 1;
-            let line =
-                event_line(self.now_s(), telemetry::fmt_requeued(job, &rj.spec.tenant, node, 0.0));
-            push_event(&mut self.event_pane, line);
+            let qj = self.requeue(job, rj, 0.0);
             self.queue.push_back(job);
-            self.queued.insert(
-                job,
-                QueuedJob {
-                    spec: rj.spec,
-                    remaining: rj.remaining,
-                    time_s: rj.time_s,
-                    energy_j: rj.energy_j,
-                    degraded: rj.degraded,
-                    attempts: rj.attempts,
-                    requeued: true,
-                },
-            );
+            self.queued.insert(job, qj);
             self.node_goes_down(node);
             self.reallocate("node-drained");
             self.schedule();
@@ -937,12 +861,6 @@ impl Broker {
             permanent: down_us.is_none(),
             victim,
         });
-        self.metrics.node_failures.inc();
-        let line = event_line(
-            self.now_s(),
-            telemetry::fmt_node_failed(node, class.label(), down_us.is_none(), victim),
-        );
-        push_event(&mut self.event_pane, line);
 
         match (victim, class) {
             (None, _) => {
@@ -985,39 +903,36 @@ impl Broker {
                     // consumed placement, capped at 64× the base.
                     let backoff_s = self.cfg.backoff_base_s
                         * 2f64.powi((rj.attempts.saturating_sub(1)).min(6) as i32);
-                    self.emit(TraceEvent::JobRequeued {
-                        job,
-                        tenant: rj.spec.tenant.clone(),
-                        node,
-                        attempt: rj.attempts,
-                        backoff_s,
-                    });
-                    self.requeues += 1;
-                    self.metrics.requeues.inc();
-                    *self.tenant_requeued.entry(rj.spec.tenant.clone()).or_insert(0) += 1;
-                    let line = event_line(
-                        self.now_s(),
-                        telemetry::fmt_requeued(job, &rj.spec.tenant, node, backoff_s),
-                    );
-                    push_event(&mut self.event_pane, line);
+                    let qj = self.requeue(job, rj, backoff_s);
                     let release_us = self.now_us + (backoff_s * 1e6).round().max(1.0) as u64;
                     self.events.insert((release_us, EV_RELEASE, job), Ev::Release);
-                    self.parked.insert(
-                        job,
-                        QueuedJob {
-                            spec: rj.spec,
-                            remaining: rj.remaining,
-                            time_s: rj.time_s,
-                            energy_j: rj.energy_j,
-                            degraded: rj.degraded,
-                            attempts: rj.attempts,
-                            requeued: true,
-                        },
-                    );
+                    self.parked.insert(job, qj);
                 }
                 self.reallocate("node-failed");
                 self.schedule();
             }
+        }
+    }
+
+    /// `job` lost its node: announce the requeue and hand back what
+    /// survives of it — the spec and every completed quantum's progress
+    /// — for the caller to queue (drain) or park (crash backoff).
+    fn requeue(&mut self, job: u64, rj: RunningJob, backoff_s: f64) -> QueuedJob {
+        self.emit(TraceEvent::JobRequeued {
+            job,
+            tenant: rj.spec.tenant.clone(),
+            node: rj.node,
+            attempt: rj.attempts,
+            backoff_s,
+        });
+        QueuedJob {
+            spec: rj.spec,
+            remaining: rj.remaining,
+            time_s: rj.time_s,
+            energy_j: rj.energy_j,
+            degraded: rj.degraded,
+            attempts: rj.attempts,
+            requeued: true,
         }
     }
 
@@ -1027,8 +942,6 @@ impl Broker {
         // Seconds-differenced like every duration the replay rebuilds.
         let down_s = (self.now_us as f64 / 1e6 - since as f64 / 1e6).max(0.0);
         self.emit(TraceEvent::NodeRecovered { node, down_s });
-        let line = event_line(self.now_s(), telemetry::fmt_node_recovered(node, down_s));
-        push_event(&mut self.event_pane, line);
         self.free_nodes.insert(node);
         self.schedule();
     }
@@ -1063,11 +976,6 @@ impl Broker {
             reason: reason.clone(),
             attempts,
         });
-        self.metrics.failed.inc();
-        *self.tenant_failed.entry(tenant.clone()).or_insert(0) += 1;
-        self.submit_us.remove(&job);
-        let line = event_line(self.now_s(), telemetry::fmt_failed(job, &tenant, &reason));
-        push_event(&mut self.event_pane, line);
         self.failed.insert(job, reason);
     }
 
@@ -1124,7 +1032,7 @@ impl Broker {
         let spec = qj.spec;
         let node = self.fleet.node(node_id).expect("placing on a fleet node").clone();
         let floor_w = spec.floor_w.unwrap_or(0.0).max(node.min_cap_w());
-        let mut wl = resolve_workload(&spec.workload).expect("admission resolved the workload");
+        let mut wl = model::by_spec(&spec.workload).expect("admission resolved the workload");
         if spec.timesteps > 0 {
             wl.timesteps = spec.timesteps;
         }
@@ -1151,21 +1059,6 @@ impl Broker {
             node: node_id,
             cap_w: floor_w,
         });
-        if !qj.requeued {
-            // Queue wait is the *first* placement's wait — a requeued
-            // job already paid it (replay applies the same rule).
-            if let Some(&at) = self.submit_us.get(&job) {
-                // Differenced in seconds (not µs) so the sample is
-                // bitwise identical to what a trace replay reconstructs
-                // from the emitted `t_s` timestamps.
-                let wait_s = (self.now_us as f64 / 1e6 - at as f64 / 1e6).max(0.0);
-                self.metrics.queue_wait_s.record(wait_s);
-                self.metrics.tenant(&spec.tenant).wait.record(wait_s);
-            }
-        }
-        let line =
-            event_line(self.now_s(), telemetry::fmt_scheduled(job, &spec.tenant, node_id, floor_w));
-        push_event(&mut self.event_pane, line);
         self.free_nodes.remove(&node_id);
         self.running.insert(
             job,
@@ -1215,96 +1108,41 @@ impl Broker {
         self.events.insert((at, EV_QUANTUM, job), Ev::Quantum);
     }
 
-    /// Redistribute the global budget across running jobs: floors
-    /// first, then weighted-fair water-filling of the surplus (see
-    /// module docs). Emits [`TraceEvent::CapReallocated`] and moves the
-    /// cap handles of every job whose allocation changed.
+    /// Redistribute the global budget across running jobs ([`water_fill`]
+    /// over one [`Claim`] per job, a tenant's weight split evenly across
+    /// its running jobs). Emits [`TraceEvent::CapReallocated`] and moves
+    /// the cap handles of every job whose allocation changed.
     fn reallocate(&mut self, reason: &str) {
-        // Per-tenant running-job counts split each tenant's weight.
         let mut tenant_jobs: BTreeMap<&str, f64> = BTreeMap::new();
         for rj in self.running.values() {
             *tenant_jobs.entry(rj.spec.tenant.as_str()).or_insert(0.0) += 1.0;
         }
-        let mut alloc: BTreeMap<u64, f64> = BTreeMap::new();
-        let mut weight: BTreeMap<u64, f64> = BTreeMap::new();
-        let mut unsat: BTreeSet<u64> = BTreeSet::new();
-        for (&job, rj) in &self.running {
-            alloc.insert(job, rj.floor_w);
-            if !rj.degraded && rj.max_w > rj.floor_w + EPS_W {
-                let w = self.tenants.get(&rj.spec.tenant).copied().unwrap_or(1.0)
-                    / tenant_jobs[rj.spec.tenant.as_str()];
-                weight.insert(job, w);
-                unsat.insert(job);
-            }
-        }
-
-        // Water-fill: each round shares the remaining surplus by weight;
-        // jobs that hit their node maximum leave the pool and their
-        // leftover flows to the next round. Terminates because a round
-        // either saturates somebody or distributes everything.
-        loop {
-            let used: f64 = alloc.values().sum();
-            let surplus = self.cfg.budget_w - used;
-            if surplus <= ALLOC_QUANTUM_W / 2.0 || unsat.is_empty() {
-                break;
-            }
-            let total_weight: f64 = unsat.iter().map(|j| weight[j]).sum();
-            let mut saturated = false;
-            for job in unsat.clone() {
-                let give = surplus * weight[&job] / total_weight;
-                let max = self.running[&job].max_w;
-                let a = alloc.get_mut(&job).expect("allocated above");
-                if *a + give >= max - EPS_W {
-                    *a = max;
-                    unsat.remove(&job);
-                    saturated = true;
+        let claims: Vec<Claim> = self
+            .running
+            .values()
+            .map(|rj| Claim {
+                floor_w: rj.floor_w,
+                max_w: rj.max_w,
+                weight: if rj.degraded {
+                    0.0
                 } else {
-                    *a += give;
-                }
-            }
-            if !saturated {
-                break;
-            }
-        }
-
-        // Quantize the surplus part down so Σ never creeps past the
-        // budget and per-cap cache keys stay coarse.
-        for (job, a) in alloc.iter_mut() {
-            let floor = self.running[job].floor_w;
-            *a = floor + ((*a - floor) / ALLOC_QUANTUM_W).floor() * ALLOC_QUANTUM_W;
-        }
-
-        let total_w: f64 = alloc.values().sum();
-        let allocations: Vec<JobAllocation> = alloc
-            .iter()
-            .map(|(&job, &cap_w)| JobAllocation { job, node: self.running[&job].node, cap_w })
+                    self.tenants.get(&rj.spec.tenant).copied().unwrap_or(1.0)
+                        / tenant_jobs[rj.spec.tenant.as_str()]
+                },
+            })
             .collect();
-        let mut churn_w = 0.0;
-        for (job, &cap_w) in &alloc {
-            let rj = self.running.get_mut(job).expect("allocated jobs are running");
+        let caps = water_fill(self.cfg.budget_w, &claims);
+
+        let total_w: f64 = caps.iter().sum();
+        let mut allocations = Vec::with_capacity(caps.len());
+        for ((&job, rj), &cap_w) in self.running.iter_mut().zip(&caps) {
+            allocations.push(JobAllocation { job, node: rj.node, cap_w });
             if (rj.alloc_w - cap_w).abs() > EPS_W {
-                churn_w += (rj.alloc_w - cap_w).abs();
                 rj.alloc_w = cap_w;
                 let sockets = self.fleet.node(rj.node).expect("job node exists").machine.sockets;
                 rj.handle.set(cap_w / sockets as f64);
             }
         }
-        self.metrics.reallocations.inc();
-        self.metrics.realloc_churn_w.record(churn_w);
-        // Per-tenant allocated-watts gauges: recompute every tenant's sum
-        // (tenants with nothing running drop to 0).
-        let mut by_tenant: BTreeMap<&str, f64> = BTreeMap::new();
-        for rj in self.running.values() {
-            *by_tenant.entry(rj.spec.tenant.as_str()).or_insert(0.0) += rj.alloc_w;
-        }
-        for (name, handles) in &self.metrics.tenants {
-            handles.alloc_w.set(by_tenant.get(name.as_str()).copied().unwrap_or(0.0));
-        }
-        let line = event_line(
-            self.now_s(),
-            telemetry::fmt_realloc(reason, total_w, self.cfg.budget_w, allocations.len()),
-        );
-        push_event(&mut self.event_pane, line);
         self.emit(TraceEvent::CapReallocated {
             reason: reason.to_string(),
             budget_w: self.cfg.budget_w,
@@ -1313,78 +1151,19 @@ impl Broker {
         });
     }
 
-    /// One dashboard frame of the broker's current state (see
-    /// [`TelemetrySnapshot`]). SLO digests read the same registry series
-    /// the Prometheus exposition renders.
+    /// One dashboard frame of the broker's current state: the fold's
+    /// read-out, plus the two things only the live broker knows — its
+    /// clock (a step that emits nothing still advances it) and which
+    /// *running* jobs are degraded right now.
     pub fn telemetry(&self) -> TelemetrySnapshot {
-        let mut tenants: BTreeMap<String, TenantTelemetry> = BTreeMap::new();
-        for (name, &weight) in &self.tenants {
-            let handles = self.metrics.tenants.get(name);
-            tenants.insert(
-                name.clone(),
-                TenantTelemetry {
-                    weight,
-                    queued: 0,
-                    running: 0,
-                    completed: 0,
-                    degraded: 0,
-                    rejected: self.tenant_rejected.get(name).copied().unwrap_or(0),
-                    failed: self.tenant_failed.get(name).copied().unwrap_or(0),
-                    shed: self.tenant_shed.get(name).copied().unwrap_or(0),
-                    requeued: self.tenant_requeued.get(name).copied().unwrap_or(0),
-                    alloc_w: 0.0,
-                    fair_share_w: 0.0,
-                    queue_wait: handles.map(|h| Digest::from(&h.wait)).unwrap_or_default(),
-                    turnaround: handles.map(|h| Digest::from(&h.turnaround)).unwrap_or_default(),
-                },
-            );
-        }
-        for qj in self.queued.values().chain(self.parked.values()) {
-            if let Some(t) = tenants.get_mut(&qj.spec.tenant) {
-                t.queued += 1;
+        let mut snap = self.fold.snapshot();
+        snap.now_s = self.now_s();
+        for rj in self.running.values().filter(|rj| rj.degraded) {
+            snap.degraded += 1;
+            if let Some(t) = snap.tenants.get_mut(&rj.spec.tenant) {
+                t.degraded += 1;
             }
         }
-        for rj in self.running.values() {
-            if let Some(t) = tenants.get_mut(&rj.spec.tenant) {
-                t.running += 1;
-                t.alloc_w += rj.alloc_w;
-                if rj.degraded {
-                    t.degraded += 1;
-                }
-            }
-        }
-        for done in self.completed.values() {
-            if let Some(t) = tenants.get_mut(&done.tenant) {
-                t.completed += 1;
-                if done.status == RunStatus::Degraded {
-                    t.degraded += 1;
-                }
-            }
-        }
-        let c = self.counters();
-        let mut snap = TelemetrySnapshot {
-            now_s: self.now_s(),
-            budget_w: self.cfg.budget_w,
-            // `+ 0.0` normalises the empty sum's `-0.0` so idle frames
-            // serialize as `0`, matching the replay reconstruction.
-            allocated_w: self.running.values().map(|r| r.alloc_w).sum::<f64>() + 0.0,
-            submitted: c.submitted,
-            queued: c.queued,
-            running: c.running,
-            completed: c.completed,
-            rejected: c.rejected,
-            degraded: c.degraded,
-            failed: c.failed,
-            shed: c.shed,
-            requeued: c.requeued,
-            nodes_down: c.nodes_down,
-            queue_wait: Digest::from(&self.metrics.queue_wait_s),
-            turnaround: Digest::from(&self.metrics.turnaround_s),
-            realloc_churn_w: Digest::from(&self.metrics.realloc_churn_w),
-            tenants,
-            events: self.event_pane.iter().cloned().collect(),
-        };
-        snap.compute_fair_shares();
         snap
     }
 
@@ -1536,6 +1315,24 @@ mod tests {
         );
         assert!(heavy + light <= 300.0 + 1e-6);
         broker.run_until_idle();
+    }
+
+    #[test]
+    fn water_filling_respects_floors_maxima_weights_and_the_budget() {
+        let claim = |floor_w, max_w, weight| Claim { floor_w, max_w, weight };
+        // Surplus 185 split 2:1, nobody saturates.
+        let caps = water_fill(300.0, &[claim(57.5, 230.0, 2.0), claim(57.5, 230.0, 1.0)]);
+        assert!(((caps[0] - 57.5) / (caps[1] - 57.5) - 2.0).abs() < 0.02, "{caps:?}");
+        // The first claim saturates at 100 W; its leftover flows to the
+        // second. A zero-weight (degraded) claim holds exactly its floor.
+        let caps = water_fill(
+            400.0,
+            &[claim(57.5, 100.0, 5.0), claim(57.5, 230.0, 1.0), claim(60.0, 230.0, 0.0)],
+        );
+        assert_eq!((caps[0], caps[2]), (100.0, 60.0));
+        assert!(caps[1] > 200.0 && caps[1] <= 230.0, "{caps:?}");
+        assert!(caps.iter().sum::<f64>() <= 400.0 + EPS_W);
+        assert!(water_fill(100.0, &[]).is_empty());
     }
 
     #[test]

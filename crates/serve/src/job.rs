@@ -1,7 +1,5 @@
-//! Tenant job descriptions and workload resolution.
+//! Tenant job descriptions.
 
-use arcs_kernels::{model, Class};
-use arcs_powersim::WorkloadDescriptor;
 use serde::{Deserialize, Serialize};
 
 /// What a tenant asks the broker to run.
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 pub struct JobSpec {
     pub tenant: String,
     /// Workload name, `<kernel>.<class>` — e.g. `sp.W`, `cg.S` (see
-    /// [`resolve_workload`]).
+    /// [`arcs_kernels::model::by_spec`]).
     pub workload: String,
     /// Application timesteps to run; 0 means the workload's own default.
     #[serde(default)]
@@ -69,29 +67,6 @@ impl JobSpec {
     }
 }
 
-/// Resolve a `<kernel>.<class>` workload name to its descriptor.
-/// Kernels: `sp`, `bt`, `cg`, `ep`, `mg`; classes: `S`, `W`, `A`, `B`,
-/// `C`. Returns `None` for anything else.
-pub fn resolve_workload(name: &str) -> Option<WorkloadDescriptor> {
-    let (kernel, class) = name.split_once('.')?;
-    let class = match class {
-        "S" => Class::S,
-        "W" => Class::W,
-        "A" => Class::A,
-        "B" => Class::B,
-        "C" => Class::C,
-        _ => return None,
-    };
-    Some(match kernel {
-        "sp" => model::sp(class),
-        "bt" => model::bt(class),
-        "cg" => model::cg(class),
-        "ep" => model::ep(class),
-        "mg" => model::mg(class),
-        _ => return None,
-    })
-}
-
 /// Where a job sits in its lifecycle — the `status` op's answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum JobState {
@@ -127,18 +102,6 @@ impl std::fmt::Display for JobState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn workload_names_resolve() {
-        for name in ["sp.S", "bt.W", "cg.A", "ep.B", "mg.C"] {
-            let wl = resolve_workload(name).unwrap_or_else(|| panic!("{name} must resolve"));
-            assert!(wl.timesteps > 0);
-            assert!(!wl.step.is_empty());
-        }
-        for bad in ["sp", "sp.X", "lu.S", "", "sp.S.extra"] {
-            assert!(resolve_workload(bad).is_none(), "{bad} must not resolve");
-        }
-    }
 
     #[test]
     fn spec_builder_round_trips_through_json() {

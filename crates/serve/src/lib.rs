@@ -22,9 +22,10 @@
 //!   a hand-rolled [`pool::ThreadPool`] serves framed connections.
 //! * [`telemetry`] — the live telemetry plane: one
 //!   [`TelemetrySnapshot`] frame type shared by the `stats`/`watch`
-//!   ops, the `arcs-serve-top` dashboard, and the [`TraceTelemetry`]
-//!   replay builder that reconstructs frames from a broker trace
-//!   (schema v5+), deterministically.
+//!   ops and the `arcs-serve-top` dashboard. Frames are a read-out of
+//!   [`arcs_metrics::BrokerFold`], the one interpreter of the broker's
+//!   events: the broker folds what it emits, and folding a broker trace
+//!   (schema v5+) rebuilds the same frames, deterministically.
 //!
 //! The `arcs-serve` binary hosts the service; `arcs-serve-loadgen`
 //! replays deterministic multi-tenant arrival streams against either the
@@ -39,13 +40,18 @@ pub mod journal;
 pub mod pool;
 pub mod protocol;
 pub mod server;
-pub mod telemetry;
+
+/// The frame types live beside the fold that builds them
+/// ([`arcs_metrics::broker_fold`]); these are their paths of record.
+pub mod telemetry {
+    pub use arcs_metrics::broker_fold::{Digest, TelemetrySnapshot, TenantTelemetry, EVENT_PANE};
+}
 
 pub use broker::{
     Broker, BrokerConfig, BrokerCounters, CompletedJob, SubmitOutcome, ALLOC_QUANTUM_W,
 };
-pub use job::{resolve_workload, JobSpec, JobState};
+pub use job::{JobSpec, JobState};
 pub use journal::{load_journal, BrokerJournal, JournalError};
 pub use protocol::{Request, Response};
 pub use server::{Server, ServerHandle};
-pub use telemetry::{Digest, TelemetrySnapshot, TenantTelemetry, TraceTelemetry};
+pub use telemetry::{Digest, TelemetrySnapshot, TenantTelemetry};

@@ -2,12 +2,11 @@
 //! real TCP, live-vs-replay agreement, and the driver's self-profile
 //! spans — against the whole stack.
 
-use arcs_powersim::{Fleet, Machine};
+use arcs::ResilienceOptions;
+use arcs_metrics::BrokerFold;
+use arcs_powersim::{Fleet, Machine, NodeFaultPlan};
 use arcs_serve::server::Client;
-use arcs_serve::{
-    Broker, BrokerConfig, JobSpec, Request, Server, SubmitOutcome, TelemetrySnapshot,
-    TraceTelemetry,
-};
+use arcs_serve::{Broker, BrokerConfig, JobSpec, Request, Server, TelemetrySnapshot};
 use arcs_trace::{TraceEvent, TraceRecord, TraceSink, VecSink};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -124,64 +123,150 @@ fn watch_streams_budget_conserving_frames() {
     handle.shutdown();
 }
 
-/// The replay reconstruction agrees with the live broker's own
-/// telemetry on everything a drained trace can know.
-#[test]
-fn replay_agrees_with_live_telemetry() {
+/// A two-node fleet under `node-flap` with a bounded queue, a planted
+/// inadmissible job and jobs that degrade mid-run: every broker rule
+/// (requeue, fail, shed, reject, nodes down, degraded) fires.
+fn chaos_broker(sink: &Arc<VecSink>) -> Broker {
     let fleet = Fleet::homogeneous(Machine::crill(), 2);
-    let sink = Arc::new(VecSink::new());
     let mut cfg = BrokerConfig::new(345.0);
     cfg.quantum_timesteps = 3;
-    let mut broker = Broker::new(fleet, cfg, Arc::clone(&sink) as Arc<dyn TraceSink>);
+    cfg.node_faults = Some(NodeFaultPlan::node_flap(7));
+    cfg.max_queue = Some(4);
+    // Zero error budget: the first absorbed meter fault degrades a job.
+    let mut resilience = ResilienceOptions::standard();
+    resilience.max_read_retries = 0;
+    resilience.error_budget = Some(0);
+    cfg.resilience = Some(resilience);
+    Broker::new(fleet, cfg, Arc::clone(sink) as Arc<dyn TraceSink>)
+}
 
-    for i in 0..10u64 {
-        let tenant = format!("tenant{}", i % 3);
-        let mut spec = JobSpec::new(tenant, ["sp.S", "cg.S", "ep.S"][i as usize % 3]).timesteps(3);
-        if i % 3 == 0 {
-            spec = spec.weight(2.0);
+/// Submission `i` of the chaos stream: three tenants, three kernels,
+/// long enough to straddle outages; every fourth job runs under a
+/// flaky meter, job 7 can never be admitted.
+fn chaos_spec(i: u64) -> JobSpec {
+    let kernel = ["sp.S", "cg.S", "ep.S"][i as usize % 3];
+    let mut spec = JobSpec::new(format!("tenant{}", i % 3), kernel).timesteps(40);
+    if i.is_multiple_of(3) {
+        spec = spec.weight(2.0);
+    }
+    if i % 4 == 1 {
+        spec = spec.fault_seed(i);
+    }
+    if i == 7 {
+        spec = spec.floor_w(9_000.0);
+    }
+    spec
+}
+
+/// Live ≡ replay, whole frame, under chaos: after every `submit` and
+/// every `step`, the broker's frame and the frame of a second fold fed
+/// the trace records so far serialize to the same bytes — except the
+/// two things no event carries: the broker's clock (a step that emits
+/// nothing still advances it) and running jobs that are degraded right
+/// now (`live ≥ replay`). At idle nothing is left to differ.
+#[test]
+fn replay_agrees_with_live_telemetry() {
+    let sink = Arc::new(VecSink::new());
+    let mut broker = chaos_broker(&sink);
+    let mut replay = BrokerFold::new();
+    let mut saw_live_only_degraded = false;
+    let mut peak_nodes_down = 0;
+
+    let mut compare = |broker: &Broker| {
+        for rec in sink.drain() {
+            replay.apply_record(&rec);
         }
-        if i == 7 {
-            spec = spec.floor_w(9_000.0); // planted inadmissible job
+        let live = broker.telemetry();
+        let mut replayed = replay.snapshot();
+        assert!(live.now_s >= replayed.now_s);
+        replayed.now_s = live.now_s;
+        assert!(live.degraded >= replayed.degraded);
+        saw_live_only_degraded |= live.degraded > replayed.degraded;
+        replayed.degraded = live.degraded;
+        for (name, l) in &live.tenants {
+            let r = replayed.tenants.get_mut(name).expect("same tenants");
+            assert!(l.degraded >= r.degraded, "{name}");
+            r.degraded = l.degraded;
         }
-        match broker.submit(spec) {
-            SubmitOutcome::Admitted(_)
-            | SubmitOutcome::Rejected { .. }
-            | SubmitOutcome::Shed { .. } => {}
+        peak_nodes_down = peak_nodes_down.max(live.nodes_down);
+        assert_eq!(
+            serde_json::to_string(&live).unwrap(),
+            serde_json::to_string(&replayed).unwrap()
+        );
+    };
+
+    for i in 0..24u64 {
+        broker.submit(chaos_spec(i));
+        compare(&broker);
+        for _ in 0..(i % 4) {
+            broker.step();
+            compare(&broker);
         }
-        broker.step();
+    }
+    while broker.step() {
+        compare(&broker);
+    }
+
+    // Every rule the old readers encoded separately was exercised.
+    let live = broker.telemetry();
+    assert!(live.requeued > 0, "node-flap must requeue: {live:?}");
+    assert!(live.shed > 0, "the bounded queue must shed");
+    assert_eq!(live.rejected, 1, "the planted job is rejected");
+    assert!(live.degraded > 0, "flaky meters must degrade a job");
+    assert!(saw_live_only_degraded, "some frame saw a job degraded while still running");
+    assert!(peak_nodes_down > 0, "some frame saw a node out of service");
+    assert_eq!(live.submitted, live.completed + live.rejected + live.failed + live.shed);
+
+    // Idle: no running job, so the fold alone is the whole truth.
+    assert!(broker.is_idle());
+    let replayed = replay.snapshot();
+    assert_eq!(serde_json::to_string(&live).unwrap(), serde_json::to_string(&replayed).unwrap());
+}
+
+/// One stream, three read-outs: the dashboard frame, the broker report
+/// and the recovery report of a single fold agree on every count,
+/// globally and per tenant, and the fold keeps nothing per job once
+/// every job has reached its terminal event.
+#[test]
+fn the_three_read_outs_of_one_fold_agree() {
+    let sink = Arc::new(VecSink::new());
+    let mut broker = chaos_broker(&sink);
+    for i in 0..24u64 {
+        broker.submit(chaos_spec(i));
+        for _ in 0..(i % 4) {
+            broker.step();
+        }
     }
     broker.run_until_idle();
-    let live = broker.telemetry();
 
-    let mut tt = TraceTelemetry::new();
+    let mut fold = BrokerFold::new();
     for rec in sink.drain() {
-        tt.consume(&rec);
+        fold.apply_record(&rec);
     }
-    let replay = tt.snapshot();
-
-    assert_eq!(replay.submitted, live.submitted);
-    assert_eq!(replay.completed, live.completed);
-    assert_eq!(replay.rejected, live.rejected);
-    assert_eq!(replay.degraded, live.degraded);
-    assert_eq!((replay.queued, replay.running), (0, 0));
-    assert_eq!(replay.allocated_w, live.allocated_w);
-    assert_eq!(replay.budget_w, live.budget_w);
-    // The SLO digests are rebuilt from the same samples through the
-    // same log-bucket histograms — identical, not merely close.
-    assert_eq!(replay.queue_wait, live.queue_wait);
-    assert_eq!(replay.turnaround, live.turnaround);
-    assert_eq!(replay.realloc_churn_w, live.realloc_churn_w);
-    assert_eq!(replay.tenants.len(), live.tenants.len());
-    for (name, l) in &live.tenants {
-        let r = &replay.tenants[name];
-        assert_eq!(r.weight, l.weight, "{name}");
-        assert_eq!(r.completed, l.completed, "{name}");
-        assert_eq!(r.rejected, l.rejected, "{name}");
-        assert_eq!(r.queue_wait, l.queue_wait, "{name}");
-        assert_eq!(r.turnaround, l.turnaround, "{name}");
+    let (frame, report, recovery) = (fold.snapshot(), fold.broker_report(), fold.recovery_report());
+    assert!(recovery.requeues > 0 && report.shed > 0 && report.rejected > 0);
+    assert_eq!(frame.submitted, report.submitted);
+    assert_eq!(frame.completed, report.completed);
+    assert_eq!(frame.rejected, report.rejected);
+    assert_eq!(frame.failed, report.failed);
+    assert_eq!(frame.shed, report.shed);
+    assert_eq!(frame.requeued, recovery.requeues);
+    assert_eq!(report.lost_jobs(), 0);
+    assert_eq!(frame.tenants.len(), report.tenants.len());
+    for (name, row) in &frame.tenants {
+        let t = &report.tenants[name];
+        assert_eq!(
+            (row.completed, row.degraded, row.rejected, row.failed, row.shed, row.requeued),
+            (t.completed, t.degraded, t.rejected, t.failed, t.shed, t.requeued),
+            "{name}"
+        );
     }
-    // Both panes narrate through the same helpers in trace order.
-    assert_eq!(replay.events, live.events);
+    assert_eq!(frame.degraded, report.tenants.values().map(|t| t.degraded).sum::<u64>());
+    assert_eq!(frame.requeued, report.tenants.values().map(|t| t.requeued).sum::<u64>());
+    // Nothing per job survives idle: a leftover would show as queued
+    // (facts without a placement) or running (a placement never ended).
+    assert_eq!((frame.queued, frame.running, frame.allocated_w), (0, 0, 0.0));
+    assert!(frame.tenants.values().all(|t| t.queued == 0 && t.running == 0));
 }
 
 /// `DriverPhases` reaches the trace only when self-profiling is opted

@@ -315,14 +315,14 @@ fn replaying_a_truncated_trace_tail_still_reconstructs_the_dashboard() {
     assert!(!cut.ends_with('\n'), "the tear must land mid-line");
 
     let reader = arcs_metrics::TraceReader::new(std::io::Cursor::new(cut.to_string()));
-    let mut tt = arcs_serve::TraceTelemetry::new();
+    let mut fold = arcs_metrics::BrokerFold::new();
     let mut intact = 0;
     for rec in reader {
-        tt.consume(&rec.expect("every non-final record is intact"));
+        fold.apply_record(&rec.expect("every non-final record is intact"));
         intact += 1;
     }
     assert_eq!(intact, text.lines().count() - 1, "only the torn record is dropped");
-    let snap = tt.snapshot();
+    let snap = fold.snapshot();
     assert!(snap.submitted > 0, "the dashboard still reflects the intact prefix");
     assert!(snap.budget_w > 0.0);
 }
