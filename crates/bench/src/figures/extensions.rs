@@ -1,0 +1,215 @@
+//! Experiments beyond the paper's evaluation: the §VII future-work items
+//! (selective tuning, DVFS) and the measurement-noise study.
+
+use super::SP_REGIONS;
+use crate::{f3, power_label, print_table, region_model, region_oracle, POWER_LEVELS};
+use arcs::dvfs::{tune_region, DvfsOutcome, Objective};
+use arcs::{
+    runs, ConfigSpace, OmpConfig, RegionTuner, SimExecutor, TunableSpace, TunerOptions, TuningMode,
+};
+use arcs_harmony::{NmOptions, ProOptions};
+use arcs_kernels::{model, Class};
+use arcs_powersim::{simulate_region_at_freq, Machine, SimReport};
+use std::collections::BTreeSet;
+use std::io::{self, Write};
+
+/// Ablations beyond the paper's evaluation:
+/// 1. selective tuning (the paper's future work) on LULESH/Crill;
+/// 2. search-strategy comparison (exhaustive vs Nelder-Mead vs PRO):
+///    configurations measured to converge and the regret of the result.
+pub fn ablation(out: &mut dyn Write) -> io::Result<()> {
+    let m = Machine::crill();
+
+    // --- 1. Selective tuning on LULESH (the Crill problem case). --------
+    let wl = model::lulesh(45);
+    let base = runs::default_run(&m, 115.0, &wl);
+    let naive = runs::online_run(&m, 115.0, &wl);
+    let space = ConfigSpace::for_machine(&m);
+    // Threshold: 4x the config-change overhead.
+    let mut tuner = RegionTuner::new(
+        TunerOptions::online(space.clone()).with_min_region_time(4.0 * m.config_change_s),
+    );
+    let selective = SimExecutor::new(m.clone(), 115.0).run_tuned(&wl, &mut tuner);
+    print_table(
+        out,
+        "Selective tuning, LULESH mesh 45 on Crill at TDP (time ratio vs default)",
+        &["Strategy", "time ratio", "skipped regions"],
+        &[
+            vec![
+                "ARCS-Online (tune everything)".into(),
+                f3(naive.time_s / base.time_s),
+                "0".into(),
+            ],
+            vec![
+                "ARCS-Online + selective".into(),
+                f3(selective.time_s / base.time_s),
+                tuner.stats().skipped_regions.to_string(),
+            ],
+        ],
+    )?;
+
+    // --- 2. Search strategies on two objectives: an easy one (SP x_solve,
+    // where a quarter of the grid is near-optimal) and a needle (LULESH
+    // FBHourglass, whose optimum is one specific dynamic chunk size).
+    for (wl, region_name, cap) in [
+        (model::sp(Class::B), "sp/x_solve", 85.0),
+        (model::lulesh(45), "lulesh/CalcFBHourglassForceForElems", 115.0),
+    ] {
+        let (oracle_cfg, oracle) = region_oracle(&m, cap, &wl, region_name);
+        let model = region_model(&wl, region_name);
+        let mut rows = Vec::new();
+        for (name, mode) in [
+            ("exhaustive", TuningMode::OfflineTrain),
+            ("nelder-mead", TuningMode::Online(NmOptions::default())),
+            ("parallel-rank-order", TuningMode::OnlinePro(ProOptions::default())),
+            // Random baseline at the budget NM typically needs.
+            ("random-20", TuningMode::OnlineRandom { seed: 0xA5C5, max_evals: 20 }),
+        ] {
+            let mut exec = SimExecutor::new(m.clone(), cap);
+            let mut tuner = RegionTuner::new(TunerOptions::new(space.clone(), mode));
+            let mut measurements = 0u64;
+            for _ in 0..1000 {
+                let d = tuner.begin(region_name);
+                let rep = exec.simulate(model, d.config.omp.as_sim());
+                measurements += 1;
+                tuner.end(region_name, rep.time_s);
+                if tuner.converged() {
+                    break;
+                }
+            }
+            let best = tuner.best_configs()[region_name];
+            let best_rep = exec.simulate(model, best.as_sim());
+            rows.push(vec![
+                name.to_string(),
+                measurements.to_string(),
+                best.to_string(),
+                f3(best_rep.time_s / oracle.time_s),
+            ]);
+        }
+        print_table(
+            out,
+            &format!(
+                "Search strategies on {region_name} @{cap:.0}W (oracle: [{}], {:.4}s)",
+                oracle_cfg, oracle.time_s
+            ),
+            &["Strategy", "invocations", "found config", "regret (time/oracle)"],
+            &rows,
+        )?;
+    }
+    Ok(())
+}
+
+/// Extension (paper future work §VII): per-region DVFS as a fourth knob.
+/// For each SP region at each power cap we tune with two objectives and
+/// report what the frequency axis buys on top of ARCS.
+pub fn dvfs(out: &mut dyn Write) -> io::Result<()> {
+    let m = Machine::crill();
+    let wl = model::sp(Class::B);
+    let space = TunableSpace::with_dvfs(&m, 4);
+
+    // Per-step (time, energy) totals over one report per region.
+    fn totals<'a>(reports: impl Iterator<Item = &'a SimReport>) -> (f64, f64) {
+        reports.fold((0.0, 0.0), |(t, e), r| (t + r.time_s, e + r.energy_j))
+    }
+    let default_cfg = OmpConfig::default_for(&m).as_sim();
+    let mut rows = Vec::new();
+    for &cap in &POWER_LEVELS {
+        let tuned = |objective| -> Vec<DvfsOutcome> {
+            let tune = |r| tune_region(&m, cap, r, &space, objective, TuningMode::OfflineTrain);
+            wl.step.iter().map(tune).collect()
+        };
+        let default: Vec<SimReport> = wl
+            .step
+            .iter()
+            .map(|r| simulate_region_at_freq(&m, cap, r, default_cfg, None))
+            .collect();
+        let (by_time, by_energy) = (tuned(Objective::Time), tuned(Objective::Energy));
+        let (t_def, e_def) = totals(default.iter());
+        let (t_time, e_time) = totals(by_time.iter().map(|o| &o.report));
+        let (t_energy, e_energy) = totals(by_energy.iter().map(|o| &o.report));
+        let clamped = by_energy.iter().filter(|o| o.config.freq_ghz.is_some()).count();
+        rows.push(vec![
+            power_label(cap),
+            f3(t_time / t_def),
+            f3(e_time / e_def),
+            f3(t_energy / t_def),
+            f3(e_energy / e_def),
+            format!("{clamped}/{}", wl.step.len()),
+        ]);
+    }
+    print_table(
+        out,
+        "SP.B per-step totals, normalised to default (time-objective = base ARCS + freq axis)",
+        &[
+            "Power",
+            "time (obj=time)",
+            "energy (obj=time)",
+            "time (obj=energy)",
+            "energy (obj=energy)",
+            "regions clamped",
+        ],
+        &rows,
+    )
+}
+
+/// Extension: measurement noise and configuration diversity.
+///
+/// Our deterministic simulator always resolves near-tie argmins to the
+/// same point, so Table II shows uniform `static` picks where the paper
+/// shows guided/static with assorted chunks (EXPERIMENTS.md D3). This
+/// experiment adds realistic multiplicative measurement noise and re-runs
+/// the Table II training at several seeds: if the paper's diversity comes
+/// from noisy near-ties, the trained configurations should now scatter
+/// across schedules/chunks while the *replayed* performance stays close
+/// to the deterministic optimum (small train→test regret).
+pub fn noise(out: &mut dyn Write) -> io::Result<()> {
+    let m = Machine::crill();
+    let wl = model::sp(Class::B);
+
+    let clean_base = runs::default_run(&m, 115.0, &wl);
+    let (clean_offline, clean_hist) = runs::offline_run(&m, 115.0, &wl);
+    let clean_ratio = clean_offline.time_s / clean_base.time_s;
+
+    let mut rows = Vec::new();
+    let mut distinct: Vec<BTreeSet<String>> = vec![BTreeSet::new(); SP_REGIONS.len()];
+    let mut worst_ratio = clean_ratio;
+    for seed in [3u64, 17, 101, 4242, 90210] {
+        // Train under noise, replay on the *clean* simulator: the
+        // train→test gap.
+        let mut trainer = SimExecutor::new(m.clone(), 115.0).with_noise(0.15, seed);
+        let mut clean = SimExecutor::new(m.clone(), 115.0);
+        let (replay, hist) = runs::offline_run_on(&mut trainer, &mut clean, &wl);
+        let mut row = vec![format!("seed {seed}")];
+        for (r, seen) in SP_REGIONS.iter().zip(&mut distinct) {
+            let cfg = hist.get(r).expect("trained region").config.to_string();
+            seen.insert(cfg.clone());
+            row.push(cfg);
+        }
+        let ratio = replay.time_s / clean_base.time_s;
+        worst_ratio = worst_ratio.max(ratio);
+        row.push(f3(ratio));
+        rows.push(row);
+    }
+    let mut clean_row = vec!["deterministic".to_string()];
+    for r in SP_REGIONS {
+        clean_row.push(clean_hist.get(r).expect("trained region").config.to_string());
+    }
+    clean_row.push(f3(clean_ratio));
+    rows.push(clean_row);
+
+    let mut headers = vec!["training run"];
+    headers.extend(SP_REGIONS.iter().map(|r| r.trim_start_matches("sp/")));
+    headers.push("replay t-ratio");
+    print_table(out, "SP.B offline configs at TDP under 15% measurement noise", &headers, &rows)?;
+
+    writeln!(out, "\ndistinct configurations per region across seeds:")?;
+    for (r, set) in SP_REGIONS.iter().zip(&distinct) {
+        writeln!(out, "  {:16} {}", r.trim_start_matches("sp/"), set.len())?;
+    }
+    writeln!(
+        out,
+        "\nclean offline ratio {clean_ratio:.3}; the worst noisy-trained replay is \
+         {worst_ratio:.3} ({:+.1}%) — the diversity costs little, as on the paper's machines.",
+        (worst_ratio / clean_ratio - 1.0) * 100.0
+    )
+}

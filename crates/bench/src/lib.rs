@@ -1,35 +1,22 @@
 //! # arcs-bench — regenerating every table and figure of the ARCS paper
 //!
-//! Each paper artefact has a binary (`cargo run -p arcs-bench --release
-//! --bin <id>`) that prints the corresponding rows/series; the underlying
-//! experiment functions live here so integration tests can assert the
-//! *shapes* (who wins, by roughly what factor, where crossovers fall)
-//! without parsing stdout.
-//!
-//! | binary | paper artefact |
-//! |--------|----------------|
-//! | `table1` | Table I — search parameter sets |
-//! | `fig1` | Fig. 1 — BT `x_solve` time across configs × power levels |
-//! | `table2` | Table II — ARCS-Offline optimal configs for SP regions |
-//! | `fig3` | Fig. 3 — SP region features, default vs ARCS-Offline |
-//! | `fig4` | Fig. 4 — SP app time+energy × 5 power levels |
-//! | `fig5` | Fig. 5 — SP class C time+energy at TDP |
-//! | `fig6` | Fig. 6 — BT `compute_rhs` features |
-//! | `fig7` | Fig. 7 — BT app time+energy × 5 power levels |
-//! | `fig8` | Fig. 8 — LULESH time+energy (Crill) and time (Minotaur) |
-//! | `fig9` | Fig. 9 — LULESH OMPT event breakdown, top regions |
-//! | `fig10` | Fig. 10 — LULESH `CalcFBHourglassForceForElems` features |
-//! | `overheads` | §III-C — overhead characterisation |
-//! | `xarch` | §V — cross-architecture results on the POWER8 model |
-//! | `ablation` | extension — selective tuning + search-strategy ablations |
+//! Every paper artefact is one row of [`FIGURES`]; `arcs-sim fig <id>`
+//! renders a row and `arcs-sim fig --all --out results` regenerates the
+//! checked-in `results/<id>.txt` files, which `tests/figures.rs` holds
+//! byte-equal to what the code prints. This module keeps the read-side
+//! helpers the render functions share.
 
+mod figures;
+
+pub use figures::{Figure, FIGURES};
+
+use arcs::dvfs::tune_region;
 use arcs::{
-    runs, AppRunReport, ConfigSpace, Objective, OmpConfig, SimExecutor, SweepEngine, SweepGrid,
-    SweepReport, SweepStrategy,
+    runs, AppRunReport, ConfigSpace, Objective, OmpConfig, SimExecutor, SweepReport, SweepStrategy,
+    TuningMode,
 };
-use arcs_harmony::History;
-use arcs_powersim::{CacheSnapshot, Machine, SimConfig, SimReport, WorkloadDescriptor};
-use std::time::Instant;
+use arcs_powersim::{Machine, RegionModel, SimConfig, SimReport, WorkloadDescriptor};
+use std::io::{self, Write};
 
 /// The paper's Crill power levels (W); the last is the TDP.
 pub const POWER_LEVELS: [f64; 5] = [55.0, 70.0, 85.0, 100.0, 115.0];
@@ -56,6 +43,24 @@ pub struct SweepPoint {
 }
 
 impl SweepPoint {
+    /// The default/online/offline cells of `report` at one cap (panics if
+    /// any of the three is missing).
+    pub fn at(report: &SweepReport, workload: &str, cap_w: f64) -> SweepPoint {
+        let pick = |label: &str| {
+            report
+                .cell(workload, cap_w, label)
+                .unwrap_or_else(|| panic!("sweep missing cell ({workload}, {cap_w}W, {label})"))
+                .report
+                .clone()
+        };
+        SweepPoint {
+            cap_w,
+            default: pick("default"),
+            online: pick("arcs-online"),
+            offline: pick("arcs-offline"),
+        }
+    }
+
     pub fn online_time_ratio(&self) -> f64 {
         self.online.time_s / self.default.time_s
     }
@@ -73,206 +78,13 @@ impl SweepPoint {
     }
 }
 
-/// The one typed entry point every figure binary builds its sweep from:
-/// caps × strategies × objectives × repetitions on one machine, executed
-/// as a parallel sweep over a shared memo cache.
-///
-/// ```no_run
-/// use arcs_bench::SweepSpec;
-/// use arcs_kernels::{model, Class};
-/// use arcs_powersim::Machine;
-///
-/// let run = SweepSpec::new(Machine::crill())
-///     .workload(model::sp(Class::B))
-///     .paper_levels()
-///     .paper_strategies()
-///     .run();
-/// let points = run.points("sp.B");
-/// println!("{:.0} cells/sec", run.cells_per_sec());
-/// ```
-#[derive(Debug, Clone)]
-pub struct SweepSpec {
-    machine: Machine,
-    workloads: Vec<WorkloadDescriptor>,
-    caps: Vec<f64>,
-    strategies: Vec<SweepStrategy>,
-    objectives: Vec<Objective>,
-    reps: usize,
-    noise: Option<(f64, u64)>,
-    workers: Option<usize>,
+/// The [`SweepPoint`] series for one workload over `caps_w`.
+pub fn points(report: &SweepReport, workload: &str, caps_w: &[f64]) -> Vec<SweepPoint> {
+    caps_w.iter().map(|&cap| SweepPoint::at(report, workload, cap)).collect()
 }
 
-impl SweepSpec {
-    pub fn new(machine: Machine) -> Self {
-        SweepSpec {
-            machine,
-            workloads: Vec::new(),
-            caps: Vec::new(),
-            strategies: Vec::new(),
-            objectives: Vec::new(),
-            reps: 1,
-            noise: None,
-            workers: None,
-        }
-    }
-
-    pub fn workload(mut self, wl: WorkloadDescriptor) -> Self {
-        self.workloads.push(wl);
-        self
-    }
-
-    pub fn caps(mut self, caps_w: &[f64]) -> Self {
-        self.caps.extend_from_slice(caps_w);
-        self
-    }
-
-    /// The paper's five Crill power levels ([`POWER_LEVELS`]).
-    pub fn paper_levels(self) -> Self {
-        self.caps(&POWER_LEVELS)
-    }
-
-    pub fn strategies(mut self, strategies: &[SweepStrategy]) -> Self {
-        self.strategies.extend_from_slice(strategies);
-        self
-    }
-
-    /// The paper's three measured strategies ([`PAPER_STRATEGIES`]).
-    pub fn paper_strategies(self) -> Self {
-        self.strategies(&PAPER_STRATEGIES)
-    }
-
-    /// Score cells by these objectives as well (default: time only).
-    pub fn objectives(mut self, objectives: &[Objective]) -> Self {
-        self.objectives.extend_from_slice(objectives);
-        self
-    }
-
-    /// Execute the whole grid `reps` times through one warm cache —
-    /// repetitions beyond the first are pure cache-read passes, which is
-    /// what the hot-path benchmarks measure.
-    pub fn reps(mut self, reps: usize) -> Self {
-        assert!(reps >= 1);
-        self.reps = reps;
-        self
-    }
-
-    /// Deterministic measurement noise for every cell.
-    pub fn with_noise(mut self, cv: f64, seed: u64) -> Self {
-        self.noise = Some((cv, seed));
-        self
-    }
-
-    /// Fix the sweep worker-pool size (1 = serial).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
-        self
-    }
-
-    /// Cells per repetition.
-    pub fn cell_count(&self) -> usize {
-        self.workloads.len()
-            * self.caps.len()
-            * self.strategies.len()
-            * self.objectives.len().max(1)
-    }
-
-    fn grid(&self) -> SweepGrid {
-        let mut grid = SweepGrid::new(self.machine.clone());
-        for wl in &self.workloads {
-            grid = grid.workload(wl.clone());
-        }
-        grid = grid.caps(&self.caps).strategies(&self.strategies);
-        if !self.objectives.is_empty() {
-            grid = grid.objectives(&self.objectives);
-        }
-        if let Some((cv, seed)) = self.noise {
-            grid = grid.with_noise(cv, seed);
-        }
-        grid
-    }
-
-    /// Execute on a fresh [`SweepEngine`] (fresh shared cache).
-    pub fn run(&self) -> SweepRun {
-        let mut engine = SweepEngine::new(self.machine.clone());
-        if let Some(w) = self.workers {
-            engine = engine.with_workers(w);
-        }
-        self.run_on(&engine)
-    }
-
-    /// Execute on a caller-owned engine (reuses its warm cache).
-    pub fn run_on(&self, engine: &SweepEngine) -> SweepRun {
-        let grid = self.grid();
-        let before = engine.cache().stats();
-        let start = Instant::now();
-        let mut report = engine.run(&grid);
-        for _ in 1..self.reps {
-            report = engine.run(&grid);
-        }
-        let wall_s = start.elapsed().as_secs_f64();
-        let cache = engine.cache().stats().delta_since(&before);
-        SweepRun {
-            cells_executed: report.cells.len() * self.reps,
-            report,
-            caps: self.caps.clone(),
-            reps: self.reps,
-            wall_s,
-            cache,
-        }
-    }
-}
-
-/// An executed [`SweepSpec`]: the final repetition's [`SweepReport`] plus
-/// whole-run wall-clock and cache accounting.
-#[derive(Debug)]
-pub struct SweepRun {
-    /// The last repetition's cells (identical across repetitions — the
-    /// sweep is deterministic).
-    pub report: SweepReport,
-    /// The cap axis, in declaration order (drives [`SweepRun::points`]).
-    pub caps: Vec<f64>,
-    pub reps: usize,
-    /// Wall-clock seconds over all repetitions.
-    pub wall_s: f64,
-    /// Cells executed across all repetitions.
-    pub cells_executed: usize,
-    /// Cache activity accumulated over all repetitions.
-    pub cache: CacheSnapshot,
-}
-
-impl SweepRun {
-    /// Sweep throughput: executed cells per wall-clock second — the
-    /// number `BENCH_hotpath.json` tracks.
-    pub fn cells_per_sec(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.cells_executed as f64 / self.wall_s
-        } else {
-            0.0
-        }
-    }
-
-    /// The default/online/offline comparison at one cap (panics if any of
-    /// the three cells is missing).
-    pub fn point_at(&self, workload: &str, cap_w: f64) -> SweepPoint {
-        let pick = |label: &str| {
-            self.report
-                .cell(workload, cap_w, label)
-                .unwrap_or_else(|| panic!("sweep missing cell ({workload}, {cap_w}W, {label})"))
-                .report
-                .clone()
-        };
-        SweepPoint {
-            cap_w,
-            default: pick("default"),
-            online: pick("arcs-online"),
-            offline: pick("arcs-offline"),
-        }
-    }
-
-    /// The [`SweepPoint`] series for one workload over the spec's cap axis.
-    pub fn points(&self, workload: &str) -> Vec<SweepPoint> {
-        self.caps.iter().map(|&cap| self.point_at(workload, cap)).collect()
-    }
+fn region_model<'a>(wl: &'a WorkloadDescriptor, region: &str) -> &'a RegionModel {
+    wl.step.iter().find(|r| r.name == region).unwrap_or_else(|| panic!("unknown region {region}"))
 }
 
 /// Exhaustive oracle for a single region at one power cap: the best
@@ -283,23 +95,11 @@ pub fn region_oracle(
     wl: &WorkloadDescriptor,
     region: &str,
 ) -> (OmpConfig, SimReport) {
-    let model = wl
-        .step
-        .iter()
-        .find(|r| r.name == region)
-        .unwrap_or_else(|| panic!("unknown region {region}"));
-    let space = ConfigSpace::for_machine(machine);
-    let grid = space.to_search_space();
-    let mut exec = SimExecutor::new(machine.clone(), cap_w);
-    let mut best: Option<(OmpConfig, SimReport)> = None;
-    for p in grid.iter_points() {
-        let cfg = space.decode(&p);
-        let rep = exec.simulate(model, cfg.as_sim());
-        if best.as_ref().is_none_or(|(_, b)| rep.time_s < b.time_s) {
-            best = Some((cfg, (*rep).clone()));
-        }
-    }
-    best.expect("non-empty grid")
+    let space = ConfigSpace::for_machine(machine).into();
+    let model = region_model(wl, region);
+    let best =
+        tune_region(machine, cap_w, model, &space, Objective::Time, TuningMode::OfflineTrain);
+    (best.config.omp, best.report)
 }
 
 /// Simulate one region at a fixed configuration (Fig. 1 bars).
@@ -310,22 +110,7 @@ pub fn region_at(
     region: &str,
     cfg: SimConfig,
 ) -> SimReport {
-    let model = wl
-        .step
-        .iter()
-        .find(|r| r.name == region)
-        .unwrap_or_else(|| panic!("unknown region {region}"));
-    (*SimExecutor::new(machine.clone(), cap_w).simulate(model, cfg)).clone()
-}
-
-/// Train ARCS-Offline and return the history (Table II).
-pub fn offline_history(
-    machine: &Machine,
-    cap_w: f64,
-    wl: &WorkloadDescriptor,
-) -> History<OmpConfig> {
-    let (_, history) = runs::offline_run(machine, cap_w, wl);
-    history
+    (*SimExecutor::new(machine.clone(), cap_w).simulate(region_model(wl, region), cfg)).clone()
 }
 
 /// Feature comparison (Figs. 3, 6, 10): per-region normalised metrics of
@@ -347,7 +132,7 @@ pub fn feature_comparison(
     wl: &WorkloadDescriptor,
     regions: &[&str],
 ) -> Vec<FeatureRow> {
-    let history = offline_history(machine, cap_w, wl);
+    let (_, history) = runs::offline_run(machine, cap_w, wl);
     let default_cfg = OmpConfig::default_for(machine);
     regions
         .iter()
@@ -369,9 +154,14 @@ pub fn feature_comparison(
 }
 
 /// Pretty-print a table with a title.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n{title}");
-    println!("{}", "-".repeat(title.len().max(20)));
+pub fn print_table(
+    out: &mut dyn Write,
+    title: &str,
+    headers: &[&str],
+    rows: &[Vec<String>],
+) -> io::Result<()> {
+    writeln!(out, "\n{title}")?;
+    writeln!(out, "{}", "-".repeat(title.len().max(20)))?;
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (w, cell) in widths.iter_mut().zip(row) {
@@ -381,10 +171,11 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     let fmt_row = |cells: &[String]| {
         cells.iter().zip(&widths).map(|(c, w)| format!("{c:<w$}")).collect::<Vec<_>>().join("  ")
     };
-    println!("{}", fmt_row(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>()));
+    writeln!(out, "{}", fmt_row(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>()))?;
     for row in rows {
-        println!("{}", fmt_row(row));
+        writeln!(out, "{}", fmt_row(row))?;
     }
+    Ok(())
 }
 
 /// Shorthand for `{:.3}` cells.
@@ -392,16 +183,10 @@ pub fn f3(x: f64) -> String {
     format!("{x:.3}")
 }
 
-/// Standard per-figure header: reminds the reader what the paper showed.
-pub fn preamble(id: &str, paper_claim: &str) {
-    println!("=== {id} ===");
-    println!("paper: {paper_claim}");
-    println!("(simulated Crill/Minotaur; see EXPERIMENTS.md for the comparison)");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arcs::{SweepEngine, SweepGrid};
     use arcs_kernels::{model, Class};
 
     #[test]
@@ -421,34 +206,14 @@ mod tests {
         let m = Machine::crill();
         let mut wl = model::sp(Class::B);
         wl.timesteps = 20;
-        let run = SweepSpec::new(m).workload(wl).caps(&[85.0]).paper_strategies().run();
-        let pt = run.point_at("sp.B", 85.0);
+        let grid =
+            SweepGrid::new(m.clone()).workload(wl).caps(&[85.0]).strategies(&PAPER_STRATEGIES);
+        let report = SweepEngine::new(m).run(&grid);
+        let pts = points(&report, "sp.B", &[85.0]);
+        assert_eq!(pts.len(), 1);
+        let pt = &pts[0];
         assert!(pt.offline_time_ratio() > 0.0);
         assert!((pt.offline.time_s / pt.default.time_s - pt.offline_time_ratio()).abs() < 1e-12);
-        assert_eq!(run.points("sp.B").len(), 1);
-        assert_eq!(run.cells_executed, 3);
-        assert!(run.cells_per_sec() > 0.0);
-        assert!(run.cache.misses > 0, "a fresh engine must simulate something");
-    }
-
-    #[test]
-    fn reps_reuse_the_warm_cache() {
-        let m = Machine::crill();
-        let mut wl = model::sp(Class::B);
-        wl.timesteps = 6;
-        let once = SweepSpec::new(m.clone()).workload(wl.clone()).caps(&[85.0]).paper_strategies();
-        let warm = once.clone().reps(3).run();
-        assert_eq!(warm.cells_executed, 9);
-        // Repetitions after the first resolve every lookup from cache, so
-        // the whole-run miss count equals a single repetition's.
-        let cold = once.run();
-        assert_eq!(warm.cache.misses, cold.cache.misses);
-        assert!(warm.cache.hits > cold.cache.hits);
-        // And the sweep itself is deterministic across repetitions.
-        assert_eq!(
-            warm.point_at("sp.B", 85.0).default.time_s,
-            cold.point_at("sp.B", 85.0).default.time_s
-        );
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! them. `with_workers(1)` gives the serial order for direct comparison.
 
 use crate::backend::Runner;
-use crate::config::OmpConfig;
-use crate::executor::{runs, SimExecutor};
+use crate::config::{ConfigSpace, OmpConfig};
+use crate::executor::SimExecutor;
 use crate::report::AppRunReport;
 use crate::tuner::{RegionTuner, TunerOptions};
 use arcs_harmony::History;
@@ -279,94 +279,45 @@ impl SweepEngine {
         objective: Objective,
         noise: Option<(f64, u64)>,
     ) -> CellResult {
-        // Time cells go through the exact `runs::*` code path the paper
-        // figures use, so adding the objective axis cannot perturb them.
-        let (report, history) = if objective == Objective::Time {
-            match strategy {
-                SweepStrategy::Default => {
-                    (runs::default_run_on(&mut self.executor(cap_w, noise), wl), None)
-                }
-                SweepStrategy::Online => {
-                    (runs::online_run_on(&mut self.executor(cap_w, noise), wl), None)
-                }
-                SweepStrategy::Offline => {
-                    let (rep, h) = runs::offline_run_on(
-                        &mut self.executor(cap_w, noise),
-                        &mut self.executor(cap_w, noise),
-                        wl,
-                    );
-                    (rep, Some(h))
-                }
-                SweepStrategy::OnlineSelective { min_region_time_s } => {
-                    let space = crate::config::ConfigSpace::for_machine(&self.machine);
-                    let mut tuner = RegionTuner::new(
-                        TunerOptions::online(space).with_min_region_time(min_region_time_s),
-                    );
-                    let mut rep = self.executor(cap_w, noise).run_tuned(wl, &mut tuner);
-                    rep.strategy = strategy.label().into();
-                    (rep, None)
-                }
-            }
-        } else {
-            self.run_cell_for_objective(wl, cap_w, strategy, objective, noise)
-        };
-        CellResult { workload: wl.name.clone(), cap_w, strategy, objective, report, history }
-    }
-
-    /// The non-`Time` arm of [`SweepEngine::run_cell`]: the same four
-    /// strategies, with every tuner session scored by `objective`.
-    fn run_cell_for_objective(
-        &self,
-        wl: &WorkloadDescriptor,
-        cap_w: f64,
-        strategy: SweepStrategy,
-        objective: Objective,
-        noise: Option<(f64, u64)>,
-    ) -> (AppRunReport, Option<History<OmpConfig>>) {
-        let space = crate::config::ConfigSpace::for_machine(&self.machine);
-        match strategy {
+        let space = || ConfigSpace::for_machine(&self.machine);
+        let mut exec = self.executor(cap_w, noise);
+        let (mut report, history) = match strategy {
             SweepStrategy::Default => {
-                let mut exec = self.executor(cap_w, noise);
-                let rep = Runner::new(&mut exec)
-                    .workload(wl)
-                    .objective(objective)
-                    .run()
-                    .expect("workload is set");
-                (rep, None)
+                let run = Runner::new(&mut exec).workload(wl).objective(objective).run();
+                (run.expect("workload is set"), None)
             }
-            SweepStrategy::Online => {
-                let mut tuner =
-                    RegionTuner::new(TunerOptions::online(space).with_objective(objective));
-                let mut rep = self.executor(cap_w, noise).run_tuned(wl, &mut tuner);
-                rep.strategy = "arcs-online".into();
-                (rep, None)
+            SweepStrategy::Online | SweepStrategy::OnlineSelective { .. } => {
+                let mut options = TunerOptions::online(space()).with_objective(objective);
+                if let SweepStrategy::OnlineSelective { min_region_time_s } = strategy {
+                    options = options.with_min_region_time(min_region_time_s);
+                }
+                (exec.run_tuned(wl, &mut RegionTuner::new(options)), None)
             }
             SweepStrategy::Offline => {
-                let mut trainer = self.executor(cap_w, noise);
-                let context = format!("{}.{}.{}W.{}", wl.name, self.machine.name, cap_w, objective);
-                let history = trainer.train_offline(
+                // `runs::offline_run`'s label for a time cell (the sweep
+                // test holds the two histories equal); other objectives
+                // are told apart by a suffix.
+                let suffix = match objective {
+                    Objective::Time => String::new(),
+                    other => format!(".{other}"),
+                };
+                let context =
+                    format!("{}.{}.{}W{suffix}", wl.name, self.machine.name, exec.power_cap_w());
+                let history = exec.train_offline(
                     wl,
-                    TunerOptions::offline_train(space.clone()).with_objective(objective),
+                    TunerOptions::offline_train(space()).with_objective(objective),
                     &context,
                 );
                 let mut tuner = RegionTuner::new(
-                    TunerOptions::offline_replay(space, history.clone()).with_objective(objective),
-                );
-                let mut rep = self.executor(cap_w, noise).run_tuned(wl, &mut tuner);
-                rep.strategy = "arcs-offline".into();
-                (rep, Some(history))
-            }
-            SweepStrategy::OnlineSelective { min_region_time_s } => {
-                let mut tuner = RegionTuner::new(
-                    TunerOptions::online(space)
-                        .with_min_region_time(min_region_time_s)
+                    TunerOptions::offline_replay(space(), history.clone())
                         .with_objective(objective),
                 );
-                let mut rep = self.executor(cap_w, noise).run_tuned(wl, &mut tuner);
-                rep.strategy = strategy.label().into();
-                (rep, None)
+                // The paper trains and measures in separate executions.
+                (self.executor(cap_w, noise).run_tuned(wl, &mut tuner), Some(history))
             }
-        }
+        };
+        report.strategy = strategy.label().into();
+        CellResult { workload: wl.name.clone(), cap_w, strategy, objective, report, history }
     }
 }
 

@@ -15,6 +15,7 @@ use crate::telemetry::TelemetrySnapshot;
 use arcs_metrics::MetricsRegistry;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
@@ -30,6 +31,36 @@ enum Command {
     Watch(Sender<TelemetrySnapshot>, u64),
     /// Drain every admitted job, then acknowledge and stop.
     Shutdown(Sender<()>),
+}
+
+/// Apply one client command to the broker; `Break` once a shutdown has
+/// drained it and been acknowledged.
+fn dispatch(broker: &mut Broker, cmd: Command) -> ControlFlow<()> {
+    match cmd {
+        Command::Submit(spec, reply) => {
+            let _ = reply.send(broker.submit(spec));
+        }
+        Command::Status(job, reply) => {
+            let state = broker.job_state(job);
+            let done = broker.completed_jobs().get(&job).cloned();
+            let reason = broker.rejection_reason(job).map(str::to_string);
+            let _ = reply.send((state, done, reason));
+        }
+        Command::Stats(reply) => {
+            let body =
+                StatsBody::from_counters(broker.counters(), broker.budget_w(), broker.now_s());
+            let _ = reply.send((body, broker.telemetry()));
+        }
+        Command::Watch(tx, every) => {
+            broker.watch(every, tx);
+        }
+        Command::Shutdown(reply) => {
+            broker.run_until_idle();
+            let _ = reply.send(());
+            return ControlFlow::Break(());
+        }
+    }
+    ControlFlow::Continue(())
 }
 
 fn broker_loop(mut broker: Broker, rx: Receiver<Command>) {
@@ -49,27 +80,10 @@ fn broker_loop(mut broker: Broker, rx: Receiver<Command>) {
             }
         };
         match cmd {
-            Some(Command::Submit(spec, reply)) => {
-                let _ = reply.send(broker.submit(spec));
-            }
-            Some(Command::Status(job, reply)) => {
-                let state = broker.job_state(job);
-                let done = broker.completed_jobs().get(&job).cloned();
-                let reason = broker.rejection_reason(job).map(str::to_string);
-                let _ = reply.send((state, done, reason));
-            }
-            Some(Command::Stats(reply)) => {
-                let body =
-                    StatsBody::from_counters(broker.counters(), broker.budget_w(), broker.now_s());
-                let _ = reply.send((body, broker.telemetry()));
-            }
-            Some(Command::Watch(tx, every)) => {
-                broker.watch(every, tx);
-            }
-            Some(Command::Shutdown(reply)) => {
-                broker.run_until_idle();
-                let _ = reply.send(());
-                return;
+            Some(cmd) => {
+                if dispatch(&mut broker, cmd).is_break() {
+                    return;
+                }
             }
             None => {
                 broker.step();
@@ -324,6 +338,18 @@ impl Server {
     /// Bind `addr` (use port 0 for an ephemeral port) and serve `broker`
     /// until a client sends `shutdown`.
     pub fn start(broker: Broker, addr: &str, pool_threads: usize) -> std::io::Result<ServerHandle> {
+        Server::start_with(broker, addr, pool_threads, broker_loop)
+    }
+
+    /// [`Server::start`] with the broker thread's loop given by the
+    /// caller, so a test can serve a socket from a broker that only moves
+    /// when told to.
+    fn start_with(
+        broker: Broker,
+        addr: &str,
+        pool_threads: usize,
+        run: fn(Broker, Receiver<Command>),
+    ) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         // The broker thread owns the broker, but the registry is shared:
@@ -333,7 +359,7 @@ impl Server {
         let (cmd_tx, cmd_rx) = std::sync::mpsc::channel();
         let broker_thread = std::thread::Builder::new()
             .name("arcs-serve-broker".into())
-            .spawn(move || broker_loop(broker, cmd_rx))
+            .spawn(move || run(broker, cmd_rx))
             .expect("spawning the broker thread");
 
         let stopping = Arc::new(AtomicBool::new(false));
@@ -572,13 +598,24 @@ mod tests {
 
     #[test]
     fn shed_submissions_carry_backpressure_hints_over_the_wire() {
+        // A broker thread that answers commands but never steps on its
+        // own: how much virtual time passes between two round trips is
+        // then zero, not whatever the scheduler allowed, so the queue
+        // holds exactly what the three submits put there.
+        fn dispatch_only(mut broker: Broker, rx: Receiver<Command>) {
+            for cmd in rx {
+                if dispatch(&mut broker, cmd).is_break() {
+                    return;
+                }
+            }
+        }
         let handle = {
             let fleet = Fleet::homogeneous(Machine::crill(), 1);
             let mut cfg = BrokerConfig::new(230.0);
             cfg.quantum_timesteps = 2;
             cfg.max_queue = Some(1); // one waiter beyond the running job
             let broker = Broker::new(fleet, cfg, Arc::new(NullSink));
-            Server::start(broker, "127.0.0.1:0", 1).unwrap()
+            Server::start_with(broker, "127.0.0.1:0", 1, dispatch_only).unwrap()
         };
         let mut client = Client::connect(&handle.addr().to_string()).unwrap();
         let spec = JobSpec::new("acme", "sp.S").timesteps(4);
