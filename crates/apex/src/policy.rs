@@ -198,12 +198,6 @@ impl AdaptiveLadder {
         self
     }
 
-    /// EWMA smoothing factor (weight of the newest observation).
-    pub fn with_smoothing(mut self, alpha: f64) -> Self {
-        self.alpha = alpha.clamp(0.0, 1.0);
-        self
-    }
-
     /// Current arm for `task` (0 before any observation).
     pub fn arm(&self, task: &str) -> usize {
         self.tasks.get(task).map_or(0, |t| t.arm)

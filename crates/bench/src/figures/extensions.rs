@@ -178,7 +178,7 @@ pub fn noise(out: &mut dyn Write) -> io::Result<()> {
         // train→test gap.
         let mut trainer = SimExecutor::new(m.clone(), 115.0).with_noise(0.15, seed);
         let mut clean = SimExecutor::new(m.clone(), 115.0);
-        let (replay, hist) = runs::offline_run_on(&mut trainer, &mut clean, &wl);
+        let (replay, hist) = runs::offline_run_on(&mut trainer, &mut clean, &wl, Objective::Time);
         let mut row = vec![format!("seed {seed}")];
         for (r, seen) in SP_REGIONS.iter().zip(&mut distinct) {
             let cfg = hist.get(r).expect("trained region").config.to_string();

@@ -2,11 +2,14 @@
 //!
 //! Live and simulated execution used to duplicate the whole run loop —
 //! §III-C overhead charging, energy metering, [`AppRunReport`] assembly.
-//! This module extracts the loop once: a [`Backend`] only knows how to run
+//! This module holds the loop once: a [`Backend`] only knows how to run
 //! one region invocation at one configuration (and how to account idle-ish
-//! overhead time), while the [`Runner`] builder implements the
-//! strategy-independent choreography for *any* backend, so the two paths
-//! cannot drift.
+//! overhead time), while the [`Runner`] builder feeds every run flavour —
+//! default, fixed, adaptive, tuned, training — through one private `drive`
+//! loop for *any* backend. The flavours differ only in where an
+//! invocation's configuration comes from, so neither the backends nor the
+//! strategies can drift: the baseline and every selected strategy are
+//! measured by the same harness.
 //!
 //! ## Energy attribution
 //!
@@ -43,7 +46,7 @@ use crate::config::OmpConfig;
 use crate::report::{AppRunReport, FaultRecovery, RegionSummary, RunStatus};
 use crate::resilience::ResilienceOptions;
 use crate::tunable::TunedConfig;
-use crate::tuner::{RegionTuner, TunerOptions, TuningMode};
+use crate::tuner::{RegionTuner, TunerDecision, TunerOptions, TuningMode};
 use arcs_apex::{AdaptiveLadder, Apex, ArmSwitch};
 use arcs_harmony::History;
 use arcs_metrics::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -456,53 +459,33 @@ impl<'a, B: Backend> Runner<'a, B> {
     pub fn run(mut self) -> Result<AppRunReport, RunError> {
         let wl = self.prepare()?;
         let b = self.backend;
-        match self.strategy {
-            RunnerStrategy::Default => {
-                let cfg = OmpConfig::default_for(b.machine());
-                let label = self.label.as_deref().unwrap_or("default");
-                drive_fixed(
-                    b,
-                    wl,
-                    &|_| cfg,
-                    label,
-                    self.objective.unwrap_or_default(),
-                    self.resilience,
-                    self.self_profile,
-                    self.adaptive_schedule,
-                )
-            }
-            RunnerStrategy::Fixed { config_for, label } => {
-                let label = self.label.unwrap_or(label);
-                drive_fixed(
-                    b,
-                    wl,
-                    config_for.as_ref(),
-                    &label,
-                    self.objective.unwrap_or_default(),
-                    self.resilience,
-                    self.self_profile,
-                    self.adaptive_schedule,
-                )
-            }
-            RunnerStrategy::Tuner(tuner) => {
-                if let Some(objective) = self.objective {
-                    tuner.set_objective(objective);
-                }
-                if let Some(sink) = b.trace() {
-                    if sink.enabled() {
-                        tuner.set_trace(Arc::clone(sink));
-                    }
-                }
-                if let Some(registry) = b.metrics() {
-                    tuner.set_metrics(Arc::clone(registry));
-                }
-                if let Some(res) = self.resilience {
-                    tuner.set_resilience(res);
-                }
-                let label = self.label.as_deref().unwrap_or("arcs");
-                drive_tuned(b, wl, tuner, label, self.resilience, self.self_profile)
-            }
+        let strategy = self.strategy;
+        if let RunnerStrategy::Tuner(tuner) = strategy {
+            wire_tuner(b, tuner, self.objective, self.resilience);
+            let label = self.label.as_deref().unwrap_or("arcs");
+            let objective = tuner.objective();
+            let source = Source::Tuner(tuner);
+            return drive(b, wl, source, label, objective, self.resilience, self.self_profile);
         }
+        // `Default` is `Fixed` at the paper's baseline configuration.
+        let default_cfg = OmpConfig::default_for(b.machine());
+        let default_for = move |_: &str| default_cfg;
+        let (config_for, label): (&dyn Fn(&str) -> OmpConfig, &str) = match &strategy {
+            RunnerStrategy::Fixed { config_for, label } => (config_for.as_ref(), label),
+            _ => (&default_for, "default"),
+        };
+        let adaptive = self
+            .adaptive_schedule
+            .then(|| Box::new(AdaptiveState::new(b.trace().filter(|sink| sink.enabled()))));
+        drive(
+            b,
+            wl,
+            Source::Fixed { config_for, adaptive },
+            self.label.as_deref().unwrap_or(label),
+            self.objective.unwrap_or_default(),
+            self.resilience,
+            self.self_profile,
+        )
     }
 
     /// ARCS-Offline training: repeat the application until every region's
@@ -521,33 +504,45 @@ impl<'a, B: Backend> Runner<'a, B> {
         }
         let wl = self.prepare()?;
         let b = self.backend;
-        let mut options = options;
-        if let Some(objective) = self.objective {
-            options.objective = objective;
-        }
         let mut tuner = RegionTuner::new(options);
-        if let Some(sink) = b.trace() {
-            if sink.enabled() {
-                tuner.set_trace(Arc::clone(sink));
-            }
-        }
-        if let Some(registry) = b.metrics() {
-            tuner.set_metrics(Arc::clone(registry));
-        }
-        if let Some(res) = self.resilience {
-            tuner.set_resilience(res);
-        }
+        wire_tuner(b, &mut tuner, self.objective, self.resilience);
+        let objective = tuner.objective();
         // Bound the number of training executions defensively; each pass
         // offers `timesteps` measurements per region against a 252-point
         // space, so a handful of passes always suffices.
         for _pass in 0..64 {
-            let _ = drive_tuned(b, wl, &mut tuner, "arcs-offline-train", self.resilience, false)?;
+            let source = Source::Tuner(&mut tuner);
+            drive(b, wl, source, "arcs-offline-train", objective, self.resilience, false)?;
             if tuner.converged() {
                 break;
             }
         }
         assert!(tuner.converged(), "offline training failed to converge");
         Ok(tuner.export_history(context))
+    }
+}
+
+/// Point `tuner` at what the run was built with — the objective override,
+/// the backend's sink (when enabled) and registry, the self-healing
+/// ladder — before its first invocation. The one wiring behind
+/// [`Runner::run`] and [`Runner::train`].
+fn wire_tuner<B: Backend>(
+    b: &B,
+    tuner: &mut RegionTuner,
+    objective: Option<Objective>,
+    res: Option<ResilienceOptions>,
+) {
+    if let Some(objective) = objective {
+        tuner.set_objective(objective);
+    }
+    if let Some(sink) = b.trace().filter(|sink| sink.enabled()) {
+        tuner.set_trace(Arc::clone(sink));
+    }
+    if let Some(registry) = b.metrics() {
+        tuner.set_metrics(Arc::clone(registry));
+    }
+    if let Some(res) = res {
+        tuner.set_resilience(res);
     }
 }
 
@@ -631,6 +626,9 @@ struct AdaptiveState {
     ladder: Arc<parking_lot::Mutex<AdaptiveLadder>>,
     decisions: Arc<parking_lot::Mutex<Vec<(String, ArmSwitch)>>>,
     applied: HashMap<String, Schedule, FxBuildHasher>,
+    /// The configured schedule of the invocation in flight — arm 0 of the
+    /// ladder a `PolicySwitched` names its rungs against.
+    base: Schedule,
 }
 
 impl AdaptiveState {
@@ -645,7 +643,8 @@ impl AdaptiveState {
             // deterministic because the samples are simulated imbalances.
             apex.set_trace(Arc::clone(sink));
         }
-        AdaptiveState { apex, ladder, decisions, applied: Default::default() }
+        let base = Schedule::runtime_default();
+        AdaptiveState { apex, ladder, decisions, applied: Default::default(), base }
     }
 
     /// The schedule arm `arm` of the ladder maps to for a region whose
@@ -659,149 +658,105 @@ impl AdaptiveState {
         Schedule::new(ScheduleKind::SELF_SCHEDULING[arm - 1], base.chunk)
     }
 
-    /// The region's effective schedule at its current ladder arm.
-    fn effective(&self, region: &str, base: Schedule) -> Schedule {
-        Self::rung(base, self.ladder.lock().arm(region))
+    /// Override `schedule` with the region's current rung. True when that
+    /// moves the knob off what the region last ran with — the same
+    /// §III-C config-change cost a tuner move pays.
+    fn apply(&mut self, region: &str, schedule: &mut Schedule) -> bool {
+        self.base = *schedule;
+        *schedule = Self::rung(self.base, self.ladder.lock().arm(region));
+        match self.applied.get_mut(region) {
+            Some(prev) => std::mem::replace(prev, *schedule) != *schedule,
+            None => {
+                self.applied.insert(region.to_string(), *schedule);
+                false
+            }
+        }
+    }
+
+    /// Feed the watcher: the imbalance sample rides the APEX duration
+    /// field, the policy observes it synchronously, and any escalation —
+    /// stamped `t_s`, the post-region clock — applies from the region's
+    /// next invocation.
+    fn observe(
+        &mut self,
+        region: &str,
+        features: &RegionFeatures,
+        sink: Option<&Arc<dyn TraceSink>>,
+        t_s: f64,
+    ) {
+        let denom = features.busy_s + features.barrier_s;
+        let imbalance = if denom > 0.0 { features.barrier_s / denom } else { 0.0 };
+        let task = self.apex.task(region);
+        self.apex.sample(task, imbalance);
+        for (name, sw) in self.decisions.lock().drain(..) {
+            if let Some(sink) = sink {
+                let policy = |arm| Self::rung(self.base, arm).kind.name().to_string();
+                sink.record(
+                    Some(t_s),
+                    TraceEvent::PolicySwitched {
+                        region: name,
+                        from: policy(sw.from),
+                        to: policy(sw.to),
+                        invocation: sw.invocation,
+                        imbalance: sw.imbalance,
+                    },
+                );
+            }
+        }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn drive_fixed<B: Backend>(
+/// Where an invocation's configuration comes from — the only thing the
+/// run flavours differ by. [`Source::begin`] answers, before the
+/// invocation, which configuration runs, whether the ICVs move to get
+/// there and whether the region is instrumented; [`drive`] tells the
+/// source what was measured afterwards.
+enum Source<'a> {
+    /// A per-region map (`Default` is the constant map), optionally
+    /// walked up the portfolio ladder by [`Runner::adaptive_schedule`].
+    /// Never instrumented: no tuner, so no §III-C instrumentation cost.
+    Fixed { config_for: &'a dyn Fn(&str) -> OmpConfig, adaptive: Option<Box<AdaptiveState>> },
+    /// An ARCS tuner in whichever mode it was built (search, train,
+    /// replay).
+    Tuner(&'a mut RegionTuner),
+}
+
+impl Source<'_> {
+    fn begin(&mut self, region: &str) -> TunerDecision {
+        match self {
+            Source::Tuner(tuner) => tuner.begin(region),
+            Source::Fixed { config_for, adaptive } => {
+                let mut config = TunedConfig::from(config_for(region));
+                let changed = match adaptive {
+                    Some(ad) => ad.apply(region, &mut config.omp.schedule),
+                    None => false,
+                };
+                TunerDecision { config, changed, tuned: false }
+            }
+        }
+    }
+}
+
+/// The run loop — the only caller of [`Backend::run_region`]. Every run
+/// flavour on every backend is this choreography, and both its meter-read
+/// order and its event order are contract (DESIGN.md §3.11): each
+/// [`Backend::energy_j`] attempt advances an attached fault plan's read
+/// ordinal, so one read more or fewer moves every later fault.
+fn drive<B: Backend>(
     b: &mut B,
     wl: &WorkloadDescriptor,
-    config_for: &dyn Fn(&str) -> OmpConfig,
+    mut source: Source<'_>,
     strategy: &str,
     objective: Objective,
     res: Option<ResilienceOptions>,
     self_profile: bool,
-    adaptive: bool,
 ) -> Result<AppRunReport, RunError> {
     let mut acc = Accum::new(b, wl, strategy, objective, self_profile);
     let mut meter = Meter::new(res);
-    let mut adaptive = adaptive.then(|| AdaptiveState::new(acc.sink.as_ref()));
     for _ts in 0..wl.timesteps {
         for region in &wl.step {
-            let mut cfg = TunedConfig::from(config_for(&region.name));
-            let base_schedule = cfg.omp.schedule;
-            // The adaptive ladder overrides the schedule; a changed knob
-            // pays the same §III-C config-change cost a tuner move does.
-            let mut change_s = 0.0;
-            if let Some(ad) = &mut adaptive {
-                cfg.omp.schedule = ad.effective(&region.name, base_schedule);
-                if let Some(prev) = ad.applied.get(&region.name) {
-                    if *prev != cfg.omp.schedule {
-                        change_s = b.machine().config_change_s;
-                        if let Some(sink) = &acc.sink {
-                            sink.record(
-                                Some(acc.time_s),
-                                TraceEvent::ConfigSwitch {
-                                    region: region.name.clone(),
-                                    threads: cfg.omp.threads,
-                                    schedule: cfg.omp.schedule.to_string(),
-                                },
-                            );
-                        }
-                    }
-                }
-                ad.applied.insert(region.name.clone(), cfg.omp.schedule);
-            }
-            let overhead_j = if change_s > 0.0 {
-                let t0 = acc.span();
-                let e0 = meter.read(b)?;
-                b.charge_overhead(change_s);
-                let j = meter.read(b)? - e0;
-                acc.span_end(t0, Phase::Overhead);
-                j
-            } else {
-                0.0
-            };
-            if let Some(sink) = &acc.sink {
-                if change_s > 0.0 {
-                    sink.record(
-                        Some(acc.time_s),
-                        TraceEvent::OverheadCharged {
-                            region: region.name.clone(),
-                            config_change_s: change_s,
-                            instrumentation_s: 0.0,
-                            energy_j: overhead_j,
-                        },
-                    );
-                }
-                sink.record(
-                    Some(acc.time_s + change_s),
-                    TraceEvent::RegionBegin {
-                        region: region.name.clone(),
-                        threads: cfg.omp.threads,
-                        schedule: cfg.omp.schedule.to_string(),
-                        chunk_policy: cfg.omp.schedule.kind.name().to_string(),
-                    },
-                );
-            }
-            let t0 = acc.span();
-            let e_pre = meter.read(b)?;
-            acc.span_end(t0, Phase::Meter);
-            let t0 = acc.span();
-            let run = b.run_region(region, cfg);
-            acc.span_end(t0, Phase::Measure);
-            let t0 = acc.span();
-            let e_post = meter.read(b)?;
-            let meas = Measurement {
-                time_s: run.time_s,
-                energy_j: e_post - e_pre,
-                features: run.features,
-            };
-            let energy_total_j = meter.read(b)?;
-            acc.span_end(t0, Phase::Meter);
-            acc.region(b, &region.name, cfg, &meas, change_s, 0.0, energy_total_j);
-            if let Some(ad) = &mut adaptive {
-                // Feed the watcher: the imbalance sample rides the APEX
-                // duration field, the policy observes it synchronously,
-                // and any escalation applies from the next invocation.
-                let denom = meas.features.busy_s + meas.features.barrier_s;
-                let imbalance = if denom > 0.0 { meas.features.barrier_s / denom } else { 0.0 };
-                let task = ad.apex.task(&region.name);
-                ad.apex.sample(task, imbalance);
-                for (name, sw) in ad.decisions.lock().drain(..) {
-                    if let Some(sink) = &acc.sink {
-                        sink.record(
-                            Some(acc.time_s),
-                            TraceEvent::PolicySwitched {
-                                region: name,
-                                from: AdaptiveState::rung(base_schedule, sw.from)
-                                    .kind
-                                    .name()
-                                    .to_string(),
-                                to: AdaptiveState::rung(base_schedule, sw.to)
-                                    .kind
-                                    .name()
-                                    .to_string(),
-                                invocation: sw.invocation,
-                                imbalance: sw.imbalance,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-    }
-    acc.finish(b, None, &mut meter)
-}
-
-fn drive_tuned<B: Backend>(
-    b: &mut B,
-    wl: &WorkloadDescriptor,
-    tuner: &mut RegionTuner,
-    strategy: &str,
-    res: Option<ResilienceOptions>,
-    self_profile: bool,
-) -> Result<AppRunReport, RunError> {
-    let mut acc = Accum::new(b, wl, strategy, tuner.objective(), self_profile);
-    let mut meter = Meter::new(res);
-    for _ts in 0..wl.timesteps {
-        for region in &wl.step {
-            let t0 = acc.span();
-            let decision = tuner.begin(&region.name);
-            acc.span_end(t0, Phase::Tune);
+            let decision = acc.timed(Phase::Tune, || source.begin(&region.name));
+            let cfg = decision.config;
             // The change cost fires whenever the global ICVs must move —
             // with per-region configurations that is typically on every
             // entry of every region whose config differs from its
@@ -818,8 +773,8 @@ fn drive_tuned<B: Backend>(
                         Some(acc.time_s),
                         TraceEvent::ConfigSwitch {
                             region: region.name.clone(),
-                            threads: decision.config.omp.threads,
-                            schedule: decision.config.omp.schedule.to_string(),
+                            threads: cfg.omp.threads,
+                            schedule: cfg.omp.schedule.to_string(),
                         },
                     );
                 }
@@ -828,12 +783,11 @@ fn drive_tuned<B: Backend>(
             // region energy, so the two charge streams telescope to the
             // run total on every backend.
             let overhead_j = if overhead_s > 0.0 {
-                let t0 = acc.span();
-                let e0 = meter.read(b)?;
-                b.charge_overhead(overhead_s);
-                let j = meter.read(b)? - e0;
-                acc.span_end(t0, Phase::Overhead);
-                j
+                acc.timed(Phase::Overhead, || -> Result<f64, RunError> {
+                    let e0 = meter.read(b)?;
+                    b.charge_overhead(overhead_s);
+                    Ok(meter.read(b)? - e0)
+                })?
             } else {
                 0.0
             };
@@ -853,21 +807,15 @@ fn drive_tuned<B: Backend>(
                     Some(acc.time_s + overhead_s),
                     TraceEvent::RegionBegin {
                         region: region.name.clone(),
-                        threads: decision.config.omp.threads,
-                        schedule: decision.config.omp.schedule.to_string(),
-                        chunk_policy: decision.config.omp.schedule.kind.name().to_string(),
+                        threads: cfg.omp.threads,
+                        schedule: cfg.omp.schedule.to_string(),
+                        chunk_policy: cfg.omp.schedule.kind.name().to_string(),
                     },
                 );
             }
-            let t0 = acc.span();
-            let e_pre = meter.read(b)?;
-            acc.span_end(t0, Phase::Meter);
-            let t0 = acc.span();
-            let run = b.run_region(region, decision.config);
-            acc.span_end(t0, Phase::Measure);
-            let t0 = acc.span();
-            let e_post = meter.read(b)?;
-            acc.span_end(t0, Phase::Meter);
+            let e_pre = acc.timed(Phase::Meter, || meter.read(b))?;
+            let run = acc.timed(Phase::Measure, || b.run_region(region, cfg));
+            let e_post = acc.timed(Phase::Meter, || meter.read(b))?;
             let meas = Measurement {
                 time_s: run.time_s,
                 energy_j: e_post - e_pre,
@@ -875,24 +823,32 @@ fn drive_tuned<B: Backend>(
             };
             // The tuner optimises what the instrumentation saw — the noisy
             // APEX timer and the differenced package meter — scored by its
-            // objective.
-            let t0 = acc.span();
-            tuner.end_measured(&region.name, meas.time_s, meas.energy_j);
-            acc.span_end(t0, Phase::Tune);
-            let t0 = acc.span();
-            let energy_total_j = meter.read(b)?;
-            acc.span_end(t0, Phase::Meter);
-            acc.region(b, &region.name, decision.config, &meas, change_s, instr_s, energy_total_j);
-            // Error budget exhausted: freeze every region to its
-            // best-known configuration and ride the run out (final rung
-            // of the degradation ladder — the run completes `Degraded`
-            // rather than erroring).
-            if meter.degraded && !tuner.degraded() {
-                tuner.freeze_all();
+            // objective. Its search events precede the region's end.
+            if let Source::Tuner(tuner) = &mut source {
+                acc.timed(Phase::Tune, || {
+                    tuner.end_measured(&region.name, meas.time_s, meas.energy_j)
+                });
+            }
+            let energy_total_j = acc.timed(Phase::Meter, || meter.read(b))?;
+            acc.region(b, &region.name, cfg, &meas, change_s, instr_s, energy_total_j);
+            match &mut source {
+                Source::Fixed { adaptive: Some(ad), .. } => {
+                    ad.observe(&region.name, &meas.features, acc.sink.as_ref(), acc.time_s);
+                }
+                // Error budget exhausted: freeze every region to its
+                // best-known configuration and ride the run out (final rung
+                // of the degradation ladder — the run completes `Degraded`
+                // rather than erroring).
+                Source::Tuner(tuner) if meter.degraded && !tuner.degraded() => tuner.freeze_all(),
+                _ => {}
             }
         }
     }
-    acc.finish(b, Some(tuner), &mut meter)
+    let tuner = match &source {
+        Source::Tuner(tuner) => Some(&**tuner),
+        Source::Fixed { .. } => None,
+    };
+    acc.finish(b, tuner, &mut meter)
 }
 
 /// Driver-level handles resolved once per run from the backend's
@@ -917,7 +873,8 @@ struct DriverMetrics {
 /// Which driver phase a wall-clock span belongs to.
 #[derive(Clone, Copy)]
 enum Phase {
-    /// Tuner bookkeeping: `begin` decisions and `end_measured` scoring.
+    /// Choosing the configuration: the tuner's `begin` decisions and
+    /// `end_measured` scoring; on fixed runs the (trivial) map lookup.
     Tune,
     /// The backend's region execution ([`Backend::run_region`]).
     Measure,
@@ -1019,17 +976,16 @@ impl Accum {
         }
     }
 
-    /// Open a wall-clock span: `Some(now)` only when phase accounting is
-    /// on, so the plain path pays one branch and never reads the clock.
-    fn span(&self) -> Option<Instant> {
-        self.spans.as_ref().map(|_| Instant::now())
-    }
-
-    /// Close a span opened by [`Accum::span`] into `phase`.
-    fn span_end(&mut self, start: Option<Instant>, phase: Phase) {
-        if let (Some(spans), Some(t0)) = (&mut self.spans, start) {
-            spans.add(phase, t0.elapsed().as_secs_f64());
-        }
+    /// Run `f` as a wall-clock span of `phase`. The clock is read only
+    /// when phase accounting is on: the plain path pays one branch.
+    fn timed<T>(&mut self, phase: Phase, f: impl FnOnce() -> T) -> T {
+        let Some(spans) = &mut self.spans else {
+            return f();
+        };
+        let t0 = Instant::now();
+        let out = f();
+        spans.add(phase, t0.elapsed().as_secs_f64());
+        out
     }
 
     #[allow(clippy::too_many_arguments)]

@@ -20,9 +20,9 @@
 //! state the live path populates.
 
 use crate::backend::{self, Backend, RegionFeatures, RegionRun, RunError, Runner};
-use crate::cap::{CapHandle, CapWatch};
+use crate::cap::CapHandle;
 use crate::config::OmpConfig;
-use crate::faults::{FaultClock, MeterFault};
+use crate::faults::Perturbation;
 use crate::report::AppRunReport;
 use crate::tunable::TunedConfig;
 use crate::tuner::{RegionTuner, TunerOptions};
@@ -30,11 +30,11 @@ use arcs_apex::Apex;
 use arcs_harmony::History;
 use arcs_metrics::MetricsRegistry;
 use arcs_powersim::{
-    simulate_region_with_table, CacheBindError, CacheReader, FaultPlan, FxBuildHasher,
-    InvocationFaults, Machine, MeasureError, PackageEnergy, Rapl, RegionId, RegionModel,
-    SharedSimCache, SimConfig, SimReport, SimScratch, WeightTable, WorkloadDescriptor,
+    simulate_region_with_table, CacheBindError, CacheReader, FaultPlan, FxBuildHasher, Machine,
+    MeasureError, PackageEnergy, Rapl, RegionId, RegionModel, SharedSimCache, SimConfig, SimReport,
+    SimScratch, WeightTable, WorkloadDescriptor,
 };
-use arcs_trace::{TraceEvent, TraceSink};
+use arcs_trace::TraceSink;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -50,9 +50,6 @@ struct RegionSlot {
 /// Executes workloads on the simulated machine under a power cap.
 pub struct SimExecutor {
     pub machine: Machine,
-    cap_w: f64,
-    /// The cap as requested, before RAPL clamping (trace `CapChange`).
-    requested_cap_w: f64,
     rapl: Rapl,
     cache: Arc<SharedSimCache>,
     /// Lock-free view of `cache`'s frozen shard snapshots; rebuilt
@@ -62,17 +59,14 @@ pub struct SimExecutor {
     scratch: SimScratch,
     apex: Option<Arc<Apex>>,
     noise: Option<NoiseModel>,
-    trace: Option<Arc<dyn TraceSink>>,
-    metrics: Option<Arc<MetricsRegistry>>,
     energy_meter: PackageEnergy,
     /// Per-region slots: interned cache id, weight table and invocation
     /// ordinal (the ordinal feeds the stateless noise model and persists
     /// across runs so repeated training passes see fresh noise).
     regions: HashMap<String, RegionSlot, FxBuildHasher>,
-    faults: Option<FaultClock>,
-    /// Externally-owned cap, polled at region boundaries (the broker's
-    /// reallocation path; `None` keeps the constructor cap for the run).
-    cap_watch: Option<CapWatch>,
+    /// The cap (requested and RAPL-clamped), the watched handle, the
+    /// fault plan, and the sink and registry — shared with the live path.
+    perturb: Perturbation,
 }
 
 /// Multiplicative measurement noise: real testbeds never return the same
@@ -121,26 +115,20 @@ impl NoiseModel {
 impl SimExecutor {
     pub fn new(machine: Machine, cap_w: f64) -> Self {
         let mut rapl = Rapl::new(&machine);
-        let requested_cap_w = cap_w;
-        let cap_w = rapl.set_package_cap(cap_w);
+        let perturb = Perturbation::new(cap_w, rapl.set_package_cap(cap_w));
         let cache = Arc::new(SharedSimCache::new(&machine.name));
         let reader = cache.reader();
         SimExecutor {
             machine,
-            cap_w,
-            requested_cap_w,
             rapl,
             cache,
             reader,
             scratch: SimScratch::default(),
             apex: None,
             noise: None,
-            trace: None,
-            metrics: None,
             energy_meter: PackageEnergy::new(),
             regions: HashMap::default(),
-            faults: None,
-            cap_watch: None,
+            perturb,
         }
     }
 
@@ -156,7 +144,7 @@ impl SimExecutor {
 
     /// Route region samples into an APEX instance as well.
     pub fn with_apex(mut self, apex: Arc<Apex>) -> Self {
-        if let Some(sink) = &self.trace {
+        if let Some(sink) = &self.perturb.trace {
             apex.set_trace(Arc::clone(sink));
         }
         self.apex = Some(apex);
@@ -177,25 +165,6 @@ impl SimExecutor {
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         Backend::attach_faults(&mut self, plan);
         self
-    }
-
-    /// Emit the trace/metrics breadcrumbs for one injected fault.
-    fn note_fault(&self, kind: &str, region: &str, magnitude: f64) {
-        if let Some(sink) = &self.trace {
-            if sink.enabled() {
-                sink.record(
-                    None,
-                    TraceEvent::FaultInjected {
-                        kind: kind.to_string(),
-                        region: region.to_string(),
-                        magnitude,
-                    },
-                );
-            }
-        }
-        if let Some(registry) = &self.metrics {
-            registry.counter(&format!("arcs/faults/{kind}")).inc();
-        }
     }
 
     /// Attach a trace sink: the driver's region/power events, the memo
@@ -238,10 +207,10 @@ impl SimExecutor {
 
     fn bind_cache(&mut self, cache: Arc<SharedSimCache>) -> Result<(), CacheBindError> {
         cache.check_machine(&self.machine.name)?;
-        if let Some(sink) = &self.trace {
+        if let Some(sink) = &self.perturb.trace {
             cache.attach_trace(Arc::clone(sink));
         }
-        if let Some(registry) = &self.metrics {
+        if let Some(registry) = &self.perturb.metrics {
             cache.attach_metrics(registry);
         }
         self.reader = cache.reader();
@@ -258,7 +227,7 @@ impl SimExecutor {
     }
 
     pub fn power_cap_w(&self) -> f64 {
-        self.cap_w
+        self.perturb.cap_w()
     }
 
     /// Memoised single-region simulation. Looks up by `&str` — the region
@@ -276,8 +245,8 @@ impl SimExecutor {
         freq_limit_ghz: Option<f64>,
     ) -> Arc<SimReport> {
         let id = self.region_id(&region.name);
-        let SimExecutor { machine, cap_w, cache, reader, scratch, regions, .. } = self;
-        let cap_w = *cap_w;
+        let SimExecutor { machine, perturb, cache, reader, scratch, regions, .. } = self;
+        let cap_w = perturb.cap_w();
         cache.get_or_insert_id(reader, id, region.iterations, cfg, cap_w, freq_limit_ghz, || {
             let slot = &mut regions.get_mut(&region.name).expect("slot made by region_id").table;
             // A name does not identify a model: re-resolve if the slot's
@@ -311,23 +280,6 @@ impl SimExecutor {
             let id = self.cache.intern(region);
             self.regions.insert(region.to_string(), RegionSlot { id, table: None, invocations: 1 });
             0
-        }
-    }
-
-    /// Apply a newly requested cap: reprogram RAPL, remember both views,
-    /// trace the move. One shared path for scheduled cap faults and
-    /// external (broker) reallocations.
-    fn apply_requested_cap(&mut self, cap: f64) {
-        let effective = self.rapl.set_package_cap(cap);
-        self.requested_cap_w = cap;
-        self.cap_w = effective;
-        if let Some(sink) = &self.trace {
-            if sink.enabled() {
-                sink.record(
-                    None,
-                    TraceEvent::CapChange { requested_w: cap, effective_w: effective },
-                );
-            }
         }
     }
 
@@ -378,19 +330,17 @@ impl Backend for SimExecutor {
     }
 
     fn power_cap_w(&self) -> f64 {
-        self.cap_w
+        self.perturb.cap_w()
     }
 
     fn requested_power_cap_w(&self) -> f64 {
-        self.requested_cap_w
+        self.perturb.requested_cap_w()
     }
 
     fn begin_run(&mut self) {
         self.energy_meter = PackageEnergy::new();
         self.energy_meter.sample(&self.rapl); // prime against the current counter
-        if let Some(fc) = &mut self.faults {
-            fc.begin_run();
-        }
+        self.perturb.begin_run();
     }
 
     fn charge_overhead(&mut self, dt_s: f64) {
@@ -400,50 +350,24 @@ impl Backend for SimExecutor {
 
     fn run_region(&mut self, region: &RegionModel, cfg: TunedConfig) -> RegionRun {
         let inv = self.next_invocation(&region.name);
-        // An external cap move (broker reallocation) applies first, at
-        // the region boundary; a cap fault scheduled for the same
-        // invocation overrides it below.
-        if let Some(cap) = self.cap_watch.as_mut().and_then(|w| w.poll()) {
-            self.apply_requested_cap(cap);
-        }
-        let ifaults: Option<InvocationFaults> =
-            self.faults.as_mut().map(|fc| fc.invocation_faults(&region.name, inv));
-        // Scheduled cap change fires *before* the invocation, so the
-        // simulation (and the memo cache key) see the new envelope.
-        if let Some(cap) = ifaults.and_then(|f| f.cap_change_w) {
-            self.note_fault("cap_change", &region.name, cap);
-            self.apply_requested_cap(cap);
-        }
+        // A cap move — broker reallocation or scheduled fault — reprograms
+        // RAPL before the invocation, so the simulation (and the memo
+        // cache key) see the new envelope.
+        let faults =
+            self.perturb.before_invocation(&region.name, inv, |w| self.rapl.set_package_cap(w));
         let mut rep = self.simulate_at(region, cfg.omp.as_sim(), cfg.freq_ghz);
-        if let Some(f) = ifaults {
-            if f.straggler_factor > 1.0 {
-                // A real slowdown: machine state (time and energy) grows,
-                // not just the observation.
-                rep = Arc::new(rep.with_straggler(&self.machine, f.straggler_factor));
-                self.note_fault("straggler", &region.name, f.straggler_factor);
-            }
+        if let Some(f) = faults.filter(|f| f.straggler_factor > 1.0) {
+            // A real slowdown: machine state (time and energy) grows,
+            // not just the observation.
+            rep = Arc::new(rep.with_straggler(&self.machine, f.straggler_factor));
         }
         let fnoise = match &self.noise {
             Some(n) => n.factor(&region.name, inv),
             None => 1.0,
         };
         self.rapl.advance(rep.time_s * fnoise, rep.avg_power_w());
-        let mut observed = rep.time_s * fnoise;
-        if let Some(f) = ifaults {
-            if f.spike_factor > 1.0 {
-                // Measurement-only: the timer lies, the machine doesn't.
-                observed *= f.spike_factor;
-                self.note_fault("timer_spike", &region.name, f.spike_factor);
-            }
-            if f.drop_sample {
-                if let Some(fc) = &mut self.faults {
-                    fc.arm_stale_read();
-                }
-                self.note_fault("sample_drop", &region.name, 1.0);
-            }
-        }
         RegionRun {
-            time_s: observed,
+            time_s: self.perturb.after_invocation(&region.name, faults, rep.time_s * fnoise),
             features: RegionFeatures {
                 busy_s: rep.busy_total_s(),
                 barrier_s: rep.barrier_total_s(),
@@ -455,30 +379,18 @@ impl Backend for SimExecutor {
     }
 
     fn energy_j(&mut self) -> Result<f64, MeasureError> {
-        match self.faults.as_mut().and_then(FaultClock::meter_fault) {
-            Some(MeterFault::Fail(ord)) => {
-                self.note_fault("rapl_read", "", ord as f64);
-                Err(MeasureError::RaplRead { attempts: 1 })
-            }
-            // A dropped sample: answer with the stale counter value
-            // without resampling RAPL.
-            Some(MeterFault::Stale) => Ok(self.energy_meter.total_j()),
-            None => Ok(self.energy_meter.sample(&self.rapl)),
-        }
+        // A dropped sample answers the stale counter value without
+        // resampling RAPL.
+        let stale = self.perturb.meter_read()?;
+        Ok(if stale { self.energy_meter.total_j() } else { self.energy_meter.sample(&self.rapl) })
     }
 
     fn attach_faults(&mut self, plan: FaultPlan) {
-        self.faults = Some(FaultClock::new(plan));
+        self.perturb.attach_faults(plan);
     }
 
     fn attach_cap_handle(&mut self, handle: CapHandle) {
-        // The handle's current value replaces the constructor cap; later
-        // `set`s apply at region boundaries via `CapWatch::poll`.
-        let requested = handle.get();
-        let effective = self.rapl.set_package_cap(requested);
-        self.requested_cap_w = requested;
-        self.cap_w = effective;
-        self.cap_watch = Some(CapWatch::new(handle));
+        self.perturb.watch_cap(handle, |w| self.rapl.set_package_cap(w));
     }
 
     fn record_sample(&mut self, region: &str, time_s: f64, energy_total_j: f64) {
@@ -492,7 +404,7 @@ impl Backend for SimExecutor {
     }
 
     fn trace(&self) -> Option<&Arc<dyn TraceSink>> {
-        self.trace.as_ref()
+        self.perturb.trace.as_ref()
     }
 
     fn attach_trace(&mut self, sink: Arc<dyn TraceSink>) {
@@ -500,16 +412,16 @@ impl Backend for SimExecutor {
         if let Some(apex) = &self.apex {
             apex.set_trace(Arc::clone(&sink));
         }
-        self.trace = Some(sink);
+        self.perturb.trace = Some(sink);
     }
 
     fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.metrics.as_ref()
+        self.perturb.metrics.as_ref()
     }
 
     fn attach_metrics(&mut self, registry: Arc<MetricsRegistry>) {
         self.cache.attach_metrics(&registry);
-        self.metrics = Some(registry);
+        self.perturb.metrics = Some(registry);
     }
 
     fn bind_shared_cache(&mut self, cache: Arc<SharedSimCache>) -> Result<(), RunError> {
@@ -517,32 +429,49 @@ impl Backend for SimExecutor {
     }
 }
 
-/// Convenience: the four paper runs for one workload at one power cap.
+/// The paper's three runs — default, ARCS-Online, ARCS-Offline — for one
+/// workload at one power cap. The `*_on` forms are the recipes themselves
+/// (the sweep engine's cells call them); the short forms run them on
+/// fresh executors scored by time, as the paper does.
 pub mod runs {
     use super::*;
     use crate::config::ConfigSpace;
     use crate::tuner::TunerOptions;
+    use arcs_trace::Objective;
 
     /// Default configuration, no ARCS.
     pub fn default_run(machine: &Machine, cap_w: f64, wl: &WorkloadDescriptor) -> AppRunReport {
-        default_run_on(&mut SimExecutor::new(machine.clone(), cap_w), wl)
+        default_run_on(&mut SimExecutor::new(machine.clone(), cap_w), wl, Objective::Time)
     }
 
-    /// [`default_run`] on a caller-built executor (shared cache, noise…).
-    pub fn default_run_on(exec: &mut SimExecutor, wl: &WorkloadDescriptor) -> AppRunReport {
-        exec.run_default(wl)
+    /// [`default_run`] on a caller-built executor (shared cache, noise…),
+    /// reported under `objective`.
+    pub fn default_run_on(
+        exec: &mut SimExecutor,
+        wl: &WorkloadDescriptor,
+        objective: Objective,
+    ) -> AppRunReport {
+        Runner::new(exec).workload(wl).objective(objective).run().expect("workload is set")
     }
 
     /// ARCS-Online: Nelder–Mead search and execution in the same run.
     pub fn online_run(machine: &Machine, cap_w: f64, wl: &WorkloadDescriptor) -> AppRunReport {
-        online_run_on(&mut SimExecutor::new(machine.clone(), cap_w), wl)
+        online_run_on(&mut SimExecutor::new(machine.clone(), cap_w), wl, Objective::Time, 0.0)
     }
 
-    /// [`online_run`] on a caller-built executor.
-    pub fn online_run_on(exec: &mut SimExecutor, wl: &WorkloadDescriptor) -> AppRunReport {
-        let space = ConfigSpace::for_machine(&exec.machine);
-        let mut tuner = RegionTuner::new(TunerOptions::online(space));
-        let mut rep = exec.run_tuned(wl, &mut tuner);
+    /// [`online_run`] on a caller-built executor, searching for
+    /// `objective`. A positive `min_region_time_s` tunes selectively
+    /// ([`TunerOptions::min_region_time_s`]); 0 tunes every region.
+    pub fn online_run_on(
+        exec: &mut SimExecutor,
+        wl: &WorkloadDescriptor,
+        objective: Objective,
+        min_region_time_s: f64,
+    ) -> AppRunReport {
+        let options = TunerOptions::online(ConfigSpace::for_machine(&exec.machine))
+            .with_objective(objective)
+            .with_min_region_time(min_region_time_s);
+        let mut rep = exec.run_tuned(wl, &mut RegionTuner::new(options));
         rep.strategy = "arcs-online".into();
         rep
     }
@@ -558,23 +487,32 @@ pub mod runs {
             &mut SimExecutor::new(machine.clone(), cap_w),
             &mut SimExecutor::new(machine.clone(), cap_w),
             wl,
+            Objective::Time,
         )
     }
 
     /// [`offline_run`] on caller-built trainer/replayer executors (the
     /// paper trains and measures in separate executions, so two executors;
-    /// they may share a memo cache).
+    /// they may share a memo cache), trained for `objective`. The history
+    /// context is `workload.machine.capW`, with `.objective` appended for
+    /// anything but time.
     pub fn offline_run_on(
         trainer: &mut SimExecutor,
         replayer: &mut SimExecutor,
         wl: &WorkloadDescriptor,
+        objective: Objective,
     ) -> (AppRunReport, History<OmpConfig>) {
         let space = ConfigSpace::for_machine(&trainer.machine);
-        let context = format!("{}.{}.{}W", wl.name, trainer.machine.name, trainer.power_cap_w());
-        let history =
-            trainer.train_offline(wl, TunerOptions::offline_train(space.clone()), &context);
-        let mut tuner = RegionTuner::new(TunerOptions::offline_replay(space, history.clone()));
-        let mut rep = replayer.run_tuned(wl, &mut tuner);
+        let suffix = match objective {
+            Objective::Time => String::new(),
+            other => format!(".{other}"),
+        };
+        let context =
+            format!("{}.{}.{}W{suffix}", wl.name, trainer.machine.name, trainer.power_cap_w());
+        let train = TunerOptions::offline_train(space.clone()).with_objective(objective);
+        let history = trainer.train_offline(wl, train, &context);
+        let replay = TunerOptions::offline_replay(space, history.clone()).with_objective(objective);
+        let mut rep = replayer.run_tuned(wl, &mut RegionTuner::new(replay));
         rep.strategy = "arcs-offline".into();
         (rep, history)
     }
@@ -586,6 +524,7 @@ mod tests {
     use super::*;
     use arcs_kernels::model;
     use arcs_kernels::Class;
+    use arcs_trace::Objective;
 
     fn small_bt() -> WorkloadDescriptor {
         let mut wl = model::bt(Class::W);
@@ -694,12 +633,14 @@ mod tests {
         let a = default_run_on(
             &mut SimExecutor::new(m.clone(), 85.0).with_shared_cache(Arc::clone(&cache)),
             &wl,
+            Objective::Time,
         );
         let warm = cache.stats();
         assert_eq!(warm.hits, 5 * 29); // 5 regions × (30 − first) invocations
         let b = default_run_on(
             &mut SimExecutor::new(m.clone(), 85.0).with_shared_cache(Arc::clone(&cache)),
             &wl,
+            Objective::Time,
         );
         assert_eq!(a, b);
         // The second executor never missed: all its lookups hit.
@@ -747,7 +688,7 @@ mod trace_tests {
         let wl = tiny_sp();
         let sink = Arc::new(VecSink::new());
         let mut exec = SimExecutor::new(m, 80.0).with_trace(sink.clone());
-        let _ = runs::online_run_on(&mut exec, &wl);
+        let _ = runs::online_run_on(&mut exec, &wl, arcs_trace::Objective::Time, 0.0);
 
         let records = sink.drain();
         let count = |kind: &str| records.iter().filter(|r| r.event.kind() == kind).count();

@@ -16,15 +16,15 @@
 //! duration back to the session.
 
 use crate::backend::{self, Backend, RegionFeatures, RegionRun};
-use crate::cap::{CapHandle, CapWatch};
-use crate::faults::{FaultClock, MeterFault};
+use crate::cap::CapHandle;
+use crate::faults::Perturbation;
 use crate::tunable::TunedConfig;
 use crate::tuner::{RegionTuner, TunerOptions};
 use arcs_apex::{Apex, PolicyEventKind, PolicyTrigger};
 use arcs_metrics::MetricsRegistry;
 use arcs_omprt::{RegionId, RegionRecord, Runtime, Tool};
-use arcs_powersim::{FaultPlan, InvocationFaults, Machine, MeasureError, RegionModel};
-use arcs_trace::{TraceEvent, TraceSink};
+use arcs_powersim::{FaultPlan, Machine, MeasureError, RegionModel};
+use arcs_trace::TraceSink;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -130,7 +130,6 @@ impl ArcsLive {
 pub struct LiveExecutor {
     rt: Arc<Runtime>,
     machine: Machine,
-    cap_w: f64,
     /// Multiplier from modelled region seconds to real spin seconds.
     time_scale: f64,
     regions: HashMap<String, RegionId>,
@@ -140,33 +139,32 @@ pub struct LiveExecutor {
     /// Invocation ordinal per region (keys the fault plan's decisions,
     /// mirroring the simulator's counter).
     invocations: HashMap<String, u64>,
-    /// Shared ordinal bookkeeping — the same [`FaultClock`] the simulator
-    /// uses, so one plan perturbs both backends identically.
-    faults: Option<FaultClock>,
-    /// Externally-owned cap, polled at region boundaries.
-    cap_watch: Option<CapWatch>,
-    trace: Option<Arc<dyn TraceSink>>,
-    metrics: Option<Arc<MetricsRegistry>>,
+    /// The cap (requested and clamped), the watched handle, the fault
+    /// plan, and the sink and registry — the same `Perturbation` the
+    /// simulator holds, so one plan perturbs both backends identically.
+    perturb: Perturbation,
+}
+
+/// The live path has no host RAPL to program: a requested cap only moves
+/// the pricing envelope, clamped to the model's RAPL range.
+fn clamp_cap(machine: &Machine, requested_w: f64) -> f64 {
+    requested_w.clamp(machine.power.tdp_w * 0.25, machine.power.tdp_w)
 }
 
 impl LiveExecutor {
     /// Wrap a runtime together with the machine model whose workloads it
     /// will execute. The cap is clamped to the model's RAPL range.
     pub fn new(rt: Arc<Runtime>, machine: Machine, cap_w: f64) -> Self {
-        let cap_w = cap_w.clamp(machine.power.tdp_w * 0.25, machine.power.tdp_w);
+        let perturb = Perturbation::new(cap_w, clamp_cap(&machine, cap_w));
         LiveExecutor {
             rt,
             machine,
-            cap_w,
             time_scale: 1e-3,
             regions: HashMap::new(),
             energy_acc_j: 0.0,
             last_read_j: 0.0,
             invocations: HashMap::new(),
-            faults: None,
-            cap_watch: None,
-            trace: None,
-            metrics: None,
+            perturb,
         }
     }
 
@@ -182,7 +180,7 @@ impl LiveExecutor {
     /// overhead events into it (energy figures come from the power model,
     /// like the executor's accounting).
     pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.trace = Some(sink);
+        self.perturb.trace = Some(sink);
         self
     }
 
@@ -211,41 +209,6 @@ impl LiveExecutor {
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         Backend::attach_faults(&mut self, plan);
         self
-    }
-
-    /// Emit the trace/metrics breadcrumbs for one injected fault.
-    fn note_fault(&self, kind: &str, region: &str, magnitude: f64) {
-        if let Some(sink) = &self.trace {
-            if sink.enabled() {
-                sink.record(
-                    None,
-                    TraceEvent::FaultInjected {
-                        kind: kind.to_string(),
-                        region: region.to_string(),
-                        magnitude,
-                    },
-                );
-            }
-        }
-        if let Some(registry) = &self.metrics {
-            registry.counter(&format!("arcs/faults/{kind}")).inc();
-        }
-    }
-
-    /// Apply a newly requested cap to the pricing envelope (no host RAPL
-    /// to reprogram) and trace the move — one shared path for scheduled
-    /// cap faults and external (broker) reallocations.
-    fn apply_requested_cap(&mut self, cap: f64) {
-        let effective = cap.clamp(self.machine.power.tdp_w * 0.25, self.machine.power.tdp_w);
-        self.cap_w = effective;
-        if let Some(sink) = &self.trace {
-            if sink.enabled() {
-                sink.record(
-                    None,
-                    TraceEvent::CapChange { requested_w: cap, effective_w: effective },
-                );
-            }
-        }
     }
 
     /// Next invocation ordinal for `region` (0-based).
@@ -282,7 +245,7 @@ impl LiveExecutor {
         let m = &self.machine;
         let active = m.active_cores_per_socket(threads);
         let max_active = active.iter().copied().max().unwrap_or(0);
-        let f = m.frequency_under_cap(self.cap_w, max_active);
+        let f = m.frequency_under_cap(self.perturb.cap_w(), max_active);
         let p_core = m.power.c0 + m.power.c1 * f.powi(3);
         let busy: usize = active.iter().sum();
         m.sockets as f64 * (m.power.p_uncore_w + m.power.p_dram_background_w)
@@ -310,15 +273,17 @@ impl Backend for LiveExecutor {
     }
 
     fn power_cap_w(&self) -> f64 {
-        self.cap_w
+        self.perturb.cap_w()
+    }
+
+    fn requested_power_cap_w(&self) -> f64 {
+        self.perturb.requested_cap_w()
     }
 
     fn begin_run(&mut self) {
         self.energy_acc_j = 0.0;
         self.last_read_j = 0.0;
-        if let Some(fc) = &mut self.faults {
-            fc.begin_run();
-        }
+        self.perturb.begin_run();
     }
 
     fn charge_overhead(&mut self, dt_s: f64) {
@@ -331,19 +296,8 @@ impl Backend for LiveExecutor {
     // behaviour. The simulator is the backend that honours the knob.
     fn run_region(&mut self, region: &RegionModel, cfg: TunedConfig) -> RegionRun {
         let inv = self.next_invocation(&region.name);
-        // External cap move first; a cap fault scheduled for the same
-        // invocation overrides it below.
-        if let Some(cap) = self.cap_watch.as_mut().and_then(|w| w.poll()) {
-            self.apply_requested_cap(cap);
-        }
-        let ifaults: Option<InvocationFaults> =
-            self.faults.as_mut().map(|fc| fc.invocation_faults(&region.name, inv));
-        // Scheduled cap change: no host RAPL to reprogram, so only the
-        // pricing envelope moves (clamped like the constructor does).
-        if let Some(cap) = ifaults.and_then(|f| f.cap_change_w) {
-            self.note_fault("cap_change", &region.name, cap);
-            self.apply_requested_cap(cap);
-        }
+        let faults =
+            self.perturb.before_invocation(&region.name, inv, |w| clamp_cap(&self.machine, w));
         let id = self.region_id(&region.name);
         let threads = cfg.omp.threads.clamp(1, self.rt.max_threads());
         self.rt.set_num_threads(threads);
@@ -357,35 +311,18 @@ impl Backend for LiveExecutor {
             spin_ns(weights[i] * ns_per_weight);
         });
         let mut wall_s = start.elapsed().as_secs_f64();
-        if let Some(f) = ifaults {
-            if f.straggler_factor > 1.0 {
-                // A real slowdown the live path cannot spin out thread-
-                // accurately: stretch the wall clock (the pricing line
-                // below then charges the stretched duration too).
-                wall_s *= f.straggler_factor;
-                self.note_fault("straggler", &region.name, f.straggler_factor);
-            }
+        if let Some(f) = faults.filter(|f| f.straggler_factor > 1.0) {
+            // A real slowdown the live path cannot spin out thread-
+            // accurately: stretch the wall clock (the pricing line
+            // below then charges the stretched duration too).
+            wall_s *= f.straggler_factor;
         }
 
         // Price the invocation on the model and bump the package meter;
         // the driver differences the meter to attribute the energy.
         self.energy_acc_j += wall_s * self.package_power_w(rec.threads);
-        let mut observed = wall_s;
-        if let Some(f) = ifaults {
-            if f.spike_factor > 1.0 {
-                // Measurement-only: the timer lies, the machine doesn't.
-                observed *= f.spike_factor;
-                self.note_fault("timer_spike", &region.name, f.spike_factor);
-            }
-            if f.drop_sample {
-                if let Some(fc) = &mut self.faults {
-                    fc.arm_stale_read();
-                }
-                self.note_fault("sample_drop", &region.name, 1.0);
-            }
-        }
         RegionRun {
-            time_s: observed,
+            time_s: self.perturb.after_invocation(&region.name, faults, wall_s),
             features: RegionFeatures {
                 busy_s: rec.total_busy().as_secs_f64(),
                 barrier_s: rec.total_barrier_wait().as_secs_f64(),
@@ -398,44 +335,36 @@ impl Backend for LiveExecutor {
     }
 
     fn energy_j(&mut self) -> Result<f64, MeasureError> {
-        match self.faults.as_mut().and_then(FaultClock::meter_fault) {
-            Some(MeterFault::Fail(ord)) => {
-                self.note_fault("rapl_read", "", ord as f64);
-                Err(MeasureError::RaplRead { attempts: 1 })
-            }
-            Some(MeterFault::Stale) => Ok(self.last_read_j),
-            None => {
-                self.last_read_j = self.energy_acc_j;
-                Ok(self.energy_acc_j)
-            }
+        // A dropped sample answers the last value handed out.
+        if !self.perturb.meter_read()? {
+            self.last_read_j = self.energy_acc_j;
         }
+        Ok(self.last_read_j)
     }
 
     fn attach_faults(&mut self, plan: FaultPlan) {
-        self.faults = Some(FaultClock::new(plan));
+        self.perturb.attach_faults(plan);
     }
 
     fn attach_cap_handle(&mut self, handle: CapHandle) {
-        let requested = handle.get();
-        self.cap_w = requested.clamp(self.machine.power.tdp_w * 0.25, self.machine.power.tdp_w);
-        self.cap_watch = Some(CapWatch::new(handle));
+        self.perturb.watch_cap(handle, |w| clamp_cap(&self.machine, w));
     }
 
     fn trace(&self) -> Option<&Arc<dyn TraceSink>> {
-        self.trace.as_ref()
+        self.perturb.trace.as_ref()
     }
 
     fn attach_trace(&mut self, sink: Arc<dyn TraceSink>) {
-        self.trace = Some(sink);
+        self.perturb.trace = Some(sink);
     }
 
     fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.metrics.as_ref()
+        self.perturb.metrics.as_ref()
     }
 
     fn attach_metrics(&mut self, registry: Arc<MetricsRegistry>) {
         self.rt.attach_metrics(&registry);
-        self.metrics = Some(registry);
+        self.perturb.metrics = Some(registry);
     }
 }
 

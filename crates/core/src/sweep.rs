@@ -15,11 +15,9 @@
 //! deterministic and value-identical regardless of which cell computes
 //! them. `with_workers(1)` gives the serial order for direct comparison.
 
-use crate::backend::Runner;
-use crate::config::{ConfigSpace, OmpConfig};
-use crate::executor::SimExecutor;
+use crate::config::OmpConfig;
+use crate::executor::{runs, SimExecutor};
 use crate::report::AppRunReport;
-use crate::tuner::{RegionTuner, TunerOptions};
 use arcs_harmony::History;
 use arcs_metrics::MetricsRegistry;
 use arcs_powersim::{CacheSnapshot, Machine, SharedSimCache, WorkloadDescriptor};
@@ -279,41 +277,19 @@ impl SweepEngine {
         objective: Objective,
         noise: Option<(f64, u64)>,
     ) -> CellResult {
-        let space = || ConfigSpace::for_machine(&self.machine);
         let mut exec = self.executor(cap_w, noise);
         let (mut report, history) = match strategy {
-            SweepStrategy::Default => {
-                let run = Runner::new(&mut exec).workload(wl).objective(objective).run();
-                (run.expect("workload is set"), None)
-            }
-            SweepStrategy::Online | SweepStrategy::OnlineSelective { .. } => {
-                let mut options = TunerOptions::online(space()).with_objective(objective);
-                if let SweepStrategy::OnlineSelective { min_region_time_s } = strategy {
-                    options = options.with_min_region_time(min_region_time_s);
-                }
-                (exec.run_tuned(wl, &mut RegionTuner::new(options)), None)
+            SweepStrategy::Default => (runs::default_run_on(&mut exec, wl, objective), None),
+            SweepStrategy::Online => (runs::online_run_on(&mut exec, wl, objective, 0.0), None),
+            SweepStrategy::OnlineSelective { min_region_time_s } => {
+                (runs::online_run_on(&mut exec, wl, objective, min_region_time_s), None)
             }
             SweepStrategy::Offline => {
-                // `runs::offline_run`'s label for a time cell (the sweep
-                // test holds the two histories equal); other objectives
-                // are told apart by a suffix.
-                let suffix = match objective {
-                    Objective::Time => String::new(),
-                    other => format!(".{other}"),
-                };
-                let context =
-                    format!("{}.{}.{}W{suffix}", wl.name, self.machine.name, exec.power_cap_w());
-                let history = exec.train_offline(
-                    wl,
-                    TunerOptions::offline_train(space()).with_objective(objective),
-                    &context,
-                );
-                let mut tuner = RegionTuner::new(
-                    TunerOptions::offline_replay(space(), history.clone())
-                        .with_objective(objective),
-                );
                 // The paper trains and measures in separate executions.
-                (self.executor(cap_w, noise).run_tuned(wl, &mut tuner), Some(history))
+                let mut replayer = self.executor(cap_w, noise);
+                let (report, history) =
+                    runs::offline_run_on(&mut exec, &mut replayer, wl, objective);
+                (report, Some(history))
             }
         };
         report.strategy = strategy.label().into();

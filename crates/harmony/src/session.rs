@@ -134,13 +134,6 @@ impl Session {
         self.restarts
     }
 
-    /// Disable result caching (use when measurements are noisy and repeated
-    /// evaluation is informative).
-    pub fn without_cache(mut self) -> Self {
-        self.cache = None;
-        self
-    }
-
     /// Bump `counter` once per `tell` the strategy processes — real runs
     /// *and* cached replays, matching [`Session::evaluations`]. Callers
     /// typically resolve one counter per strategy kind (e.g.

@@ -64,10 +64,6 @@ impl Field {
         &self.data
     }
 
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Shareable raw view for disjoint parallel writes (one thread per set
     /// of `k` planes — the NPB parallelisation).
     pub fn sync_view(&mut self) -> SyncSlice<'_, f64> {

@@ -48,10 +48,6 @@ impl Grid3 {
     pub fn view(&mut self) -> SyncSlice<'_, f64> {
         SyncSlice::new(&mut self.data)
     }
-
-    pub fn norm2(&self) -> f64 {
-        (self.data.iter().map(|x| x * x).sum::<f64>() / self.data.len() as f64).sqrt()
-    }
 }
 
 /// MG grid sizes per class (fine-grid edge, V-cycles to run).

@@ -397,6 +397,25 @@ impl NodeFaultPlan {
         &["node-crash", "node-flap", "node-drain"]
     }
 
+    /// Parse a command-line plan: a JSON `NodeFaultPlan` if `spec` starts
+    /// with `{` (absent fields take their defaults), otherwise a preset
+    /// name with an optional `:SEED` suffix (seed 0 without one). The
+    /// error is the message to show the user.
+    pub fn from_spec(spec: &str) -> Result<Self, String> {
+        if spec.trim_start().starts_with('{') {
+            return serde_json::from_str(spec).map_err(|err| format!("bad node-fault JSON: {err}"));
+        }
+        let (name, seed) = match spec.split_once(':') {
+            Some((name, seed)) => {
+                (name, seed.parse().map_err(|_| format!("bad node-fault seed {seed:?}"))?)
+            }
+            None => (spec, 0),
+        };
+        Self::by_name(name, seed).ok_or_else(|| {
+            format!("unknown node-fault preset {name:?} ({})", Self::names().join(", "))
+        })
+    }
+
     /// True when this plan can ever take a node down.
     pub fn is_active(&self) -> bool {
         self.mtbf_s > 0.0 && self.max_faults_per_node > 0
@@ -653,5 +672,21 @@ mod tests {
         assert_eq!(sparse.mtbf_s, 3.0);
         assert_eq!(sparse.max_faults_per_node, NodeFaultPlan::default().max_faults_per_node);
         assert!(sparse.is_active());
+    }
+
+    #[test]
+    fn node_plan_specs_parse_presets_seeds_and_json() {
+        assert_eq!(NodeFaultPlan::from_spec("node-flap"), Ok(NodeFaultPlan::node_flap(0)));
+        assert_eq!(NodeFaultPlan::from_spec("node-crash:7"), Ok(NodeFaultPlan::node_crash(7)));
+        let json = NodeFaultPlan::from_spec(r#" {"seed":7,"mtbf_s":3.0}"#).unwrap();
+        assert_eq!((json.seed, json.mtbf_s), (7, 3.0));
+        // Each failure names what was wrong with the spec.
+        let err = |spec: &str| NodeFaultPlan::from_spec(spec).unwrap_err();
+        assert_eq!(err("node-flap:x7"), r#"bad node-fault seed "x7""#);
+        assert_eq!(
+            err("flaky-rapl"),
+            r#"unknown node-fault preset "flaky-rapl" (node-crash, node-flap, node-drain)"#
+        );
+        assert!(err(r#"{"seed":"#).starts_with("bad node-fault JSON: "), "{}", err(r#"{"seed":"#));
     }
 }

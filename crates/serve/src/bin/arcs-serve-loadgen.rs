@@ -77,27 +77,10 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-/// Parse `--node-faults`: a JSON `NodeFaultPlan` if the value starts
-/// with `{`, otherwise a preset name with an optional `:SEED` suffix.
+/// Parse `--node-faults` ([`NodeFaultPlan::from_spec`]) or exit 2.
 fn parse_node_faults(spec: &str) -> NodeFaultPlan {
-    if spec.trim_start().starts_with('{') {
-        return serde_json::from_str(spec).unwrap_or_else(|err| {
-            eprintln!("bad --node-faults JSON: {err}");
-            std::process::exit(2)
-        });
-    }
-    let (name, seed) = match spec.split_once(':') {
-        Some((name, seed)) => (
-            name,
-            seed.parse().unwrap_or_else(|_| {
-                eprintln!("bad --node-faults seed {seed:?}");
-                std::process::exit(2)
-            }),
-        ),
-        None => (spec, 0),
-    };
-    NodeFaultPlan::by_name(name, seed).unwrap_or_else(|| {
-        eprintln!("unknown node-fault preset {name:?} (node-crash, node-flap, node-drain)");
+    NodeFaultPlan::from_spec(spec).unwrap_or_else(|err| {
+        eprintln!("--node-faults: {err}");
         std::process::exit(2)
     })
 }

@@ -424,7 +424,12 @@ impl Broker {
     /// (before any submit or step): the journal's first record is a
     /// [`TraceEvent::BrokerConfigured`] header describing how to rebuild
     /// this broker, and recovery replays every op recorded after it.
+    /// Appends the disk refused are counted under
+    /// `arcs/journal/write_errors` in [`Broker::registry`], so `metrics`
+    /// and `stats` show a journal that stopped being durable.
     pub fn attach_journal(&mut self, journal: BrokerJournal) {
+        let write_errors = self.registry().counter("arcs/journal/write_errors");
+        journal.set_write_error_counter(write_errors.shared());
         journal.append(self.now_s(), self.configured());
         self.journal = Some(journal);
     }
@@ -1552,6 +1557,24 @@ mod tests {
         let submitted =
             records.iter().filter(|r| matches!(r.event, TraceEvent::JobSubmitted { .. })).count();
         assert_eq!(submitted, 3);
+    }
+
+    /// A journal whose disk died must not take the broker with it — and
+    /// must not die quietly either: the registry counts every append the
+    /// disk refused. `/dev/full` accepts the open and fails every flush.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_dying_journal_is_counted_and_the_broker_keeps_serving() {
+        let fleet = Fleet::homogeneous(Machine::crill(), 2);
+        let mut broker = Broker::new(fleet, BrokerConfig::new(400.0), Arc::new(VecSink::new()));
+        broker.attach_journal(BrokerJournal::create(Path::new("/dev/full")).unwrap());
+        assert!(matches!(broker.submit(spec("acme")), SubmitOutcome::Admitted(_)));
+        let write_errors = || broker.registry().snapshot().counter("arcs/journal/write_errors");
+        assert!(write_errors() > 0, "the refused appends must reach the registry");
+        let err = broker.journal_error().expect("the first flush already failed");
+        assert!(err.contains("No space left"), "{err}");
+        broker.run_until_idle();
+        assert_eq!(broker.counters().completed, 1, "the job still ran");
     }
 
     #[test]

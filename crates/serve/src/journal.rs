@@ -23,6 +23,8 @@ use arcs_trace::{JsonlSink, TraceEvent, TraceRecord, TraceSink};
 use std::fs::File;
 use std::io;
 use std::path::Path;
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
 
 /// Append-only journal writer. Unlike a plain [`JsonlSink`], every
 /// append flushes — the journal is the durability story, not a
@@ -50,6 +52,12 @@ impl BrokerJournal {
     /// The first write error the underlying sink absorbed, if any.
     pub fn last_error(&self) -> Option<String> {
         self.sink.last_error()
+    }
+
+    /// Mirror the count of appends that did not reach the file into
+    /// `cell` ([`JsonlSink::set_write_error_counter`]).
+    pub fn set_write_error_counter(&self, cell: Arc<AtomicU64>) {
+        self.sink.set_write_error_counter(cell);
     }
 }
 

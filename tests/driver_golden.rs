@@ -1,0 +1,312 @@
+//! The run driver's bytes, pinned across *commits*.
+//!
+//! Every other determinism gate in the tree compares two runs of the same
+//! build, so a reordered event or one extra meter read would pass as long
+//! as it reproduced. These cells hash (FNV-1a) the serialised `VecSink`
+//! trace of one small run each and hold the hash equal to a constant
+//! generated at commit `28d23f0` — the last commit with two driver loops
+//! (`drive_fixed`/`drive_tuned`) — so the merged loop is shown, not
+//! assumed, to emit what both of them did. Between them the cells cross
+//! every arm of the loop: no decision, the adaptive ladder, a searching
+//! tuner under a non-time objective, train → replay, the fault plan with
+//! the resilience ladder on, and an external cap move.
+//!
+//! On mismatch the trace is written to `$TMPDIR/driver_golden.<cell>.jsonl`
+//! (the panic names the file): check out the commit whose constants these
+//! are, make the test fail there too (edit the constant), and diff the
+//! two files. A constant changes only with a PR that *means* to move the
+//! driver's bytes, and that PR says so.
+
+use arcs::prelude::*;
+use arcs::LiveExecutor;
+use arcs_harmony::History;
+use arcs_kernels::{model, Class};
+use arcs_omprt::{Runtime, Schedule};
+use arcs_powersim::{
+    CapFault, ImbalanceProfile, MemoryProfile, RegionModel, StrideClass, WorkloadDescriptor,
+};
+use arcs_trace::to_jsonl;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Hold `trace` to `expected`, leaving the bytes behind on mismatch.
+fn pin(cell: &str, trace: &str, expected: u64) {
+    let got = fnv1a(trace.as_bytes());
+    if got != expected {
+        let path = std::env::temp_dir().join(format!("driver_golden.{cell}.jsonl"));
+        std::fs::write(&path, trace).expect("write the mismatching trace");
+        panic!(
+            "{cell}: trace hashes to {got:#018x}, pinned {expected:#018x}; \
+             the trace is in {} — diff it against the parent commit's",
+            path.display()
+        );
+    }
+}
+
+fn drained(sink: &VecSink) -> String {
+    to_jsonl(&sink.drain()).expect("traces serialise")
+}
+
+fn sp(timesteps: usize) -> WorkloadDescriptor {
+    let mut wl = model::sp(Class::B);
+    wl.timesteps = timesteps;
+    wl
+}
+
+/// A sink that moves `handle` to `to_w` when the `at`-th `RegionEnd`
+/// passes through — a broker reallocating mid-run, at a reproducible
+/// point of the run.
+struct CapMover {
+    inner: Arc<VecSink>,
+    handle: CapHandle,
+    at: usize,
+    to_w: f64,
+    ends: AtomicUsize,
+}
+
+impl CapMover {
+    fn new(inner: &Arc<VecSink>, handle: &CapHandle, at: usize, to_w: f64) -> Arc<Self> {
+        Arc::new(CapMover {
+            inner: Arc::clone(inner),
+            handle: handle.clone(),
+            at,
+            to_w,
+            ends: AtomicUsize::new(0),
+        })
+    }
+}
+
+impl TraceSink for CapMover {
+    fn record(&self, t_s: Option<f64>, event: TraceEvent) {
+        if matches!(event, TraceEvent::RegionEnd { .. })
+            && self.ends.fetch_add(1, Ordering::Relaxed) + 1 == self.at
+        {
+            self.handle.set(self.to_w);
+        }
+        self.inner.record(t_s, event);
+    }
+}
+
+/// No decision at all, noise on, and a cap request RAPL clamps (500 W on
+/// a 115 W part): the run-start `CapChange` carries both views.
+#[test]
+fn default_run() {
+    let sink = Arc::new(VecSink::new());
+    let mut exec = SimExecutor::new(Machine::crill(), 500.0).with_noise(0.05, 9);
+    Runner::new(&mut exec).workload(&sp(4)).trace(sink.clone()).run().unwrap();
+    pin("default", &drained(&sink), 0x55ee_fb8e_6c49_f05a);
+}
+
+/// A fixed configuration with the adaptive ladder on, on the workload
+/// whose static partition makes it fire: `ConfigSwitch` + change-cost
+/// `OverheadCharged` before the invocation, `PolicySwitched` after it.
+#[test]
+fn fixed_adaptive_run_on_mc() {
+    let sink = Arc::new(VecSink::new());
+    let mut exec = SimExecutor::new(Machine::crill(), 115.0);
+    let cfg = OmpConfig { threads: 32, schedule: Schedule::static_block() };
+    let rep = Runner::new(&mut exec)
+        .workload(&model::mc(Class::B))
+        .fixed(move |_| cfg, "static")
+        .adaptive_schedule(true)
+        .trace(sink.clone())
+        .run()
+        .unwrap();
+    assert!(rep.config_change_overhead_s > 0.0, "the ladder must fire in this cell");
+    pin("fixed_adaptive_mc", &drained(&sink), 0x48fa_2650_e721_be34);
+}
+
+/// A searching Nelder–Mead tuner scored by energy, under noise:
+/// `SearchIteration` between `RegionBegin` and `RegionEnd`, both §III-C
+/// overheads, `objective_value` in joules.
+#[test]
+fn nelder_mead_energy_run() {
+    let m = Machine::crill();
+    let sink = Arc::new(VecSink::new());
+    let mut exec = SimExecutor::new(m.clone(), 80.0).with_noise(0.05, 3);
+    let mut tuner = RegionTuner::new(TunerOptions::online(ConfigSpace::for_machine(&m)));
+    Runner::new(&mut exec)
+        .workload(&sp(12))
+        .tuner(&mut tuner)
+        .objective(Objective::Energy)
+        .trace(sink.clone())
+        .run()
+        .unwrap();
+    pin("nelder_mead_energy", &drained(&sink), 0x6a67_c5e8_c475_ce44);
+}
+
+/// ARCS-Offline: every training pass and the measured replay on a second
+/// executor, one trace.
+#[test]
+fn offline_train_then_replay() {
+    let m = Machine::crill();
+    let wl = sp(8);
+    let space = ConfigSpace::for_machine(&m);
+    let sink = Arc::new(VecSink::new());
+    let history = Runner::new(&mut SimExecutor::new(m.clone(), 85.0))
+        .workload(&wl)
+        .trace(sink.clone())
+        .train(TunerOptions::offline_train(space.clone()), "sp.B.crill.85W")
+        .unwrap();
+    let mut tuner = RegionTuner::new(TunerOptions::offline_replay(space, history));
+    Runner::new(&mut SimExecutor::new(m, 85.0))
+        .workload(&wl)
+        .tuner(&mut tuner)
+        .label("arcs-offline")
+        .trace(sink.clone())
+        .run()
+        .unwrap();
+    pin("offline_train_replay", &drained(&sink), 0x14ea_92ba_9b90_7e20);
+}
+
+/// The paper-facing chaos cell: every meter-read attempt advances the
+/// plan's read ordinal, so one read more or fewer anywhere in the loop
+/// moves every later fault.
+#[test]
+fn flaky_rapl_with_the_standard_ladder() {
+    let m = Machine::crill();
+    let mut wl = model::lulesh(45);
+    wl.timesteps = 20;
+    let sink = Arc::new(VecSink::new());
+    let mut exec = SimExecutor::new(m.clone(), 60.0);
+    let mut tuner = RegionTuner::new(TunerOptions::online(ConfigSpace::for_machine(&m)));
+    let rep = Runner::new(&mut exec)
+        .workload(&wl)
+        .tuner(&mut tuner)
+        .faults(FaultPlan::flaky_rapl(7))
+        .resilience(ResilienceOptions::standard())
+        .trace(sink.clone())
+        .run()
+        .unwrap();
+    assert!(rep.faults.meter_retries > 0 && rep.faults.rejected > 0, "the plan must bite");
+    pin("flaky_rapl_standard", &drained(&sink), 0xc92b_bb73_5782_f942);
+}
+
+/// The last rung: a hard outage spends the error budget, the run goes
+/// `Degraded`, and `freeze_all` — the last thing the invocation that
+/// exhausted the budget does — pins every region (`TunerDegraded`).
+#[test]
+fn outage_exhausts_the_budget_and_freezes() {
+    let m = Machine::crill();
+    let sink = Arc::new(VecSink::new());
+    let mut exec = SimExecutor::new(m.clone(), 70.0);
+    let mut tuner = RegionTuner::new(TunerOptions::online(ConfigSpace::for_machine(&m)));
+    let res = ResilienceOptions { error_budget: Some(4), ..ResilienceOptions::standard() };
+    let rep = Runner::new(&mut exec)
+        .workload(&sp(20))
+        .tuner(&mut tuner)
+        .faults(FaultPlan::rapl_outage(3))
+        .resilience(res)
+        .trace(sink.clone())
+        .run()
+        .unwrap();
+    assert!(rep.status == RunStatus::Degraded && rep.faults.frozen_regions > 0);
+    pin("outage_budget_freeze", &drained(&sink), 0xa1f9_ccf9_b53b_c98f);
+}
+
+/// A broker-style reallocation in the middle of a tuned run: the handle
+/// moves after the 7th invocation and the 8th runs under the new cap.
+#[test]
+fn mid_run_cap_handle_set() {
+    let m = Machine::crill();
+    let vec = Arc::new(VecSink::new());
+    let handle = CapHandle::new(100.0);
+    let mut exec = SimExecutor::new(m.clone(), 85.0);
+    let mut tuner = RegionTuner::new(TunerOptions::online(ConfigSpace::for_machine(&m)));
+    let rep = Runner::new(&mut exec)
+        .workload(&sp(6))
+        .tuner(&mut tuner)
+        .cap(handle.clone())
+        .trace(CapMover::new(&vec, &handle, 7, 20.0))
+        .run()
+        .unwrap();
+    assert_eq!(rep.power_cap_w, m.power.tdp_w * 0.25, "20 W clamps to the RAPL floor");
+    pin("mid_run_cap_set", &drained(&vec), 0x6367_29d5_7fb4_62ca);
+}
+
+// ---------------------------------------------------------------------
+// Sim ≡ Live: one perturbed scenario on both backends.
+// ---------------------------------------------------------------------
+
+fn kernel(name: &str) -> RegionModel {
+    RegionModel {
+        name: name.into(),
+        iterations: 32,
+        cycles_per_iter: 20_000.0,
+        imbalance: ImbalanceProfile::Uniform,
+        memory: MemoryProfile {
+            footprint_bytes: 1e6,
+            accesses_per_iter: 10.0,
+            stride: StrideClass::Medium,
+            temporal_reuse: 0.5,
+            hot_bytes_per_thread: 4096.0,
+        },
+        serial_s: 0.0,
+        critical_s: 0.0,
+    }
+}
+
+/// Replay two regions at different saved configurations (so the ICVs move
+/// on every entry) under `flaky-rapl` with two scheduled cap faults, one
+/// of them out of range, plus an external cap move after the 5th
+/// invocation. A replaying tuner decides nothing from measurements, so
+/// the event *kinds* are a function of the plan alone — on any backend.
+fn perturbed_replay<B: Backend>(b: &mut B) -> Vec<TraceRecord> {
+    let wl = WorkloadDescriptor {
+        name: "twin".into(),
+        step: vec![kernel("twin/a"), kernel("twin/b")],
+        timesteps: 6,
+    };
+    let mut history = History::new("twin");
+    history.insert("twin/a", OmpConfig { threads: 2, schedule: Schedule::dynamic(16) }, 0.1, 9);
+    history.insert("twin/b", OmpConfig { threads: 4, schedule: Schedule::static_block() }, 0.1, 9);
+    let mut tuner = RegionTuner::new(TunerOptions::offline_replay(ConfigSpace::crill(), history));
+    let mut plan = FaultPlan::flaky_rapl(7);
+    plan.cap_schedule = vec![
+        CapFault { at_invocation: 3, cap_w: 45.0 },
+        CapFault { at_invocation: 9, cap_w: 500.0 },
+    ];
+    let vec = Arc::new(VecSink::new());
+    let handle = CapHandle::new(70.0);
+    Runner::new(b)
+        .workload(&wl)
+        .tuner(&mut tuner)
+        .faults(plan)
+        .resilience(ResilienceOptions::standard())
+        .cap(handle.clone())
+        .trace(CapMover::new(&vec, &handle, 5, 10.0))
+        .run()
+        .unwrap();
+    vec.drain()
+}
+
+/// The driver's events, in order, without the memo cache's (the live path
+/// has no cache to narrate).
+fn driver_kinds(records: &[TraceRecord]) -> Vec<&'static str> {
+    records.iter().map(|r| r.event.kind()).filter(|k| !k.starts_with("Cache")).collect()
+}
+
+#[test]
+fn perturbed_replay_on_the_simulator() {
+    let records = perturbed_replay(&mut SimExecutor::new(Machine::crill(), 85.0));
+    pin("perturbed_replay_sim", &to_jsonl(&records).unwrap(), 0xdaef_b06d_b8f0_371c);
+}
+
+/// The `LiveExecutor` twin: wall-clock values differ run to run, so only
+/// the event kinds, in order, are held — to a pinned hash and to what the
+/// simulator emits for the same scenario.
+#[test]
+fn perturbed_replay_on_live_threads_emits_the_same_kinds() {
+    let rt = Arc::new(Runtime::new(4));
+    let mut live = LiveExecutor::new(rt, Machine::crill(), 85.0).with_time_scale(1e-2);
+    let live_kinds = driver_kinds(&perturbed_replay(&mut live));
+    let sim = perturbed_replay(&mut SimExecutor::new(Machine::crill(), 85.0));
+    assert_eq!(live_kinds, driver_kinds(&sim), "one plan must perturb both backends alike");
+    pin("perturbed_replay_live_kinds", &live_kinds.join("\n"), 0x8fd9_ca3a_d2b7_729b);
+}
