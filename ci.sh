@@ -26,6 +26,19 @@ test "$(grep -c '^\[\[bin\]\]' crates/bench/Cargo.toml)" = 1
 test "$(grep -c '^\[\[bench\]\]' crates/bench/Cargo.toml)" = 0
 test "$(ls vendor | xargs)" = "parking_lot proptest serde serde_derive serde_json"
 
+# Code size, printed and not gated: non-blank, non-`//` lines above the
+# first column-0 `#[cfg(test)]` of every crates/*/src/**/*.rs — the count
+# the shrink PRs quote (16289 at bf1b734) — and the five largest files.
+find crates/*/src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+    { lines[FILENAME]++; total++ }
+    END {
+        printf "ci: %d non-test code lines in crates/*/src; largest:\n", total
+        for (file in lines) printf "ci:   %5d %s\n", lines[file], file | "sort -k2,2nr | head -5"
+    }'
+
 # One interpreter: outside the trace crate (definition), the broker
 # (emission) and the fold (meaning), no source may match a broker event.
 # `JobRequeued` stands in for the family — whoever re-interprets the
@@ -109,11 +122,14 @@ done
 
 # Benchmark digest cells: one short run each of the weighted-region sweep
 # (lulesh/cg/mc — the only gate that prices non-uniform regions; fig. 4
-# has sp/bt alone) and the regular one. `run.sh` exits non-zero unless the
-# simulated outputs hash to the pinned benchmarks/expected/*.digest, so
-# any drift in the integrator fails here; throughput is reported, not
-# gated (a 3 s run on a shared host is narrower than its own noise).
-for workload in sweep-irregular sweep-regular; do
+# has sp/bt alone), the regular one, and the two in-process broker
+# workloads (5000 jobs of pure arbitration; 2500 under node-flap chaos
+# with trace, journal and a byte-compared recovery). `run.sh` exits
+# non-zero unless the simulated outputs hash to the pinned
+# benchmarks/expected/*.digest, so any drift in the integrator or in what
+# the broker decides fails here; throughput is reported, not gated (a 3 s
+# run on a shared host is narrower than its own noise).
+for workload in sweep-irregular sweep-regular serve-inproc serve-durable; do
     bash benchmarks/run.sh --workload "$workload" --seed 42 --seconds 3 --trace 0
 done
 (cd benchmarks && cargo test --offline)

@@ -32,11 +32,9 @@
 //! assert_eq!(apex.profile(task).unwrap().count, 1);
 //! ```
 
-pub mod introspection;
 pub mod policy;
 pub mod profile;
 
-pub use introspection::{sample_monitors, GaugeMonitor, Monitor, ProcessMonitor};
 pub use policy::{
     AdaptiveLadder, ArmSwitch, PolicyEngine, PolicyEvent, PolicyEventKind, PolicyTrigger,
 };

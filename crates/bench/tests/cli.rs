@@ -118,3 +118,57 @@ fn fig_all_writes_one_file_per_figure() {
         assert_eq!(new.expect("written file"), old.expect("checked-in file"), "{name}");
     }
 }
+
+fn golden(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
+}
+
+/// The renderer's bytes, pinned across commits: `report` in all three
+/// formats over the two fixtures that between them fill the region,
+/// policy, cap, cache, overhead and broker sections. The goldens were
+/// written by the `arcs-sim` of commit `bf1b734`, before rendering left
+/// `analysis.rs`; regenerate them only with a PR that means to move
+/// what `report` prints.
+#[test]
+fn report_renders_the_checked_in_bytes_in_every_format() {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
+    for fixture in ["v8", "v5_broker"] {
+        let trace = fixtures.join(format!("trace_{fixture}.jsonl"));
+        for (format, ext) in [("table", "table.txt"), ("md", "md"), ("json", "json")] {
+            let out = arcs_sim(&["report", trace.to_str().unwrap(), "--format", format]);
+            assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+            let name = format!("report_{fixture}.{ext}");
+            let expected = std::fs::read(golden(&name)).expect("checked-in golden");
+            assert_eq!(
+                String::from_utf8_lossy(&out.stdout),
+                String::from_utf8_lossy(&expected),
+                "{name}"
+            );
+        }
+    }
+}
+
+/// `compare` of a report against itself: the table on stdout and the
+/// `--out` artefact, byte-equal to the parent commit's.
+#[test]
+fn compare_of_a_report_with_itself_prints_the_checked_in_bytes() {
+    let report = golden("report_v8.json");
+    let report = report.to_str().unwrap();
+    let artefact = Path::new(env!("CARGO_TARGET_TMPDIR")).join("compare_v8_self.json");
+    let out = arcs_sim(&[
+        "compare",
+        report,
+        report,
+        "--fail-on",
+        "0",
+        "--out",
+        artefact.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let table = std::fs::read(golden("compare_v8_self.txt")).expect("checked-in golden");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&table));
+    assert_eq!(
+        std::fs::read(&artefact).expect("--out wrote the artefact"),
+        std::fs::read(golden("compare_v8_self.json")).expect("checked-in golden")
+    );
+}

@@ -11,36 +11,22 @@
 //! saves real energy — which is exactly what the tuner discovers.
 //!
 //! The encoding ([`TunableSpace`]) and the objective ([`Objective`]) are
-//! mainline abstractions shared with the base tuner; this module only
-//! keeps the DVFS-flavoured names and a convenience driver that tunes a
-//! single region through the standard [`RegionTuner`] + [`Runner`] stack,
-//! so DVFS runs emit the same trace and metrics taxonomy as everything
-//! else.
+//! mainline abstractions shared with the base tuner; this module is
+//! only a convenience driver that tunes a single region through the
+//! standard [`RegionTuner`] + [`Runner`] stack, so DVFS runs emit the
+//! same trace and metrics taxonomy as everything else.
 
 use crate::backend::Runner;
 use crate::executor::SimExecutor;
-use crate::tunable::TunableSpace;
+use crate::tunable::{TunableSpace, TunedConfig};
 use crate::tuner::{RegionTuner, TunerOptions, TuningMode};
 use arcs_powersim::{simulate_region_at_freq, Machine, RegionModel, SimReport, WorkloadDescriptor};
 pub use arcs_trace::Objective;
 
-/// A configuration extended with an optional per-region frequency limit.
-///
-/// Alias kept for the DVFS extension's historical API; the type itself
-/// lives in [`crate::tunable`].
-pub type DvfsConfig = crate::tunable::TunedConfig;
-
-/// The extended search space: the Table I grid plus a frequency axis.
-///
-/// Alias kept for the DVFS extension's historical API; the type itself
-/// lives in [`crate::tunable`]. Build one with
-/// [`TunableSpace::with_dvfs`].
-pub type DvfsSpace = TunableSpace;
-
 /// Result of tuning one region with the extended space.
 #[derive(Debug, Clone)]
 pub struct DvfsOutcome {
-    pub config: DvfsConfig,
+    pub config: TunedConfig,
     pub report: SimReport,
     pub evaluations: usize,
 }

@@ -66,7 +66,7 @@ pub use backend::{
 };
 pub use cap::{CapHandle, CapWatch};
 pub use config::{ChunkChoice, ConfigSpace, OmpConfig, ScheduleChoice, ThreadChoice};
-pub use dvfs::{DvfsConfig, DvfsOutcome, DvfsSpace};
+pub use dvfs::DvfsOutcome;
 pub use executor::{runs, NoiseModel, SimExecutor};
 pub use faults::{FaultClock, MeterFault};
 pub use live::{ArcsLive, LiveExecutor};

@@ -10,6 +10,7 @@ mod exhaustive;
 mod nelder_mead;
 mod pro;
 mod random;
+mod simplex;
 
 pub use exhaustive::Exhaustive;
 pub use nelder_mead::{NelderMead, NmOptions};

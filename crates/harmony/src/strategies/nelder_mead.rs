@@ -11,6 +11,7 @@
 //! single point the classic algorithm would evaluate next, and `tell`
 //! advances the simplex.
 
+use super::simplex::{self, Tally, Vertex};
 use super::Search;
 use crate::space::{Point, SearchSpace};
 
@@ -54,12 +55,6 @@ impl Default for NmOptions {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Vertex {
-    x: Vec<f64>,
-    f: f64,
-}
-
 #[derive(Debug)]
 enum Role {
     /// Filling the initial simplex, vertex index.
@@ -92,30 +87,11 @@ pub struct NelderMead {
     proto: Vec<Vec<f64>>,
     pending: Option<Pending>,
     init_next: usize,
-    evals: usize,
-    stall: usize,
+    tally: Tally,
     restarts: usize,
     /// Per-dimension step used to build the (re)start simplex.
     step_scale: f64,
     done: bool,
-    best: Option<(Point, f64)>,
-}
-
-/// Build a start simplex: `x0` plus one vertex per dimension, stepped by
-/// `scale × (domain / 2)` (at least one grid cell) away from the nearer edge.
-fn proto_simplex(space: &SearchSpace, x0: &[f64], scale: f64) -> Vec<Vec<f64>> {
-    let upper = space.upper();
-    let mut proto = vec![x0.to_vec()];
-    for j in 0..space.dim() {
-        let mut v = x0.to_vec();
-        if upper[j] > 0.0 {
-            let step = (upper[j] / 2.0 * scale).max(1.0);
-            v[j] = if x0[j] + step <= upper[j] { x0[j] + step } else { x0[j] - step };
-            v[j] = v[j].clamp(0.0, upper[j]);
-        }
-        proto.push(v);
-    }
-    proto
 }
 
 impl NelderMead {
@@ -123,7 +99,7 @@ impl NelderMead {
     pub fn new(space: SearchSpace, start: &[usize], opts: NmOptions) -> Self {
         assert!(space.contains(start), "start point outside the space");
         let x0: Vec<f64> = start.iter().map(|&i| i as f64).collect();
-        let proto = proto_simplex(&space, &x0, 1.0);
+        let proto = simplex::axis_simplex(&space, &x0, 1.0);
         NelderMead {
             space,
             opts,
@@ -131,25 +107,10 @@ impl NelderMead {
             proto,
             pending: None,
             init_next: 0,
-            evals: 0,
-            stall: 0,
+            tally: Tally::default(),
             restarts: 0,
             step_scale: 1.0,
             done: false,
-            best: None,
-        }
-    }
-
-    fn dim(&self) -> usize {
-        self.space.dim()
-    }
-
-    fn record_best(&mut self, point: Point, value: f64) {
-        if self.best.as_ref().is_none_or(|(_, b)| value < *b) {
-            self.best = Some((point, value));
-            self.stall = 0;
-        } else {
-            self.stall += 1;
         }
     }
 
@@ -157,31 +118,21 @@ impl NelderMead {
         self.simplex.sort_by(|a, b| a.f.partial_cmp(&b.f).unwrap_or(std::cmp::Ordering::Equal));
     }
 
-    fn diameter(&self) -> f64 {
-        let best = &self.simplex[0].x;
-        self.simplex[1..]
-            .iter()
-            .map(|v| v.x.iter().zip(best).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max))
-            .fold(0.0, f64::max)
-    }
-
     fn check_termination(&mut self) {
-        if self.evals >= self.opts.max_evals || self.stall >= self.opts.stall_limit {
+        if self.tally.exhausted(self.opts.max_evals, self.opts.stall_limit) {
             self.done = true;
             return;
         }
-        if self.simplex.len() == self.dim() + 1 && self.diameter() < self.opts.xtol {
+        let collapsed = self.simplex.len() == self.space.dim() + 1
+            && simplex::diameter(&self.simplex, &self.simplex[0].x) < self.opts.xtol;
+        if collapsed {
             if self.restarts < self.opts.max_restarts {
                 // Oriented restart: new simplex around the incumbent best
                 // with halved steps.
                 self.restarts += 1;
                 self.step_scale *= 0.5;
-                let x0 = self
-                    .best
-                    .as_ref()
-                    .map(|(p, _)| p.iter().map(|&i| i as f64).collect::<Vec<f64>>())
-                    .unwrap_or_else(|| self.simplex[0].x.clone());
-                self.proto = proto_simplex(&self.space, &x0, self.step_scale);
+                let x0 = self.tally.best_x().unwrap_or_else(|| self.simplex[0].x.clone());
+                self.proto = simplex::axis_simplex(&self.space, &x0, self.step_scale);
                 self.simplex.clear();
                 self.init_next = 0;
             } else {
@@ -193,7 +144,7 @@ impl NelderMead {
     /// Centroid of all vertices except the worst (assumes sorted simplex).
     fn centroid(&self) -> Vec<f64> {
         let n = self.simplex.len() - 1;
-        let mut c = vec![0.0; self.dim()];
+        let mut c = vec![0.0; self.space.dim()];
         for v in &self.simplex[..n] {
             for (ci, xi) in c.iter_mut().zip(&v.x) {
                 *ci += xi;
@@ -264,8 +215,7 @@ impl Search for NelderMead {
 
     fn tell(&mut self, value: f64) {
         let Pending { x, role } = self.pending.take().expect("tell without pending ask");
-        self.evals += 1;
-        self.record_best(self.space.round(&x), value);
+        self.tally.record(self.space.round(&x), value);
 
         match role {
             Role::Init(i) => {
@@ -331,14 +281,14 @@ impl Search for NelderMead {
 
         // The evaluation budget and stall limit are hard caps enforced on
         // every path, even mid-move (the simplex state is simply abandoned).
-        if self.evals >= self.opts.max_evals || self.stall >= self.opts.stall_limit {
+        if self.tally.exhausted(self.opts.max_evals, self.opts.stall_limit) {
             self.done = true;
             self.pending = None;
         }
     }
 
     fn best(&self) -> Option<(&Point, f64)> {
-        self.best.as_ref().map(|(p, v)| (p, *v))
+        self.tally.best()
     }
 
     fn converged(&self) -> bool {
@@ -346,17 +296,13 @@ impl Search for NelderMead {
     }
 
     fn evaluations(&self) -> usize {
-        self.evals
+        self.tally.evals
     }
 
     /// The current simplex, measured vertices only (shrink marks vertices
     /// awaiting re-evaluation with a non-finite value).
     fn candidates(&self) -> Vec<super::Candidate> {
-        self.simplex
-            .iter()
-            .filter(|v| v.f.is_finite())
-            .map(|v| super::Candidate { point: self.space.round(&v.x), value: v.f })
-            .collect()
+        simplex::candidates(&self.space, &self.simplex)
     }
 }
 

@@ -17,6 +17,7 @@
 //! Terminates on simplex collapse (diameter below `xtol`), evaluation
 //! budget, or stall.
 
+use super::simplex::{self, Tally, Vertex};
 use super::Search;
 use crate::space::{Point, SearchSpace};
 
@@ -51,12 +52,6 @@ impl Default for ProOptions {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Vertex {
-    x: Vec<f64>,
-    f: f64,
-}
-
 #[derive(Debug)]
 enum Role {
     Init(usize),
@@ -73,7 +68,6 @@ struct Pending {
 pub struct ParallelRankOrder {
     space: SearchSpace,
     opts: ProOptions,
-    size: usize,
     proto_points: Vec<Vec<f64>>,
     vertices: Vec<Vertex>,
     pending: Option<Pending>,
@@ -83,28 +77,9 @@ pub struct ParallelRankOrder {
     round_improved: bool,
     shrink_queue: Vec<usize>,
     init_next: usize,
-    evals: usize,
-    stall: usize,
+    tally: Tally,
     reseeds: usize,
     done: bool,
-    best: Option<(Point, f64)>,
-}
-
-/// `x0` plus one vertex per dimension, stepped `scale × domain/2` (at least
-/// one grid cell) away from the nearer edge.
-fn axis_simplex(space: &SearchSpace, x0: &[f64], scale: f64) -> Vec<Vec<f64>> {
-    let upper = space.upper();
-    let mut out = vec![x0.to_vec()];
-    for j in 0..space.dim() {
-        let mut v = x0.to_vec();
-        if upper[j] > 0.0 {
-            let step = (upper[j] / 2.0 * scale).max(1.0);
-            v[j] = if x0[j] + step <= upper[j] { x0[j] + step } else { x0[j] - step };
-            v[j] = v[j].clamp(0.0, upper[j]);
-        }
-        out.push(v);
-    }
-    out
 }
 
 impl ParallelRankOrder {
@@ -119,7 +94,7 @@ impl ParallelRankOrder {
         // dimension (affine independence, like Nelder–Mead), and any extra
         // vertices spread across the grid at evenly spaced ranks.
         let x0: Vec<f64> = start.iter().map(|&i| i as f64).collect();
-        let mut proto_points = axis_simplex(&space, &x0, 1.0);
+        let mut proto_points = simplex::axis_simplex(&space, &x0, 1.0);
         let total = space.size();
         let extra = size - proto_points.len().min(size);
         for k in 1..=extra {
@@ -128,11 +103,9 @@ impl ParallelRankOrder {
             proto_points.push(p.iter().map(|&i| i as f64).collect());
         }
         proto_points.truncate(size);
-        let size = proto_points.len();
         ParallelRankOrder {
             space,
             opts,
-            size,
             proto_points,
             vertices: Vec::new(),
             pending: None,
@@ -140,11 +113,9 @@ impl ParallelRankOrder {
             round_improved: false,
             shrink_queue: Vec::new(),
             init_next: 0,
-            evals: 0,
-            stall: 0,
+            tally: Tally::default(),
             reseeds: 0,
             done: false,
-            best: None,
         }
     }
 
@@ -158,23 +129,6 @@ impl ParallelRankOrder {
         bi
     }
 
-    fn diameter(&self) -> f64 {
-        let b = &self.vertices[self.best_idx()].x;
-        self.vertices
-            .iter()
-            .map(|v| v.x.iter().zip(b).map(|(a, c)| (a - c).abs()).fold(0.0, f64::max))
-            .fold(0.0, f64::max)
-    }
-
-    fn record_best(&mut self, point: Point, value: f64) {
-        if self.best.as_ref().is_none_or(|(_, b)| value < *b) {
-            self.best = Some((point, value));
-            self.stall = 0;
-        } else {
-            self.stall += 1;
-        }
-    }
-
     fn reflect_through_best(&self, idx: usize, coeff: f64) -> Vec<f64> {
         let b = &self.vertices[self.best_idx()].x;
         let v = &self.vertices[idx].x;
@@ -184,11 +138,12 @@ impl ParallelRankOrder {
     }
 
     fn start_round(&mut self) {
-        if self.evals >= self.opts.max_evals || self.stall >= self.opts.stall_limit {
+        if self.tally.exhausted(self.opts.max_evals, self.opts.stall_limit) {
             self.done = true;
             return;
         }
-        if self.diameter() < self.opts.xtol {
+        let best = &self.vertices[self.best_idx()].x;
+        if simplex::diameter(&self.vertices, best) < self.opts.xtol {
             if self.reseeds < self.opts.max_reseeds {
                 self.reseeds += 1;
                 self.reseed();
@@ -236,22 +191,14 @@ impl ParallelRankOrder {
         }
     }
 
-    fn proto(&self, i: usize) -> Vec<f64> {
-        self.proto_points[i].clone()
-    }
-
     /// Rebuild the simplex around the incumbent best with shrinking axis
     /// steps, re-measuring the fresh vertices. Escapes degenerate-subspace
     /// collapse (reflections can never leave an affine subspace the whole
     /// simplex lies in).
     fn reseed(&mut self) {
         let scale = 0.5f64.powi(self.reseeds as i32);
-        let x0 = self
-            .best
-            .as_ref()
-            .map(|(p, _)| p.iter().map(|&i| i as f64).collect::<Vec<f64>>())
-            .unwrap_or_else(|| self.vertices[self.best_idx()].x.clone());
-        let fresh = axis_simplex(&self.space, &x0, scale);
+        let x0 = self.tally.best_x().unwrap_or_else(|| self.vertices[self.best_idx()].x.clone());
+        let fresh = simplex::axis_simplex(&self.space, &x0, scale);
         self.shrink_queue.clear();
         for (i, x) in fresh.into_iter().enumerate().take(self.vertices.len()) {
             self.vertices[i] = Vertex { x, f: f64::INFINITY };
@@ -269,8 +216,8 @@ impl Search for ParallelRankOrder {
         if let Some(p) = &self.pending {
             return Some(self.space.round(&p.x));
         }
-        if self.init_next < self.size {
-            let x = self.proto(self.init_next);
+        if self.init_next < self.proto_points.len() {
+            let x = self.proto_points[self.init_next].clone();
             self.pending = Some(Pending { x, role: Role::Init(self.init_next) });
             return self.pending.as_ref().map(|p| self.space.round(&p.x));
         }
@@ -283,8 +230,7 @@ impl Search for ParallelRankOrder {
 
     fn tell(&mut self, value: f64) {
         let Pending { x, role } = self.pending.take().expect("tell without pending ask");
-        self.evals += 1;
-        self.record_best(self.space.round(&x), value);
+        self.tally.record(self.space.round(&x), value);
 
         match role {
             Role::Init(i) => {
@@ -318,13 +264,13 @@ impl Search for ParallelRankOrder {
             }
         }
 
-        if self.evals >= self.opts.max_evals || self.stall >= self.opts.stall_limit {
+        if self.tally.exhausted(self.opts.max_evals, self.opts.stall_limit) {
             self.done = true;
         }
     }
 
     fn best(&self) -> Option<(&Point, f64)> {
-        self.best.as_ref().map(|(p, v)| (p, *v))
+        self.tally.best()
     }
 
     fn converged(&self) -> bool {
@@ -332,17 +278,13 @@ impl Search for ParallelRankOrder {
     }
 
     fn evaluations(&self) -> usize {
-        self.evals
+        self.tally.evals
     }
 
     /// The current simplex population, measured vertices only (shrink
     /// marks vertices awaiting re-evaluation with a non-finite value).
     fn candidates(&self) -> Vec<super::Candidate> {
-        self.vertices
-            .iter()
-            .filter(|v| v.f.is_finite())
-            .map(|v| super::Candidate { point: self.space.round(&v.x), value: v.f })
-            .collect()
+        simplex::candidates(&self.space, &self.vertices)
     }
 }
 

@@ -1,8 +1,10 @@
-//! The trace analysis engine: a streaming JSONL reader with integrity
-//! checks, analyzers that reconstruct run-level views (per-region
+//! The trace analysis engine: the report model ([`TraceReport`] and its
+//! parts) and the analyzers that reconstruct it from a trace — per-region
 //! profiles, per-cap energy summaries, search-convergence curves, cache
-//! hit-rate timelines, §III-C overhead accounting), and a comparator for
-//! run-to-run perf-regression gating.
+//! hit-rate timelines, §III-C overhead accounting. Reading the JSONL is
+//! `arcs_trace::TraceReader`'s job, laying a report out as text is
+//! `render.rs`'s, gating one report against another is
+//! [`crate::compare`]'s.
 //!
 //! Everything operates on the versioned [`TraceRecord`] envelope the
 //! `arcs-trace` sinks write, one record at a time — a multi-gigabyte
@@ -10,182 +12,25 @@
 //! timeline decimates itself, see [`CacheReport::timeline`]).
 
 use crate::broker_fold::BrokerFold;
-use arcs_trace::{Objective, TraceEvent, TraceRecord, SCHEMA_VERSION};
+use arcs_trace::{Objective, TraceEvent, TraceRecord};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fmt;
-use std::fs::File;
-use std::io::{BufRead, BufReader};
+use std::io::BufRead;
 use std::path::Path;
 
-/// Why a trace line could not be consumed.
-#[derive(Debug)]
-pub enum TraceReadError {
-    Io(std::io::Error),
-    /// Line `line` (1-based) is not a valid JSON record.
-    Parse {
-        line: usize,
-        source: serde_json::Error,
-    },
-    /// The record was written by a schema this reader cannot understand
-    /// (newer than [`SCHEMA_VERSION`], or not a real version at all);
-    /// reading on would silently misinterpret fields. Older versions are
-    /// fine — fields added since deserialize to their defaults.
-    SchemaMismatch {
-        line: usize,
-        found: u32,
-        expected: u32,
-    },
-    /// Sequence numbers must strictly increase within a file (sinks
-    /// assign them from one atomic counter).
-    NonMonotonicSeq {
-        line: usize,
-        prev: u64,
-        seq: u64,
-    },
-}
+// The reader lives in `arcs-trace`, beside the sinks whose format it
+// reads, and the comparator in `compare`; these keep their long-standing
+// paths here.
+pub use crate::compare::{compare_reports, compare_reports_for, CompareRow, Comparison};
+pub use arcs_trace::{TraceReadError, TraceReader};
 
-impl fmt::Display for TraceReadError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceReadError::Io(e) => write!(f, "trace read failed: {e}"),
-            TraceReadError::Parse { line, source } => {
-                write!(f, "trace line {line}: invalid record: {source}")
-            }
-            TraceReadError::SchemaMismatch { line, found, expected } => {
-                write!(f, "trace line {line}: schema {found}, this reader expects 1..={expected}")
-            }
-            TraceReadError::NonMonotonicSeq { line, prev, seq } => {
-                write!(f, "trace line {line}: seq {seq} after {prev} (must strictly increase)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TraceReadError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TraceReadError::Io(e) => Some(e),
-            TraceReadError::Parse { source, .. } => Some(source),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for TraceReadError {
-    fn from(e: std::io::Error) -> Self {
-        TraceReadError::Io(e)
-    }
-}
-
-/// Streaming JSONL reader yielding validated [`TraceRecord`]s.
-///
-/// Hard failures (parse errors, schema mismatch, out-of-order sequence
-/// numbers) surface as `Err` items. *Gaps* in the sequence — legitimate
-/// when a filtering sink dropped events, suspicious otherwise — are
-/// counted ([`TraceReader::gaps`]) but do not stop the stream.
-///
-/// One deliberate exception: a parse failure on the *final* line of the
-/// stream is treated as a crash-truncated trace (the writer died
-/// mid-record — every earlier line is still a whole record, see
-/// `JsonlSink`), so the stream ends cleanly with the lost record counted
-/// as a sequence gap instead of failing the whole analysis.
-pub struct TraceReader<R: BufRead> {
-    lines: std::io::Lines<R>,
-    line_no: usize,
-    last_seq: Option<u64>,
-    gaps: u64,
-    /// A line pulled while peeking past a parse failure, to be consumed
-    /// before the underlying iterator.
-    lookahead: Option<String>,
-}
-
-impl TraceReader<BufReader<File>> {
-    pub fn open(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(TraceReader::new(BufReader::new(File::open(path)?)))
-    }
-}
-
-impl<R: BufRead> TraceReader<R> {
-    pub fn new(reader: R) -> Self {
-        TraceReader { lines: reader.lines(), line_no: 0, last_seq: None, gaps: 0, lookahead: None }
-    }
-
-    /// Missing sequence numbers observed so far (`seq` jumped by more
-    /// than one). A complete single-sink trace has zero.
-    pub fn gaps(&self) -> u64 {
-        self.gaps
-    }
-}
-
-impl<R: BufRead> Iterator for TraceReader<R> {
-    type Item = Result<TraceRecord, TraceReadError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let line = match self.lookahead.take() {
-                Some(l) => l,
-                None => {
-                    let l = match self.lines.next()? {
-                        Ok(l) => l,
-                        Err(e) => return Some(Err(e.into())),
-                    };
-                    self.line_no += 1;
-                    l
-                }
-            };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let rec: TraceRecord = match serde_json::from_str(&line) {
-                Ok(r) => r,
-                Err(source) => {
-                    let failed_line = self.line_no;
-                    // Peek: if nothing but blank lines follows, this is a
-                    // crash-truncated tail — count the half-written record
-                    // as a gap and end the stream. Anything after it means
-                    // mid-stream corruption, which stays a hard error.
-                    loop {
-                        match self.lines.next() {
-                            None => {
-                                self.gaps += 1;
-                                return None;
-                            }
-                            Some(Err(e)) => return Some(Err(e.into())),
-                            Some(Ok(l)) => {
-                                self.line_no += 1;
-                                if l.trim().is_empty() {
-                                    continue;
-                                }
-                                self.lookahead = Some(l);
-                                break;
-                            }
-                        }
-                    }
-                    return Some(Err(TraceReadError::Parse { line: failed_line, source }));
-                }
-            };
-            if !(1..=SCHEMA_VERSION).contains(&rec.schema) {
-                return Some(Err(TraceReadError::SchemaMismatch {
-                    line: self.line_no,
-                    found: rec.schema,
-                    expected: SCHEMA_VERSION,
-                }));
-            }
-            match self.last_seq {
-                Some(prev) if rec.seq <= prev => {
-                    return Some(Err(TraceReadError::NonMonotonicSeq {
-                        line: self.line_no,
-                        prev,
-                        seq: rec.seq,
-                    }));
-                }
-                Some(prev) => self.gaps += rec.seq - prev - 1,
-                None => self.gaps += rec.seq, // sinks number from 0
-            }
-            self.last_seq = Some(rec.seq);
-            return Some(Ok(rec));
-        }
+/// `total / n`, or 0 when nothing was counted: every mean and rate of
+/// the report model.
+fn per(total: f64, n: u64) -> f64 {
+    if n > 0 {
+        total / n as f64
+    } else {
+        0.0
     }
 }
 
@@ -212,20 +57,12 @@ impl RegionBreakdown {
     }
 
     pub fn mean_call_s(&self) -> f64 {
-        if self.invocations > 0 {
-            self.wall_s / self.invocations as f64
-        } else {
-            0.0
-        }
+        per(self.wall_s, self.invocations)
     }
 
     /// Mean attributed package energy per invocation (joules).
     pub fn mean_call_j(&self) -> f64 {
-        if self.invocations > 0 {
-            self.energy_j / self.invocations as f64
-        } else {
-            0.0
-        }
+        per(self.energy_j, self.invocations)
     }
 
     /// This region's mean per-call cost under `objective` — the quantity
@@ -307,12 +144,7 @@ impl CacheReport {
     }
 
     pub fn hit_rate(&self) -> f64 {
-        let n = self.lookups();
-        if n == 0 {
-            0.0
-        } else {
-            self.hits as f64 / n as f64
-        }
+        per(self.hits as f64, self.lookups())
     }
 }
 
@@ -366,11 +198,7 @@ pub struct PolicyBreakdown {
 
 impl PolicyBreakdown {
     pub fn mean_call_s(&self) -> f64 {
-        if self.invocations > 0 {
-            self.wall_s / self.invocations as f64
-        } else {
-            0.0
-        }
+        per(self.wall_s, self.invocations)
     }
 }
 
@@ -493,11 +321,7 @@ impl TenantBreakdown {
     /// Mean node-level watts this tenant held across reallocation
     /// points — the quantity the fairness ratio compares.
     pub fn mean_allocated_w(&self) -> f64 {
-        if self.alloc_samples > 0 {
-            self.alloc_w_sum / self.alloc_samples as f64
-        } else {
-            0.0
-        }
+        per(self.alloc_w_sum, self.alloc_samples)
     }
 }
 
@@ -555,11 +379,7 @@ impl BrokerReport {
 
     /// Fraction of submissions turned away by load shedding.
     pub fn shed_rate(&self) -> f64 {
-        if self.submitted > 0 {
-            self.shed as f64 / self.submitted as f64
-        } else {
-            0.0
-        }
+        per(self.shed as f64, self.submitted)
     }
 
     /// Max/min ratio of per-tenant mean allocated watts — 1.0 is
@@ -699,340 +519,6 @@ impl TraceReport {
     pub fn from_json(text: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(text)
     }
-
-    /// Aligned plain-text rendering (the `arcs-sim report` default).
-    pub fn to_table(&self) -> String {
-        self.render(false)
-    }
-
-    /// GitHub-flavoured markdown rendering.
-    pub fn to_markdown(&self) -> String {
-        self.render(true)
-    }
-
-    fn render(&self, md: bool) -> String {
-        let mut out = String::new();
-        let h = |out: &mut String, title: &str| {
-            if md {
-                out.push_str(&format!("\n## {title}\n\n"));
-            } else {
-                out.push_str(&format!("\n=== {title} ===\n"));
-            }
-        };
-
-        out.push_str(&format!(
-            "trace: schema v{}, {} records, {} seq gap(s), objective {}\n",
-            self.schema, self.records, self.seq_gaps, self.objective
-        ));
-        out.push_str(&format!(
-            "wall {:.4} s | region {:.4} s | overhead {:.4} s | energy {:.1} J\n",
-            self.wall_s,
-            self.total_region_s,
-            self.overhead.total_s(),
-            self.total_energy_j
-        ));
-
-        h(&mut out, "Regions");
-        let name_w = self.regions.keys().map(|k| k.len()).max().unwrap_or(6).max("region".len());
-        if md {
-            out.push_str(&format!(
-                "| {:<name_w$} | calls | wall s | mean s | loop s | barrier s | energy J | switches |\n",
-                "region"
-            ));
-            out.push_str(&format!(
-                "|{:-<w$}|------:|-------:|-------:|-------:|----------:|---------:|---------:|\n",
-                "",
-                w = name_w + 2
-            ));
-        } else {
-            out.push_str(&format!(
-                "{:<name_w$}  {:>6}  {:>10}  {:>10}  {:>10}  {:>10}  {:>10}  {:>8}\n",
-                "region",
-                "calls",
-                "wall s",
-                "mean s",
-                "loop s",
-                "barrier s",
-                "energy J",
-                "switches"
-            ));
-        }
-        for (name, r) in &self.regions {
-            if md {
-                out.push_str(&format!(
-                    "| {:<name_w$} | {} | {:.4} | {:.6} | {:.4} | {:.4} | {:.1} | {} |\n",
-                    name,
-                    r.invocations,
-                    r.wall_s,
-                    r.mean_call_s(),
-                    r.busy_s,
-                    r.barrier_s,
-                    r.energy_j,
-                    r.config_switches
-                ));
-            } else {
-                out.push_str(&format!(
-                    "{:<name_w$}  {:>6}  {:>10.4}  {:>10.6}  {:>10.4}  {:>10.4}  {:>10.1}  {:>8}\n",
-                    name,
-                    r.invocations,
-                    r.wall_s,
-                    r.mean_call_s(),
-                    r.busy_s,
-                    r.barrier_s,
-                    r.energy_j,
-                    r.config_switches
-                ));
-            }
-        }
-
-        if !self.policies.is_empty() {
-            h(&mut out, "Scheduling policies");
-            if self.policy_switches > 0 {
-                out.push_str(&format!("{} intra-run policy switch(es)\n", self.policy_switches));
-            }
-            for (policy, p) in &self.policies {
-                out.push_str(&format!(
-                    "{}{policy}: {} invocation(s), {:.4} s ({:.6} s/call), {:.1} J{}\n",
-                    if md { "- " } else { "  " },
-                    p.invocations,
-                    p.wall_s,
-                    p.mean_call_s(),
-                    p.energy_j,
-                    if p.switches_in > 0 {
-                        format!(", switched-to {}×", p.switches_in)
-                    } else {
-                        String::new()
-                    }
-                ));
-            }
-            // Timeline lines only for regions that actually switched —
-            // single-policy regions are fully described by the table above.
-            for (region, segs) in &self.policy_timeline {
-                if segs.len() > 1 {
-                    let spans: Vec<String> = segs
-                        .iter()
-                        .map(|s| format!("{}@{}..+{}", s.policy, s.from_invocation, s.invocations))
-                        .collect();
-                    out.push_str(&format!(
-                        "{}{region}: {}\n",
-                        if md { "- timeline " } else { "  timeline " },
-                        spans.join(" → ")
-                    ));
-                }
-            }
-        }
-
-        h(&mut out, "Power caps");
-        for c in &self.caps {
-            out.push_str(&format!(
-                "{}cap {:.0} W (effective {:.1} W): {} invocation(s), {:.4} s, {:.1} J, EDP {:.2}\n",
-                if md { "- " } else { "" },
-                c.requested_w,
-                c.effective_w,
-                c.invocations,
-                c.region_s,
-                c.energy_j,
-                c.edp()
-            ));
-        }
-
-        if !self.convergence.is_empty() {
-            h(&mut out, "Search convergence");
-            for (region, curve) in &self.convergence {
-                let last = curve.last().expect("curves are non-empty");
-                out.push_str(&format!(
-                    "{}{region}: {} evaluation(s), best {:.6} {}{}\n",
-                    if md { "- " } else { "" },
-                    last.evaluations,
-                    last.best_value,
-                    self.objective.unit(),
-                    if last.converged { ", converged" } else { "" }
-                ));
-                let steps: Vec<String> = decimate(curve, 8)
-                    .iter()
-                    .map(|p| format!("{}:{:.4}", p.evaluations, p.best_value))
-                    .collect();
-                out.push_str(&format!(
-                    "{}best-so-far  {}\n",
-                    if md { "  " } else { "    " },
-                    steps.join(" → ")
-                ));
-            }
-        }
-
-        h(&mut out, "Sim cache");
-        out.push_str(&format!(
-            "{} hit(s), {} miss(es), hit rate {:.1}%\n",
-            self.cache.hits,
-            self.cache.misses,
-            100.0 * self.cache.hit_rate()
-        ));
-        if self.cache.entries > 0 {
-            let occ = &self.cache.shard_occupancy;
-            let (min, max) =
-                (occ.iter().min().copied().unwrap_or(0), occ.iter().max().copied().unwrap_or(0));
-            out.push_str(&format!(
-                "{} distinct cell(s) across {} shard(s) (occupancy {min}–{max}), \
-                 {} region name(s) interned\n",
-                self.cache.entries,
-                occ.len(),
-                self.cache.interner_size
-            ));
-        }
-
-        h(&mut out, "Overhead (§III-C)");
-        out.push_str(&format!(
-            "{} event(s): config change {:.4} s + instrumentation {:.4} s = {:.4} s\n",
-            self.overhead.events,
-            self.overhead.config_change_s,
-            self.overhead.instrumentation_s,
-            self.overhead.total_s()
-        ));
-        out.push_str(&format!(
-            "cross-check: wall − region − overhead = {:+.3e} s ({})\n",
-            self.overhead_residual_s(),
-            if self.overhead_consistent() { "consistent" } else { "INCONSISTENT" }
-        ));
-        if let Some(res) = self.energy_residual_j() {
-            out.push_str(&format!(
-                "energy ledger: meter − region − overhead = {:+.3e} J ({})\n",
-                res,
-                if self.energy_consistent() { "consistent" } else { "INCONSISTENT" }
-            ));
-        }
-
-        if let Some(p) = &self.self_profile {
-            h(&mut out, "Self-profile (where did the time go)");
-            let total = p.total_s();
-            out.push_str(&format!(
-                "{} run(s), {} invocation(s): driver wall {:.4} s\n",
-                p.runs, p.invocations, total
-            ));
-            let pct = |s: f64| if total > 0.0 { 100.0 * s / total } else { 0.0 };
-            for (name, s) in [
-                ("measure", p.measure_s),
-                ("tune", p.tune_s),
-                ("overhead", p.overhead_s),
-                ("meter", p.meter_s),
-            ] {
-                out.push_str(&format!(
-                    "{}{:<8}  {:>10.6} s  ({:>5.1}%)\n",
-                    if md { "- " } else { "  " },
-                    name,
-                    s,
-                    pct(s)
-                ));
-            }
-            if p.invocations > 0 {
-                out.push_str(&format!(
-                    "per invocation: {:.1} µs\n",
-                    1e6 * total / p.invocations as f64
-                ));
-            }
-        }
-
-        if self.faults.any() {
-            h(&mut out, "Faults & recovery");
-            let classes: Vec<String> =
-                self.faults.injected.iter().map(|(k, n)| format!("{k} ×{n}")).collect();
-            out.push_str(&format!(
-                "{} fault(s) injected ({}), {} measurement(s) rejected\n",
-                self.faults.injected_total(),
-                if classes.is_empty() { "none".to_string() } else { classes.join(", ") },
-                self.faults.rejected
-            ));
-            if self.faults.degraded_regions.is_empty() {
-                out.push_str("tuner degraded: no\n");
-            } else {
-                out.push_str(&format!(
-                    "tuner degraded: {} region(s) frozen ({})\n",
-                    self.faults.degraded_regions.len(),
-                    self.faults.degraded_regions.join(", ")
-                ));
-            }
-        }
-
-        if self.broker.any() {
-            h(&mut out, "Broker");
-            out.push_str(&format!(
-                "{} submitted, {} scheduled, {} completed, {} rejected, {} failed, {} shed, \
-                 {} lost\n",
-                self.broker.submitted,
-                self.broker.scheduled,
-                self.broker.completed,
-                self.broker.rejected,
-                self.broker.failed,
-                self.broker.shed,
-                self.broker.lost_jobs()
-            ));
-            out.push_str(&format!(
-                "budget {:.1} W, peak allocation {:.1} W, {} reallocation(s), {}\n",
-                self.broker.budget_w,
-                self.broker.max_total_w,
-                self.broker.reallocations,
-                if self.broker.over_budget_events == 0 {
-                    "budget conserved".to_string()
-                } else {
-                    format!("{} OVER-BUDGET event(s)", self.broker.over_budget_events)
-                }
-            ));
-            if let Some(ratio) = self.broker.fairness_ratio() {
-                out.push_str(&format!("fairness (max/min mean tenant share): {ratio:.3}\n"));
-            }
-            for (name, t) in &self.broker.tenants {
-                out.push_str(&format!(
-                    "{}{name}: {}/{} job(s) completed ({} degraded, {} rejected), \
-                     mean share {:.1} W, {:.2} s, {:.0} J\n",
-                    if md { "- " } else { "  " },
-                    t.completed,
-                    t.submitted,
-                    t.degraded,
-                    t.rejected,
-                    t.mean_allocated_w(),
-                    t.time_s,
-                    t.energy_j
-                ));
-            }
-        }
-
-        if self.recovery.any() {
-            h(&mut out, "Resilience");
-            let classes: Vec<String> =
-                self.recovery.failures_by_class.iter().map(|(k, n)| format!("{k} ×{n}")).collect();
-            out.push_str(&format!(
-                "{} node failure(s) ({}), {} permanent, {} recover(ies)\n",
-                self.recovery.node_failures,
-                if classes.is_empty() { "none".to_string() } else { classes.join(", ") },
-                self.recovery.permanent_failures,
-                self.recovery.node_recoveries
-            ));
-            match self.recovery.mttr_s() {
-                Some(mttr) => out.push_str(&format!("MTTR: {mttr:.3} s (virtual)\n")),
-                None => out.push_str("MTTR: n/a (no recoveries observed)\n"),
-            }
-            out.push_str(&format!(
-                "{} requeue(s), shed rate {:.1}%, {} checkpoint recover(ies)\n",
-                self.recovery.requeues,
-                100.0 * self.broker.shed_rate(),
-                self.recovery.checkpoint_recoveries
-            ));
-        }
-        out
-    }
-}
-
-/// Evenly sample at most `max` points from a curve, always keeping the
-/// last point.
-fn decimate<T: Copy>(curve: &[T], max: usize) -> Vec<T> {
-    if curve.len() <= max {
-        return curve.to_vec();
-    }
-    let step = curve.len().div_ceil(max);
-    let mut out: Vec<T> = curve.iter().copied().step_by(step).collect();
-    if let Some(&last) = curve.last() {
-        out.push(last);
-    }
-    out
 }
 
 /// Streaming consumer building a [`TraceReport`].
@@ -1239,141 +725,10 @@ pub fn analyze_path(path: impl AsRef<Path>) -> Result<TraceReport, TraceReadErro
     analyze(TraceReader::open(path)?)
 }
 
-/// One compared quantity in a [`Comparison`]. Despite the `_s` suffix
-/// (kept for artifact compatibility), values are in the comparison
-/// objective's unit: seconds, joules, or joule-seconds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CompareRow {
-    /// Region name, or `"TOTAL"` for the whole-run row.
-    pub name: String,
-    pub baseline_s: f64,
-    pub candidate_s: f64,
-    /// `100 × (candidate − baseline) / baseline`; 0 when the baseline is 0.
-    pub delta_pct: f64,
-    /// `delta_pct` strictly exceeds the threshold (so two identical runs
-    /// pass even at `--fail-on 0`).
-    pub regression: bool,
-}
-
-/// Result of gating a candidate run against a baseline.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Comparison {
-    /// Threshold in percent: any row slower by strictly more than this
-    /// regresses.
-    pub fail_on_pct: f64,
-    /// `TOTAL` first, then regions sorted by name.
-    pub rows: Vec<CompareRow>,
-    /// Regions present only in the baseline (reported, never failed —
-    /// a renamed region should not brick CI).
-    pub missing_in_candidate: Vec<String>,
-    /// Regions present only in the candidate.
-    pub new_in_candidate: Vec<String>,
-    /// What the rows measure (`Time` in pre-objective artifacts).
-    #[serde(default)]
-    pub objective: Objective,
-}
-
-impl Comparison {
-    pub fn regressed(&self) -> bool {
-        self.rows.iter().any(|r| r.regression)
-    }
-
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("comparison serializes")
-    }
-
-    pub fn from_json(text: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(text)
-    }
-
-    pub fn to_table(&self) -> String {
-        let name_w = self.rows.iter().map(|r| r.name.len()).max().unwrap_or(4).max("name".len());
-        let unit = self.objective.unit();
-        let mut out = format!(
-            "objective: {}\n{:<name_w$}  {:>12}  {:>12}  {:>8}  verdict\n",
-            self.objective,
-            "name",
-            format!("baseline {unit}"),
-            format!("candidate {unit}"),
-            "delta"
-        );
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{:<name_w$}  {:>12.6}  {:>12.6}  {:>+7.2}%  {}\n",
-                r.name,
-                r.baseline_s,
-                r.candidate_s,
-                r.delta_pct,
-                if r.regression { "REGRESSION" } else { "ok" }
-            ));
-        }
-        for m in &self.missing_in_candidate {
-            out.push_str(&format!("{m}: missing in candidate\n"));
-        }
-        for m in &self.new_in_candidate {
-            out.push_str(&format!("{m}: new in candidate\n"));
-        }
-        out.push_str(&format!(
-            "threshold {}%: {}\n",
-            self.fail_on_pct,
-            if self.regressed() { "FAIL" } else { "pass" }
-        ));
-        out
-    }
-}
-
-/// Gate `candidate` against `baseline` on wall time: the whole-run wall
-/// time and every shared region's mean invocation time must not be slower
-/// by strictly more than `fail_on_pct` percent. Equivalent to
-/// [`compare_reports_for`] with [`Objective::Time`].
-pub fn compare_reports(
-    baseline: &TraceReport,
-    candidate: &TraceReport,
-    fail_on_pct: f64,
-) -> Comparison {
-    compare_reports_for(baseline, candidate, fail_on_pct, Objective::Time)
-}
-
-/// Gate `candidate` against `baseline` under an explicit objective: the
-/// whole-run total (wall time / attributed energy / their product) and
-/// every shared region's mean per-invocation metric must not regress by
-/// strictly more than `fail_on_pct` percent.
-pub fn compare_reports_for(
-    baseline: &TraceReport,
-    candidate: &TraceReport,
-    fail_on_pct: f64,
-    objective: Objective,
-) -> Comparison {
-    let row = |name: &str, base: f64, cand: f64| {
-        let delta_pct = if base > 0.0 { 100.0 * (cand - base) / base } else { 0.0 };
-        CompareRow {
-            name: name.to_string(),
-            baseline_s: base,
-            candidate_s: cand,
-            delta_pct,
-            regression: delta_pct > fail_on_pct,
-        }
-    };
-    let mut rows =
-        vec![row("TOTAL", baseline.total_metric(objective), candidate.total_metric(objective))];
-    let mut missing = Vec::new();
-    for (name, b) in &baseline.regions {
-        match candidate.regions.get(name) {
-            Some(c) => {
-                rows.push(row(name, b.mean_call_metric(objective), c.mean_call_metric(objective)))
-            }
-            None => missing.push(name.clone()),
-        }
-    }
-    let new_in_candidate: Vec<String> =
-        candidate.regions.keys().filter(|k| !baseline.regions.contains_key(*k)).cloned().collect();
-    Comparison { fail_on_pct, rows, missing_in_candidate: missing, new_in_candidate, objective }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arcs_trace::TraceEvent as E;
+    use arcs_trace::{TraceEvent as E, SCHEMA_VERSION};
 
     fn jsonl(records: &[TraceRecord]) -> String {
         let mut out = String::new();

@@ -10,14 +10,15 @@
 //! path pays one branch and allocates nothing.
 //!
 //! The **analysis** half ([`analysis`]) replays the JSONL traces the
-//! `arcs-trace` sinks write: [`TraceReader`] streams validated records
-//! (schema-version and sequence checks) into [`TraceAnalysis`], which
-//! reconstructs per-region profiles, per-cap energy/EDP summaries,
-//! search-convergence curves, cache hit-rate timelines and the §III-C
-//! overhead ledger — including the cross-check that the driver's clock
-//! is fully explained by region time plus charged overhead.
-//! [`compare_reports`] turns two such [`TraceReport`]s into a
-//! perf-regression gate (`arcs-sim compare --fail-on <pct>`).
+//! `arcs-trace` sinks write: `arcs-trace`'s own [`TraceReader`] streams
+//! validated records (schema-version and sequence checks) into
+//! [`TraceAnalysis`], which reconstructs per-region profiles, per-cap
+//! energy/EDP summaries, search-convergence curves, cache hit-rate
+//! timelines and the §III-C overhead ledger — including the cross-check
+//! that the driver's clock is fully explained by region time plus
+//! charged overhead. [`compare`] turns two such [`TraceReport`]s into a
+//! perf-regression gate ([`compare_reports`], `arcs-sim compare
+//! --fail-on <pct>`); the private `render` module lays both out as text.
 //!
 //! Between the two sits [`broker_fold`]: the one interpreter of the
 //! power-budget broker's events, which keeps the `serve/*` series in a
@@ -26,7 +27,9 @@
 
 pub mod analysis;
 pub mod broker_fold;
+pub mod compare;
 pub mod registry;
+mod render;
 
 pub use analysis::{
     analyze, analyze_path, compare_reports, compare_reports_for, BrokerReport, CacheReport,

@@ -34,7 +34,7 @@
 //! on the server's trace file.
 
 use arcs_metrics::analyze_path;
-use arcs_powersim::{Fleet, Machine, NodeFaultPlan};
+use arcs_powersim::{Fleet, Machine};
 use arcs_serve::server::Client;
 use arcs_serve::{Broker, BrokerConfig, JobSpec, Request};
 use arcs_trace::{JsonlSink, TraceSink};
@@ -75,14 +75,6 @@ fn usage() -> ! {
          \x20      arcs-serve-loadgen verify TRACE.jsonl"
     );
     std::process::exit(2)
-}
-
-/// Parse `--node-faults` ([`NodeFaultPlan::from_spec`]) or exit 2.
-fn parse_node_faults(spec: &str) -> NodeFaultPlan {
-    NodeFaultPlan::from_spec(spec).unwrap_or_else(|err| {
-        eprintln!("--node-faults: {err}");
-        std::process::exit(2)
-    })
 }
 
 fn parse_args(argv: &[String]) -> Args {
@@ -306,7 +298,7 @@ fn run_in_process(args: &Args) -> i32 {
     resilience.max_read_retries = 0;
     resilience.error_budget = Some(1);
     cfg.resilience = Some(resilience);
-    cfg.node_faults = args.node_faults.as_deref().map(parse_node_faults);
+    cfg.node_faults = args.node_faults.as_deref().map(arcs_serve::node_faults_or_exit);
     cfg.max_queue = args.shed_target;
     let chaos = cfg.node_faults.as_ref().is_some_and(|plan| plan.is_active());
     let mut broker = Broker::new(fleet, cfg, Arc::clone(&sink) as Arc<dyn TraceSink>);

@@ -23,7 +23,7 @@
 //! a deterministic node-outage schedule: a preset name (`node-crash`,
 //! `node-flap`, `node-drain`, optionally `:SEED`) or a full JSON plan.
 
-use arcs_powersim::{Fleet, Machine, NodeFaultPlan};
+use arcs_powersim::{Fleet, Machine};
 use arcs_serve::{Broker, BrokerConfig, BrokerJournal, Server};
 use arcs_trace::{JsonlSink, NullSink, TraceSink};
 use std::path::Path;
@@ -53,14 +53,6 @@ fn usage() -> ! {
          \x20                 [--node-faults PRESET[:SEED]|JSON]"
     );
     std::process::exit(2)
-}
-
-/// Parse `--node-faults` ([`NodeFaultPlan::from_spec`]) or exit 2.
-fn parse_node_faults(spec: &str) -> NodeFaultPlan {
-    NodeFaultPlan::from_spec(spec).unwrap_or_else(|err| {
-        eprintln!("--node-faults: {err}");
-        std::process::exit(2)
-    })
 }
 
 fn parse_args() -> Args {
@@ -169,7 +161,7 @@ fn main() {
         if let Some(retries) = args.max_retries {
             cfg.max_retries = retries;
         }
-        cfg.node_faults = args.node_faults.as_deref().map(parse_node_faults);
+        cfg.node_faults = args.node_faults.as_deref().map(arcs_serve::node_faults_or_exit);
         let mut broker = Broker::new(fleet, cfg, sink);
         if let Some(journal) = new_journal {
             broker.attach_journal(journal);

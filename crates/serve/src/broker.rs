@@ -1,5 +1,11 @@
-//! The deterministic broker core: admission, scheduling, and hierarchical
-//! power-budget arbitration over a simulated fleet.
+//! The deterministic broker core: the state and the event loop that
+//! carry out admission, scheduling, and hierarchical power-budget
+//! arbitration over a simulated fleet. The *decisions* themselves — who
+//! is admitted, which node the queue head takes, how long a crashed job
+//! backs off, how the budget divides — are the pure functions of
+//! [`crate::arbitration`]; rebuilding a broker from its journal
+//! ([`Broker::recover`]) is `recovery.rs`. Every broker event is emitted
+//! from this file.
 //!
 //! # Execution model
 //!
@@ -52,28 +58,24 @@
 //! underneath is deterministic — the same submission sequence always
 //! produces byte-identical traces.
 
+use crate::arbitration::{self, EPS_W};
 use crate::job::{JobSpec, JobState};
-use crate::journal::{load_journal, BrokerJournal, JournalError};
+use crate::journal::BrokerJournal;
+use crate::recovery;
 use arcs::backend::Runner;
 use arcs::{
     CapHandle, ConfigSpace, RegionTuner, ResilienceOptions, RunStatus, SimExecutor, TunerOptions,
 };
 use arcs_kernels::model;
 use arcs_metrics::{BrokerFold, MetricsRegistry, TelemetrySnapshot};
-use arcs_powersim::{FaultPlan, Fleet, Machine, NodeFaultClass, NodeFaultPlan, WorkloadDescriptor};
+use arcs_powersim::{FaultPlan, Fleet, NodeFaultClass, NodeFaultPlan, WorkloadDescriptor};
 use arcs_trace::{JobAllocation, TraceEvent, TraceSink};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::path::Path;
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-/// Node-level allocations move in steps of this many watts (above each
-/// job's floor). Coarse steps keep reallocation churn out of the
-/// simulator's per-cap memo-cache key space.
-pub const ALLOC_QUANTUM_W: f64 = 0.25;
-
-/// Tolerance for budget comparisons (float sums of quantized watts).
-const EPS_W: f64 = 1e-6;
+pub use crate::arbitration::ALLOC_QUANTUM_W;
+pub use crate::job::{CompletedJob, SubmitOutcome};
 
 /// Broker tuning knobs beyond the budget itself.
 #[derive(Debug, Clone, Copy)]
@@ -140,47 +142,6 @@ enum Ev {
     NodeFail { class: NodeFaultClass, down_us: Option<u64> },
 }
 
-/// A finished job's summary, kept for `status` queries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompletedJob {
-    pub job: u64,
-    pub tenant: String,
-    pub node: u64,
-    pub status: RunStatus,
-    pub time_s: f64,
-    pub energy_j: f64,
-}
-
-/// What [`Broker::submit`] decided.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SubmitOutcome {
-    /// Admitted under this job id (queued or already running).
-    Admitted(u64),
-    Rejected {
-        job: u64,
-        reason: String,
-    },
-    /// Turned away by load shedding: the bounded admission queue is
-    /// full. `retry_after_s` is the backpressure hint (virtual seconds
-    /// until capacity can next change) the submit response carries.
-    Shed {
-        job: u64,
-        reason: String,
-        retry_after_s: f64,
-        queue_depth: u64,
-    },
-}
-
-impl SubmitOutcome {
-    pub fn job(&self) -> u64 {
-        match self {
-            SubmitOutcome::Admitted(job) => *job,
-            SubmitOutcome::Rejected { job, .. } => *job,
-            SubmitOutcome::Shed { job, .. } => *job,
-        }
-    }
-}
-
 /// Results of a quantum simulated at start time, applied when its
 /// completion event fires.
 struct QuantumResult {
@@ -191,7 +152,7 @@ struct QuantumResult {
 }
 
 struct RunningJob {
-    spec: JobSpec,
+    progress: Progress,
     node: u64,
     /// Effective node-level floor on the assigned node: the larger of
     /// the job's requested floor and the node's RAPL floor.
@@ -205,31 +166,28 @@ struct RunningJob {
     tuner: RegionTuner,
     wl: WorkloadDescriptor,
     resilience: Option<ResilienceOptions>,
-    remaining: usize,
-    time_s: f64,
-    energy_j: f64,
-    degraded: bool,
     in_flight: Option<QuantumResult>,
     /// Virtual instant of the pending quantum event, so a crash can
     /// cancel it.
     event_at: Option<u64>,
-    /// Placements so far, this one included — what the retry budget
-    /// compares against.
-    attempts: u64,
 }
 
-/// An admitted job waiting (or waiting again) for a node: the spec plus
-/// whatever progress survived earlier placements. A crash discards the
-/// in-flight quantum but keeps every *completed* quantum's timesteps,
-/// time and energy — the job resumes where its last boundary left it
-/// (with a fresh executor and tuner on the new node).
-struct QueuedJob {
+/// What an admitted job carries from placement to placement: the spec
+/// plus whatever progress survived earlier placements. Queued and parked
+/// jobs *are* one of these; a running job embeds it, so placing and
+/// requeueing move it whole. A crash discards the in-flight quantum but
+/// keeps every *completed* quantum's timesteps, time and energy — the job
+/// resumes where its last boundary left it (with a fresh executor and
+/// tuner on the new node).
+struct Progress {
     spec: JobSpec,
     remaining: usize,
     time_s: f64,
     energy_j: f64,
     degraded: bool,
-    /// Placements consumed so far (0 for a never-placed job).
+    /// Placements consumed so far, the current one included while the
+    /// job runs (0 for a never-placed job) — what the retry budget
+    /// compares against.
     attempts: u64,
     /// True once the job has been requeued at least once: it resumes
     /// from `remaining` instead of the workload's full length.
@@ -255,54 +213,6 @@ pub struct BrokerCounters {
     pub nodes_down: u64,
 }
 
-/// One running job's claim on the budget.
-struct Claim {
-    /// Pinned minimum: the job never holds less.
-    floor_w: f64,
-    /// Node hardware maximum: the job never holds more.
-    max_w: f64,
-    /// Share of the surplus; 0 pins the job at its floor (degraded).
-    weight: f64,
-}
-
-/// Split `budget_w` over `claims`: every floor first, then the surplus
-/// water-filled by weight — each round shares what is left among the
-/// unsaturated claims; a claim that reaches its maximum leaves the pool
-/// and its leftover flows to the next round (a round either saturates
-/// somebody or distributes everything, so this terminates). The surplus
-/// part of each allocation is then quantized down to
-/// [`ALLOC_QUANTUM_W`] steps, so Σ never creeps past the budget and
-/// per-cap cache keys stay coarse. Pure: the result, in claim order,
-/// depends on nothing but the arguments.
-fn water_fill(budget_w: f64, claims: &[Claim]) -> Vec<f64> {
-    let mut alloc: Vec<f64> = claims.iter().map(|c| c.floor_w).collect();
-    let mut unsat: Vec<usize> = (0..claims.len())
-        .filter(|&i| claims[i].weight > 0.0 && claims[i].max_w > claims[i].floor_w + EPS_W)
-        .collect();
-    loop {
-        let used: f64 = alloc.iter().sum();
-        let surplus = budget_w - used;
-        if surplus <= ALLOC_QUANTUM_W / 2.0 || unsat.is_empty() {
-            break;
-        }
-        let total_weight: f64 = unsat.iter().map(|&i| claims[i].weight).sum();
-        let before = unsat.len();
-        unsat.retain(|&i| {
-            let give = surplus * claims[i].weight / total_weight;
-            let saturates = alloc[i] + give >= claims[i].max_w - EPS_W;
-            alloc[i] = if saturates { claims[i].max_w } else { alloc[i] + give };
-            !saturates
-        });
-        if unsat.len() == before {
-            break;
-        }
-    }
-    for (a, c) in alloc.iter_mut().zip(claims) {
-        *a = c.floor_w + ((*a - c.floor_w) / ALLOC_QUANTUM_W).floor() * ALLOC_QUANTUM_W;
-    }
-    alloc
-}
-
 /// One `watch` subscriber: a channel plus its push period in quantum
 /// events. Dropped silently when the receiver goes away.
 struct Watcher {
@@ -325,10 +235,10 @@ pub struct Broker {
     events: BTreeMap<(u64, u8, u64), Ev>,
     /// Admitted jobs waiting for a node + budget headroom, FIFO.
     queue: VecDeque<u64>,
-    queued: BTreeMap<u64, QueuedJob>,
+    queued: BTreeMap<u64, Progress>,
     /// Crash-requeued jobs sitting out their retry backoff; each owns a
     /// pending [`Ev::Release`] event.
-    parked: BTreeMap<u64, QueuedJob>,
+    parked: BTreeMap<u64, Progress>,
     running: BTreeMap<u64, RunningJob>,
     completed: BTreeMap<u64, CompletedJob>,
     rejected: BTreeMap<u64, String>,
@@ -398,26 +308,9 @@ impl Broker {
         };
         // The budget is known from birth, not from the first
         // reallocation: the fold learns it the way a journal reader does.
-        let configured = broker.configured();
+        let configured = recovery::header(&broker.fleet, &broker.cfg);
         broker.fold.apply(0.0, &configured);
         broker
-    }
-
-    /// The [`TraceEvent::BrokerConfigured`] describing how to rebuild
-    /// this broker — the journal's header record.
-    fn configured(&self) -> TraceEvent {
-        TraceEvent::BrokerConfigured {
-            budget_w: self.cfg.budget_w,
-            quantum_timesteps: self.cfg.quantum_timesteps as u64,
-            machines: self.fleet.nodes().iter().map(|n| n.machine.name.clone()).collect(),
-            max_queue: self.cfg.max_queue.map(|q| q as u64),
-            max_retries: self.cfg.max_retries,
-            backoff_base_s: self.cfg.backoff_base_s,
-            resilience: serde_json::to_string(&self.cfg.resilience)
-                .expect("resilience options serialize"),
-            node_faults: serde_json::to_string(&self.cfg.node_faults)
-                .expect("node-fault plans serialize"),
-        }
     }
 
     /// Attach a write-ahead journal. Must be called on a *fresh* broker
@@ -430,7 +323,7 @@ impl Broker {
     pub fn attach_journal(&mut self, journal: BrokerJournal) {
         let write_errors = self.registry().counter("arcs/journal/write_errors");
         journal.set_write_error_counter(write_errors.shared());
-        journal.append(self.now_s(), self.configured());
+        journal.append(self.now_s(), recovery::header(&self.fleet, &self.cfg));
         self.journal = Some(journal);
     }
 
@@ -439,114 +332,10 @@ impl Broker {
         self.journal.as_ref().and_then(|j| j.last_error())
     }
 
-    fn journal_op(&self, event: TraceEvent) {
+    pub(crate) fn journal_op(&self, event: TraceEvent) {
         if let Some(j) = &self.journal {
             j.append(self.now_s(), event);
         }
-    }
-
-    /// Reconstruct a broker from its journal by deterministic replay.
-    ///
-    /// The journal header rebuilds the fleet and config; every recorded
-    /// op (submission or step) is then re-applied in order. Because the
-    /// broker is deterministic, the recovered broker reaches the exact
-    /// state the original had when it last flushed — and with `trace`
-    /// emission on during replay, the recovered trace file is
-    /// byte-identical to the uninterrupted run's.
-    ///
-    /// `new_journal`, when given, is attached *before* replay so the new
-    /// journal re-records the header and every replayed op — recovery
-    /// from a recovery works. A [`TraceEvent::CheckpointRecovered`]
-    /// marker is appended to the new journal (never to the trace, whose
-    /// bytes must not shift) once replay finishes.
-    pub fn recover(
-        journal_path: &Path,
-        trace: Arc<dyn TraceSink>,
-        new_journal: Option<BrokerJournal>,
-    ) -> Result<Broker, JournalError> {
-        let records = load_journal(journal_path)?;
-        let mut it = records.into_iter();
-        let header = it.next().ok_or_else(|| JournalError::Header("empty journal".into()))?;
-        let TraceEvent::BrokerConfigured {
-            budget_w,
-            quantum_timesteps,
-            machines,
-            max_queue,
-            max_retries,
-            backoff_base_s,
-            resilience,
-            node_faults,
-        } = header.event
-        else {
-            return Err(JournalError::Header(
-                "journal must start with a BrokerConfigured record".into(),
-            ));
-        };
-        let mut fleet = Fleet::new();
-        for name in &machines {
-            let machine = Machine::by_name(name)
-                .ok_or_else(|| JournalError::Header(format!("unknown machine model {name:?}")))?;
-            fleet.push(machine);
-        }
-        let resilience: Option<ResilienceOptions> = serde_json::from_str(&resilience)
-            .map_err(|e| JournalError::Header(format!("bad resilience options: {e}")))?;
-        let node_faults: Option<NodeFaultPlan> = serde_json::from_str(&node_faults)
-            .map_err(|e| JournalError::Header(format!("bad node-fault plan: {e}")))?;
-        let cfg = BrokerConfig {
-            budget_w,
-            quantum_timesteps: quantum_timesteps as usize,
-            resilience,
-            node_faults,
-            max_queue: max_queue.map(|q| q as usize),
-            max_retries,
-            backoff_base_s,
-        };
-        let mut broker = Broker::new(fleet, cfg, trace);
-        if let Some(journal) = new_journal {
-            broker.attach_journal(journal);
-        }
-        let mut ops = 0u64;
-        for rec in it {
-            match rec.event {
-                TraceEvent::JobSubmitted {
-                    tenant,
-                    workload,
-                    weight,
-                    timesteps,
-                    fault_seed,
-                    requested_floor_w,
-                    ..
-                } => {
-                    broker.submit(JobSpec {
-                        tenant,
-                        workload,
-                        timesteps: timesteps as usize,
-                        floor_w: requested_floor_w,
-                        weight,
-                        fault_seed,
-                    });
-                }
-                TraceEvent::BrokerStep {} => {
-                    broker.step();
-                }
-                // Marker left by an earlier recovery of this lineage.
-                TraceEvent::CheckpointRecovered { .. } => continue,
-                other => {
-                    return Err(JournalError::Header(format!(
-                        "unexpected journal record {:?}",
-                        other.kind()
-                    )))
-                }
-            }
-            ops += 1;
-        }
-        let c = broker.counters();
-        broker.journal_op(TraceEvent::CheckpointRecovered {
-            ops,
-            submitted: c.submitted,
-            completed: c.completed,
-        });
-        Ok(broker)
     }
 
     pub fn budget_w(&self) -> f64 {
@@ -573,7 +362,7 @@ impl Broker {
             completed: self.completed.len() as u64,
             rejected: self.rejected.len() as u64,
             degraded: self.fold.degraded()
-                + self.running.values().filter(|r| r.degraded).count() as u64,
+                + self.running.values().filter(|r| r.progress.degraded).count() as u64,
             failed: self.failed.len() as u64,
             shed: self.shed.len() as u64,
             requeued: self.fold.requeues(),
@@ -651,17 +440,7 @@ impl Broker {
         let weight = if spec.weight > 0.0 { spec.weight } else { 1.0 };
         self.tenants.entry(spec.tenant.clone()).or_insert(weight);
 
-        let requested_floor = spec.floor_w.unwrap_or(0.0).max(0.0);
-        // The cheapest effective floor over nodes that could host the
-        // job at all — what admission reasons about.
-        let min_floor = self
-            .fleet
-            .nodes()
-            .iter()
-            .filter(|n| requested_floor <= n.max_cap_w() + EPS_W)
-            .map(|n| requested_floor.max(n.min_cap_w()))
-            .fold(None, |best: Option<f64>, f| Some(best.map_or(f, |b| b.min(f))));
-        let floor_w = min_floor.unwrap_or(requested_floor);
+        let (floor_w, verdict) = arbitration::admit(&spec, &self.fleet, self.cfg.budget_w);
         // The submitted event doubles as the journal's op record, so it
         // carries everything needed to rebuild the spec on replay.
         let submitted = TraceEvent::JobSubmitted {
@@ -677,18 +456,7 @@ impl Broker {
         self.journal_op(submitted.clone());
         self.emit(submitted);
 
-        let reason = if self.fleet.is_empty() {
-            Some("the fleet has no nodes".to_string())
-        } else if model::by_spec(&spec.workload).is_none() {
-            Some(format!("unknown workload {:?}", spec.workload))
-        } else if min_floor.is_none() {
-            Some("floor cap exceeds every node's capacity".to_string())
-        } else if floor_w > self.cfg.budget_w + EPS_W {
-            Some("floor cap exceeds the global budget".to_string())
-        } else {
-            None
-        };
-        if let Some(reason) = reason {
+        if let Err(reason) = verdict {
             self.emit(TraceEvent::JobRejected {
                 job,
                 tenant: spec.tenant.clone(),
@@ -727,7 +495,7 @@ impl Broker {
         self.queue.push_back(job);
         self.queued.insert(
             job,
-            QueuedJob {
+            Progress {
                 spec,
                 remaining: 0,
                 time_s: 0.0,
@@ -758,25 +526,22 @@ impl Broker {
     /// typed failures so the conservation identity closes at idle.
     /// Returns `false` only when there is nothing left to do.
     pub fn step(&mut self) -> bool {
-        if self.events.is_empty() {
-            if self.queue.is_empty() {
-                return false;
-            }
-            self.journal_op(TraceEvent::BrokerStep {});
-            self.starve_stranded();
-            self.notify_watchers();
-            return true;
+        if self.events.is_empty() && self.queue.is_empty() {
+            return false;
         }
         // Write-ahead: the op is durable before any of its effects are.
         self.journal_op(TraceEvent::BrokerStep {});
-        let (&(t, class, id), &ev) = self.events.iter().next().expect("checked non-empty");
-        self.events.remove(&(t, class, id));
-        self.now_us = self.now_us.max(t);
-        match ev {
-            Ev::Quantum => self.finish_quantum(id),
-            Ev::NodeFail { class, down_us } => self.node_fail(id, class, down_us),
-            Ev::Recover => self.node_recover(id),
-            Ev::Release => self.release(id),
+        match self.events.pop_first() {
+            None => self.starve_stranded(),
+            Some(((t, _, id), ev)) => {
+                self.now_us = self.now_us.max(t);
+                match ev {
+                    Ev::Quantum => self.finish_quantum(id),
+                    Ev::NodeFail { class, down_us } => self.node_fail(id, class, down_us),
+                    Ev::Recover => self.node_recover(id),
+                    Ev::Release => self.release(id),
+                }
+            }
         }
         self.notify_watchers();
         true
@@ -790,61 +555,64 @@ impl Broker {
         let rj = self.running.get_mut(&job).expect("event for a job not running");
         rj.event_at = None;
         let q = rj.in_flight.take().expect("an event implies an in-flight quantum");
-        rj.remaining -= q.steps;
-        rj.time_s += q.time_s;
-        rj.energy_j += q.energy_j;
-        let newly_degraded = q.degraded && !rj.degraded;
+        let p = &mut rj.progress;
+        p.remaining -= q.steps;
+        p.time_s += q.time_s;
+        p.energy_j += q.energy_j;
+        let newly_degraded = q.degraded && !p.degraded;
         if newly_degraded {
-            rj.degraded = true;
+            p.degraded = true;
         }
+        let done = p.remaining == 0;
         let node = rj.node;
-        let draining = self.draining.contains_key(&node);
-
-        if rj.remaining == 0 {
-            let rj = self.running.remove(&job).expect("present above");
-            let status = if rj.degraded { RunStatus::Degraded } else { RunStatus::Ok };
-            self.emit(TraceEvent::JobCompleted {
-                job,
-                tenant: rj.spec.tenant.clone(),
-                node: rj.node,
-                status: status.to_string(),
-                time_s: rj.time_s,
-                energy_j: rj.energy_j,
-            });
-            self.completed.insert(
-                job,
-                CompletedJob {
-                    job,
-                    tenant: rj.spec.tenant,
-                    node: rj.node,
-                    status,
-                    time_s: rj.time_s,
-                    energy_j: rj.energy_j,
-                },
-            );
-            if draining {
-                self.node_goes_down(node);
-                self.reallocate("node-drained");
-            } else {
-                self.free_nodes.insert(node);
-                self.reallocate("completed");
-            }
-            self.schedule();
-        } else if draining {
-            let rj = self.running.remove(&job).expect("present above");
-            let qj = self.requeue(job, rj, 0.0);
-            self.queue.push_back(job);
-            self.queued.insert(job, qj);
-            self.node_goes_down(node);
-            self.reallocate("node-drained");
-            self.schedule();
-        } else {
+        if !done && !self.draining.contains_key(&node) {
             if newly_degraded {
                 // The job stops earning surplus; hand its share back.
                 self.reallocate("degraded");
             }
             self.start_quantum(job);
+            return;
         }
+
+        let rj = self.running.remove(&job).expect("present above");
+        if done {
+            let p = rj.progress;
+            let status = if p.degraded { RunStatus::Degraded } else { RunStatus::Ok };
+            self.emit(TraceEvent::JobCompleted {
+                job,
+                tenant: p.spec.tenant.clone(),
+                node,
+                status: status.to_string(),
+                time_s: p.time_s,
+                energy_j: p.energy_j,
+            });
+            self.completed.insert(
+                job,
+                CompletedJob {
+                    job,
+                    tenant: p.spec.tenant,
+                    node,
+                    status,
+                    time_s: p.time_s,
+                    energy_j: p.energy_j,
+                },
+            );
+        } else {
+            let progress = self.requeue(job, rj, 0.0);
+            self.queue.push_back(job);
+            self.queued.insert(job, progress);
+        }
+        if let Some(down_us) = self.draining.remove(&node) {
+            // The drain completes: the node actually leaves service now
+            // (its recovery clock starts here, not at the nominal fault
+            // time).
+            self.take_down(node, down_us);
+            self.reallocate("node-drained");
+        } else {
+            self.free_nodes.insert(node);
+            self.reallocate("completed");
+        }
+        self.schedule();
     }
 
     /// A scheduled fleet outage strikes `node`. A crash evicts the
@@ -871,10 +639,7 @@ impl Broker {
             (None, _) => {
                 // The node was free: it just leaves the pool.
                 self.free_nodes.remove(&node);
-                self.down_nodes.insert(node, self.now_us);
-                if let Some(d) = down_us {
-                    self.events.insert((self.now_us + d, EV_RECOVER, node), Ev::Recover);
-                }
+                self.take_down(node, down_us);
             }
             (Some(_), NodeFaultClass::Drain) => {
                 // Graceful: the victim finishes its quantum, then
@@ -882,36 +647,30 @@ impl Broker {
                 self.draining.insert(node, down_us);
             }
             (Some(job), NodeFaultClass::Crash) => {
-                let mut rj = self.running.remove(&job).expect("victim is running");
-                if let Some(at) = rj.event_at.take() {
+                // The in-flight quantum dies with the node (only `progress`
+                // outlives `rj`): completed quanta stay banked, this one
+                // is re-run elsewhere.
+                let rj = self.running.remove(&job).expect("victim is running");
+                if let Some(at) = rj.event_at {
                     self.events.remove(&(at, EV_QUANTUM, job));
                 }
-                // The in-flight quantum dies with the node: completed
-                // quanta stay banked, this one is re-run elsewhere.
-                rj.in_flight = None;
-                self.down_nodes.insert(node, self.now_us);
-                if let Some(d) = down_us {
-                    self.events.insert((self.now_us + d, EV_RECOVER, node), Ev::Recover);
-                }
-                if rj.attempts > self.cfg.max_retries {
+                self.take_down(node, down_us);
+                let attempts = rj.progress.attempts;
+                if attempts > self.cfg.max_retries {
                     self.fail_job(
                         job,
-                        rj.spec.tenant.clone(),
+                        rj.progress.spec.tenant,
                         format!(
-                            "retry budget exhausted: {} placements all lost their node",
-                            rj.attempts
+                            "retry budget exhausted: {attempts} placements all lost their node"
                         ),
-                        rj.attempts,
+                        attempts,
                     );
                 } else {
-                    // Deterministic exponential backoff, doubling per
-                    // consumed placement, capped at 64× the base.
-                    let backoff_s = self.cfg.backoff_base_s
-                        * 2f64.powi((rj.attempts.saturating_sub(1)).min(6) as i32);
-                    let qj = self.requeue(job, rj, backoff_s);
+                    let backoff_s = arbitration::backoff_s(self.cfg.backoff_base_s, attempts);
+                    let progress = self.requeue(job, rj, backoff_s);
                     let release_us = self.now_us + (backoff_s * 1e6).round().max(1.0) as u64;
                     self.events.insert((release_us, EV_RELEASE, job), Ev::Release);
-                    self.parked.insert(job, qj);
+                    self.parked.insert(job, progress);
                 }
                 self.reallocate("node-failed");
                 self.schedule();
@@ -922,23 +681,15 @@ impl Broker {
     /// `job` lost its node: announce the requeue and hand back what
     /// survives of it — the spec and every completed quantum's progress
     /// — for the caller to queue (drain) or park (crash backoff).
-    fn requeue(&mut self, job: u64, rj: RunningJob, backoff_s: f64) -> QueuedJob {
+    fn requeue(&mut self, job: u64, rj: RunningJob, backoff_s: f64) -> Progress {
         self.emit(TraceEvent::JobRequeued {
             job,
-            tenant: rj.spec.tenant.clone(),
+            tenant: rj.progress.spec.tenant.clone(),
             node: rj.node,
-            attempt: rj.attempts,
+            attempt: rj.progress.attempts,
             backoff_s,
         });
-        QueuedJob {
-            spec: rj.spec,
-            remaining: rj.remaining,
-            time_s: rj.time_s,
-            energy_j: rj.energy_j,
-            degraded: rj.degraded,
-            attempts: rj.attempts,
-            requeued: true,
-        }
+        Progress { requeued: true, ..rj.progress }
     }
 
     /// A temporary outage ends: the node rejoins the fair-share pool.
@@ -953,9 +704,9 @@ impl Broker {
 
     /// A crash-requeued job finished its backoff: back into the FIFO.
     fn release(&mut self, job: u64) {
-        let qj = self.parked.remove(&job).expect("release for a job not parked");
+        let progress = self.parked.remove(&job).expect("release for a job not parked");
         self.queue.push_back(job);
-        self.queued.insert(job, qj);
+        self.queued.insert(job, progress);
         self.schedule();
     }
 
@@ -964,31 +715,24 @@ impl Broker {
     /// `submitted == completed + failed + shed + rejected` still holds.
     fn starve_stranded(&mut self) {
         while let Some(job) = self.queue.pop_front() {
-            let qj = self.queued.remove(&job).expect("queued job has a spec");
+            let p = self.queued.remove(&job).expect("queued job has a spec");
             self.fail_job(
                 job,
-                qj.spec.tenant,
+                p.spec.tenant,
                 "no surviving node can host the job".to_string(),
-                qj.attempts,
+                p.attempts,
             );
         }
     }
 
     fn fail_job(&mut self, job: u64, tenant: String, reason: String, attempts: u64) {
-        self.emit(TraceEvent::JobFailed {
-            job,
-            tenant: tenant.clone(),
-            reason: reason.clone(),
-            attempts,
-        });
+        self.emit(TraceEvent::JobFailed { job, tenant, reason: reason.clone(), attempts });
         self.failed.insert(job, reason);
     }
 
-    /// A drain completes: the victim's quantum ended, the node actually
-    /// leaves service now (its recovery clock starts here, not at the
-    /// nominal fault time).
-    fn node_goes_down(&mut self, node: u64) {
-        let down_us = self.draining.remove(&node).expect("node was draining");
+    /// `node` leaves service now; its recovery event, if the outage is
+    /// temporary, fires `down_us` from now.
+    fn take_down(&mut self, node: u64, down_us: Option<u64>) {
         self.down_nodes.insert(node, self.now_us);
         if let Some(d) = down_us {
             self.events.insert((self.now_us + d, EV_RECOVER, node), Ev::Recover);
@@ -1007,15 +751,14 @@ impl Broker {
     fn schedule(&mut self) {
         let mut placed = Vec::new();
         while let Some(&job) = self.queue.front() {
-            let spec = &self.queued[&job].spec;
-            let requested = spec.floor_w.unwrap_or(0.0).max(0.0);
+            let requested = self.queued[&job].spec.requested_floor_w();
             let committed: f64 = self.running.values().map(|r| r.floor_w).sum();
-            let node = self.free_nodes.iter().copied().find(|id| {
-                let n = self.fleet.node(*id).expect("free node exists");
-                requested <= n.max_cap_w() + EPS_W
-                    && committed + requested.max(n.min_cap_w()) <= self.cfg.budget_w + EPS_W
-            });
-            let Some(node) = node else { break };
+            let free =
+                self.free_nodes.iter().map(|id| self.fleet.node(*id).expect("free node exists"));
+            let Some(node) = arbitration::pick_node(free, committed, requested, self.cfg.budget_w)
+            else {
+                break;
+            };
             self.place(job, node);
             placed.push(job);
         }
@@ -1033,17 +776,15 @@ impl Broker {
     /// reallocation that follows.
     fn place(&mut self, job: u64, node_id: u64) {
         self.queue.pop_front();
-        let qj = self.queued.remove(&job).expect("queued job has a spec");
-        let spec = qj.spec;
+        let mut progress = self.queued.remove(&job).expect("queued job has a spec");
+        let spec = &progress.spec;
         let node = self.fleet.node(node_id).expect("placing on a fleet node").clone();
-        let floor_w = spec.floor_w.unwrap_or(0.0).max(node.min_cap_w());
+        let floor_w = arbitration::effective_floor(spec.requested_floor_w(), &node)
+            .expect("pick_node chose a node that can host the job");
         let mut wl = model::by_spec(&spec.workload).expect("admission resolved the workload");
         if spec.timesteps > 0 {
             wl.timesteps = spec.timesteps;
         }
-        // A requeued job resumes at its last completed quantum boundary;
-        // a fresh one starts from the workload's full length.
-        let remaining = if qj.requeued { qj.remaining } else { wl.timesteps };
 
         let handle = CapHandle::new(node.package_cap_w(floor_w));
         let mut exec = SimExecutor::new(node.machine.clone(), node.package_cap_w(floor_w))
@@ -1065,10 +806,16 @@ impl Broker {
             cap_w: floor_w,
         });
         self.free_nodes.remove(&node_id);
+        // A requeued job resumes at its last completed quantum boundary;
+        // a fresh one starts from the workload's full length.
+        if !progress.requeued {
+            progress.remaining = wl.timesteps;
+        }
+        progress.attempts += 1;
         self.running.insert(
             job,
             RunningJob {
-                spec,
+                progress,
                 node: node_id,
                 floor_w,
                 alloc_w: floor_w,
@@ -1078,13 +825,8 @@ impl Broker {
                 tuner,
                 wl,
                 resilience,
-                remaining,
-                time_s: qj.time_s,
-                energy_j: qj.energy_j,
-                degraded: qj.degraded,
                 in_flight: None,
                 event_at: None,
-                attempts: qj.attempts + 1,
             },
         );
     }
@@ -1094,7 +836,7 @@ impl Broker {
     fn start_quantum(&mut self, job: u64) {
         let quantum = self.cfg.quantum_timesteps.max(1);
         let rj = self.running.get_mut(&job).expect("quantum for a running job");
-        let steps = rj.remaining.min(quantum);
+        let steps = rj.progress.remaining.min(quantum);
         rj.wl.timesteps = steps;
         let mut runner = Runner::new(&mut rj.exec).workload(&rj.wl).tuner(&mut rj.tuner);
         if let Some(res) = rj.resilience {
@@ -1113,30 +855,18 @@ impl Broker {
         self.events.insert((at, EV_QUANTUM, job), Ev::Quantum);
     }
 
-    /// Redistribute the global budget across running jobs ([`water_fill`]
-    /// over one [`Claim`] per job, a tenant's weight split evenly across
-    /// its running jobs). Emits [`TraceEvent::CapReallocated`] and moves
-    /// the cap handles of every job whose allocation changed.
+    /// Redistribute the global budget across running jobs
+    /// ([`arbitration::water_fill`] over their [`arbitration::claims`]).
+    /// Emits [`TraceEvent::CapReallocated`] and moves the cap handles of
+    /// every job whose allocation changed.
     fn reallocate(&mut self, reason: &str) {
-        let mut tenant_jobs: BTreeMap<&str, f64> = BTreeMap::new();
-        for rj in self.running.values() {
-            *tenant_jobs.entry(rj.spec.tenant.as_str()).or_insert(0.0) += 1.0;
-        }
-        let claims: Vec<Claim> = self
-            .running
-            .values()
-            .map(|rj| Claim {
-                floor_w: rj.floor_w,
-                max_w: rj.max_w,
-                weight: if rj.degraded {
-                    0.0
-                } else {
-                    self.tenants.get(&rj.spec.tenant).copied().unwrap_or(1.0)
-                        / tenant_jobs[rj.spec.tenant.as_str()]
-                },
-            })
-            .collect();
-        let caps = water_fill(self.cfg.budget_w, &claims);
+        let claims = arbitration::claims(
+            &self.tenants,
+            self.running.values().map(|rj| {
+                (rj.progress.spec.tenant.as_str(), rj.progress.degraded, rj.floor_w, rj.max_w)
+            }),
+        );
+        let caps = arbitration::water_fill(self.cfg.budget_w, &claims);
 
         let total_w: f64 = caps.iter().sum();
         let mut allocations = Vec::with_capacity(caps.len());
@@ -1144,8 +874,8 @@ impl Broker {
             allocations.push(JobAllocation { job, node: rj.node, cap_w });
             if (rj.alloc_w - cap_w).abs() > EPS_W {
                 rj.alloc_w = cap_w;
-                let sockets = self.fleet.node(rj.node).expect("job node exists").machine.sockets;
-                rj.handle.set(cap_w / sockets as f64);
+                let node = self.fleet.node(rj.node).expect("job node exists");
+                rj.handle.set(node.package_cap_w(cap_w));
             }
         }
         self.emit(TraceEvent::CapReallocated {
@@ -1163,9 +893,9 @@ impl Broker {
     pub fn telemetry(&self) -> TelemetrySnapshot {
         let mut snap = self.fold.snapshot();
         snap.now_s = self.now_s();
-        for rj in self.running.values().filter(|rj| rj.degraded) {
+        for rj in self.running.values().filter(|rj| rj.progress.degraded) {
             snap.degraded += 1;
-            if let Some(t) = snap.tenants.get_mut(&rj.spec.tenant) {
+            if let Some(t) = snap.tenants.get_mut(&rj.progress.spec.tenant) {
                 t.degraded += 1;
             }
         }
@@ -1204,8 +934,10 @@ impl Broker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::JournalError;
     use arcs_powersim::Machine;
     use arcs_trace::{TraceRecord, VecSink};
+    use std::path::Path;
 
     fn small_broker(budget_w: f64, nodes: usize, sink: Arc<VecSink>) -> Broker {
         let fleet = Fleet::homogeneous(Machine::crill(), nodes);
@@ -1320,24 +1052,6 @@ mod tests {
         );
         assert!(heavy + light <= 300.0 + 1e-6);
         broker.run_until_idle();
-    }
-
-    #[test]
-    fn water_filling_respects_floors_maxima_weights_and_the_budget() {
-        let claim = |floor_w, max_w, weight| Claim { floor_w, max_w, weight };
-        // Surplus 185 split 2:1, nobody saturates.
-        let caps = water_fill(300.0, &[claim(57.5, 230.0, 2.0), claim(57.5, 230.0, 1.0)]);
-        assert!(((caps[0] - 57.5) / (caps[1] - 57.5) - 2.0).abs() < 0.02, "{caps:?}");
-        // The first claim saturates at 100 W; its leftover flows to the
-        // second. A zero-weight (degraded) claim holds exactly its floor.
-        let caps = water_fill(
-            400.0,
-            &[claim(57.5, 100.0, 5.0), claim(57.5, 230.0, 1.0), claim(60.0, 230.0, 0.0)],
-        );
-        assert_eq!((caps[0], caps[2]), (100.0, 60.0));
-        assert!(caps[1] > 200.0 && caps[1] <= 230.0, "{caps:?}");
-        assert!(caps.iter().sum::<f64>() <= 400.0 + EPS_W);
-        assert!(water_fill(100.0, &[]).is_empty());
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Tenant job descriptions.
+//! Tenant job descriptions, and what the broker answers about one job.
 
+use arcs::RunStatus;
 use serde::{Deserialize, Serialize};
 
 /// What a tenant asks the broker to run.
@@ -65,6 +66,12 @@ impl JobSpec {
         self.fault_seed = Some(seed);
         self
     }
+
+    /// The floor the job asks for, as admission and placement read it:
+    /// no floor — or a nonsensical one (negative, NaN) — asks for 0 W.
+    pub fn requested_floor_w(&self) -> f64 {
+        self.floor_w.unwrap_or(0.0).max(0.0)
+    }
 }
 
 /// Where a job sits in its lifecycle — the `status` op's answer.
@@ -96,6 +103,47 @@ impl std::fmt::Display for JobState {
             JobState::Shed => "shed",
         };
         write!(f, "{s}")
+    }
+}
+
+/// A finished job's summary, kept for `status` queries.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CompletedJob {
+    pub job: u64,
+    pub tenant: String,
+    pub node: u64,
+    pub status: RunStatus,
+    pub time_s: f64,
+    pub energy_j: f64,
+}
+
+/// What [`Broker::submit`](crate::Broker::submit) decided.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SubmitOutcome {
+    /// Admitted under this job id (queued or already running).
+    Admitted(u64),
+    Rejected {
+        job: u64,
+        reason: String,
+    },
+    /// Turned away by load shedding: the bounded admission queue is
+    /// full. `retry_after_s` is the backpressure hint (virtual seconds
+    /// until capacity can next change) the submit response carries.
+    Shed {
+        job: u64,
+        reason: String,
+        retry_after_s: f64,
+        queue_depth: u64,
+    },
+}
+
+impl SubmitOutcome {
+    pub fn job(&self) -> u64 {
+        match self {
+            SubmitOutcome::Admitted(job) => *job,
+            SubmitOutcome::Rejected { job, .. } => *job,
+            SubmitOutcome::Shed { job, .. } => *job,
+        }
     }
 }
 

@@ -18,8 +18,7 @@
 //! [`JobSubmitted`]: TraceEvent::JobSubmitted
 //! [`BrokerStep`]: TraceEvent::BrokerStep
 
-use arcs_metrics::{TraceReadError, TraceReader};
-use arcs_trace::{JsonlSink, TraceEvent, TraceRecord, TraceSink};
+use arcs_trace::{JsonlSink, TraceEvent, TraceReadError, TraceReader, TraceRecord, TraceSink};
 use std::fs::File;
 use std::io;
 use std::path::Path;
@@ -92,9 +91,5 @@ impl std::error::Error for JournalError {}
 /// dropping it is the correct recovery).
 pub fn load_journal(path: &Path) -> Result<Vec<TraceRecord>, JournalError> {
     let reader = TraceReader::open(path).map_err(JournalError::Open)?;
-    let mut records = Vec::new();
-    for rec in reader {
-        records.push(rec.map_err(JournalError::Read)?);
-    }
-    Ok(records)
+    reader.map(|rec| rec.map_err(JournalError::Read)).collect()
 }

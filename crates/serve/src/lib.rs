@@ -12,9 +12,14 @@
 //!
 //! Layers:
 //!
-//! * [`broker`] — the deterministic core: admission control, FIFO
-//!   scheduling onto an [`arcs_powersim::Fleet`], weighted-fair
-//!   water-filling of the budget, virtual-time quantum execution.
+//! * [`broker`] — the deterministic core: job and node state, the
+//!   virtual-time event loop (quantum execution, node faults, requeues)
+//!   over an [`arcs_powersim::Fleet`], and every broker event's emission.
+//! * [`arbitration`] — the decisions the broker carries out, as pure
+//!   functions: admission control, FIFO placement, crash back-off and
+//!   the weighted-fair water-filling of the budget.
+//! * `recovery` — [`Broker::recover`]: the journal header ⇄ config
+//!   conversion and the deterministic replay of a write-ahead journal.
 //! * [`protocol`] — newline-delimited JSON request/response types for
 //!   the TCP service (`submit`, `status`, `stats`, `metrics`, `watch`,
 //!   `shutdown`).
@@ -34,11 +39,13 @@
 //! renders the telemetry plane as a live (or replayed) terminal
 //! dashboard.
 
+pub mod arbitration;
 pub mod broker;
 pub mod job;
 pub mod journal;
 pub mod pool;
 pub mod protocol;
+mod recovery;
 pub mod server;
 
 /// The frame types live beside the fold that builds them
@@ -47,11 +54,19 @@ pub mod telemetry {
     pub use arcs_metrics::broker_fold::{Digest, TelemetrySnapshot, TenantTelemetry, EVENT_PANE};
 }
 
-pub use broker::{
-    Broker, BrokerConfig, BrokerCounters, CompletedJob, SubmitOutcome, ALLOC_QUANTUM_W,
-};
-pub use job::{JobSpec, JobState};
+pub use broker::{Broker, BrokerConfig, BrokerCounters, ALLOC_QUANTUM_W};
+pub use job::{CompletedJob, JobSpec, JobState, SubmitOutcome};
 pub use journal::{load_journal, BrokerJournal, JournalError};
 pub use protocol::{Request, Response};
 pub use server::{Server, ServerHandle};
 pub use telemetry::{Digest, TelemetrySnapshot, TenantTelemetry};
+
+/// Parse a binary's `--node-faults` value
+/// ([`NodeFaultPlan::from_spec`](arcs_powersim::NodeFaultPlan::from_spec));
+/// a malformed spec is a usage error: one line on stderr, exit 2.
+pub fn node_faults_or_exit(spec: &str) -> arcs_powersim::NodeFaultPlan {
+    arcs_powersim::NodeFaultPlan::from_spec(spec).unwrap_or_else(|err| {
+        eprintln!("--node-faults: {err}");
+        std::process::exit(2)
+    })
+}

@@ -4,11 +4,17 @@ use crate::Objective;
 use serde::{Deserialize, Serialize};
 
 /// Version of the serialized record layout. Bump on ANY change to
-/// [`TraceRecord`] or [`TraceEvent`] — readers accept every version from
-/// 1 up to this one (new fields carry serde defaults) and refuse newer or
-/// nonsensical versions instead of silently misreading them (see
-/// [`crate::validate_jsonl`]).
+/// [`TraceRecord`] or [`TraceEvent`] — readers accept every version in
+/// [`SUPPORTED_SCHEMAS`] and refuse newer or nonsensical versions instead
+/// of silently misreading them (see [`crate::TraceReader`]).
 pub const SCHEMA_VERSION: u32 = 9;
+
+/// The schema versions a reader accepts — the support window, stated
+/// once. It reaches back to v1 only because every field added since
+/// carries a serde default, so an old record's fields are a subset of
+/// today's layout; a change that is not such a superset must raise the
+/// window's start along with [`SCHEMA_VERSION`].
+pub const SUPPORTED_SCHEMAS: std::ops::RangeInclusive<u32> = 1..=SCHEMA_VERSION;
 
 /// One running job's share of the global power budget, as carried by
 /// [`TraceEvent::CapReallocated`] (v5). `cap_w` is the *node-level*

@@ -27,11 +27,15 @@
 mod chrome;
 mod event;
 mod objective;
+mod reader;
 mod sink;
 
 pub use chrome::{chrome_trace, ChromeEvent};
-pub use event::{JobAllocation, SearchCandidate, TraceEvent, TraceRecord, SCHEMA_VERSION};
+pub use event::{
+    JobAllocation, SearchCandidate, TraceEvent, TraceRecord, SCHEMA_VERSION, SUPPORTED_SCHEMAS,
+};
 pub use objective::Objective;
+pub use reader::{TraceReadError, TraceReader};
 pub use sink::{JsonlSink, NullSink, TraceSink, VecSink};
 
 /// Serialize records as one-record-per-line JSONL — the [`JsonlSink`]
@@ -46,30 +50,20 @@ pub fn to_jsonl(records: &[TraceRecord]) -> Result<String, serde_json::Error> {
 }
 
 /// Parse and validate one-record-per-line JSONL produced by a
-/// [`JsonlSink`] (or by [`to_jsonl`]). Every line must be a well-formed
-/// [`TraceRecord`] carrying a schema version the reader understands —
-/// any version from 1 to the current [`SCHEMA_VERSION`] (fields added
-/// since that version take their serde defaults). Blank lines are
-/// ignored.
+/// [`JsonlSink`] (or by [`to_jsonl`]): a collect over [`TraceReader`], so
+/// every line must be a well-formed [`TraceRecord`] of a schema version
+/// in [`SUPPORTED_SCHEMAS`] with strictly increasing `seq`, and the error
+/// is the reader's. Stricter than the reader in one respect: the stream
+/// must be *whole*. A sequence gap — which is also how the reader reports
+/// a torn final line — fails validation, where analysis tolerates it.
 pub fn validate_jsonl(text: &str) -> Result<Vec<TraceRecord>, String> {
-    let mut records = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record: TraceRecord = serde_json::from_str(line)
-            .map_err(|e| format!("line {}: not a trace record: {e}", lineno + 1))?;
-        if !(1..=SCHEMA_VERSION).contains(&record.schema) {
-            return Err(format!(
-                "line {}: schema version {} (reader supports 1..={})",
-                lineno + 1,
-                record.schema,
-                SCHEMA_VERSION
-            ));
-        }
-        records.push(record);
+    let mut reader = TraceReader::new(text.as_bytes());
+    let records: Vec<TraceRecord> =
+        reader.by_ref().collect::<Result<_, _>>().map_err(|e| e.to_string())?;
+    match reader.gaps() {
+        0 => Ok(records),
+        gaps => Err(format!("trace is missing {gaps} record(s): a seq gap or a torn final line")),
     }
-    Ok(records)
 }
 
 #[cfg(test)]
@@ -263,9 +257,46 @@ mod tests {
             &format!("\"schema\":{SCHEMA_VERSION}"),
             &format!("\"schema\":{}", SCHEMA_VERSION + 1),
         );
-        assert!(validate_jsonl(&foreign).unwrap_err().contains("schema version"));
+        let err = validate_jsonl(&foreign).unwrap_err();
+        assert!(
+            err.contains(&format!("schema {}, this reader expects", SCHEMA_VERSION + 1)),
+            "{err}"
+        );
         let zero = jsonl.replace(&format!("\"schema\":{SCHEMA_VERSION}"), "\"schema\":0");
-        assert!(validate_jsonl(&zero).unwrap_err().contains("schema version"));
+        assert!(validate_jsonl(&zero).unwrap_err().contains("schema 0, this reader expects"));
+    }
+
+    /// What `arcs-sim trace --check` relies on: validation is the
+    /// reader, plus wholeness. Out-of-order records, records missing from
+    /// the middle and a torn final line are all refused.
+    #[test]
+    fn validate_jsonl_rejects_reordered_gappy_and_torn_streams() {
+        let sink = VecSink::new();
+        for i in 0..3 {
+            sink.record(Some(f64::from(i)), TraceEvent::CacheHit { region: "r".into() });
+        }
+        let jsonl = to_jsonl(&sink.drain()).unwrap();
+        let lines: Vec<&str> = jsonl.lines().collect();
+
+        let swapped = format!("{}\n{}\n{}\n", lines[0], lines[2], lines[1]);
+        let err = validate_jsonl(&swapped).unwrap_err();
+        assert!(err.contains("seq 1 after 2"), "{err}");
+
+        let gappy = format!("{}\n{}\n", lines[0], lines[2]);
+        let err = validate_jsonl(&gappy).unwrap_err();
+        assert!(err.contains("missing 1 record(s)"), "{err}");
+
+        // The reader ends a torn stream cleanly and counts the lost
+        // record as a gap; validation must not pass that as whole.
+        let torn = &jsonl[..jsonl.len() - 7];
+        assert_eq!(TraceReader::new(torn.as_bytes()).filter(|r| r.is_ok()).count(), 2);
+        let err = validate_jsonl(torn).unwrap_err();
+        assert!(err.contains("torn final line"), "{err}");
+
+        // Mid-stream garbage is the reader's parse error, line and all.
+        let garbage = format!("{}\n{{nope\n{}\n", lines[0], lines[1]);
+        let err = validate_jsonl(&garbage).unwrap_err();
+        assert!(err.starts_with("trace line 2: invalid record"), "{err}");
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //! the resilience ladder on, and an external cap move.
 //!
 //! On mismatch the trace is written to `$TMPDIR/driver_golden.<cell>.jsonl`
-//! (the panic names the file): check out the commit whose constants these
-//! are, make the test fail there too (edit the constant), and diff the
-//! two files. A constant changes only with a PR that *means* to move the
-//! driver's bytes, and that PR says so.
+//! — see `golden/mod.rs` for the pin and how to read a failure.
+
+mod golden;
 
 use arcs::prelude::*;
 use arcs::LiveExecutor;
@@ -29,24 +28,8 @@ use arcs_trace::to_jsonl;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
-}
-
-/// Hold `trace` to `expected`, leaving the bytes behind on mismatch.
 fn pin(cell: &str, trace: &str, expected: u64) {
-    let got = fnv1a(trace.as_bytes());
-    if got != expected {
-        let path = std::env::temp_dir().join(format!("driver_golden.{cell}.jsonl"));
-        std::fs::write(&path, trace).expect("write the mismatching trace");
-        panic!(
-            "{cell}: trace hashes to {got:#018x}, pinned {expected:#018x}; \
-             the trace is in {} — diff it against the parent commit's",
-            path.display()
-        );
-    }
+    golden::pin("driver_golden", cell, trace, expected);
 }
 
 fn drained(sink: &VecSink) -> String {

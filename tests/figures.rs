@@ -49,13 +49,11 @@ fn every_figure_renders_its_checked_in_bytes_every_time() {
 fn the_registry_and_the_results_directory_name_the_same_figures() {
     let ids: BTreeSet<String> = FIGURES.iter().map(|f| f.id.to_string()).collect();
     assert_eq!(ids.len(), FIGURES.len(), "figure ids must be unique");
-    // `example_*.txt` are the examples' transcripts, not figures.
     let stems: BTreeSet<String> = std::fs::read_dir(results_dir())
         .expect("results/ exists")
         .map(|entry| entry.expect("readable entry").path())
         .filter(|p| p.extension().is_some_and(|e| e == "txt"))
         .map(|p| p.file_stem().expect("a file name").to_string_lossy().into_owned())
-        .filter(|stem| !stem.starts_with("example_"))
         .collect();
     assert_eq!(ids, stems, "results/*.txt and FIGURES disagree — `{REGENERATE}`");
 }

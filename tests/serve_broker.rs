@@ -2,6 +2,8 @@
 //! simulation, mid-run cap movement, schema-v5 tracing, and the
 //! `arcs-metrics` broker analysis — on a multi-tenant job mix.
 
+mod golden;
+
 use arcs::ResilienceOptions;
 use arcs_metrics::TraceAnalysis;
 use arcs_powersim::{Fleet, Machine};
@@ -118,6 +120,9 @@ fn the_same_mix_yields_a_byte_identical_trace() {
         records.iter().map(|r| serde_json::to_string(r).unwrap()).collect::<Vec<_>>().join("\n")
     };
     assert_eq!(serialize(&first), serialize(&second));
+    // …and identical to what commit `bf1b734` emitted — the last commit
+    // with admission, placement and water-filling inline in `broker.rs`.
+    golden::pin("broker_golden", "mix", &serialize(&first), 0xa049_a4f5_7019_18d4);
 }
 
 #[test]

@@ -5,6 +5,12 @@
 //! was never interrupted. Plus the conservation identity as a property:
 //! under any bounded node-fault plan, every submitted job reaches
 //! exactly one terminal state and Σ allocations never tops the budget.
+//!
+//! The chaos run's trace and journal, and a recovered run's, are also
+//! pinned across commits (`golden::pin`, constants generated at
+//! `bf1b734`, before recovery and arbitration left `broker.rs`).
+
+mod golden;
 
 use arcs_powersim::{Fleet, Machine, NodeFaultPlan};
 use arcs_serve::{Broker, BrokerConfig, BrokerJournal, JobSpec, SubmitOutcome};
@@ -105,8 +111,10 @@ fn kill_after_any_op_then_recover_matches_the_uninterrupted_run() {
     assert!(full.counters().completed > 0, "the scenario must complete jobs");
 
     let full_trace = trace_text(&full_sink.drain());
-    let journal_lines: Vec<String> =
-        std::fs::read_to_string(&journal_path).unwrap().lines().map(str::to_owned).collect();
+    let journal_text = std::fs::read_to_string(&journal_path).unwrap();
+    golden::pin("broker_golden", "drive.trace", &full_trace, 0x4359_beef_175a_d483);
+    golden::pin("broker_golden", "drive.journal", &journal_text, 0xeeb3_fc25_a6f1_47c1);
+    let journal_lines: Vec<String> = journal_text.lines().map(str::to_owned).collect();
     let ops = arcs_serve::load_journal(&journal_path).unwrap()[1..].to_vec();
     assert!(ops.len() > 10, "the scenario must journal a real op sequence");
 
@@ -204,9 +212,10 @@ fn recovery_chains_journal_to_journal() {
     let mid_counters = first.counters();
     drop(first); // "crash" with a job still in flight
 
+    let second_sink = Arc::new(VecSink::new());
     let mut second = Broker::recover(
         &first_path,
-        Arc::new(VecSink::new()) as Arc<dyn arcs_trace::TraceSink>,
+        second_sink.clone() as Arc<dyn arcs_trace::TraceSink>,
         Some(BrokerJournal::create(&second_path).unwrap()),
     )
     .unwrap();
@@ -216,6 +225,16 @@ fn recovery_chains_journal_to_journal() {
     let final_counters = second.counters();
     assert_eq!(final_counters.completed, 2, "both generations' jobs complete");
     drop(second);
+    // The replayed prefix plus the second generation's own work, and the
+    // journal that re-recorded both (header, ops, lineage marker).
+    golden::pin(
+        "broker_golden",
+        "recovered.trace",
+        &trace_text(&second_sink.drain()),
+        0x7489_8f84_b3c7_a985,
+    );
+    let second_journal = std::fs::read_to_string(&second_path).unwrap();
+    golden::pin("broker_golden", "recovered.journal", &second_journal, 0xb0a0_449d_f57b_1b89);
 
     // The second journal alone reconstructs the final state: its header
     // replay includes everything the first journal contributed.
@@ -241,6 +260,7 @@ fn chaos_to_idle(
     nodes: usize,
     max_queue: Option<usize>,
     seed: u64,
+    journal: Option<BrokerJournal>,
 ) -> (arcs_serve::BrokerCounters, Vec<TraceRecord>) {
     let sink = Arc::new(VecSink::new());
     let mut cfg = BrokerConfig::new(110.0 * nodes as f64);
@@ -252,6 +272,9 @@ fn chaos_to_idle(
         cfg,
         sink.clone() as Arc<dyn arcs_trace::TraceSink>,
     );
+    if let Some(journal) = journal {
+        broker.attach_journal(journal);
+    }
     let mut rng = seed;
     for i in 0..jobs {
         rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -269,6 +292,34 @@ fn chaos_to_idle(
     }
     broker.run_until_idle();
     (broker.counters(), sink.drain())
+}
+
+/// One chaos run where every resilience path fires — crash requeues with
+/// backoff, free drain requeues, shedding, a retry budget running out —
+/// held byte-equal across commits, trace and write-ahead journal both.
+#[test]
+fn a_chaos_run_to_idle_is_pinned_across_commits() {
+    let dir = temp_dir("pinned");
+    let journal_path = dir.join("chaos.journal.jsonl");
+    let plan = NodeFaultPlan {
+        seed: 3,
+        start_s: 0.2,
+        mtbf_s: 0.03,
+        mttr_s: 0.02,
+        drain_rate: 0.3,
+        permanent_rate: 0.02,
+        max_faults_per_node: 80,
+    };
+    let journal = BrokerJournal::create(&journal_path).unwrap();
+    let (c, records) = chaos_to_idle(plan, 24, 2, Some(4), 42, Some(journal));
+    let kinds: Vec<&str> = records.iter().map(|r| r.event.kind()).collect();
+    for kind in ["NodeFailed", "NodeRecovered", "JobRequeued", "JobShed", "JobFailed"] {
+        assert!(kinds.contains(&kind), "the cell must exercise {kind}: {c:?}");
+    }
+    golden::pin("broker_golden", "chaos.trace", &trace_text(&records), 0x1f9a_767c_5b10_6134);
+    let journal_text = std::fs::read_to_string(&journal_path).unwrap();
+    golden::pin("broker_golden", "chaos.journal", &journal_text, 0x6906_5365_9d42_736d);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {
@@ -299,7 +350,7 @@ proptest! {
             permanent_rate,
             max_faults_per_node: max_faults,
         };
-        let (c, records) = chaos_to_idle(plan, jobs, nodes, bound_queue, arrivals);
+        let (c, records) = chaos_to_idle(plan, jobs, nodes, bound_queue, arrivals, None);
 
         // Every job is accounted for, nothing is still in flight.
         prop_assert_eq!(c.queued, 0);
