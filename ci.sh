@@ -59,8 +59,8 @@ fi
 # published schema (--check exits non-zero otherwise) plus a Chrome trace.
 trace_tmp="$(mktemp -d)"
 trap 'rm -rf "$trace_tmp"' EXIT
-sim trace --workload sp.B --cap 80 --strategy nelder-mead --timesteps 6 \
-    --out "$trace_tmp/sp.trace.jsonl" --chrome "$trace_tmp/sp.trace.chrome.json" --check
+sim run --workload sp.B --cap 80 --timesteps 6 \
+    --trace "$trace_tmp/sp.trace.jsonl" --chrome "$trace_tmp/sp.trace.chrome.json" --check
 test -s "$trace_tmp/sp.trace.jsonl"
 test -s "$trace_tmp/sp.trace.chrome.json"
 
@@ -68,8 +68,8 @@ test -s "$trace_tmp/sp.trace.chrome.json"
 # fixed-seed cell run twice must produce identical analysis reports and
 # pass `compare` at a 0% threshold. Any nondeterminism, trace drift, or
 # analysis regression fails here.
-sim trace --workload sp.B --cap 80 --strategy nelder-mead --timesteps 6 \
-    --out "$trace_tmp/sp.trace2.jsonl"
+sim run --workload sp.B --cap 80 --timesteps 6 \
+    --trace "$trace_tmp/sp.trace2.jsonl"
 sim report "$trace_tmp/sp.trace.jsonl" --format json --out "$trace_tmp/base.json"
 sim report "$trace_tmp/sp.trace2.jsonl" --format json --out "$trace_tmp/cand.json"
 sim compare "$trace_tmp/base.json" "$trace_tmp/cand.json" \
@@ -77,8 +77,8 @@ sim compare "$trace_tmp/base.json" "$trace_tmp/cand.json" \
 test -s "$trace_tmp/bench_smoke.json"
 # The gate must also *fire*: the same cell throttled to 60 W is clearly
 # slower, so comparing it against the 80 W baseline has to exit nonzero.
-sim trace --workload sp.B --cap 60 --strategy nelder-mead --timesteps 6 \
-    --out "$trace_tmp/sp.slow.jsonl"
+sim run --workload sp.B --cap 60 --timesteps 6 \
+    --trace "$trace_tmp/sp.slow.jsonl"
 sim report "$trace_tmp/sp.slow.jsonl" --format json --out "$trace_tmp/slow.json"
 if sim compare "$trace_tmp/base.json" "$trace_tmp/slow.json" --fail-on 5 \
     > /dev/null 2>&1; then
@@ -89,10 +89,10 @@ fi
 # Energy-objective gate smoke: the same fixed-seed cell scored by energy,
 # run twice, must produce identical reports and pass `compare --objective
 # energy` at a 0% threshold.
-sim trace --workload sp.B --cap 80 --strategy nelder-mead --timesteps 6 \
-    --objective energy --out "$trace_tmp/sp.energy.jsonl"
-sim trace --workload sp.B --cap 80 --strategy nelder-mead --timesteps 6 \
-    --objective energy --out "$trace_tmp/sp.energy2.jsonl"
+sim run --workload sp.B --cap 80 --timesteps 6 \
+    --objective energy --trace "$trace_tmp/sp.energy.jsonl"
+sim run --workload sp.B --cap 80 --timesteps 6 \
+    --objective energy --trace "$trace_tmp/sp.energy2.jsonl"
 sim report "$trace_tmp/sp.energy.jsonl" --format json --out "$trace_tmp/ebase.json"
 sim report "$trace_tmp/sp.energy2.jsonl" --format json --out "$trace_tmp/ecand.json"
 sim compare "$trace_tmp/ebase.json" "$trace_tmp/ecand.json" \
@@ -103,8 +103,8 @@ test -s "$trace_tmp/bench_energy_smoke.json"
 # the throttled cell regresses on energy-delay product, not raw energy:
 # same joules drawn over a visibly longer run. Re-scoring the 60 W cell
 # against the 80 W baseline by EDP has to exit nonzero.
-sim trace --workload sp.B --cap 60 --strategy nelder-mead --timesteps 6 \
-    --objective energy --out "$trace_tmp/sp.energy.slow.jsonl"
+sim run --workload sp.B --cap 60 --timesteps 6 \
+    --objective energy --trace "$trace_tmp/sp.energy.slow.jsonl"
 sim report "$trace_tmp/sp.energy.slow.jsonl" --format json --out "$trace_tmp/eslow.json"
 if sim compare "$trace_tmp/ebase.json" "$trace_tmp/eslow.json" \
     --objective edp --fail-on 5 > /dev/null 2>&1; then
@@ -113,9 +113,9 @@ if sim compare "$trace_tmp/ebase.json" "$trace_tmp/eslow.json" \
 fi
 
 # Paper artefacts: `results/<id>.txt` is generated output. Regenerate all
-# 18 from the registry and byte-compare each against the checked-in file.
+# 19 from the registry and byte-compare each against the checked-in file.
 sim fig --all --out "$trace_tmp/fig"
-test "$(ls "$trace_tmp/fig" | wc -l)" = 18
+test "$(ls "$trace_tmp/fig" | wc -l)" = 19
 for fig in "$trace_tmp"/fig/*.txt; do
     cmp "$fig" "results/$(basename "$fig")"
 done
@@ -134,38 +134,25 @@ for workload in sweep-irregular sweep-regular serve-inproc serve-durable; do
 done
 (cd benchmarks && cargo test --offline)
 
-# Scheduling-policy portfolio cell: on the Monte-Carlo workload the
-# adaptive ladder must actually fire and land between the fixed-policy
-# extremes (--check exits nonzero unless adaptive switched, is within 10%
-# of the best fixed policy, and beats the worst by ≥10%) — and the ladder
-# decisions are deterministic, so two same-spec adaptive traces must be
-# byte-identical.
-sim schedule --workload mc.B --cap 115 --check \
-    --out "$trace_tmp/sched_a.jsonl" | tee "$trace_tmp/sched.txt"
-grep -q "mc/cycle_tracking: static -> trapezoid" "$trace_tmp/sched.txt"
-sim schedule --workload mc.B --cap 115 \
-    --out "$trace_tmp/sched_b.jsonl" > /dev/null
-cmp "$trace_tmp/sched_a.jsonl" "$trace_tmp/sched_b.jsonl"
-
 # Chaos smoke: the paper-facing fault scenario (ARCS-Online LULESH at
-# 60 W under flaky-rapl) must self-heal and complete (--check exits
-# nonzero if no fault fired), and the fault schedule is part of the
-# determinism contract — the injected count is pinned.
-sim chaos --workload lulesh --cap 60 --plan flaky-rapl --seed 7 \
-    --timesteps 40 --check | tee "$trace_tmp/chaos.txt"
+# 60 W under flaky-rapl) must self-heal and complete, and the fault
+# schedule is part of the determinism contract — the injected count is
+# pinned.
+sim run --workload lulesh --cap 60 --plan flaky-rapl --seed 7 \
+    --timesteps 40 | tee "$trace_tmp/chaos.txt"
 grep -q "injected 216 fault(s)" "$trace_tmp/chaos.txt"
 # The negative contract must also *fire*: without an error budget a
 # hard RAPL outage is a typed run error, so the command exits nonzero.
-if sim chaos --workload sp.B --cap 70 --plan rapl-outage --seed 3 \
+if sim run --workload sp.B --cap 70 --plan rapl-outage --seed 3 \
     --timesteps 20 --budget none > /dev/null 2>&1; then
     echo "unbudgeted rapl-outage failed to surface as an error" >&2
     exit 1
 fi
 # Determinism: two same-seed chaos runs must write byte-identical traces.
-sim chaos --workload lulesh --cap 60 --plan flaky-rapl --seed 7 \
-    --timesteps 40 --out "$trace_tmp/chaos_a.jsonl" > /dev/null
-sim chaos --workload lulesh --cap 60 --plan flaky-rapl --seed 7 \
-    --timesteps 40 --out "$trace_tmp/chaos_b.jsonl" > /dev/null
+sim run --workload lulesh --cap 60 --plan flaky-rapl --seed 7 \
+    --timesteps 40 --trace "$trace_tmp/chaos_a.jsonl" > /dev/null
+sim run --workload lulesh --cap 60 --plan flaky-rapl --seed 7 \
+    --timesteps 40 --trace "$trace_tmp/chaos_b.jsonl" > /dev/null
 cmp "$trace_tmp/chaos_a.jsonl" "$trace_tmp/chaos_b.jsonl"
 
 # Replay dashboard golden: reconstructing the dashboard from the pinned

@@ -1,8 +1,8 @@
 //! `arcs-sim compare`: the perf-regression gate. Both inputs are JSON
 //! reports produced by `arcs-sim report --format json`.
 
-use crate::flags::Flags;
 use crate::write_or_exit;
+use arcs::cli::Flags;
 use arcs::Objective;
 use arcs_metrics::TraceReport;
 use std::path::PathBuf;

@@ -3,8 +3,8 @@
 //! figure under `--out DIR` (`fig --all --out results` rewrites the
 //! checked-in files).
 
-use crate::flags::Flags;
 use crate::write_or_exit;
+use arcs::cli::Flags;
 use arcs_bench::{Figure, FIGURES};
 use std::io::Write;
 use std::path::PathBuf;

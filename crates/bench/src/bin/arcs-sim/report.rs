@@ -2,8 +2,8 @@
 //! engine and render per-region, convergence, cache and overhead views.
 //! The output is a pure function of the trace file.
 
-use crate::flags::Flags;
 use crate::write_or_exit;
+use arcs::cli::Flags;
 use arcs::Objective;
 use std::path::PathBuf;
 use std::process::exit;

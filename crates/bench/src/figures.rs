@@ -161,6 +161,14 @@ pub const FIGURES: &[Figure] = &[
                 at many scales: coarse levels are pure overhead under ARCS)",
         body: sweeps::extension_suite,
     },
+    Figure {
+        id: "extension_schedule",
+        title: "Extension: scheduling-policy portfolio",
+        claim: "beyond the paper's static/dynamic/guided axis — trapezoid, factoring and \
+                AWF as fixed policies, and an adaptive ladder that escalates a region's \
+                policy mid-run when its measured imbalance persists",
+        body: extensions::schedule,
+    },
 ];
 
 /// The four tuned SP regions (Table II, Figs. 3 and 5, the noise study).

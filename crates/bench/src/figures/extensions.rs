@@ -1,17 +1,22 @@
 //! Experiments beyond the paper's evaluation: the §VII future-work items
-//! (selective tuning, DVFS) and the measurement-noise study.
+//! (selective tuning, DVFS), the measurement-noise study and the
+//! scheduling-policy portfolio.
 
 use super::SP_REGIONS;
 use crate::{f3, power_label, print_table, region_model, region_oracle, POWER_LEVELS};
 use arcs::dvfs::{tune_region, DvfsOutcome, Objective};
 use arcs::{
-    runs, ConfigSpace, OmpConfig, RegionTuner, SimExecutor, TunableSpace, TunerOptions, TuningMode,
+    runs, AppRunReport, ConfigSpace, OmpConfig, RegionTuner, Runner, SimExecutor, TunableSpace,
+    TunerOptions, TuningMode,
 };
 use arcs_harmony::{NmOptions, ProOptions};
 use arcs_kernels::{model, Class};
+use arcs_omprt::{Schedule, ScheduleKind};
 use arcs_powersim::{simulate_region_at_freq, Machine, SimReport};
+use arcs_trace::{TraceEvent, VecSink};
 use std::collections::BTreeSet;
 use std::io::{self, Write};
+use std::sync::Arc;
 
 /// Ablations beyond the paper's evaluation:
 /// 1. selective tuning (the paper's future work) on LULESH/Crill;
@@ -212,4 +217,43 @@ pub fn noise(out: &mut dyn Write) -> io::Result<()> {
          {worst_ratio:.3} ({:+.1}%) — the diversity costs little, as on the paper's machines.",
         (worst_ratio / clean_ratio - 1.0) * 100.0
     )
+}
+
+/// Extension: the scheduling-policy portfolio bake-off on MC.B (Crill,
+/// TDP, every hardware thread) — one run per fixed policy of
+/// [`ScheduleKind::ALL`] (Table-I order, default chunk), then the default
+/// configuration with [`Runner::adaptive_schedule`] escalating mid-run,
+/// and every ladder decision it took.
+pub fn schedule(out: &mut dyn Write) -> io::Result<()> {
+    let m = Machine::crill();
+    let (wl, cap, threads) = (model::mc(Class::B), 115.0, m.hw_threads());
+    let row = |policy: &str, rep: &AppRunReport| {
+        let edp = rep.energy_j * rep.time_s;
+        format!("  {policy:10} {:9.3}s {:9.0}J  edp {edp:11.1}", rep.time_s, rep.energy_j)
+    };
+    let (name, machine) = (&wl.name, &m.name);
+    writeln!(out, "\nschedule portfolio: {name} on {machine} at {cap:.0}W, {threads} threads")?;
+    for kind in ScheduleKind::ALL {
+        let cfg = OmpConfig { threads, schedule: Schedule::new(kind, None) };
+        let rep = SimExecutor::new(m.clone(), cap).run_fixed(&wl, &|_| cfg, kind.name());
+        writeln!(out, "{}", row(kind.name(), &rep))?;
+    }
+    let sink = Arc::new(VecSink::new());
+    let adaptive = Runner::new(&mut SimExecutor::new(m.clone(), cap))
+        .workload(&wl)
+        .adaptive_schedule(true)
+        .trace(sink.clone())
+        .run()
+        .expect("workload is set");
+    let mut switches = Vec::new();
+    for r in sink.drain() {
+        if let TraceEvent::PolicySwitched { region, from, to, invocation, imbalance } = r.event {
+            let at = format!("at invocation {invocation} (imbalance {imbalance:.3})");
+            switches.push(format!("    {region}: {from} -> {to} {at}"));
+        }
+    }
+    let (n, overhead_s) = (switches.len(), adaptive.config_change_overhead_s);
+    let summary = format!("({n} switch(es), {overhead_s:.3}s overhead)");
+    writeln!(out, "{}  {summary}", row("adaptive", &adaptive))?;
+    switches.iter().try_for_each(|s| writeln!(out, "{s}"))
 }

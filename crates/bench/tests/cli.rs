@@ -1,6 +1,10 @@
-//! The `arcs-sim` command-line contract: every malformed invocation is a
-//! usage error (exit 2, that subcommand's usage on stderr), the retired
-//! bench path is gone, and `fig` prints and writes the checked-in bytes.
+//! The `arcs-sim` command-line contract: four verbs, every malformed
+//! invocation is a usage error (exit 2, that verb's usage on stderr), the
+//! retired subcommands are gone, `run` reproduces the bytes they printed,
+//! and `fig` prints and writes the checked-in bytes.
+
+#[path = "../../../tests/golden/mod.rs"]
+mod golden;
 
 use arcs_bench::FIGURES;
 use std::path::{Path, PathBuf};
@@ -14,37 +18,35 @@ fn results_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
 }
 
-const APP: &str = "usage: arcs-sim <bt|sp|lulesh|mc>";
-const TRACE: &str = "usage: arcs-sim trace";
-const SCHEDULE: &str = "usage: arcs-sim schedule";
-const CHAOS: &str = "usage: arcs-sim chaos";
+const VERBS: &str = "usage: arcs-sim <run|fig|report|compare>";
+const RUN: &str = "usage: arcs-sim run";
 const REPORT: &str = "usage: arcs-sim report";
 const COMPARE: &str = "usage: arcs-sim compare";
 const FIG: &str = "usage: arcs-sim fig";
 
-/// (arguments, the usage line stderr must carry). Per subcommand: an
-/// unknown flag, a flag missing its value, an unparsable value.
+/// (arguments, the usage line stderr must carry). Per verb: an unknown
+/// flag, a flag missing its value, an unparsable value.
 const USAGE_ERRORS: &[(&[&str], &str)] = &[
-    (&[], APP),
-    (&["nosuch"], APP),
-    (&["sp", "--nope"], APP),
-    (&["sp", "--cap"], APP),
-    (&["sp", "--cap", "abc"], APP),
-    (&["sp", "--class", "Q"], APP),
-    (&["sp", "--timesteps", "2", "--strategy", "nelder-mead"], APP),
-    (&["trace", "--nope"], TRACE),
-    (&["trace", "--cap"], TRACE),
-    (&["trace", "--cap", "abc"], TRACE),
-    (&["trace", "--objective", "speed"], TRACE),
-    (&["trace", "--timesteps", "2", "--strategy", "online"], TRACE),
-    (&["schedule", "--nope"], SCHEDULE),
-    (&["schedule", "--threads"], SCHEDULE),
-    (&["schedule", "--threads", "many"], SCHEDULE),
-    (&["chaos", "--nope"], CHAOS),
-    (&["chaos", "--seed"], CHAOS),
-    (&["chaos", "--seed", "x"], CHAOS),
-    (&["chaos", "--budget", "x"], CHAOS),
-    (&["chaos", "--plan", "nosuch"], CHAOS),
+    (&[], VERBS),
+    (&["nosuch"], VERBS),
+    // The retired subcommands are usage errors now, not aliases.
+    (&["trace", "--workload", "sp.B"], VERBS),
+    (&["chaos", "--plan", "flaky-rapl"], VERBS),
+    (&["schedule", "--workload", "mc.B"], VERBS),
+    (&["sp", "--class", "B", "--cap", "85"], VERBS),
+    (&["run", "--nope"], RUN),
+    (&["run", "--cap"], RUN),
+    (&["run", "--cap", "abc"], RUN),
+    (&["run", "--objective", "speed"], RUN),
+    (&["run", "--workload", "nosuch"], RUN),
+    (&["run", "--class", "B"], RUN),
+    (&["run", "--strategy", "nelder-mead"], RUN),
+    (&["run", "--strategy", "offline-pro"], RUN),
+    (&["run", "--strategy", "online", "--load-history", "h.json"], RUN),
+    (&["run", "--strategy", "default", "--save-history", "h.json"], RUN),
+    (&["run", "--seed", "7"], RUN),
+    (&["run", "--plan", "nosuch"], RUN),
+    (&["run", "--plan", "flaky-rapl", "--budget", "x"], RUN),
     (&["report"], REPORT),
     (&["report", "t.jsonl", "--nope"], REPORT),
     (&["report", "t.jsonl", "--out"], REPORT),
@@ -54,11 +56,10 @@ const USAGE_ERRORS: &[(&[&str], &str)] = &[
     (&["compare", "a.json", "b.json", "--nope"], COMPARE),
     (&["compare", "a.json", "b.json", "--fail-on"], COMPARE),
     (&["compare", "a.json", "b.json", "--fail-on", "x"], COMPARE),
-    // The superseded bench path is a usage error now, not a subcommand
-    // (the retired flag is spelled in halves so a tree-wide grep for it
-    // stays empty).
-    (&["bench"], APP),
-    (&["bench", "--runs", "2"], APP),
+    // The superseded bench path is a usage error too (the retired flag is
+    // spelled in halves so a tree-wide grep for it stays empty).
+    (&["bench"], VERBS),
+    (&["bench", "--runs", "2"], VERBS),
     (&["compare", "a.json", "b.json", concat!("--fail-on-", "throughput"), "30"], COMPARE),
     (&["fig"], FIG),
     (&["fig", "--nope"], FIG),
@@ -111,7 +112,7 @@ fn fig_all_writes_one_file_per_figure() {
     written.sort();
     let mut expected: Vec<String> = FIGURES.iter().map(|f| format!("{}.txt", f.id)).collect();
     expected.sort();
-    assert_eq!(written.len(), 18);
+    assert_eq!(written.len(), 19);
     assert_eq!(written, expected);
     for name in &written {
         let (new, old) = (std::fs::read(dir.join(name)), std::fs::read(results_dir().join(name)));
@@ -171,4 +172,138 @@ fn compare_of_a_report_with_itself_prints_the_checked_in_bytes() {
         std::fs::read(&artefact).expect("--out wrote the artefact"),
         std::fs::read(golden("compare_v8_self.json")).expect("checked-in golden")
     );
+}
+
+/// What a pin holds a `run` cell's output to.
+#[derive(Clone, Copy, Debug)]
+enum Part {
+    /// The whole `--trace` JSONL.
+    Trace,
+    /// The trace without its final `CacheStats` record, which `chaos`
+    /// and `schedule --out` never wrote.
+    TraceBeforeCacheStats,
+    Stdout,
+    /// The `injected …`, `recovered: …` and `status …` lines.
+    FaultLines,
+}
+
+/// (cell, the retired invocation, its `run` equivalent, pinned parts).
+type Cell = (&'static str, &'static str, &'static str, &'static [(Part, u64)]);
+
+/// Every pinned hash is the FNV-1a of what the `arcs-sim` of commit
+/// `2c25bed` — the last with `trace`, `chaos`, `schedule` and `<app>` —
+/// printed for the invocation in the second column.
+const RETIRED: &[Cell] = &[
+    (
+        "trace.default",
+        "trace --workload sp.B --cap 80 --strategy default --timesteps 6",
+        "run --workload sp.B --cap 80 --strategy default --timesteps 6",
+        &[(Part::Trace, 0x87ab_27d4_e882_b438)],
+    ),
+    (
+        "trace.nelder-mead",
+        "trace --workload sp.B --cap 80 --strategy nelder-mead --timesteps 6",
+        "run --workload sp.B --cap 80 --strategy online --timesteps 6",
+        &[(Part::Trace, 0x5403_1bfd_23fc_be95)],
+    ),
+    (
+        "trace.pro",
+        "trace --workload sp.B --cap 80 --strategy pro --timesteps 6",
+        "run --workload sp.B --cap 80 --strategy pro --timesteps 6",
+        &[(Part::Trace, 0x788a_13d1_7316_a04d)],
+    ),
+    (
+        "trace.exhaustive",
+        "trace --workload sp.B --cap 80 --strategy exhaustive --timesteps 6",
+        "run --workload sp.B --cap 80 --strategy exhaustive --timesteps 6",
+        &[(Part::Trace, 0x1742_b84a_3dd7_711f)],
+    ),
+    (
+        "trace.nelder-mead-energy",
+        "trace --workload sp.B --cap 80 --strategy nelder-mead --objective energy --timesteps 6",
+        "run --workload sp.B --cap 80 --objective energy --timesteps 6",
+        &[(Part::Trace, 0xfe79_12ae_304e_f7e1)],
+    ),
+    (
+        "chaos.flaky-rapl",
+        "chaos --workload lulesh --cap 60 --plan flaky-rapl --seed 7 --timesteps 40",
+        "run --workload lulesh --cap 60 --plan flaky-rapl --seed 7 --timesteps 40",
+        &[
+            (Part::TraceBeforeCacheStats, 0xdf36_e0f9_2789_f94f),
+            (Part::FaultLines, 0x846a_abf7_95ee_8dca),
+        ],
+    ),
+    (
+        "chaos.cap-storm",
+        "chaos --workload lulesh --cap 60 --plan cap-storm --seed 7 --timesteps 40",
+        "run --workload lulesh --cap 60 --plan cap-storm --seed 7 --timesteps 40",
+        &[
+            (Part::TraceBeforeCacheStats, 0xd20f_fe19_6366_2e01),
+            (Part::FaultLines, 0xba4b_8758_6f83_0ae5),
+        ],
+    ),
+    (
+        "schedule",
+        "schedule --workload mc.B --cap 115 --out PATH",
+        "run --workload mc.B --cap 115 --strategy adaptive",
+        &[(Part::TraceBeforeCacheStats, 0x48fa_2650_e721_be34)],
+    ),
+    (
+        "app.sp-offline",
+        "sp --class B --cap 85 --strategy offline --timesteps 20 --json",
+        "run --workload sp.B --cap 85 --strategy offline --timesteps 20 --json",
+        &[(Part::Stdout, 0x07a8_474c_2a5e_96e3)],
+    ),
+    (
+        "app.lulesh-online",
+        "lulesh --strategy online --selective 0.03 --timesteps 20 --json",
+        "run --workload lulesh --strategy online --selective 0.03 --timesteps 20 --json",
+        &[(Part::Stdout, 0xfe72_2ac1_5294_44f4)],
+    ),
+];
+
+/// `run` emits, byte for byte, what each retired subcommand did. On a
+/// mismatch the output is left in `$TMPDIR/cli_golden.<cell>.<part>.jsonl`
+/// (see `tests/golden/mod.rs`).
+#[test]
+fn run_reproduces_the_retired_subcommands_bytes() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-retired");
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    for &(cell, retired, run, parts) in RETIRED {
+        let trace = dir.join(format!("{cell}.jsonl"));
+        let traced =
+            parts.iter().any(|(p, _)| matches!(p, Part::Trace | Part::TraceBeforeCacheStats));
+        let mut argv: Vec<&str> = run.split_whitespace().collect();
+        if traced {
+            argv.extend(["--trace", trace.to_str().expect("UTF-8 temp path")]);
+        }
+        let out = arcs_sim(&argv);
+        assert!(out.status.success(), "{argv:?}: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8(out.stdout).expect("UTF-8 stdout");
+        let jsonl = if traced {
+            std::fs::read_to_string(&trace).expect("--trace wrote")
+        } else {
+            String::new()
+        };
+        for &(part, expected) in parts {
+            let stream = match part {
+                Part::Trace => jsonl.clone(),
+                Part::TraceBeforeCacheStats => {
+                    let (head, last) = jsonl.trim_end().rsplit_once('\n').expect("two records");
+                    assert!(last.contains("\"CacheStats\""), "{cell}: ends with {last}");
+                    format!("{head}\n")
+                }
+                Part::Stdout => stdout.clone(),
+                Part::FaultLines => stdout
+                    .lines()
+                    .filter(|l| {
+                        ["injected ", "recovered: ", "status "].iter().any(|p| l.starts_with(p))
+                    })
+                    .map(|l| format!("{l}\n"))
+                    .collect(),
+            };
+            eprintln!("{cell}: `arcs-sim {retired}` ≡ `arcs-sim {}` ({part:?})", argv.join(" "));
+            golden::pin("cli_golden", &format!("{cell}.{part:?}"), &stream, expected);
+        }
+    }
 }

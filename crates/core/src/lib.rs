@@ -48,6 +48,7 @@
 
 pub mod backend;
 pub mod cap;
+pub mod cli;
 pub mod config;
 pub mod dvfs;
 pub mod executor;

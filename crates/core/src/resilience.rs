@@ -92,7 +92,7 @@ impl Default for ResilienceOptions {
 }
 
 impl ResilienceOptions {
-    /// The reference self-healing preset used by `arcs-sim chaos`:
+    /// The reference self-healing preset used by `arcs-sim run --plan`:
     /// 3 retries with 0.1 ms linear backoff, MAD-4 outlier rejection
     /// over a 16-score window, session restart after 6 rejections (at
     /// most twice, then freeze), and a 16-hard-fault budget before the

@@ -73,6 +73,12 @@ impl From<&Histogram> for Digest {
     }
 }
 
+/// The budget-conservation rule every reader applies: Σ allocations
+/// may top the budget only by float accumulation across reallocations.
+pub fn within_budget(allocated_w: f64, budget_w: f64) -> bool {
+    allocated_w <= budget_w * (1.0 + 1e-9) + 1e-9
+}
+
 /// One tenant's row in the dashboard.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TenantTelemetry {
@@ -388,7 +394,7 @@ impl BrokerFold {
                 let alloc_sum: f64 = allocations.iter().map(|a| a.cap_w).sum();
                 let total = total_w.max(alloc_sum);
                 self.report.max_total_w = self.report.max_total_w.max(total);
-                if total > budget_w * (1.0 + 1e-9) + 1e-9 {
+                if !within_budget(total, *budget_w) {
                     self.report.over_budget_events += 1;
                 }
                 let mut churn_w = 0.0;

@@ -37,7 +37,9 @@ pub use analysis::{
     RegionBreakdown, SelfProfile, TenantBreakdown, TraceAnalysis, TraceReadError, TraceReader,
     TraceReport,
 };
-pub use broker_fold::{BrokerFold, Digest, TelemetrySnapshot, TenantTelemetry, EVENT_PANE};
+pub use broker_fold::{
+    within_budget, BrokerFold, Digest, TelemetrySnapshot, TenantTelemetry, EVENT_PANE,
+};
 pub use registry::{
     BucketCount, Counter, CounterFamily, Gauge, GaugeFamily, Histogram, HistogramFamily,
     HistogramSummary, LabelId, MetricValue, MetricsRegistry, Snapshot, Timer,

@@ -33,6 +33,7 @@
 //! TCP and finishes with a draining `shutdown`; pair it with `verify`
 //! on the server's trace file.
 
+use arcs::cli::Flags;
 use arcs_metrics::analyze_path;
 use arcs_powersim::{Fleet, Machine};
 use arcs_serve::server::Client;
@@ -75,69 +76,6 @@ fn usage() -> ! {
          \x20      arcs-serve-loadgen verify TRACE.jsonl"
     );
     std::process::exit(2)
-}
-
-fn parse_args(argv: &[String]) -> Args {
-    let mut args = Args {
-        jobs: 1000,
-        tenants: 4,
-        nodes: 8,
-        machine: "crill".into(),
-        budget_w: None,
-        seed: 42,
-        quantum: 4,
-        reject_every: 97,
-        fault_every: 16,
-        max_fairness: 3.0,
-        out: None,
-        connect: None,
-        node_faults: None,
-        shed_target: None,
-    };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                usage()
-            })
-        };
-        match flag.as_str() {
-            "--jobs" => args.jobs = value("--jobs").parse().unwrap_or_else(|_| usage()),
-            "--tenants" => args.tenants = value("--tenants").parse().unwrap_or_else(|_| usage()),
-            "--nodes" => args.nodes = value("--nodes").parse().unwrap_or_else(|_| usage()),
-            "--machine" => args.machine = value("--machine"),
-            "--budget" => {
-                args.budget_w = Some(value("--budget").parse().unwrap_or_else(|_| usage()))
-            }
-            "--seed" => args.seed = value("--seed").parse().unwrap_or_else(|_| usage()),
-            "--quantum" => args.quantum = value("--quantum").parse().unwrap_or_else(|_| usage()),
-            "--reject-every" => {
-                args.reject_every = value("--reject-every").parse().unwrap_or_else(|_| usage())
-            }
-            "--fault-every" => {
-                args.fault_every = value("--fault-every").parse().unwrap_or_else(|_| usage())
-            }
-            "--max-fairness" => {
-                args.max_fairness = value("--max-fairness").parse().unwrap_or_else(|_| usage())
-            }
-            "--out" => args.out = Some(value("--out")),
-            "--connect" => args.connect = Some(value("--connect")),
-            "--node-faults" => args.node_faults = Some(value("--node-faults")),
-            "--shed-target" => {
-                args.shed_target = Some(value("--shed-target").parse().unwrap_or_else(|_| usage()))
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other:?}");
-                usage()
-            }
-        }
-    }
-    if args.tenants == 0 || args.jobs == 0 {
-        usage()
-    }
-    args
 }
 
 const WORKLOADS: [&str; 5] = ["sp.S", "bt.S", "cg.S", "ep.S", "mg.S"];
@@ -390,17 +328,53 @@ fn run_client(args: &Args, addr: &str) -> i32 {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let code = if argv.first().map(String::as_str) == Some("verify") {
-        match argv.get(1) {
-            Some(path) => verify_trace(path, &VerifyExpectations::none()),
-            None => usage(),
+    if argv.first().map(String::as_str) == Some("verify") {
+        let Some(path) = argv.get(1) else { usage() };
+        std::process::exit(verify_trace(path, &VerifyExpectations::none()))
+    }
+    let mut flags = Flags::new(&argv, usage);
+    let mut args = Args {
+        jobs: 1000,
+        tenants: 4,
+        nodes: 8,
+        machine: "crill".into(),
+        budget_w: None,
+        seed: 42,
+        quantum: 4,
+        reject_every: 97,
+        fault_every: 16,
+        max_fairness: 3.0,
+        out: None,
+        connect: None,
+        node_faults: None,
+        shed_target: None,
+    };
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--jobs" => args.jobs = flags.value("--jobs"),
+            "--tenants" => args.tenants = flags.value("--tenants"),
+            "--nodes" => args.nodes = flags.value("--nodes"),
+            "--machine" => args.machine = flags.value("--machine"),
+            "--budget" => args.budget_w = Some(flags.value("--budget")),
+            "--seed" => args.seed = flags.value("--seed"),
+            "--quantum" => args.quantum = flags.value("--quantum"),
+            "--reject-every" => args.reject_every = flags.value("--reject-every"),
+            "--fault-every" => args.fault_every = flags.value("--fault-every"),
+            "--max-fairness" => args.max_fairness = flags.value("--max-fairness"),
+            "--out" => args.out = Some(flags.value("--out")),
+            "--connect" => args.connect = Some(flags.value("--connect")),
+            "--node-faults" => args.node_faults = Some(flags.value("--node-faults")),
+            "--shed-target" => args.shed_target = Some(flags.value("--shed-target")),
+            "--help" | "-h" => usage(),
+            other => flags.unknown(other),
         }
-    } else {
-        let args = parse_args(&argv);
-        match &args.connect {
-            Some(addr) => run_client(&args, &addr.clone()),
-            None => run_in_process(&args),
-        }
+    }
+    if args.tenants == 0 || args.jobs == 0 {
+        usage()
+    }
+    let code = match &args.connect {
+        Some(addr) => run_client(&args, addr),
+        None => run_in_process(&args),
     };
     std::process::exit(code)
 }

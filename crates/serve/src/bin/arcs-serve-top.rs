@@ -19,10 +19,13 @@
 //! (schema v5+) without a server: a pure function of the file, so
 //! `--replay --once --format json` is byte-identical across runs.
 //!
-//! `--check-budget` turns the conservation invariant into an exit code:
-//! any frame with `allocated_w > budget_w` fails the run.
+//! `--check-budget` turns the conservation invariant
+//! ([`arcs_metrics::within_budget`]) into an exit code: a live frame that
+//! breaks it, or a replayed trace whose fold counted an over-budget
+//! reallocation, fails the run.
 
-use arcs_metrics::{BrokerFold, TraceReader};
+use arcs::cli::Flags;
+use arcs_metrics::{within_budget, BrokerFold, TraceReader};
 use arcs_serve::TelemetrySnapshot;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -51,60 +54,6 @@ fn usage() -> ! {
          \x20                     [--check-budget]"
     );
     std::process::exit(2)
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        connect: None,
-        replay: None,
-        every: 1,
-        snapshots: None,
-        once: false,
-        format: Format::Table,
-        check_budget: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                usage()
-            })
-        };
-        match flag.as_str() {
-            "--connect" => args.connect = Some(value("--connect")),
-            "--replay" => args.replay = Some(value("--replay")),
-            "--every" => args.every = value("--every").parse().unwrap_or_else(|_| usage()),
-            "--snapshots" => {
-                args.snapshots = Some(value("--snapshots").parse().unwrap_or_else(|_| usage()))
-            }
-            "--once" => args.once = true,
-            "--format" => match value("--format").as_str() {
-                "table" => args.format = Format::Table,
-                "json" => args.format = Format::Json,
-                _ => usage(),
-            },
-            "--check-budget" => args.check_budget = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other:?}");
-                usage()
-            }
-        }
-    }
-    if args.connect.is_some() == args.replay.is_some() {
-        eprintln!("exactly one of --connect or --replay is required");
-        usage()
-    }
-    args
-}
-
-/// The conservation invariant as an exit code (small tolerance for
-/// float accumulation across reallocations). A zero budget means the
-/// frame predates the first `CapReallocated` record — replay has no
-/// budget reference yet, so there is nothing to check.
-fn check_budget(allocated_w: f64, budget_w: f64) -> bool {
-    budget_w <= 0.0 || allocated_w <= budget_w + 1e-6
 }
 
 fn bar(fill: f64, width: usize) -> String {
@@ -213,24 +162,9 @@ fn run_replay(args: &Args) -> i32 {
         }
     };
     let mut fold = BrokerFold::new();
-    let mut violation = false;
     for rec in reader {
         match rec {
-            Ok(rec) => {
-                fold.apply_record(&rec);
-                // A placement and the reallocation it triggers are one
-                // atomic step in the live broker but two trace records;
-                // the invariant only holds at reallocation boundaries.
-                // Only the boundary is read off the record — what is
-                // allocated is the fold's to say.
-                let settled = rec.event.kind() == "CapReallocated";
-                if args.check_budget
-                    && settled
-                    && !check_budget(fold.allocated_w(), fold.budget_w())
-                {
-                    violation = true;
-                }
-            }
+            Ok(rec) => fold.apply_record(&rec),
             Err(err) => {
                 eprintln!("bad trace record in {path:?}: {err}");
                 return 1;
@@ -238,8 +172,9 @@ fn run_replay(args: &Args) -> i32 {
         }
     }
     render(&fold.snapshot(), args.format, false);
-    if violation {
-        eprintln!("budget violated: some frame allocated more than the budget");
+    let over = fold.broker_report().over_budget_events;
+    if args.check_budget && over != 0 {
+        eprintln!("budget violated: {over} reallocation(s) allocated more than the budget");
         return 1;
     }
     0
@@ -280,7 +215,7 @@ fn run_live(args: &Args) -> i32 {
                 return 1;
             }
         };
-        if args.check_budget && !check_budget(snap.allocated_w, snap.budget_w) {
+        if args.check_budget && !within_budget(snap.allocated_w, snap.budget_w) {
             render(&snap, args.format, false);
             eprintln!(
                 "budget violated at t={:.3}s: allocated {:.3} W > budget {:.3} W",
@@ -299,7 +234,38 @@ fn run_live(args: &Args) -> i32 {
 }
 
 fn main() {
-    let args = parse_args();
+    let mut args = Args {
+        connect: None,
+        replay: None,
+        every: 1,
+        snapshots: None,
+        once: false,
+        format: Format::Table,
+        check_budget: false,
+    };
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut flags = Flags::new(&argv, usage);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--connect" => args.connect = Some(flags.value("--connect")),
+            "--replay" => args.replay = Some(flags.value("--replay")),
+            "--every" => args.every = flags.value("--every"),
+            "--snapshots" => args.snapshots = Some(flags.value("--snapshots")),
+            "--once" => args.once = true,
+            "--format" => match flags.value::<String>("--format").as_str() {
+                "table" => args.format = Format::Table,
+                "json" => args.format = Format::Json,
+                _ => usage(),
+            },
+            "--check-budget" => args.check_budget = true,
+            "--help" | "-h" => usage(),
+            other => flags.unknown(other),
+        }
+    }
+    if args.connect.is_some() == args.replay.is_some() {
+        eprintln!("exactly one of --connect or --replay is required");
+        usage()
+    }
     let code = if args.replay.is_some() { run_replay(&args) } else { run_live(&args) };
     std::process::exit(code)
 }

@@ -23,26 +23,12 @@
 //! a deterministic node-outage schedule: a preset name (`node-crash`,
 //! `node-flap`, `node-drain`, optionally `:SEED`) or a full JSON plan.
 
+use arcs::cli::Flags;
 use arcs_powersim::{Fleet, Machine};
 use arcs_serve::{Broker, BrokerConfig, BrokerJournal, Server};
 use arcs_trace::{JsonlSink, NullSink, TraceSink};
 use std::path::Path;
 use std::sync::Arc;
-
-struct Args {
-    port: u16,
-    nodes: usize,
-    machine: String,
-    budget_w: Option<f64>,
-    quantum: usize,
-    trace: Option<String>,
-    pool: usize,
-    journal: Option<String>,
-    recover: Option<String>,
-    max_queue: Option<usize>,
-    max_retries: Option<u64>,
-    node_faults: Option<String>,
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -55,63 +41,40 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        port: 0,
-        nodes: 4,
-        machine: "crill".into(),
-        budget_w: None,
-        quantum: 4,
-        trace: None,
-        pool: 4,
-        journal: None,
-        recover: None,
-        max_queue: None,
-        max_retries: None,
-        node_faults: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                usage()
-            })
-        };
-        match flag.as_str() {
-            "--port" => args.port = value("--port").parse().unwrap_or_else(|_| usage()),
-            "--nodes" => args.nodes = value("--nodes").parse().unwrap_or_else(|_| usage()),
-            "--machine" => args.machine = value("--machine"),
-            "--budget" => {
-                args.budget_w = Some(value("--budget").parse().unwrap_or_else(|_| usage()))
-            }
-            "--quantum" => args.quantum = value("--quantum").parse().unwrap_or_else(|_| usage()),
-            "--trace" => args.trace = Some(value("--trace")),
-            "--pool" => args.pool = value("--pool").parse().unwrap_or_else(|_| usage()),
-            "--journal" => args.journal = Some(value("--journal")),
-            "--recover" => args.recover = Some(value("--recover")),
-            "--max-queue" => {
-                args.max_queue = Some(value("--max-queue").parse().unwrap_or_else(|_| usage()))
-            }
-            "--max-retries" => {
-                args.max_retries = Some(value("--max-retries").parse().unwrap_or_else(|_| usage()))
-            }
-            "--node-faults" => args.node_faults = Some(value("--node-faults")),
+fn main() {
+    let mut port: u16 = 0;
+    let (mut nodes, mut quantum, mut pool): (usize, usize, usize) = (4, 4, 4);
+    let mut machine = "crill".to_string();
+    let mut budget_w: Option<f64> = None;
+    let mut trace: Option<String> = None;
+    let mut journal: Option<String> = None;
+    let mut recover: Option<String> = None;
+    let mut max_queue: Option<usize> = None;
+    let mut max_retries: Option<u64> = None;
+    let mut node_faults: Option<String> = None;
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut flags = Flags::new(&argv, usage);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--port" => port = flags.value("--port"),
+            "--nodes" => nodes = flags.value("--nodes"),
+            "--machine" => machine = flags.value("--machine"),
+            "--budget" => budget_w = Some(flags.value("--budget")),
+            "--quantum" => quantum = flags.value("--quantum"),
+            "--trace" => trace = Some(flags.value("--trace")),
+            "--pool" => pool = flags.value("--pool"),
+            "--journal" => journal = Some(flags.value("--journal")),
+            "--recover" => recover = Some(flags.value("--recover")),
+            "--max-queue" => max_queue = Some(flags.value("--max-queue")),
+            "--max-retries" => max_retries = Some(flags.value("--max-retries")),
+            "--node-faults" => node_faults = Some(flags.value("--node-faults")),
             "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other:?}");
-                usage()
-            }
+            other => flags.unknown(other),
         }
     }
-    args
-}
-
-fn main() {
-    let args = parse_args();
     // Kept concrete (not just `dyn TraceSink`) so the write-error
     // counter bridge below can reach the sink after broker attach.
-    let jsonl: Option<Arc<JsonlSink<std::fs::File>>> = args.trace.as_ref().map(|path| {
+    let jsonl: Option<Arc<JsonlSink<std::fs::File>>> = trace.as_ref().map(|path| {
         Arc::new(JsonlSink::create(path).unwrap_or_else(|err| {
             eprintln!("cannot open trace {path:?}: {err}");
             std::process::exit(1)
@@ -121,14 +84,14 @@ fn main() {
         Some(sink) => Arc::clone(sink) as Arc<dyn TraceSink>,
         None => Arc::new(NullSink),
     };
-    let new_journal = args.journal.as_ref().map(|path| {
+    let new_journal = journal.as_ref().map(|path| {
         BrokerJournal::create(Path::new(path)).unwrap_or_else(|err| {
             eprintln!("cannot open journal {path:?}: {err}");
             std::process::exit(1)
         })
     });
 
-    let broker = if let Some(old) = &args.recover {
+    let broker = if let Some(old) = &recover {
         // Recovery mode: the journal header carries the fleet shape,
         // budget, and fault plan — the fleet flags are ignored.
         match Broker::recover(Path::new(old), sink, new_journal) {
@@ -146,32 +109,32 @@ fn main() {
             }
         }
     } else {
-        let machine = Machine::by_name(&args.machine).unwrap_or_else(|| {
-            eprintln!("unknown machine {:?} (expected crill or minotaur)", args.machine);
+        let model = Machine::by_name(&machine).unwrap_or_else(|| {
+            eprintln!("unknown machine {machine:?} (expected crill or minotaur)");
             std::process::exit(2)
         });
-        let fleet = Fleet::homogeneous(machine, args.nodes);
+        let fleet = Fleet::homogeneous(model, nodes);
         // Default budget: enough to run every node at 75 % of its
         // maximum — tight enough that arbitration matters, loose enough
         // to admit any single-node job.
-        let budget_w = args.budget_w.unwrap_or(fleet.total_max_cap_w() * 0.75);
+        let budget_w = budget_w.unwrap_or(fleet.total_max_cap_w() * 0.75);
         let mut cfg = BrokerConfig::new(budget_w);
-        cfg.quantum_timesteps = args.quantum.max(1);
-        cfg.max_queue = args.max_queue;
-        if let Some(retries) = args.max_retries {
+        cfg.quantum_timesteps = quantum.max(1);
+        cfg.max_queue = max_queue;
+        if let Some(retries) = max_retries {
             cfg.max_retries = retries;
         }
-        cfg.node_faults = args.node_faults.as_deref().map(arcs_serve::node_faults_or_exit);
+        cfg.node_faults = node_faults.as_deref().map(arcs_serve::node_faults_or_exit);
         let mut broker = Broker::new(fleet, cfg, sink);
         if let Some(journal) = new_journal {
             broker.attach_journal(journal);
         }
         println!(
             "arcs-serve fleet: {} × {} node(s), budget {:.1} W, quantum {}",
-            args.nodes,
-            args.machine,
+            nodes,
+            machine,
             budget_w,
-            args.quantum.max(1)
+            quantum.max(1)
         );
         broker
     };
@@ -181,10 +144,10 @@ fn main() {
         // `arcs/trace/write_errors`, not just on stderr at exit.
         sink.set_write_error_counter(broker.registry().counter("arcs/trace/write_errors").shared());
     }
-    let handle = match Server::start(broker, &format!("127.0.0.1:{}", args.port), args.pool) {
+    let handle = match Server::start(broker, &format!("127.0.0.1:{}", port), pool) {
         Ok(handle) => handle,
         Err(err) => {
-            eprintln!("cannot bind 127.0.0.1:{}: {err}", args.port);
+            eprintln!("cannot bind 127.0.0.1:{}: {err}", port);
             std::process::exit(1)
         }
     };

@@ -4,11 +4,12 @@
 //!
 //! Every server binds `--port 0` and is found through its
 //! `arcs-serve listening on …` line, so no test owns a port number and
-//! the three cells run in parallel.
+//! the cells run in parallel.
 
 use arcs_serve::protocol::Response;
 use arcs_serve::server::Client;
 use arcs_serve::{JobSpec, Request};
+use arcs_trace::{to_jsonl, JobAllocation, TraceEvent, TraceSink, VecSink};
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, Output, Stdio};
@@ -25,7 +26,7 @@ struct Served {
 }
 
 fn serve(args: &[&str]) -> Served {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_arcs-serve"))
+    let mut child = Command::new(SERVE)
         .args(["--port", "0"])
         .args(args)
         .stdout(Stdio::piped())
@@ -76,7 +77,7 @@ fn run(exe: &str, args: &[&str]) -> Output {
 }
 
 fn loadgen(args: &[&str]) -> String {
-    let out = run(env!("CARGO_BIN_EXE_arcs-serve-loadgen"), args);
+    let out = run(LOADGEN, args);
     String::from_utf8(out.stdout).expect("UTF-8 loadgen output")
 }
 
@@ -86,6 +87,85 @@ fn scratch(test: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("creating the scratch directory");
     dir
+}
+
+const SERVE: &str = env!("CARGO_BIN_EXE_arcs-serve");
+const LOADGEN: &str = env!("CARGO_BIN_EXE_arcs-serve-loadgen");
+const TOP: &str = env!("CARGO_BIN_EXE_arcs-serve-top");
+
+/// (binary, arguments, the usage line its stderr must carry). Per binary:
+/// an unknown flag, a flag missing its value, a value that does not
+/// parse; then each binary's own argument rules.
+const USAGE_ERRORS: &[(&str, &[&str], &str)] = &[
+    (SERVE, &["--nope"], "usage: arcs-serve ["),
+    (SERVE, &["--port"], "usage: arcs-serve ["),
+    (SERVE, &["--port", "http"], "usage: arcs-serve ["),
+    (LOADGEN, &["--nope"], "usage: arcs-serve-loadgen"),
+    (LOADGEN, &["--seed"], "usage: arcs-serve-loadgen"),
+    (LOADGEN, &["--budget", "lots"], "usage: arcs-serve-loadgen"),
+    (LOADGEN, &["--jobs", "0"], "usage: arcs-serve-loadgen"),
+    (LOADGEN, &["verify"], "usage: arcs-serve-loadgen"),
+    (TOP, &["--replay", "t.jsonl", "--nope"], "usage: arcs-serve-top"),
+    (TOP, &["--replay"], "usage: arcs-serve-top"),
+    (TOP, &["--replay", "t.jsonl", "--every", "often"], "usage: arcs-serve-top"),
+    (TOP, &[], "usage: arcs-serve-top"),
+    (TOP, &["--connect", "127.0.0.1:1", "--replay", "t.jsonl"], "usage: arcs-serve-top"),
+    (TOP, &["--replay", "t.jsonl", "--format", "xml"], "usage: arcs-serve-top"),
+];
+
+/// Every malformed invocation exits 2 with its binary's usage on stderr,
+/// writes nothing to stdout, and so never got as far as serving.
+#[test]
+fn malformed_invocations_exit_2_with_the_binarys_usage() {
+    for &(exe, args, usage) in USAGE_ERRORS {
+        let out = Command::new(exe).args(args).output().expect("spawning a serve CLI");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{exe} {args:?} — stderr:\n{stderr}");
+        assert!(stderr.contains(usage), "{exe} {args:?} lacks `{usage}`:\n{stderr}");
+        assert!(out.stdout.is_empty(), "{exe} {args:?} wrote to stdout");
+    }
+}
+
+/// One conservation rule, two readers: `arcs-serve-top --replay
+/// --check-budget` fails exactly the traces whose `report` broker section
+/// counts an over-budget reallocation — including one over by less than
+/// the 1e-6 W the dashboard used to forgive.
+#[test]
+fn top_and_report_agree_on_budget_conservation() {
+    let dir = scratch("budget");
+    for (name, peak_w, over) in [("within", 300.0, false), ("over", 300.0 + 5e-7, true)] {
+        let sink = VecSink::new();
+        let submitted = TraceEvent::JobSubmitted {
+            job: 0,
+            tenant: "acme".into(),
+            workload: "sp.S".into(),
+            floor_w: 57.5,
+            weight: 1.0,
+            timesteps: 4,
+            fault_seed: None,
+            requested_floor_w: None,
+        };
+        sink.record(Some(0.0), submitted);
+        let (job, node, tenant) = (0, 0, "acme".to_string());
+        sink.record(Some(0.0), TraceEvent::JobScheduled { job, tenant, node, cap_w: peak_w });
+        let allocations = vec![JobAllocation { job, node, cap_w: peak_w }];
+        let reason = "scheduled".into();
+        let realloc =
+            TraceEvent::CapReallocated { reason, budget_w: 300.0, total_w: peak_w, allocations };
+        sink.record(Some(0.0), realloc);
+        let path = dir.join(format!("{name}.jsonl"));
+        std::fs::write(&path, to_jsonl(&sink.drain()).expect("serialises")).expect("write trace");
+
+        let report = arcs_metrics::analyze_path(&path).expect("analysable trace");
+        assert_eq!(report.broker.over_budget_events, u64::from(over), "{name}");
+        assert_eq!(report.to_table().contains("1 OVER-BUDGET event(s)"), over, "{name}");
+        let path = path.to_str().expect("UTF-8 temp path");
+        let top = Command::new(TOP)
+            .args(["--replay", path, "--once", "--check-budget"])
+            .output()
+            .expect("spawning arcs-serve-top");
+        assert_eq!(top.status.success(), !over, "{name}: {}", String::from_utf8_lossy(&top.stderr));
+    }
 }
 
 const FLEET: [&str; 6] = ["--nodes", "2", "--machine", "crill", "--budget", "300"];
@@ -143,10 +223,8 @@ fn stats_metrics_and_top_agree_on_a_live_server() {
 
     // One live frame over `watch`; --check-budget exits nonzero if it
     // allocates more than the budget.
-    let frame = run(
-        env!("CARGO_BIN_EXE_arcs-serve-top"),
-        &["--connect", &server.addr, "--once", "--format", "json", "--check-budget"],
-    );
+    let frame =
+        run(TOP, &["--connect", &server.addr, "--once", "--format", "json", "--check-budget"]);
     let frame = String::from_utf8(frame.stdout).expect("UTF-8 frame");
     assert!(frame.contains("\"budget_w\":300"), "{frame}");
 

@@ -266,7 +266,7 @@ mod tests {
         assert!(validate_jsonl(&zero).unwrap_err().contains("schema 0, this reader expects"));
     }
 
-    /// What `arcs-sim trace --check` relies on: validation is the
+    /// What `arcs-sim run --check` relies on: validation is the
     /// reader, plus wholeness. Out-of-order records, records missing from
     /// the middle and a torn final line are all refused.
     #[test]
