@@ -122,14 +122,16 @@ done
 
 # Benchmark digest cells: one short run each of the weighted-region sweep
 # (lulesh/cg/mc — the only gate that prices non-uniform regions; fig. 4
-# has sp/bt alone), the regular one, and the two in-process broker
-# workloads (5000 jobs of pure arbitration; 2500 under node-flap chaos
-# with trace, journal and a byte-compared recovery). `run.sh` exits
-# non-zero unless the simulated outputs hash to the pinned
-# benchmarks/expected/*.digest, so any drift in the integrator or in what
-# the broker decides fails here; throughput is reported, not gated (a 3 s
-# run on a shared host is narrower than its own noise).
-for workload in sweep-irregular sweep-regular serve-inproc serve-durable; do
+# has sp/bt alone), the regular one, the warm one (every invocation a
+# memo hit, most of them served from the executor's last-cell memory —
+# it also fails on any miss), and the two in-process broker workloads
+# (5000 jobs of pure arbitration; 2500 under node-flap chaos with trace,
+# journal and a byte-compared recovery). `run.sh` exits non-zero unless
+# the simulated outputs hash to the pinned benchmarks/expected/*.digest,
+# so any drift in the integrator, the driver or what the broker decides
+# fails here; throughput is reported, not gated (a 3 s run on a shared
+# host is narrower than its own noise).
+for workload in sweep-irregular sweep-regular sweep-warm serve-inproc serve-durable; do
     bash benchmarks/run.sh --workload "$workload" --seed 42 --seconds 3 --trace 0
 done
 (cd benchmarks && cargo test --offline)

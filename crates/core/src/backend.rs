@@ -430,7 +430,9 @@ impl<'a, B: Backend> Runner<'a, B> {
     /// replaces the backend's cap at run start, and every later
     /// [`CapHandle::set`] — from a broker reallocation, another thread,
     /// anywhere — is applied at the next region boundary as a mid-run
-    /// `CapChange` the tuner adapts to.
+    /// `CapChange`. The tuner is not told: the move reprices the next
+    /// invocation, settled regions keep their configuration, and MAD
+    /// rejection may treat the step as noise.
     pub fn cap(mut self, handle: CapHandle) -> Self {
         self.cap = Some(handle);
         self
@@ -722,9 +724,14 @@ enum Source<'a> {
 }
 
 impl Source<'_> {
-    fn begin(&mut self, region: &str) -> TunerDecision {
+    /// `slot` is the tuner's slot for this step position, resolved at
+    /// the position's first `begin` of the run.
+    fn begin(&mut self, slot: &mut Option<usize>, region: &str) -> TunerDecision {
         match self {
-            Source::Tuner(tuner) => tuner.begin(region),
+            Source::Tuner(tuner) => {
+                let slot = *slot.get_or_insert_with(|| tuner.resolve(region));
+                tuner.begin_at(slot)
+            }
             Source::Fixed { config_for, adaptive } => {
                 let mut config = TunedConfig::from(config_for(region));
                 let changed = match adaptive {
@@ -742,6 +749,12 @@ impl Source<'_> {
 /// order and its event order are contract (DESIGN.md §3.11): each
 /// [`Backend::energy_j`] attempt advances an attached fault plan's read
 /// ordinal, so one read more or fewer moves every later fault.
+///
+/// Per-region tables are indexed by step position, not by region name:
+/// each position is resolved once per run into the accumulator's summary
+/// (up front) and the tuner's state (at its first `begin`), and the
+/// executor finds its own slot from the order of its calls (DESIGN.md
+/// §3.13).
 fn drive<B: Backend>(
     b: &mut B,
     wl: &WorkloadDescriptor,
@@ -753,9 +766,11 @@ fn drive<B: Backend>(
 ) -> Result<AppRunReport, RunError> {
     let mut acc = Accum::new(b, wl, strategy, objective, self_profile);
     let mut meter = Meter::new(res);
+    let mut tuner_slots = vec![None; wl.step.len()];
     for _ts in 0..wl.timesteps {
-        for region in &wl.step {
-            let decision = acc.timed(Phase::Tune, || source.begin(&region.name));
+        for (pos, region) in wl.step.iter().enumerate() {
+            let tuner_slot = &mut tuner_slots[pos];
+            let decision = acc.timed(Phase::Tune, || source.begin(tuner_slot, &region.name));
             let cfg = decision.config;
             // The change cost fires whenever the global ICVs must move —
             // with per-region configurations that is typically on every
@@ -824,13 +839,11 @@ fn drive<B: Backend>(
             // The tuner optimises what the instrumentation saw — the noisy
             // APEX timer and the differenced package meter — scored by its
             // objective. Its search events precede the region's end.
-            if let Source::Tuner(tuner) = &mut source {
-                acc.timed(Phase::Tune, || {
-                    tuner.end_measured(&region.name, meas.time_s, meas.energy_j)
-                });
+            if let (Source::Tuner(tuner), Some(slot)) = (&mut source, *tuner_slot) {
+                acc.timed(Phase::Tune, || tuner.end_at(slot, meas.time_s, meas.energy_j));
             }
             let energy_total_j = acc.timed(Phase::Meter, || meter.read(b))?;
-            acc.region(b, &region.name, cfg, &meas, change_s, instr_s, energy_total_j);
+            acc.region(b, pos, cfg, &meas, change_s, instr_s, energy_total_j);
             match &mut source {
                 Source::Fixed { adaptive: Some(ad), .. } => {
                     ad.observe(&region.name, &meas.features, acc.sink.as_ref(), acc.time_s);
@@ -915,9 +928,11 @@ struct Accum {
     time_s: f64,
     config_overhead_s: f64,
     instr_overhead_s: f64,
-    /// Accumulated with a hash map (every region invocation probes it);
-    /// sorted into the report's `BTreeMap` once, at `finish`.
-    per_region: HashMap<String, RegionSummary, FxBuildHasher>,
+    /// One summary per distinct region name, sorted into the report's
+    /// `BTreeMap` once, at `finish`.
+    per_region: Vec<(String, RegionSummary)>,
+    /// Step position → index into `per_region`.
+    summary_of: Vec<usize>,
     /// Present only when the backend carries an *enabled* sink, so the
     /// untraced and `NullSink` paths skip all event construction.
     sink: Option<Arc<dyn TraceSink>>,
@@ -961,6 +976,18 @@ impl Accum {
                 },
             );
         }
+        let mut per_region: Vec<(String, RegionSummary)> = Vec::new();
+        let mut index: HashMap<&str, usize, FxBuildHasher> = HashMap::default();
+        let summary_of = wl
+            .step
+            .iter()
+            .map(|r| {
+                *index.entry(&r.name).or_insert_with(|| {
+                    per_region.push((r.name.clone(), RegionSummary::default()));
+                    per_region.len() - 1
+                })
+            })
+            .collect();
         Accum {
             app: wl.name.clone(),
             strategy: strategy.to_string(),
@@ -968,7 +995,8 @@ impl Accum {
             time_s: 0.0,
             config_overhead_s: 0.0,
             instr_overhead_s: 0.0,
-            per_region: Default::default(),
+            per_region,
+            summary_of,
             sink,
             metrics,
             spans,
@@ -988,11 +1016,12 @@ impl Accum {
         out
     }
 
+    /// Account one invocation of the region at step position `pos`.
     #[allow(clippy::too_many_arguments)]
     fn region<B: Backend>(
         &mut self,
         b: &mut B,
-        name: &str,
+        pos: usize,
         cfg: TunedConfig,
         meas: &Measurement,
         change_s: f64,
@@ -1013,12 +1042,7 @@ impl Accum {
             m.region_time_s.record(meas.time_s);
         }
 
-        // Warm invocations probe by `&str` — the name is only copied into
-        // the map the first time a region is seen.
-        if !self.per_region.contains_key(name) {
-            self.per_region.insert(name.to_string(), Default::default());
-        }
-        let entry = self.per_region.get_mut(name).expect("just ensured");
+        let (name, entry) = &mut self.per_region[self.summary_of[pos]];
         entry.invocations += 1;
         entry.total_time_s += meas.time_s;
         entry.busy_s += meas.features.busy_s;
@@ -1070,7 +1094,7 @@ impl Accum {
             }
             if self.self_profile {
                 if let Some(sink) = &self.sink {
-                    let invocations = self.per_region.values().map(|r| r.invocations).sum();
+                    let invocations = self.per_region.iter().map(|(_, r)| r.invocations).sum();
                     sink.record(
                         None,
                         TraceEvent::DriverPhases {
@@ -1104,7 +1128,12 @@ impl Accum {
             energy_j,
             config_change_overhead_s: self.config_overhead_s,
             instrumentation_overhead_s: self.instr_overhead_s,
-            per_region: self.per_region.into_iter().collect::<BTreeMap<_, _>>(),
+            // Regions never invoked (a zero-timestep run) stay out.
+            per_region: self
+                .per_region
+                .into_iter()
+                .filter(|(_, r)| r.invocations > 0)
+                .collect::<BTreeMap<_, _>>(),
             tuner: tuner_stats,
             status: if degraded { RunStatus::Degraded } else { RunStatus::Ok },
             faults,

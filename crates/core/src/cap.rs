@@ -10,9 +10,12 @@
 //! watchable cell: the owner (a broker, a test harness, an operator CLI)
 //! calls [`CapHandle::set`], and every backend holding the handle applies
 //! the new value at its next region boundary — through exactly the same
-//! clamp-and-trace path a scheduled cap fault uses, so to the tuner a
-//! reallocation is indistinguishable from a mid-run `CapChange` it
-//! already adapts to.
+//! clamp-and-trace path a scheduled cap fault uses, so a reallocation is
+//! indistinguishable from a mid-run `CapChange`. Neither is a signal to
+//! the tuner, which holds no cap: the next invocation is repriced under
+//! the new envelope (the cap is part of the memo key), settled regions
+//! keep their configuration, and MAD rejection may treat the step as
+//! noise in a region still searching.
 //!
 //! Semantics:
 //!

@@ -14,6 +14,9 @@
 //! private cache; [`SimExecutor::with_shared_cache`] attaches a cache
 //! shared across executors (the sweep engine does this so concurrent
 //! cells never re-simulate a configuration another cell already priced).
+//! Each region's slot also keeps the last cell it priced, so a settled
+//! region's repeat invocations are answered without probing the cache —
+//! and counted as the hits they would have been (DESIGN.md §3.13).
 //!
 //! Simulated region durations are also pushed into an optional APEX
 //! instance so profile-based analyses (Fig. 9) read the same introspection
@@ -38,13 +41,30 @@ use arcs_trace::TraceSink;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Per-region executor state: the cache-interned id (resolved once, not
-/// per lookup), the cache's shared weight table (resolved on the first
-/// miss) and the invocation ordinal feeding the noise model.
+/// Per-region executor state, one per region name: the cache-interned id
+/// (resolved once, not per lookup), the cache's shared weight table
+/// (resolved on the first miss), the invocation ordinal feeding the noise
+/// model, and the last cell the region priced.
 struct RegionSlot {
+    name: String,
     id: RegionId,
     table: Option<Arc<WeightTable>>,
     invocations: u64,
+    last: Option<(CellInputs, Arc<SimReport>)>,
+}
+
+/// Everything a memo-cache key holds besides the region id. A settled
+/// region asks for the same cell on every invocation, so the slot keeps
+/// the last one and answers a repeat without probing the shared cache.
+/// The trip count is part of it because one name can run at several
+/// sizes (MG's grid levels), the cap because a handle move or a cap fault
+/// reprices the invocation.
+#[derive(PartialEq)]
+struct CellInputs {
+    iterations: usize,
+    cfg: SimConfig,
+    cap_bits: u64,
+    freq_bits: Option<u64>,
 }
 
 /// Executes workloads on the simulated machine under a power cap.
@@ -60,10 +80,18 @@ pub struct SimExecutor {
     apex: Option<Arc<Apex>>,
     noise: Option<NoiseModel>,
     energy_meter: PackageEnergy,
-    /// Per-region slots: interned cache id, weight table and invocation
-    /// ordinal (the ordinal feeds the stateless noise model and persists
-    /// across runs so repeated training passes see fresh noise).
-    regions: HashMap<String, RegionSlot, FxBuildHasher>,
+    /// Per-region slots, in first-seen order. The invocation ordinal
+    /// feeds the stateless noise model and persists across runs, so
+    /// repeated training passes see fresh noise.
+    slots: Vec<RegionSlot>,
+    /// Region name → slot: the cold path, once per name per cache bind.
+    by_name: HashMap<String, usize, FxBuildHasher>,
+    /// This run's call positions: the address of each `RegionModel`
+    /// [`Backend::run_region`] was handed, and its slot. The driver walks
+    /// the workload's step in order, timestep after timestep, so a warm
+    /// call is found at `cursor` (or at position 0 once a timestep wraps).
+    positions: Vec<(usize, usize)>,
+    cursor: usize,
     /// The cap (requested and RAPL-clamped), the watched handle, the
     /// fault plan, and the sink and registry — shared with the live path.
     perturb: Perturbation,
@@ -127,7 +155,10 @@ impl SimExecutor {
             apex: None,
             noise: None,
             energy_meter: PackageEnergy::new(),
-            regions: HashMap::default(),
+            slots: Vec::new(),
+            by_name: HashMap::default(),
+            positions: Vec::new(),
+            cursor: 0,
             perturb,
         }
     }
@@ -214,9 +245,11 @@ impl SimExecutor {
             cache.attach_metrics(registry);
         }
         self.reader = cache.reader();
-        // Interned ids belong to the cache that issued them — re-resolve
-        // lazily against the new cache.
-        self.regions.clear();
+        // Interned ids (and the reports the slots remember) belong to the
+        // cache that issued them — re-resolve lazily against the new one.
+        self.slots.clear();
+        self.by_name.clear();
+        self.positions.clear();
         self.cache = cache;
         Ok(())
     }
@@ -230,8 +263,7 @@ impl SimExecutor {
         self.perturb.cap_w()
     }
 
-    /// Memoised single-region simulation. Looks up by `&str` — the region
-    /// name is only copied into the cache on first miss.
+    /// Memoised single-region simulation.
     pub fn simulate(&mut self, region: &RegionModel, cfg: SimConfig) -> Arc<SimReport> {
         self.simulate_at(region, cfg, None)
     }
@@ -244,43 +276,105 @@ impl SimExecutor {
         cfg: SimConfig,
         freq_limit_ghz: Option<f64>,
     ) -> Arc<SimReport> {
-        let id = self.region_id(&region.name);
-        let SimExecutor { machine, perturb, cache, reader, scratch, regions, .. } = self;
+        let slot = self.slot(&region.name);
+        self.price(slot, region, cfg, freq_limit_ghz)
+    }
+
+    /// The slot of the region called `name`, made on first sight.
+    fn slot(&mut self, name: &str) -> usize {
+        if let Some(&slot) = self.by_name.get(name) {
+            return slot;
+        }
+        let id = self.cache.intern(name);
+        let slot = self.slots.len();
+        self.slots.push(RegionSlot {
+            name: name.to_string(),
+            id,
+            table: None,
+            invocations: 0,
+            last: None,
+        });
+        self.by_name.insert(name.to_string(), slot);
+        slot
+    }
+
+    /// The slot of the region [`Backend::run_region`] was handed: one
+    /// comparison when the call is at the position after the previous
+    /// call's, the name map otherwise (once per position per run). The
+    /// name is checked too, so a `RegionModel` that reuses a freed one's
+    /// address is never mistaken for it.
+    fn slot_at(&mut self, region: &RegionModel) -> usize {
+        let addr = region as *const RegionModel as usize;
+        let is = |&(a, slot): &(usize, usize)| a == addr && self.slots[slot].name == region.name;
+        let at = if self.cursor < self.positions.len() { self.cursor } else { 0 };
+        let at = match self.positions.get(at) {
+            Some(p) if is(p) => at,
+            _ => match self.positions.iter().position(is) {
+                Some(at) => at,
+                None => {
+                    let slot = self.slot(&region.name);
+                    self.positions.push((addr, slot));
+                    self.positions.len() - 1
+                }
+            },
+        };
+        self.cursor = at + 1;
+        self.positions[at].1
+    }
+
+    /// Price `region` at `cfg` for the slot's region under the current
+    /// cap: the slot's last cell when this is a repeat of it (counted as
+    /// a cache hit), the shared memo cache otherwise.
+    fn price(
+        &mut self,
+        slot: usize,
+        region: &RegionModel,
+        cfg: SimConfig,
+        freq_limit_ghz: Option<f64>,
+    ) -> Arc<SimReport> {
+        let SimExecutor { machine, perturb, cache, reader, scratch, slots, .. } = self;
         let cap_w = perturb.cap_w();
-        cache.get_or_insert_id(reader, id, region.iterations, cfg, cap_w, freq_limit_ghz, || {
-            let slot = &mut regions.get_mut(&region.name).expect("slot made by region_id").table;
-            // A name does not identify a model: re-resolve if the slot's
-            // table was built for another trip count or profile.
-            let table = match slot {
-                Some(table) if table.matches(region) => table,
-                _ => slot.insert(cache.weight_table(region)),
-            };
-            simulate_region_with_table(machine, cap_w, region, table, cfg, freq_limit_ghz, scratch)
-        })
-    }
-
-    /// The cache-interned id for `region`, resolved once per region per
-    /// cache bind (warm calls are one map probe, no allocation).
-    fn region_id(&mut self, region: &str) -> RegionId {
-        if let Some(slot) = self.regions.get(region) {
-            return slot.id;
+        let slot = &mut slots[slot];
+        let inputs = CellInputs {
+            iterations: region.iterations,
+            cfg,
+            cap_bits: cap_w.to_bits(),
+            freq_bits: freq_limit_ghz.map(f64::to_bits),
+        };
+        if let Some((last, rep)) = &slot.last {
+            if *last == inputs {
+                cache.note_hit(slot.id);
+                return Arc::clone(rep);
+            }
         }
-        let id = self.cache.intern(region);
-        self.regions.insert(region.to_string(), RegionSlot { id, table: None, invocations: 0 });
-        id
-    }
-
-    /// Next invocation ordinal for `region` (0-based).
-    fn next_invocation(&mut self, region: &str) -> u64 {
-        if let Some(slot) = self.regions.get_mut(region) {
-            let inv = slot.invocations;
-            slot.invocations += 1;
-            inv
-        } else {
-            let id = self.cache.intern(region);
-            self.regions.insert(region.to_string(), RegionSlot { id, table: None, invocations: 1 });
-            0
-        }
+        let table = &mut slot.table;
+        let rep = cache.get_or_insert_id(
+            reader,
+            slot.id,
+            region.iterations,
+            cfg,
+            cap_w,
+            freq_limit_ghz,
+            || {
+                // A name does not identify a model: re-resolve if the
+                // slot's table was built for another trip count or profile.
+                let table = match table {
+                    Some(table) if table.matches(region) => table,
+                    _ => table.insert(cache.weight_table(region)),
+                };
+                simulate_region_with_table(
+                    machine,
+                    cap_w,
+                    region,
+                    table,
+                    cfg,
+                    freq_limit_ghz,
+                    scratch,
+                )
+            },
+        );
+        slot.last = Some((inputs, Arc::clone(&rep)));
+        rep
     }
 
     /// Run the whole application at the paper's default configuration
@@ -341,6 +435,7 @@ impl Backend for SimExecutor {
         self.energy_meter = PackageEnergy::new();
         self.energy_meter.sample(&self.rapl); // prime against the current counter
         self.perturb.begin_run();
+        self.positions.clear();
     }
 
     fn charge_overhead(&mut self, dt_s: f64) {
@@ -349,13 +444,15 @@ impl Backend for SimExecutor {
     }
 
     fn run_region(&mut self, region: &RegionModel, cfg: TunedConfig) -> RegionRun {
-        let inv = self.next_invocation(&region.name);
+        let slot = self.slot_at(region);
+        let inv = self.slots[slot].invocations;
+        self.slots[slot].invocations += 1;
         // A cap move — broker reallocation or scheduled fault — reprograms
         // RAPL before the invocation, so the simulation (and the memo
         // cache key) see the new envelope.
         let faults =
             self.perturb.before_invocation(&region.name, inv, |w| self.rapl.set_package_cap(w));
-        let mut rep = self.simulate_at(region, cfg.omp.as_sim(), cfg.freq_ghz);
+        let mut rep = self.price(slot, region, cfg.omp.as_sim(), cfg.freq_ghz);
         if let Some(f) = faults.filter(|f| f.straggler_factor > 1.0) {
             // A real slowdown: machine state (time and energy) grows,
             // not just the observation.
@@ -647,6 +744,45 @@ mod tests {
         let after = cache.stats();
         assert_eq!(after.misses, warm.misses);
         assert_eq!(after.hits, warm.hits + 5 * 30);
+    }
+
+    #[test]
+    fn a_zero_timestep_run_reports_no_regions() {
+        let mut wl = small_bt();
+        wl.timesteps = 0;
+        assert!(default_run(&Machine::crill(), 85.0, &wl).per_region.is_empty());
+    }
+
+    #[test]
+    fn slots_follow_region_names_not_addresses() {
+        // Swapping two regions in place puts another region at an
+        // address the executor has already resolved: it must be priced,
+        // counted and noised as itself.
+        let m = Machine::crill();
+        let cfg = TunedConfig::from(OmpConfig::default_for(&m));
+        let mut step = small_bt().step;
+        let mut exec = SimExecutor::new(m.clone(), 85.0).with_noise(0.1, 4);
+        let _ = exec.run_region(&step[0], cfg);
+        step.swap(0, 1);
+        let moved = exec.run_region(&step[0], cfg);
+        let fresh = SimExecutor::new(m, 85.0).with_noise(0.1, 4).run_region(&step[0], cfg);
+        assert_eq!(moved, fresh);
+        assert_eq!(exec.shared_cache().stats().misses, 2);
+    }
+
+    #[test]
+    fn repeated_cells_count_as_cache_hits_until_the_cap_moves() {
+        let m = Machine::crill();
+        let cfg = TunedConfig::from(OmpConfig::default_for(&m));
+        let region = &small_bt().step[0];
+        let handle = CapHandle::new(85.0);
+        let mut exec = SimExecutor::new(m, 85.0).with_cap_handle(handle.clone());
+        let first = exec.run_region(region, cfg);
+        assert_eq!(exec.run_region(region, cfg), first);
+        handle.set(60.0);
+        assert_ne!(exec.run_region(region, cfg), first, "the cap is part of the cell");
+        let s = exec.shared_cache().stats();
+        assert_eq!((s.hits, s.misses), (1, 2));
     }
 
     #[test]

@@ -131,12 +131,14 @@ pub(crate) fn median_in_place(values: &mut [f64]) -> f64 {
     }
 }
 
-/// Median and median-absolute-deviation of a slice.
-pub(crate) fn median_and_mad(values: &[f64]) -> (f64, f64) {
-    let mut sorted: Vec<f64> = values.to_vec();
-    let med = median_in_place(&mut sorted);
-    let mut devs: Vec<f64> = values.iter().map(|v| (v - med).abs()).collect();
-    let mad = median_in_place(&mut devs);
+/// Median and median-absolute-deviation of a slice, computed in place:
+/// the slice ends up holding the sorted absolute deviations.
+pub(crate) fn median_and_mad(values: &mut [f64]) -> (f64, f64) {
+    let med = median_in_place(values);
+    for v in values.iter_mut() {
+        *v = (*v - med).abs();
+    }
+    let mad = median_in_place(values);
     (med, mad)
 }
 
@@ -173,8 +175,8 @@ mod tests {
 
     #[test]
     fn mad_is_robust_to_one_outlier() {
-        let values = [1.0, 1.1, 0.9, 1.05, 0.95, 100.0];
-        let (med, mad) = median_and_mad(&values);
+        let mut values = [1.0, 1.1, 0.9, 1.05, 0.95, 100.0];
+        let (med, mad) = median_and_mad(&mut values);
         assert!((med - 1.025).abs() < 1e-9, "median {med}");
         // The outlier deviates by ~99 while the MAD stays small.
         assert!(mad < 0.2, "mad {mad}");

@@ -5,7 +5,9 @@
 //! [`begin`](RegionTuner::begin) when a region is about to fork (returns
 //! the configuration to apply and whether that is a change), and
 //! [`end_measured`](RegionTuner::end_measured) when the region's duration
-//! and energy are known.
+//! and energy are known. The run driver calls their slot-indexed forms,
+//! resolving a region's name to its slot once per run instead of once
+//! per invocation.
 //!
 //! Per the paper (§III-B): a tuning session is created lazily the first
 //! time a region is encountered; while un-converged, each invocation runs
@@ -142,6 +144,7 @@ pub struct TunerStats {
 }
 
 struct RegionState {
+    name: String,
     session: Option<Session>,
     /// Configuration pinned by replay/selective-skip/freeze (None while
     /// searching).
@@ -173,8 +176,9 @@ struct RegionState {
 }
 
 impl RegionState {
-    fn searching(session: Option<Session>, pinned: Option<TunedConfig>) -> Self {
+    fn searching(name: &str, session: Option<Session>, pinned: Option<TunedConfig>) -> Self {
         RegionState {
+            name: name.to_owned(),
             session,
             pinned,
             settled: None,
@@ -198,7 +202,6 @@ fn freeze_region(
     space: &TunableSpace,
     trace: &Option<Arc<dyn TraceSink>>,
     stats: &mut TunerStats,
-    region: &str,
     state: &mut RegionState,
 ) {
     let cfg = state
@@ -218,7 +221,7 @@ fn freeze_region(
             sink.record(
                 None,
                 TraceEvent::TunerDegraded {
-                    region: region.to_owned(),
+                    region: state.name.clone(),
                     threads: cfg.omp.threads,
                     schedule: cfg.omp.schedule.to_string(),
                 },
@@ -233,7 +236,15 @@ pub struct RegionTuner {
     /// Decoded once at construction: `begin` needs it on every invocation
     /// and the space never changes after the tuner is built.
     default_cfg: TunedConfig,
-    regions: HashMap<String, RegionState, FxBuildHasher>,
+    /// Per-region state, one slot per region, made at its first `begin`.
+    regions: Vec<RegionState>,
+    /// Region name → slot. Its iteration order is the order
+    /// `freeze_all`, `best_tuned_configs` and `export_history` visit
+    /// regions in.
+    slots: HashMap<String, usize, FxBuildHasher>,
+    /// Reused by the outlier test, so a searching invocation allocates
+    /// nothing to take the window's median and MAD.
+    window: Vec<f64>,
     /// The configuration currently held by the runtime's global ICVs.
     /// `omp_set_num_threads`/`omp_set_schedule` are process-global, so a
     /// region whose configuration differs from the *previously executed*
@@ -257,7 +268,9 @@ impl RegionTuner {
         RegionTuner {
             options,
             default_cfg,
-            regions: HashMap::default(),
+            regions: Vec::new(),
+            slots: HashMap::default(),
+            window: Vec::new(),
             last_applied: None,
             stats: TunerStats::default(),
             trace: None,
@@ -316,9 +329,10 @@ impl RegionTuner {
             return;
         }
         self.degraded = true;
-        for (name, state) in self.regions.iter_mut() {
+        for &slot in self.slots.values() {
+            let state = &mut self.regions[slot];
             if state.session.is_some() {
-                freeze_region(&self.options.space, &self.trace, &mut self.stats, name, state);
+                freeze_region(&self.options.space, &self.trace, &mut self.stats, state);
             }
         }
         if let Some(registry) = &self.metrics {
@@ -354,11 +368,11 @@ impl RegionTuner {
     /// Search evaluations spent on `region` so far (0 for pinned or
     /// unknown regions).
     pub fn evaluations(&self, region: &str) -> usize {
-        self.regions
-            .get(region)
-            .and_then(|s| s.session.as_ref())
-            .map(|s| s.evaluations())
-            .unwrap_or(0)
+        self.state(region).and_then(|s| s.session.as_ref()).map(|s| s.evaluations()).unwrap_or(0)
+    }
+
+    fn state(&self, region: &str) -> Option<&RegionState> {
+        self.slots.get(region).map(|&slot| &self.regions[slot])
     }
 
     fn default_config(&self) -> TunedConfig {
@@ -367,16 +381,33 @@ impl RegionTuner {
 
     /// Called at region fork. Returns the configuration to apply.
     pub fn begin(&mut self, region: &str) -> TunerDecision {
+        let slot = self.resolve(region);
+        self.begin_at(slot)
+    }
+
+    /// The slot of `region`, creating its state on first sight. The run
+    /// driver resolves each position of a workload's step once per run,
+    /// immediately before that position's first
+    /// [`RegionTuner::begin_at`], so a region's state is still created at
+    /// its first `begin`.
+    pub(crate) fn resolve(&mut self, region: &str) -> usize {
+        if let Some(&slot) = self.slots.get(region) {
+            return slot;
+        }
+        self.stats.regions += 1;
+        let state = self.new_region_state(region);
+        let slot = self.regions.len();
+        self.regions.push(state);
+        self.slots.insert(region.to_owned(), slot);
+        slot
+    }
+
+    /// [`RegionTuner::begin`] for a resolved slot.
+    pub(crate) fn begin_at(&mut self, slot: usize) -> TunerDecision {
         self.stats.invocations += 1;
         let default_cfg = self.default_config();
         let threshold = self.options.min_region_time_s;
-
-        if !self.regions.contains_key(region) {
-            self.stats.regions += 1;
-            let state = self.new_region_state(region);
-            self.regions.insert(region.to_owned(), state);
-        }
-        let state = self.regions.get_mut(region).expect("just inserted");
+        let state = &mut self.regions[slot];
 
         // Selective tuning: once a region has a few samples and its mean
         // time is below the threshold, pin it to the default configuration.
@@ -433,10 +464,15 @@ impl RegionTuner {
     /// energy attributed to the invocation. The session is scored by
     /// [`TunerOptions::objective`] over the pair.
     pub fn end_measured(&mut self, region: &str, time_s: f64, energy_j: f64) {
+        if let Some(&slot) = self.slots.get(region) {
+            self.end_at(slot, time_s, energy_j);
+        }
+    }
+
+    /// [`RegionTuner::end_measured`] for a resolved slot.
+    pub(crate) fn end_at(&mut self, slot: usize, time_s: f64, energy_j: f64) {
         let score = self.options.objective.score(time_s, energy_j);
-        let Some(state) = self.regions.get_mut(region) else {
-            return;
-        };
+        let state = &mut self.regions[slot];
         state.invocations += 1;
         state.total_time_s += time_s;
         if !state.awaiting || state.session.is_none() {
@@ -460,8 +496,9 @@ impl RegionTuner {
         // the configuration really is that bad, not that a timer
         // glitched.
         if res.mad_threshold > 0.0 && state.accepted.len() >= MIN_WINDOW_FOR_REJECTION {
-            let window: Vec<f64> = state.accepted.iter().copied().collect();
-            let (median, mad) = median_and_mad(&window);
+            self.window.clear();
+            self.window.extend(state.accepted.iter().copied());
+            let (median, mad) = median_and_mad(&mut self.window);
             let spread = (res.mad_threshold * mad).max(1e-3 * median.abs());
             let deviant = (score - median).abs() > spread;
             let confirmed = state
@@ -476,7 +513,7 @@ impl RegionTuner {
                         sink.record(
                             None,
                             TraceEvent::MeasurementRejected {
-                                region: region.to_owned(),
+                                region: state.name.clone(),
                                 value: score,
                                 median,
                                 mad,
@@ -503,13 +540,7 @@ impl RegionTuner {
                         }
                         self.stats.restarts += 1;
                     } else {
-                        freeze_region(
-                            &self.options.space,
-                            &self.trace,
-                            &mut self.stats,
-                            region,
-                            state,
-                        );
+                        freeze_region(&self.options.space, &self.trace, &mut self.stats, state);
                     }
                 }
                 return;
@@ -543,7 +574,7 @@ impl RegionTuner {
         if self.degraded {
             // A frozen tuner makes no new search decisions: regions
             // first seen after degradation run the default configuration.
-            return RegionState::searching(None, Some(self.default_config()));
+            return RegionState::searching(region, None, Some(self.default_config()));
         }
         match &self.options.mode {
             TuningMode::OfflineReplay(history) => {
@@ -555,7 +586,7 @@ impl RegionTuner {
                     .get(region)
                     .map(|e| TunedConfig { omp: e.config, freq_ghz: None })
                     .unwrap_or_else(|| self.default_config());
-                RegionState::searching(None, Some(pinned))
+                RegionState::searching(region, None, Some(pinned))
             }
             mode => {
                 let (strategy, label) = match mode {
@@ -604,7 +635,7 @@ impl RegionTuner {
                         });
                     }
                 }
-                RegionState::searching(Some(session), None)
+                RegionState::searching(region, Some(session), None)
             }
         }
     }
@@ -614,7 +645,7 @@ impl RegionTuner {
     /// from a cold start).
     pub fn converged(&self) -> bool {
         !self.regions.is_empty()
-            && self.regions.values().all(|s| match &s.session {
+            && self.regions.iter().all(|s| match &s.session {
                 Some(session) => session.converged(),
                 None => true,
             })
@@ -622,24 +653,27 @@ impl RegionTuner {
 
     /// Has `region` converged (or is it pinned)?
     pub fn region_converged(&self, region: &str) -> bool {
-        self.regions
-            .get(region)
+        self.state(region)
             .map(|s| s.session.as_ref().is_none_or(|sess| sess.converged()))
             .unwrap_or(false)
     }
 
+    /// Region states in `slots` order (see [`RegionTuner::freeze_all`]).
+    fn states(&self) -> impl Iterator<Item = &RegionState> {
+        self.slots.values().map(|&slot| &self.regions[slot])
+    }
+
     /// Best configuration found (or pinned) per region, across every knob.
     pub fn best_tuned_configs(&self) -> HashMap<String, TunedConfig> {
-        self.regions
-            .iter()
-            .map(|(name, st)| {
+        self.states()
+            .map(|st| {
                 let cfg = st
                     .pinned
                     .or_else(|| {
                         st.session.as_ref().map(|s| self.options.space.decode(&s.best_point()))
                     })
                     .unwrap_or_else(|| self.default_config());
-                (name.clone(), cfg)
+                (st.name.clone(), cfg)
             })
             .collect()
     }
@@ -657,18 +691,18 @@ impl RegionTuner {
     /// 3-knob layout, so a frequency knob (if tuned) is not persisted.
     pub fn export_history(&self, context: impl Into<String>) -> History<OmpConfig> {
         let mut h = History::new(context);
-        for (name, st) in &self.regions {
+        for st in self.states() {
             if let Some(session) = &st.session {
                 if let Some((point, value)) = session.best() {
                     h.insert(
-                        name.clone(),
+                        st.name.clone(),
                         self.options.space.decode(&point).omp,
                         value,
                         session.evaluations(),
                     );
                 }
             } else if let Some(pinned) = st.pinned {
-                h.insert(name.clone(), pinned.omp, f64::NAN, 0);
+                h.insert(st.name.clone(), pinned.omp, f64::NAN, 0);
             }
         }
         h

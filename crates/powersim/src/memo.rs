@@ -484,8 +484,12 @@ impl SharedSimCache {
         }
     }
 
+    /// Count one hit on `region`: the counter, the `powersim/cache/hits`
+    /// metric and the `CacheHit` event. Lookups call it; so does an
+    /// executor that answers a repeat of the cell its region priced last
+    /// from its own copy of the report — the same counts as probing.
     #[inline]
-    fn note_hit(&self, region: RegionId) {
+    pub fn note_hit(&self, region: RegionId) {
         self.hits.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = self.metrics.get() {
             m.hits.inc();

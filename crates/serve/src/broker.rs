@@ -18,7 +18,11 @@
 //! run. Between quanta the broker may move the job's power allocation;
 //! the move travels through the job's [`CapHandle`] and lands at the
 //! next region boundary as an ordinary mid-run `CapChange` — the same
-//! path a scheduled cap fault takes, which the tuner already adapts to.
+//! path a scheduled cap fault takes. The tuner holds no cap: the move
+//! reprices the next invocation (the cap is part of the memo key), a
+//! settled region keeps its configuration, and a region still searching
+//! sees the step as one more measurement, which MAD rejection may throw
+//! out as noise.
 //!
 //! # Power hierarchy
 //!

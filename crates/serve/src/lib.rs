@@ -7,8 +7,10 @@
 //! package caps — re-dividing on every arrival, completion and
 //! degradation. A reallocation reaches a running job as a mid-run
 //! `CapChange` through its [`arcs::CapHandle`], the same boundary-
-//! coalesced path a scheduled cap fault takes, so the per-region tuners
-//! re-adapt without restarting.
+//! coalesced path a scheduled cap fault takes. The per-region tuners
+//! hold no cap and do not re-adapt: the move reprices the job's next
+//! invocation, settled regions keep their configuration, and MAD
+//! rejection may treat the step as noise.
 //!
 //! Layers:
 //!

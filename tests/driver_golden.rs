@@ -13,12 +13,22 @@
 //!
 //! On mismatch the trace is written to `$TMPDIR/driver_golden.<cell>.jsonl`
 //! — see `golden/mod.rs` for the pin and how to read a failure.
+//!
+//! A sink changes what the driver does (it builds events, the memo cache
+//! narrates lookups), so the traced cells do not pin the untraced path
+//! every sweep and broker quantum takes. The `untraced_*` cells do: each
+//! hashes the serialised `AppRunReport`s of runs with no sink attached,
+//! plus the hit/miss counts of every memo cache they used, against
+//! constants generated at `7db6480` — the last commit whose driver found
+//! a region's tables by hashing its name. On mismatch the stream is in
+//! `$TMPDIR/driver_golden.<cell>.json`.
 
 mod golden;
 
 use arcs::prelude::*;
 use arcs::LiveExecutor;
-use arcs_harmony::History;
+use arcs::TuningMode;
+use arcs_harmony::{History, ProOptions};
 use arcs_kernels::{model, Class};
 use arcs_omprt::{Runtime, Schedule};
 use arcs_powersim::{
@@ -292,4 +302,179 @@ fn perturbed_replay_on_live_threads_emits_the_same_kinds() {
     let sim = perturbed_replay(&mut SimExecutor::new(Machine::crill(), 85.0));
     assert_eq!(live_kinds, driver_kinds(&sim), "one plan must perturb both backends alike");
     pin("perturbed_replay_live_kinds", &live_kinds.join("\n"), 0x8fd9_ca3a_d2b7_729b);
+}
+
+// ---------------------------------------------------------------------
+// Untraced runs: reports and memo-cache counters, no sink attached.
+// ---------------------------------------------------------------------
+
+/// One line per report (its JSON), then one `cache` line per memo cache
+/// with the hits and misses it counted.
+fn untraced(reports: &[&AppRunReport], caches: &[&SharedSimCache]) -> String {
+    let mut out = String::new();
+    for rep in reports {
+        out += &serde_json::to_string(rep).expect("reports serialise");
+        out.push('\n');
+    }
+    for cache in caches {
+        let s = cache.stats();
+        out += &format!("cache hits={} misses={}\n", s.hits, s.misses);
+    }
+    out
+}
+
+fn pin_untraced(cell: &str, reports: &[&AppRunReport], caches: &[&SharedSimCache], expected: u64) {
+    golden::pin_as("driver_golden", cell, "json", &untraced(reports, caches), expected);
+}
+
+/// One tuned run of `wl` on a fresh executor at `cap_w`, no sink.
+fn tuned(
+    wl: &WorkloadDescriptor,
+    cap_w: f64,
+    options: TunerOptions,
+) -> (AppRunReport, SimExecutor) {
+    let mut exec = SimExecutor::new(Machine::crill(), cap_w).with_noise(0.05, 3);
+    let rep = Runner::new(&mut exec).workload(wl).tuner(&mut RegionTuner::new(options)).run();
+    (rep.unwrap(), exec)
+}
+
+fn online() -> TunerOptions {
+    TunerOptions::online(ConfigSpace::for_machine(&Machine::crill()))
+}
+
+#[test]
+fn untraced_default_run() {
+    let mut exec = SimExecutor::new(Machine::crill(), 85.0).with_noise(0.05, 9);
+    let rep = Runner::new(&mut exec).workload(&sp(20)).run().unwrap();
+    pin_untraced("untraced_default", &[&rep], &[exec.shared_cache()], 0x9ee6_efb1_8cd7_d156);
+}
+
+#[test]
+fn untraced_fixed_adaptive_run_on_mc() {
+    let mut exec = SimExecutor::new(Machine::crill(), 115.0);
+    let cfg = OmpConfig { threads: 32, schedule: Schedule::static_block() };
+    let rep = Runner::new(&mut exec)
+        .workload(&model::mc(Class::B))
+        .fixed(move |_| cfg, "static")
+        .adaptive_schedule(true)
+        .run()
+        .unwrap();
+    pin_untraced(
+        "untraced_fixed_adaptive_mc",
+        &[&rep],
+        &[exec.shared_cache()],
+        0x1ecf_10f1_7490_dac6,
+    );
+}
+
+#[test]
+fn untraced_nelder_mead_by_time_and_by_energy() {
+    let (time, exec_t) = tuned(&sp(40), 80.0, online());
+    let (energy, exec_e) = tuned(&sp(40), 80.0, online().with_objective(Objective::Energy));
+    let caches = [exec_t.shared_cache().as_ref(), exec_e.shared_cache().as_ref()];
+    pin_untraced("untraced_nelder_mead", &[&time, &energy], &caches, 0xdb88_c73e_be92_7f07);
+}
+
+#[test]
+fn untraced_pro_run() {
+    let space = ConfigSpace::for_machine(&Machine::crill());
+    let options = TunerOptions::new(space, TuningMode::OnlinePro(ProOptions::default()));
+    let (rep, exec) = tuned(&sp(40), 80.0, options);
+    pin_untraced("untraced_pro", &[&rep], &[exec.shared_cache()], 0x7d43_4530_7fae_5c1a);
+}
+
+#[test]
+fn untraced_offline_train_then_replay() {
+    let m = Machine::crill();
+    let wl = sp(8);
+    let space = ConfigSpace::for_machine(&m);
+    let mut trainer = SimExecutor::new(m.clone(), 85.0);
+    let history = Runner::new(&mut trainer)
+        .workload(&wl)
+        .train(TunerOptions::offline_train(space.clone()), "sp.B.crill.85W")
+        .unwrap();
+    let mut replayer = SimExecutor::new(m, 85.0);
+    let mut tuner = RegionTuner::new(TunerOptions::offline_replay(space, history.clone()));
+    let rep = Runner::new(&mut replayer).workload(&wl).tuner(&mut tuner).run().unwrap();
+    let caches = [trainer.shared_cache().as_ref(), replayer.shared_cache().as_ref()];
+    let stream = history.to_json() + "\n" + &untraced(&[&rep], &caches);
+    golden::pin_as(
+        "driver_golden",
+        "untraced_offline_train_replay",
+        "json",
+        &stream,
+        0x731a_098f_0896_ee03,
+    );
+}
+
+#[test]
+fn untraced_selective_lulesh() {
+    let mut wl = model::lulesh(45);
+    wl.timesteps = 30;
+    let (rep, exec) = tuned(&wl, 85.0, online().with_min_region_time(0.03));
+    assert!(rep.tuner.unwrap().skipped_regions > 0, "the threshold must pin some regions");
+    pin_untraced(
+        "untraced_selective_lulesh",
+        &[&rep],
+        &[exec.shared_cache()],
+        0x572c_d06a_610c_8d29,
+    );
+}
+
+/// MG repeats one region name at every grid level's trip count.
+#[test]
+fn untraced_online_mg_repeats_region_names() {
+    let (rep, exec) = tuned(&model::mg(Class::S), 70.0, online());
+    pin_untraced("untraced_online_mg", &[&rep], &[exec.shared_cache()], 0x53ac_a66b_140c_8ca4);
+}
+
+#[test]
+fn untraced_flaky_rapl_with_the_standard_ladder() {
+    let m = Machine::crill();
+    let mut wl = model::lulesh(45);
+    wl.timesteps = 20;
+    let mut exec = SimExecutor::new(m.clone(), 60.0);
+    let mut tuner = RegionTuner::new(TunerOptions::online(ConfigSpace::for_machine(&m)));
+    let rep = Runner::new(&mut exec)
+        .workload(&wl)
+        .tuner(&mut tuner)
+        .faults(FaultPlan::flaky_rapl(7))
+        .resilience(ResilienceOptions::standard())
+        .run()
+        .unwrap();
+    assert!(rep.faults.meter_retries > 0 && rep.faults.rejected > 0, "the plan must bite");
+    pin_untraced(
+        "untraced_flaky_rapl_standard",
+        &[&rep],
+        &[exec.shared_cache()],
+        0x3f1a_36df_b246_7ddf,
+    );
+}
+
+/// A broker job's life: one executor and one tuner carried across three
+/// quanta, the cap handle moved and a fresh memo cache bound between them.
+#[test]
+fn untraced_quanta_reuse_one_executor_and_tuner() {
+    let m = Machine::crill();
+    let wl = sp(10);
+    let handle = CapHandle::new(90.0);
+    let mut exec = SimExecutor::new(m, 90.0).with_noise(0.05, 5).with_cap_handle(handle.clone());
+    let mut tuner = RegionTuner::new(online());
+    let mut reports = Vec::new();
+    let mut caches = Vec::new();
+    for cap_w in [90.0, 65.0, 110.0] {
+        handle.set(cap_w);
+        let cache = Arc::new(SharedSimCache::new("crill"));
+        let rep = Runner::new(&mut exec)
+            .workload(&wl)
+            .tuner(&mut tuner)
+            .shared_cache(Arc::clone(&cache))
+            .run()
+            .unwrap();
+        reports.push(rep);
+        caches.push(cache);
+    }
+    let reports: Vec<&AppRunReport> = reports.iter().collect();
+    let caches: Vec<&SharedSimCache> = caches.iter().map(|c| c.as_ref()).collect();
+    pin_untraced("untraced_quanta_reuse", &reports, &caches, 0x954a_804c_9447_1e65);
 }

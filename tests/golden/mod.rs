@@ -9,7 +9,7 @@
 //! shown, not assumed, to emit the bytes its parent did.
 //!
 //! On mismatch the stream is written to `$TMPDIR/<family>.<cell>.jsonl`
-//! (the panic names the file): check out the commit whose constants these
+//! (`.json` for the untraced report pins; the panic names the file): check out the commit whose constants these
 //! are, make the cell fail there too (edit the constant), and diff the
 //! two files. A constant changes only with a PR that *means* to move
 //! those bytes, and that PR says so.
@@ -22,9 +22,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Hold `stream` to `expected`, leaving the bytes behind on mismatch.
 pub fn pin(family: &str, cell: &str, stream: &str, expected: u64) {
+    pin_as(family, cell, "jsonl", stream, expected);
+}
+
+/// [`pin`], leaving the bytes in a `.{ext}` file on mismatch.
+pub fn pin_as(family: &str, cell: &str, ext: &str, stream: &str, expected: u64) {
     let got = fnv1a(stream.as_bytes());
     if got != expected {
-        let path = std::env::temp_dir().join(format!("{family}.{cell}.jsonl"));
+        let path = std::env::temp_dir().join(format!("{family}.{cell}.{ext}"));
         std::fs::write(&path, stream).expect("write the mismatching stream");
         panic!(
             "{cell}: stream hashes to {got:#018x}, pinned {expected:#018x}; \
