@@ -130,9 +130,25 @@ done
 # the simulated outputs hash to the pinned benchmarks/expected/*.digest,
 # so any drift in the integrator, the driver or what the broker decides
 # fails here; throughput is reported, not gated (a 3 s run on a shared
-# host is narrower than its own noise).
+# host is narrower than its own noise). The memo's sharing is gated too:
+# cells are keyed by operating point, so caps that clamp a team to one
+# frequency simulate once, and every repetition misses exactly this many
+# cells at any --seconds — fewer or more means the keying moved even
+# while the digests still pass.
 for workload in sweep-irregular sweep-regular sweep-warm serve-inproc serve-durable; do
-    bash benchmarks/run.sh --workload "$workload" --seed 42 --seconds 3 --trace 0
+    bash benchmarks/run.sh --workload "$workload" --seed 42 --seconds 3 --trace 0 \
+        | tee "$trace_tmp/bench.txt"
+    case "$workload" in
+        sweep-irregular) misses=3519 ;;
+        sweep-regular) misses=28080 ;;
+        serve-inproc) misses=3322 ;;
+        *) continue ;;
+    esac
+    if ! grep -Eq "^$workload powersim\.memo\.misses $misses count [0-9]+ $misses $misses\$" \
+        "$trace_tmp/bench.txt"; then
+        echo "ci: $workload does not miss exactly $misses memo cells per repetition" >&2
+        exit 1
+    fi
 done
 (cd benchmarks && cargo test --offline)
 

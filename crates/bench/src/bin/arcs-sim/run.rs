@@ -76,7 +76,7 @@ pub fn main(argv: &[String]) {
                     exit(1)
                 });
             }
-            "--cap" => cap = Some(flags.value("--cap")),
+            "--cap" => cap = Some(flags.watts("--cap")),
             "--strategy" => strategy = flags.value("--strategy"),
             "--objective" => objective = flags.value("--objective"),
             "--timesteps" => timesteps = Some(flags.value("--timesteps")),

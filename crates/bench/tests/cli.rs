@@ -37,6 +37,11 @@ const USAGE_ERRORS: &[(&[&str], &str)] = &[
     (&["run", "--nope"], RUN),
     (&["run", "--cap"], RUN),
     (&["run", "--cap", "abc"], RUN),
+    // A cap with no operating point: NaN, infinite, zero or negative.
+    (&["run", "--workload", "sp.B", "--cap", "nan"], RUN),
+    (&["run", "--cap", "inf"], RUN),
+    (&["run", "--cap", "0"], RUN),
+    (&["run", "--cap", "-85"], RUN),
     (&["run", "--objective", "speed"], RUN),
     (&["run", "--workload", "nosuch"], RUN),
     (&["run", "--class", "B"], RUN),
@@ -182,6 +187,10 @@ enum Part {
     /// The trace without its final `CacheStats` record, which `chaos`
     /// and `schedule --out` never wrote.
     TraceBeforeCacheStats,
+    /// The trace without any memo-cache narration (`CacheHit`,
+    /// `CacheMiss`, `CacheStats`): what the driver said, whichever cells
+    /// the cache shared.
+    TraceWithoutCache,
     Stdout,
     /// The `injected …`, `recovered: …` and `status …` lines.
     FaultLines,
@@ -192,7 +201,13 @@ type Cell = (&'static str, &'static str, &'static str, &'static [(Part, u64)]);
 
 /// Every pinned hash is the FNV-1a of what the `arcs-sim` of commit
 /// `2c25bed` — the last with `trace`, `chaos`, `schedule` and `<app>` —
-/// printed for the invocation in the second column.
+/// printed for the invocation in the second column, with two exceptions.
+/// The whole traces of `trace.pro` and `trace.exhaustive` were re-pinned
+/// when the memo began keying cells by operating point: their PRO and
+/// exhaustive teams run at the base clock at 80 W, those cells key at an
+/// infinite cap, and the final `CacheStats.shard_occupancy` moved. Their
+/// `TraceWithoutCache` pins were generated by commit `244df57`, the last
+/// keyed by raw cap, and show that nothing else did.
 const RETIRED: &[Cell] = &[
     (
         "trace.default",
@@ -210,13 +225,13 @@ const RETIRED: &[Cell] = &[
         "trace.pro",
         "trace --workload sp.B --cap 80 --strategy pro --timesteps 6",
         "run --workload sp.B --cap 80 --strategy pro --timesteps 6",
-        &[(Part::Trace, 0x788a_13d1_7316_a04d)],
+        &[(Part::Trace, 0xe43f_cb05_d8ab_d8cf), (Part::TraceWithoutCache, 0x6abe_a702_8f49_6731)],
     ),
     (
         "trace.exhaustive",
         "trace --workload sp.B --cap 80 --strategy exhaustive --timesteps 6",
         "run --workload sp.B --cap 80 --strategy exhaustive --timesteps 6",
-        &[(Part::Trace, 0x1742_b84a_3dd7_711f)],
+        &[(Part::Trace, 0xbbc0_7d44_a6e4_3d4b), (Part::TraceWithoutCache, 0x029c_0013_b45a_7594)],
     ),
     (
         "trace.nelder-mead-energy",
@@ -271,8 +286,9 @@ fn run_reproduces_the_retired_subcommands_bytes() {
     std::fs::create_dir_all(&dir).expect("scratch directory");
     for &(cell, retired, run, parts) in RETIRED {
         let trace = dir.join(format!("{cell}.jsonl"));
-        let traced =
-            parts.iter().any(|(p, _)| matches!(p, Part::Trace | Part::TraceBeforeCacheStats));
+        let traced = parts.iter().any(|(p, _)| {
+            matches!(p, Part::Trace | Part::TraceBeforeCacheStats | Part::TraceWithoutCache)
+        });
         let mut argv: Vec<&str> = run.split_whitespace().collect();
         if traced {
             argv.extend(["--trace", trace.to_str().expect("UTF-8 temp path")]);
@@ -293,6 +309,11 @@ fn run_reproduces_the_retired_subcommands_bytes() {
                     assert!(last.contains("\"CacheStats\""), "{cell}: ends with {last}");
                     format!("{head}\n")
                 }
+                Part::TraceWithoutCache => jsonl
+                    .lines()
+                    .filter(|l| !l.contains("\"event\":{\"Cache"))
+                    .map(|l| format!("{l}\n"))
+                    .collect(),
                 Part::Stdout => stdout.clone(),
                 Part::FaultLines => stdout
                     .lines()

@@ -13,16 +13,17 @@
 //! clamp-and-trace path a scheduled cap fault uses, so a reallocation is
 //! indistinguishable from a mid-run `CapChange`. Neither is a signal to
 //! the tuner, which holds no cap: the next invocation is repriced under
-//! the new envelope (the cap is part of the memo key), settled regions
-//! keep their configuration, and MAD rejection may treat the step as
-//! noise in a region still searching.
+//! the new envelope (through the operating point the memo is keyed by, so
+//! a move between caps at which the team's frequency clamps alike reuses
+//! the cell), settled regions keep their configuration, and MAD rejection
+//! may treat the step as noise in a region still searching.
 //!
 //! Semantics:
 //!
 //! * **Boundary application.** Backends poll the handle immediately
 //!   before each region invocation (never mid-invocation), so the
-//!   simulation — and the memo-cache key — always see a single coherent
-//!   envelope per invocation.
+//!   simulation — and the operating point it is memoised under — always
+//!   see a single coherent envelope per invocation.
 //! * **Last-writer-wins.** Rapid successive `set`s coalesce; a backend
 //!   that polls after N writes applies only the final value. The version
 //!   counter makes "did anything change?" one relaxed atomic load on the

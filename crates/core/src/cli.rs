@@ -42,6 +42,18 @@ impl<'a> Flags<'a> {
         })
     }
 
+    /// The power (W) that follows flag `name`: a finite, positive number.
+    /// A NaN, infinite, zero or negative cap has no operating point, so it
+    /// is a usage error rather than a run at a meaningless envelope.
+    pub fn watts(&mut self, name: &str) -> f64 {
+        let w: f64 = self.value(name);
+        if !(w.is_finite() && w > 0.0) {
+            eprintln!("{name} must be a finite, positive number of watts, not {w}");
+            (self.usage)()
+        }
+        w
+    }
+
     pub fn unknown(&self, flag: &str) -> ! {
         eprintln!("unknown flag {flag}");
         (self.usage)()

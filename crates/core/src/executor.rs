@@ -8,9 +8,13 @@
 //! the live path.
 //!
 //! Region results are memoised per (region, trip count, configuration,
-//! cap) in a [`SharedSimCache`] — the simulator is deterministic, so
-//! repeated invocations at the same configuration are identical, which
-//! makes whole-application sweeps cheap. By default each executor owns a
+//! operating point) in a [`SharedSimCache`] — the simulator is
+//! deterministic, so repeated invocations at the same configuration are
+//! identical, which makes whole-application sweeps cheap. The operating
+//! point is the (cap, DVFS limit) pair canonicalised by
+//! [`Machine::operating_point`]: a cap reaches the simulation only through
+//! the team's frequency, so caps that clamp it to `f_base` or `f_min` (and
+//! limits that do not bind) share one cell. By default each executor owns a
 //! private cache; [`SimExecutor::with_shared_cache`] attaches a cache
 //! shared across executors (the sweep engine does this so concurrent
 //! cells never re-simulate a configuration another cell already priced).
@@ -58,13 +62,40 @@ struct RegionSlot {
 /// the last one and answers a repeat without probing the shared cache.
 /// The trip count is part of it because one name can run at several
 /// sizes (MG's grid levels), the cap because a handle move or a cap fault
-/// reprices the invocation.
+/// reprices the invocation. Cap and limit are compared as raw bits, not
+/// as an operating point: a repeat stays one comparison, and a move to a
+/// cap at the same operating point costs one memo hit.
 #[derive(PartialEq)]
 struct CellInputs {
     iterations: usize,
     cfg: SimConfig,
     cap_bits: u64,
     freq_bits: Option<u64>,
+}
+
+/// `Machine::team_frequency(cap, threads, None)` per clamped thread count,
+/// for the cap whose bits it was filled under: what a lookup needs to find
+/// its operating point, computed once per team size per cap. A DVFS limit
+/// does not enter it, so a limit moving every invocation costs nothing.
+#[derive(Default)]
+struct CapFrequencies {
+    cap_bits: u64,
+    by_threads: Vec<Option<f64>>,
+}
+
+impl CapFrequencies {
+    fn get(&mut self, machine: &Machine, cap_w: f64, threads: usize) -> f64 {
+        if cap_w.to_bits() != self.cap_bits {
+            self.cap_bits = cap_w.to_bits();
+            self.by_threads.clear();
+        }
+        let threads = threads.clamp(1, machine.hw_threads());
+        if self.by_threads.len() <= threads {
+            self.by_threads.resize(threads + 1, None);
+        }
+        *self.by_threads[threads]
+            .get_or_insert_with(|| machine.team_frequency(cap_w, threads, None))
+    }
 }
 
 /// Executes workloads on the simulated machine under a power cap.
@@ -77,6 +108,8 @@ pub struct SimExecutor {
     reader: CacheReader,
     /// Reusable simulation working memory (miss path only).
     scratch: SimScratch,
+    /// The effective cap's team frequencies (memo-probe path only).
+    f_caps: CapFrequencies,
     apex: Option<Arc<Apex>>,
     noise: Option<NoiseModel>,
     energy_meter: PackageEnergy,
@@ -152,6 +185,7 @@ impl SimExecutor {
             cache,
             reader,
             scratch: SimScratch::default(),
+            f_caps: CapFrequencies::default(),
             apex: None,
             noise: None,
             energy_meter: PackageEnergy::new(),
@@ -324,7 +358,9 @@ impl SimExecutor {
 
     /// Price `region` at `cfg` for the slot's region under the current
     /// cap: the slot's last cell when this is a repeat of it (counted as
-    /// a cache hit), the shared memo cache otherwise.
+    /// a cache hit), the shared memo cache otherwise — keyed, and
+    /// simulated, at the cell's operating point, so every cap that clamps
+    /// the team to one frequency shares one cell.
     fn price(
         &mut self,
         slot: usize,
@@ -332,7 +368,7 @@ impl SimExecutor {
         cfg: SimConfig,
         freq_limit_ghz: Option<f64>,
     ) -> Arc<SimReport> {
-        let SimExecutor { machine, perturb, cache, reader, scratch, slots, .. } = self;
+        let SimExecutor { machine, perturb, cache, reader, scratch, f_caps, slots, .. } = self;
         let cap_w = perturb.cap_w();
         let slot = &mut slots[slot];
         let inputs = CellInputs {
@@ -347,14 +383,16 @@ impl SimExecutor {
                 return Arc::clone(rep);
             }
         }
+        let f_cap = f_caps.get(machine, cap_w, cfg.threads);
+        let (key_cap_w, key_limit_ghz) = machine.operating_point(cap_w, f_cap, freq_limit_ghz);
         let table = &mut slot.table;
         let rep = cache.get_or_insert_id(
             reader,
             slot.id,
             region.iterations,
             cfg,
-            cap_w,
-            freq_limit_ghz,
+            key_cap_w,
+            key_limit_ghz,
             || {
                 // A name does not identify a model: re-resolve if the
                 // slot's table was built for another trip count or profile.
@@ -364,14 +402,20 @@ impl SimExecutor {
                 };
                 simulate_region_with_table(
                     machine,
-                    cap_w,
+                    key_cap_w,
                     region,
                     table,
                     cfg,
-                    freq_limit_ghz,
+                    key_limit_ghz,
                     scratch,
                 )
             },
+        );
+        debug_assert_eq!(
+            rep.f_ghz.to_bits(),
+            machine.team_frequency(cap_w, cfg.threads, freq_limit_ghz).to_bits(),
+            "the cell at ({key_cap_w} W, {key_limit_ghz:?}) runs at another frequency than \
+             ({cap_w} W, {freq_limit_ghz:?})"
         );
         slot.last = Some((inputs, Arc::clone(&rep)));
         rep
@@ -783,6 +827,26 @@ mod tests {
         assert_ne!(exec.run_region(region, cfg), first, "the cap is part of the cell");
         let s = exec.shared_cache().stats();
         assert_eq!((s.hits, s.misses), (1, 2));
+    }
+
+    #[test]
+    fn caps_at_one_operating_point_share_a_cell() {
+        // A 4-thread team runs at the base clock at all three caps: each
+        // move misses the slot's last cell (kept by raw cap) and hits the
+        // memo's, which prices what a fresh executor at that cap does.
+        let m = Machine::crill();
+        let omp = OmpConfig { threads: 4, schedule: arcs_omprt::Schedule::dynamic(4) };
+        let cfg = TunedConfig::from(omp);
+        let region = &small_bt().step[0];
+        let handle = CapHandle::new(85.0);
+        let mut exec = SimExecutor::new(m.clone(), 85.0).with_cap_handle(handle.clone());
+        for cap in [85.0, 100.0, 115.0] {
+            handle.set(cap);
+            let fresh = SimExecutor::new(m.clone(), cap).run_region(region, cfg);
+            assert_eq!(exec.run_region(region, cfg), fresh, "{cap} W");
+        }
+        let s = exec.shared_cache().stats();
+        assert_eq!((s.hits, s.misses), (2, 1));
     }
 
     #[test]

@@ -270,3 +270,45 @@ proptest! {
         );
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// One executor whose cap moves before every invocation, under a DVFS
+    /// limit that moves too: each invocation prices exactly what direct
+    /// simulation gives at the requested (RAPL-clamped) cap and limit,
+    /// though lookups at one operating point share a memo cell and the
+    /// executor's per-cap frequency table is rebuilt at every move.
+    #[test]
+    fn cap_moves_price_the_requested_operating_point(
+        probes in proptest::collection::vec(
+            (0.2f64..1.1, 1usize..33, 0usize..3, 0usize..3, 0.5f64..3.5),
+            1..40,
+        ),
+    ) {
+        use arcs::backend::Backend;
+        use arcs::{CapHandle, TunedConfig};
+        use arcs_kernels::model;
+        use arcs_omprt::Schedule;
+        use arcs_powersim::simulate_region_at_freq;
+
+        let m = Machine::crill();
+        let wl = model::lulesh(8);
+        let handle = CapHandle::new(m.power.tdp_w);
+        let mut exec =
+            SimExecutor::new(m.clone(), m.power.tdp_w).with_cap_handle(handle.clone());
+        let schedules = [Schedule::static_block(), Schedule::dynamic(8), Schedule::guided(4)];
+        for &(cap_frac, threads, schedule, region, limit) in &probes {
+            handle.set(m.power.tdp_w * cap_frac);
+            let region = &wl.step[region % wl.step.len()];
+            let omp = OmpConfig { threads, schedule: schedules[schedule] };
+            let freq_ghz = (limit < 3.0).then_some(limit);
+            let run = exec.run_region(region, TunedConfig { omp, freq_ghz });
+            let direct =
+                simulate_region_at_freq(&m, exec.power_cap_w(), region, omp.as_sim(), freq_ghz);
+            prop_assert_eq!(run.time_s.to_bits(), direct.time_s.to_bits());
+            prop_assert_eq!(run.features.busy_s.to_bits(), direct.busy_total_s().to_bits());
+            prop_assert_eq!(run.features.barrier_s.to_bits(), direct.barrier_total_s().to_bits());
+        }
+    }
+}

@@ -8,8 +8,9 @@
 //!
 //! The execution model:
 //!
-//! 1. the package power cap fixes the core frequency (see
-//!    [`Machine::frequency_under_cap`]);
+//! 1. the package power cap, and an optional DVFS limit, fix the core
+//!    frequency (see [`Machine::team_frequency`]) — the cap reaches no
+//!    other term, so caps that clamp to one frequency give one report;
 //! 2. each iteration costs `cycles_per_iter × weight_i / (f × smt_eff)`
 //!    compute time plus a frequency-independent memory-stall time from the
 //!    cache model;
@@ -267,14 +268,9 @@ pub fn simulate_region_with_table(
     let schedule = cfg.schedule;
     let n = region.iterations;
 
-    // Frequency: the busiest socket constrains the whole team (threads
-    // synchronise at the barrier, so the slower socket sets the pace; both
-    // sockets run the same cap).
-    let (max_active, sockets_used) = machine.active_core_summary(threads);
-    let mut f_ghz = machine.frequency_under_cap(cap_w, max_active);
-    if let Some(limit) = freq_limit_ghz {
-        f_ghz = f_ghz.min(limit).max(machine.f_min_ghz);
-    }
+    // The cap and the DVFS limit reach the simulation through this one
+    // frequency and nowhere else (the memo key relies on it).
+    let f_ghz = machine.team_frequency(cap_w, threads, freq_limit_ghz);
 
     let cache = analyze(machine, &region.memory, n, threads, schedule);
 
@@ -487,7 +483,7 @@ pub fn simulate_region_with_table(
     // low thread counts competitive for streaming regions: fewer threads
     // at the same (saturated) bandwidth lose nothing, and configurations
     // that *reduce traffic* win outright.
-    let sockets_used = sockets_used.max(1);
+    let sockets_used = machine.active_core_summary(threads).1.max(1);
     let dram_bytes = n as f64
         * region.memory.accesses_per_iter
         * cache.l3_miss_rate

@@ -325,6 +325,52 @@ impl Machine {
         f.clamp(self.f_min_ghz, self.f_base_ghz)
     }
 
+    /// The frequency (GHz) a team of `threads` runs at under `cap_w`: the
+    /// busiest socket's [`Machine::frequency_under_cap`] (threads
+    /// synchronise at the barrier, so the slower socket sets the pace),
+    /// lowered to a DVFS limit but never below `f_min`. The integrator
+    /// reads the cap through this function and nowhere else, so two
+    /// (cap, limit) pairs that give the same bits here simulate the same
+    /// report — see [`Machine::operating_point`].
+    pub fn team_frequency(&self, cap_w: f64, threads: usize, freq_limit_ghz: Option<f64>) -> f64 {
+        let (max_active, _) = self.active_core_summary(threads.clamp(1, self.hw_threads()));
+        let f = self.frequency_under_cap(cap_w, max_active);
+        match freq_limit_ghz {
+            Some(limit) => f.min(limit).max(self.f_min_ghz),
+            None => f,
+        }
+    }
+
+    /// The canonical (cap, DVFS limit) pair of an operating point, given
+    /// the cap's unlimited team frequency `f_cap` (that is,
+    /// `team_frequency(cap_w, threads, None)`). Every pair a team can be
+    /// asked to run at maps to one that [`Machine::team_frequency`] turns
+    /// into the same bits, and pairs that clamp to the same frequency map
+    /// to the same pair, so a memo keyed by it prices each operating point
+    /// once:
+    /// - a binding limit (`limit ≤ f_cap`) alone sets the frequency:
+    ///   `(+∞, Some(limit))`;
+    /// - a cap that clamps at `f_base` is any cap that does: `(+∞, None)`;
+    /// - a cap that clamps at `f_min` is any cap that does: `(0, None)`;
+    /// - otherwise the cap stands and a limit that does not bind is
+    ///   dropped: `(cap_w, None)`.
+    ///
+    /// A NaN cap has no operating point and keys as itself.
+    pub fn operating_point(
+        &self,
+        cap_w: f64,
+        f_cap: f64,
+        freq_limit_ghz: Option<f64>,
+    ) -> (f64, Option<f64>) {
+        match freq_limit_ghz {
+            _ if f_cap.is_nan() => (cap_w, freq_limit_ghz),
+            Some(limit) if limit <= f_cap => (f64::INFINITY, Some(limit)),
+            _ if f_cap == self.f_base_ghz => (f64::INFINITY, None),
+            _ if f_cap == self.f_min_ghz => (0.0, None),
+            _ => (cap_w, None),
+        }
+    }
+
     /// Load a machine description from JSON (all fields of [`Machine`]).
     /// Lets downstream users model their own nodes without recompiling:
     /// start from `Machine::crill().to_json()`, edit, and load.
@@ -519,6 +565,26 @@ mod tests {
     fn deep_caps_hit_the_floor() {
         let m = Machine::crill();
         assert_eq!(m.frequency_under_cap(10.0, 8), m.f_min_ghz);
+    }
+
+    #[test]
+    fn operating_points_name_each_frequency_once() {
+        let m = Machine::crill();
+        let point = |cap: f64, threads: usize, limit: Option<f64>| {
+            m.operating_point(cap, m.team_frequency(cap, threads, None), limit)
+        };
+        let inf = f64::INFINITY;
+        // A small team runs at the base clock at every cap in the range.
+        assert_eq!(point(55.0, 2, None), (inf, None));
+        assert_eq!(point(115.0, 4, Some(3.0)), (inf, None), "a limit above f_base never binds");
+        // Deep caps sit at the floor, in-range caps stand as themselves.
+        assert_eq!(point(10.0, 16, None), (0.0, None));
+        assert_eq!(point(85.0, 32, Some(2.39)), (85.0, None), "the limit is above f_cap");
+        // A binding limit alone sets the frequency.
+        assert_eq!(point(85.0, 32, Some(1.5)), (inf, Some(1.5)));
+        assert_eq!(m.team_frequency(inf, 32, Some(1.5)), m.team_frequency(85.0, 32, Some(1.5)));
+        let (cap, limit) = point(f64::NAN, 8, Some(1.5));
+        assert!(cap.is_nan() && limit == Some(1.5), "a NaN cap keys as itself");
     }
 
     #[test]

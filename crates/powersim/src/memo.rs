@@ -7,6 +7,16 @@
 //! workloads) share one cache, so a configuration priced by one cell is
 //! free for every other cell that touches it.
 //!
+//! The cap and limit reach a report only through the team's frequency
+//! ([`Machine::team_frequency`]), so executors look cells up at the
+//! canonical pair [`Machine::operating_point`] names for them rather
+//! than at the raw cap: every cap that clamps a team to `f_base` (or to
+//! `f_min`) is one cell, simulated once. The cache itself keys whatever
+//! pair it is handed, by bits.
+//!
+//! [`Machine::team_frequency`]: crate::Machine::team_frequency
+//! [`Machine::operating_point`]: crate::Machine::operating_point
+//!
 //! ## Key layout
 //!
 //! Region names are interned once per executor bind into integer
@@ -206,7 +216,9 @@ const NO_FREQ_BITS: u64 = u64::MAX;
 /// Everything that feeds the simulator, flattened to machine words:
 /// (region id, trip count, configuration, power-cap bits, frequency-limit
 /// bits). The cap and the optional DVFS limit are keyed by bit pattern —
-/// both come from small fixed sets, not arithmetic.
+/// executors pass the canonical operating point
+/// ([`crate::Machine::operating_point`]), whose caps are `+∞`, `0` or a
+/// cap from a small fixed set, never the result of arithmetic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CellKey {
     region: RegionId,

@@ -7,14 +7,19 @@
 //! race the same lookups — that is what makes parallel and serial sweeps
 //! report identical cache lines.
 //!
+//! Executors key cells by operating point (`Machine::operating_point`),
+//! so the last properties hold that keying to the raw simulator: any
+//! (cap, limit) pair simulates what its canonical pair does, bit for bit.
+//!
 //! [`CacheReader`]: arcs_powersim::CacheReader
 
 use arcs_omprt::{Schedule, ScheduleKind};
 use arcs_powersim::{
-    simulate_region, ImbalanceProfile, Machine, MemoryProfile, RegionModel, SharedSimCache,
-    SimConfig, StrideClass,
+    simulate_region, simulate_region_at_freq, ImbalanceProfile, Machine, MemoryProfile,
+    RegionModel, SharedSimCache, SimConfig, SimReport, StrideClass,
 };
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 fn region(name: &str, iters: usize, cycles: f64) -> RegionModel {
     RegionModel {
@@ -152,4 +157,151 @@ fn racing_inserts_count_one_miss_per_distinct_cell() {
     assert_eq!(stats.lookups() as usize, RACERS * ROUNDS * distinct);
     assert_eq!(stats.hits, stats.lookups() - stats.misses);
     assert_eq!(stats.interner_size, regions.len());
+}
+
+/// Both presets and a node edited from crill's JSON with another
+/// frequency range, so its clamp boundaries fall at other caps.
+fn machines() -> [Machine; 3] {
+    let json = Machine::crill()
+        .to_json()
+        .replace("\"f_base_ghz\": 2.4", "\"f_base_ghz\": 3.1")
+        .replace("\"f_min_ghz\": 1.2", "\"f_min_ghz\": 1.7");
+    let edited = Machine::from_json(&json).expect("the edited machine loads");
+    assert_eq!((edited.f_min_ghz, edited.f_base_ghz), (1.7, 3.1), "the edit took");
+    [Machine::crill(), Machine::minotaur(), edited]
+}
+
+/// For every count of active cores on the busiest socket, the caps at
+/// which the team reaches `f_base` and `f_min` exactly, each with its
+/// neighbours one ulp either side.
+fn clamp_boundaries(m: &Machine) -> Vec<f64> {
+    let mut caps = Vec::new();
+    for active in 1..=m.cores_per_socket {
+        let idle = m.cores_per_socket - active;
+        let static_w =
+            m.power.p_uncore_w + idle as f64 * m.power.p_core_idle_w + active as f64 * m.power.c0;
+        for f in [m.f_base_ghz, m.f_min_ghz] {
+            let cap = static_w + active as f64 * m.power.c1 * f.powi(3);
+            caps.extend([cap.next_down(), cap, cap.next_up()]);
+        }
+    }
+    caps
+}
+
+/// One lookup: a thread pick (folded into `1..=hw`), a schedule, a cap
+/// pick (`0` draws across the RAPL range, anything else a clamp boundary)
+/// and a limit pick (none, random, above `f_base`, below `f_min`, or
+/// exactly the cap's own frequency).
+type OperatingProbe = (usize, Schedule, (usize, f64, usize), (usize, f64));
+
+fn arb_operating_probe() -> impl Strategy<Value = OperatingProbe> {
+    (
+        0usize..10_000,
+        arb_schedule(),
+        (0usize..3, 0.0f64..1.0, 0usize..1000),
+        (0usize..5, 0.0f64..1.0),
+    )
+}
+
+fn key_bits((cap, limit): (f64, Option<f64>)) -> (u64, Option<u64>) {
+    (cap.to_bits(), limit.map(f64::to_bits))
+}
+
+fn json(rep: &SimReport) -> String {
+    serde_json::to_string(rep).expect("reports serialise")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every (cap, limit) pair simulates, serde-identically, what its
+    /// canonical pair simulates — so any two pairs with one canonical pair
+    /// agree — and at the frequency `team_frequency` names for it; the
+    /// canonical pair is its own canonical pair; and a cache keyed by
+    /// canonical pairs, the way the executor keys it, answers every
+    /// lookup (hits served from another cap's cell included) with the
+    /// bits direct simulation gives at the *requested* pair, missing once
+    /// per operating point.
+    #[test]
+    fn operating_points_simulate_what_their_caps_do(
+        which in 0usize..3,
+        iters in 64usize..400,
+        probes in proptest::collection::vec(arb_operating_probe(), 1..24),
+    ) {
+        let m = &machines()[which];
+        let boundaries = clamp_boundaries(m);
+        let r = region("op", iters, 9000.0);
+        let cache = SharedSimCache::new(&m.name);
+        let id = cache.intern(&r.name);
+        let mut reader = cache.reader();
+        let mut cells = HashSet::new();
+
+        for &(threads, schedule, (cap_pick, cap_frac, boundary), (limit_pick, limit_frac)) in &probes {
+            let threads = 1 + threads % m.hw_threads();
+            let cfg = SimConfig { threads, schedule };
+            let cap = match cap_pick {
+                0 => m.power.tdp_w * (0.25 + 0.75 * cap_frac),
+                _ => boundaries[boundary % boundaries.len()],
+            };
+            let f_cap = m.team_frequency(cap, threads, None);
+            let limit = match limit_pick {
+                0 => None,
+                1 => Some(0.5 * m.f_min_ghz + limit_frac * (1.5 * m.f_base_ghz - 0.5 * m.f_min_ghz)),
+                2 => Some(m.f_base_ghz * (1.0 + limit_frac)),
+                3 => Some(m.f_min_ghz * (0.5 + 0.49 * limit_frac)),
+                _ => Some(f_cap),
+            };
+            let key = m.operating_point(cap, f_cap, limit);
+            let (key_cap, key_limit) = key;
+            let again = m.operating_point(key_cap, m.team_frequency(key_cap, threads, None), key_limit);
+            prop_assert_eq!(key_bits(again), key_bits(key), "cap {} limit {:?}", cap, limit);
+
+            let direct = simulate_region_at_freq(m, cap, &r, cfg, limit);
+            prop_assert_eq!(direct.f_ghz.to_bits(), m.team_frequency(cap, threads, limit).to_bits());
+            let canonical = simulate_region_at_freq(m, key_cap, &r, cfg, key_limit);
+            prop_assert_eq!(json(&direct), json(&canonical), "cap {} limit {:?}", cap, limit);
+            let cached = cache.get_or_insert_id(&mut reader, id, r.iterations, cfg, key_cap, key_limit, || {
+                simulate_region_at_freq(m, key_cap, &r, cfg, key_limit)
+            });
+            prop_assert_eq!(json(&direct), json(&cached), "cap {} limit {:?}", cap, limit);
+            cells.insert((cfg, key_bits(key)));
+        }
+
+        let stats = cache.stats();
+        prop_assert_eq!(stats.misses as usize, cells.len());
+        prop_assert_eq!(stats.lookups() as usize, probes.len());
+    }
+}
+
+/// The sharing the keying exists for: a 4-thread team on crill runs at
+/// the base clock at every cap from 55 W to 115 W, with or without a limit
+/// above it, so thirteen caps × two limits are one operating point.
+#[test]
+fn caps_that_clamp_to_the_base_clock_share_one_cell() {
+    let m = Machine::crill();
+    let cache = SharedSimCache::new(&m.name);
+    let r = region("clamped", 256, 9000.0);
+    let id = cache.intern(&r.name);
+    let mut reader = cache.reader();
+    let cfg = SimConfig { threads: 4, schedule: Schedule::dynamic(8) };
+    for cap in (11..=23).map(|k| 5.0 * k as f64) {
+        for limit in [None, Some(3.0)] {
+            let f_cap = m.team_frequency(cap, cfg.threads, None);
+            assert_eq!(f_cap, m.f_base_ghz, "{cap} W clamps");
+            let (key_cap, key_limit) = m.operating_point(cap, f_cap, limit);
+            assert_eq!((key_cap, key_limit), (f64::INFINITY, None));
+            let rep = cache.get_or_insert_id(
+                &mut reader,
+                id,
+                r.iterations,
+                cfg,
+                key_cap,
+                key_limit,
+                || simulate_region_at_freq(&m, key_cap, &r, cfg, key_limit),
+            );
+            assert_eq!(json(&rep), json(&simulate_region_at_freq(&m, cap, &r, cfg, limit)));
+        }
+    }
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.misses), (25, 1));
 }

@@ -355,7 +355,7 @@ fn main() {
             "--tenants" => args.tenants = flags.value("--tenants"),
             "--nodes" => args.nodes = flags.value("--nodes"),
             "--machine" => args.machine = flags.value("--machine"),
-            "--budget" => args.budget_w = Some(flags.value("--budget")),
+            "--budget" => args.budget_w = Some(flags.watts("--budget")),
             "--seed" => args.seed = flags.value("--seed"),
             "--quantum" => args.quantum = flags.value("--quantum"),
             "--reject-every" => args.reject_every = flags.value("--reject-every"),

@@ -59,7 +59,7 @@ fn main() {
             "--port" => port = flags.value("--port"),
             "--nodes" => nodes = flags.value("--nodes"),
             "--machine" => machine = flags.value("--machine"),
-            "--budget" => budget_w = Some(flags.value("--budget")),
+            "--budget" => budget_w = Some(flags.watts("--budget")),
             "--quantum" => quantum = flags.value("--quantum"),
             "--trace" => trace = Some(flags.value("--trace")),
             "--pool" => pool = flags.value("--pool"),

@@ -100,9 +100,14 @@ const USAGE_ERRORS: &[(&str, &[&str], &str)] = &[
     (SERVE, &["--nope"], "usage: arcs-serve ["),
     (SERVE, &["--port"], "usage: arcs-serve ["),
     (SERVE, &["--port", "http"], "usage: arcs-serve ["),
+    // A power budget is a finite, positive number of watts.
+    (SERVE, &["--budget", "nan"], "usage: arcs-serve ["),
+    (SERVE, &["--budget", "-400"], "usage: arcs-serve ["),
     (LOADGEN, &["--nope"], "usage: arcs-serve-loadgen"),
     (LOADGEN, &["--seed"], "usage: arcs-serve-loadgen"),
     (LOADGEN, &["--budget", "lots"], "usage: arcs-serve-loadgen"),
+    (LOADGEN, &["--budget", "inf"], "usage: arcs-serve-loadgen"),
+    (LOADGEN, &["--budget", "0"], "usage: arcs-serve-loadgen"),
     (LOADGEN, &["--jobs", "0"], "usage: arcs-serve-loadgen"),
     (LOADGEN, &["verify"], "usage: arcs-serve-loadgen"),
     (TOP, &["--replay", "t.jsonl", "--nope"], "usage: arcs-serve-top"),

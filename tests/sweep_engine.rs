@@ -63,6 +63,54 @@ fn sweep_reports_cross_cell_cache_hits() {
     );
 }
 
+/// sp.B and a small LULESH at `caps` under the paper's three strategies.
+fn cross_cap_grid(machine: &Machine, caps: &[f64]) -> SweepGrid {
+    let mut sp = model::sp(Class::B);
+    sp.timesteps = 6;
+    let mut lulesh = model::lulesh(20);
+    lulesh.timesteps = 8;
+    SweepGrid::new(machine.clone()).workload(sp).workload(lulesh).caps(caps).strategies(&[
+        SweepStrategy::Default,
+        SweepStrategy::Online,
+        SweepStrategy::Offline,
+    ])
+}
+
+/// The memo keys a cell by the operating point its team runs at, so cells
+/// at caps that clamp a team to one frequency share its simulation: every
+/// cell of a three-cap sweep is bit-equal to the same cell swept alone at
+/// its cap on a fresh engine, yet the shared sweep simulates strictly
+/// fewer cells than the three single-cap sweeps together — and as many
+/// with one worker as with four.
+#[test]
+fn cells_at_caps_that_clamp_alike_share_simulations() {
+    let m = Machine::crill();
+    let caps = [55.0, 85.0, 115.0];
+    let serial = SweepEngine::new(m.clone()).with_workers(1).run(&cross_cap_grid(&m, &caps));
+    let parallel = SweepEngine::new(m.clone()).with_workers(4).run(&cross_cap_grid(&m, &caps));
+    assert_eq!(serial.cache.misses, parallel.cache.misses);
+    for (s, p) in serial.cells.iter().zip(&parallel.cells) {
+        assert_eq!(s.report, p.report, "{} {} @ {}W", s.workload, s.strategy.label(), s.cap_w);
+    }
+
+    let mut alone_misses = 0;
+    for cap in caps {
+        let alone = SweepEngine::new(m.clone()).with_workers(1).run(&cross_cap_grid(&m, &[cap]));
+        alone_misses += alone.cache.misses;
+        for cell in &alone.cells {
+            let label = cell.strategy.label();
+            let shared = serial.cell(&cell.workload, cap, label).expect("the shared sweep has it");
+            assert_eq!(shared.report, cell.report, "{} {label} @ {cap}W", cell.workload);
+            assert_eq!(shared.history, cell.history, "{} {label} @ {cap}W", cell.workload);
+        }
+    }
+    assert!(
+        serial.cache.misses < alone_misses,
+        "no cross-cap sharing: {} shared vs {alone_misses} alone",
+        serial.cache.misses
+    );
+}
+
 /// The unified Backend driver must charge §III-C overheads exactly as the
 /// pre-refactor SimExecutor did on SP class B: every tuned invocation pays
 /// the instrumentation cost, every configuration change pays ≈8 ms, and
