@@ -55,6 +55,21 @@ if [ -n "$strays" ]; then
     exit 1
 fi
 
+# One run API: a workload runs through a `Runner` chain and a grid through
+# `SweepEngine`, whose `run_cell` holds the recipes. No non-test source may
+# bring back the second API (`runs::*`, the `SimExecutor` run helpers) or
+# the ladder as a `Runner` switch behind a private APEX policy.
+strays="$(find crates src examples -name '*.rs' -not -path '*/tests/*' \
+    -exec awk '/#\[cfg\(test\)\]/ { nextfile }
+        /runs::|fn run_default|fn run_fixed|fn run_tuned|fn train_offline|adaptive_schedule|"adaptive-schedule"/ {
+            print FILENAME ":" FNR ": " $0
+        }' {} +)"
+if [ -n "$strays" ]; then
+    echo "ci: a second way to start a run:" >&2
+    echo "$strays" >&2
+    exit 1
+fi
+
 # Trace smoke: a tuned run must emit JSONL that validates against the
 # published schema (--check exits non-zero otherwise) plus a Chrome trace.
 trace_tmp="$(mktemp -d)"

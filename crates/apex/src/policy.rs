@@ -242,30 +242,6 @@ impl AdaptiveLadder {
         }
         None
     }
-
-    /// Register `ladder` as the `adaptive-schedule` policy on `apex` and
-    /// return the decision queue it fills.
-    ///
-    /// The watching `Apex` instance carries *imbalance* profiles: the
-    /// driver samples `barrier/(busy+barrier)` (not durations) per region
-    /// invocation, every `TimerStop` feeds [`AdaptiveLadder::observe`],
-    /// and escalation decisions queue up for the driver to apply at the
-    /// task's next invocation.
-    pub fn attach(
-        apex: &crate::Apex,
-        ladder: Arc<parking_lot::Mutex<AdaptiveLadder>>,
-    ) -> Arc<parking_lot::Mutex<Vec<(String, ArmSwitch)>>> {
-        let decisions = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let queue = Arc::clone(&decisions);
-        apex.register_policy("adaptive-schedule", PolicyTrigger::OnTimerStop, move |ev| {
-            if let PolicyEventKind::TimerStop { duration_s } = ev.kind {
-                if let Some(sw) = ladder.lock().observe(&ev.task_name, duration_s) {
-                    queue.lock().push((ev.task_name.clone(), sw));
-                }
-            }
-        });
-        decisions
-    }
 }
 
 #[cfg(test)]
@@ -407,27 +383,5 @@ mod tests {
         assert!(ladder.observe("cold", 0.0).is_none());
         assert_eq!(ladder.arm("hot"), 1);
         assert_eq!(ladder.arm("cold"), 0);
-    }
-
-    #[test]
-    fn attached_ladder_queues_decisions_from_timer_stops() {
-        let apex = crate::Apex::new();
-        let ladder = Arc::new(parking_lot::Mutex::new(
-            AdaptiveLadder::new(2).with_patience(2).with_threshold(0.15),
-        ));
-        let decisions = AdaptiveLadder::attach(&apex, Arc::clone(&ladder));
-        assert_eq!(apex.policy_count(), 1);
-
-        let hot = apex.task("mc/track");
-        apex.sample(hot, 0.4); // imbalance samples ride the duration field
-        assert!(decisions.lock().is_empty());
-        apex.sample(hot, 0.4);
-        let queued = decisions.lock().clone();
-        assert_eq!(queued.len(), 1);
-        let (task, sw) = &queued[0];
-        assert_eq!(task, "mc/track");
-        assert_eq!((sw.from, sw.to, sw.invocation), (0, 1, 2));
-        // The imbalance profile is inspectable like any APEX profile.
-        assert_eq!(apex.profile(hot).unwrap().count, 2);
     }
 }

@@ -5,8 +5,8 @@
 use crate::write_or_exit;
 use arcs::cli::Flags;
 use arcs::{
-    AppRunReport, ConfigSpace, Objective, RegionTuner, ResilienceOptions, RunError, Runner,
-    SimExecutor, TunerOptions, TuningMode,
+    AppRunReport, ConfigSpace, Objective, OmpConfig, RegionTuner, ResilienceOptions, RunError,
+    Runner, SimExecutor, TunerOptions, TuningMode,
 };
 use arcs_harmony::{History, NmOptions, ProOptions};
 use arcs_powersim::{FaultPlan, Machine};
@@ -47,8 +47,7 @@ pub fn main(argv: &[String]) {
     let mut strategy = "online".to_string();
     let mut objective = Objective::Time;
     let mut timesteps: Option<usize> = None;
-    // Selective tuning is off at a zero threshold (the options' default).
-    let mut selective = 0.0;
+    let mut selective: Option<f64> = None;
     let mut save_history: Option<PathBuf> = None;
     let mut load_history: Option<PathBuf> = None;
     let mut plan_name: Option<String> = None;
@@ -80,7 +79,7 @@ pub fn main(argv: &[String]) {
             "--strategy" => strategy = flags.value("--strategy"),
             "--objective" => objective = flags.value("--objective"),
             "--timesteps" => timesteps = Some(flags.value("--timesteps")),
-            "--selective" => selective = flags.value("--selective"),
+            "--selective" => selective = Some(flags.value("--selective")),
             "--save-history" => save_history = Some(flags.value("--save-history")),
             "--load-history" => load_history = Some(flags.value("--load-history")),
             "--plan" => plan_name = Some(flags.value("--plan")),
@@ -107,6 +106,12 @@ pub fn main(argv: &[String]) {
         eprintln!("only offline loads a history, and only a search saves one");
         usage()
     }
+    if selective.is_some() && !searches {
+        eprintln!("--selective thresholds a search: {strategy} does not search");
+        usage()
+    }
+    // Selective tuning is off at a zero threshold (the options' default).
+    let selective = selective.unwrap_or(0.0);
     if plan_name.is_none() && (seed.is_some() || budget.is_some()) {
         eprintln!("--seed and --budget shape a fault plan: give --plan");
         usage()
@@ -160,13 +165,12 @@ pub fn main(argv: &[String]) {
     let sink = (trace.is_some() || chrome.is_some() || check || faults.is_some())
         .then(|| Arc::new(VecSink::new()));
     let mut exec = SimExecutor::new(m.clone(), cap);
-    let mut runner = Runner::new(&mut exec)
-        .workload(&wl)
-        .objective(objective)
-        .adaptive_schedule(strategy == "adaptive")
-        .self_profile(self_profile);
+    let default_cfg = OmpConfig::default_for(m);
+    let mut runner =
+        Runner::new(&mut exec).workload(&wl).objective(objective).self_profile(self_profile);
     runner = match &mut tuner {
         Some(tuner) => runner.tuner(tuner).label(format!("arcs-{strategy}")),
+        None if strategy == "adaptive" => runner.adaptive(move |_| default_cfg, strategy),
         None => runner.label(strategy),
     };
     if let Some(sink) = &sink {

@@ -6,8 +6,8 @@ use super::SP_REGIONS;
 use crate::{f3, power_label, print_table, region_model, region_oracle, POWER_LEVELS};
 use arcs::dvfs::{tune_region, DvfsOutcome, Objective};
 use arcs::{
-    runs, AppRunReport, ConfigSpace, OmpConfig, RegionTuner, Runner, SimExecutor, TunableSpace,
-    TunerOptions, TuningMode,
+    AppRunReport, ConfigSpace, OmpConfig, RegionTuner, Runner, SimExecutor, SweepEngine, SweepGrid,
+    SweepStrategy, TunableSpace, TunerOptions, TuningMode,
 };
 use arcs_harmony::{NmOptions, ProOptions};
 use arcs_kernels::{model, Class};
@@ -26,15 +26,17 @@ pub fn ablation(out: &mut dyn Write) -> io::Result<()> {
     let m = Machine::crill();
 
     // --- 1. Selective tuning on LULESH (the Crill problem case). --------
-    let wl = model::lulesh(45);
-    let base = runs::default_run(&m, 115.0, &wl);
-    let naive = runs::online_run(&m, 115.0, &wl);
-    let space = ConfigSpace::for_machine(&m);
     // Threshold: 4x the config-change overhead.
-    let mut tuner = RegionTuner::new(
-        TunerOptions::online(space.clone()).with_min_region_time(4.0 * m.config_change_s),
-    );
-    let selective = SimExecutor::new(m.clone(), 115.0).run_tuned(&wl, &mut tuner);
+    let selective = SweepStrategy::OnlineSelective { min_region_time_s: 4.0 * m.config_change_s };
+    let grid = SweepGrid::new(m.clone()).workload(model::lulesh(45)).caps(&[115.0]).strategies(&[
+        SweepStrategy::Default,
+        SweepStrategy::Online,
+        selective,
+    ]);
+    let sweep = SweepEngine::new(m.clone()).run(&grid);
+    let [base, naive, selective] = &sweep.cells[..] else { unreachable!("one cell per strategy") };
+    let (base, naive, selective) = (&base.report, &naive.report, &selective.report);
+    let skipped = selective.tuner.expect("a tuned cell reports its tuner").skipped_regions;
     print_table(
         out,
         "Selective tuning, LULESH mesh 45 on Crill at TDP (time ratio vs default)",
@@ -48,7 +50,7 @@ pub fn ablation(out: &mut dyn Write) -> io::Result<()> {
             vec![
                 "ARCS-Online + selective".into(),
                 f3(selective.time_s / base.time_s),
-                tuner.stats().skipped_regions.to_string(),
+                skipped.to_string(),
             ],
         ],
     )?;
@@ -56,6 +58,7 @@ pub fn ablation(out: &mut dyn Write) -> io::Result<()> {
     // --- 2. Search strategies on two objectives: an easy one (SP x_solve,
     // where a quarter of the grid is near-optimal) and a needle (LULESH
     // FBHourglass, whose optimum is one specific dynamic chunk size).
+    let space = ConfigSpace::for_machine(&m);
     for (wl, region_name, cap) in [
         (model::sp(Class::B), "sp/x_solve", 85.0),
         (model::lulesh(45), "lulesh/CalcFBHourglassForceForElems", 115.0),
@@ -171,9 +174,16 @@ pub fn noise(out: &mut dyn Write) -> io::Result<()> {
     let m = Machine::crill();
     let wl = model::sp(Class::B);
 
-    let clean_base = runs::default_run(&m, 115.0, &wl);
-    let (clean_offline, clean_hist) = runs::offline_run(&m, 115.0, &wl);
-    let clean_ratio = clean_offline.time_s / clean_base.time_s;
+    let grid = SweepGrid::new(m.clone())
+        .workload(wl.clone())
+        .caps(&[115.0])
+        .strategies(&[SweepStrategy::Default, SweepStrategy::Offline]);
+    let sweep = SweepEngine::new(m.clone()).run(&grid);
+    let [clean_base, clean_offline] = &sweep.cells[..] else { unreachable!("one cell each") };
+    let clean_hist = clean_offline.history.as_ref().expect("offline cells carry their history");
+    let clean_base = &clean_base.report;
+    let clean_ratio = clean_offline.report.time_s / clean_base.time_s;
+    let space = ConfigSpace::for_machine(&m);
 
     let mut rows = Vec::new();
     let mut distinct: Vec<BTreeSet<String>> = vec![BTreeSet::new(); SP_REGIONS.len()];
@@ -181,9 +191,16 @@ pub fn noise(out: &mut dyn Write) -> io::Result<()> {
     for seed in [3u64, 17, 101, 4242, 90210] {
         // Train under noise, replay on the *clean* simulator: the
         // train→test gap.
-        let mut trainer = SimExecutor::new(m.clone(), 115.0).with_noise(0.15, seed);
-        let mut clean = SimExecutor::new(m.clone(), 115.0);
-        let (replay, hist) = runs::offline_run_on(&mut trainer, &mut clean, &wl, Objective::Time);
+        let hist = Runner::new(&mut SimExecutor::new(m.clone(), 115.0).with_noise(0.15, seed))
+            .workload(&wl)
+            .train(TunerOptions::offline_train(space.clone()), "sp.B.crill.115W")
+            .expect("training converges");
+        let mut tuner = RegionTuner::new(TunerOptions::offline_replay(space.clone(), hist.clone()));
+        let replay = Runner::new(&mut SimExecutor::new(m.clone(), 115.0))
+            .workload(&wl)
+            .tuner(&mut tuner)
+            .run()
+            .expect("workload is set");
         let mut row = vec![format!("seed {seed}")];
         for (r, seen) in SP_REGIONS.iter().zip(&mut distinct) {
             let cfg = hist.get(r).expect("trained region").config.to_string();
@@ -222,8 +239,8 @@ pub fn noise(out: &mut dyn Write) -> io::Result<()> {
 /// Extension: the scheduling-policy portfolio bake-off on MC.B (Crill,
 /// TDP, every hardware thread) — one run per fixed policy of
 /// [`ScheduleKind::ALL`] (Table-I order, default chunk), then the default
-/// configuration with [`Runner::adaptive_schedule`] escalating mid-run,
-/// and every ladder decision it took.
+/// configuration with [`Runner::adaptive`] escalating mid-run, and every
+/// ladder decision it took.
 pub fn schedule(out: &mut dyn Write) -> io::Result<()> {
     let m = Machine::crill();
     let (wl, cap, threads) = (model::mc(Class::B), 115.0, m.hw_threads());
@@ -235,13 +252,18 @@ pub fn schedule(out: &mut dyn Write) -> io::Result<()> {
     writeln!(out, "\nschedule portfolio: {name} on {machine} at {cap:.0}W, {threads} threads")?;
     for kind in ScheduleKind::ALL {
         let cfg = OmpConfig { threads, schedule: Schedule::new(kind, None) };
-        let rep = SimExecutor::new(m.clone(), cap).run_fixed(&wl, &|_| cfg, kind.name());
+        let rep = Runner::new(&mut SimExecutor::new(m.clone(), cap))
+            .workload(&wl)
+            .fixed(move |_| cfg, kind.name())
+            .run()
+            .expect("workload is set");
         writeln!(out, "{}", row(kind.name(), &rep))?;
     }
+    let default_cfg = OmpConfig::default_for(&m);
     let sink = Arc::new(VecSink::new());
     let adaptive = Runner::new(&mut SimExecutor::new(m.clone(), cap))
         .workload(&wl)
-        .adaptive_schedule(true)
+        .adaptive(move |_| default_cfg, "adaptive")
         .trace(sink.clone())
         .run()
         .expect("workload is set");

@@ -1,9 +1,10 @@
 //! The framework itself: the Fig. 2 wiring self-check and the §III-C
 //! overhead characterisation.
 
-use crate::print_table;
+use crate::{print_table, PAPER_STRATEGIES};
 use arcs::{
-    runs, ArcsLive, ChunkChoice, ConfigSpace, OmpConfig, SimExecutor, ThreadChoice, TunerOptions,
+    ArcsLive, ChunkChoice, ConfigSpace, OmpConfig, Runner, SimExecutor, SweepEngine, SweepGrid,
+    ThreadChoice, TunerOptions,
 };
 use arcs_kernels::{model, Class};
 use arcs_omprt::{Runtime, ScheduleKind};
@@ -92,34 +93,40 @@ pub fn overheads(out: &mut dyn Write) -> io::Result<()> {
         m.instrumentation_s
     )?;
 
+    let grid = SweepGrid::new(m.clone())
+        .workload(model::bt(Class::B))
+        .workload(model::sp(Class::B))
+        .workload(model::lulesh(45))
+        .caps(&[115.0])
+        .strategies(&PAPER_STRATEGIES);
+    let sweep = SweepEngine::new(m.clone()).run(&grid);
     let mut rows = Vec::new();
-    for (name, wl) in [
-        ("bt.B", model::bt(Class::B)),
-        ("sp.B", model::sp(Class::B)),
-        ("lulesh.45", model::lulesh(45)),
-    ] {
-        let base = runs::default_run(&m, 115.0, &wl);
-        let online = runs::online_run(&m, 115.0, &wl);
+    // One cap, so each workload's cells are its three strategies in order.
+    for (wl, cells) in grid.workloads.iter().zip(sweep.cells.chunks(PAPER_STRATEGIES.len())) {
+        let [base, online, offline] = cells else { unreachable!("one cell per strategy") };
+        let history = offline.history.as_ref().expect("offline cells carry their history");
+        let (base, online, offline) = (&base.report, &online.report, &offline.report);
         // Search overhead: extra region time spent on sub-optimal configs,
         // relative to replaying the final configs for the whole run.
-        let (offline, history) = runs::offline_run(&m, 115.0, &wl);
-        let mut exec = SimExecutor::new(m.clone(), 115.0);
-        let replay = exec.run_fixed(
-            &wl,
-            &|r| history.get(r).map(|e| e.config).unwrap_or_else(|| OmpConfig::default_for(&m)),
-            "oracle-replay",
-        );
+        let replay = Runner::new(&mut SimExecutor::new(m.clone(), 115.0))
+            .workload(wl)
+            .fixed(
+                |r| history.get(r).map(|e| e.config).unwrap_or_else(|| OmpConfig::default_for(&m)),
+                "oracle-replay",
+            )
+            .run()
+            .expect("workload is set");
         let search_overhead = (online.time_s - online.total_overhead_s() - replay.time_s).max(0.0);
         let share = |part_s: f64, of: &arcs::AppRunReport| {
             format!("{:.2}s ({:.1}%)", part_s, 100.0 * part_s / of.time_s)
         };
         rows.push(vec![
-            name.to_string(),
+            wl.name.clone(),
             format!("{:.1}s", base.time_s),
-            share(online.config_change_overhead_s, &online),
-            share(online.instrumentation_overhead_s, &online),
-            share(search_overhead, &online),
-            share(offline.config_change_overhead_s, &offline),
+            share(online.config_change_overhead_s, online),
+            share(online.instrumentation_overhead_s, online),
+            share(search_overhead, online),
+            share(offline.config_change_overhead_s, offline),
         ]);
     }
     print_table(

@@ -5,7 +5,10 @@ use super::SP_REGIONS;
 use crate::{
     f3, feature_comparison, power_label, print_table, region_at, region_oracle, POWER_LEVELS,
 };
-use arcs::{runs, ChunkChoice, ConfigSpace, OmpConfig, ScheduleChoice, ThreadChoice};
+use arcs::{
+    ChunkChoice, ConfigSpace, OmpConfig, Runner, ScheduleChoice, SimExecutor, ThreadChoice,
+    TunerOptions,
+};
 use arcs_kernels::{model, Class};
 use arcs_omprt::Schedule;
 use arcs_powersim::{Machine, SimConfig, WorkloadDescriptor};
@@ -97,7 +100,11 @@ pub fn fig1(out: &mut dyn Write) -> io::Result<()> {
 
 /// Table II: optimal configuration chosen by ARCS-Offline for SP regions.
 pub fn table2(out: &mut dyn Write) -> io::Result<()> {
-    let (_, history) = runs::offline_run(&Machine::crill(), 115.0, &model::sp(Class::B));
+    let m = Machine::crill();
+    let history = Runner::new(&mut SimExecutor::new(m.clone(), 115.0))
+        .workload(&model::sp(Class::B))
+        .train(TunerOptions::offline_train(ConfigSpace::for_machine(&m)), "sp.B.crill.115W")
+        .expect("training converges");
     let rows: Vec<Vec<String>> = SP_REGIONS
         .iter()
         .map(|&r| {
@@ -186,7 +193,10 @@ pub fn fig10(out: &mut dyn Write) -> io::Result<()> {
 /// Fig. 9: OMPT event breakdown for the top LULESH regions (default config,
 /// TDP): OpenMP_IMPLICIT_TASK vs OpenMP_LOOP vs OpenMP_BARRIER.
 pub fn fig9(out: &mut dyn Write) -> io::Result<()> {
-    let rep = runs::default_run(&Machine::crill(), 115.0, &model::lulesh(45));
+    let rep = Runner::new(&mut SimExecutor::new(Machine::crill(), 115.0))
+        .workload(&model::lulesh(45))
+        .run()
+        .expect("workload is set");
     let mut regions: Vec<_> = rep.per_region.iter().collect();
     // Inclusive time = per-thread busy + barrier (the IMPLICIT_TASK sum).
     regions.sort_by(|a, b| (b.1.busy_s + b.1.barrier_s).total_cmp(&(a.1.busy_s + a.1.barrier_s)));

@@ -12,8 +12,8 @@ pub use figures::{Figure, FIGURES};
 
 use arcs::dvfs::tune_region;
 use arcs::{
-    runs, AppRunReport, ConfigSpace, Objective, OmpConfig, SimExecutor, SweepReport, SweepStrategy,
-    TuningMode,
+    AppRunReport, ConfigSpace, Objective, OmpConfig, Runner, SimExecutor, SweepReport,
+    SweepStrategy, TunerOptions, TuningMode,
 };
 use arcs_powersim::{Machine, RegionModel, SimConfig, SimReport, WorkloadDescriptor};
 use std::io::{self, Write};
@@ -132,7 +132,12 @@ pub fn feature_comparison(
     wl: &WorkloadDescriptor,
     regions: &[&str],
 ) -> Vec<FeatureRow> {
-    let (_, history) = runs::offline_run(machine, cap_w, wl);
+    // Only the trained history is read, so no replay runs.
+    let context = format!("{}.{}.{cap_w}W", wl.name, machine.name);
+    let history = Runner::new(&mut SimExecutor::new(machine.clone(), cap_w))
+        .workload(wl)
+        .train(TunerOptions::offline_train(ConfigSpace::for_machine(machine)), &context)
+        .expect("training converges");
     let default_cfg = OmpConfig::default_for(machine);
     regions
         .iter()

@@ -49,6 +49,9 @@ const USAGE_ERRORS: &[(&[&str], &str)] = &[
     (&["run", "--strategy", "offline-pro"], RUN),
     (&["run", "--strategy", "online", "--load-history", "h.json"], RUN),
     (&["run", "--strategy", "default", "--save-history", "h.json"], RUN),
+    // A selective threshold only shapes a search.
+    (&["run", "--strategy", "default", "--selective", "0.03"], RUN),
+    (&["run", "--strategy", "adaptive", "--selective", "0.03"], RUN),
     (&["run", "--seed", "7"], RUN),
     (&["run", "--plan", "nosuch"], RUN),
     (&["run", "--plan", "flaky-rapl", "--budget", "x"], RUN),
@@ -191,6 +194,9 @@ enum Part {
     /// `CacheMiss`, `CacheStats`): what the driver said, whichever cells
     /// the cache shared.
     TraceWithoutCache,
+    /// The trace without `PolicyFired` records, `seq` renumbered
+    /// consecutively: what everything but the APEX policy engine said.
+    TraceWithoutPolicyFired,
     Stdout,
     /// The `injected …`, `recovered: …` and `status …` lines.
     FaultLines,
@@ -207,7 +213,12 @@ type Cell = (&'static str, &'static str, &'static str, &'static [(Part, u64)]);
 /// exhaustive teams run at the base clock at 80 W, those cells key at an
 /// infinite cap, and the final `CacheStats.shard_occupancy` moved. Their
 /// `TraceWithoutCache` pins were generated by commit `244df57`, the last
-/// keyed by raw cap, and show that nothing else did.
+/// keyed by raw cap, and show that nothing else did. The traces of
+/// `schedule` were re-pinned when the adaptive ladder stopped going
+/// through a private APEX instance: only its
+/// `PolicyFired { policy: "adaptive-schedule" }` records left. Its
+/// `TraceWithoutPolicyFired` pin was generated by commit `51d44d4`, the
+/// last with that hop, and the whole trace equals it now.
 const RETIRED: &[Cell] = &[
     (
         "trace.default",
@@ -261,7 +272,11 @@ const RETIRED: &[Cell] = &[
         "schedule",
         "schedule --workload mc.B --cap 115 --out PATH",
         "run --workload mc.B --cap 115 --strategy adaptive",
-        &[(Part::TraceBeforeCacheStats, 0x48fa_2650_e721_be34)],
+        &[
+            (Part::TraceBeforeCacheStats, 0x2c9a_548f_9be3_700c),
+            (Part::Trace, 0xcdaa_c71f_b5ff_dc57),
+            (Part::TraceWithoutPolicyFired, 0xcdaa_c71f_b5ff_dc57),
+        ],
     ),
     (
         "app.sp-offline",
@@ -286,9 +301,7 @@ fn run_reproduces_the_retired_subcommands_bytes() {
     std::fs::create_dir_all(&dir).expect("scratch directory");
     for &(cell, retired, run, parts) in RETIRED {
         let trace = dir.join(format!("{cell}.jsonl"));
-        let traced = parts.iter().any(|(p, _)| {
-            matches!(p, Part::Trace | Part::TraceBeforeCacheStats | Part::TraceWithoutCache)
-        });
+        let traced = parts.iter().any(|(p, _)| !matches!(p, Part::Stdout | Part::FaultLines));
         let mut argv: Vec<&str> = run.split_whitespace().collect();
         if traced {
             argv.extend(["--trace", trace.to_str().expect("UTF-8 temp path")]);
@@ -313,6 +326,16 @@ fn run_reproduces_the_retired_subcommands_bytes() {
                     .lines()
                     .filter(|l| !l.contains("\"event\":{\"Cache"))
                     .map(|l| format!("{l}\n"))
+                    .collect(),
+                Part::TraceWithoutPolicyFired => jsonl
+                    .lines()
+                    .filter(|l| !l.contains("\"event\":{\"PolicyFired\""))
+                    .enumerate()
+                    .map(|(seq, l)| {
+                        let (head, rest) = l.split_once("\"seq\":").expect("a sequence number");
+                        let (_, tail) = rest.split_once(',').expect("fields after seq");
+                        format!("{head}\"seq\":{seq},{tail}\n")
+                    })
                     .collect(),
                 Part::Stdout => stdout.clone(),
                 Part::FaultLines => stdout

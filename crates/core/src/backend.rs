@@ -5,8 +5,9 @@
 //! This module holds the loop once: a [`Backend`] only knows how to run
 //! one region invocation at one configuration (and how to account idle-ish
 //! overhead time), while the [`Runner`] builder feeds every run flavour —
-//! default, fixed, adaptive, tuned, training — through one private `drive`
-//! loop for *any* backend. The flavours differ only in where an
+//! default, [fixed](Runner::fixed), [adaptive](Runner::adaptive),
+//! [tuned](Runner::tuner), [training](Runner::train) — through one private
+//! `drive` loop for *any* backend. The flavours differ only in where an
 //! invocation's configuration comes from, so neither the backends nor the
 //! strategies can drift: the baseline and every selected strategy are
 //! measured by the same harness.
@@ -47,7 +48,7 @@ use crate::report::{AppRunReport, FaultRecovery, RegionSummary, RunStatus};
 use crate::resilience::ResilienceOptions;
 use crate::tunable::TunedConfig;
 use crate::tuner::{RegionTuner, TunerDecision, TunerOptions, TuningMode};
-use arcs_apex::{AdaptiveLadder, Apex, ArmSwitch};
+use arcs_apex::AdaptiveLadder;
 use arcs_harmony::History;
 use arcs_metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use arcs_omprt::{Schedule, ScheduleKind};
@@ -248,18 +249,6 @@ impl From<MeasureError> for RunError {
     }
 }
 
-/// How a [`Runner`] chooses configurations.
-pub enum RunnerStrategy<'a> {
-    /// The paper's baseline configuration for the backend's machine.
-    Default,
-    /// A fixed per-region configuration map (no tuner, no overheads) —
-    /// used for oracle/ablation comparisons.
-    Fixed { config_for: Box<dyn Fn(&str) -> OmpConfig + 'a>, label: String },
-    /// An ARCS tuner (Online, Offline-train or Offline-replay, depending
-    /// on the tuner's mode).
-    Tuner(&'a mut RegionTuner),
-}
-
 /// Builder unifying every run flavour over any [`Backend`].
 ///
 /// ```
@@ -277,7 +266,11 @@ pub enum RunnerStrategy<'a> {
 pub struct Runner<'a, B: Backend> {
     backend: &'a mut B,
     workload: Option<&'a WorkloadDescriptor>,
-    strategy: RunnerStrategy<'a>,
+    /// Set by [`Runner::fixed`], [`Runner::adaptive`] or [`Runner::tuner`].
+    source: Source<'a>,
+    /// What the report calls that strategy unless [`Runner::label`]
+    /// overrides it.
+    strategy: String,
     objective: Option<Objective>,
     trace: Option<Arc<dyn TraceSink>>,
     metrics: Option<Arc<MetricsRegistry>>,
@@ -287,15 +280,16 @@ pub struct Runner<'a, B: Backend> {
     cap: Option<CapHandle>,
     resilience: Option<ResilienceOptions>,
     self_profile: bool,
-    adaptive_schedule: bool,
 }
 
 impl<'a, B: Backend> Runner<'a, B> {
     pub fn new(backend: &'a mut B) -> Self {
+        let default_cfg = OmpConfig::default_for(backend.machine());
         Runner {
             backend,
             workload: None,
-            strategy: RunnerStrategy::Default,
+            source: Source::Fixed { config_for: Box::new(move |_| default_cfg), adaptive: None },
+            strategy: "default".into(),
             objective: None,
             trace: None,
             metrics: None,
@@ -305,7 +299,6 @@ impl<'a, B: Backend> Runner<'a, B> {
             cap: None,
             resilience: None,
             self_profile: false,
-            adaptive_schedule: false,
         }
     }
 
@@ -315,28 +308,47 @@ impl<'a, B: Backend> Runner<'a, B> {
         self
     }
 
-    /// Select the configuration strategy (default:
-    /// [`RunnerStrategy::Default`]).
-    pub fn strategy(mut self, strategy: RunnerStrategy<'a>) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Shorthand for [`RunnerStrategy::Fixed`].
+    /// Run every region at `config_for(region)`, reported as `label`: no
+    /// tuner, so no §III-C overheads — used for oracle/ablation
+    /// comparisons. Unset, the run uses the paper's baseline configuration
+    /// for the backend's machine, reported as `default`.
     pub fn fixed(
-        self,
+        mut self,
         config_for: impl Fn(&str) -> OmpConfig + 'a,
         label: impl Into<String>,
     ) -> Self {
-        self.strategy(RunnerStrategy::Fixed {
-            config_for: Box::new(config_for),
-            label: label.into(),
-        })
+        self.source = Source::Fixed { config_for: Box::new(config_for), adaptive: None };
+        self.strategy = label.into();
+        self
     }
 
-    /// Shorthand for [`RunnerStrategy::Tuner`].
-    pub fn tuner(self, tuner: &'a mut RegionTuner) -> Self {
-        self.strategy(RunnerStrategy::Tuner(tuner))
+    /// [`Runner::fixed`], with each region's chunk policy adapted *within*
+    /// the run: an [`AdaptiveLadder`] watches the per-invocation imbalance
+    /// signal `barrier/(busy+barrier)` and, when its EWMA persists above
+    /// threshold, escalates the region one rung up the portfolio ladder —
+    /// configured policy → trapezoid → factoring → awf — starting from the
+    /// next invocation. Each knob move fires the usual `ConfigSwitch` +
+    /// §III-C config-change overhead, plus a [`TraceEvent::PolicySwitched`]
+    /// record explaining the decision. Decisions are pure functions of the
+    /// (deterministic) imbalance stream, so same-seed adaptive runs remain
+    /// byte-reproducible.
+    pub fn adaptive(
+        mut self,
+        config_for: impl Fn(&str) -> OmpConfig + 'a,
+        label: impl Into<String>,
+    ) -> Self {
+        let adaptive = Some(AdaptiveState::new());
+        self.source = Source::Fixed { config_for: Box::new(config_for), adaptive };
+        self.strategy = label.into();
+        self
+    }
+
+    /// Choose configurations with an ARCS tuner (Online, Offline-train or
+    /// Offline-replay, depending on the tuner's mode), reported as `arcs`.
+    pub fn tuner(mut self, tuner: &'a mut RegionTuner) -> Self {
+        self.source = Source::Tuner(tuner);
+        self.strategy = "arcs".into();
+        self
     }
 
     /// Score the run (and any attached tuner) by `objective` instead of
@@ -409,23 +421,6 @@ impl<'a, B: Backend> Runner<'a, B> {
         self
     }
 
-    /// Adapt each region's chunk policy *within* the run: a deterministic
-    /// APEX policy (`adaptive-schedule`, an [`AdaptiveLadder`]) watches
-    /// the per-invocation imbalance signal `barrier/(busy+barrier)` and,
-    /// when its EWMA persists above threshold, escalates the region one
-    /// rung up the portfolio ladder — configured policy → trapezoid →
-    /// factoring → awf — starting from the next invocation. Each knob
-    /// move fires the usual `ConfigSwitch` + §III-C config-change
-    /// overhead, plus a [`TraceEvent::PolicySwitched`] record explaining
-    /// the decision. Applies to the `Default` and `Fixed` strategies;
-    /// tuner runs already adapt through the search and ignore the flag.
-    /// Decisions are pure functions of the (deterministic) imbalance
-    /// stream, so same-seed adaptive runs remain byte-reproducible.
-    pub fn adaptive_schedule(mut self, on: bool) -> Self {
-        self.adaptive_schedule = on;
-        self
-    }
-
     /// Run under an externally-owned cap: the handle's current value
     /// replaces the backend's cap at run start, and every later
     /// [`CapHandle::set`] — from a broker reallocation, another thread,
@@ -460,34 +455,15 @@ impl<'a, B: Backend> Runner<'a, B> {
     /// Execute the workload and assemble the report.
     pub fn run(mut self) -> Result<AppRunReport, RunError> {
         let wl = self.prepare()?;
-        let b = self.backend;
-        let strategy = self.strategy;
-        if let RunnerStrategy::Tuner(tuner) = strategy {
-            wire_tuner(b, tuner, self.objective, self.resilience);
-            let label = self.label.as_deref().unwrap_or("arcs");
-            let objective = tuner.objective();
-            let source = Source::Tuner(tuner);
-            return drive(b, wl, source, label, objective, self.resilience, self.self_profile);
-        }
-        // `Default` is `Fixed` at the paper's baseline configuration.
-        let default_cfg = OmpConfig::default_for(b.machine());
-        let default_for = move |_: &str| default_cfg;
-        let (config_for, label): (&dyn Fn(&str) -> OmpConfig, &str) = match &strategy {
-            RunnerStrategy::Fixed { config_for, label } => (config_for.as_ref(), label),
-            _ => (&default_for, "default"),
+        let objective = match &mut self.source {
+            Source::Tuner(tuner) => {
+                wire_tuner(self.backend, tuner, self.objective, self.resilience);
+                tuner.objective()
+            }
+            Source::Fixed { .. } => self.objective.unwrap_or_default(),
         };
-        let adaptive = self
-            .adaptive_schedule
-            .then(|| Box::new(AdaptiveState::new(b.trace().filter(|sink| sink.enabled()))));
-        drive(
-            b,
-            wl,
-            Source::Fixed { config_for, adaptive },
-            self.label.as_deref().unwrap_or(label),
-            self.objective.unwrap_or_default(),
-            self.resilience,
-            self.self_profile,
-        )
+        let label = self.label.as_deref().unwrap_or(&self.strategy);
+        drive(self.backend, wl, self.source, label, objective, self.resilience, self.self_profile)
     }
 
     /// ARCS-Offline training: repeat the application until every region's
@@ -618,15 +594,12 @@ impl Meter {
     }
 }
 
-/// The intra-run adaptive scheduler's driver-side state: a private APEX
-/// instance carrying per-region *imbalance* profiles, the
-/// [`AdaptiveLadder`] registered on it as the `adaptive-schedule` policy,
-/// the decision queue the policy fills, and the last schedule actually
-/// applied per region (the reference a knob move is detected against).
+/// The intra-run adaptive scheduler's driver-side state: the
+/// [`AdaptiveLadder`] deciding each region's rung and the last schedule
+/// actually applied per region (the reference a knob move is detected
+/// against).
 struct AdaptiveState {
-    apex: Apex,
-    ladder: Arc<parking_lot::Mutex<AdaptiveLadder>>,
-    decisions: Arc<parking_lot::Mutex<Vec<(String, ArmSwitch)>>>,
+    ladder: AdaptiveLadder,
     applied: HashMap<String, Schedule, FxBuildHasher>,
     /// The configured schedule of the invocation in flight — arm 0 of the
     /// ladder a `PolicySwitched` names its rungs against.
@@ -634,19 +607,12 @@ struct AdaptiveState {
 }
 
 impl AdaptiveState {
-    fn new(sink: Option<&Arc<dyn TraceSink>>) -> Self {
-        let apex = Apex::new();
-        let arms = 1 + ScheduleKind::SELF_SCHEDULING.len();
-        let ladder = Arc::new(parking_lot::Mutex::new(AdaptiveLadder::new(arms)));
-        let decisions = AdaptiveLadder::attach(&apex, Arc::clone(&ladder));
-        if let Some(sink) = sink {
-            // Policy firings (one per invocation) become PolicyFired
-            // records — the APEX hop is visible in the trace, and stays
-            // deterministic because the samples are simulated imbalances.
-            apex.set_trace(Arc::clone(sink));
+    fn new() -> Self {
+        AdaptiveState {
+            ladder: AdaptiveLadder::new(1 + ScheduleKind::SELF_SCHEDULING.len()),
+            applied: Default::default(),
+            base: Schedule::runtime_default(),
         }
-        let base = Schedule::runtime_default();
-        AdaptiveState { apex, ladder, decisions, applied: Default::default(), base }
     }
 
     /// The schedule arm `arm` of the ladder maps to for a region whose
@@ -665,7 +631,7 @@ impl AdaptiveState {
     /// §III-C config-change cost a tuner move pays.
     fn apply(&mut self, region: &str, schedule: &mut Schedule) -> bool {
         self.base = *schedule;
-        *schedule = Self::rung(self.base, self.ladder.lock().arm(region));
+        *schedule = Self::rung(self.base, self.ladder.arm(region));
         match self.applied.get_mut(region) {
             Some(prev) => std::mem::replace(prev, *schedule) != *schedule,
             None => {
@@ -675,8 +641,7 @@ impl AdaptiveState {
         }
     }
 
-    /// Feed the watcher: the imbalance sample rides the APEX duration
-    /// field, the policy observes it synchronously, and any escalation —
+    /// Feed the ladder the invocation's imbalance; an escalation —
     /// stamped `t_s`, the post-region clock — applies from the region's
     /// next invocation.
     fn observe(
@@ -688,22 +653,19 @@ impl AdaptiveState {
     ) {
         let denom = features.busy_s + features.barrier_s;
         let imbalance = if denom > 0.0 { features.barrier_s / denom } else { 0.0 };
-        let task = self.apex.task(region);
-        self.apex.sample(task, imbalance);
-        for (name, sw) in self.decisions.lock().drain(..) {
-            if let Some(sink) = sink {
-                let policy = |arm| Self::rung(self.base, arm).kind.name().to_string();
-                sink.record(
-                    Some(t_s),
-                    TraceEvent::PolicySwitched {
-                        region: name,
-                        from: policy(sw.from),
-                        to: policy(sw.to),
-                        invocation: sw.invocation,
-                        imbalance: sw.imbalance,
-                    },
-                );
-            }
+        let Some(sw) = self.ladder.observe(region, imbalance) else { return };
+        if let Some(sink) = sink {
+            let policy = |arm| Self::rung(self.base, arm).kind.name().to_string();
+            sink.record(
+                Some(t_s),
+                TraceEvent::PolicySwitched {
+                    region: region.to_string(),
+                    from: policy(sw.from),
+                    to: policy(sw.to),
+                    invocation: sw.invocation,
+                    imbalance: sw.imbalance,
+                },
+            );
         }
     }
 }
@@ -714,10 +676,11 @@ impl AdaptiveState {
 /// there and whether the region is instrumented; [`drive`] tells the
 /// source what was measured afterwards.
 enum Source<'a> {
-    /// A per-region map (`Default` is the constant map), optionally
-    /// walked up the portfolio ladder by [`Runner::adaptive_schedule`].
+    /// A per-region map (the default run's is the paper's baseline
+    /// configuration everywhere), walked up the portfolio ladder when
+    /// [`Runner::adaptive`] set `adaptive`.
     /// Never instrumented: no tuner, so no §III-C instrumentation cost.
-    Fixed { config_for: &'a dyn Fn(&str) -> OmpConfig, adaptive: Option<Box<AdaptiveState>> },
+    Fixed { config_for: Box<dyn Fn(&str) -> OmpConfig + 'a>, adaptive: Option<AdaptiveState> },
     /// An ARCS tuner in whichever mode it was built (search, train,
     /// replay).
     Tuner(&'a mut RegionTuner),

@@ -1,9 +1,10 @@
 //! Simulator-backed application execution.
 //!
-//! [`SimExecutor`] runs a [`WorkloadDescriptor`] on a simulated
-//! power-capped machine, either at the paper's default configuration or
-//! under an ARCS [`RegionTuner`]. It implements [`Backend`], so the run
-//! loop itself — §III-C overhead charging, energy metering, report
+//! [`SimExecutor`] runs a workload on a simulated power-capped machine,
+//! either at the paper's default configuration or under an ARCS
+//! [`RegionTuner`](crate::tuner::RegionTuner), through a
+//! [`Runner`](crate::backend::Runner). It implements [`Backend`], so the
+//! run loop itself — §III-C overhead charging, energy metering, report
 //! assembly — lives once in [`crate::backend`] and is shared verbatim with
 //! the live path.
 //!
@@ -26,20 +27,16 @@
 //! instance so profile-based analyses (Fig. 9) read the same introspection
 //! state the live path populates.
 
-use crate::backend::{self, Backend, RegionFeatures, RegionRun, RunError, Runner};
+use crate::backend::{self, Backend, RegionFeatures, RegionRun, RunError};
 use crate::cap::CapHandle;
-use crate::config::OmpConfig;
 use crate::faults::Perturbation;
-use crate::report::AppRunReport;
 use crate::tunable::TunedConfig;
-use crate::tuner::{RegionTuner, TunerOptions};
 use arcs_apex::Apex;
-use arcs_harmony::History;
 use arcs_metrics::MetricsRegistry;
 use arcs_powersim::{
     simulate_region_with_table, CacheBindError, CacheReader, FaultPlan, FxBuildHasher, Machine,
     MeasureError, PackageEnergy, Rapl, RegionId, RegionModel, SharedSimCache, SimConfig, SimReport,
-    SimScratch, WeightTable, WorkloadDescriptor,
+    SimScratch, WeightTable,
 };
 use arcs_trace::TraceSink;
 use std::collections::HashMap;
@@ -420,46 +417,6 @@ impl SimExecutor {
         slot.last = Some((inputs, Arc::clone(&rep)));
         rep
     }
-
-    /// Run the whole application at the paper's default configuration
-    /// (no instrumentation, no tuning).
-    pub fn run_default(&mut self, wl: &WorkloadDescriptor) -> AppRunReport {
-        Runner::new(self).workload(wl).run().expect("workload is set")
-    }
-
-    /// Run the whole application with a fixed per-region configuration map
-    /// (no tuner, no overheads) — used for oracle/ablation comparisons.
-    pub fn run_fixed(
-        &mut self,
-        wl: &WorkloadDescriptor,
-        config_for: &dyn Fn(&str) -> OmpConfig,
-        strategy: &str,
-    ) -> AppRunReport {
-        Runner::new(self)
-            .workload(wl)
-            .fixed(|name: &str| config_for(name), strategy)
-            .run()
-            .expect("workload is set")
-    }
-
-    /// Run the application under an ARCS tuner (Online, Offline-train or
-    /// Offline-replay, depending on the tuner's mode).
-    pub fn run_tuned(&mut self, wl: &WorkloadDescriptor, tuner: &mut RegionTuner) -> AppRunReport {
-        Runner::new(self).workload(wl).tuner(tuner).run().expect("workload is set")
-    }
-
-    /// ARCS-Offline training: see [`Runner::train`].
-    pub fn train_offline(
-        &mut self,
-        wl: &WorkloadDescriptor,
-        options: TunerOptions,
-        context: &str,
-    ) -> History<OmpConfig> {
-        Runner::new(self)
-            .workload(wl)
-            .train(options, context)
-            .expect("train_offline requires TuningMode::OfflineTrain")
-    }
 }
 
 impl Backend for SimExecutor {
@@ -570,102 +527,16 @@ impl Backend for SimExecutor {
     }
 }
 
-/// The paper's three runs — default, ARCS-Online, ARCS-Offline — for one
-/// workload at one power cap. The `*_on` forms are the recipes themselves
-/// (the sweep engine's cells call them); the short forms run them on
-/// fresh executors scored by time, as the paper does.
-pub mod runs {
-    use super::*;
-    use crate::config::ConfigSpace;
-    use crate::tuner::TunerOptions;
-    use arcs_trace::Objective;
-
-    /// Default configuration, no ARCS.
-    pub fn default_run(machine: &Machine, cap_w: f64, wl: &WorkloadDescriptor) -> AppRunReport {
-        default_run_on(&mut SimExecutor::new(machine.clone(), cap_w), wl, Objective::Time)
-    }
-
-    /// [`default_run`] on a caller-built executor (shared cache, noise…),
-    /// reported under `objective`.
-    pub fn default_run_on(
-        exec: &mut SimExecutor,
-        wl: &WorkloadDescriptor,
-        objective: Objective,
-    ) -> AppRunReport {
-        Runner::new(exec).workload(wl).objective(objective).run().expect("workload is set")
-    }
-
-    /// ARCS-Online: Nelder–Mead search and execution in the same run.
-    pub fn online_run(machine: &Machine, cap_w: f64, wl: &WorkloadDescriptor) -> AppRunReport {
-        online_run_on(&mut SimExecutor::new(machine.clone(), cap_w), wl, Objective::Time, 0.0)
-    }
-
-    /// [`online_run`] on a caller-built executor, searching for
-    /// `objective`. A positive `min_region_time_s` tunes selectively
-    /// ([`TunerOptions::min_region_time_s`]); 0 tunes every region.
-    pub fn online_run_on(
-        exec: &mut SimExecutor,
-        wl: &WorkloadDescriptor,
-        objective: Objective,
-        min_region_time_s: f64,
-    ) -> AppRunReport {
-        let options = TunerOptions::online(ConfigSpace::for_machine(&exec.machine))
-            .with_objective(objective)
-            .with_min_region_time(min_region_time_s);
-        let mut rep = exec.run_tuned(wl, &mut RegionTuner::new(options));
-        rep.strategy = "arcs-online".into();
-        rep
-    }
-
-    /// ARCS-Offline: exhaustive training execution(s), then the measured
-    /// replay execution. Returns (replay report, history).
-    pub fn offline_run(
-        machine: &Machine,
-        cap_w: f64,
-        wl: &WorkloadDescriptor,
-    ) -> (AppRunReport, History<OmpConfig>) {
-        offline_run_on(
-            &mut SimExecutor::new(machine.clone(), cap_w),
-            &mut SimExecutor::new(machine.clone(), cap_w),
-            wl,
-            Objective::Time,
-        )
-    }
-
-    /// [`offline_run`] on caller-built trainer/replayer executors (the
-    /// paper trains and measures in separate executions, so two executors;
-    /// they may share a memo cache), trained for `objective`. The history
-    /// context is `workload.machine.capW`, with `.objective` appended for
-    /// anything but time.
-    pub fn offline_run_on(
-        trainer: &mut SimExecutor,
-        replayer: &mut SimExecutor,
-        wl: &WorkloadDescriptor,
-        objective: Objective,
-    ) -> (AppRunReport, History<OmpConfig>) {
-        let space = ConfigSpace::for_machine(&trainer.machine);
-        let suffix = match objective {
-            Objective::Time => String::new(),
-            other => format!(".{other}"),
-        };
-        let context =
-            format!("{}.{}.{}W{suffix}", wl.name, trainer.machine.name, trainer.power_cap_w());
-        let train = TunerOptions::offline_train(space.clone()).with_objective(objective);
-        let history = trainer.train_offline(wl, train, &context);
-        let replay = TunerOptions::offline_replay(space, history.clone()).with_objective(objective);
-        let mut rep = replayer.run_tuned(wl, &mut RegionTuner::new(replay));
-        rep.strategy = "arcs-offline".into();
-        (rep, history)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::runs::*;
     use super::*;
+    use crate::backend::Runner;
+    use crate::config::{ConfigSpace, OmpConfig};
+    use crate::sweep::{SweepEngine, SweepGrid, SweepReport, SweepStrategy};
+    use crate::tuner::{RegionTuner, TunerOptions};
     use arcs_kernels::model;
     use arcs_kernels::Class;
-    use arcs_trace::Objective;
+    use arcs_powersim::WorkloadDescriptor;
 
     fn small_bt() -> WorkloadDescriptor {
         let mut wl = model::bt(Class::W);
@@ -677,8 +548,8 @@ mod tests {
     fn default_run_is_reproducible() {
         let m = Machine::crill();
         let wl = small_bt();
-        let a = default_run(&m, 85.0, &wl);
-        let b = default_run(&m, 85.0, &wl);
+        let a = Runner::new(&mut SimExecutor::new(m.clone(), 85.0)).workload(&wl).run().unwrap();
+        let b = Runner::new(&mut SimExecutor::new(m, 85.0)).workload(&wl).run().unwrap();
         assert_eq!(a.time_s, b.time_s);
         assert!((a.energy_j - b.energy_j).abs() < 1e-9);
         assert_eq!(a.per_region.len(), 5);
@@ -687,8 +558,8 @@ mod tests {
 
     #[test]
     fn default_run_has_no_overheads() {
-        let m = Machine::crill();
-        let rep = default_run(&m, 115.0, &small_bt());
+        let mut exec = SimExecutor::new(Machine::crill(), 115.0);
+        let rep = Runner::new(&mut exec).workload(&small_bt()).run().unwrap();
         assert_eq!(rep.config_change_overhead_s, 0.0);
         assert_eq!(rep.instrumentation_overhead_s, 0.0);
         assert!(rep.tuner.is_none());
@@ -699,7 +570,7 @@ mod tests {
         // The RAPL path quantises at 1 ms but must track total energy.
         let m = Machine::crill();
         let wl = small_bt();
-        let rep = default_run(&m, 115.0, &wl);
+        let rep = Runner::new(&mut SimExecutor::new(m.clone(), 115.0)).workload(&wl).run().unwrap();
         assert!(rep.energy_j > 0.0);
         // Cross-check against direct integration of the region reports.
         let mut exec = SimExecutor::new(m.clone(), 115.0);
@@ -710,20 +581,35 @@ mod tests {
         assert!(err < 0.02, "counter {} vs direct {direct}", rep.energy_j);
     }
 
+    /// The default cell and the `strategy` cell of `wl` at `cap_w`.
+    fn against_default(
+        m: &Machine,
+        cap_w: f64,
+        wl: WorkloadDescriptor,
+        strategy: SweepStrategy,
+    ) -> SweepReport {
+        let grid = SweepGrid::new(m.clone())
+            .workload(wl)
+            .caps(&[cap_w])
+            .strategies(&[SweepStrategy::Default, strategy]);
+        SweepEngine::new(m.clone()).run(&grid)
+    }
+
     #[test]
     fn offline_beats_default_on_sp() {
         let m = Machine::crill();
         let mut wl = model::sp(Class::B);
         wl.timesteps = 20; // replay length doesn't change per-invocation ratios
-        let base = default_run(&m, 115.0, &wl);
-        let (off, history) = offline_run(&m, 115.0, &wl);
+        let sweep = against_default(&m, 115.0, wl, SweepStrategy::Offline);
+        let base = &sweep.cells[0].report;
+        let off = &sweep.cells[1].report;
         assert!(
             off.time_s < base.time_s,
             "offline {} should beat default {}",
             off.time_s,
             base.time_s
         );
-        assert_eq!(history.len(), 5);
+        assert_eq!(sweep.cells[1].history.as_ref().map(|h| h.len()), Some(5));
         // Energy improves too (the paper's headline).
         assert!(off.energy_j < base.energy_j);
     }
@@ -733,8 +619,8 @@ mod tests {
         let m = Machine::crill();
         let mut wl = model::sp(Class::B);
         wl.timesteps = 200;
-        let base = default_run(&m, 85.0, &wl);
-        let on = online_run(&m, 85.0, &wl);
+        let sweep = against_default(&m, 85.0, wl, SweepStrategy::Online);
+        let (base, on) = (&sweep.cells[0].report, &sweep.cells[1].report);
         assert!(on.time_s < base.time_s, "online {} vs default {}", on.time_s, base.time_s);
         assert!(on.tuner.unwrap().config_changes > 0);
     }
@@ -744,7 +630,9 @@ mod tests {
         let m = Machine::crill();
         let mut wl = model::bt(Class::W);
         wl.timesteps = 10;
-        let on = online_run(&m, 115.0, &wl);
+        let mut tuner = RegionTuner::new(TunerOptions::online(ConfigSpace::for_machine(&m)));
+        let mut exec = SimExecutor::new(m.clone(), 115.0);
+        let on = Runner::new(&mut exec).workload(&wl).tuner(&mut tuner).run().unwrap();
         // Instrumentation is per-tuned-invocation; configuration changes
         // fire whenever the global ICVs move.
         assert!(on.config_change_overhead_s > 0.0);
@@ -758,8 +646,11 @@ mod tests {
         let mut wl = model::bt(Class::W);
         wl.timesteps = 60;
         let mut exec = SimExecutor::new(m.clone(), 115.0);
-        let space = crate::config::ConfigSpace::crill();
-        let h = exec.train_offline(&wl, TunerOptions::offline_train(space), "bt.W.test");
+        let space = ConfigSpace::crill();
+        let h = Runner::new(&mut exec)
+            .workload(&wl)
+            .train(TunerOptions::offline_train(space), "bt.W.test")
+            .unwrap();
         assert_eq!(h.len(), 5);
         for (_, entry) in h.entries.iter() {
             assert_eq!(entry.evaluations, 252);
@@ -771,18 +662,14 @@ mod tests {
         let m = Machine::crill();
         let cache = Arc::new(SharedSimCache::new(&m.name));
         let wl = small_bt();
-        let a = default_run_on(
-            &mut SimExecutor::new(m.clone(), 85.0).with_shared_cache(Arc::clone(&cache)),
-            &wl,
-            Objective::Time,
-        );
+        let run = || {
+            let mut exec = SimExecutor::new(m.clone(), 85.0);
+            Runner::new(&mut exec).workload(&wl).shared_cache(Arc::clone(&cache)).run().unwrap()
+        };
+        let a = run();
         let warm = cache.stats();
         assert_eq!(warm.hits, 5 * 29); // 5 regions × (30 − first) invocations
-        let b = default_run_on(
-            &mut SimExecutor::new(m.clone(), 85.0).with_shared_cache(Arc::clone(&cache)),
-            &wl,
-            Objective::Time,
-        );
+        let b = run();
         assert_eq!(a, b);
         // The second executor never missed: all its lookups hit.
         let after = cache.stats();
@@ -794,7 +681,8 @@ mod tests {
     fn a_zero_timestep_run_reports_no_regions() {
         let mut wl = small_bt();
         wl.timesteps = 0;
-        assert!(default_run(&Machine::crill(), 85.0, &wl).per_region.is_empty());
+        let mut exec = SimExecutor::new(Machine::crill(), 85.0);
+        assert!(Runner::new(&mut exec).workload(&wl).run().unwrap().per_region.is_empty());
     }
 
     #[test]
@@ -873,7 +761,11 @@ mod tests {
 #[cfg(test)]
 mod trace_tests {
     use super::*;
+    use crate::backend::Runner;
+    use crate::config::ConfigSpace;
+    use crate::tuner::{RegionTuner, TunerOptions};
     use arcs_kernels::{model, Class};
+    use arcs_powersim::WorkloadDescriptor;
     use arcs_trace::{NullSink, TraceEvent, VecSink};
 
     fn tiny_sp() -> WorkloadDescriptor {
@@ -887,8 +779,9 @@ mod trace_tests {
         let m = Machine::crill();
         let wl = tiny_sp();
         let sink = Arc::new(VecSink::new());
+        let mut tuner = RegionTuner::new(TunerOptions::online(ConfigSpace::for_machine(&m)));
         let mut exec = SimExecutor::new(m, 80.0).with_trace(sink.clone());
-        let _ = runs::online_run_on(&mut exec, &wl, arcs_trace::Objective::Time, 0.0);
+        Runner::new(&mut exec).workload(&wl).tuner(&mut tuner).run().unwrap();
 
         let records = sink.drain();
         let count = |kind: &str| records.iter().filter(|r| r.event.kind() == kind).count();
@@ -927,7 +820,7 @@ mod trace_tests {
 
         // Reallocate mid-run: the driver's next region boundary applies it.
         handle.set(60.0);
-        let rep = exec.run_default(&wl);
+        let rep = Runner::new(&mut exec).workload(&wl).run().unwrap();
         assert_eq!(rep.power_cap_w, 60.0);
         let records = sink.drain();
         let caps: Vec<(f64, f64)> = records
@@ -947,7 +840,7 @@ mod trace_tests {
 
         // An identical run at a fixed 60 W cap prices the post-move
         // regions identically (the memo cache key follows the envelope).
-        let fixed = SimExecutor::new(m, 60.0).run_default(&wl);
+        let fixed = Runner::new(&mut SimExecutor::new(m, 60.0)).workload(&wl).run().unwrap();
         assert_eq!(
             rep.per_region["sp/x_solve"].total_time_s,
             fixed.per_region["sp/x_solve"].total_time_s
@@ -958,12 +851,13 @@ mod trace_tests {
     fn null_sink_runs_bit_identical_to_untraced_runs() {
         let m = Machine::crill();
         let wl = tiny_sp();
-        let plain = SimExecutor::new(m.clone(), 85.0).with_noise(0.1, 9).run_default(&wl);
-        let nulled = SimExecutor::new(m.clone(), 85.0)
-            .with_noise(0.1, 9)
-            .with_trace(Arc::new(NullSink))
-            .run_default(&wl);
-        assert_eq!(plain, nulled);
+        let mut plain = SimExecutor::new(m.clone(), 85.0).with_noise(0.1, 9);
+        let mut nulled =
+            SimExecutor::new(m, 85.0).with_noise(0.1, 9).with_trace(Arc::new(NullSink));
+        assert_eq!(
+            Runner::new(&mut plain).workload(&wl).run().unwrap(),
+            Runner::new(&mut nulled).workload(&wl).run().unwrap()
+        );
     }
 
     #[test]
@@ -986,20 +880,14 @@ mod trace_tests {
         let err = Runner::new(&mut exec).run().map(|_| ()).unwrap_err();
         assert!(matches!(err, RunError::MissingWorkload));
     }
-
-    #[test]
-    fn inherent_helpers_match_the_runner() {
-        let m = Machine::crill();
-        let wl = tiny_sp();
-        let old = SimExecutor::new(m.clone(), 85.0).run_default(&wl);
-        let new = Runner::new(&mut SimExecutor::new(m, 85.0)).workload(&wl).run().unwrap();
-        assert_eq!(old, new);
-    }
 }
 
 #[cfg(test)]
 mod noise_tests {
     use super::*;
+    use crate::backend::Runner;
+    use crate::config::ConfigSpace;
+    use crate::tuner::{RegionTuner, TunerOptions};
     use arcs_kernels::{model, Class};
 
     #[test]
@@ -1007,11 +895,12 @@ mod noise_tests {
         let m = Machine::crill();
         let mut wl = model::bt(Class::W);
         wl.timesteps = 40;
-        let clean = SimExecutor::new(m.clone(), 115.0).run_default(&wl);
-        let a = SimExecutor::new(m.clone(), 115.0).with_noise(0.2, 7).run_default(&wl);
-        let b = SimExecutor::new(m.clone(), 115.0).with_noise(0.2, 7).run_default(&wl);
+        let run = |mut exec: SimExecutor| Runner::new(&mut exec).workload(&wl).run().unwrap();
+        let clean = run(SimExecutor::new(m.clone(), 115.0));
+        let a = run(SimExecutor::new(m.clone(), 115.0).with_noise(0.2, 7));
+        let b = run(SimExecutor::new(m.clone(), 115.0).with_noise(0.2, 7));
         assert_eq!(a.time_s, b.time_s, "same seed ⇒ same run");
-        let c = SimExecutor::new(m.clone(), 115.0).with_noise(0.2, 8).run_default(&wl);
+        let c = run(SimExecutor::new(m.clone(), 115.0).with_noise(0.2, 8));
         assert_ne!(a.time_s, c.time_s, "different seed ⇒ different run");
         // Mean-1 noise over 200 invocations: totals within a few percent.
         let rel = (a.time_s - clean.time_s).abs() / clean.time_s;
@@ -1052,13 +941,19 @@ mod noise_tests {
         let m = Machine::crill();
         let mut wl = model::sp(Class::B);
         wl.timesteps = 60;
-        let clean_base = SimExecutor::new(m.clone(), 115.0).run_default(&wl);
-        let space = crate::config::ConfigSpace::for_machine(&m);
-        let mut trainer = SimExecutor::new(m.clone(), 115.0).with_noise(0.15, 42);
-        let history =
-            trainer.train_offline(&wl, TunerOptions::offline_train(space.clone()), "noisy");
+        let clean_base =
+            Runner::new(&mut SimExecutor::new(m.clone(), 115.0)).workload(&wl).run().unwrap();
+        let space = ConfigSpace::for_machine(&m);
+        let history = Runner::new(&mut SimExecutor::new(m.clone(), 115.0).with_noise(0.15, 42))
+            .workload(&wl)
+            .train(TunerOptions::offline_train(space.clone()), "noisy")
+            .unwrap();
         let mut tuner = RegionTuner::new(TunerOptions::offline_replay(space, history));
-        let replay = SimExecutor::new(m.clone(), 115.0).run_tuned(&wl, &mut tuner);
+        let replay = Runner::new(&mut SimExecutor::new(m.clone(), 115.0))
+            .workload(&wl)
+            .tuner(&mut tuner)
+            .run()
+            .unwrap();
         let ratio = replay.time_s / clean_base.time_s;
         assert!(ratio < 0.85, "noisy-trained configs must still win: {ratio}");
     }
@@ -1067,6 +962,7 @@ mod noise_tests {
 #[cfg(test)]
 mod apex_integration_tests {
     use super::*;
+    use crate::backend::Runner;
     use arcs_kernels::{model, Class};
 
     #[test]
@@ -1076,7 +972,7 @@ mod apex_integration_tests {
         wl.timesteps = 10;
         let apex = Arc::new(Apex::new());
         let mut exec = SimExecutor::new(m, 115.0).with_apex(Arc::clone(&apex));
-        let rep = exec.run_default(&wl);
+        let rep = Runner::new(&mut exec).workload(&wl).run().unwrap();
         // Timers: one profile per region, one sample per invocation.
         let task = apex.task("bt/x_solve");
         assert_eq!(apex.profile(task).unwrap().count, 10);

@@ -10,10 +10,15 @@
 //!
 //! * **ARCS-Offline** — an exhaustive training execution per power
 //!   cap/workload saves the best configuration per region to a history
-//!   file; the measured execution replays it
-//!   ([`executor::runs::offline_run`]).
+//!   file ([`backend::Runner::train`]); the measured execution replays it
+//!   ([`tuner::TunerOptions::offline_replay`]).
 //! * **ARCS-Online** — Nelder–Mead search converges within the same run
-//!   ([`executor::runs::online_run`]).
+//!   ([`tuner::TunerOptions::online`]).
+//!
+//! One workload runs through one [`backend::Runner`] chain — the default
+//! configuration, a [fixed](backend::Runner::fixed) or
+//! [adaptive](backend::Runner::adaptive) map, or a
+//! [tuner](backend::Runner::tuner) in any of those modes.
 //!
 //! Two backends behind one [`backend::Backend`] trait and one run driver:
 //!
@@ -28,11 +33,13 @@
 //!
 //! Whole experiment grids (workload × power cap × strategy) run through
 //! the [`sweep::SweepEngine`], which executes cells concurrently over a
-//! shared per-machine simulation memo cache.
+//! shared per-machine simulation memo cache; its
+//! [`sweep::SweepStrategy`] table holds the paper's recipes — default,
+//! ARCS-Online, ARCS-Offline — once.
 //!
 //! ## Quickstart (simulator)
 //! ```
-//! use arcs::executor::runs;
+//! use arcs::{SweepEngine, SweepGrid, SweepStrategy};
 //! use arcs_powersim::Machine;
 //! use arcs_kernels::{model, Class};
 //!
@@ -40,9 +47,15 @@
 //! let mut workload = model::sp(Class::B);
 //! workload.timesteps = 10;
 //!
-//! let base = runs::default_run(&machine, 85.0, &workload);
-//! let (tuned, history) = runs::offline_run(&machine, 85.0, &workload);
-//! assert!(tuned.time_s < base.time_s);
+//! let grid = SweepGrid::new(machine.clone())
+//!     .workload(workload)
+//!     .caps(&[85.0])
+//!     .strategies(&[SweepStrategy::Default, SweepStrategy::Offline]);
+//! let sweep = SweepEngine::new(machine).run(&grid);
+//! let base = &sweep.cell("sp.B", 85.0, "default").unwrap().report;
+//! let offline = sweep.cell("sp.B", 85.0, "arcs-offline").unwrap();
+//! assert!(offline.report.time_s < base.time_s);
+//! let history = offline.history.as_ref().unwrap();
 //! assert_eq!(history.len(), 5); // one best config per SP region
 //! ```
 
@@ -63,12 +76,11 @@ pub mod tuner;
 
 pub use backend::{
     overhead_power_w, Backend, Measurement, RegionFeatures, RegionRun, RunError, Runner,
-    RunnerStrategy,
 };
 pub use cap::{CapHandle, CapWatch};
 pub use config::{ChunkChoice, ConfigSpace, OmpConfig, ScheduleChoice, ThreadChoice};
 pub use dvfs::DvfsOutcome;
-pub use executor::{runs, NoiseModel, SimExecutor};
+pub use executor::{NoiseModel, SimExecutor};
 pub use faults::{FaultClock, MeterFault};
 pub use live::{ArcsLive, LiveExecutor};
 pub use profiler::{OmptProfiler, RegionProfile};
@@ -95,10 +107,10 @@ pub use arcs_trace::Objective;
 /// assert!(report.time_s > 0.0);
 /// ```
 pub mod prelude {
-    pub use crate::backend::{Backend, RunError, Runner, RunnerStrategy};
+    pub use crate::backend::{Backend, RunError, Runner};
     pub use crate::cap::CapHandle;
     pub use crate::config::{ConfigSpace, OmpConfig};
-    pub use crate::executor::{runs, SimExecutor};
+    pub use crate::executor::SimExecutor;
     pub use crate::report::{AppRunReport, FaultRecovery, RunStatus};
     pub use crate::resilience::ResilienceOptions;
     pub use crate::sweep::{SweepEngine, SweepGrid, SweepStrategy};

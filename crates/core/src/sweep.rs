@@ -14,10 +14,15 @@
 //! The only shared state is the [`SharedSimCache`], whose values are
 //! deterministic and value-identical regardless of which cell computes
 //! them. `with_workers(1)` gives the serial order for direct comparison.
+//!
+//! [`SweepStrategy`] is the one table of run recipes: each strategy is a
+//! [`Runner`] chain in [`SweepEngine`]'s `run_cell`.
 
-use crate::config::OmpConfig;
-use crate::executor::{runs, SimExecutor};
+use crate::backend::Runner;
+use crate::config::{ConfigSpace, OmpConfig};
+use crate::executor::SimExecutor;
 use crate::report::AppRunReport;
+use crate::tuner::{RegionTuner, TunerOptions};
 use arcs_harmony::History;
 use arcs_metrics::MetricsRegistry;
 use arcs_powersim::{CacheSnapshot, Machine, SharedSimCache, WorkloadDescriptor};
@@ -269,6 +274,8 @@ impl SweepEngine {
         exec
     }
 
+    /// The recipe of every strategy, scored by `objective` and reported
+    /// under [`SweepStrategy::label`].
     fn run_cell(
         &self,
         wl: &WorkloadDescriptor,
@@ -278,21 +285,40 @@ impl SweepEngine {
         noise: Option<(f64, u64)>,
     ) -> CellResult {
         let mut exec = self.executor(cap_w, noise);
-        let (mut report, history) = match strategy {
-            SweepStrategy::Default => (runs::default_run_on(&mut exec, wl, objective), None),
-            SweepStrategy::Online => (runs::online_run_on(&mut exec, wl, objective, 0.0), None),
+        let space = ConfigSpace::for_machine(&self.machine);
+        let label = strategy.label();
+        let tuned = |exec: &mut SimExecutor, options| {
+            Runner::new(exec).workload(wl).tuner(&mut RegionTuner::new(options)).label(label).run()
+        };
+        let online = TunerOptions::online(space.clone()).with_objective(objective);
+        let (report, history) = match strategy {
+            SweepStrategy::Default => {
+                (Runner::new(&mut exec).workload(wl).objective(objective).label(label).run(), None)
+            }
+            SweepStrategy::Online => (tuned(&mut exec, online), None),
             SweepStrategy::OnlineSelective { min_region_time_s } => {
-                (runs::online_run_on(&mut exec, wl, objective, min_region_time_s), None)
+                (tuned(&mut exec, online.with_min_region_time(min_region_time_s)), None)
             }
             SweepStrategy::Offline => {
-                // The paper trains and measures in separate executions.
-                let mut replayer = self.executor(cap_w, noise);
-                let (report, history) =
-                    runs::offline_run_on(&mut exec, &mut replayer, wl, objective);
-                (report, Some(history))
+                // The paper trains and measures in separate executions, so
+                // the history is trained on one executor and replayed on a
+                // second. Its context is `workload.machine.capW`, with
+                // `.objective` appended for anything but time.
+                let suffix = match objective {
+                    Objective::Time => String::new(),
+                    other => format!(".{other}"),
+                };
+                let (name, machine, cap) = (&wl.name, &self.machine.name, exec.power_cap_w());
+                let context = format!("{name}.{machine}.{cap}W{suffix}");
+                let train = TunerOptions::offline_train(space.clone()).with_objective(objective);
+                let history = Runner::new(&mut exec).workload(wl).train(train, &context);
+                let history = history.expect("training a sweep cell cannot fail");
+                let replay = TunerOptions::offline_replay(space, history.clone());
+                let replay = replay.with_objective(objective);
+                (tuned(&mut self.executor(cap_w, noise), replay), Some(history))
             }
         };
-        report.strategy = strategy.label().into();
+        let report = report.expect("a sweep cell sets its workload and injects no faults");
         CellResult { workload: wl.name.clone(), cap_w, strategy, objective, report, history }
     }
 }

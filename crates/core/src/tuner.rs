@@ -156,7 +156,6 @@ struct RegionState {
     /// (post-convergence `next_point` has no side effects), so serving
     /// from the cache is observationally identical.
     settled: Option<TunedConfig>,
-    applied: Option<TunedConfig>,
     awaiting: bool,
     invocations: u64,
     total_time_s: f64,
@@ -182,7 +181,6 @@ impl RegionState {
             session,
             pinned,
             settled: None,
-            applied: None,
             awaiting: false,
             invocations: 0,
             total_time_s: 0.0,
@@ -438,7 +436,6 @@ impl RegionTuner {
             default_cfg
         };
 
-        state.applied = Some(config);
         let tuned = !state.skipped;
         // Compare against the *global* runtime state, not this region's
         // last configuration: the ICVs are process-wide.

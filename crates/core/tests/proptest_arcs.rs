@@ -256,12 +256,12 @@ proptest! {
         let best = tuner.best_configs();
         let default_cfg = OmpConfig::default_for(&m);
         let mut clean = SimExecutor::new(m.clone(), 85.0);
-        let base = clean.run_default(&wl);
-        let tuned = clean.run_fixed(
-            &wl,
-            &|name: &str| best.get(name).copied().unwrap_or(default_cfg),
-            "chaos-best",
-        );
+        let base = Runner::new(&mut clean).workload(&wl).run().expect("workload is set");
+        let tuned = Runner::new(&mut clean)
+            .workload(&wl)
+            .fixed(|name| best.get(name).copied().unwrap_or(default_cfg), "chaos-best")
+            .run()
+            .expect("workload is set");
         prop_assert!(
             tuned.time_s <= base.time_s * 1.5,
             "chaos-surviving configs degraded too far: {} vs default {}",

@@ -16,8 +16,7 @@
 //! cargo run --release --example capped_cluster_job
 //! ```
 
-use arcs::ConfigSpace;
-use arcs::{runs, OmpConfig, RegionTuner, SimExecutor, TunerOptions};
+use arcs::{ConfigSpace, OmpConfig, RegionTuner, Runner, SimExecutor, TunerOptions};
 use arcs_harmony::History;
 use arcs_kernels::{model, Class};
 use arcs_powersim::Machine;
@@ -34,7 +33,11 @@ fn main() {
     let space = ConfigSpace::for_machine(&machine);
     let mut histories: HashMap<u64, History<OmpConfig>> = HashMap::new();
     for &(cap, _) in &phases {
-        let (_, h) = runs::offline_run(&machine, cap, &wl);
+        let context = format!("{}.{}.{cap}W", wl.name, machine.name);
+        let h = Runner::new(&mut SimExecutor::new(machine.clone(), cap))
+            .workload(&wl)
+            .train(TunerOptions::offline_train(space.clone()), &context)
+            .expect("training converges");
         histories.insert(cap as u64, h);
     }
     let frozen = histories[&(phases[0].0 as u64)].clone();
@@ -47,12 +50,19 @@ fn main() {
     );
     for &(cap, steps) in &phases {
         wl.timesteps = steps;
-        let base = runs::default_run(&machine, cap, &wl);
+        let base = Runner::new(&mut SimExecutor::new(machine.clone(), cap))
+            .workload(&wl)
+            .run()
+            .expect("workload is set");
 
         let run_with = |history: &History<OmpConfig>| {
             let mut tuner =
                 RegionTuner::new(TunerOptions::offline_replay(space.clone(), history.clone()));
-            SimExecutor::new(machine.clone(), cap).run_tuned(&wl, &mut tuner)
+            Runner::new(&mut SimExecutor::new(machine.clone(), cap))
+                .workload(&wl)
+                .tuner(&mut tuner)
+                .run()
+                .expect("workload is set")
         };
         let frozen_rep = run_with(&frozen);
         let adaptive_rep = run_with(&histories[&(cap as u64)]);

@@ -1,11 +1,13 @@
 //! End-to-end contract of intra-run adaptive schedule switching
-//! (`Runner::adaptive_schedule`): on the Monte-Carlo workload the ladder
-//! must observe the default static partition's imbalance, escalate to a
+//! (`Runner::adaptive`): on the Monte-Carlo workload the ladder must
+//! observe the default static partition's imbalance, escalate to a
 //! self-scheduling policy mid-run with the full §III-C paper trail
-//! (`ConfigSwitch` + overhead + `PolicySwitched`), and land within reach
-//! of the best fixed policy — all byte-reproducibly.
+//! (`ConfigSwitch` + overhead + `PolicySwitched`), decide exactly what an
+//! independent ladder replaying the run's imbalances decides, and land
+//! within reach of the best fixed policy — all byte-reproducibly.
 
 use arcs::{OmpConfig, Runner, SimExecutor};
+use arcs_apex::AdaptiveLadder;
 use arcs_kernels::{model, Class};
 use arcs_omprt::{Schedule, ScheduleKind};
 use arcs_powersim::Machine;
@@ -27,9 +29,10 @@ fn adaptive_run(
 ) -> (arcs::AppRunReport, Vec<arcs_trace::TraceRecord>) {
     let sink = Arc::new(VecSink::new());
     let mut exec = SimExecutor::new(Machine::crill(), 115.0);
+    let default_cfg = OmpConfig::default_for(&exec.machine);
     let rep = Runner::new(&mut exec)
         .workload(wl)
-        .adaptive_schedule(true)
+        .adaptive(move |_| default_cfg, "adaptive")
         .trace(sink.clone())
         .run()
         .unwrap();
@@ -44,8 +47,8 @@ fn adaptive_run(
 #[test]
 fn adaptive_schedule_escalates_and_beats_the_default() {
     let wl = mc();
-    let m = Machine::crill();
-    let base = arcs::runs::default_run(&m, 115.0, &wl);
+    let mut exec = SimExecutor::new(Machine::crill(), 115.0);
+    let base = Runner::new(&mut exec).workload(&wl).run().unwrap();
     let (adaptive, records) = adaptive_run(&wl);
 
     // The ladder must actually fire: at least one PolicySwitched on the
@@ -74,11 +77,32 @@ fn adaptive_schedule_escalates_and_beats_the_default() {
     assert_eq!(count("ConfigSwitch"), switches.len());
     assert!(count("OverheadCharged") >= switches.len());
     assert!(adaptive.config_change_overhead_s > 0.0);
-    // And the decision itself is visible as an APEX policy firing.
-    assert!(records.iter().any(|r| matches!(
-        &r.event,
-        TraceEvent::PolicyFired { policy, .. } if policy == "adaptive-schedule"
-    )));
+
+    // An independent replay: a fresh ladder fed each `RegionEnd`'s
+    // barrier share, in trace order, takes exactly the recorded decisions.
+    // Arm 0 is the configured (static) policy, arm k the k-th
+    // self-scheduling family.
+    let mut ladder = AdaptiveLadder::new(1 + ScheduleKind::SELF_SCHEDULING.len());
+    let policy = |arm: usize| match arm {
+        0 => "static".to_string(),
+        k => ScheduleKind::SELF_SCHEDULING[k - 1].name().to_string(),
+    };
+    let mut replayed = Vec::new();
+    for r in &records {
+        if let TraceEvent::RegionEnd { region, busy_s, barrier_s, .. } = &r.event {
+            if let Some(sw) = ladder.observe(region, barrier_s / (busy_s + barrier_s)) {
+                let (from, to) = (policy(sw.from), policy(sw.to));
+                replayed.push((region.clone(), from, to, sw.invocation, sw.imbalance.to_bits()));
+            }
+        }
+    }
+    let recorded: Vec<_> = switches
+        .iter()
+        .map(|(region, from, to, inv, imb)| {
+            (region.clone(), from.clone(), to.clone(), *inv, imb.to_bits())
+        })
+        .collect();
+    assert_eq!(replayed, recorded);
 
     // RegionBegin's chunk_policy narrates the journey: static at first,
     // the ladder's landing policy at the end.
@@ -137,27 +161,4 @@ fn adaptive_runs_are_byte_reproducible() {
     let (b_rep, b) = adaptive_run(&wl);
     assert_eq!(a_rep.time_s, b_rep.time_s);
     assert_eq!(to_jsonl(&a).unwrap(), to_jsonl(&b).unwrap());
-}
-
-/// The flag is inert where it has no business: a tuner-strategy run with
-/// `adaptive_schedule(true)` behaves exactly like one without (the search
-/// already owns the schedule axis).
-#[test]
-fn adaptive_flag_is_ignored_by_tuner_runs() {
-    use arcs::{ConfigSpace, RegionTuner, TunerOptions};
-    let m = Machine::crill();
-    let mut wl = model::sp(Class::B);
-    wl.timesteps = 4;
-    let run = |adaptive: bool| {
-        let mut exec = SimExecutor::new(m.clone(), 85.0);
-        let mut tuner = RegionTuner::new(TunerOptions::online(ConfigSpace::for_machine(&m)));
-        Runner::new(&mut exec)
-            .workload(&wl)
-            .tuner(&mut tuner)
-            .adaptive_schedule(adaptive)
-            .run()
-            .unwrap()
-            .time_s
-    };
-    assert_eq!(run(true), run(false));
 }

@@ -1,18 +1,49 @@
 //! Cross-crate integration tests: the full ARCS stack, both backends.
 
-use arcs::{runs, ConfigSpace, OmpConfig, RegionTuner, SimExecutor, TunerOptions};
+use arcs::{
+    AppRunReport, ConfigSpace, OmpConfig, RegionTuner, Runner, SimExecutor, SweepEngine, SweepGrid,
+    SweepReport, SweepStrategy, TunerOptions,
+};
+use arcs_harmony::History;
 use arcs_kernels::{model, Class};
-use arcs_powersim::Machine;
+use arcs_powersim::{Machine, WorkloadDescriptor};
+
+/// `strategies` on every workload of `wls` at every cap of `caps_w`.
+fn sweep(
+    m: &Machine,
+    wls: &[WorkloadDescriptor],
+    caps_w: &[f64],
+    strategies: &[SweepStrategy],
+) -> SweepReport {
+    let grid = SweepGrid { workloads: wls.to_vec(), ..SweepGrid::new(m.clone()) };
+    SweepEngine::new(m.clone()).run(&grid.caps(caps_w).strategies(strategies))
+}
+
+/// The report of the (workload, cap, strategy-label) cell.
+fn cell<'a>(sweep: &'a SweepReport, wl: &str, cap_w: f64, label: &str) -> &'a AppRunReport {
+    &sweep.cell(wl, cap_w, label).expect("the grid has the cell").report
+}
+
+/// ARCS-Offline training alone: the history a replay would load.
+fn trained(m: &Machine, cap_w: f64, wl: &WorkloadDescriptor) -> History<OmpConfig> {
+    let context = format!("{}.{}.{cap_w}W", wl.name, m.name);
+    Runner::new(&mut SimExecutor::new(m.clone(), cap_w))
+        .workload(wl)
+        .train(TunerOptions::offline_train(ConfigSpace::for_machine(m)), &context)
+        .unwrap()
+}
 
 /// ARCS-Offline on SP must land in the paper's improvement band at every
 /// power level (Fig. 4: 26–40% time, energy up to ~40%).
 #[test]
 fn sp_offline_beats_default_at_every_power_level() {
     let m = Machine::crill();
-    let wl = model::sp(Class::B);
-    for cap in [55.0, 70.0, 85.0, 100.0, 115.0] {
-        let base = runs::default_run(&m, cap, &wl);
-        let (off, _) = runs::offline_run(&m, cap, &wl);
+    let caps = [55.0, 70.0, 85.0, 100.0, 115.0];
+    let sweep =
+        sweep(&m, &[model::sp(Class::B)], &caps, &[SweepStrategy::Default, SweepStrategy::Offline]);
+    for cap in caps {
+        let (base, off) =
+            (cell(&sweep, "sp.B", cap, "default"), cell(&sweep, "sp.B", cap, "arcs-offline"));
         let t = off.time_s / base.time_s;
         let e = off.energy_j / base.energy_j;
         assert!((0.55..0.85).contains(&t), "time ratio {t} at {cap}W");
@@ -25,12 +56,16 @@ fn sp_offline_beats_default_at_every_power_level() {
 #[test]
 fn bt_gains_are_small_and_online_can_lose() {
     let m = Machine::crill();
-    let wl = model::bt(Class::B);
-    let base = runs::default_run(&m, 85.0, &wl);
-    let (off, _) = runs::offline_run(&m, 85.0, &wl);
-    let on = runs::online_run(&m, 85.0, &wl);
-    let off_ratio = off.time_s / base.time_s;
+    let sweep = sweep(
+        &m,
+        &[model::bt(Class::B)],
+        &[85.0],
+        &[SweepStrategy::Default, SweepStrategy::Online, SweepStrategy::Offline],
+    );
+    let base = cell(&sweep, "bt.B", 85.0, "default");
+    let off_ratio = cell(&sweep, "bt.B", 85.0, "arcs-offline").time_s / base.time_s;
     assert!((0.85..1.0).contains(&off_ratio), "offline {off_ratio}");
+    let on = cell(&sweep, "bt.B", 85.0, "arcs-online");
     assert!(on.time_s / base.time_s > 1.0, "online should lose on BT");
 }
 
@@ -39,11 +74,12 @@ fn bt_gains_are_small_and_online_can_lose() {
 #[test]
 fn lulesh_online_loses_on_crill() {
     let m = Machine::crill();
-    let wl = model::lulesh(45);
-    for cap in [55.0, 115.0] {
-        let base = runs::default_run(&m, cap, &wl);
-        let on = runs::online_run(&m, cap, &wl);
-        let t = on.time_s / base.time_s;
+    let caps = [55.0, 115.0];
+    let sweep =
+        sweep(&m, &[model::lulesh(45)], &caps, &[SweepStrategy::Default, SweepStrategy::Online]);
+    for cap in caps {
+        let base = cell(&sweep, "lulesh.45", cap, "default");
+        let t = cell(&sweep, "lulesh.45", cap, "arcs-online").time_s / base.time_s;
         assert!(t > 1.0 && t < 1.15, "online ratio {t} at {cap}W");
     }
 }
@@ -54,16 +90,17 @@ fn lulesh_online_loses_on_crill() {
 fn minotaur_sp_reproduces_the_37_percent_win() {
     let m = Machine::minotaur();
     let tdp = m.power.tdp_w;
-    let sp = model::sp(Class::B);
-    let base = runs::default_run(&m, tdp, &sp);
-    let (off, _) = runs::offline_run(&m, tdp, &sp);
-    let gain = 1.0 - off.time_s / base.time_s;
+    let sweep = sweep(
+        &m,
+        &[model::sp(Class::B), model::bt(Class::B)],
+        &[tdp],
+        &[SweepStrategy::Default, SweepStrategy::Offline],
+    );
+    let gain = |wl: &str| {
+        1.0 - cell(&sweep, wl, tdp, "arcs-offline").time_s / cell(&sweep, wl, tdp, "default").time_s
+    };
+    let (gain, gain_bt) = (gain("sp.B"), gain("bt.B"));
     assert!((0.35 - 0.12..=0.35 + 0.12).contains(&gain), "SP Minotaur gain {gain}");
-
-    let bt = model::bt(Class::B);
-    let base_bt = runs::default_run(&m, tdp, &bt);
-    let (off_bt, _) = runs::offline_run(&m, tdp, &bt);
-    let gain_bt = 1.0 - off_bt.time_s / base_bt.time_s;
     assert!(gain_bt < gain, "BT gain {gain_bt} must be smaller than SP's {gain}");
 }
 
@@ -74,11 +111,12 @@ fn offline_history_replay_is_deterministic() {
     let m = Machine::crill();
     let mut wl = model::sp(Class::B);
     wl.timesteps = 25;
-    let (_, history) = runs::offline_run(&m, 85.0, &wl);
+    let history = trained(&m, 85.0, &wl);
     let space = ConfigSpace::for_machine(&m);
     let run = |h| {
         let mut tuner = RegionTuner::new(TunerOptions::offline_replay(space.clone(), h));
-        SimExecutor::new(m.clone(), 85.0).run_tuned(&wl, &mut tuner)
+        let mut exec = SimExecutor::new(m.clone(), 85.0);
+        Runner::new(&mut exec).workload(&wl).tuner(&mut tuner).run().unwrap()
     };
     let a = run(history.clone());
     let b = run(history);
@@ -93,11 +131,11 @@ fn history_file_roundtrip_through_disk() {
     let m = Machine::crill();
     let mut wl = model::bt(Class::W);
     wl.timesteps = 30;
-    let (_, history) = runs::offline_run(&m, 115.0, &wl);
+    let history = trained(&m, 115.0, &wl);
     let dir = std::env::temp_dir().join("arcs-e2e");
     let path = dir.join("bt.history.json");
     history.save(&path).unwrap();
-    let loaded: arcs_harmony::History<OmpConfig> = arcs_harmony::History::load(&path).unwrap();
+    let loaded: History<OmpConfig> = History::load(&path).unwrap();
     assert_eq!(loaded.context, history.context);
     assert_eq!(loaded.len(), history.len());
     for (region, entry) in &history.entries {
@@ -115,14 +153,12 @@ fn history_file_roundtrip_through_disk() {
 #[test]
 fn selective_tuning_never_hurts_lulesh() {
     let m = Machine::crill();
-    let wl = model::lulesh(30);
-    let naive = runs::online_run(&m, 115.0, &wl);
-    let space = ConfigSpace::for_machine(&m);
-    let mut tuner =
-        RegionTuner::new(TunerOptions::online(space).with_min_region_time(4.0 * m.config_change_s));
-    let selective = SimExecutor::new(m.clone(), 115.0).run_tuned(&wl, &mut tuner);
+    let selective = SweepStrategy::OnlineSelective { min_region_time_s: 4.0 * m.config_change_s };
+    let sweep = sweep(&m, &[model::lulesh(30)], &[115.0], &[SweepStrategy::Online, selective]);
+    let naive = cell(&sweep, "lulesh.30", 115.0, "arcs-online");
+    let selective = cell(&sweep, "lulesh.30", 115.0, "arcs-online-selective");
     assert!(selective.time_s <= naive.time_s * 1.01);
-    assert!(tuner.stats().skipped_regions > 0);
+    assert!(selective.tuner.unwrap().skipped_regions > 0);
 }
 
 /// Power-capping invariants at application level: time decreases and
@@ -133,9 +169,11 @@ fn app_time_monotone_in_cap() {
     let m = Machine::crill();
     let mut wl = model::bt(Class::B);
     wl.timesteps = 30;
+    let caps = [55.0, 70.0, 85.0, 100.0, 115.0];
+    let sweep = sweep(&m, &[wl], &caps, &[SweepStrategy::Default]);
     let mut prev = f64::INFINITY;
-    for cap in [55.0, 70.0, 85.0, 100.0, 115.0] {
-        let rep = runs::default_run(&m, cap, &wl);
+    for cap in caps {
+        let rep = cell(&sweep, "bt.B", cap, "default");
         assert!(rep.time_s <= prev, "time must not rise with cap");
         // Node power = both capped packages + DRAM (outside the cap, as on
         // the real machine: "we used maximum power for other components").

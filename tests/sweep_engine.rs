@@ -3,10 +3,12 @@
 //! reproduces the §III-C overhead accounting exactly.
 
 use arcs::{
-    overhead_power_w, runs, NoiseModel, SimExecutor, SweepEngine, SweepGrid, SweepStrategy,
+    overhead_power_w, AppRunReport, ConfigSpace, NoiseModel, Objective, OmpConfig, RegionTuner,
+    Runner, SimExecutor, SweepEngine, SweepGrid, SweepStrategy, TunerOptions,
 };
+use arcs_harmony::History;
 use arcs_kernels::{model, Class};
-use arcs_powersim::Machine;
+use arcs_powersim::{Machine, WorkloadDescriptor};
 
 fn paper_grid(machine: &Machine) -> SweepGrid {
     let mut wl = model::sp(Class::B);
@@ -122,7 +124,12 @@ fn backend_overhead_accounting_matches_paper_model_on_sp_b() {
     wl.timesteps = 10;
     let cap = 85.0;
 
-    let tuned = runs::online_run(&m, cap, &wl);
+    let grid = SweepGrid::new(m.clone())
+        .workload(wl.clone())
+        .caps(&[cap])
+        .strategies(&[SweepStrategy::Default, SweepStrategy::Online]);
+    let sweep = SweepEngine::new(m.clone()).run(&grid);
+    let (base, tuned) = (&sweep.cells[0].report, &sweep.cells[1].report);
     let stats = tuned.tuner.as_ref().expect("online run records tuner stats");
 
     // Instrumentation: exactly one charge per tuned invocation.
@@ -154,15 +161,61 @@ fn backend_overhead_accounting_matches_paper_model_on_sp_b() {
     assert!(overhead_power_w(&m) < cap);
 
     // A default run pays no overheads at all.
-    let base = runs::default_run(&m, cap, &wl);
     assert_eq!(base.config_change_overhead_s, 0.0);
     assert_eq!(base.instrumentation_overhead_s, 0.0);
     assert!(base.tuner.is_none());
 }
 
-/// The sweep engine's Online cell and a hand-built serial run must agree
-/// exactly — the acceptance check that rewiring the figures onto the sweep
-/// engine did not change any numbers.
+/// What `strategy` at `objective` does, written out as `Runner` chains on
+/// fresh executors with private caches — the reference the engine's cells
+/// are held to, independent of its recipes, shared cache and workers.
+fn serial_run(
+    m: &Machine,
+    cap_w: f64,
+    wl: &WorkloadDescriptor,
+    strategy: SweepStrategy,
+    objective: Objective,
+) -> (AppRunReport, Option<History<OmpConfig>>) {
+    let space = ConfigSpace::for_machine(m);
+    let mut exec = SimExecutor::new(m.clone(), cap_w);
+    let label = strategy.label();
+    let online = TunerOptions::online(space.clone()).with_objective(objective);
+    let tuner = match strategy {
+        SweepStrategy::Default => {
+            let rep = Runner::new(&mut exec).workload(wl).objective(objective).label(label).run();
+            return (rep.unwrap(), None);
+        }
+        SweepStrategy::Online => online,
+        SweepStrategy::OnlineSelective { min_region_time_s } => {
+            online.with_min_region_time(min_region_time_s)
+        }
+        SweepStrategy::Offline => {
+            // The history context, spelled out for the one cell swept here.
+            let context = match objective {
+                Objective::Time => "sp.B.crill.85W".to_string(),
+                other => format!("sp.B.crill.85W.{other}"),
+            };
+            let train = TunerOptions::offline_train(space.clone()).with_objective(objective);
+            let history = Runner::new(&mut exec).workload(wl).train(train, &context).unwrap();
+            let replay = TunerOptions::offline_replay(space, history.clone());
+            let mut tuner = RegionTuner::new(replay.with_objective(objective));
+            let rep = Runner::new(&mut SimExecutor::new(m.clone(), cap_w))
+                .workload(wl)
+                .tuner(&mut tuner)
+                .label(label)
+                .run();
+            return (rep.unwrap(), Some(history));
+        }
+    };
+    let mut tuner = RegionTuner::new(tuner);
+    let rep = Runner::new(&mut exec).workload(wl).tuner(&mut tuner).label(label).run();
+    (rep.unwrap(), None)
+}
+
+/// Every cell of a sweep — each strategy, including a selective threshold
+/// that pins three of SP's five regions, under the time and the energy
+/// objective — equals its serial reference: the report and, for Offline,
+/// the history with its context.
 #[test]
 fn sweep_cells_match_hand_rolled_serial_runs() {
     let m = Machine::crill();
@@ -170,25 +223,27 @@ fn sweep_cells_match_hand_rolled_serial_runs() {
     wl.timesteps = 6;
     let cap = 85.0;
 
-    let grid = SweepGrid::new(m.clone()).workload(wl.clone()).caps(&[cap]).strategies(&[
-        SweepStrategy::Default,
-        SweepStrategy::Online,
-        SweepStrategy::Offline,
-    ]);
+    let grid = SweepGrid::new(m.clone())
+        .workload(wl.clone())
+        .caps(&[cap])
+        .strategies(&[
+            SweepStrategy::Default,
+            SweepStrategy::Online,
+            SweepStrategy::OnlineSelective { min_region_time_s: 0.15 },
+            SweepStrategy::Offline,
+        ])
+        .objectives(&[Objective::Time, Objective::Energy]);
     let report = SweepEngine::new(m.clone()).run(&grid);
 
-    assert_eq!(
-        report.cell("sp.B", cap, "default").unwrap().report,
-        runs::default_run(&m, cap, &wl)
-    );
-    assert_eq!(
-        report.cell("sp.B", cap, "arcs-online").unwrap().report,
-        runs::online_run(&m, cap, &wl)
-    );
-    let (off_rep, off_hist) = runs::offline_run(&m, cap, &wl);
-    let cell = report.cell("sp.B", cap, "arcs-offline").unwrap();
-    assert_eq!(cell.report, off_rep);
-    assert_eq!(cell.history.as_ref(), Some(&off_hist));
+    assert_eq!(report.cells.len(), 8);
+    for cell in &report.cells {
+        let (rep, history) = serial_run(&m, cap, &wl, cell.strategy, cell.objective);
+        let name = format!("{} by {}", cell.strategy.label(), cell.objective);
+        assert_eq!(cell.report, rep, "{name}");
+        assert_eq!(cell.history, history, "{name}");
+    }
+    let selective = report.cell("sp.B", cap, "arcs-online-selective").unwrap();
+    assert_eq!(selective.report.tuner.unwrap().skipped_regions, 3, "the threshold must bite");
 }
 
 /// Noisy cells depend only on (seed, region, invocation): running the same
@@ -198,9 +253,11 @@ fn stateless_noise_gives_reproducible_noisy_cells() {
     let m = Machine::crill();
     let mut wl = model::sp(Class::B);
     wl.timesteps = 4;
-    let a = SimExecutor::new(m.clone(), 85.0).with_noise(0.05, 42).run_default(&wl);
-    let b = SimExecutor::new(m.clone(), 85.0).with_noise(0.05, 42).run_default(&wl);
-    assert_eq!(a, b);
+    let run = || {
+        let mut exec = SimExecutor::new(m.clone(), 85.0).with_noise(0.05, 42);
+        Runner::new(&mut exec).workload(&wl).run().unwrap()
+    };
+    assert_eq!(run(), run());
 
     // And the noise model itself is a pure function.
     let n = NoiseModel { cv: 0.05, seed: 42 };
