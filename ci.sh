@@ -149,21 +149,27 @@ done
 # cells are keyed by operating point, so caps that clamp a team to one
 # frequency simulate once, and every repetition misses exactly this many
 # cells at any --seconds — fewer or more means the keying moved even
-# while the digests still pass.
+# while the digests still pass. The hits are pinned beside them, so a
+# lookup counted twice or not at all — by the memo or by an executor's
+# last-cell memory — fails here too.
 for workload in sweep-irregular sweep-regular sweep-warm serve-inproc serve-durable; do
     bash benchmarks/run.sh --workload "$workload" --seed 42 --seconds 3 --trace 0 \
         | tee "$trace_tmp/bench.txt"
     case "$workload" in
-        sweep-irregular) misses=3519 ;;
-        sweep-regular) misses=28080 ;;
-        serve-inproc) misses=3322 ;;
+        sweep-irregular) misses=3519 hits=161301 ;;
+        sweep-regular) misses=28080 hits=901920 ;;
+        sweep-warm) misses=0 hits=1094700 ;;
+        serve-inproc) misses=3322 hits=1539874 ;;
         *) continue ;;
     esac
-    if ! grep -Eq "^$workload powersim\.memo\.misses $misses count [0-9]+ $misses $misses\$" \
-        "$trace_tmp/bench.txt"; then
-        echo "ci: $workload does not miss exactly $misses memo cells per repetition" >&2
-        exit 1
-    fi
+    for pin in "misses $misses" "hits $hits"; do
+        read -r counter n <<< "$pin"
+        if ! grep -Eq "^$workload powersim\.memo\.$counter $n count [0-9]+ $n $n\$" \
+            "$trace_tmp/bench.txt"; then
+            echo "ci: $workload does not count exactly $n memo $counter per repetition" >&2
+            exit 1
+        fi
+    done
 done
 (cd benchmarks && cargo test --offline)
 

@@ -213,7 +213,11 @@ impl AdaptiveLadder {
     pub fn observe(&mut self, task: &str, imbalance: f64) -> Option<ArmSwitch> {
         let (threshold, patience, alpha, arms) =
             (self.threshold, self.patience, self.alpha, self.arms);
-        let st = self.tasks.entry(task.to_owned()).or_default();
+        // The name is allocated once, on the task's first observation.
+        let st = match self.tasks.get_mut(task) {
+            Some(st) => st,
+            None => self.tasks.entry(task.to_owned()).or_default(),
+        };
         st.invocations += 1;
         let ewma = match st.ewma {
             None => imbalance,

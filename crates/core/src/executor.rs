@@ -34,9 +34,9 @@ use crate::tunable::TunedConfig;
 use arcs_apex::Apex;
 use arcs_metrics::MetricsRegistry;
 use arcs_powersim::{
-    simulate_region_with_table, CacheBindError, CacheReader, FaultPlan, FxBuildHasher, Machine,
-    MeasureError, PackageEnergy, Rapl, RegionId, RegionModel, SharedSimCache, SimConfig, SimReport,
-    SimScratch, WeightTable,
+    simulate_region_with_table, CacheBindError, FaultPlan, FxBuildHasher, Machine, MeasureError,
+    PackageEnergy, Rapl, RegionId, RegionModel, SharedSimCache, SimConfig, SimReport, SimScratch,
+    WeightTable,
 };
 use arcs_trace::TraceSink;
 use std::collections::HashMap;
@@ -100,9 +100,6 @@ pub struct SimExecutor {
     pub machine: Machine,
     rapl: Rapl,
     cache: Arc<SharedSimCache>,
-    /// Lock-free view of `cache`'s frozen shard snapshots; rebuilt
-    /// whenever a different cache is bound.
-    reader: CacheReader,
     /// Reusable simulation working memory (miss path only).
     scratch: SimScratch,
     /// The effective cap's team frequencies (memo-probe path only).
@@ -175,12 +172,10 @@ impl SimExecutor {
         let mut rapl = Rapl::new(&machine);
         let perturb = Perturbation::new(cap_w, rapl.set_package_cap(cap_w));
         let cache = Arc::new(SharedSimCache::new(&machine.name));
-        let reader = cache.reader();
         SimExecutor {
             machine,
             rapl,
             cache,
-            reader,
             scratch: SimScratch::default(),
             f_caps: CapFrequencies::default(),
             apex: None,
@@ -275,7 +270,6 @@ impl SimExecutor {
         if let Some(registry) = &self.perturb.metrics {
             cache.attach_metrics(registry);
         }
-        self.reader = cache.reader();
         // Interned ids (and the reports the slots remember) belong to the
         // cache that issued them — re-resolve lazily against the new one.
         self.slots.clear();
@@ -365,7 +359,7 @@ impl SimExecutor {
         cfg: SimConfig,
         freq_limit_ghz: Option<f64>,
     ) -> Arc<SimReport> {
-        let SimExecutor { machine, perturb, cache, reader, scratch, f_caps, slots, .. } = self;
+        let SimExecutor { machine, perturb, cache, scratch, f_caps, slots, .. } = self;
         let cap_w = perturb.cap_w();
         let slot = &mut slots[slot];
         let inputs = CellInputs {
@@ -384,7 +378,7 @@ impl SimExecutor {
         let (key_cap_w, key_limit_ghz) = machine.operating_point(cap_w, f_cap, freq_limit_ghz);
         let table = &mut slot.table;
         let rep = cache.get_or_insert_id(
-            reader,
+            &mut cache.reader(),
             slot.id,
             region.iterations,
             cfg,

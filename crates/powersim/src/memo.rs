@@ -27,21 +27,17 @@
 //!
 //! ## Read path
 //!
-//! Each shard keeps a *frozen* `Arc<HashMap>` snapshot plus a small *hot*
-//! overlay of recent inserts. A per-executor [`CacheReader`] caches the
-//! frozen `Arc` per shard together with the shard's generation counter:
-//! while the generation is unchanged, a warm lookup is one atomic load and
-//! one probe of a reader-local map — the shard `Mutex` is never taken.
-//! Inserts land in the hot overlay under the lock and are batch-merged
-//! into a fresh frozen snapshot (generation bump, `Arc` swap) once the
-//! overlay outgrows `max(8, frozen/4)`, so the steady state is fully
-//! lock-free and the merge cost is O(n log n) amortised over inserts.
+//! Each of the 16 shards is one locked map: a lookup probes its key's
+//! shard under the lock. That is enough because most repeats never get
+//! here — an executor answers a repeat of the cell a region priced last
+//! from its own copy of the report — and sweeps and the broker probe
+//! from one thread, so the lock is uncontended.
 //!
 //! Values are computed *outside* the shard lock — two racing threads may
 //! both simulate the same tuple, but the simulator is deterministic so
-//! whichever insert lands is correct (the loser's work is discarded and
-//! its lookup counts as a hit, so the miss counter equals the number of
-//! distinct cells resolved regardless of interleaving).
+//! whichever insert lands is correct. The loser returns the winner's
+//! `Arc` and its lookup counts as a hit, so the miss counter equals the
+//! number of distinct cells resolved regardless of interleaving.
 
 use crate::exec::{SimConfig, SimReport};
 use crate::workload::{ImbalanceProfile, RegionModel, WeightTable};
@@ -54,10 +50,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 const SHARDS: usize = 16;
-/// The hot overlay merges into the frozen snapshot once it reaches
-/// `max(MERGE_MIN, frozen/4)` entries: small shards freeze almost
-/// immediately, large ones amortise the snapshot clone geometrically.
-const MERGE_MIN: usize = 8;
 
 /// Multiply-rotate hasher (the Firefox/rustc "Fx" construction) for the
 /// integer-word `CellKey`. Not DoS-resistant — keys are simulator
@@ -258,35 +250,6 @@ impl CellKey {
 
 type CellMap = HashMap<CellKey, Arc<SimReport>, FxBuildHasher>;
 
-struct ShardInner {
-    /// Mirrors the atomic `gen` below; authoritative under the lock.
-    gen: u64,
-    /// Immutable snapshot readers probe lock-free via [`CacheReader`].
-    frozen: Arc<CellMap>,
-    /// Recent inserts not yet merged into `frozen`; probed under the lock.
-    hot: CellMap,
-}
-
-struct Shard {
-    /// Bumped (Release) on every frozen-snapshot swap; readers check it
-    /// (Acquire) to validate their cached snapshot without locking.
-    gen: AtomicU64,
-    inner: Mutex<ShardInner>,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            gen: AtomicU64::new(0),
-            inner: Mutex::new(ShardInner {
-                gen: 0,
-                frozen: Arc::new(CellMap::default()),
-                hot: CellMap::default(),
-            }),
-        }
-    }
-}
-
 /// Hit/miss counters plus structural occupancy, all captured by
 /// [`SharedSimCache::stats`] in one call. The counters are cumulative and
 /// monotone (see [`CacheSnapshot::delta_since`]); `entries`,
@@ -330,32 +293,13 @@ impl CacheSnapshot {
             self.hits as f64 / self.lookups() as f64
         }
     }
-
-    /// Largest / mean shard occupancy — 1.0 is a perfectly even spread.
-    pub fn shard_imbalance(&self) -> f64 {
-        let max = self.shard_occupancy.iter().copied().max().unwrap_or(0);
-        if self.entries == 0 {
-            return 1.0;
-        }
-        max as f64 * self.shard_occupancy.len() as f64 / self.entries as f64
-    }
 }
 
-/// A per-executor view of the cache's frozen snapshots: one cached
-/// `(generation, Arc<map>)` pair per shard. Warm lookups through a reader
-/// never take a shard lock. Readers are cheap to create, are invalidated
-/// simply by dropping them, and must only be used with the cache that
-/// created them (checked in debug builds).
+/// The handle [`SharedSimCache::get_or_insert_id`] takes: the tag of the
+/// cache that made it, which the lookup checks in debug builds.
+#[derive(Debug)]
 pub struct CacheReader {
     tag: usize,
-    snaps: Vec<Option<(u64, Arc<CellMap>)>>,
-}
-
-impl std::fmt::Debug for CacheReader {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let cached = self.snaps.iter().filter(|s| s.is_some()).count();
-        f.debug_struct("CacheReader").field("cached_shards", &cached).finish()
-    }
 }
 
 /// A sharded (region, config, cap) → report memo usable from many threads.
@@ -366,7 +310,7 @@ impl std::fmt::Debug for CacheReader {
 pub struct SharedSimCache {
     machine: String,
     interner: RegionInterner,
-    shards: Vec<Shard>,
+    shards: Vec<Mutex<CellMap>>,
     /// Weight tables of the non-uniform regions priced so far; see
     /// [`SharedSimCache::weight_table`].
     tables: Mutex<Vec<Arc<WeightTable>>>,
@@ -395,7 +339,7 @@ impl SharedSimCache {
         SharedSimCache {
             machine: machine.into(),
             interner: RegionInterner::default(),
-            shards: (0..SHARDS).map(|_| Shard::new()).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
             tables: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -452,9 +396,9 @@ impl SharedSimCache {
         table
     }
 
-    /// A fresh per-executor reader over this cache's shard snapshots.
+    /// A handle for [`SharedSimCache::get_or_insert_id`] on this cache.
     pub fn reader(&self) -> CacheReader {
-        CacheReader { tag: self as *const _ as usize, snaps: vec![None; SHARDS] }
+        CacheReader { tag: self as *const _ as usize }
     }
 
     /// Attach a [`TraceSink`] receiving [`TraceEvent::CacheHit`] /
@@ -522,14 +466,7 @@ impl SharedSimCache {
     /// Counters and occupancy in one [`CacheSnapshot`]. Takes each shard
     /// lock briefly — a cold path for reporting, not lookups.
     pub fn stats(&self) -> CacheSnapshot {
-        let shard_occupancy: Vec<usize> = self
-            .shards
-            .iter()
-            .map(|s| {
-                let inner = s.inner.lock();
-                inner.frozen.len() + inner.hot.len()
-            })
-            .collect();
+        let shard_occupancy: Vec<usize> = self.shards.iter().map(|s| s.lock().len()).collect();
         CacheSnapshot {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -539,9 +476,9 @@ impl SharedSimCache {
         }
     }
 
-    /// The hot-path lookup: keyed by an interned [`RegionId`], reading
-    /// through `reader`'s cached snapshots (no shard lock on warm hits).
-    /// `compute` runs without any lock held.
+    /// The hot-path lookup, keyed by an interned [`RegionId`]: one probe
+    /// of the key's shard under its lock. `compute` runs without any lock
+    /// held.
     #[allow(clippy::too_many_arguments)]
     pub fn get_or_insert_id(
         &self,
@@ -558,78 +495,31 @@ impl SharedSimCache {
             "CacheReader used with a cache other than the one that created it"
         );
         let key = CellKey::new(region, iterations, cfg, cap_w, freq_limit_ghz);
-        let si = key.shard();
-        let shard = &self.shards[si];
-
-        // Lock-free warm path: probe the reader's cached frozen snapshot
-        // while the shard generation is unchanged.
-        let snap = &mut reader.snaps[si];
-        let mut snap_current = false;
-        if let Some((gen, map)) = snap.as_ref() {
-            if *gen == shard.gen.load(Ordering::Acquire) {
-                snap_current = true;
-                if let Some(rep) = map.get(&key) {
-                    self.note_hit(region);
-                    return Arc::clone(rep);
-                }
-            }
-        }
-
-        // Locked probe: refresh a stale snapshot against the live frozen
-        // map, then check the hot overlay. Serial callers therefore always
-        // see the latest state — misses stay equal to distinct cells.
-        {
-            let inner = shard.inner.lock();
-            let mut found = None;
-            if !snap_current {
-                *snap = Some((inner.gen, Arc::clone(&inner.frozen)));
-                found = inner.frozen.get(&key).cloned();
-            }
-            if found.is_none() {
-                found = inner.hot.get(&key).cloned();
-            }
-            drop(inner);
-            if let Some(rep) = found {
-                self.note_hit(region);
-                return rep;
-            }
+        let shard = &self.shards[key.shard()];
+        let found = shard.lock().get(&key).cloned();
+        if let Some(rep) = found {
+            self.note_hit(region);
+            return rep;
         }
 
         // Genuine miss: simulate outside any lock, then publish. Keep the
         // first insert if another thread raced us here; both computed the
         // same deterministic report. Only the landing insert counts as a
-        // miss — the loser used the winner's value, so its lookup counts
+        // miss — the loser returns the winner's `Arc`, so its lookup counts
         // as a (late) hit. This keeps the miss counter equal to the number
         // of distinct cells resolved, independent of thread interleaving:
         // parallel sweeps report the same misses as serial.
         let rep = Arc::new(compute());
-        let mut inner = shard.inner.lock();
-        let existing = inner.hot.get(&key).or_else(|| inner.frozen.get(&key)).cloned();
-        let (result, landed) = match existing {
-            Some(winner) => (winner, false),
-            None => {
-                inner.hot.insert(key, Arc::clone(&rep));
-                if inner.hot.len() >= MERGE_MIN.max(inner.frozen.len() / 4) {
-                    let mut merged = CellMap::with_capacity_and_hasher(
-                        inner.frozen.len() + inner.hot.len(),
-                        FxBuildHasher::default(),
-                    );
-                    merged.extend(inner.frozen.iter().map(|(k, v)| (*k, Arc::clone(v))));
-                    merged.extend(inner.hot.drain());
-                    inner.frozen = Arc::new(merged);
-                    inner.gen += 1;
-                    shard.gen.store(inner.gen, Ordering::Release);
-                }
-                (rep, true)
-            }
-        };
-        drop(inner);
-        if landed {
-            self.note_miss(region);
-        } else {
+        let mut map = shard.lock();
+        if let Some(winner) = map.get(&key).cloned() {
+            drop(map);
             self.note_hit(region);
+            return winner;
         }
-        result
+        map.insert(key, Arc::clone(&rep));
+        drop(map);
+        self.note_miss(region);
+        rep
     }
 }
 
@@ -740,10 +630,9 @@ mod tests {
     }
 
     #[test]
-    fn reader_fast_path_survives_snapshot_swaps() {
-        // Enough distinct cells to force hot→frozen merges (generation
-        // bumps) with a stale reader in hand; every re-read must still
-        // resolve to the original Arc.
+    fn another_reader_is_served_the_original_arcs() {
+        // Cells spread over every shard, inserted through one reader; a
+        // second reader is served the very `Arc`s that landed.
         let m = Machine::crill();
         let cache = SharedSimCache::new(&m.name);
         let r = region("a");
@@ -762,11 +651,11 @@ mod tests {
                 || simulate_region(&m, 85.0, &r, cfg),
             ));
         }
-        let mut stale = cache.reader();
+        let mut other = cache.reader();
         for (i, threads) in (1..=32).enumerate() {
             let cfg = SimConfig { threads, schedule: Schedule::static_block() };
             let again =
-                cache.get_or_insert_id(&mut stale, id, r.iterations, cfg, 85.0, None, || {
+                cache.get_or_insert_id(&mut other, id, r.iterations, cfg, 85.0, None, || {
                     panic!("must not recompute")
                 });
             assert!(Arc::ptr_eq(&firsts[i], &again));
@@ -824,7 +713,7 @@ mod tests {
         assert_eq!(s.entries, 3);
         assert_eq!(s.shard_occupancy.iter().sum::<usize>(), 3);
         assert_eq!(s.interner_size, 1);
-        assert!(s.hit_rate() == 0.0 && s.shard_imbalance() >= 1.0);
+        assert!(s.hit_rate() == 0.0);
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! Hot-path cache accounting and concurrency guarantees.
 //!
-//! The interned-id lookup (`get_or_insert_id` through a [`CacheReader`])
-//! must serve exactly what a direct `simulate_region` call computes,
-//! bit-for-bit, with one miss per distinct cell. And the miss counter must
-//! equal the number of distinct cells resolved no matter how many threads
-//! race the same lookups — that is what makes parallel and serial sweeps
-//! report identical cache lines.
+//! The interned-id lookup (`get_or_insert_id`, one probe of a locked shard
+//! map) must serve exactly what a direct `simulate_region` call computes,
+//! bit-for-bit, with one miss per distinct cell. Threads racing the same
+//! lookups must agree: the miss counter equals the number of distinct
+//! cells resolved, and every racer is handed the one `Arc` that landed —
+//! that is what makes parallel and serial sweeps report identical cache
+//! lines.
 //!
 //! Executors key cells by operating point (`Machine::operating_point`),
 //! so the last properties hold that keying to the raw simulator: any
 //! (cap, limit) pair simulates what its canonical pair does, bit for bit.
-//!
-//! [`CacheReader`]: arcs_powersim::CacheReader
 
 use arcs_omprt::{Schedule, ScheduleKind};
 use arcs_powersim::{
@@ -20,6 +19,7 @@ use arcs_powersim::{
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::sync::{Arc, Barrier};
 
 fn region(name: &str, iters: usize, cycles: f64) -> RegionModel {
     RegionModel {
@@ -99,8 +99,10 @@ proptest! {
 
 /// Eight threads racing the same cell set, each through its own
 /// [`arcs_powersim::CacheReader`]: the miss counter lands exactly on the
-/// number of distinct cells, every extra lookup is a hit, and all racers
-/// observe the same report.
+/// number of distinct cells, every extra lookup is a hit, and every racer
+/// is handed the same `Arc` for each cell — a loser returns the winner's
+/// report, not its own. The first cell is raced for certain: no racer can
+/// insert it before all of them have simulated it.
 #[test]
 fn racing_inserts_count_one_miss_per_distinct_cell() {
     let m = Machine::crill();
@@ -113,8 +115,9 @@ fn racing_inserts_count_one_miss_per_distinct_cell() {
     let distinct = regions.len() * caps.len() * threads_axis.len();
     const RACERS: usize = 8;
     const ROUNDS: usize = 3;
+    let gate = Barrier::new(RACERS);
 
-    let times: Vec<Vec<f64>> = std::thread::scope(|s| {
+    let reports: Vec<Vec<Arc<SimReport>>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..RACERS)
             .map(|_| {
                 s.spawn(|| {
@@ -126,6 +129,7 @@ fn racing_inserts_count_one_miss_per_distinct_cell() {
                                 for &t in &threads_axis {
                                     let cfg =
                                         SimConfig { threads: t, schedule: Schedule::dynamic(8) };
+                                    let first = seen.is_empty();
                                     let rep = cache.get_or_insert_id(
                                         &mut reader,
                                         id,
@@ -133,9 +137,14 @@ fn racing_inserts_count_one_miss_per_distinct_cell() {
                                         cfg,
                                         cap,
                                         None,
-                                        || simulate_region(&m, cap, r, cfg),
+                                        || {
+                                            if first {
+                                                gate.wait();
+                                            }
+                                            simulate_region(&m, cap, r, cfg)
+                                        },
                                     );
-                                    seen.push(rep.time_s);
+                                    seen.push(rep);
                                 }
                             }
                         }
@@ -147,9 +156,14 @@ fn racing_inserts_count_one_miss_per_distinct_cell() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    // Every racer saw the same sequence of resolved values.
-    for w in times.windows(2) {
-        assert_eq!(w[0], w[1]);
+    // Every racer was handed the very `Arc` that landed, lookup by lookup.
+    for racer in &reports[1..] {
+        for (landed, got) in reports[0].iter().zip(racer) {
+            assert!(
+                Arc::ptr_eq(landed, got),
+                "a racer kept a report other than the one that landed"
+            );
+        }
     }
     let stats = cache.stats();
     assert_eq!(stats.misses as usize, distinct, "one miss per distinct cell, races included");
