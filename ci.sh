@@ -147,7 +147,9 @@ done
 # fails here; throughput is reported, not gated (a 3 s run on a shared
 # host is narrower than its own noise). The memo's sharing is gated too:
 # cells are keyed by operating point, so caps that clamp a team to one
-# frequency simulate once, and every repetition misses exactly this many
+# frequency simulate once, and by canonical schedule
+# (`Schedule::canonical`), so schedules that dispatch one chunk stream
+# simulate once; every repetition misses exactly this many
 # cells at any --seconds — fewer or more means the keying moved even
 # while the digests still pass. The hits are pinned beside them, so a
 # lookup counted twice or not at all — by the memo or by an executor's
@@ -156,10 +158,10 @@ for workload in sweep-irregular sweep-regular sweep-warm serve-inproc serve-dura
     bash benchmarks/run.sh --workload "$workload" --seed 42 --seconds 3 --trace 0 \
         | tee "$trace_tmp/bench.txt"
     case "$workload" in
-        sweep-irregular) misses=3519 hits=161301 ;;
-        sweep-regular) misses=28080 hits=901920 ;;
+        sweep-irregular) misses=3259 hits=161561 ;;
+        sweep-regular) misses=14700 hits=915300 ;;
         sweep-warm) misses=0 hits=1094700 ;;
-        serve-inproc) misses=3322 hits=1539874 ;;
+        serve-inproc) misses=3260 hits=1539936 ;;
         *) continue ;;
     esac
     for pin in "misses $misses" "hits $hits"; do

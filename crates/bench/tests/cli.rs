@@ -207,18 +207,26 @@ type Cell = (&'static str, &'static str, &'static str, &'static [(Part, u64)]);
 
 /// Every pinned hash is the FNV-1a of what the `arcs-sim` of commit
 /// `2c25bed` — the last with `trace`, `chaos`, `schedule` and `<app>` —
-/// printed for the invocation in the second column, with two exceptions.
-/// The whole traces of `trace.pro` and `trace.exhaustive` were re-pinned
-/// when the memo began keying cells by operating point: their PRO and
-/// exhaustive teams run at the base clock at 80 W, those cells key at an
-/// infinite cap, and the final `CacheStats.shard_occupancy` moved. Their
-/// `TraceWithoutCache` pins were generated by commit `244df57`, the last
-/// keyed by raw cap, and show that nothing else did. The traces of
-/// `schedule` were re-pinned when the adaptive ladder stopped going
-/// through a private APEX instance: only its
-/// `PolicyFired { policy: "adaptive-schedule" }` records left. Its
-/// `TraceWithoutPolicyFired` pin was generated by commit `51d44d4`, the
-/// last with that hop, and the whole trace equals it now.
+/// printed for the invocation in the second column, with three
+/// exceptions. The whole traces of `trace.pro` and `trace.exhaustive`
+/// were re-pinned when the memo began keying cells by operating point:
+/// their PRO and exhaustive teams run at the base clock at 80 W, those
+/// cells key at an infinite cap, and the final
+/// `CacheStats.shard_occupancy` moved. Their `TraceWithoutCache` pins
+/// were generated by commit `244df57`, the last keyed by raw cap, and
+/// show that nothing else did. The traces of `schedule` were re-pinned
+/// when the adaptive ladder stopped going through a private APEX
+/// instance: only its `PolicyFired { policy: "adaptive-schedule" }`
+/// records left. Its `TraceWithoutPolicyFired` pin was generated by
+/// commit `51d44d4`, the last with that hop, and the whole trace equals
+/// it now. Every whole-trace pin but `trace.default`'s moved again when
+/// the memo began keying schedules by their canonical representative
+/// (`Schedule::canonical`): the same cells land in other shards, so only
+/// `CacheStats.shard_occupancy` moved. The
+/// `TraceWithoutCache` pins of `trace.nelder-mead`,
+/// `trace.nelder-mead-energy` and `schedule` were generated by commit
+/// `790b6eb`, the last keyed by the raw schedule, and show that nothing
+/// else did.
 const RETIRED: &[Cell] = &[
     (
         "trace.default",
@@ -230,25 +238,25 @@ const RETIRED: &[Cell] = &[
         "trace.nelder-mead",
         "trace --workload sp.B --cap 80 --strategy nelder-mead --timesteps 6",
         "run --workload sp.B --cap 80 --strategy online --timesteps 6",
-        &[(Part::Trace, 0x5403_1bfd_23fc_be95)],
+        &[(Part::Trace, 0xb31f_21f7_89d2_5fb7), (Part::TraceWithoutCache, 0x3e9e_4a64_6de0_1a8f)],
     ),
     (
         "trace.pro",
         "trace --workload sp.B --cap 80 --strategy pro --timesteps 6",
         "run --workload sp.B --cap 80 --strategy pro --timesteps 6",
-        &[(Part::Trace, 0xe43f_cb05_d8ab_d8cf), (Part::TraceWithoutCache, 0x6abe_a702_8f49_6731)],
+        &[(Part::Trace, 0x8945_aeff_216c_49f9), (Part::TraceWithoutCache, 0x6abe_a702_8f49_6731)],
     ),
     (
         "trace.exhaustive",
         "trace --workload sp.B --cap 80 --strategy exhaustive --timesteps 6",
         "run --workload sp.B --cap 80 --strategy exhaustive --timesteps 6",
-        &[(Part::Trace, 0xbbc0_7d44_a6e4_3d4b), (Part::TraceWithoutCache, 0x029c_0013_b45a_7594)],
+        &[(Part::Trace, 0xe367_a3fb_ab04_06ab), (Part::TraceWithoutCache, 0x029c_0013_b45a_7594)],
     ),
     (
         "trace.nelder-mead-energy",
         "trace --workload sp.B --cap 80 --strategy nelder-mead --objective energy --timesteps 6",
         "run --workload sp.B --cap 80 --objective energy --timesteps 6",
-        &[(Part::Trace, 0xfe79_12ae_304e_f7e1)],
+        &[(Part::Trace, 0xf0bd_d285_28c5_4e7b), (Part::TraceWithoutCache, 0x8cbc_a8f0_7a35_d663)],
     ),
     (
         "chaos.flaky-rapl",
@@ -274,8 +282,9 @@ const RETIRED: &[Cell] = &[
         "run --workload mc.B --cap 115 --strategy adaptive",
         &[
             (Part::TraceBeforeCacheStats, 0x2c9a_548f_9be3_700c),
-            (Part::Trace, 0xcdaa_c71f_b5ff_dc57),
-            (Part::TraceWithoutPolicyFired, 0xcdaa_c71f_b5ff_dc57),
+            (Part::Trace, 0xe3fa_272d_c63e_fa87),
+            (Part::TraceWithoutPolicyFired, 0xe3fa_272d_c63e_fa87),
+            (Part::TraceWithoutCache, 0x1834_f78d_e6eb_f85e),
         ],
     ),
     (

@@ -15,10 +15,15 @@
 //! point is the (cap, DVFS limit) pair canonicalised by
 //! [`Machine::operating_point`]: a cap reaches the simulation only through
 //! the team's frequency, so caps that clamp it to `f_base` or `f_min` (and
-//! limits that do not bind) share one cell. By default each executor owns a
-//! private cache; [`SimExecutor::with_shared_cache`] attaches a cache
-//! shared across executors (the sweep engine does this so concurrent
-//! cells never re-simulate a configuration another cell already priced).
+//! limits that do not bind) share one cell. The schedule is keyed by
+//! [`Schedule::canonical`](arcs_omprt::Schedule::canonical) for the
+//! region's trip count and the clamped team, so schedules that dispatch
+//! one chunk stream (`dynamic,128` and `dynamic,256` on a 100-iteration
+//! loop, `guided,c` with `c ≥ ⌈n/T⌉`) share one cell too. By default each
+//! executor owns a private cache; [`SimExecutor::with_shared_cache`]
+//! attaches a cache shared across executors (the sweep engine does this
+//! so concurrent cells never re-simulate a configuration another cell
+//! already priced).
 //! Each region's slot also keeps the last cell it priced, so a settled
 //! region's repeat invocations are answered without probing the cache —
 //! and counted as the hits they would have been (DESIGN.md §3.13).
@@ -350,8 +355,9 @@ impl SimExecutor {
     /// Price `region` at `cfg` for the slot's region under the current
     /// cap: the slot's last cell when this is a repeat of it (counted as
     /// a cache hit), the shared memo cache otherwise — keyed, and
-    /// simulated, at the cell's operating point, so every cap that clamps
-    /// the team to one frequency shares one cell.
+    /// simulated, at the cell's operating point and canonical schedule,
+    /// so every cap that clamps the team to one frequency, and every
+    /// schedule that dispatches one chunk stream, shares one cell.
     fn price(
         &mut self,
         slot: usize,
@@ -376,6 +382,8 @@ impl SimExecutor {
         }
         let f_cap = f_caps.get(machine, cap_w, cfg.threads);
         let (key_cap_w, key_limit_ghz) = machine.operating_point(cap_w, f_cap, freq_limit_ghz);
+        let team = cfg.threads.clamp(1, machine.hw_threads());
+        let cfg = SimConfig { schedule: cfg.schedule.canonical(region.iterations, team), ..cfg };
         let table = &mut slot.table;
         let rep = cache.get_or_insert_id(
             &mut cache.reader(),

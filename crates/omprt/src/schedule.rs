@@ -169,6 +169,39 @@ impl Schedule {
     pub fn has_dispatch_cost(&self) -> bool {
         !matches!(self.kind, ScheduleKind::Static)
     }
+
+    /// One representative for every schedule that, on a loop of `len`
+    /// iterations run by `nthreads` threads, yields the same
+    /// [`ChunkStream`], the same [`chunk_count`] and the same dispatch
+    /// class — so a simulation keyed by it prices each distinct chunk
+    /// stream once. Idempotent.
+    ///
+    /// * `static` block stays as it is; `static,c` becomes
+    ///   `static,min(max(c, 1), len)` (a chunk of `len` or more is one
+    ///   chunk, owned by thread 0).
+    /// * An on-demand kind keeps its kind at chunk [`min_chunk`]
+    ///   (`default` and `0` both mean 1) …
+    /// * … unless it is `dynamic`, or its minimum chunk `c` is at least
+    ///   `⌈len / nthreads⌉`: then no grab exceeds `c` (guided's share,
+    ///   trapezoid's first chunk and every factoring round are all at most
+    ///   `⌈len / nthreads⌉`), so the stream is `dynamic,min(c, len)`'s.
+    ///
+    /// [`min_chunk`]: Self::min_chunk
+    pub fn canonical(&self, len: usize, nthreads: usize) -> Schedule {
+        assert!(nthreads > 0, "nthreads must be positive");
+        match (self.kind, self.chunk) {
+            (ScheduleKind::Static, None) => *self,
+            (ScheduleKind::Static, Some(c)) => Schedule::static_chunked(c.clamp(1, len.max(1))),
+            (kind, _) => {
+                let c = self.min_chunk();
+                if kind == ScheduleKind::Dynamic || c >= len.div_ceil(nthreads) {
+                    Schedule::dynamic(c.min(len.max(1)))
+                } else {
+                    Schedule::new(kind, Some(c))
+                }
+            }
+        }
+    }
 }
 
 impl fmt::Display for Schedule {
@@ -638,6 +671,25 @@ mod tests {
             on_demand_chunk_sizes(1000, 4, Schedule::guided(16)).len()
         );
         assert_eq!(chunk_count(0, 4, Schedule::dynamic(1)), 0);
+    }
+
+    #[test]
+    fn canonical_names_one_schedule_per_stream() {
+        // Defaults and 0 mean chunk 1; a chunk of n or more is one chunk.
+        assert_eq!(
+            Schedule::new(ScheduleKind::Guided, None).canonical(1000, 8),
+            Schedule::guided(1)
+        );
+        assert_eq!(
+            Schedule::new(ScheduleKind::Dynamic, Some(0)).canonical(10, 4),
+            Schedule::dynamic(1)
+        );
+        assert_eq!(Schedule::static_chunked(64).canonical(50, 4), Schedule::static_chunked(50));
+        assert_eq!(Schedule::static_block().canonical(50, 4), Schedule::static_block());
+        // ⌈1000/8⌉ = 125: a minimum chunk of 125 caps every grab.
+        assert_eq!(Schedule::guided(125).canonical(1000, 8), Schedule::dynamic(125));
+        assert_eq!(Schedule::guided(124).canonical(1000, 8), Schedule::guided(124));
+        assert_eq!(Schedule::trapezoid(2000).canonical(1000, 8), Schedule::dynamic(1000));
     }
 
     #[test]

@@ -19,7 +19,11 @@
 //!    thread, on-demand chunks to the earliest-finishing thread (greedy
 //!    list scheduling — exactly what a work queue does); a chunk's weight
 //!    is a difference of the region's [`WeightTable`] prefix sums, which
-//!    depend on no configuration and are built once per region;
+//!    depend on no configuration and are built once per region. Two
+//!    fixed-chunk paths skip the stream: uniform `static,c` adds one
+//!    running sum of the equal full-chunk cost (each thread's sum is a
+//!    prefix of it) plus the short trailing chunk to its owner, and
+//!    `dynamic,c` prices chunk `j` at `[j·c, (j+1)·c)` by index;
 //! 4. per-chunk dispatch costs: bookkeeping for static, an atomic
 //!    grab (plus contention) for dynamic/guided;
 //! 5. the region ends at a tree barrier after the slowest thread; energy
@@ -63,7 +67,6 @@ pub struct SimReport {
     pub wait_sum_s: f64,
     pub chunks_dispatched: u64,
     pub threads: usize,
-    pub schedule: Schedule,
 }
 
 impl SimReport {
@@ -324,6 +327,28 @@ pub fn simulate_region_with_table(
                 }
                 chunks_dispatched = threads.min(n) as u64;
             }
+            Some(c) if prefix.is_none() => {
+                // Uniform weights: every full chunk costs the same `x`, and
+                // thread t adds `x` once per full chunk it owns, so its sum
+                // is the k_t-th partial sum of one running sum — computed
+                // once, in the same order, for the two values k_t takes.
+                // The trailing short chunk goes to its owner last.
+                let c = c.max(1);
+                let (full, tail) = (n / c, n % c);
+                let x = chunk_ns(0, c);
+                let mut lo = 0.0;
+                for _ in 0..full / threads {
+                    lo += x;
+                }
+                let hi = lo + x;
+                for (t, work) in busy_ns.iter_mut().enumerate() {
+                    *work = if t < full % threads { hi } else { lo };
+                }
+                if tail > 0 {
+                    busy_ns[full % threads] += chunk_ns(full * c, n);
+                }
+                chunks_dispatched = n.div_ceil(c) as u64;
+            }
             Some(c) => {
                 // Round-robin ownership: chunk `idx` belongs to thread
                 // `idx % threads`. One pass in chunk order still adds each
@@ -396,13 +421,28 @@ pub fn simulate_region_with_table(
             // outlives the block.
             let mut costs = [0u64; 256];
             let mut stream = ChunkStream::new(n, threads, schedule);
+            // `dynamic` chunk j starts at j·c (`chunk_count`'s arithmetic),
+            // so its blocks are priced by index, not by walking the stream.
+            let fixed = (schedule.kind == ScheduleKind::Dynamic).then(|| schedule.min_chunk());
             let (mut start, mut nchunks) = (0usize, 0u64);
             loop {
                 let mut filled = 0usize;
-                for (slot, sz) in costs.iter_mut().zip(&mut stream) {
-                    *slot = chunk_fp(start, start + sz);
-                    start += sz;
-                    filled += 1;
+                match fixed {
+                    Some(c) => {
+                        let first = nchunks as usize;
+                        filled = (n.div_ceil(c) - first).min(costs.len());
+                        for (j, slot) in (first..).zip(&mut costs[..filled]) {
+                            let s = j * c;
+                            *slot = chunk_fp(s, (s + c).min(n));
+                        }
+                    }
+                    None => {
+                        for (slot, sz) in costs.iter_mut().zip(&mut stream) {
+                            *slot = chunk_fp(start, start + sz);
+                            start += sz;
+                            filled += 1;
+                        }
+                    }
                 }
                 for &cost_fp in &costs[..filled] {
                     let served = (ring[head].0 + cost_fp, ring[head].1);
@@ -563,7 +603,6 @@ pub fn simulate_region_with_table(
         per_thread_wait_s,
         chunks_dispatched,
         threads,
-        schedule,
     }
 }
 

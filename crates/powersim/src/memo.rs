@@ -11,11 +11,15 @@
 //! ([`Machine::team_frequency`]), so executors look cells up at the
 //! canonical pair [`Machine::operating_point`] names for them rather
 //! than at the raw cap: every cap that clamps a team to `f_base` (or to
-//! `f_min`) is one cell, simulated once. The cache itself keys whatever
-//! pair it is handed, by bits.
+//! `f_min`) is one cell, simulated once. Likewise the schedule reaches a
+//! report only through its chunk stream, chunk count and dispatch class,
+//! so executors key it by [`Schedule::canonical`]: `dynamic,128` and
+//! `dynamic,256` on a 100-iteration loop are one cell. The cache itself
+//! keys whatever configuration and pair it is handed, by value and bits.
 //!
 //! [`Machine::team_frequency`]: crate::Machine::team_frequency
 //! [`Machine::operating_point`]: crate::Machine::operating_point
+//! [`Schedule::canonical`]: arcs_omprt::Schedule::canonical
 //!
 //! ## Key layout
 //!
@@ -210,7 +214,9 @@ const NO_FREQ_BITS: u64 = u64::MAX;
 /// bits). The cap and the optional DVFS limit are keyed by bit pattern —
 /// executors pass the canonical operating point
 /// ([`crate::Machine::operating_point`]), whose caps are `+∞`, `0` or a
-/// cap from a small fixed set, never the result of arithmetic.
+/// cap from a small fixed set, never the result of arithmetic — and the
+/// configuration's schedule is the canonical representative of its chunk
+/// stream (`Schedule::canonical`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CellKey {
     region: RegionId,

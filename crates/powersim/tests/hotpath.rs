@@ -8,10 +8,13 @@
 //! that is what makes parallel and serial sweeps report identical cache
 //! lines.
 //!
-//! Executors key cells by operating point (`Machine::operating_point`),
-//! so the last properties hold that keying to the raw simulator: any
-//! (cap, limit) pair simulates what its canonical pair does, bit for bit.
+//! Executors key cells by operating point (`Machine::operating_point`)
+//! and by canonical schedule (`Schedule::canonical`), so the last
+//! properties hold that keying to the raw simulator: any (cap, limit) pair
+//! simulates what its canonical pair does, and any schedule what its
+//! canonical representative does, bit for bit.
 
+use arcs_omprt::schedule::{chunk_count, ChunkStream};
 use arcs_omprt::{Schedule, ScheduleKind};
 use arcs_powersim::{
     simulate_region, simulate_region_at_freq, ImbalanceProfile, Machine, MemoryProfile,
@@ -318,4 +321,66 @@ fn caps_that_clamp_to_the_base_clock_share_one_cell() {
     }
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.misses), (25, 1));
+}
+
+fn arb_profile() -> impl Strategy<Value = ImbalanceProfile> {
+    prop_oneof![
+        Just(ImbalanceProfile::Uniform),
+        (-2.0f64..2.0).prop_map(|slope| ImbalanceProfile::Linear { slope }),
+        ((0.0f64..0.6), (1.1f64..50.0))
+            .prop_map(|(f, h)| ImbalanceProfile::Blocked { heavy_fraction: f, heavy_factor: h }),
+        ((0.01f64..0.8), any::<u64>()).prop_map(|(cv, seed)| ImbalanceProfile::Random { cv, seed }),
+    ]
+}
+
+/// A chunk drawn relative to the loop: the default, `0`, a small chunk,
+/// one within two of `⌈n/T⌉` (where on-demand kinds turn into `dynamic`),
+/// or one at or past `n`.
+fn pick_chunk((pick, value): (usize, usize), n: usize, threads: usize) -> Option<usize> {
+    let share = n.div_ceil(threads);
+    match pick {
+        0 => None,
+        1 => Some(0),
+        2 => Some(1 + value % 64),
+        3 => Some((share + value % 5).saturating_sub(2)),
+        _ => Some(n + value % 100),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(384))]
+
+    /// A schedule and its canonical representative dispatch the same
+    /// chunk stream, count the same chunks, pay the same dispatch class
+    /// and simulate to the same bits; the representative is its own.
+    #[test]
+    fn canonical_schedules_simulate_what_their_schedules_do(
+        minotaur in any::<bool>(),
+        kind in (0usize..ScheduleKind::ALL.len()).prop_map(|i| ScheduleKind::ALL[i]),
+        chunk in (0usize..5, any::<usize>()),
+        n in prop_oneof![0usize..5000, 0usize..200],
+        threads in 1usize..=160,
+        profile in arb_profile(),
+        cap_frac in 0.4f64..1.0,
+    ) {
+        let m = if minotaur { Machine::minotaur() } else { Machine::crill() };
+        let threads = 1 + (threads - 1) % m.hw_threads();
+        let schedule = Schedule::new(kind, pick_chunk(chunk, n, threads));
+        let canonical = schedule.canonical(n, threads);
+        let what = format!("{schedule} as {canonical} at n={n} T={threads}");
+        prop_assert_eq!(canonical.canonical(n, threads), canonical, "{}", what);
+        prop_assert_eq!(canonical.has_dispatch_cost(), schedule.has_dispatch_cost());
+        prop_assert_eq!(chunk_count(n, threads, canonical), chunk_count(n, threads, schedule));
+        prop_assert!(
+            ChunkStream::new(n, threads, canonical).eq(ChunkStream::new(n, threads, schedule)),
+            "{}", what
+        );
+
+        let mut r = region("canonical", n, 9000.0);
+        r.imbalance = profile;
+        let cap = m.power.tdp_w * cap_frac;
+        let direct = simulate_region(&m, cap, &r, SimConfig { threads, schedule });
+        let keyed = simulate_region(&m, cap, &r, SimConfig { threads, schedule: canonical });
+        prop_assert_eq!(json(&direct), json(&keyed), "{}", what);
+    }
 }

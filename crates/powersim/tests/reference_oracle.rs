@@ -174,7 +174,6 @@ fn simulate_region_reference(
         per_thread_wait_s,
         chunks_dispatched,
         threads,
-        schedule,
     }
 }
 
@@ -238,15 +237,20 @@ fn arb_imbalance() -> impl Strategy<Value = ImbalanceProfile> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
+    /// Trip counts reach below the team size, and chunks are the
+    /// portfolio's [`CHUNKS`] or one at or past `n` (a single chunk), so
+    /// uniform `static,c` covers ragged tails (`n mod c·T ≠ 0`) and chunks
+    /// past `n`, and weighted `dynamic,c` short last chunks (`c ∤ n`).
     #[test]
     fn integrator_matches_the_reference_bit_for_bit(
-        n in 0usize..5000,
+        n in prop_oneof![0usize..5000, 0usize..200],
         imbalance in arb_imbalance(),
         cycles in 10.0f64..1e6,
         minotaur in any::<bool>(),
         threads in 1usize..=160,
         kind in (0usize..ScheduleKind::ALL.len()).prop_map(|i| ScheduleKind::ALL[i]),
-        chunk in (0usize..CHUNKS.len()).prop_map(|i| CHUNKS[i]),
+        pick in 0usize..=CHUNKS.len(),
+        past in 0usize..100,
         cap_frac in 0.4f64..1.0,
         freq_limit_ghz in prop_oneof![Just(None), (1.2f64..3.5).prop_map(Some)],
     ) {
@@ -254,6 +258,7 @@ proptest! {
         let mut r = region(n, imbalance);
         r.cycles_per_iter = cycles;
         let cap_w = machine.power.tdp_w * cap_frac;
+        let chunk = CHUNKS.get(pick).copied().unwrap_or(Some(n + past));
         let cfg = SimConfig { threads, schedule: Schedule::new(kind, chunk) };
         let new = simulate_region_at_freq(&machine, cap_w, &r, cfg, freq_limit_ghz);
         let old = simulate_region_reference(&machine, cap_w, &r, cfg, freq_limit_ghz);
@@ -318,6 +323,32 @@ fn degenerate_teams_and_loops() {
         }
         check_portfolio(&machine, &region(3000, skewed.clone()), 1);
         check_portfolio(&machine, &region(3000, ImbalanceProfile::Uniform), 1);
+    }
+}
+
+/// The integrator's two fixed-chunk fast paths at their edges: uniform
+/// `static,c` with a ragged tail (`n mod c·T ≠ 0`), with whole rounds
+/// only, and with chunks at or past `n`; weighted `dynamic,c` with a
+/// short last chunk (`c ∤ n`), with whole chunks only, and with one chunk.
+#[test]
+fn fixed_chunk_paths_at_their_edges() {
+    let skewed = ImbalanceProfile::Random { cv: 0.5, seed: 3 };
+    for machine in [Machine::crill(), Machine::minotaur()] {
+        for threads in [1, 3, 8, 32] {
+            for (n, c) in [(1000, 7), (1003, 8), (8 * 3 * 32, 3), (50, 50), (50, 64), (5, 8)] {
+                for (kind, profile) in [
+                    (ScheduleKind::Static, ImbalanceProfile::Uniform),
+                    (ScheduleKind::Dynamic, skewed.clone()),
+                ] {
+                    let cfg = SimConfig { threads, schedule: Schedule::new(kind, Some(c)) };
+                    let r = region(n, profile);
+                    let what = format!("{} n={n} {threads}t {}", machine.name, cfg.schedule);
+                    let new = simulate_region(&machine, 85.0, &r, cfg);
+                    let old = simulate_region_reference(&machine, 85.0, &r, cfg, None);
+                    assert_same_bits(&new, &old, &what);
+                }
+            }
+        }
     }
 }
 
