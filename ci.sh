@@ -70,6 +70,20 @@ if [ -n "$strays" ]; then
     exit 1
 fi
 
+# One search space and one way to label a series: the Table I grid and
+# its optional frequency axis are `ConfigSpace` alone, and a labeled
+# series is a registry name built by `labeled`. No non-test source may
+# bring back the wrapper space, its module, the label families or the
+# histogram timer guard.
+strays="$(find crates src examples -name '*.rs' -not -path '*/tests/*' \
+    -exec awk '/#\[cfg\(test\)\]/ { nextfile }
+        /TunableSpace|mod tunable|_family\(|start_timer/ { print FILENAME ":" FNR ": " $0 }' {} +)"
+if [ -n "$strays" ]; then
+    echo "ci: a second search space or label API:" >&2
+    echo "$strays" >&2
+    exit 1
+fi
+
 # Trace smoke: a tuned run must emit JSONL that validates against the
 # published schema (--check exits non-zero otherwise) plus a Chrome trace.
 trace_tmp="$(mktemp -d)"

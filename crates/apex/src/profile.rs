@@ -38,22 +38,6 @@ impl Profile {
         self.sum_sq += value * value;
     }
 
-    /// Fold another profile into this one, as if every sample recorded on
-    /// `other` had been recorded here. `last` keeps `other`'s value when
-    /// it has any samples (its samples are treated as the more recent
-    /// half of the stream).
-    pub fn merge(&mut self, other: &Profile) {
-        if other.count == 0 {
-            return;
-        }
-        self.count += other.count;
-        self.total += other.total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.last = other.last;
-        self.sum_sq += other.sum_sq;
-    }
-
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
@@ -123,34 +107,5 @@ mod tests {
         }
         assert!(p.variance() >= 0.0);
         assert!(p.stddev().is_finite());
-    }
-
-    #[test]
-    fn merge_equals_recording_the_whole_stream() {
-        let samples = [3.0, 1.5, 9.0, 2.25, 4.0, 8.5, 0.5];
-        let mut whole = Profile::default();
-        let (mut a, mut b) = (Profile::default(), Profile::default());
-        for (i, &v) in samples.iter().enumerate() {
-            whole.record(v);
-            if i < 3 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a, whole);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut p = Profile::default();
-        p.record(2.0);
-        let before = p;
-        p.merge(&Profile::default());
-        assert_eq!(p, before);
-        let mut empty = Profile::default();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 }

@@ -7,7 +7,7 @@ use crate::{f3, power_label, print_table, region_model, region_oracle, POWER_LEV
 use arcs::dvfs::{tune_region, DvfsOutcome, Objective};
 use arcs::{
     AppRunReport, ConfigSpace, OmpConfig, RegionTuner, Runner, SimExecutor, SweepEngine, SweepGrid,
-    SweepStrategy, TunableSpace, TunerOptions, TuningMode,
+    SweepStrategy, TunerOptions, TuningMode,
 };
 use arcs_harmony::{NmOptions, ProOptions};
 use arcs_kernels::{model, Class};
@@ -113,7 +113,7 @@ pub fn ablation(out: &mut dyn Write) -> io::Result<()> {
 pub fn dvfs(out: &mut dyn Write) -> io::Result<()> {
     let m = Machine::crill();
     let wl = model::sp(Class::B);
-    let space = TunableSpace::with_dvfs(&m, 4);
+    let space = ConfigSpace::with_dvfs(&m, 4);
 
     // Per-step (time, energy) totals over one report per region.
     fn totals<'a>(reports: impl Iterator<Item = &'a SimReport>) -> (f64, f64) {

@@ -29,6 +29,7 @@ pub fn fig2(out: &mut dyn Write) -> io::Result<()> {
         schedules: ConfigSpace::schedule_choices(&ScheduleKind::CLASSIC[..2]),
         chunks: vec![ChunkChoice::Size(8), ChunkChoice::Default],
         default_threads: 2,
+        freqs_ghz: Vec::new(),
     };
     let live = ArcsLive::attach(Arc::clone(&rt), TunerOptions::online(space));
 

@@ -95,7 +95,7 @@ pub fn region_oracle(
     wl: &WorkloadDescriptor,
     region: &str,
 ) -> (OmpConfig, SimReport) {
-    let space = ConfigSpace::for_machine(machine).into();
+    let space = ConfigSpace::for_machine(machine);
     let model = region_model(wl, region);
     let best =
         tune_region(machine, cap_w, model, &space, Objective::Time, TuningMode::OfflineTrain);

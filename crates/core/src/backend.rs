@@ -44,9 +44,9 @@
 
 use crate::cap::CapHandle;
 use crate::config::OmpConfig;
+use crate::config::TunedConfig;
 use crate::report::{AppRunReport, FaultRecovery, RegionSummary, RunStatus};
 use crate::resilience::ResilienceOptions;
-use crate::tunable::TunedConfig;
 use crate::tuner::{RegionTuner, TunerDecision, TunerOptions, TuningMode};
 use arcs_apex::AdaptiveLadder;
 use arcs_harmony::History;

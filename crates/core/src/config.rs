@@ -1,9 +1,19 @@
 //! OpenMP runtime configurations and the ARCS search space (Table I).
 //!
 //! A configuration is the paper's triple: **number of threads**,
-//! **scheduling policy**, **chunk size**. The search space is the reduced
-//! grid of Table I; "default" entries map to the runtime defaults (all
-//! hardware threads / `static` / block chunking).
+//! **scheduling policy**, **chunk size** — plus, in the DVFS extension
+//! (§VII future work), an optional per-region **frequency limit**. The
+//! search space is the reduced grid of Table I; "default" entries map to
+//! the runtime defaults (all hardware threads / `static` / block
+//! chunking). [`ConfigSpace`] is the one mapping between Harmony's
+//! index-grid [`Point`]s and concrete [`TunedConfig`]s.
+//!
+//! Decoding is total over the grid but **not injective**: `Default`
+//! choices alias explicit entries (e.g. Crill's `Count(32)` and `Default`
+//! both decode to 32 threads) and the implementation-default schedule
+//! ignores the chunk knob. [`ConfigSpace::encode`] therefore guarantees
+//! only `decode(encode(cfg)) == cfg` for decodable configurations, which
+//! is the invariant the property tests pin.
 //!
 //! Garbled-source note: the paper's Table I lost the characters `0` and
 //! `1` in transcription. The values below reconstruct it under that
@@ -43,6 +53,31 @@ impl fmt::Display for OmpConfig {
     }
 }
 
+/// A concrete configuration across every tunable knob: the paper's OpenMP
+/// triple plus the optional frequency limit.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct TunedConfig {
+    pub omp: OmpConfig,
+    /// `None` = run at whatever the power cap allows (the base ARCS
+    /// behaviour); `Some(f)` = additionally clamp the cores to `f` GHz.
+    pub freq_ghz: Option<f64>,
+}
+
+impl From<OmpConfig> for TunedConfig {
+    fn from(omp: OmpConfig) -> Self {
+        TunedConfig { omp, freq_ghz: None }
+    }
+}
+
+impl fmt::Display for TunedConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.freq_ghz {
+            Some(g) => write!(f, "{}, {:.2}GHz", self.omp, g),
+            None => write!(f, "{}, fmax", self.omp),
+        }
+    }
+}
+
 /// A thread-count choice: explicit or the runtime default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ThreadChoice {
@@ -65,7 +100,9 @@ pub enum ChunkChoice {
     Default,
 }
 
-/// The discrete grid ARCS searches per region.
+/// The discrete grid ARCS searches per region: the Table I triple
+/// (threads × schedule × chunk) with an optional fourth axis, a
+/// frequency limit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConfigSpace {
     pub threads: Vec<ThreadChoice>,
@@ -74,6 +111,10 @@ pub struct ConfigSpace {
     /// What `ThreadChoice::Default` resolves to (the machine's hardware
     /// thread count).
     pub default_threads: usize,
+    /// Frequency choices in GHz; `None` = uncapped (run at the cap's f).
+    /// An *empty* ladder removes the knob entirely — points are 3-long and
+    /// every decoded configuration has `freq_ghz: None`.
+    pub freqs_ghz: Vec<Option<f64>>,
 }
 
 impl ConfigSpace {
@@ -126,7 +167,24 @@ impl ConfigSpace {
                 ChunkChoice::Default,
             ],
             default_threads,
+            freqs_ghz: Vec::new(),
         }
+    }
+
+    /// The DVFS-extended space: the Table I row for `machine` plus `steps`
+    /// frequency limits evenly spaced between the machine's floor and base
+    /// clock, then the "uncapped" choice (which is also the search start
+    /// point).
+    pub fn with_dvfs(machine: &Machine, steps: usize) -> Self {
+        assert!(steps >= 1);
+        let mut freqs: Vec<Option<f64>> = (0..steps)
+            .map(|i| {
+                let t = i as f64 / steps as f64;
+                Some(machine.f_min_ghz + t * (machine.f_base_ghz - machine.f_min_ghz))
+            })
+            .collect();
+        freqs.push(None);
+        ConfigSpace { freqs_ghz: freqs, ..Self::for_machine(machine) }
     }
 
     /// The schedule axis for a list of policy families, `Default` last —
@@ -150,23 +208,41 @@ impl ConfigSpace {
         self
     }
 
+    /// Does this space expose the frequency knob?
+    pub fn has_freq_knob(&self) -> bool {
+        !self.freqs_ghz.is_empty()
+    }
+
+    /// Number of knobs (3, or 4 with a frequency ladder).
+    pub fn dim(&self) -> usize {
+        if self.has_freq_knob() {
+            4
+        } else {
+            3
+        }
+    }
+
     /// The Harmony search space: one parameter per knob.
     pub fn to_search_space(&self) -> SearchSpace {
-        SearchSpace::new(vec![
+        let mut params = vec![
             Param::new("threads", self.threads.len()),
             Param::new("schedule", self.schedules.len()),
             Param::new("chunk", self.chunks.len()),
-        ])
+        ];
+        if self.has_freq_knob() {
+            params.push(Param::new("freq", self.freqs_ghz.len()));
+        }
+        SearchSpace::new(params)
     }
 
     /// Total number of grid points.
     pub fn size(&self) -> usize {
-        self.threads.len() * self.schedules.len() * self.chunks.len()
+        self.threads.len() * self.schedules.len() * self.chunks.len() * self.freqs_ghz.len().max(1)
     }
 
     /// Decode a Harmony grid point into a concrete configuration.
-    pub fn decode(&self, point: &[usize]) -> OmpConfig {
-        assert_eq!(point.len(), 3, "ARCS points are (threads, schedule, chunk)");
+    pub fn decode(&self, point: &[usize]) -> TunedConfig {
+        assert_eq!(point.len(), self.dim(), "points in this space are {}-dimensional", self.dim());
         let threads = match self.threads[point[0]] {
             ThreadChoice::Count(n) => n,
             ThreadChoice::Default => self.default_threads,
@@ -180,14 +256,30 @@ impl ConfigSpace {
             // The implementation-default schedule ignores the chunk knob.
             ScheduleChoice::Default => Schedule::runtime_default(),
         };
-        OmpConfig { threads, schedule }
+        let freq_ghz = if self.has_freq_knob() { self.freqs_ghz[point[3]] } else { None };
+        TunedConfig { omp: OmpConfig { threads, schedule }, freq_ghz }
     }
 
-    /// The grid point encoding the paper's default configuration
-    /// (default threads / default schedule / default chunk) — the start
-    /// point for simplex searches.
+    /// Encode a configuration back into a grid point, or `None` if no grid
+    /// point decodes to it. Decoding is not injective, so the round-trip
+    /// guarantee is `decode(encode(cfg)) == cfg`, not point equality; the
+    /// first matching point in grid order is returned. O(grid size).
+    pub fn encode(&self, cfg: &TunedConfig) -> Option<Point> {
+        self.to_search_space().iter_points().find(|p| self.decode(p) == *cfg)
+    }
+
+    /// The grid point encoding the paper's default configuration (default
+    /// threads / schedule / chunk, uncapped frequency) — the start point
+    /// for simplex searches.
     pub fn default_point(&self) -> Point {
-        vec![self.threads.len() - 1, self.schedules.len() - 1, self.chunks.len() - 1]
+        let mut p = vec![self.threads.len() - 1, self.schedules.len() - 1, self.chunks.len() - 1];
+        if self.has_freq_knob() {
+            // The ladders built here always end with the uncapped choice;
+            // hand-built ladders should follow the same convention so the
+            // search starts from the paper's baseline.
+            p.push(self.freqs_ghz.len() - 1);
+        }
+        p
     }
 }
 
@@ -209,7 +301,7 @@ mod tests {
     fn decode_explicit_point() {
         let c = ConfigSpace::crill();
         // threads=8 (idx 2), guided (idx 2), chunk=32 (idx 3)
-        let cfg = c.decode(&[2, 2, 3]);
+        let cfg = c.decode(&[2, 2, 3]).omp;
         assert_eq!(cfg.threads, 8);
         assert_eq!(cfg.schedule, Schedule::guided(32));
     }
@@ -217,7 +309,7 @@ mod tests {
     #[test]
     fn decode_default_point_is_paper_baseline() {
         let c = ConfigSpace::crill();
-        let cfg = c.decode(&c.default_point());
+        let cfg = c.decode(&c.default_point()).omp;
         let m = Machine::crill();
         assert_eq!(cfg, OmpConfig::default_for(&m));
         assert_eq!(cfg.threads, 32);
@@ -227,8 +319,8 @@ mod tests {
     #[test]
     fn default_schedule_ignores_chunk() {
         let c = ConfigSpace::crill();
-        let a = c.decode(&[0, 3, 0]);
-        let b = c.decode(&[0, 3, 7]);
+        let a = c.decode(&[0, 3, 0]).omp;
+        let b = c.decode(&[0, 3, 7]).omp;
         assert_eq!(a.schedule, b.schedule);
         assert_eq!(a.schedule, Schedule::runtime_default());
     }
@@ -239,7 +331,7 @@ mod tests {
         let space = c.to_search_space();
         assert_eq!(space.size(), c.size());
         for p in space.iter_points() {
-            let cfg = c.decode(&p);
+            let cfg = c.decode(&p).omp;
             assert!(cfg.threads >= 2 && cfg.threads <= 32);
         }
     }
@@ -254,10 +346,10 @@ mod tests {
         // Default stays last: the search still starts at the baseline.
         assert_eq!(*c.schedules.last().unwrap(), ScheduleChoice::Default);
         let m = Machine::crill();
-        assert_eq!(c.decode(&c.default_point()), OmpConfig::default_for(&m));
+        assert_eq!(c.decode(&c.default_point()).omp, OmpConfig::default_for(&m));
         // The new families decode; trapezoid is axis index 3 (Table-I
         // order first, then the survey extensions).
-        let cfg = c.decode(&[2, 3, 3]);
+        let cfg = c.decode(&[2, 3, 3]).omp;
         assert_eq!(cfg.schedule, Schedule::trapezoid(32));
     }
 
@@ -271,5 +363,82 @@ mod tests {
     fn display_matches_paper_notation() {
         let cfg = OmpConfig { threads: 16, schedule: Schedule::guided(8) };
         assert_eq!(cfg.to_string(), "16, guided,8");
+    }
+
+    #[test]
+    fn plain_space_has_no_freq_knob() {
+        let m = Machine::crill();
+        let s = ConfigSpace::for_machine(&m);
+        assert!(!s.has_freq_knob());
+        assert_eq!(s.dim(), 3);
+        assert_eq!(s.to_search_space().dim(), 3);
+        let d = s.decode(&s.default_point());
+        assert_eq!(d.freq_ghz, None);
+        assert_eq!(d.omp, OmpConfig::default_for(&m));
+    }
+
+    #[test]
+    fn dvfs_space_adds_the_fourth_axis() {
+        let m = Machine::crill();
+        let s = ConfigSpace::with_dvfs(&m, 4);
+        assert!(s.has_freq_knob());
+        assert_eq!(s.to_search_space().dim(), 4);
+        assert_eq!(s.freqs_ghz.len(), 5);
+        assert_eq!(s.freqs_ghz[4], None);
+        assert_eq!(s.size(), ConfigSpace::crill().size() * 5);
+        let d = s.decode(&s.default_point());
+        assert_eq!(d.freq_ghz, None);
+        assert_eq!(d.omp, OmpConfig::default_for(&m));
+        // Ladder frequencies stay inside the machine's DVFS range.
+        for f in s.freqs_ghz.iter().flatten() {
+            assert!(*f >= m.f_min_ghz && *f <= m.f_base_ghz);
+        }
+    }
+
+    #[test]
+    fn portfolio_space_covers_the_new_families() {
+        let m = Machine::crill();
+        let s = ConfigSpace::for_machine(&m).with_portfolio();
+        // Every self-scheduling family is reachable from the grid.
+        for kind in ScheduleKind::SELF_SCHEDULING {
+            let want = TunedConfig {
+                omp: OmpConfig { threads: 8, schedule: Schedule::new(kind, Some(16)) },
+                freq_ghz: None,
+            };
+            let p = s.encode(&want).expect("portfolio configs are encodable");
+            assert_eq!(s.decode(&p), want);
+        }
+    }
+
+    #[test]
+    fn encode_round_trips_decoded_configs() {
+        let m = Machine::crill();
+        for s in [ConfigSpace::for_machine(&m), ConfigSpace::with_dvfs(&m, 2)] {
+            let grid = s.to_search_space();
+            for p in grid.iter_points() {
+                let cfg = s.decode(&p);
+                let q = s.encode(&cfg).expect("decoded configs are encodable");
+                assert_eq!(s.decode(&q), cfg, "round trip diverged at {p:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn encode_rejects_foreign_configs() {
+        let m = Machine::crill();
+        let s = ConfigSpace::for_machine(&m);
+        let alien = TunedConfig {
+            omp: OmpConfig { threads: 7, schedule: Schedule::static_block() },
+            freq_ghz: None,
+        };
+        assert_eq!(s.encode(&alien), None);
+    }
+
+    #[test]
+    fn from_omp_config_is_uncapped() {
+        let m = Machine::crill();
+        let cfg: TunedConfig = OmpConfig::default_for(&m).into();
+        assert_eq!(cfg.freq_ghz, None);
+        assert_eq!(cfg.to_string(), format!("{}, fmax", OmpConfig::default_for(&m)));
     }
 }

@@ -10,15 +10,16 @@
 //! allows costs almost no time (stalls don't scale with the clock) and
 //! saves real energy — which is exactly what the tuner discovers.
 //!
-//! The encoding ([`TunableSpace`]) and the objective ([`Objective`]) are
-//! mainline abstractions shared with the base tuner; this module is
-//! only a convenience driver that tunes a single region through the
+//! The space ([`ConfigSpace::with_dvfs`], the Table I grid plus a
+//! frequency axis) and the objective ([`Objective`]) are mainline
+//! abstractions shared with the base tuner; this module is only a
+//! convenience driver that tunes a single region through the
 //! standard [`RegionTuner`] + [`Runner`] stack, so DVFS runs emit the
 //! same trace and metrics taxonomy as everything else.
 
 use crate::backend::Runner;
+use crate::config::{ConfigSpace, TunedConfig};
 use crate::executor::SimExecutor;
-use crate::tunable::{TunableSpace, TunedConfig};
 use crate::tuner::{RegionTuner, TunerOptions, TuningMode};
 use arcs_powersim::{simulate_region_at_freq, Machine, RegionModel, SimReport, WorkloadDescriptor};
 pub use arcs_trace::Objective;
@@ -43,7 +44,7 @@ pub fn tune_region(
     machine: &Machine,
     cap_w: f64,
     region: &RegionModel,
-    space: &TunableSpace,
+    space: &ConfigSpace,
     objective: Objective,
     mode: TuningMode,
 ) -> DvfsOutcome {

@@ -29,13 +29,14 @@
 //! and counted as the hits they would have been (DESIGN.md §3.13).
 //!
 //! Simulated region durations are also pushed into an optional APEX
-//! instance so profile-based analyses (Fig. 9) read the same introspection
-//! state the live path populates.
+//! instance, the introspection state the live path populates. Fig. 9's
+//! breakdown does not read it: it renders the run report's
+//! `AppRunReport::per_region` summaries.
 
 use crate::backend::{self, Backend, RegionFeatures, RegionRun, RunError};
 use crate::cap::CapHandle;
+use crate::config::TunedConfig;
 use crate::faults::Perturbation;
-use crate::tunable::TunedConfig;
 use arcs_apex::Apex;
 use arcs_metrics::MetricsRegistry;
 use arcs_powersim::{

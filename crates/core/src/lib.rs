@@ -71,14 +71,13 @@ pub mod profiler;
 pub mod report;
 pub mod resilience;
 pub mod sweep;
-pub mod tunable;
 pub mod tuner;
 
 pub use backend::{
     overhead_power_w, Backend, Measurement, RegionFeatures, RegionRun, RunError, Runner,
 };
 pub use cap::{CapHandle, CapWatch};
-pub use config::{ChunkChoice, ConfigSpace, OmpConfig, ScheduleChoice, ThreadChoice};
+pub use config::{ChunkChoice, ConfigSpace, OmpConfig, ScheduleChoice, ThreadChoice, TunedConfig};
 pub use dvfs::DvfsOutcome;
 pub use executor::{NoiseModel, SimExecutor};
 pub use faults::{FaultClock, MeterFault};
@@ -87,7 +86,6 @@ pub use profiler::{OmptProfiler, RegionProfile};
 pub use report::{AppRunReport, FaultRecovery, RegionSummary, RunStatus};
 pub use resilience::ResilienceOptions;
 pub use sweep::{CellResult, SweepEngine, SweepGrid, SweepReport, SweepStrategy};
-pub use tunable::{TunableSpace, TunedConfig};
 pub use tuner::{RegionTuner, TunerDecision, TunerOptions, TunerStats, TuningMode};
 
 /// The scalar a run is scored by (time, energy, or EDP). Defined in
@@ -109,12 +107,11 @@ pub use arcs_trace::Objective;
 pub mod prelude {
     pub use crate::backend::{Backend, RunError, Runner};
     pub use crate::cap::CapHandle;
-    pub use crate::config::{ConfigSpace, OmpConfig};
+    pub use crate::config::{ConfigSpace, OmpConfig, TunedConfig};
     pub use crate::executor::SimExecutor;
     pub use crate::report::{AppRunReport, FaultRecovery, RunStatus};
     pub use crate::resilience::ResilienceOptions;
     pub use crate::sweep::{SweepEngine, SweepGrid, SweepStrategy};
-    pub use crate::tunable::{TunableSpace, TunedConfig};
     pub use crate::tuner::{RegionTuner, TunerOptions};
     pub use arcs_powersim::{FaultPlan, Machine, SharedSimCache, WorkloadDescriptor};
     pub use arcs_trace::{

@@ -17,8 +17,8 @@
 
 use crate::backend::{self, Backend, RegionFeatures, RegionRun};
 use crate::cap::CapHandle;
+use crate::config::TunedConfig;
 use crate::faults::Perturbation;
-use crate::tunable::TunedConfig;
 use crate::tuner::{RegionTuner, TunerOptions};
 use arcs_apex::{Apex, PolicyEventKind, PolicyTrigger};
 use arcs_metrics::MetricsRegistry;
@@ -390,6 +390,7 @@ mod tests {
             ],
             chunks: vec![ChunkChoice::Size(1), ChunkChoice::Size(16), ChunkChoice::Default],
             default_threads,
+            freqs_ghz: Vec::new(),
         }
     }
 

@@ -198,6 +198,7 @@ mod tests {
             schedules: vec![crate::ScheduleChoice::Default],
             chunks: vec![crate::ChunkChoice::Default],
             default_threads: 2,
+            freqs_ghz: Vec::new(),
         };
         let _live = ArcsLive::attach(StdArc::clone(&rt), TunerOptions::online(space));
         let region = rt.register_region("both");

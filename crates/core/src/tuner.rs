@@ -15,11 +15,11 @@
 //! converged values are used. In replay mode (ARCS-Offline's measured
 //! run), configurations come from the history file and no search happens.
 //!
-//! The tuner searches a [`TunableSpace`] — the paper's 3-knob grid or the
-//! DVFS-extended 4-knob grid — and scores each invocation by its
-//! [`Objective`]: `Time` reproduces the paper, `Energy`/`EnergyDelay`
-//! optimise the same search machinery toward joules or the
-//! energy-delay product.
+//! The tuner searches a [`ConfigSpace`] — the paper's 3-knob grid or the
+//! DVFS-extended 4-knob grid ([`ConfigSpace::with_dvfs`]) — and scores
+//! each invocation by its [`Objective`]: `Time` reproduces the paper,
+//! `Energy`/`EnergyDelay` optimise the same search machinery toward
+//! joules or the energy-delay product.
 //!
 //! The *selective tuning* extension from the paper's future work ("enable
 //! selective tuning for OpenMP regions to avoid overheads on the smaller
@@ -28,9 +28,8 @@
 //! pinned to the default configuration and excluded from tuning (and from
 //! the per-invocation configuration-change overhead).
 
-use crate::config::OmpConfig;
+use crate::config::{ConfigSpace, OmpConfig, TunedConfig};
 use crate::resilience::{median_and_mad, median_in_place, ResilienceOptions};
-use crate::tunable::{TunableSpace, TunedConfig};
 use arcs_harmony::{History, NmOptions, ProOptions, Session, StrategyKind};
 use arcs_metrics::MetricsRegistry;
 use arcs_powersim::FxBuildHasher;
@@ -63,7 +62,7 @@ pub enum TuningMode {
 /// Tuner construction options.
 #[derive(Debug, Clone)]
 pub struct TunerOptions {
-    pub space: TunableSpace,
+    pub space: ConfigSpace,
     pub mode: TuningMode,
     /// What each invocation is scored by. `Time` is the paper's evaluated
     /// objective and the default.
@@ -74,26 +73,19 @@ pub struct TunerOptions {
 }
 
 impl TunerOptions {
-    /// Options from any space representation ([`crate::config::ConfigSpace`]
-    /// converts to the 3-knob [`TunableSpace`]).
-    pub fn new(space: impl Into<TunableSpace>, mode: TuningMode) -> Self {
-        TunerOptions {
-            space: space.into(),
-            mode,
-            objective: Objective::Time,
-            min_region_time_s: 0.0,
-        }
+    pub fn new(space: ConfigSpace, mode: TuningMode) -> Self {
+        TunerOptions { space, mode, objective: Objective::Time, min_region_time_s: 0.0 }
     }
 
-    pub fn online(space: impl Into<TunableSpace>) -> Self {
+    pub fn online(space: ConfigSpace) -> Self {
         TunerOptions::new(space, TuningMode::Online(NmOptions::default()))
     }
 
-    pub fn offline_train(space: impl Into<TunableSpace>) -> Self {
+    pub fn offline_train(space: ConfigSpace) -> Self {
         TunerOptions::new(space, TuningMode::OfflineTrain)
     }
 
-    pub fn offline_replay(space: impl Into<TunableSpace>, history: History<OmpConfig>) -> Self {
+    pub fn offline_replay(space: ConfigSpace, history: History<OmpConfig>) -> Self {
         TunerOptions::new(space, TuningMode::OfflineReplay(history))
     }
 
@@ -197,7 +189,7 @@ impl RegionState {
 /// [`TraceEvent::TunerDegraded`]. Free function so callers holding
 /// disjoint field borrows of [`RegionTuner`] can use it.
 fn freeze_region(
-    space: &TunableSpace,
+    space: &ConfigSpace,
     trace: &Option<Arc<dyn TraceSink>>,
     stats: &mut TunerStats,
     state: &mut RegionState,
@@ -252,9 +244,9 @@ pub struct RegionTuner {
     stats: TunerStats,
     trace: Option<Arc<dyn TraceSink>>,
     metrics: Option<Arc<MetricsRegistry>>,
-    /// Self-healing policy; `None` keeps the pre-resilience behaviour
-    /// bit-for-bit (every measurement is accepted and reported).
-    resilience: Option<ResilienceOptions>,
+    /// Self-healing policy. The default disables every rung, so every
+    /// measurement is accepted and reported as it arrives.
+    resilience: ResilienceOptions,
     /// Set by [`RegionTuner::freeze_all`] when the run's error budget
     /// was exhausted.
     degraded: bool,
@@ -273,7 +265,7 @@ impl RegionTuner {
             stats: TunerStats::default(),
             trace: None,
             metrics: None,
-            resilience: None,
+            resilience: ResilienceOptions::default(),
             degraded: false,
         }
     }
@@ -310,7 +302,7 @@ impl RegionTuner {
     /// session restart, freezing) on every region encountered from now
     /// on. The run drivers call this before the first invocation.
     pub fn set_resilience(&mut self, options: ResilienceOptions) {
-        self.resilience = Some(options);
+        self.resilience = options;
     }
 
     /// Builder-style [`RegionTuner::set_resilience`].
@@ -347,7 +339,7 @@ impl RegionTuner {
         self.stats
     }
 
-    pub fn space(&self) -> &TunableSpace {
+    pub fn space(&self) -> &ConfigSpace {
         &self.options.space
     }
 
@@ -477,14 +469,7 @@ impl RegionTuner {
             return;
         }
         state.awaiting = false;
-        let Some(res) = self.resilience else {
-            // Pre-resilience behaviour, bit for bit: every measurement
-            // is reported.
-            if let Some(session) = &mut state.session {
-                session.report(score);
-            }
-            return;
-        };
+        let res = self.resilience;
 
         // Rung 2 of the ladder: MAD outlier rejection. A rejected point
         // stays pending, so `begin` hands out the same configuration
@@ -1094,18 +1079,27 @@ mod resilience_tests {
 
     #[test]
     fn resilience_off_is_bit_identical_to_the_old_path() {
-        let run = |resilient: bool| {
-            let mut tuner = RegionTuner::new(TunerOptions::online(space()));
-            if resilient {
-                // All-off options: every rung disabled.
-                tuner.set_resilience(ResilienceOptions::default());
+        // The old path reported every measurement straight to the
+        // session; a bare session driven that way is the reference.
+        let space = space();
+        let mut session = Session::new(
+            space.to_search_space(),
+            StrategyKind::NelderMead(NmOptions::default()),
+            space.default_point(),
+        );
+        let mut tuner = RegionTuner::new(TunerOptions::online(space.clone()));
+        for _ in 0..60 {
+            let d = tuner.begin("r");
+            let point = session.next_point();
+            assert_eq!(d.config, space.decode(&point));
+            let score = measure(&d.config.omp);
+            tuner.end("r", score);
+            if session.awaiting_report() {
+                session.report(score);
             }
-            for _ in 0..60 {
-                let d = tuner.begin("r");
-                tuner.end("r", measure(&d.config.omp));
-            }
-            (tuner.best_configs()["r"], tuner.evaluations("r"))
-        };
-        assert_eq!(run(false), run(true));
+        }
+        assert_eq!(tuner.best_configs()["r"], space.decode(&session.best_point()).omp);
+        assert_eq!(tuner.evaluations("r"), session.evaluations());
+        assert_eq!(tuner.stats().rejected, 0);
     }
 }

@@ -3,8 +3,8 @@
 //! self-healing runs under arbitrary bounded fault plans.
 
 use arcs::{
-    ConfigSpace, OmpConfig, RegionTuner, ResilienceOptions, Runner, SimExecutor, TunableSpace,
-    TunerOptions, TuningMode,
+    ConfigSpace, OmpConfig, RegionTuner, ResilienceOptions, Runner, SimExecutor, TunerOptions,
+    TuningMode,
 };
 use arcs_harmony::{History, NmOptions, ProOptions};
 use arcs_powersim::{FaultPlan, Machine};
@@ -24,7 +24,7 @@ proptest! {
             let grid = space.to_search_space();
             let rank = ((grid.size() - 1) as f64 * rank_frac) as usize;
             let p = grid.unrank(rank);
-            let cfg = space.decode(&p);
+            let cfg = space.decode(&p).omp;
             prop_assert!(cfg.threads >= 1);
             prop_assert!(cfg.threads <= space.default_threads);
             if let Some(c) = cfg.schedule.chunk {
@@ -85,12 +85,12 @@ proptest! {
         n_invocations in 1usize..50,
     ) {
         let space = ConfigSpace::crill();
-        let saved = space.decode(&[threads_idx, sched_idx, chunk_idx]);
+        let saved = space.decode(&[threads_idx, sched_idx, chunk_idx]).omp;
         let mut h = History::new("prop");
         h.insert("known", saved, 1.0, 252);
         let mut tuner =
             RegionTuner::new(TunerOptions::offline_replay(space.clone(), h));
-        let default = space.decode(&space.default_point());
+        let default = space.decode(&space.default_point()).omp;
         for _ in 0..n_invocations {
             let k = tuner.begin("known");
             prop_assert_eq!(k.config.omp, saved);
@@ -126,7 +126,7 @@ proptest! {
         prop_assert!(d.tuned);
     }
 
-    /// `TunableSpace` point↔config round-trips over random spaces, with
+    /// `ConfigSpace` point↔config round-trips over random spaces, with
     /// and without the frequency knob. Encoding is non-injective
     /// (`Default` threads aliases the machine's core count; static
     /// schedules ignore the chunk axis), so the invariant is semantic:
@@ -141,9 +141,9 @@ proptest! {
             if machine_pick == 0 { Machine::crill() } else { Machine::minotaur() };
         // steps == 0 means "no frequency knob" (the base 3-axis space).
         let space = if steps == 0 {
-            TunableSpace::for_machine(&machine)
+            ConfigSpace::for_machine(&machine)
         } else {
-            TunableSpace::with_dvfs(&machine, steps)
+            ConfigSpace::with_dvfs(&machine, steps)
         };
         prop_assert_eq!(space.has_freq_knob(), steps > 0);
         let grid = space.to_search_space();
@@ -167,9 +167,9 @@ proptest! {
         let machine =
             if machine_pick == 0 { Machine::crill() } else { Machine::minotaur() };
         let space = if steps == 0 {
-            TunableSpace::for_machine(&machine)
+            ConfigSpace::for_machine(&machine)
         } else {
-            TunableSpace::with_dvfs(&machine, steps)
+            ConfigSpace::with_dvfs(&machine, steps)
         };
         let grid = space.to_search_space();
         let rank = ((grid.size() - 1) as f64 * rank_frac) as usize;
@@ -311,4 +311,50 @@ proptest! {
             prop_assert_eq!(run.features.barrier_s.to_bits(), direct.barrier_total_s().to_bits());
         }
     }
+}
+
+/// Folding the frequency axis into `ConfigSpace` moved nothing: over the
+/// stock, portfolio and DVFS spaces of both machines, the size, the
+/// Harmony parameters, the start point, every grid point's decoded
+/// configuration and its re-encoded point hash to a constant generated
+/// when the frequency axis still lived in a wrapper type (b82d932).
+#[test]
+fn space_encoding_matches_the_pinned_grid() {
+    fn fnv(h: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x100000001b3);
+        }
+    }
+    fn fnv_point(h: &mut u64, p: &[usize]) {
+        fnv(h, &(p.len() as u64).to_le_bytes());
+        for &i in p {
+            fnv(h, &(i as u64).to_le_bytes());
+        }
+    }
+    let (crill, minotaur) = (Machine::crill(), Machine::minotaur());
+    let spaces = [
+        ConfigSpace::for_machine(&crill),
+        ConfigSpace::for_machine(&minotaur),
+        ConfigSpace::for_machine(&crill).with_portfolio(),
+        ConfigSpace::with_dvfs(&crill, 4),
+        ConfigSpace::with_dvfs(&minotaur, 2),
+    ];
+    let mut h = 0xcbf29ce484222325u64;
+    for space in &spaces {
+        fnv(&mut h, &(space.size() as u64).to_le_bytes());
+        let grid = space.to_search_space();
+        for param in grid.params() {
+            fnv(&mut h, param.name.as_bytes());
+            fnv(&mut h, &(param.levels as u64).to_le_bytes());
+        }
+        fnv_point(&mut h, &space.default_point());
+        for p in grid.iter_points() {
+            let cfg = space.decode(&p);
+            fnv(&mut h, &(cfg.omp.threads as u64).to_le_bytes());
+            fnv(&mut h, cfg.omp.schedule.to_string().as_bytes());
+            fnv(&mut h, &cfg.freq_ghz.map_or(u64::MAX, f64::to_bits).to_le_bytes());
+            fnv_point(&mut h, &space.encode(&cfg).expect("decoded configs are encodable"));
+        }
+    }
+    assert_eq!(h, 0x14fa3666dcd3a0f6, "a grid point decodes differently: got {h:#018x}");
 }

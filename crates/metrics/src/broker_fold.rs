@@ -39,9 +39,7 @@
 //! [`BrokerFold::admitted`] itself).
 
 use crate::analysis::{BrokerReport, RecoveryReport, TenantBreakdown};
-use crate::registry::{
-    Counter, Gauge, GaugeFamily, Histogram, HistogramFamily, HistogramSummary, MetricsRegistry,
-};
+use crate::registry::{labeled, Counter, Gauge, Histogram, HistogramSummary, MetricsRegistry};
 use arcs_trace::{TraceEvent, TraceRecord};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -207,9 +205,6 @@ pub struct BrokerFold {
     requeues: Counter,
     node_failures: Counter,
     job_failures: Counter,
-    wait_by_tenant: HistogramFamily,
-    turnaround_by_tenant: HistogramFamily,
-    alloc_by_tenant: GaugeFamily,
     now_s: f64,
     /// Global counts; its `tenants` map stays empty until read out.
     report: BrokerReport,
@@ -233,21 +228,18 @@ impl Default for BrokerFold {
 impl BrokerFold {
     pub fn new() -> Self {
         let registry = Arc::new(MetricsRegistry::new());
-        let admission = registry.counter_family("serve/admission", "outcome");
+        let admission = |outcome| registry.counter(&labeled("serve/admission", "outcome", outcome));
         BrokerFold {
             queue_wait_s: registry.histogram("serve/queue_wait_s"),
             turnaround_s: registry.histogram("serve/turnaround_s"),
             realloc_churn_w: registry.histogram("serve/realloc_churn_w"),
             reallocations: registry.counter("serve/reallocations"),
-            admitted: admission.with_label("admitted"),
-            rejected: admission.with_label("rejected"),
-            shed: admission.with_label("shed"),
+            admitted: admission("admitted"),
+            rejected: admission("rejected"),
+            shed: admission("shed"),
             requeues: registry.counter("serve/requeues"),
             node_failures: registry.counter("serve/node_failures"),
             job_failures: registry.counter("serve/job_failures"),
-            wait_by_tenant: registry.histogram_family("serve/queue_wait_s", "tenant"),
-            turnaround_by_tenant: registry.histogram_family("serve/turnaround_s", "tenant"),
-            alloc_by_tenant: registry.gauge_family("serve/alloc_w", "tenant"),
             registry,
             now_s: 0.0,
             report: BrokerReport::default(),
@@ -296,13 +288,14 @@ impl BrokerFold {
     fn tenant(&mut self, name: &str) -> &mut Tenant {
         if !self.tenants.contains_key(name) {
             let name: Arc<str> = Arc::from(name);
+            let series = |base| labeled(base, "tenant", &name);
             let tenant = Tenant {
                 name: Arc::clone(&name),
                 weight: 0.0,
                 counts: TenantBreakdown::default(),
-                wait: self.wait_by_tenant.with_label(&name),
-                turnaround: self.turnaround_by_tenant.with_label(&name),
-                alloc_w: self.alloc_by_tenant.with_label(&name),
+                wait: self.registry.histogram(&series("serve/queue_wait_s")),
+                turnaround: self.registry.histogram(&series("serve/turnaround_s")),
+                alloc_w: self.registry.gauge(&series("serve/alloc_w")),
             };
             self.tenants.insert(name, tenant);
         }

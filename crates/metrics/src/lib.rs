@@ -41,8 +41,8 @@ pub use broker_fold::{
     within_budget, BrokerFold, Digest, TelemetrySnapshot, TenantTelemetry, EVENT_PANE,
 };
 pub use registry::{
-    BucketCount, Counter, CounterFamily, Gauge, GaugeFamily, Histogram, HistogramFamily,
-    HistogramSummary, LabelId, MetricValue, MetricsRegistry, Snapshot, Timer,
+    labeled, BucketCount, Counter, Gauge, Histogram, HistogramSummary, MetricValue,
+    MetricsRegistry, Snapshot,
 };
 
 #[cfg(test)]
@@ -51,38 +51,6 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Merging the histograms of two halves of a stream equals
-        /// histogramming the whole stream: bucket counts (and so every
-        /// quantile) are exact — both sides walk identical buckets. The
-        /// float accumulators (`total`, `sum_sq`) may differ by rounding,
-        /// since merge adds the halves in a different order than the
-        /// interleaved stream.
-        #[test]
-        fn merge_of_halves_equals_whole_stream(
-            samples in proptest::collection::vec(1e-6f64..1e6, 1..200),
-            split in 0usize..200,
-        ) {
-            let split = split % (samples.len() + 1);
-            let whole = Histogram::new();
-            let (a, b) = (Histogram::new(), Histogram::new());
-            for (i, &v) in samples.iter().enumerate() {
-                whole.record(v);
-                if i < split { &a } else { &b }.record(v);
-            }
-            a.merge(&b);
-            let (merged, direct) = (a.state(), whole.state());
-            prop_assert_eq!(merged.buckets(), direct.buckets());
-            prop_assert_eq!(merged.zeros(), direct.zeros());
-            let (ours, theirs) = (a.summary(), whole.summary());
-            prop_assert_eq!(ours.count, theirs.count);
-            prop_assert_eq!(ours.min, theirs.min);
-            prop_assert_eq!(ours.max, theirs.max);
-            prop_assert!((ours.total - theirs.total).abs() <= 1e-12 * theirs.total.abs());
-            prop_assert_eq!(ours.p50, theirs.p50);
-            prop_assert_eq!(ours.p90, theirs.p90);
-            prop_assert_eq!(ours.p99, theirs.p99);
-        }
-
         /// Exposition buckets are cumulative: counts never decrease as
         /// `le` rises, the bounds strictly ascend, and the final bucket
         /// accounts for every sample except the +Inf remainder (`count`).

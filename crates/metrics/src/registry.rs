@@ -15,7 +15,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A monotone event count. Clones share state; `inc`/`add` are single
 /// relaxed atomics, safe on any hot path.
@@ -82,12 +81,12 @@ impl Gauge {
 /// spans a ratio of 2^(1/8) ≈ 1.09 — quantiles are accurate to ~9 %.
 const BUCKETS_PER_OCTAVE: f64 = 8.0;
 
-/// Mergeable histogram state: exact per-bucket counts plus an
+/// Histogram state: exact per-bucket counts plus an
 /// [`arcs_apex::Profile`] as the scalar summary (count/total/min/max,
 /// exact — only the quantiles are bucket-resolution estimates). Not
 /// serialized — snapshots carry the [`HistogramSummary`] instead.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct HistogramState {
+#[derive(Debug, Default)]
+struct HistogramState {
     /// Bucket index → sample count. Index `i` covers values in
     /// `[2^(i/8), 2^((i+1)/8))`; negative indices cover values below 1.
     buckets: BTreeMap<i32, u64>,
@@ -117,14 +116,6 @@ impl HistogramState {
         }
     }
 
-    fn merge(&mut self, other: &HistogramState) {
-        for (&i, &n) in &other.buckets {
-            *self.buckets.entry(i).or_insert(0) += n;
-        }
-        self.zeros += other.zeros;
-        self.summary.merge(&other.summary);
-    }
-
     /// Quantile estimate (`q` in `[0, 1]`): the midpoint of the bucket
     /// holding the sample of that rank. 0 when empty.
     fn quantile(&self, q: f64) -> f64 {
@@ -145,22 +136,6 @@ impl HistogramState {
             }
         }
         self.summary.max
-    }
-
-    /// Bucket index → sample count. Index `i` covers values in
-    /// `[2^(i/8), 2^((i+1)/8))` — see `bucket_index`.
-    pub fn buckets(&self) -> &BTreeMap<i32, u64> {
-        &self.buckets
-    }
-
-    /// Samples that fell outside the positive-finite bucket range.
-    pub fn zeros(&self) -> u64 {
-        self.zeros
-    }
-
-    /// The exact scalar summary.
-    pub fn summary(&self) -> &Profile {
-        &self.summary
     }
 
     /// Cumulative buckets at octave granularity: one `(le, count)` pair
@@ -208,7 +183,7 @@ impl HistogramState {
 }
 
 /// A shared log-bucketed histogram handle. Recording takes one short
-/// uncontended mutex; reads clone the state out.
+/// uncontended mutex; reads summarize under it.
 #[derive(Debug, Clone, Default)]
 pub struct Histogram(Arc<Mutex<HistogramState>>);
 
@@ -221,66 +196,12 @@ impl Histogram {
         self.0.lock().record(value);
     }
 
-    /// Fold `other`'s samples into this histogram, as if its stream had
-    /// been recorded here: counts are exact; quantiles of the merged
-    /// histogram match recording the concatenated stream to within one
-    /// bucket (they operate on identical bucket counts).
-    pub fn merge(&self, other: &Histogram) {
-        // Clone the other side first so the two locks are never held
-        // together (merging a histogram into itself must not deadlock).
-        let theirs = other.state();
-        self.0.lock().merge(&theirs);
-    }
-
-    pub fn state(&self) -> HistogramState {
-        self.0.lock().clone()
-    }
-
     pub fn count(&self) -> u64 {
         self.0.lock().summary.count
     }
 
     pub fn summary(&self) -> HistogramSummary {
         self.0.lock().summarize()
-    }
-
-    /// Start a wall-clock span that records its elapsed seconds into this
-    /// histogram when dropped (or explicitly via [`Timer::stop`]).
-    pub fn start_timer(&self) -> Timer {
-        Timer { hist: self.clone(), start: Instant::now(), armed: true }
-    }
-}
-
-/// A guard that times a span and records it into a [`Histogram`] in
-/// seconds. Dropping the guard records; [`Timer::stop`] records and
-/// returns the measured duration; [`Timer::discard`] abandons the span.
-#[derive(Debug)]
-pub struct Timer {
-    hist: Histogram,
-    start: Instant,
-    armed: bool,
-}
-
-impl Timer {
-    /// Record the elapsed seconds now and return them.
-    pub fn stop(mut self) -> f64 {
-        let elapsed = self.start.elapsed().as_secs_f64();
-        self.armed = false;
-        self.hist.record(elapsed);
-        elapsed
-    }
-
-    /// Drop the span without recording anything.
-    pub fn discard(mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for Timer {
-    fn drop(&mut self) {
-        if self.armed {
-            self.hist.record(self.start.elapsed().as_secs_f64());
-        }
     }
 }
 
@@ -382,21 +303,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Resolve a per-label counter family (see [`CounterFamily`]).
-    pub fn counter_family(self: &Arc<Self>, name: &str, label_key: &str) -> CounterFamily {
-        CounterFamily { inner: Family::new(self, name, label_key) }
-    }
-
-    /// Resolve a per-label gauge family (see [`GaugeFamily`]).
-    pub fn gauge_family(self: &Arc<Self>, name: &str, label_key: &str) -> GaugeFamily {
-        GaugeFamily { inner: Family::new(self, name, label_key) }
-    }
-
-    /// Resolve a per-label histogram family (see [`HistogramFamily`]).
-    pub fn histogram_family(self: &Arc<Self>, name: &str, label_key: &str) -> HistogramFamily {
-        HistogramFamily { inner: Family::new(self, name, label_key) }
-    }
-
     /// A point-in-time copy of every metric, sorted by name.
     pub fn snapshot(&self) -> Snapshot {
         let mut metrics: Vec<MetricSample> = Vec::new();
@@ -415,6 +321,15 @@ impl MetricsRegistry {
     }
 }
 
+/// The registry name of one labeled series, `name{key="value"}`, with
+/// the value escaped as the Prometheus text format requires. Labeled
+/// series land in snapshots (and the Prometheus renderer) like any other
+/// metric; a caller resolves each one once and keeps the handle.
+pub fn labeled(name: &str, key: &str, value: &str) -> String {
+    let escaped = value.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n");
+    format!("{name}{{{key}=\"{escaped}\"}}")
+}
+
 fn kind_of(m: &Metric) -> &'static str {
     match m {
         Metric::Counter(_) => "counter",
@@ -422,101 +337,6 @@ fn kind_of(m: &Metric) -> &'static str {
         Metric::Histogram(_) => "histogram",
     }
 }
-
-/// A dense id for one label value inside a family — the labeled analogue
-/// of the sweep engine's interned `RegionId`s. Intern once (cold), then
-/// emit through the resolved handle with zero allocation per sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LabelId(u32);
-
-impl LabelId {
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// Shared machinery behind the typed families: a label-value interner
-/// plus the dense vector of resolved handles. The registry name for a
-/// member is `name{key="value"}`, so family members land in snapshots
-/// (and the Prometheus renderer) like any other metric.
-struct Family<H> {
-    registry: Arc<MetricsRegistry>,
-    name: String,
-    label_key: String,
-    state: Mutex<FamilyState<H>>,
-}
-
-#[derive(Default)]
-struct FamilyState<H> {
-    ids: HashMap<String, u32>,
-    handles: Vec<H>,
-}
-
-impl<H: Clone> Family<H> {
-    fn new(registry: &Arc<MetricsRegistry>, name: &str, label_key: &str) -> Self {
-        Family {
-            registry: Arc::clone(registry),
-            name: name.to_string(),
-            label_key: label_key.to_string(),
-            state: Mutex::new(FamilyState { ids: HashMap::new(), handles: Vec::new() }),
-        }
-    }
-
-    fn member_name(&self, label: &str) -> String {
-        let escaped = label.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n");
-        format!("{}{{{}=\"{}\"}}", self.name, self.label_key, escaped)
-    }
-
-    fn intern(&self, label: &str, resolve: impl Fn(&MetricsRegistry, &str) -> H) -> LabelId {
-        let mut state = self.state.lock();
-        if let Some(&id) = state.ids.get(label) {
-            return LabelId(id);
-        }
-        let handle = resolve(&self.registry, &self.member_name(label));
-        let id = state.handles.len() as u32;
-        state.handles.push(handle);
-        state.ids.insert(label.to_string(), id);
-        LabelId(id)
-    }
-
-    fn get(&self, id: LabelId) -> H {
-        self.state.lock().handles[id.index()].clone()
-    }
-}
-
-macro_rules! family_type {
-    ($family:ident, $handle:ident, $resolve:ident, $doc:literal) => {
-        #[doc = $doc]
-        /// Label values are interned to dense [`LabelId`]s; `intern` +
-        /// `get` resolve a shared handle that callers hold across
-        /// samples, so the emission path allocates nothing.
-        pub struct $family {
-            inner: Family<$handle>,
-        }
-
-        impl $family {
-            /// Intern `label`, creating the member metric on first sight.
-            pub fn intern(&self, label: &str) -> LabelId {
-                self.inner.intern(label, |reg, name| reg.$resolve(name))
-            }
-
-            /// The resolved handle for an interned label.
-            pub fn get(&self, id: LabelId) -> $handle {
-                self.inner.get(id)
-            }
-
-            /// Intern-and-resolve in one call (cold paths, tests).
-            pub fn with_label(&self, label: &str) -> $handle {
-                let id = self.intern(label);
-                self.get(id)
-            }
-        }
-    };
-}
-
-family_type!(CounterFamily, Counter, counter, "A `name{key=\"value\"}` counter family.");
-family_type!(GaugeFamily, Gauge, gauge, "A `name{key=\"value\"}` gauge family.");
-family_type!(HistogramFamily, Histogram, histogram, "A `name{key=\"value\"}` histogram family.");
 
 /// One named metric inside a [`Snapshot`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -569,7 +389,7 @@ impl Snapshot {
     /// Render in the Prometheus text exposition format.
     ///
     /// Registry names are slash-separated (`arcs/serve/queue_wait_s`) and
-    /// family members carry a `{key="value"}` suffix; the renderer
+    /// [`labeled`] series carry a `{key="value"}` suffix; the renderer
     /// sanitizes the base name to `[a-zA-Z0-9_:]`, emits one `# TYPE`
     /// line per base name, and expands histograms into cumulative
     /// `_bucket{le="..."}` series plus `_sum` and `_count`.
@@ -742,7 +562,7 @@ mod tests {
         h.record(1e-9);
         let s = h.summary();
         assert_eq!(s.count, 3);
-        assert_eq!(h.state().zeros, 2);
+        assert_eq!(h.0.lock().zeros, 2);
         assert_eq!(s.p50, 0.0, "median of {{-1, 0, 1e-9}} sits in the zero bucket");
     }
 
@@ -750,28 +570,6 @@ mod tests {
     fn empty_histogram_summary_is_zeroed() {
         let s = Histogram::new().summary();
         assert_eq!(s, HistogramSummary::default());
-    }
-
-    #[test]
-    fn merge_is_exact_on_counts_and_summary() {
-        let whole = Histogram::new();
-        let (a, b) = (Histogram::new(), Histogram::new());
-        for i in 0..100 {
-            let v = 0.5 + i as f64;
-            whole.record(v);
-            if i % 2 == 0 { &a } else { &b }.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.state(), whole.state());
-    }
-
-    #[test]
-    fn self_merge_doubles_without_deadlock() {
-        let h = Histogram::new();
-        h.record(3.0);
-        let clone = h.clone(); // same underlying state
-        h.merge(&clone);
-        assert_eq!(h.count(), 2);
     }
 
     #[test]
@@ -797,23 +595,19 @@ mod tests {
         assert_eq!(s.p50, s.p99, "every quantile reads the same bucket midpoint");
         let tol = 2f64.powf(1.0 / 8.0);
         assert!(s.p50 >= 7.5 / tol && s.p50 <= 7.5 * tol, "p50={}", s.p50);
-        assert_eq!(h.state().buckets().len(), 1);
+        assert_eq!(h.0.lock().buckets.len(), 1);
     }
 
     #[test]
-    fn histogram_merge_of_disjoint_octaves_keeps_both_tails() {
-        let (a, b, whole) = (Histogram::new(), Histogram::new(), Histogram::new());
+    fn histogram_of_disjoint_octaves_keeps_both_tails() {
+        let h = Histogram::new();
         for _ in 0..1000 {
-            a.record(0.25);
-            whole.record(0.25);
+            h.record(0.25);
         }
         for _ in 0..10 {
-            b.record(1024.0);
-            whole.record(1024.0);
+            h.record(1024.0);
         }
-        a.merge(&b);
-        assert_eq!(a.state(), whole.state());
-        let s = a.summary();
+        let s = h.summary();
         assert_eq!((s.count, s.min, s.max), (1010, 0.25, 1024.0));
         let tol = 2f64.powf(1.0 / 8.0);
         assert!(s.p50 <= 0.25 * tol, "p50={} stays in the low octave", s.p50);
@@ -823,35 +617,22 @@ mod tests {
     }
 
     #[test]
-    fn timer_records_elapsed_seconds() {
-        let h = Histogram::new();
-        let t = h.start_timer();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let elapsed = t.stop();
-        assert!(elapsed >= 0.002);
-        {
-            let _implicit = h.start_timer();
-        }
-        h.start_timer().discard();
-        let s = h.summary();
-        assert_eq!(s.count, 2, "stop + drop record, discard does not");
-        assert_eq!(s.max, elapsed.max(s.max));
-    }
+    fn labeled_series_escape_values_and_share_state() {
+        assert_eq!(labeled("serve/jobs", "tenant", "acme"), "serve/jobs{tenant=\"acme\"}");
+        assert_eq!(
+            labeled("serve/jobs", "tenant", "a\\b\"c\nd"),
+            r#"serve/jobs{tenant="a\\b\"c\nd"}"#
+        );
 
-    #[test]
-    fn families_intern_labels_and_share_state() {
-        let reg = Arc::new(MetricsRegistry::new());
-        let jobs = reg.counter_family("serve/jobs", "tenant");
-        let acme = jobs.intern("acme");
-        assert_eq!(jobs.intern("acme"), acme, "re-interning is stable");
-        jobs.get(acme).add(3);
-        jobs.with_label("acme").inc();
-        jobs.with_label("umbrella").inc();
-
-        let waits = reg.histogram_family("serve/wait_s", "tenant");
-        waits.with_label("acme").record(0.5);
+        let reg = MetricsRegistry::new();
+        let acme = reg.counter(&labeled("serve/jobs", "tenant", "acme"));
+        acme.add(3);
+        reg.counter(&labeled("serve/jobs", "tenant", "acme")).inc();
+        reg.counter(&labeled("serve/jobs", "tenant", "umbrella")).inc();
+        reg.histogram(&labeled("serve/wait_s", "tenant", "acme")).record(0.5);
 
         let snap = reg.snapshot();
+        assert_eq!(acme.get(), 4, "one name resolves one shared series");
         assert_eq!(snap.counter("serve/jobs{tenant=\"acme\"}"), 4);
         assert_eq!(snap.counter("serve/jobs{tenant=\"umbrella\"}"), 1);
         assert_eq!(snap.histogram("serve/wait_s{tenant=\"acme\"}").unwrap().count, 1);
@@ -862,7 +643,7 @@ mod tests {
         let reg = Arc::new(MetricsRegistry::new());
         reg.gauge("arcs/demo/energy_j").set(2.5);
         reg.counter("arcs/demo/evals").add(5);
-        reg.counter_family("arcs/demo/jobs", "tenant").with_label("acme").add(3);
+        reg.counter(&labeled("arcs/demo/jobs", "tenant", "acme")).add(3);
         let lat = reg.histogram("arcs/demo/lat_s");
         lat.record(1.0);
         lat.record(3.0);
@@ -874,7 +655,7 @@ mod tests {
     fn prometheus_renders_zero_only_and_labeled_histograms() {
         let reg = Arc::new(MetricsRegistry::new());
         reg.histogram("only/zeros").record(0.0);
-        reg.histogram_family("fam/lat_s", "tenant").with_label("a\"b").record(2.0);
+        reg.histogram(&labeled("fam/lat_s", "tenant", "a\"b")).record(2.0);
         let text = reg.snapshot().to_prometheus();
         assert!(text.contains("only_zeros_bucket{le=\"1\"} 1\n"), "{text}");
         assert!(text.contains("fam_lat_s_bucket{tenant=\"a\\\"b\",le=\"4\"} 1\n"), "{text}");

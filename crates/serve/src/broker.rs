@@ -438,10 +438,14 @@ impl Broker {
     /// here: inadmissible jobs are rejected immediately and never
     /// schedule; everything else queues FIFO and is placed as nodes and
     /// budget free up (placement may happen within this call).
-    pub fn submit(&mut self, spec: JobSpec) -> SubmitOutcome {
+    pub fn submit(&mut self, mut spec: JobSpec) -> SubmitOutcome {
         let job = self.next_job;
         self.next_job += 1;
-        let weight = if spec.weight > 0.0 { spec.weight } else { 1.0 };
+        // No event may carry a number the journal cannot encode: a
+        // non-finite floor asks for nothing, like a negative one, and a
+        // non-finite weight is the default, like a non-positive one.
+        spec.floor_w = spec.floor_w.filter(|f| f.is_finite());
+        let weight = if spec.weight.is_finite() && spec.weight > 0.0 { spec.weight } else { 1.0 };
         self.tenants.entry(spec.tenant.clone()).or_insert(weight);
 
         let (floor_w, verdict) = arbitration::admit(&spec, &self.fleet, self.cfg.budget_w);
@@ -1056,6 +1060,25 @@ mod tests {
         );
         assert!(heavy + light <= 300.0 + 1e-6);
         broker.run_until_idle();
+    }
+
+    #[test]
+    fn non_finite_floors_and_weights_never_reach_an_event() {
+        let sink = Arc::new(VecSink::new());
+        let mut broker = small_broker(300.0, 2, Arc::clone(&sink));
+        broker.submit(spec("inf").weight(f64::INFINITY));
+        broker.submit(spec("nan").weight(f64::NAN).floor_w(f64::INFINITY));
+        broker.submit(spec("plain").floor_w(f64::NAN));
+        broker.run_until_idle();
+        assert_eq!(broker.counters().completed, 3);
+        let records = sink.drain();
+        for r in &records {
+            if let TraceEvent::CapReallocated { allocations, .. } = &r.event {
+                assert!(allocations.iter().all(|a| a.cap_w.is_finite()), "{allocations:?}");
+            }
+        }
+        conservation_holds(&records);
+        arcs_trace::to_jsonl(&records).expect("every record encodes");
     }
 
     #[test]

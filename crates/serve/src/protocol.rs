@@ -83,15 +83,25 @@ impl Request {
         }
     }
 
-    /// Build the broker-side job spec from a `submit` request. `None`
-    /// when required fields are missing.
-    pub fn to_spec(&self) -> Option<JobSpec> {
-        let mut spec = JobSpec::new(self.tenant.clone()?, self.workload.clone()?);
+    /// Build the broker-side job spec from a `submit` request, or say
+    /// what is wrong with it: a required field is missing, or `floor_w` /
+    /// `weight` is not a finite number (JSON parses `1e999` as infinity,
+    /// which no journal record can carry).
+    pub fn to_spec(&self) -> Result<JobSpec, String> {
+        let (Some(tenant), Some(workload)) = (&self.tenant, &self.workload) else {
+            return Err("submit requires tenant and workload".into());
+        };
+        for (field, value) in [("floor_w", self.floor_w), ("weight", self.weight)] {
+            if value.is_some_and(|v| !v.is_finite()) {
+                return Err(format!("submit field {field} must be a finite number"));
+            }
+        }
+        let mut spec = JobSpec::new(tenant.clone(), workload.clone());
         spec.timesteps = self.timesteps.unwrap_or(0);
         spec.floor_w = self.floor_w;
         spec.weight = self.weight.unwrap_or(1.0);
         spec.fault_seed = self.fault_seed;
-        Some(spec)
+        Ok(spec)
     }
 }
 
@@ -231,7 +241,16 @@ mod tests {
         assert_eq!(spec.floor_w, None);
 
         // A submit with no tenant cannot build a spec.
-        assert!(Request::op_only("submit").to_spec().is_none());
+        assert!(Request::op_only("submit").to_spec().is_err());
+
+        // Nor can one whose floor or weight overflowed to infinity.
+        for field in ["floor_w", "weight"] {
+            let line =
+                format!(r#"{{"op":"submit","tenant":"t0","workload":"cg.S","{field}":1e999}}"#);
+            let req: Request = serde_json::from_str(&line).unwrap();
+            let err = req.to_spec().unwrap_err();
+            assert!(err.contains(field), "{err}");
+        }
     }
 
     #[test]

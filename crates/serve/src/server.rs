@@ -101,8 +101,9 @@ fn handle_request(
     let mut resp = Response::empty_ok();
     match req.op.as_str() {
         "submit" => {
-            let Some(spec) = req.to_spec() else {
-                return Response::err("submit requires tenant and workload");
+            let spec = match req.to_spec() {
+                Ok(spec) => spec,
+                Err(reason) => return Response::err(reason),
             };
             let (tx, rx) = std::sync::mpsc::channel();
             if cmds.send(Command::Submit(spec, tx)).is_err() {
@@ -558,6 +559,31 @@ mod tests {
 
         let absent = client.roundtrip(&Request::status(99)).unwrap();
         assert!(!absent.ok);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn non_finite_numbers_are_refused_by_name() {
+        let handle = {
+            let fleet = Fleet::homogeneous(Machine::crill(), 1);
+            let broker = Broker::new(fleet, BrokerConfig::new(230.0), Arc::new(NullSink));
+            Server::start(broker, "127.0.0.1:0", 1).unwrap()
+        };
+        let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+        // What a hand-written client can send: JSON reads 1e999 as +inf.
+        for field in ["floor_w", "weight"] {
+            let line = format!(
+                "{{\"op\":\"submit\",\"tenant\":\"t\",\"workload\":\"sp.S\",\"{field}\":1e999}}\n"
+            );
+            client.writer.write_all(line.as_bytes()).unwrap();
+            let mut reply = String::new();
+            client.reader.read_line(&mut reply).unwrap();
+            let resp: Response = serde_json::from_str(&reply).unwrap();
+            assert!(!resp.ok, "{reply}");
+            assert!(resp.error.unwrap().contains(field), "{reply}");
+        }
+        let stats = client.roundtrip(&Request::op_only("stats")).unwrap().stats.unwrap();
+        assert_eq!(stats.submitted, 0, "a refused line never reaches the broker");
         handle.shutdown();
     }
 

@@ -4,7 +4,7 @@
 use arcs::dvfs::{tune_region, Objective};
 use arcs::{
     AppRunReport, ConfigSpace, OmpConfig, RegionTuner, Runner, SimExecutor, SweepEngine, SweepGrid,
-    SweepReport, SweepStrategy, TunableSpace, TunerOptions, TuningMode,
+    SweepReport, SweepStrategy, TunerOptions, TuningMode,
 };
 use arcs_kernels::{model, Class};
 use arcs_powersim::{Machine, WorkloadDescriptor};
@@ -76,7 +76,7 @@ fn mg_selective_tuning_contains_the_multiscale_pathology() {
 fn dvfs_energy_objective_buys_real_energy() {
     let m = Machine::crill();
     let wl = model::sp(Class::B);
-    let space = TunableSpace::with_dvfs(&m, 4);
+    let space = ConfigSpace::with_dvfs(&m, 4);
     let region = wl.step.iter().find(|r| r.name.ends_with("x_solve")).unwrap();
     let t = tune_region(&m, 115.0, region, &space, Objective::Time, TuningMode::OfflineTrain);
     let e = tune_region(&m, 115.0, region, &space, Objective::Energy, TuningMode::OfflineTrain);
@@ -161,7 +161,7 @@ fn custom_machine_runs_end_to_end() {
 fn default_configs_match_paper_definition() {
     for m in [Machine::crill(), Machine::minotaur()] {
         let space = ConfigSpace::for_machine(&m);
-        let cfg = space.decode(&space.default_point());
+        let cfg = space.decode(&space.default_point()).omp;
         assert_eq!(cfg, OmpConfig::default_for(&m));
         assert_eq!(cfg.threads, m.hw_threads());
         assert_eq!(cfg.schedule, arcs_omprt::Schedule::static_block());

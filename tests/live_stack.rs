@@ -19,6 +19,7 @@ fn tiny_space(default_threads: usize) -> ConfigSpace {
         ],
         chunks: vec![ChunkChoice::Size(1), ChunkChoice::Size(32), ChunkChoice::Default],
         default_threads,
+        freqs_ghz: Vec::new(),
     }
 }
 

@@ -1,6 +1,6 @@
 //! Integration tests for the objective layer: time/energy/EDP scoring
 //! through the mainline tuner stack, the DVFS fourth knob on the shared
-//! `TunableSpace` encoding, and the trace taxonomy of DVFS-enabled runs.
+//! `ConfigSpace` encoding, and the trace taxonomy of DVFS-enabled runs.
 //!
 //! Energy here is differenced from the simulated package meter (1 ms
 //! quantum, so individual measurements are quantized to ~0.1 J); tests
@@ -10,7 +10,7 @@
 
 use arcs::dvfs::tune_region;
 use arcs::{
-    Objective, OmpConfig, RegionTuner, Runner, SimExecutor, TunableSpace, TunerOptions, TuningMode,
+    ConfigSpace, Objective, OmpConfig, RegionTuner, Runner, SimExecutor, TunerOptions, TuningMode,
 };
 use arcs_harmony::NmOptions;
 use arcs_kernels::{model, Class};
@@ -27,7 +27,7 @@ fn z_solve() -> RegionModel {
 #[test]
 fn space_has_four_axes() {
     let m = Machine::crill();
-    let s = TunableSpace::with_dvfs(&m, 4);
+    let s = ConfigSpace::with_dvfs(&m, 4);
     assert_eq!(s.to_search_space().dim(), 4);
     assert_eq!(s.freqs_ghz.len(), 5);
     assert_eq!(s.freqs_ghz[4], None);
@@ -42,7 +42,7 @@ fn space_has_four_axes() {
 #[test]
 fn energy_objective_picks_lower_frequency_for_memory_bound_region() {
     let m = Machine::crill();
-    let s = TunableSpace::with_dvfs(&m, 4);
+    let s = ConfigSpace::with_dvfs(&m, 4);
     let region = z_solve();
     let time_best = tune_region(&m, 115.0, &region, &s, Objective::Time, TuningMode::OfflineTrain);
     let energy_best =
@@ -65,14 +65,14 @@ fn energy_objective_picks_lower_frequency_for_memory_bound_region() {
 #[test]
 fn dvfs_cannot_beat_unclamped_time() {
     let m = Machine::crill();
-    let s = TunableSpace::with_dvfs(&m, 3);
+    let s = ConfigSpace::with_dvfs(&m, 3);
     let region = z_solve();
     let best = tune_region(&m, 85.0, &region, &s, Objective::Time, TuningMode::OfflineTrain);
     let uncapped = tune_region(
         &m,
         85.0,
         &region,
-        &TunableSpace { base: s.base.clone(), freqs_ghz: vec![None] },
+        &ConfigSpace { freqs_ghz: vec![None], ..s.clone() },
         Objective::Time,
         TuningMode::OfflineTrain,
     );
@@ -84,7 +84,7 @@ fn dvfs_cannot_beat_unclamped_time() {
 #[test]
 fn edp_sits_between_time_and_energy() {
     let m = Machine::crill();
-    let s = TunableSpace::with_dvfs(&m, 4);
+    let s = ConfigSpace::with_dvfs(&m, 4);
     let region = z_solve();
     let t = tune_region(&m, 115.0, &region, &s, Objective::Time, TuningMode::OfflineTrain);
     let e = tune_region(&m, 115.0, &region, &s, Objective::Energy, TuningMode::OfflineTrain);
@@ -99,7 +99,7 @@ fn edp_sits_between_time_and_energy() {
 #[test]
 fn nelder_mead_works_on_the_extended_space() {
     let m = Machine::crill();
-    let s = TunableSpace::with_dvfs(&m, 4);
+    let s = ConfigSpace::with_dvfs(&m, 4);
     let region = z_solve();
     let nm = tune_region(
         &m,
@@ -138,7 +138,7 @@ fn runner_energy_objective_selects_different_lulesh_configs() {
     let m = Machine::crill();
     let mut wl = model::lulesh(45);
     wl.timesteps = 64;
-    let space = TunableSpace::with_dvfs(&m, 3);
+    let space = ConfigSpace::with_dvfs(&m, 3);
 
     let train = |objective: Objective| {
         let mut exec = SimExecutor::new(m.clone(), 115.0);
@@ -191,7 +191,7 @@ fn dvfs_runs_emit_the_standard_trace_taxonomy() {
     let sink = Arc::new(VecSink::new());
     let mut exec = SimExecutor::new(m.clone(), 85.0).with_trace(sink.clone());
     let mut tuner = RegionTuner::new(TunerOptions::new(
-        TunableSpace::with_dvfs(&m, 3),
+        ConfigSpace::with_dvfs(&m, 3),
         TuningMode::Online(NmOptions::default()),
     ));
     Runner::new(&mut exec)
