@@ -70,6 +70,19 @@ if [ -n "$strays" ]; then
     exit 1
 fi
 
+# One selector: every run flavour reaches the driver as one `RegionTuner`
+# (a fixed run's regions pinned and untuned, the portfolio ladder
+# per-region tuner state). No non-test source may bring back the driver's
+# flavour enum, its adaptive state or the name-keyed ladder.
+strays="$(find crates src examples -name '*.rs' -not -path '*/tests/*' \
+    -exec awk '/#\[cfg\(test\)\]/ { nextfile }
+        /enum Source|AdaptiveState|AdaptiveLadder|ArmSwitch/ { print FILENAME ":" FNR ": " $0 }' {} +)"
+if [ -n "$strays" ]; then
+    echo "ci: a second selector:" >&2
+    echo "$strays" >&2
+    exit 1
+fi
+
 # One search space and one way to label a series: the Table I grid and
 # its optional frequency axis are `ConfigSpace` alone, and a labeled
 # series is a registry name built by `labeled`. No non-test source may

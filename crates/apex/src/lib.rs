@@ -35,9 +35,7 @@
 pub mod policy;
 pub mod profile;
 
-pub use policy::{
-    AdaptiveLadder, ArmSwitch, PolicyEngine, PolicyEvent, PolicyEventKind, PolicyTrigger,
-};
+pub use policy::{PolicyEngine, PolicyEvent, PolicyEventKind, PolicyTrigger};
 pub use profile::Profile;
 
 use parking_lot::Mutex;

@@ -10,7 +10,6 @@
 use crate::profile::Profile;
 use crate::TaskId;
 use arcs_trace::{TraceEvent, TraceSink};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// What fired a policy.
@@ -135,119 +134,6 @@ impl PolicyEngine {
     }
 }
 
-/// What the [`AdaptiveLadder`] decided after one observation: escalate
-/// the task from arm `from` to arm `to`. `invocation` is the 1-based
-/// observation count for the task at decision time and `imbalance` the
-/// smoothed value that tripped the threshold.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ArmSwitch {
-    pub from: usize,
-    pub to: usize,
-    pub invocation: u64,
-    pub imbalance: f64,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct LadderTask {
-    ewma: Option<f64>,
-    /// Consecutive observations with the EWMA above threshold.
-    over: u32,
-    arm: usize,
-    invocations: u64,
-}
-
-/// The deterministic imbalance watcher behind intra-run adaptive
-/// scheduling.
-///
-/// Per task, an EWMA of an imbalance signal in `[0, 1]`
-/// (`barrier / (busy + barrier)` in the ARCS driver) is compared against
-/// a threshold; once it stays above for `patience` consecutive
-/// observations, the task escalates one arm up a caller-defined ladder —
-/// arm 0 is the configured policy, higher arms progressively more
-/// load-balancing families. The ladder never descends (a policy that
-/// cured the imbalance keeps its arm) and knows nothing about schedules:
-/// it deals in arm *indices*, so the same rule drives any portfolio.
-/// Every decision is a pure function of the observation sequence, which
-/// keeps adaptive runs byte-reproducible trace-for-trace.
-#[derive(Debug, Clone)]
-pub struct AdaptiveLadder {
-    arms: usize,
-    threshold: f64,
-    patience: u32,
-    alpha: f64,
-    tasks: HashMap<String, LadderTask>,
-}
-
-impl AdaptiveLadder {
-    /// A ladder of `arms` rungs with the default rule: threshold 0.15
-    /// (≥ 15 % of thread time waiting at the barrier), patience 3,
-    /// smoothing α = 0.5.
-    pub fn new(arms: usize) -> Self {
-        AdaptiveLadder { arms, threshold: 0.15, patience: 3, alpha: 0.5, tasks: HashMap::new() }
-    }
-
-    /// EWMA level above which an observation counts against patience.
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
-    /// Consecutive over-threshold observations required to escalate.
-    pub fn with_patience(mut self, patience: u32) -> Self {
-        self.patience = patience.max(1);
-        self
-    }
-
-    /// Current arm for `task` (0 before any observation).
-    pub fn arm(&self, task: &str) -> usize {
-        self.tasks.get(task).map_or(0, |t| t.arm)
-    }
-
-    /// Observations recorded for `task` so far.
-    pub fn invocations(&self, task: &str) -> u64 {
-        self.tasks.get(task).map_or(0, |t| t.invocations)
-    }
-
-    /// Feed one invocation's imbalance; returns the escalation decision
-    /// if the rule fired.
-    pub fn observe(&mut self, task: &str, imbalance: f64) -> Option<ArmSwitch> {
-        let (threshold, patience, alpha, arms) =
-            (self.threshold, self.patience, self.alpha, self.arms);
-        // The name is allocated once, on the task's first observation.
-        let st = match self.tasks.get_mut(task) {
-            Some(st) => st,
-            None => self.tasks.entry(task.to_owned()).or_default(),
-        };
-        st.invocations += 1;
-        let ewma = match st.ewma {
-            None => imbalance,
-            Some(prev) => alpha * imbalance + (1.0 - alpha) * prev,
-        };
-        st.ewma = Some(ewma);
-        if ewma > threshold {
-            st.over += 1;
-        } else {
-            st.over = 0;
-        }
-        if st.over >= patience && st.arm + 1 < arms {
-            let from = st.arm;
-            st.arm += 1;
-            // The new policy gets a clean slate: the EWMA restarts so
-            // residual imbalance measured under the old policy cannot
-            // trip an immediate second escalation.
-            st.over = 0;
-            st.ewma = None;
-            return Some(ArmSwitch {
-                from,
-                to: st.arm,
-                invocation: st.invocations,
-                imbalance: ewma,
-            });
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,50 +228,5 @@ mod tests {
         engine.register("b", PolicyTrigger::Periodic(5), |_| {});
         assert_eq!(engine.policy_count(), 2);
         assert_eq!(engine.policy_names(), vec!["a", "b"]);
-    }
-
-    #[test]
-    fn ladder_escalates_after_patience() {
-        let mut ladder = AdaptiveLadder::new(3).with_threshold(0.2).with_patience(2);
-        assert_eq!(ladder.arm("r"), 0);
-        assert!(ladder.observe("r", 0.5).is_none(), "patience not yet exhausted");
-        let sw = ladder.observe("r", 0.5).expect("second over-threshold observation escalates");
-        assert_eq!((sw.from, sw.to, sw.invocation), (0, 1, 2));
-        assert!(sw.imbalance > 0.2);
-        assert_eq!(ladder.arm("r"), 1);
-        // The EWMA restarted: one more high sample is not enough again.
-        assert!(ladder.observe("r", 0.9).is_none());
-        let sw = ladder.observe("r", 0.9).unwrap();
-        assert_eq!((sw.from, sw.to), (1, 2));
-        // Top arm reached — no further escalation no matter the signal.
-        for _ in 0..10 {
-            assert!(ladder.observe("r", 1.0).is_none());
-        }
-        assert_eq!(ladder.arm("r"), 2);
-        assert_eq!(ladder.invocations("r"), 14);
-    }
-
-    #[test]
-    fn balanced_observations_reset_patience() {
-        let mut ladder = AdaptiveLadder::new(2).with_threshold(0.3).with_patience(2);
-        // Alternating over/under never accumulates two consecutive
-        // over-threshold EWMAs (α = 0.5 pulls the average back down).
-        for _ in 0..8 {
-            assert!(ladder.observe("r", 0.6).is_none());
-            assert!(ladder.observe("r", 0.0).is_none());
-        }
-        assert_eq!(ladder.arm("r"), 0);
-        // A persistently high signal still escalates.
-        ladder.observe("r", 0.9);
-        assert!(ladder.observe("r", 0.9).is_some());
-    }
-
-    #[test]
-    fn ladder_tracks_tasks_independently() {
-        let mut ladder = AdaptiveLadder::new(4).with_patience(1).with_threshold(0.1);
-        assert!(ladder.observe("hot", 0.8).is_some());
-        assert!(ladder.observe("cold", 0.0).is_none());
-        assert_eq!(ladder.arm("hot"), 1);
-        assert_eq!(ladder.arm("cold"), 0);
     }
 }

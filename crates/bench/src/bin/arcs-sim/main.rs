@@ -14,7 +14,7 @@
 //!                               replay) | adaptive (default config + the
 //!                               intra-run schedule ladder); default online
 //!   --objective time|energy|edp score the run by this objective (default time)
-//!   --timesteps N               override the workload's step count
+//!   --timesteps N               override the workload's step count (N ≥ 1)
 //!   --selective SECONDS         tune only regions at least this long
 //!   --save-history PATH         write the searched/trained history file
 //!   --load-history PATH         offline: replay this history instead of training

@@ -110,6 +110,10 @@ pub fn main(argv: &[String]) {
         eprintln!("--selective thresholds a search: {strategy} does not search");
         usage()
     }
+    if timesteps == Some(0) {
+        eprintln!("--timesteps 0 runs nothing: give at least 1");
+        usage()
+    }
     // Selective tuning is off at a zero threshold (the options' default).
     let selective = selective.unwrap_or(0.0);
     if plan_name.is_none() && (seed.is_some() || budget.is_some()) {

@@ -52,6 +52,9 @@ const USAGE_ERRORS: &[(&[&str], &str)] = &[
     // A selective threshold only shapes a search.
     (&["run", "--strategy", "default", "--selective", "0.03"], RUN),
     (&["run", "--strategy", "adaptive", "--selective", "0.03"], RUN),
+    // A run of no timesteps measures nothing (and trains nothing).
+    (&["run", "--timesteps", "0"], RUN),
+    (&["run", "--strategy", "offline", "--timesteps", "0"], RUN),
     (&["run", "--seed", "7"], RUN),
     (&["run", "--plan", "nosuch"], RUN),
     (&["run", "--plan", "flaky-rapl", "--budget", "x"], RUN),

@@ -7,10 +7,12 @@
 //! overhead time), while the [`Runner`] builder feeds every run flavour —
 //! default, [fixed](Runner::fixed), [adaptive](Runner::adaptive),
 //! [tuned](Runner::tuner), [training](Runner::train) — through one private
-//! `drive` loop for *any* backend. The flavours differ only in where an
-//! invocation's configuration comes from, so neither the backends nor the
-//! strategies can drift: the baseline and every selected strategy are
-//! measured by the same harness.
+//! `drive` loop for *any* backend. Every flavour reaches that loop as one
+//! [`RegionTuner`]: a fixed run's is built from its per-region map, with
+//! every region pinned and untuned (and, when adaptive, on the portfolio
+//! ladder), so the loop never asks which flavour it runs and neither the
+//! backends nor the strategies can drift: the baseline and every selected
+//! strategy are measured by the same harness.
 //!
 //! ## Energy attribution
 //!
@@ -47,11 +49,9 @@ use crate::config::OmpConfig;
 use crate::config::TunedConfig;
 use crate::report::{AppRunReport, FaultRecovery, RegionSummary, RunStatus};
 use crate::resilience::ResilienceOptions;
-use crate::tuner::{RegionTuner, TunerDecision, TunerOptions, TuningMode};
-use arcs_apex::AdaptiveLadder;
+use crate::tuner::{RegionTuner, TunerOptions, TuningMode};
 use arcs_harmony::History;
 use arcs_metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-use arcs_omprt::{Schedule, ScheduleKind};
 use arcs_powersim::{
     CacheBindError, FaultPlan, FxBuildHasher, Machine, MeasureError, RegionModel, SharedSimCache,
     WorkloadDescriptor,
@@ -266,14 +266,19 @@ impl From<MeasureError> for RunError {
 pub struct Runner<'a, B: Backend> {
     backend: &'a mut B,
     workload: Option<&'a WorkloadDescriptor>,
-    /// Set by [`Runner::fixed`], [`Runner::adaptive`] or [`Runner::tuner`].
-    source: Source<'a>,
+    /// The selector [`Runner::tuner`] set; without one the run builds a
+    /// fixed selector from `config_for` and `ladder`.
+    tuner: Option<&'a mut RegionTuner>,
+    /// Each region's configuration on a fixed run, as [`Runner::fixed`] or
+    /// [`Runner::adaptive`] set it; the paper's baseline unless set.
+    config_for: Box<dyn Fn(&str) -> OmpConfig + 'a>,
+    /// Walk each region of a fixed run up the portfolio ladder.
+    ladder: bool,
     /// What the report calls that strategy unless [`Runner::label`]
     /// overrides it.
     strategy: String,
     objective: Option<Objective>,
     trace: Option<Arc<dyn TraceSink>>,
-    metrics: Option<Arc<MetricsRegistry>>,
     cache: Option<Arc<SharedSimCache>>,
     label: Option<String>,
     faults: Option<FaultPlan>,
@@ -288,11 +293,12 @@ impl<'a, B: Backend> Runner<'a, B> {
         Runner {
             backend,
             workload: None,
-            source: Source::Fixed { config_for: Box::new(move |_| default_cfg), adaptive: None },
+            tuner: None,
+            config_for: Box::new(move |_| default_cfg),
+            ladder: false,
             strategy: "default".into(),
             objective: None,
             trace: None,
-            metrics: None,
             cache: None,
             label: None,
             faults: None,
@@ -308,24 +314,28 @@ impl<'a, B: Backend> Runner<'a, B> {
         self
     }
 
-    /// Run every region at `config_for(region)`, reported as `label`: no
-    /// tuner, so no §III-C overheads — used for oracle/ablation
-    /// comparisons. Unset, the run uses the paper's baseline configuration
-    /// for the backend's machine, reported as `default`.
+    /// Run every region at `config_for(region)`, reported as `label`:
+    /// every region untuned, so no §III-C overheads — used for
+    /// oracle/ablation comparisons. Unset, the run uses the paper's
+    /// baseline configuration for the backend's machine, reported as
+    /// `default`. `config_for` is called once per distinct region per run,
+    /// so it must be a pure map.
     pub fn fixed(
         mut self,
         config_for: impl Fn(&str) -> OmpConfig + 'a,
         label: impl Into<String>,
     ) -> Self {
-        self.source = Source::Fixed { config_for: Box::new(config_for), adaptive: None };
+        self.tuner = None;
+        self.config_for = Box::new(config_for);
+        self.ladder = false;
         self.strategy = label.into();
         self
     }
 
     /// [`Runner::fixed`], with each region's chunk policy adapted *within*
-    /// the run: an [`AdaptiveLadder`] watches the per-invocation imbalance
-    /// signal `barrier/(busy+barrier)` and, when its EWMA persists above
-    /// threshold, escalates the region one rung up the portfolio ladder —
+    /// the run by the portfolio ladder (see [`crate::tuner`]): when the
+    /// EWMA of the region's imbalance signal `barrier/(busy+barrier)`
+    /// persists above threshold, the region escalates one rung —
     /// configured policy → trapezoid → factoring → awf — starting from the
     /// next invocation. Each knob move fires the usual `ConfigSwitch` +
     /// §III-C config-change overhead, plus a [`TraceEvent::PolicySwitched`]
@@ -337,16 +347,15 @@ impl<'a, B: Backend> Runner<'a, B> {
         config_for: impl Fn(&str) -> OmpConfig + 'a,
         label: impl Into<String>,
     ) -> Self {
-        let adaptive = Some(AdaptiveState::new());
-        self.source = Source::Fixed { config_for: Box::new(config_for), adaptive };
-        self.strategy = label.into();
+        self = self.fixed(config_for, label);
+        self.ladder = true;
         self
     }
 
     /// Choose configurations with an ARCS tuner (Online, Offline-train or
     /// Offline-replay, depending on the tuner's mode), reported as `arcs`.
     pub fn tuner(mut self, tuner: &'a mut RegionTuner) -> Self {
-        self.source = Source::Tuner(tuner);
+        self.tuner = Some(tuner);
         self.strategy = "arcs".into();
         self
     }
@@ -364,16 +373,6 @@ impl<'a, B: Backend> Runner<'a, B> {
     /// backends, the memo cache (for `CacheHit`/`CacheMiss`).
     pub fn trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.trace = Some(sink);
-        self
-    }
-
-    /// Attach a metrics registry to the backend before running. The
-    /// driver records its own counters (configs switched, overhead
-    /// charged, region times) and the backend propagates the registry to
-    /// its layers — on simulated backends the memo cache, on live ones
-    /// the omprt runtime. Tuner runs also count search evaluations.
-    pub fn metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.metrics = Some(registry);
         self
     }
 
@@ -440,9 +439,6 @@ impl<'a, B: Backend> Runner<'a, B> {
         if let Some(sink) = self.trace.take() {
             self.backend.attach_trace(sink);
         }
-        if let Some(registry) = self.metrics.take() {
-            self.backend.attach_metrics(registry);
-        }
         if let Some(plan) = self.faults.take() {
             self.backend.attach_faults(plan);
         }
@@ -455,15 +451,19 @@ impl<'a, B: Backend> Runner<'a, B> {
     /// Execute the workload and assemble the report.
     pub fn run(mut self) -> Result<AppRunReport, RunError> {
         let wl = self.prepare()?;
-        let objective = match &mut self.source {
-            Source::Tuner(tuner) => {
-                wire_tuner(self.backend, tuner, self.objective, self.resilience);
-                tuner.objective()
+        let mut fixed;
+        let tuner = match self.tuner.take() {
+            Some(tuner) => tuner,
+            None => {
+                let regions = wl.step.iter().map(|r| r.name.as_str());
+                let machine = self.backend.machine();
+                fixed = RegionTuner::fixed(machine, regions, &self.config_for, self.ladder);
+                &mut fixed
             }
-            Source::Fixed { .. } => self.objective.unwrap_or_default(),
         };
+        wire_tuner(self.backend, tuner, self.objective, self.resilience);
         let label = self.label.as_deref().unwrap_or(&self.strategy);
-        drive(self.backend, wl, self.source, label, objective, self.resilience, self.self_profile)
+        drive(self.backend, wl, tuner, label, self.resilience, self.self_profile)
     }
 
     /// ARCS-Offline training: repeat the application until every region's
@@ -471,7 +471,8 @@ impl<'a, B: Backend> Runner<'a, B> {
     /// training executions are not measured (the paper measures only the
     /// second execution, which replays the saved optimum). Any strategy
     /// set on the builder is ignored; [`Runner::objective`] (if set)
-    /// overrides the options' objective.
+    /// overrides the options' objective. A workload that invokes no region
+    /// trains nothing and returns an empty history.
     pub fn train(
         mut self,
         options: TunerOptions,
@@ -484,19 +485,17 @@ impl<'a, B: Backend> Runner<'a, B> {
         let b = self.backend;
         let mut tuner = RegionTuner::new(options);
         wire_tuner(b, &mut tuner, self.objective, self.resilience);
-        let objective = tuner.objective();
         // Bound the number of training executions defensively; each pass
         // offers `timesteps` measurements per region against a 252-point
         // space, so a handful of passes always suffices.
         for _pass in 0..64 {
-            let source = Source::Tuner(&mut tuner);
-            drive(b, wl, source, "arcs-offline-train", objective, self.resilience, false)?;
-            if tuner.converged() {
-                break;
+            drive(b, wl, &mut tuner, "arcs-offline-train", self.resilience, false)?;
+            // A workload that invokes no region has nothing to train.
+            if tuner.converged() || tuner.stats().regions == 0 {
+                return Ok(tuner.export_history(context));
             }
         }
-        assert!(tuner.converged(), "offline training failed to converge");
-        Ok(tuner.export_history(context))
+        panic!("offline training failed to converge")
     }
 }
 
@@ -594,119 +593,6 @@ impl Meter {
     }
 }
 
-/// The intra-run adaptive scheduler's driver-side state: the
-/// [`AdaptiveLadder`] deciding each region's rung and the last schedule
-/// actually applied per region (the reference a knob move is detected
-/// against).
-struct AdaptiveState {
-    ladder: AdaptiveLadder,
-    applied: HashMap<String, Schedule, FxBuildHasher>,
-    /// The configured schedule of the invocation in flight — arm 0 of the
-    /// ladder a `PolicySwitched` names its rungs against.
-    base: Schedule,
-}
-
-impl AdaptiveState {
-    fn new() -> Self {
-        AdaptiveState {
-            ladder: AdaptiveLadder::new(1 + ScheduleKind::SELF_SCHEDULING.len()),
-            applied: Default::default(),
-            base: Schedule::runtime_default(),
-        }
-    }
-
-    /// The schedule arm `arm` of the ladder maps to for a region whose
-    /// configured schedule is `base`: arm 0 is `base` itself, higher arms
-    /// walk [`ScheduleKind::SELF_SCHEDULING`] with `base`'s chunk kept as
-    /// the minimum-chunk parameter.
-    fn rung(base: Schedule, arm: usize) -> Schedule {
-        if arm == 0 {
-            return base;
-        }
-        Schedule::new(ScheduleKind::SELF_SCHEDULING[arm - 1], base.chunk)
-    }
-
-    /// Override `schedule` with the region's current rung. True when that
-    /// moves the knob off what the region last ran with — the same
-    /// §III-C config-change cost a tuner move pays.
-    fn apply(&mut self, region: &str, schedule: &mut Schedule) -> bool {
-        self.base = *schedule;
-        *schedule = Self::rung(self.base, self.ladder.arm(region));
-        match self.applied.get_mut(region) {
-            Some(prev) => std::mem::replace(prev, *schedule) != *schedule,
-            None => {
-                self.applied.insert(region.to_string(), *schedule);
-                false
-            }
-        }
-    }
-
-    /// Feed the ladder the invocation's imbalance; an escalation —
-    /// stamped `t_s`, the post-region clock — applies from the region's
-    /// next invocation.
-    fn observe(
-        &mut self,
-        region: &str,
-        features: &RegionFeatures,
-        sink: Option<&Arc<dyn TraceSink>>,
-        t_s: f64,
-    ) {
-        let denom = features.busy_s + features.barrier_s;
-        let imbalance = if denom > 0.0 { features.barrier_s / denom } else { 0.0 };
-        let Some(sw) = self.ladder.observe(region, imbalance) else { return };
-        if let Some(sink) = sink {
-            let policy = |arm| Self::rung(self.base, arm).kind.name().to_string();
-            sink.record(
-                Some(t_s),
-                TraceEvent::PolicySwitched {
-                    region: region.to_string(),
-                    from: policy(sw.from),
-                    to: policy(sw.to),
-                    invocation: sw.invocation,
-                    imbalance: sw.imbalance,
-                },
-            );
-        }
-    }
-}
-
-/// Where an invocation's configuration comes from — the only thing the
-/// run flavours differ by. [`Source::begin`] answers, before the
-/// invocation, which configuration runs, whether the ICVs move to get
-/// there and whether the region is instrumented; [`drive`] tells the
-/// source what was measured afterwards.
-enum Source<'a> {
-    /// A per-region map (the default run's is the paper's baseline
-    /// configuration everywhere), walked up the portfolio ladder when
-    /// [`Runner::adaptive`] set `adaptive`.
-    /// Never instrumented: no tuner, so no §III-C instrumentation cost.
-    Fixed { config_for: Box<dyn Fn(&str) -> OmpConfig + 'a>, adaptive: Option<AdaptiveState> },
-    /// An ARCS tuner in whichever mode it was built (search, train,
-    /// replay).
-    Tuner(&'a mut RegionTuner),
-}
-
-impl Source<'_> {
-    /// `slot` is the tuner's slot for this step position, resolved at
-    /// the position's first `begin` of the run.
-    fn begin(&mut self, slot: &mut Option<usize>, region: &str) -> TunerDecision {
-        match self {
-            Source::Tuner(tuner) => {
-                let slot = *slot.get_or_insert_with(|| tuner.resolve(region));
-                tuner.begin_at(slot)
-            }
-            Source::Fixed { config_for, adaptive } => {
-                let mut config = TunedConfig::from(config_for(region));
-                let changed = match adaptive {
-                    Some(ad) => ad.apply(region, &mut config.omp.schedule),
-                    None => false,
-                };
-                TunerDecision { config, changed, tuned: false }
-            }
-        }
-    }
-}
-
 /// The run loop — the only caller of [`Backend::run_region`]. Every run
 /// flavour on every backend is this choreography, and both its meter-read
 /// order and its event order are contract (DESIGN.md §3.11): each
@@ -721,19 +607,18 @@ impl Source<'_> {
 fn drive<B: Backend>(
     b: &mut B,
     wl: &WorkloadDescriptor,
-    mut source: Source<'_>,
+    tuner: &mut RegionTuner,
     strategy: &str,
-    objective: Objective,
     res: Option<ResilienceOptions>,
     self_profile: bool,
 ) -> Result<AppRunReport, RunError> {
-    let mut acc = Accum::new(b, wl, strategy, objective, self_profile);
+    let mut acc = Accum::new(b, wl, strategy, tuner.objective(), self_profile);
     let mut meter = Meter::new(res);
-    let mut tuner_slots = vec![None; wl.step.len()];
+    let mut slots = vec![None; wl.step.len()];
     for _ts in 0..wl.timesteps {
         for (pos, region) in wl.step.iter().enumerate() {
-            let tuner_slot = &mut tuner_slots[pos];
-            let decision = acc.timed(Phase::Tune, || source.begin(tuner_slot, &region.name));
+            let slot = *slots[pos].get_or_insert_with(|| tuner.resolve(&region.name));
+            let decision = acc.timed(Phase::Tune, || tuner.begin_at(slot));
             let cfg = decision.config;
             // The change cost fires whenever the global ICVs must move —
             // with per-region configurations that is typically on every
@@ -802,28 +687,19 @@ fn drive<B: Backend>(
             // The tuner optimises what the instrumentation saw — the noisy
             // APEX timer and the differenced package meter — scored by its
             // objective. Its search events precede the region's end.
-            if let (Source::Tuner(tuner), Some(slot)) = (&mut source, *tuner_slot) {
-                acc.timed(Phase::Tune, || tuner.end_at(slot, meas.time_s, meas.energy_j));
-            }
+            acc.timed(Phase::Tune, || tuner.end_at(slot, meas.time_s, meas.energy_j));
             let energy_total_j = acc.timed(Phase::Meter, || meter.read(b))?;
             acc.region(b, pos, cfg, &meas, change_s, instr_s, energy_total_j);
-            match &mut source {
-                Source::Fixed { adaptive: Some(ad), .. } => {
-                    ad.observe(&region.name, &meas.features, acc.sink.as_ref(), acc.time_s);
-                }
-                // Error budget exhausted: freeze every region to its
-                // best-known configuration and ride the run out (final rung
-                // of the degradation ladder — the run completes `Degraded`
-                // rather than erroring).
-                Source::Tuner(tuner) if meter.degraded && !tuner.degraded() => tuner.freeze_all(),
-                _ => {}
+            tuner.observe_at(slot, &meas.features, acc.time_s);
+            // Error budget exhausted: freeze every region to its best-known
+            // configuration and ride the run out (final rung of the
+            // degradation ladder — the run completes `Degraded` rather
+            // than erroring).
+            if meter.degraded && !tuner.degraded() {
+                tuner.freeze_all();
             }
         }
     }
-    let tuner = match &source {
-        Source::Tuner(tuner) => Some(&**tuner),
-        Source::Fixed { .. } => None,
-    };
     acc.finish(b, tuner, &mut meter)
 }
 
@@ -850,7 +726,7 @@ struct DriverMetrics {
 #[derive(Clone, Copy)]
 enum Phase {
     /// Choosing the configuration: the tuner's `begin` decisions and
-    /// `end_measured` scoring; on fixed runs the (trivial) map lookup.
+    /// `end_measured` scoring; on fixed runs the pinned lookup.
     Tune,
     /// The backend's region execution ([`Backend::run_region`]).
     Measure,
@@ -1044,7 +920,7 @@ impl Accum {
     fn finish<B: Backend>(
         self,
         b: &mut B,
-        tuner: Option<&RegionTuner>,
+        tuner: &RegionTuner,
         meter: &mut Meter,
     ) -> Result<AppRunReport, RunError> {
         let energy_j = meter.read(b)?;
@@ -1072,8 +948,8 @@ impl Accum {
                 }
             }
         }
-        let tuner_stats = tuner.map(|t| t.stats());
-        let degraded = meter.degraded || tuner.is_some_and(|t| t.degraded());
+        let tuner_stats = tuner.run_stats();
+        let degraded = meter.degraded || tuner.degraded();
         let faults = FaultRecovery {
             meter_retries: meter.retries,
             hard_faults: meter.hard_faults,

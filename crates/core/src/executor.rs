@@ -689,6 +689,16 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_timestep_workload_trains_to_an_empty_history() {
+        let mut wl = small_bt();
+        wl.timesteps = 0;
+        let mut exec = SimExecutor::new(Machine::crill(), 85.0);
+        let options = TunerOptions::offline_train(ConfigSpace::crill());
+        let h = Runner::new(&mut exec).workload(&wl).train(options, "bt.empty").unwrap();
+        assert_eq!((h.len(), h.context.as_str()), (0, "bt.empty"));
+    }
+
+    #[test]
     fn slots_follow_region_names_not_addresses() {
         // Swapping two regions in place puts another region at an
         // address the executor has already resolved: it must be priced,

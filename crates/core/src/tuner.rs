@@ -1,4 +1,5 @@
-//! The per-region tuning brain.
+//! The per-region tuning brain — and the one selector every run goes
+//! through.
 //!
 //! [`RegionTuner`] is backend-agnostic: both the live runtime adapter and
 //! the simulator executor drive it through the same two calls —
@@ -21,18 +22,42 @@
 //! `Energy`/`EnergyDelay` optimise the same search machinery toward
 //! joules or the energy-delay product.
 //!
-//! The *selective tuning* extension from the paper's future work ("enable
-//! selective tuning for OpenMP regions to avoid overheads on the smaller
-//! regions") is implemented as [`TunerOptions::min_region_time_s`]:
-//! regions whose observed mean duration falls below the threshold are
-//! pinned to the default configuration and excluded from tuning (and from
-//! the per-invocation configuration-change overhead).
+//! ## Untuned regions
+//!
+//! A region can be *pinned and untuned*: it runs one configuration, is
+//! not instrumented and never pays the configuration-change cost against
+//! the global ICVs. Two things put a region there:
+//!
+//! * the *selective tuning* extension from the paper's future work
+//!   ("enable selective tuning for OpenMP regions to avoid overheads on
+//!   the smaller regions"), [`TunerOptions::min_region_time_s`]: regions
+//!   whose observed mean duration falls below the threshold are pinned to
+//!   the default configuration mid-run;
+//! * a fixed run ([`Runner::fixed`](crate::backend::Runner::fixed), the
+//!   default run, [`Runner::adaptive`](crate::backend::Runner::adaptive)):
+//!   its selector is a tuner whose every region starts pinned to the
+//!   run's map, so the driver has one selector loop for every flavour.
+//!
+//! ## The portfolio ladder
+//!
+//! An adaptive run's regions also carry the ladder (§3.15): per region,
+//! an EWMA (α = 0.5) of the invocation's imbalance signal
+//! `barrier / (busy + barrier)`; once it stays above 0.15 for 3
+//! consecutive invocations, the region escalates one rung — configured
+//! schedule → trapezoid → factoring → awf, the configured chunk kept as
+//! the minimum — from its next invocation, with a fresh EWMA. The ladder
+//! never descends. A rung move is a knob change against the region's
+//! own last schedule, and each escalation is recorded as a
+//! [`TraceEvent::PolicySwitched`]. Every decision is a pure function of
+//! the imbalance stream, so adaptive runs are byte-reproducible.
 
+use crate::backend::RegionFeatures;
 use crate::config::{ConfigSpace, OmpConfig, TunedConfig};
 use crate::resilience::{median_and_mad, median_in_place, ResilienceOptions};
 use arcs_harmony::{History, NmOptions, ProOptions, Session, StrategyKind};
 use arcs_metrics::MetricsRegistry;
-use arcs_powersim::FxBuildHasher;
+use arcs_omprt::{Schedule, ScheduleKind};
+use arcs_powersim::{FxBuildHasher, Machine};
 use arcs_trace::{Objective, SearchCandidate, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -42,6 +67,14 @@ use std::sync::Arc;
 /// below this the median/MAD are too unstable to call anything an
 /// outlier, so the warmup measurements are always accepted.
 const MIN_WINDOW_FOR_REJECTION: usize = 5;
+
+/// The portfolio ladder's rule: smoothing of the imbalance EWMA, the
+/// level (≥ 15 % of thread time waiting at the barrier) above which an
+/// invocation counts against patience, and the consecutive
+/// over-threshold invocations that escalate a region one rung.
+const LADDER_ALPHA: f64 = 0.5;
+const LADDER_THRESHOLD: f64 = 0.15;
+const LADDER_PATIENCE: u32 = 3;
 
 /// How a tuner chooses configurations.
 #[derive(Debug, Clone)]
@@ -164,6 +197,8 @@ struct RegionState {
     /// Rejections since the last session restart — the ladder's trigger
     /// for restarting and eventually freezing.
     rejections_since_restart: u32,
+    /// The region's place on the portfolio ladder (adaptive runs only).
+    ladder: Option<Ladder>,
 }
 
 impl RegionState {
@@ -181,7 +216,61 @@ impl RegionState {
             pending_scores: Vec::new(),
             last_rejected: None,
             rejections_since_restart: 0,
+            ladder: None,
         }
+    }
+}
+
+/// A pinned region's portfolio-ladder state. Its observation count is
+/// the region's `invocations`: the driver reports every invocation
+/// ([`RegionTuner::end_at`]) before the ladder observes it.
+#[derive(Default)]
+struct Ladder {
+    ewma: Option<f64>,
+    /// Consecutive invocations with the EWMA above threshold.
+    over: u32,
+    /// 0 is the configured schedule, `k` the `k`-th self-scheduling kind.
+    arm: usize,
+    /// The schedule the region last ran with — what a rung move is a
+    /// knob change against.
+    applied: Option<Schedule>,
+}
+
+impl Ladder {
+    /// The schedule arm `arm` maps to for a region configured with `base`:
+    /// `base` itself, or the `arm`-th self-scheduling kind with `base`'s
+    /// chunk as its minimum chunk.
+    fn rung(base: Schedule, arm: usize) -> Schedule {
+        match arm {
+            0 => base,
+            arm => Schedule::new(ScheduleKind::SELF_SCHEDULING[arm - 1], base.chunk),
+        }
+    }
+
+    /// Move `schedule` (the configured one) to the current rung. True when
+    /// that differs from what the region last ran with.
+    fn apply(&mut self, schedule: &mut Schedule) -> bool {
+        *schedule = Self::rung(*schedule, self.arm);
+        self.applied.replace(*schedule).is_some_and(|prev| prev != *schedule)
+    }
+
+    /// Feed one invocation's imbalance. On escalation the EWMA restarts,
+    /// so residual imbalance measured under the old rung cannot trip an
+    /// immediate second move; returns the EWMA that tripped it.
+    fn observe(&mut self, imbalance: f64) -> Option<f64> {
+        let ewma = match self.ewma {
+            None => imbalance,
+            Some(prev) => LADDER_ALPHA * imbalance + (1.0 - LADDER_ALPHA) * prev,
+        };
+        self.ewma = Some(ewma);
+        self.over = if ewma > LADDER_THRESHOLD { self.over + 1 } else { 0 };
+        if self.over < LADDER_PATIENCE || self.arm == ScheduleKind::SELF_SCHEDULING.len() {
+            return None;
+        }
+        self.arm += 1;
+        self.over = 0;
+        self.ewma = None;
+        Some(ewma)
     }
 }
 
@@ -250,6 +339,8 @@ pub struct RegionTuner {
     /// Set by [`RegionTuner::freeze_all`] when the run's error budget
     /// was exhausted.
     degraded: bool,
+    /// Built by [`RegionTuner::fixed`]: every region pinned and untuned.
+    fixed: bool,
 }
 
 impl RegionTuner {
@@ -267,7 +358,35 @@ impl RegionTuner {
             metrics: None,
             resilience: ResilienceOptions::default(),
             degraded: false,
+            fixed: false,
         }
+    }
+
+    /// The selector of a fixed run: each distinct name in `regions` pinned
+    /// to `config_for(name)` — called once per name — and untuned, the
+    /// state selective tuning leaves a skipped region in; with `ladder`,
+    /// each region also walks the portfolio ladder. The space and mode are
+    /// placeholders: no region searches or replays.
+    pub(crate) fn fixed<'n>(
+        machine: &Machine,
+        regions: impl IntoIterator<Item = &'n str>,
+        config_for: &dyn Fn(&str) -> OmpConfig,
+        ladder: bool,
+    ) -> Self {
+        let space = ConfigSpace::for_machine(machine);
+        let mut tuner = RegionTuner::new(TunerOptions::offline_replay(space, History::new("")));
+        tuner.fixed = true;
+        for name in regions {
+            if tuner.slots.contains_key(name) {
+                continue;
+            }
+            let mut state = RegionState::searching(name, None, Some(config_for(name).into()));
+            state.skipped = true;
+            state.ladder = ladder.then(Ladder::default);
+            tuner.slots.insert(name.to_owned(), tuner.regions.len());
+            tuner.regions.push(state);
+        }
+        tuner
     }
 
     /// Emit a [`TraceEvent::SearchIteration`] per search step. Only
@@ -278,24 +397,12 @@ impl RegionTuner {
         self.trace = Some(sink);
     }
 
-    /// Builder-style [`RegionTuner::set_trace`].
-    pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.set_trace(sink);
-        self
-    }
-
     /// Count search evaluations per strategy on `registry`
     /// (`harmony/evaluations/<strategy>`, cached replays included). Like
     /// [`RegionTuner::set_trace`], only sessions created after the call
     /// are counted — the run drivers attach before the first invocation.
     pub fn set_metrics(&mut self, registry: Arc<MetricsRegistry>) {
         self.metrics = Some(registry);
-    }
-
-    /// Builder-style [`RegionTuner::set_metrics`].
-    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.set_metrics(registry);
-        self
     }
 
     /// Enable the self-healing ladder (outlier rejection, re-measurement,
@@ -305,17 +412,14 @@ impl RegionTuner {
         self.resilience = options;
     }
 
-    /// Builder-style [`RegionTuner::set_resilience`].
-    pub fn with_resilience(mut self, options: ResilienceOptions) -> Self {
-        self.set_resilience(options);
-        self
-    }
-
     /// Freeze every region to its best-known configuration (graceful
     /// degradation: the measurement error budget is exhausted, so no
-    /// further search decisions can be trusted). Idempotent.
+    /// further search decisions can be trusted). Idempotent. A fixed run's
+    /// selector has nothing to freeze, so there it does nothing: no
+    /// `TunerDegraded`, no `core/degraded` — the run degrades through its
+    /// meter alone.
     pub fn freeze_all(&mut self) {
-        if self.degraded {
+        if self.degraded || self.fixed {
             return;
         }
         self.degraded = true;
@@ -337,6 +441,11 @@ impl RegionTuner {
 
     pub fn stats(&self) -> TunerStats {
         self.stats
+    }
+
+    /// What a run report shows as its `tuner`: nothing for a fixed run.
+    pub(crate) fn run_stats(&self) -> Option<TunerStats> {
+        (!self.fixed).then_some(self.stats)
     }
 
     pub fn space(&self) -> &ConfigSpace {
@@ -412,7 +521,7 @@ impl RegionTuner {
             self.stats.skipped_regions += 1;
         }
 
-        let config = if let Some(pinned) = state.pinned {
+        let mut config = if let Some(pinned) = state.pinned {
             pinned
         } else if let Some(settled) = state.settled {
             settled
@@ -429,9 +538,13 @@ impl RegionTuner {
         };
 
         let tuned = !state.skipped;
-        // Compare against the *global* runtime state, not this region's
-        // last configuration: the ICVs are process-wide.
-        let changed = tuned && self.last_applied != Some(config);
+        let changed = match &mut state.ladder {
+            // A rung move is a change against the region's own last run.
+            Some(ladder) => ladder.apply(&mut config.omp.schedule),
+            // Compare against the *global* runtime state, not this
+            // region's last configuration: the ICVs are process-wide.
+            None => tuned && self.last_applied != Some(config),
+        };
         if changed {
             self.stats.config_changes += 1;
         }
@@ -548,6 +661,34 @@ impl RegionTuner {
             }
         } else if let Some(session) = &mut state.session {
             session.report(score);
+        }
+    }
+
+    /// Feed the portfolio ladder (a no-op for regions off it) the
+    /// invocation's imbalance. An escalation applies from the region's next
+    /// invocation and is recorded as a `PolicySwitched` stamped `t_s`, the
+    /// post-region clock. Inlined: for every region off the ladder it is
+    /// one branch on the driver's per-invocation path.
+    #[inline]
+    pub(crate) fn observe_at(&mut self, slot: usize, features: &RegionFeatures, t_s: f64) {
+        let state = &mut self.regions[slot];
+        let (Some(ladder), Some(pinned)) = (&mut state.ladder, state.pinned) else { return };
+        let denom = features.busy_s + features.barrier_s;
+        let imbalance = if denom > 0.0 { features.barrier_s / denom } else { 0.0 };
+        let from = ladder.arm;
+        let Some(ewma) = ladder.observe(imbalance) else { return };
+        if let Some(sink) = &self.trace {
+            let policy = |arm| Ladder::rung(pinned.omp.schedule, arm).kind.name().to_string();
+            sink.record(
+                Some(t_s),
+                TraceEvent::PolicySwitched {
+                    region: state.name.clone(),
+                    from: policy(from),
+                    to: policy(ladder.arm),
+                    invocation: state.invocations,
+                    imbalance: ewma,
+                },
+            );
         }
     }
 
@@ -865,7 +1006,8 @@ mod tests {
         use std::sync::Arc;
 
         let sink = Arc::new(VecSink::new());
-        let mut tuner = RegionTuner::new(TunerOptions::online(space())).with_trace(sink.clone());
+        let mut tuner = RegionTuner::new(TunerOptions::online(space()));
+        tuner.set_trace(sink.clone());
         drive(&mut tuner, "r", 40);
         let records = sink.drain();
         assert!(!records.is_empty(), "search steps must reach the sink");
@@ -897,9 +1039,9 @@ mod tests {
 
         let registry = Arc::new(MetricsRegistry::new());
         let sink = Arc::new(VecSink::new());
-        let mut tuner = RegionTuner::new(TunerOptions::online(space()))
-            .with_trace(sink.clone())
-            .with_metrics(Arc::clone(&registry));
+        let mut tuner = RegionTuner::new(TunerOptions::online(space()));
+        tuner.set_trace(sink.clone());
+        tuner.set_metrics(Arc::clone(&registry));
         drive(&mut tuner, "r", 40);
         // Both channels fire once per strategy `tell` (cached replays
         // included), so the counter must equal the SearchIteration count.
@@ -915,6 +1057,104 @@ mod tests {
         drive(&mut tuner, "b", 10);
         assert_eq!(tuner.stats().regions, 2);
         assert!(!tuner.converged());
+    }
+}
+
+#[cfg(test)]
+mod ladder_tests {
+    use super::*;
+    use arcs_trace::VecSink;
+
+    const TOP: usize = ScheduleKind::SELF_SCHEDULING.len();
+
+    #[test]
+    fn ladder_escalates_after_patience() {
+        let mut ladder = Ladder::default();
+        for _ in 1..LADDER_PATIENCE {
+            assert!(ladder.observe(0.5).is_none(), "patience not yet exhausted");
+        }
+        let ewma = ladder.observe(0.5).expect("the third over-threshold invocation escalates");
+        assert!(ewma > LADDER_THRESHOLD);
+        assert_eq!(ladder.arm, 1);
+        // The EWMA restarted: the next rung needs a full streak again.
+        for _ in 1..LADDER_PATIENCE {
+            assert!(ladder.observe(0.9).is_none());
+        }
+        assert!(ladder.observe(0.9).is_some());
+        assert_eq!(ladder.arm, 2);
+        while ladder.arm < TOP {
+            ladder.observe(1.0);
+        }
+        // Top rung reached — no further escalation no matter the signal.
+        for _ in 0..10 {
+            assert!(ladder.observe(1.0).is_none());
+        }
+        assert_eq!(ladder.arm, TOP);
+    }
+
+    #[test]
+    fn balanced_observations_reset_patience() {
+        let mut ladder = Ladder::default();
+        // Alternating over/under never strings LADDER_PATIENCE
+        // over-threshold EWMAs together (α = 0.5 pulls the average back
+        // to the threshold or below every second invocation).
+        for _ in 0..8 {
+            assert!(ladder.observe(0.3).is_none());
+            assert!(ladder.observe(0.0).is_none());
+        }
+        assert_eq!(ladder.arm, 0);
+        // A persistently high signal still escalates.
+        for _ in 1..LADDER_PATIENCE {
+            ladder.observe(0.9);
+        }
+        assert!(ladder.observe(0.9).is_some());
+    }
+
+    /// Drive one invocation of `slot` with barrier share `imbalance`.
+    fn invoke(tuner: &mut RegionTuner, slot: usize, imbalance: f64) -> TunerDecision {
+        let d = tuner.begin_at(slot);
+        tuner.end_at(slot, 1.0, 1.0);
+        let features =
+            RegionFeatures { busy_s: 1.0 - imbalance, barrier_s: imbalance, ..Default::default() };
+        tuner.observe_at(slot, &features, 0.0);
+        d
+    }
+
+    #[test]
+    fn a_fixed_selector_pins_untuned_regions_and_ladders_them_independently() {
+        let m = Machine::crill();
+        let base = OmpConfig { threads: 32, schedule: Schedule::static_block() };
+        let sink = Arc::new(VecSink::new());
+        let mut tuner = RegionTuner::fixed(&m, ["hot", "cold", "hot"], &|_| base, true);
+        tuner.set_trace(sink.clone());
+        let (hot, cold) = (tuner.resolve("hot"), tuner.resolve("cold"));
+        for _ in 0..LADDER_PATIENCE {
+            let d = invoke(&mut tuner, hot, 0.8);
+            assert_eq!((d.config.omp, d.changed, d.tuned), (base, false, false));
+            assert_eq!(invoke(&mut tuner, cold, 0.0).config.omp, base);
+        }
+        // The escalation applies from the next invocation, as a change.
+        let d = invoke(&mut tuner, hot, 0.0);
+        assert!(d.changed && !d.tuned);
+        assert_eq!(d.config.omp.schedule.kind, ScheduleKind::SELF_SCHEDULING[0]);
+        assert!(!invoke(&mut tuner, hot, 0.0).changed, "the rung did not move again");
+        assert_eq!(invoke(&mut tuner, cold, 0.0).config.omp, base);
+        let switched: Vec<_> = sink
+            .drain()
+            .into_iter()
+            .map(|r| match r.event {
+                TraceEvent::PolicySwitched { region, from, to, invocation, .. } => {
+                    (region, from, to, invocation)
+                }
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        let to = ScheduleKind::SELF_SCHEDULING[0].name().to_string();
+        assert_eq!(switched, vec![("hot".into(), "static".into(), to, 3)]);
+        // Nothing searches, so nothing freezes and no stats are reported.
+        tuner.freeze_all();
+        assert!(!tuner.degraded());
+        assert_eq!(tuner.run_stats(), None);
     }
 }
 
@@ -939,9 +1179,9 @@ mod resilience_tests {
         let sink = Arc::new(VecSink::new());
         // Exhaustive mode keeps the session awaiting for every
         // invocation, so the spike is guaranteed to hit a live search.
-        let mut tuner = RegionTuner::new(TunerOptions::offline_train(space()))
-            .with_resilience(ResilienceOptions::standard())
-            .with_trace(sink.clone());
+        let mut tuner = RegionTuner::new(TunerOptions::offline_train(space()));
+        tuner.set_resilience(ResilienceOptions::standard());
+        tuner.set_trace(sink.clone());
         // Warm the accepted window with consistent scores, inject one
         // 10× timer spike, then return to clean measurements.
         let mut spiked_config = None;
@@ -978,7 +1218,8 @@ mod resilience_tests {
         // same score: the first measurement is rejected, the identical
         // re-measurement is accepted (consistent means real).
         let res = ResilienceOptions { mad_threshold: 3.0, ..ResilienceOptions::standard() };
-        let mut tuner = RegionTuner::new(TunerOptions::online(space())).with_resilience(res);
+        let mut tuner = RegionTuner::new(TunerOptions::online(space()));
+        tuner.set_resilience(res);
         for _ in 0..60 {
             let d = tuner.begin("r");
             let v = if d.config.omp.threads == 1 { 12.0 } else { measure(&d.config.omp) };
@@ -994,7 +1235,8 @@ mod resilience_tests {
     fn median_of_k_reports_once_per_k_measurements() {
         let res =
             ResilienceOptions { measure_k: 3, mad_threshold: 0.0, ..ResilienceOptions::default() };
-        let mut tuner = RegionTuner::new(TunerOptions::online(space())).with_resilience(res);
+        let mut tuner = RegionTuner::new(TunerOptions::online(space()));
+        tuner.set_resilience(res);
         let mut points = Vec::new();
         for _ in 0..9 {
             let d = tuner.begin("r");
@@ -1017,9 +1259,9 @@ mod resilience_tests {
             ..ResilienceOptions::standard()
         };
         let sink = Arc::new(VecSink::new());
-        let mut tuner = RegionTuner::new(TunerOptions::offline_train(space()))
-            .with_resilience(res)
-            .with_trace(sink.clone());
+        let mut tuner = RegionTuner::new(TunerOptions::offline_train(space()));
+        tuner.set_resilience(res);
+        tuner.set_trace(sink.clone());
         // Warm the window with consistent scores, then feed garbage that
         // never reproduces (a fresh random-looking value each time).
         for _ in 0..8 {
@@ -1047,9 +1289,9 @@ mod resilience_tests {
     #[test]
     fn freeze_all_pins_every_region_and_marks_degraded() {
         let sink = Arc::new(VecSink::new());
-        let mut tuner = RegionTuner::new(TunerOptions::online(space()))
-            .with_resilience(ResilienceOptions::standard())
-            .with_trace(sink.clone());
+        let mut tuner = RegionTuner::new(TunerOptions::online(space()));
+        tuner.set_resilience(ResilienceOptions::standard());
+        tuner.set_trace(sink.clone());
         for _ in 0..10 {
             for r in ["a", "b"] {
                 let d = tuner.begin(r);

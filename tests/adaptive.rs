@@ -3,15 +3,16 @@
 //! observe the default static partition's imbalance, escalate to a
 //! self-scheduling policy mid-run with the full §III-C paper trail
 //! (`ConfigSwitch` + overhead + `PolicySwitched`), decide exactly what an
-//! independent ladder replaying the run's imbalances decides, and land
-//! within reach of the best fixed policy — all byte-reproducibly.
+//! independent replay of the ladder's rule over the run's imbalances
+//! decides, and land within reach of the best fixed policy — all
+//! byte-reproducibly.
 
 use arcs::{OmpConfig, Runner, SimExecutor};
-use arcs_apex::AdaptiveLadder;
 use arcs_kernels::{model, Class};
 use arcs_omprt::{Schedule, ScheduleKind};
 use arcs_powersim::Machine;
 use arcs_trace::{to_jsonl, TraceEvent, VecSink};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 fn mc() -> arcs_powersim::WorkloadDescriptor {
@@ -78,21 +79,35 @@ fn adaptive_schedule_escalates_and_beats_the_default() {
     assert!(count("OverheadCharged") >= switches.len());
     assert!(adaptive.config_change_overhead_s > 0.0);
 
-    // An independent replay: a fresh ladder fed each `RegionEnd`'s
-    // barrier share, in trace order, takes exactly the recorded decisions.
-    // Arm 0 is the configured (static) policy, arm k the k-th
-    // self-scheduling family.
-    let mut ladder = AdaptiveLadder::new(1 + ScheduleKind::SELF_SCHEDULING.len());
+    // An independent replay of the ladder's rule, fed each `RegionEnd`'s
+    // barrier share in trace order, takes exactly the recorded decisions:
+    // per region, an EWMA (α = 0.5) above 0.15 on 3 consecutive
+    // invocations climbs one rung — arm 0 the configured (static) policy,
+    // arm k the k-th self-scheduling family — with a fresh EWMA after each
+    // climb and none past the top.
     let policy = |arm: usize| match arm {
         0 => "static".to_string(),
         k => ScheduleKind::SELF_SCHEDULING[k - 1].name().to_string(),
     };
+    let mut ladder: HashMap<&str, (Option<f64>, u32, usize, u64)> = HashMap::new();
     let mut replayed = Vec::new();
     for r in &records {
         if let TraceEvent::RegionEnd { region, busy_s, barrier_s, .. } = &r.event {
-            if let Some(sw) = ladder.observe(region, barrier_s / (busy_s + barrier_s)) {
-                let (from, to) = (policy(sw.from), policy(sw.to));
-                replayed.push((region.clone(), from, to, sw.invocation, sw.imbalance.to_bits()));
+            let (ewma, over, arm, seen) = ladder.entry(region).or_default();
+            let imbalance = barrier_s / (busy_s + barrier_s);
+            let level = ewma.map_or(imbalance, |prev| 0.5 * imbalance + 0.5 * prev);
+            *seen += 1;
+            *ewma = Some(level);
+            *over = if level > 0.15 { *over + 1 } else { 0 };
+            if *over >= 3 && *arm < ScheduleKind::SELF_SCHEDULING.len() {
+                replayed.push((
+                    region.clone(),
+                    policy(*arm),
+                    policy(*arm + 1),
+                    *seen,
+                    level.to_bits(),
+                ));
+                (*ewma, *over, *arm) = (None, 0, *arm + 1);
             }
         }
     }

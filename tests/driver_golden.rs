@@ -40,6 +40,7 @@ use arcs::LiveExecutor;
 use arcs::TuningMode;
 use arcs_harmony::{History, ProOptions};
 use arcs_kernels::{model, Class};
+use arcs_metrics::MetricsRegistry;
 use arcs_omprt::{Runtime, Schedule};
 use arcs_powersim::{
     CapFault, ImbalanceProfile, MemoryProfile, RegionModel, StrideClass, WorkloadDescriptor,
@@ -233,6 +234,40 @@ fn outage_exhausts_the_budget_and_freezes() {
         .unwrap();
     assert!(rep.status == RunStatus::Degraded && rep.faults.frozen_regions > 0);
     pin("outage_budget_freeze", &drained(&sink), 0xa1f9_ccf9_b53b_c98f);
+}
+
+/// The same outage under the default strategy: there is no search to
+/// freeze, so the run ends `Degraded` through the meter alone — no
+/// `TunerDegraded`, no `core/degraded` and `tuner: null` — traced and
+/// untraced alike. Both pins were generated at `1185aac`, the last commit
+/// whose driver ran fixed runs without a `RegionTuner`.
+#[test]
+fn fixed_run_exhausts_the_budget_without_freezing() {
+    let res = ResilienceOptions { error_budget: Some(4), ..ResilienceOptions::standard() };
+    let run = |sink: Option<&Arc<VecSink>>| {
+        let registry = Arc::new(MetricsRegistry::new());
+        let mut exec = SimExecutor::new(Machine::crill(), 70.0).with_metrics(registry.clone());
+        let wl = sp(20);
+        let mut runner =
+            Runner::new(&mut exec).workload(&wl).faults(FaultPlan::rapl_outage(3)).resilience(res);
+        if let Some(sink) = sink {
+            runner = runner.trace(sink.clone());
+        }
+        let rep = runner.run().unwrap();
+        assert!(rep.status == RunStatus::Degraded && rep.tuner.is_none(), "{rep:?}");
+        assert!(registry.snapshot().get("core/degraded").is_none(), "nothing was frozen");
+        (rep, exec)
+    };
+    let sink = Arc::new(VecSink::new());
+    run(Some(&sink));
+    pin("fixed_outage_budget", &drained(&sink), 0x20c4_90b4_c217_f1cb);
+    let (rep, exec) = run(None);
+    pin_untraced(
+        "untraced_fixed_outage_budget",
+        &[&rep],
+        &[exec.shared_cache()],
+        0x71f0_d928_b924_530f,
+    );
 }
 
 /// A broker-style reallocation in the middle of a tuned run: the handle
