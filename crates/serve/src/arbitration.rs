@@ -27,6 +27,11 @@ use std::collections::BTreeMap;
 /// simulator's per-cap memo-cache key space.
 pub const ALLOC_QUANTUM_W: f64 = 0.25;
 
+/// The most timesteps one job may ask for: 33× the longest default
+/// workload (lulesh, 300). Without a bound one `submit` could admit a
+/// job so long that draining the broker never ends.
+pub const MAX_JOB_TIMESTEPS: usize = 10_000;
+
 /// Tolerance for budget comparisons (float sums of quantized watts).
 pub(crate) const EPS_W: f64 = 1e-6;
 
@@ -41,8 +46,9 @@ pub fn effective_floor(requested_w: f64, node: &FleetNode) -> Option<f64> {
 /// effective floor over the nodes that could host the job at all (the
 /// bare request when none can) — what `JobSubmitted` records either way.
 /// The verdict refuses only what could never run, most specific reason
-/// first: no fleet, unknown workload, a floor above every node's
-/// maximum, a floor above the whole budget.
+/// first: no fleet, unknown workload, more than [`MAX_JOB_TIMESTEPS`]
+/// timesteps, a floor above every node's maximum, a floor above the
+/// whole budget.
 pub fn admit(spec: &JobSpec, fleet: &Fleet, budget_w: f64) -> (f64, Result<(), String>) {
     let requested_w = spec.requested_floor_w();
     let min_floor =
@@ -52,6 +58,8 @@ pub fn admit(spec: &JobSpec, fleet: &Fleet, budget_w: f64) -> (f64, Result<(), S
         Err("the fleet has no nodes".to_string())
     } else if model::by_spec(&spec.workload).is_none() {
         Err(format!("unknown workload {:?}", spec.workload))
+    } else if spec.timesteps > MAX_JOB_TIMESTEPS {
+        Err(format!("{} timesteps exceed the per-job limit of {MAX_JOB_TIMESTEPS}", spec.timesteps))
     } else if min_floor.is_none() {
         Err("floor cap exceeds every node's capacity".to_string())
     } else if floor_w > budget_w + EPS_W {
@@ -214,15 +222,22 @@ mod tests {
         assert!(reason(&unknown, &crill(2), 400.0).contains("unknown workload \"nope.S\""));
         assert!(reason(&job(Some(500.0)), &crill(2), 400.0).contains("every node"));
         assert!(reason(&job(Some(200.0)), &crill(2), 150.0).contains("global budget"));
+        let too_long = job(None).timesteps(MAX_JOB_TIMESTEPS + 1);
+        assert!(reason(&too_long, &crill(2), 400.0).contains("exceed the per-job limit of 10000"));
+        assert_eq!(admit(&job(None).timesteps(MAX_JOB_TIMESTEPS), &crill(2), 400.0).1, Ok(()));
         // A refused job still reports the floor admission reasoned about:
         // the bare request when no node could host it.
         assert_eq!(admit(&job(Some(500.0)), &crill(2), 400.0).0, 500.0);
         assert_eq!(admit(&job(Some(200.0)), &crill(2), 150.0).0, 200.0);
 
         // Priority when two apply: empty fleet over unknown workload,
-        // unknown workload over either floor reason, every-node over
-        // budget.
+        // unknown workload over length, length over either floor reason,
+        // every-node over budget.
         assert!(reason(&unknown, &Fleet::new(), 400.0).contains("no nodes"));
+        let unknown_and_long = unknown.clone().timesteps(1_000_000_000_000);
+        assert!(reason(&unknown_and_long, &crill(2), 400.0).contains("unknown workload"));
+        let long_and_huge = job(Some(9_000.0)).timesteps(MAX_JOB_TIMESTEPS + 1);
+        assert!(reason(&long_and_huge, &crill(2), 400.0).contains("per-job limit"));
         let unknown_and_huge = JobSpec { floor_w: Some(9_000.0), ..unknown };
         assert!(reason(&unknown_and_huge, &crill(2), 400.0).contains("unknown workload"));
         assert!(reason(&job(Some(500.0)), &crill(2), 100.0).contains("every node"));

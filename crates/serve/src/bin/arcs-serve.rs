@@ -19,9 +19,10 @@
 //! `--journal` write-ahead-logs every submission and step; after a
 //! crash, `--recover <journal>` rebuilds the exact broker by replaying
 //! it (fleet shape, budget, and fault plan come from the journal header,
-//! so the fleet flags are ignored in that mode). `--node-faults` injects
-//! a deterministic node-outage schedule: a preset name (`node-crash`,
-//! `node-flap`, `node-drain`, optionally `:SEED`) or a full JSON plan.
+//! so the fleet flags are ignored in that mode); the new journal must be
+//! another file. `--node-faults` injects a deterministic node-outage
+//! schedule: a preset name (`node-crash`, `node-flap`, `node-drain`,
+//! optionally `:SEED`) or a full JSON plan.
 
 use arcs::cli::Flags;
 use arcs_powersim::{Fleet, Machine};
@@ -39,6 +40,14 @@ fn usage() -> ! {
          \x20                 [--node-faults PRESET[:SEED]|JSON]"
     );
     std::process::exit(2)
+}
+
+/// Whether two paths name one existing file.
+fn same_file(a: &str, b: &str) -> bool {
+    match (std::fs::canonicalize(a), std::fs::canonicalize(b)) {
+        (Ok(a), Ok(b)) => a == b,
+        _ => false,
+    }
 }
 
 fn main() {
@@ -70,6 +79,14 @@ fn main() {
             "--node-faults" => node_faults = Some(flags.value("--node-faults")),
             "--help" | "-h" => usage(),
             other => flags.unknown(other),
+        }
+    }
+    // Opening the new journal truncates it, so naming the journal being
+    // recovered would destroy it before recovery reads a byte.
+    if let (Some(journal), Some(recover)) = (&journal, &recover) {
+        if same_file(journal, recover) {
+            eprintln!("--journal and --recover name the same file {journal:?}");
+            usage()
         }
     }
     // Kept concrete (not just `dyn TraceSink`) so the write-error

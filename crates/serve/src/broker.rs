@@ -11,18 +11,23 @@
 //!
 //! The broker is a discrete-event simulator over *virtual* time
 //! (integer microseconds, so event ordering is exact). One job runs per
-//! node; a job executes as a sequence of *quanta* — successive
-//! [`Runner`] runs over the same persistent executor and tuner, so the
-//! tuner's search state, the fault clock and the memo cache all carry
-//! across quanta exactly as they would across the phases of one long
-//! run. Between quanta the broker may move the job's power allocation;
-//! the move travels through the job's [`CapHandle`] and lands at the
-//! next region boundary as an ordinary mid-run `CapChange` — the same
-//! path a scheduled cap fault takes. The tuner holds no cap: the move
-//! reprices the next invocation (the cap is part of the memo key), a
-//! settled region keeps its configuration, and a region still searching
-//! sees the step as one more measurement, which MAD rejection may throw
-//! out as noise.
+//! node; a job executes as a sequence of *quanta*, each simulated whole
+//! when it starts and applied when its completion event fires. Between
+//! quanta the broker may move the job's power allocation; the move
+//! travels through the job's [`CapHandle`] and lands at the next region
+//! boundary as an ordinary mid-run `CapChange`. The tuner holds no cap:
+//! the move reprices the next invocation, a settled region keeps its
+//! configuration, and a region still searching sees one more
+//! measurement.
+//!
+//! Quanta go through the broker's quantum memo (`quantum.rs`): a job
+//! whose path retraces an earlier job's (same model, workload, fault
+//! seed, starting length and cap per quantum) recalls its outcomes, and
+//! builds a persistent executor and tuner only at its first miss, by
+//! replaying its path. From then on its quanta are successive runs over
+//! that pair, so the tuner's search state, the fault clock and the memo
+//! cache carry across quanta as across the phases of one long run.
+//! Outcomes are exact either way.
 //!
 //! # Power hierarchy
 //!
@@ -35,8 +40,10 @@
 //! # Admission, fairness, conservation
 //!
 //! * **Admission**: a job is rejected at submission if no budget or node
-//!   could *ever* cover its floor cap. Anything admissible waits its
-//!   turn (FIFO) for a free node plus budget headroom.
+//!   could *ever* cover its floor cap, or if it asks for more than
+//!   [`MAX_JOB_TIMESTEPS`](crate::arbitration::MAX_JOB_TIMESTEPS). Anything
+//!   admissible waits its turn (FIFO) for a free node plus budget
+//!   headroom.
 //! * **Fairness**: every running job is pinned at least its floor; the
 //!   surplus is water-filled proportionally to tenant weight (a
 //!   tenant's weight is split evenly across its running jobs), capped
@@ -65,14 +72,11 @@
 use crate::arbitration::{self, EPS_W};
 use crate::job::{JobSpec, JobState};
 use crate::journal::BrokerJournal;
+use crate::quantum::{JobPath, QuantumMemo, QuantumResult};
 use crate::recovery;
-use arcs::backend::Runner;
-use arcs::{
-    CapHandle, ConfigSpace, RegionTuner, ResilienceOptions, RunStatus, SimExecutor, TunerOptions,
-};
-use arcs_kernels::model;
+use arcs::{CapHandle, ResilienceOptions, RunStatus};
 use arcs_metrics::{BrokerFold, MetricsRegistry, TelemetrySnapshot};
-use arcs_powersim::{FaultPlan, Fleet, NodeFaultClass, NodeFaultPlan, WorkloadDescriptor};
+use arcs_powersim::{Fleet, NodeFaultClass, NodeFaultPlan};
 use arcs_trace::{JobAllocation, TraceEvent, TraceSink};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::mpsc::Sender;
@@ -146,15 +150,6 @@ enum Ev {
     NodeFail { class: NodeFaultClass, down_us: Option<u64> },
 }
 
-/// Results of a quantum simulated at start time, applied when its
-/// completion event fires.
-struct QuantumResult {
-    steps: usize,
-    time_s: f64,
-    energy_j: f64,
-    degraded: bool,
-}
-
 struct RunningJob {
     progress: Progress,
     node: u64,
@@ -166,10 +161,8 @@ struct RunningJob {
     /// Node hardware maximum, cached from the fleet.
     max_w: f64,
     handle: CapHandle,
-    exec: SimExecutor,
-    tuner: RegionTuner,
-    wl: WorkloadDescriptor,
-    resilience: Option<ResilienceOptions>,
+    /// The job's walk through the quantum memo.
+    path: JobPath,
     in_flight: Option<QuantumResult>,
     /// Virtual instant of the pending quantum event, so a crash can
     /// cancel it.
@@ -181,8 +174,8 @@ struct RunningJob {
 /// jobs *are* one of these; a running job embeds it, so placing and
 /// requeueing move it whole. A crash discards the in-flight quantum but
 /// keeps every *completed* quantum's timesteps, time and energy — the job
-/// resumes where its last boundary left it (with a fresh executor and
-/// tuner on the new node).
+/// resumes where its last boundary left it (as a new walk through the
+/// quantum memo on the new node).
 struct Progress {
     spec: JobSpec,
     remaining: usize,
@@ -266,6 +259,9 @@ pub struct Broker {
     /// fields above exist to arbitrate, not to report.
     fold: BrokerFold,
     watchers: Vec<Watcher>,
+    /// Every quantum any job ran, so a retracing job recalls instead of
+    /// simulating.
+    quanta: QuantumMemo,
 }
 
 impl Broker {
@@ -309,6 +305,7 @@ impl Broker {
             free_nodes,
             fold: BrokerFold::new(),
             watchers: Vec::new(),
+            quanta: QuantumMemo::new(),
         };
         // The budget is known from birth, not from the first
         // reallocation: the fold learns it the way a journal reader does.
@@ -778,47 +775,31 @@ impl Broker {
         }
     }
 
-    /// Bind a job to a node: build its persistent executor (shared
-    /// model cache, cap handle at the floor, optional fault plan) and
-    /// tuner. The final allocation lands in the `scheduled`
+    /// Bind a job to a node: root its walk through the quantum memo, cap
+    /// handle at the floor. The final allocation lands in the `scheduled`
     /// reallocation that follows.
     fn place(&mut self, job: u64, node_id: u64) {
         self.queue.pop_front();
         let mut progress = self.queued.remove(&job).expect("queued job has a spec");
         let spec = &progress.spec;
-        let node = self.fleet.node(node_id).expect("placing on a fleet node").clone();
-        let floor_w = arbitration::effective_floor(spec.requested_floor_w(), &node)
+        let node = self.fleet.node(node_id).expect("placing on a fleet node");
+        let floor_w = arbitration::effective_floor(spec.requested_floor_w(), node)
             .expect("pick_node chose a node that can host the job");
-        let mut wl = model::by_spec(&spec.workload).expect("admission resolved the workload");
-        if spec.timesteps > 0 {
-            wl.timesteps = spec.timesteps;
-        }
-
+        let max_w = node.max_cap_w();
         let handle = CapHandle::new(node.package_cap_w(floor_w));
-        let mut exec = SimExecutor::new(node.machine.clone(), node.package_cap_w(floor_w))
-            .with_shared_cache(Arc::clone(&node.cache))
-            .with_cap_handle(handle.clone());
-        let mut resilience = self.cfg.resilience;
-        if let Some(seed) = spec.fault_seed {
-            exec = exec.with_faults(FaultPlan::flaky_rapl(seed));
-            // A faulted job without a self-healing ladder would turn
-            // hard meter faults into run errors; force the standard one.
-            resilience = Some(resilience.unwrap_or_else(ResilienceOptions::standard));
-        }
-        let tuner = RegionTuner::new(TunerOptions::online(ConfigSpace::for_machine(&node.machine)));
+        // A requeued job resumes at its last completed quantum boundary;
+        // a fresh one starts from the workload's full length.
+        let banked = progress.requeued.then_some(progress.remaining);
+        let (path, remaining) = self.quanta.root(node, spec, banked);
 
         self.emit(TraceEvent::JobScheduled {
             job,
-            tenant: spec.tenant.clone(),
+            tenant: progress.spec.tenant.clone(),
             node: node_id,
             cap_w: floor_w,
         });
         self.free_nodes.remove(&node_id);
-        // A requeued job resumes at its last completed quantum boundary;
-        // a fresh one starts from the workload's full length.
-        if !progress.requeued {
-            progress.remaining = wl.timesteps;
-        }
+        progress.remaining = remaining;
         progress.attempts += 1;
         self.running.insert(
             job,
@@ -827,37 +808,25 @@ impl Broker {
                 node: node_id,
                 floor_w,
                 alloc_w: floor_w,
-                max_w: node.max_cap_w(),
+                max_w,
                 handle,
-                exec,
-                tuner,
-                wl,
-                resilience,
+                path,
                 in_flight: None,
                 event_at: None,
             },
         );
     }
 
-    /// Simulate one quantum for `job` now and schedule its completion
-    /// event at `now + quantum duration` (virtual time).
+    /// Run (or recall) one quantum for `job` now and schedule its
+    /// completion event at `now + quantum duration` (virtual time).
     fn start_quantum(&mut self, job: u64) {
         let quantum = self.cfg.quantum_timesteps.max(1);
         let rj = self.running.get_mut(&job).expect("quantum for a running job");
         let steps = rj.progress.remaining.min(quantum);
-        rj.wl.timesteps = steps;
-        let mut runner = Runner::new(&mut rj.exec).workload(&rj.wl).tuner(&mut rj.tuner);
-        if let Some(res) = rj.resilience {
-            runner = runner.resilience(res);
-        }
-        let report = runner.run().expect("a resilient simulated quantum cannot error");
-        let dur_us = (report.time_s * 1e6).round().max(1.0) as u64;
-        rj.in_flight = Some(QuantumResult {
-            steps,
-            time_s: report.time_s,
-            energy_j: report.energy_j,
-            degraded: report.status == RunStatus::Degraded,
-        });
+        let node = self.fleet.node(rj.node).expect("job node exists");
+        let q = self.quanta.next(&mut rj.path, node, &rj.handle, steps, self.cfg.resilience);
+        let dur_us = (q.time_s * 1e6).round().max(1.0) as u64;
+        rj.in_flight = Some(q);
         let at = self.now_us + dur_us;
         rj.event_at = Some(at);
         self.events.insert((at, EV_QUANTUM, job), Ev::Quantum);
@@ -943,6 +912,7 @@ impl Broker {
 mod tests {
     use super::*;
     use crate::journal::JournalError;
+    use crate::quantum::MemoCounters;
     use arcs_powersim::Machine;
     use arcs_trace::{TraceRecord, VecSink};
     use std::path::Path;
@@ -1412,5 +1382,71 @@ mod tests {
         assert!((squeezed_cap - squeezed / 2.0).abs() < 1e-9);
         broker.run_until_idle();
         conservation_holds(&sink.drain());
+    }
+
+    /// The stream behind `every_memo_path_fires_and_the_trace_keeps_its_bytes`,
+    /// one phase per memo path: a job crashed mid-run resumes from its
+    /// banked boundary (a new root); a repeat is recalled from its first
+    /// quantum; a repeat squeezed mid-job by a new arrival is recalled,
+    /// then misses and rebuilds by replay. Flaky-RAPL jobs then take the
+    /// last two steps under their fault plan. Returns the broker and the
+    /// memo's counters after the unfaulted half.
+    fn memo_stream(sink: Arc<VecSink>) -> (Broker, MemoCounters) {
+        let total = probe_runtime_s(6);
+        let fleet = Fleet::homogeneous(Machine::crill(), 2);
+        let mut cfg = BrokerConfig::new(400.0);
+        cfg.quantum_timesteps = 2;
+        cfg.node_faults = Some(NodeFaultPlan {
+            seed: 11,
+            start_s: total * 0.5,
+            mtbf_s: 1e-3,
+            mttr_s: total * 0.1,
+            max_faults_per_node: 1,
+            ..NodeFaultPlan::default()
+        });
+        let mut broker = Broker::new(fleet, cfg, sink);
+        let mut unfaulted = MemoCounters::default();
+        for faulted in [None, Some(3)] {
+            let job = || JobSpec { fault_seed: faulted, ..spec("acme").timesteps(6) };
+            for squeeze in [false, false, true] {
+                broker.submit(job());
+                if squeeze {
+                    broker.submit(spec("umbrella"));
+                }
+                broker.run_until_idle();
+            }
+            if faulted.is_none() {
+                unfaulted = broker.quanta.counters;
+            }
+        }
+        (broker, unfaulted)
+    }
+
+    /// Every path through the quantum memo fires, and the broker's trace
+    /// is byte for byte what it was before the memo, when every quantum
+    /// was simulated (hash generated at c55158e).
+    #[test]
+    fn every_memo_path_fires_and_the_trace_keeps_its_bytes() {
+        let sink = Arc::new(VecSink::new());
+        let (broker, unfaulted) = memo_stream(Arc::clone(&sink));
+        let all = broker.quanta.counters;
+        assert_eq!(broker.counters().requeued, 1, "the crash must requeue a job");
+        assert!(unfaulted.resumed > 0, "a requeued job roots its banked boundary");
+        for (half, recalled_first, replayed) in [
+            ("unfaulted", unfaulted.recalled_first, unfaulted.replayed),
+            (
+                "flaky-rapl",
+                all.recalled_first - unfaulted.recalled_first,
+                all.replayed - unfaulted.replayed,
+            ),
+        ] {
+            assert!(recalled_first > 0, "{half}: no first quantum recalled");
+            assert!(replayed > 0, "{half}: no recall followed by a rebuilding miss");
+        }
+        let text = arcs_trace::to_jsonl(&sink.drain()).unwrap();
+        let fnv1a = text
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
+        assert_eq!(fnv1a, 0x0941_712b_2970_017e, "the broker trace moved:\n{text}");
     }
 }

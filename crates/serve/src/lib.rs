@@ -17,6 +17,9 @@
 //! * [`broker`] — the deterministic core: job and node state, the
 //!   virtual-time event loop (quantum execution, node faults, requeues)
 //!   over an [`arcs_powersim::Fleet`], and every broker event's emission.
+//! * `quantum` — the broker's quantum memo: a job retracing an earlier
+//!   job's inputs and cap path recalls its quanta, and builds its
+//!   executor and tuner only at its first miss.
 //! * [`arbitration`] — the decisions the broker carries out, as pure
 //!   functions: admission control, FIFO placement, crash back-off and
 //!   the weighted-fair water-filling of the budget.
@@ -47,6 +50,7 @@ pub mod job;
 pub mod journal;
 pub mod pool;
 pub mod protocol;
+mod quantum;
 mod recovery;
 pub mod server;
 

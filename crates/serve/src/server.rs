@@ -532,6 +532,24 @@ mod tests {
         assert!(records.iter().any(|r| matches!(r.event, TraceEvent::JobRejected { .. })));
     }
 
+    /// A job too long to ever drain is refused typed at the door, so one
+    /// `submit` cannot wedge the server's shutdown.
+    #[test]
+    fn an_endless_job_is_rejected_over_tcp() {
+        let handle = test_server(Arc::new(VecSink::new()));
+        let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+        let endless = JobSpec::new("acme", "sp.S").timesteps(1_000_000_000_000);
+        let resp = client.roundtrip(&Request::submit(&endless)).unwrap();
+        assert!(resp.ok);
+        assert_eq!(resp.accepted, Some(false));
+        let reason = resp.reason.unwrap();
+        assert!(reason.contains("1000000000000 timesteps exceed the per-job limit"), "{reason}");
+        let status = client.roundtrip(&Request::status(resp.job.unwrap())).unwrap();
+        assert_eq!(status.state, Some(JobState::Rejected.to_string()));
+        assert!(client.roundtrip(&Request::op_only("shutdown")).unwrap().ok);
+        handle.shutdown();
+    }
+
     #[test]
     fn bad_lines_get_errors_not_hangups() {
         let handle = {

@@ -6,13 +6,15 @@
 //! `arcs-serve listening on …` line, so no test owns a port number and
 //! the cells run in parallel.
 
+use arcs_powersim::{Fleet, Machine};
 use arcs_serve::protocol::Response;
 use arcs_serve::server::Client;
-use arcs_serve::{JobSpec, Request};
-use arcs_trace::{to_jsonl, JobAllocation, TraceEvent, TraceSink, VecSink};
+use arcs_serve::{Broker, BrokerConfig, BrokerJournal, JobSpec, Request};
+use arcs_trace::{to_jsonl, JobAllocation, NullSink, TraceEvent, TraceSink, VecSink};
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, Output, Stdio};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A running `arcs-serve`. Dropping it kills the process, so a failing
@@ -266,4 +268,35 @@ fn a_killed_server_recovers_its_counters_from_the_journal() {
     server.wait();
     let lineage = std::fs::read_to_string(journal2).expect("the new journal");
     assert!(lineage.contains("CheckpointRecovered"), "{lineage}");
+}
+
+/// `--journal` truncates its file, so pointing it at the journal being
+/// recovered — under any spelling of the path — is a usage error that
+/// leaves the journal's bytes alone.
+#[test]
+fn recovering_into_the_journal_being_read_is_refused() {
+    let dir = scratch("same-journal");
+    let path = dir.join("broker.journal.jsonl");
+    let fleet = Fleet::homogeneous(Machine::crill(), 2);
+    let mut broker = Broker::new(fleet, BrokerConfig::new(300.0), Arc::new(NullSink));
+    broker.attach_journal(BrokerJournal::create(&path).expect("creating the journal"));
+    broker.submit(JobSpec::new("acme", "sp.S").timesteps(4));
+    broker.run_until_idle();
+    drop(broker);
+    let before = std::fs::read(&path).expect("the journal");
+    assert!(!before.is_empty());
+
+    let journal = path.to_str().expect("UTF-8 temp path");
+    let respelled = dir.join(".").join("broker.journal.jsonl");
+    let respelled = respelled.to_str().expect("UTF-8 temp path");
+    for (new, old) in [(journal, journal), (respelled, journal)] {
+        let out = Command::new(SERVE)
+            .args(["--port", "0", "--journal", new, "--recover", old])
+            .output()
+            .expect("spawning arcs-serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{new} / {old} — stderr:\n{stderr}");
+        assert!(stderr.contains("name the same file"), "{stderr}");
+        assert_eq!(std::fs::read(&path).expect("the journal"), before, "the journal was touched");
+    }
 }
