@@ -19,11 +19,15 @@
 //!    thread, on-demand chunks to the earliest-finishing thread (greedy
 //!    list scheduling — exactly what a work queue does); a chunk's weight
 //!    is a difference of the region's [`WeightTable`] prefix sums, which
-//!    depend on no configuration and are built once per region. Two
-//!    fixed-chunk paths skip the stream: uniform `static,c` adds one
+//!    depend on no configuration and are built once per region.
+//!    Fixed-chunk schedules skip the stream: uniform `static,c` adds one
 //!    running sum of the equal full-chunk cost (each thread's sum is a
-//!    prefix of it) plus the short trailing chunk to its owner, and
-//!    `dynamic,c` prices chunk `j` at `[j·c, (j+1)·c)` by index;
+//!    prefix of it) plus the short trailing chunk to its owner; weighted
+//!    `static,c` adds whole rounds of `c·threads` iterations lane by lane
+//!    from one prefix slice per round, then the ragged remainder from
+//!    thread 0; weighted `dynamic,c` prices each 256-chunk block's full
+//!    chunks from one prefix slice, and only a short last chunk by its
+//!    bounds;
 //! 4. per-chunk dispatch costs: bookkeeping for static, an atomic
 //!    grab (plus contention) for dynamic/guided;
 //! 5. the region ends at a tree barrier after the slowest thread; energy
@@ -59,11 +63,10 @@ pub struct SimReport {
     pub per_thread_wait_s: Vec<f64>,
     /// `Σ per_thread_busy_s`, cached at construction: the driver reads the
     /// totals on every invocation and a memoised report is read far more
-    /// often than it is built.
-    #[serde(default)]
+    /// often than it is built. Required when read back, like every field:
+    /// a defaulted total would read as zero busy time.
     pub busy_sum_s: f64,
     /// `Σ per_thread_wait_s`, cached at construction.
-    #[serde(default)]
     pub wait_sum_s: f64,
     pub chunks_dispatched: u64,
     pub threads: usize,
@@ -307,13 +310,14 @@ pub fn simulate_region_with_table(
     // lets 32 hyper-threads absorb part of the 102-iterations-on-32-threads
     // granularity imbalance on real hardware).
     if schedule.kind == ScheduleKind::Static {
-        let chunk_ns = |start: usize, end: usize| -> f64 {
-            machine.chunk_setup_ns
-                + weight_sum(start, end) * cycle_ns_per_weight
-                + (end - start) as f64 * stall_ns_per_iter
+        // A chunk of `len` iterations weighing `w`; `chunk_ns` prices one
+        // by its bounds.
+        let cost_ns = |w: f64, len: usize| -> f64 {
+            machine.chunk_setup_ns + w * cycle_ns_per_weight + len as f64 * stall_ns_per_iter
         };
-        match schedule.chunk {
-            None => {
+        let chunk_ns = |start: usize, end: usize| cost_ns(weight_sum(start, end), end - start);
+        match (schedule.chunk, prefix) {
+            (None, _) => {
                 // Block partition, one chunk per thread, the first `rem`
                 // threads one iteration longer (`static_chunks_for_thread`).
                 let (base, rem) = (n / threads, n % threads);
@@ -327,7 +331,7 @@ pub fn simulate_region_with_table(
                 }
                 chunks_dispatched = threads.min(n) as u64;
             }
-            Some(c) if prefix.is_none() => {
+            (Some(c), None) => {
                 // Uniform weights: every full chunk costs the same `x`, and
                 // thread t adds `x` once per full chunk it owns, so its sum
                 // is the k_t-th partial sum of one running sum — computed
@@ -349,18 +353,25 @@ pub fn simulate_region_with_table(
                 }
                 chunks_dispatched = n.div_ceil(c) as u64;
             }
-            Some(c) => {
+            (Some(c), Some(prefix)) => {
                 // Round-robin ownership: chunk `idx` belongs to thread
-                // `idx % threads`. One pass in chunk order still adds each
-                // thread's chunks in increasing order, so every per-thread
-                // sum is the one a thread-by-thread walk produces.
+                // `idx % threads`, so a round of `c·threads` iterations is
+                // one full chunk per thread, edged by one prefix slice, and
+                // is added lane by lane. Round by round, then the ragged
+                // remainder from thread 0, still adds each thread's chunks
+                // in increasing order with `cost_ns`'s expression, so every
+                // per-thread sum is the one a thread-by-thread walk makes.
                 let c = c.max(1);
-                let (mut start, mut t) = (0usize, 0usize);
-                while start < n {
-                    let end = (start + c).min(n);
-                    busy_ns[t] += chunk_ns(start, end);
-                    start = end;
-                    t = if t + 1 == threads { 0 } else { t + 1 };
+                let round = c.saturating_mul(threads);
+                let rounds = n / round;
+                for r in 0..rounds {
+                    let p = &prefix[r * round..=(r + 1) * round];
+                    for (t, work) in busy_ns.iter_mut().enumerate() {
+                        *work += cost_ns(p[(t + 1) * c] - p[t * c], c);
+                    }
+                }
+                for (work, start) in busy_ns.iter_mut().zip((rounds * round..n).step_by(c)) {
+                    *work += chunk_ns(start, (start + c).min(n));
                 }
                 chunks_dispatched = n.div_ceil(c) as u64;
             }
@@ -374,12 +385,13 @@ pub fn simulate_region_with_table(
         // solo-speed femtosecond clocks.
         let dispatch_ns =
             machine.dispatch_ns + machine.dispatch_contention_ns * (threads as f64).ln().max(0.0);
-        let chunk_fp = |start: usize, end: usize| -> u64 {
-            let cost = dispatch_ns
-                + weight_sum(start, end) * cycle_ns_per_weight
-                + (end - start) as f64 * stall_ns_per_iter;
+        // A chunk of `len` iterations weighing `w`, in femtoseconds;
+        // `chunk_fp` prices one by its bounds.
+        let cost_fp = |w: f64, len: usize| -> u64 {
+            let cost = dispatch_ns + w * cycle_ns_per_weight + len as f64 * stall_ns_per_iter;
             (cost * 1e6) as u64
         };
+        let chunk_fp = |start: usize, end: usize| cost_fp(weight_sum(start, end), end - start);
         if prefix.is_none() && schedule.kind == ScheduleKind::Dynamic && n > 0 {
             // `dynamic` on a uniform region: every chunk costs the same
             // but a cheaper trailing remainder, so with every pending
@@ -402,38 +414,52 @@ pub fn simulate_region_with_table(
             chunks_dispatched = nchunks as u64;
         } else {
             // `ring` holds the team sorted by `(clock, thread)`, starting
-            // at `head` and wrapping. Serving a chunk pops the front and
-            // re-inserts it scanning from the back; the freed front slot
+            // at `head` and wrapping; `back` is its last key. Serving a
+            // chunk pops the front and re-inserts it; the freed front slot
             // is, on a full ring, exactly the slot after the back. A chunk
             // rarely costs less than the spread of the clocks, so the
-            // thread just served is almost always the new last finisher
-            // and the scan stops at once; shrinking chunks (`guided`) pay
-            // at worst the O(threads) an argmin would. Thread ids make the
-            // keys unique, so the pop order is the `(clock, thread)`
-            // minimum — lowest thread index among tied clocks.
+            // thread just served is almost always the new last finisher,
+            // which takes that slot with no scan. Otherwise it is placed
+            // scanning from the back, and `back` stays the last key;
+            // shrinking chunks (`guided`) pay at worst the O(threads) an
+            // argmin would. Thread ids make the keys unique, so the pop
+            // order is the `(clock, thread)` minimum — lowest thread index
+            // among tied clocks.
             let ring = &mut scratch.ring;
             ring.clear();
             ring.extend((0..threads).map(|t| (0u64, t)));
-            let mut head = 0usize;
+            let (mut head, mut back) = (0usize, ring[threads - 1]);
             // Costs are priced a block at a time (no dependency between
             // chunks) and then assigned (integers only), so neither loop
             // waits on the other's latency chain and no per-chunk buffer
             // outlives the block.
             let mut costs = [0u64; 256];
             let mut stream = ChunkStream::new(n, threads, schedule);
-            // `dynamic` chunk j starts at j·c (`chunk_count`'s arithmetic),
-            // so its blocks are priced by index, not by walking the stream.
-            let fixed = (schedule.kind == ScheduleKind::Dynamic).then(|| schedule.min_chunk());
+            // Weighted `dynamic` chunk j is `[j·c, (j+1)·c)` (`chunk_count`'s
+            // arithmetic), so a block's full chunks are lanes over one
+            // prefix slice, not a walk of the stream.
+            let fixed = prefix
+                .filter(|_| schedule.kind == ScheduleKind::Dynamic)
+                .map(|prefix| (prefix, schedule.min_chunk()));
             let (mut start, mut nchunks) = (0usize, 0u64);
             loop {
                 let mut filled = 0usize;
                 match fixed {
-                    Some(c) => {
+                    Some((prefix, c)) => {
                         let first = nchunks as usize;
                         filled = (n.div_ceil(c) - first).min(costs.len());
-                        for (j, slot) in (first..).zip(&mut costs[..filled]) {
-                            let s = j * c;
-                            *slot = chunk_fp(s, (s + c).min(n));
+                        if filled == 0 {
+                            break;
+                        }
+                        // Chunks `first..first + full` are whole; a short
+                        // last chunk (`c ∤ n`) is priced by its bounds.
+                        let full = (n / c - first).min(filled);
+                        let p = &prefix[first * c..=(first + full) * c];
+                        for (j, slot) in costs[..full].iter_mut().enumerate() {
+                            *slot = cost_fp(p[(j + 1) * c] - p[j * c], c);
+                        }
+                        if full < filled {
+                            costs[full] = chunk_fp((first + full) * c, n);
                         }
                     }
                     None => {
@@ -444,17 +470,21 @@ pub fn simulate_region_with_table(
                         }
                     }
                 }
-                for &cost_fp in &costs[..filled] {
-                    let served = (ring[head].0 + cost_fp, ring[head].1);
+                for &fp in &costs[..filled] {
+                    let served = (ring[head].0 + fp, ring[head].1);
                     let mut pos = head;
                     head = if head + 1 == threads { 0 } else { head + 1 };
-                    while pos != head {
-                        let prev = if pos == 0 { threads - 1 } else { pos - 1 };
-                        if ring[prev] < served {
-                            break;
+                    if served < back {
+                        while pos != head {
+                            let prev = if pos == 0 { threads - 1 } else { pos - 1 };
+                            if ring[prev] < served {
+                                break;
+                            }
+                            ring[pos] = ring[prev];
+                            pos = prev;
                         }
-                        ring[pos] = ring[prev];
-                        pos = prev;
+                    } else {
+                        back = served;
                     }
                     ring[pos] = served;
                 }
@@ -788,6 +818,24 @@ mod tests {
         assert!(slow.barrier_total_s() > base.barrier_total_s());
         // No-op factors return the report unchanged.
         assert_eq!(base.with_straggler(&m, 1.0).time_s, base.time_s);
+    }
+
+    #[test]
+    fn report_totals_round_trip_and_are_required() {
+        let m = crill();
+        let r = region(1000, ImbalanceProfile::Random { cv: 0.3, seed: 1 });
+        let rep = simulate_region(&m, 85.0, &r, cfg(12, Schedule::dynamic(4)));
+        assert!(rep.busy_total_s() > 0.0 && rep.barrier_total_s() > 0.0);
+        let json = serde_json::to_string(&rep).unwrap();
+        let back: SimReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.busy_total_s().to_bits(), rep.busy_total_s().to_bits());
+        assert_eq!(back.barrier_total_s().to_bits(), rep.barrier_total_s().to_bits());
+        for key in ["busy_sum_s", "wait_sum_s"] {
+            let at = json.find(&format!("\"{key}\":")).expect("the total is serialised");
+            let end = at + json[at..].find(',').unwrap() + 1;
+            let stripped = format!("{}{}", &json[..at], &json[end..]);
+            assert!(serde_json::from_str::<SimReport>(&stripped).is_err(), "{key} may not default");
+        }
     }
 
     #[test]

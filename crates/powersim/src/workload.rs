@@ -28,8 +28,8 @@ pub enum ImbalanceProfile {
 
 impl ImbalanceProfile {
     /// The `n` per-iteration weights (mean ≈ 1) as a stream: consumers
-    /// that only fold over them — prefix sums, totals — never hold the
-    /// vector.
+    /// that only fold over them never hold the vector. [`WeightTable`]
+    /// writes the same weights with the law matched once.
     pub fn weight_stream(&self, n: usize) -> WeightStream {
         let law = match *self {
             ImbalanceProfile::Uniform => WeightLaw::Uniform,
@@ -90,26 +90,11 @@ impl Iterator for WeightStream {
         self.i += 1;
         Some(match &mut self.law {
             WeightLaw::Uniform => 1.0,
-            WeightLaw::Linear { slope, span } => {
-                let x = if self.n > 1 { i as f64 / *span } else { 0.5 };
-                (1.0 + *slope * (x - 0.5)).max(0.05)
-            }
+            WeightLaw::Linear { slope, span } => linear_weight(i, self.n, *slope, *span),
             WeightLaw::Blocked { heavy, heavy_w, light_w } => {
-                if i < *heavy {
-                    *heavy_w
-                } else {
-                    *light_w
-                }
+                blocked_weight(i, *heavy, *heavy_w, *light_w)
             }
-            WeightLaw::Random { state, a } => {
-                // splitmix64 → uniform in [0,1).
-                *state = state.wrapping_add(0x9E3779B97F4A7C15);
-                let mut z = *state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-                let u = ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64;
-                1.0 - *a + 2.0 * *a * u
-            }
+            WeightLaw::Random { state, a } => random_weight(state, *a),
         })
     }
 
@@ -120,6 +105,49 @@ impl Iterator for WeightStream {
 }
 
 impl ExactSizeIterator for WeightStream {}
+
+/// Weight of iteration `i` of `n` on a linear ramp.
+#[inline]
+fn linear_weight(i: usize, n: usize, slope: f64, span: f64) -> f64 {
+    let x = if n > 1 { i as f64 / span } else { 0.5 };
+    (1.0 + slope * (x - 0.5)).max(0.05)
+}
+
+/// Weight of iteration `i` when the first `heavy` iterations are heavy.
+#[inline]
+fn blocked_weight(i: usize, heavy: usize, heavy_w: f64, light_w: f64) -> f64 {
+    if i < heavy {
+        heavy_w
+    } else {
+        light_w
+    }
+}
+
+/// The next pseudo-random weight, uniform on `[1 − a, 1 + a]`.
+#[inline]
+fn random_weight(state: &mut u64, a: f64) -> f64 {
+    // splitmix64 → uniform in [0,1).
+    *state = state.wrapping_add(0x9E3779B97F4A7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    let u = ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64;
+    1.0 - a + 2.0 * a * u
+}
+
+/// `[0, w(0), w(0) + w(1), …]` over `n` weights, written in one
+/// trusted-length pass.
+#[inline]
+fn running_sums(n: usize, mut weight: impl FnMut(usize) -> f64) -> Vec<f64> {
+    let mut prefix = Vec::with_capacity(n + 1);
+    prefix.push(0.0);
+    let mut running = 0.0;
+    prefix.extend((0..n).map(|i| {
+        running += weight(i);
+        running
+    }));
+    prefix
+}
 
 /// The iteration-weight prefix sums of one `(ImbalanceProfile, n)`:
 /// `Σ weights[a..b]` is `prefix[b] − prefix[a]`. Everything the simulator
@@ -140,16 +168,18 @@ pub struct WeightTable {
 
 impl WeightTable {
     pub fn new(profile: &ImbalanceProfile, iterations: usize) -> Self {
-        let mut prefix = Vec::new();
-        if !matches!(profile, ImbalanceProfile::Uniform) {
-            prefix.reserve_exact(iterations + 1);
-            let mut running = 0.0;
-            prefix.push(running);
-            prefix.extend(profile.weight_stream(iterations).map(|w| {
-                running += w;
-                running
-            }));
-        }
+        // The law is resolved once, so each element is its bare formula.
+        let n = iterations;
+        let prefix = match profile.weight_stream(n).law {
+            WeightLaw::Uniform => Vec::new(),
+            WeightLaw::Linear { slope, span } => {
+                running_sums(n, |i| linear_weight(i, n, slope, span))
+            }
+            WeightLaw::Blocked { heavy, heavy_w, light_w } => {
+                running_sums(n, |i| blocked_weight(i, heavy, heavy_w, light_w))
+            }
+            WeightLaw::Random { mut state, a } => running_sums(n, |_| random_weight(&mut state, a)),
+        };
         WeightTable { profile: profile.clone(), iterations, prefix }
     }
 
@@ -332,6 +362,33 @@ mod tests {
         ] {
             let w = prof.weights(1000);
             assert!(w.iter().all(|&x| x > 0.0), "{prof:?}");
+        }
+    }
+
+    #[test]
+    fn tables_are_the_running_sums_of_the_weights() {
+        let profiles = [
+            ImbalanceProfile::Linear { slope: 0.5 },
+            ImbalanceProfile::Linear { slope: -1.9 },
+            ImbalanceProfile::Blocked { heavy_fraction: 0.25, heavy_factor: 3.0 },
+            ImbalanceProfile::Blocked { heavy_fraction: 0.0, heavy_factor: 3.0 },
+            ImbalanceProfile::Blocked { heavy_fraction: 1.0, heavy_factor: 3.0 },
+            ImbalanceProfile::Random { cv: 0.4, seed: 9 },
+        ];
+        for n in [0, 1, 2, 4097] {
+            assert!(WeightTable::new(&ImbalanceProfile::Uniform, n).prefix().is_none());
+            for profile in &profiles {
+                let mut running = 0.0;
+                let sums = profile.weights(n).into_iter().map(|w| {
+                    running += w;
+                    running
+                });
+                let expected: Vec<u64> =
+                    std::iter::once(0.0).chain(sums).map(f64::to_bits).collect();
+                let table = WeightTable::new(profile, n);
+                let got: Vec<u64> = table.prefix().unwrap().iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, expected, "{profile:?} n={n}");
+            }
         }
     }
 

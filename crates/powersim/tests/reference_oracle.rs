@@ -239,8 +239,8 @@ proptest! {
 
     /// Trip counts reach below the team size, and chunks are the
     /// portfolio's [`CHUNKS`] or one at or past `n` (a single chunk), so
-    /// uniform `static,c` covers ragged tails (`n mod c·T ≠ 0`) and chunks
-    /// past `n`, and weighted `dynamic,c` short last chunks (`c ∤ n`).
+    /// `static,c` covers ragged tails (`n mod c·T ≠ 0`) and chunks past
+    /// `n`, and weighted `dynamic,c` short last chunks (`c ∤ n`).
     #[test]
     fn integrator_matches_the_reference_bit_for_bit(
         n in prop_oneof![0usize..5000, 0usize..200],
@@ -326,29 +326,69 @@ fn degenerate_teams_and_loops() {
     }
 }
 
-/// The integrator's two fixed-chunk fast paths at their edges: uniform
-/// `static,c` with a ragged tail (`n mod c·T ≠ 0`), with whole rounds
-/// only, and with chunks at or past `n`; weighted `dynamic,c` with a
-/// short last chunk (`c ∤ n`), with whole chunks only, and with one chunk.
+/// New path against the reference for `kind,c` on each `(n, c, profile)`
+/// case, on both machines.
+fn check_fixed(kind: ScheduleKind, threads: usize, cases: &[(usize, usize, ImbalanceProfile)]) {
+    for machine in [Machine::crill(), Machine::minotaur()] {
+        for (n, c, profile) in cases {
+            let cfg = SimConfig { threads, schedule: Schedule::new(kind, Some(*c)) };
+            let r = region(*n, profile.clone());
+            let what = format!("{} n={n} {threads}t {} {profile:?}", machine.name, cfg.schedule);
+            let new = simulate_region(&machine, 85.0, &r, cfg);
+            let old = simulate_region_reference(&machine, 85.0, &r, cfg, None);
+            assert_same_bits(&new, &old, &what);
+        }
+    }
+}
+
+/// The integrator's fixed-chunk paths at their edges. `static,c` (a
+/// closed form when uniform, whole rounds of `c·T` iterations lane by
+/// lane and then the ragged remainder when weighted): whole rounds only
+/// (`n = k·c·T`), a remainder of full chunks, one ending in a short chunk,
+/// a round longer than the loop (`c·T > n`) and chunks at or past `n`.
+/// Weighted `dynamic,c` (each 256-chunk block's full chunks priced from one
+/// prefix slice): blocks ending just before, at and past a seam
+/// (`⌈n/c⌉ ∈ {255, 256, 257, 513}`) with a short last chunk (`c ∤ n`) and
+/// with whole chunks only, and one chunk. Front-loaded costs cross a seam
+/// from the dispatcher's fast path to a scan: at n = 513, `dynamic,1` on
+/// three threads appends the thread served chunk 255 as the new last
+/// finisher and must scan to place the one served chunk 256.
 #[test]
 fn fixed_chunk_paths_at_their_edges() {
-    let skewed = ImbalanceProfile::Random { cv: 0.5, seed: 3 };
-    for machine in [Machine::crill(), Machine::minotaur()] {
-        for threads in [1, 3, 8, 32] {
-            for (n, c) in [(1000, 7), (1003, 8), (8 * 3 * 32, 3), (50, 50), (50, 64), (5, 8)] {
-                for (kind, profile) in [
-                    (ScheduleKind::Static, ImbalanceProfile::Uniform),
-                    (ScheduleKind::Dynamic, skewed.clone()),
-                ] {
-                    let cfg = SimConfig { threads, schedule: Schedule::new(kind, Some(c)) };
-                    let r = region(n, profile);
-                    let what = format!("{} n={n} {threads}t {}", machine.name, cfg.schedule);
-                    let new = simulate_region(&machine, 85.0, &r, cfg);
-                    let old = simulate_region_reference(&machine, 85.0, &r, cfg, None);
-                    assert_same_bits(&new, &old, &what);
+    let random = ImbalanceProfile::Random { cv: 0.5, seed: 3 };
+    let blocked = ImbalanceProfile::Blocked { heavy_fraction: 0.3, heavy_factor: 4.0 };
+    let front_loaded = ImbalanceProfile::Linear { slope: -1.9 };
+    let edges = [(1000, 7), (1003, 8), (8 * 3 * 32, 3), (50, 50), (50, 64), (5, 8)];
+    for threads in [1, 3, 8, 32] {
+        let (mut fixed_static, mut fixed_dynamic) = (Vec::new(), Vec::new());
+        for (n, c) in edges {
+            fixed_static.push((n, c, ImbalanceProfile::Uniform));
+        }
+        for profile in [&random, &blocked] {
+            for (n, c) in edges {
+                fixed_static.push((n, c, profile.clone()));
+            }
+            for c in [1, 3, 8] {
+                let round = c * threads;
+                for n in [3 * round, 3 * round + c, 3 * round + 2 * c + 1, round - 1, c, 1] {
+                    fixed_static.push((n, c, profile.clone()));
                 }
             }
         }
+        for profile in [&random, &blocked, &front_loaded] {
+            for (n, c) in edges {
+                fixed_dynamic.push((n, c, profile.clone()));
+            }
+            for chunks in [255, 256, 257, 513] {
+                fixed_dynamic.push((chunks, 1, profile.clone()));
+                for c in [3, 8] {
+                    fixed_dynamic.push((chunks * c - 2, c, profile.clone()));
+                    fixed_dynamic.push((chunks * c, c, profile.clone()));
+                }
+            }
+        }
+        check_fixed(ScheduleKind::Static, threads, &fixed_static);
+        check_fixed(ScheduleKind::Dynamic, threads, &fixed_dynamic);
     }
 }
 
