@@ -86,6 +86,17 @@ if [ -n "$strays" ]; then
     exit 1
 fi
 
+# One region key: the run's per-region state is indexed by the tuner's
+# slot, which `drive` resolves once per step position. The non-test part
+# of the run driver may keep no second region index beside it.
+strays="$(awk '/#\[cfg\(test\)\]/ { nextfile }
+    /HashMap|summary_of/ { print FILENAME ":" FNR ": " $0 }' crates/core/src/backend.rs)"
+if [ -n "$strays" ]; then
+    echo "ci: a second region index in the run driver:" >&2
+    echo "$strays" >&2
+    exit 1
+fi
+
 # One search space and one way to label a series: the Table I grid and
 # its optional frequency axis are `ConfigSpace` alone, and a labeled
 # series is a registry name built by `labeled`. No non-test source may

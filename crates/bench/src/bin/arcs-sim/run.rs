@@ -161,7 +161,7 @@ pub fn main(argv: &[String]) {
         "online" => Some(search(TuningMode::Online(NmOptions::default()))),
         "pro" => Some(search(TuningMode::OnlinePro(ProOptions::default()))),
         "exhaustive" => Some(search(TuningMode::OfflineTrain)),
-        "offline" => trained.clone().map(|h| TunerOptions::offline_replay(space.clone(), h)),
+        "offline" => trained.clone().map(|h| search(TuningMode::OfflineReplay(h))),
         _ => None,
     }
     .map(RegionTuner::new);

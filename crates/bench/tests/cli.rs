@@ -6,6 +6,7 @@
 #[path = "../../../tests/golden/mod.rs"]
 mod golden;
 
+use arcs::report::AppRunReport;
 use arcs_bench::FIGURES;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -361,5 +362,33 @@ fn run_reproduces_the_retired_subcommands_bytes() {
             eprintln!("{cell}: `arcs-sim {retired}` ≡ `arcs-sim {}` ({part:?})", argv.join(" "));
             golden::pin("cli_golden", &format!("{cell}.{part:?}"), &stream, expected);
         }
+    }
+}
+
+/// `--selective` thresholds the measured (replayed) run of `--strategy
+/// offline`, not only its training, whether the history is trained or
+/// loaded: lulesh's small regions are skipped, so they stop paying the
+/// instrumentation and configuration-change costs the flag exempts.
+#[test]
+fn offline_selective_thresholds_the_replayed_run() {
+    let history = Path::new(env!("CARGO_TARGET_TMPDIR")).join("offline_selective.history.json");
+    let history = history.to_str().expect("UTF-8 temp path");
+    let report = |extra: &[&str]| -> AppRunReport {
+        let cell = ["run", "--workload", "lulesh", "--strategy", "offline", "--timesteps", "20"];
+        let out = arcs_sim(&[&cell[..], extra, &["--json"]].concat());
+        assert!(out.status.success(), "{extra:?}: {}", String::from_utf8_lossy(&out.stderr));
+        serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).expect("a --json report")
+    };
+    let skipped = |r: &AppRunReport| r.tuner.expect("tuner stats").skipped_regions;
+    let plain = report(&["--save-history", history]);
+    assert_eq!(skipped(&plain), 0);
+    for extra in [&["--selective", "0.03"][..], &["--selective", "0.03", "--load-history", history]]
+    {
+        let selective = report(extra);
+        assert!(skipped(&selective) > 0, "{extra:?}: {:?}", selective.tuner);
+        assert!(
+            selective.instrumentation_overhead_s < plain.instrumentation_overhead_s,
+            "{extra:?}: skipped regions are still measured"
+        );
     }
 }

@@ -53,11 +53,10 @@ use crate::tuner::{RegionTuner, TunerOptions, TuningMode};
 use arcs_harmony::History;
 use arcs_metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use arcs_powersim::{
-    CacheBindError, FaultPlan, FxBuildHasher, Machine, MeasureError, RegionModel, SharedSimCache,
+    CacheBindError, FaultPlan, Machine, MeasureError, RegionModel, SharedSimCache,
     WorkloadDescriptor,
 };
 use arcs_trace::{Objective, TraceEvent, TraceSink};
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -599,11 +598,10 @@ impl Meter {
 /// [`Backend::energy_j`] attempt advances an attached fault plan's read
 /// ordinal, so one read more or fewer moves every later fault.
 ///
-/// Per-region tables are indexed by step position, not by region name:
-/// each position is resolved once per run into the accumulator's summary
-/// (up front) and the tuner's state (at its first `begin`), and the
-/// executor finds its own slot from the order of its calls (DESIGN.md
-/// §3.13).
+/// Per-region tables are indexed by the tuner's slot, not by region name:
+/// each step position resolves to its slot once per run, at its first
+/// `begin`, and the executor finds its own slot from the order of its
+/// calls (DESIGN.md §3.13).
 fn drive<B: Backend>(
     b: &mut B,
     wl: &WorkloadDescriptor,
@@ -617,7 +615,7 @@ fn drive<B: Backend>(
     let mut slots = vec![None; wl.step.len()];
     for _ts in 0..wl.timesteps {
         for (pos, region) in wl.step.iter().enumerate() {
-            let slot = *slots[pos].get_or_insert_with(|| tuner.resolve(&region.name));
+            let slot = *slots[pos].get_or_insert_with(|| acc.track(tuner.resolve(&region.name)));
             let decision = acc.timed(Phase::Tune, || tuner.begin_at(slot));
             let cfg = decision.config;
             // The change cost fires whenever the global ICVs must move —
@@ -689,7 +687,7 @@ fn drive<B: Backend>(
             // objective. Its search events precede the region's end.
             acc.timed(Phase::Tune, || tuner.end_at(slot, meas.time_s, meas.energy_j));
             let energy_total_j = acc.timed(Phase::Meter, || meter.read(b))?;
-            acc.region(b, pos, cfg, &meas, change_s, instr_s, energy_total_j);
+            acc.region(b, slot, &region.name, cfg, &meas, change_s, instr_s, energy_total_j);
             tuner.observe_at(slot, &meas.features, acc.time_s);
             // Error budget exhausted: freeze every region to its best-known
             // configuration and ride the run out (final rung of the
@@ -767,11 +765,9 @@ struct Accum {
     time_s: f64,
     config_overhead_s: f64,
     instr_overhead_s: f64,
-    /// One summary per distinct region name, sorted into the report's
+    /// One summary per tuner slot, named and sorted into the report's
     /// `BTreeMap` once, at `finish`.
-    per_region: Vec<(String, RegionSummary)>,
-    /// Step position → index into `per_region`.
-    summary_of: Vec<usize>,
+    per_region: Vec<RegionSummary>,
     /// Present only when the backend carries an *enabled* sink, so the
     /// untraced and `NullSink` paths skip all event construction.
     sink: Option<Arc<dyn TraceSink>>,
@@ -815,18 +811,6 @@ impl Accum {
                 },
             );
         }
-        let mut per_region: Vec<(String, RegionSummary)> = Vec::new();
-        let mut index: HashMap<&str, usize, FxBuildHasher> = HashMap::default();
-        let summary_of = wl
-            .step
-            .iter()
-            .map(|r| {
-                *index.entry(&r.name).or_insert_with(|| {
-                    per_region.push((r.name.clone(), RegionSummary::default()));
-                    per_region.len() - 1
-                })
-            })
-            .collect();
         Accum {
             app: wl.name.clone(),
             strategy: strategy.to_string(),
@@ -834,8 +818,7 @@ impl Accum {
             time_s: 0.0,
             config_overhead_s: 0.0,
             instr_overhead_s: 0.0,
-            per_region,
-            summary_of,
+            per_region: Vec::new(),
             sink,
             metrics,
             spans,
@@ -855,12 +838,19 @@ impl Accum {
         out
     }
 
-    /// Account one invocation of the region at step position `pos`.
+    /// Give the region at tuner slot `slot` a summary; returns `slot`.
+    fn track(&mut self, slot: usize) -> usize {
+        self.per_region.resize_with(self.per_region.len().max(slot + 1), Default::default);
+        slot
+    }
+
+    /// Account one invocation of region `name`, at tuner slot `slot`.
     #[allow(clippy::too_many_arguments)]
     fn region<B: Backend>(
         &mut self,
         b: &mut B,
-        pos: usize,
+        slot: usize,
+        name: &str,
         cfg: TunedConfig,
         meas: &Measurement,
         change_s: f64,
@@ -881,7 +871,7 @@ impl Accum {
             m.region_time_s.record(meas.time_s);
         }
 
-        let (name, entry) = &mut self.per_region[self.summary_of[pos]];
+        let entry = &mut self.per_region[slot];
         entry.invocations += 1;
         entry.total_time_s += meas.time_s;
         entry.busy_s += meas.features.busy_s;
@@ -933,7 +923,7 @@ impl Accum {
             }
             if self.self_profile {
                 if let Some(sink) = &self.sink {
-                    let invocations = self.per_region.iter().map(|(_, r)| r.invocations).sum();
+                    let invocations = self.per_region.iter().map(|r| r.invocations).sum();
                     sink.record(
                         None,
                         TraceEvent::DriverPhases {
@@ -971,8 +961,10 @@ impl Accum {
             per_region: self
                 .per_region
                 .into_iter()
+                .enumerate()
                 .filter(|(_, r)| r.invocations > 0)
-                .collect::<BTreeMap<_, _>>(),
+                .map(|(slot, r)| (tuner.name(slot).to_owned(), r))
+                .collect(),
             tuner: tuner_stats,
             status: if degraded { RunStatus::Degraded } else { RunStatus::Ok },
             faults,

@@ -22,21 +22,27 @@
 //! `Energy`/`EnergyDelay` optimise the same search machinery toward
 //! joules or the energy-delay product.
 //!
-//! ## Untuned regions
+//! ## Searching and pinned regions
 //!
-//! A region can be *pinned and untuned*: it runs one configuration, is
-//! not instrumented and never pays the configuration-change cost against
-//! the global ICVs. Two things put a region there:
+//! Each region is one record in one of two states. *Searching*, it owns
+//! a session and the resilience buffers that feed it. *Pinned*, it runs
+//! one configuration: replayed from a history, frozen at its best, or
+//! first seen after the tuner degraded. A pinned region may also be
+//! *untuned*: not instrumented, and never paying the configuration-change
+//! cost against the global ICVs. Two things put a region there:
 //!
 //! * the *selective tuning* extension from the paper's future work
 //!   ("enable selective tuning for OpenMP regions to avoid overheads on
-//!   the smaller regions"), [`TunerOptions::min_region_time_s`]: regions
-//!   whose observed mean duration falls below the threshold are pinned to
-//!   the default configuration mid-run;
+//!   the smaller regions"), [`TunerOptions::min_region_time_s`]: a region
+//!   in either state whose observed mean duration falls below the
+//!   threshold is pinned to the default configuration mid-run;
 //! * a fixed run ([`Runner::fixed`](crate::backend::Runner::fixed), the
 //!   default run, [`Runner::adaptive`](crate::backend::Runner::adaptive)):
 //!   its selector is a tuner whose every region starts pinned to the
 //!   run's map, so the driver has one selector loop for every flavour.
+//!
+//! A region's slot in the tuner is its key for the whole run: the driver
+//! indexes its own per-region tables by it.
 //!
 //! ## The portfolio ladder
 //!
@@ -168,12 +174,48 @@ pub struct TunerStats {
     pub frozen_regions: u64,
 }
 
+/// One region of the run, found by its slot.
 struct RegionState {
     name: String,
-    session: Option<Session>,
-    /// Configuration pinned by replay/selective-skip/freeze (None while
-    /// searching).
-    pinned: Option<TunedConfig>,
+    invocations: u64,
+    total_time_s: f64,
+    mode: Mode,
+}
+
+/// A region either replays one configuration or searches for one.
+enum Mode {
+    /// Runs `config` on every invocation. `tuned` is false for regions
+    /// skipped by selective tuning and for a fixed run's regions, which
+    /// alone walk the portfolio ladder (adaptive runs).
+    Pinned {
+        config: TunedConfig,
+        tuned: bool,
+        ladder: Option<Ladder>,
+    },
+    Searching(Box<Search>),
+}
+
+impl RegionState {
+    fn converged(&self) -> bool {
+        match &self.mode {
+            Mode::Pinned { .. } => true,
+            Mode::Searching(search) => search.session.converged(),
+        }
+    }
+
+    /// The configuration the region runs (pinned) or the best its search
+    /// has measured — what freezing pins and what a run reports.
+    fn best(&self, space: &ConfigSpace) -> TunedConfig {
+        match &self.mode {
+            Mode::Pinned { config, .. } => *config,
+            Mode::Searching(search) => space.decode(&search.session.best_point()),
+        }
+    }
+}
+
+/// A searching region's session and the resilience state that feeds it.
+struct Search {
+    session: Session,
     /// Converged-session fast path: once the search settles, every
     /// invocation replays the same best point, so the decoded config is
     /// cached here instead of cloning/decoding it again per entry. Only
@@ -181,10 +223,8 @@ struct RegionState {
     /// (post-convergence `next_point` has no side effects), so serving
     /// from the cache is observationally identical.
     settled: Option<TunedConfig>,
+    /// The last handed-out point waits for its measurement.
     awaiting: bool,
-    invocations: u64,
-    total_time_s: f64,
-    skipped: bool,
     /// Window of accepted scores (resilience only): what the MAD
     /// outlier test compares a new measurement against.
     accepted: VecDeque<f64>,
@@ -197,27 +237,33 @@ struct RegionState {
     /// Rejections since the last session restart — the ladder's trigger
     /// for restarting and eventually freezing.
     rejections_since_restart: u32,
-    /// The region's place on the portfolio ladder (adaptive runs only).
-    ladder: Option<Ladder>,
 }
 
-impl RegionState {
-    fn searching(name: &str, session: Option<Session>, pinned: Option<TunedConfig>) -> Self {
-        RegionState {
-            name: name.to_owned(),
+impl Search {
+    fn new(session: Session) -> Self {
+        Search {
             session,
-            pinned,
             settled: None,
             awaiting: false,
-            invocations: 0,
-            total_time_s: 0.0,
-            skipped: false,
             accepted: VecDeque::new(),
             pending_scores: Vec::new(),
             last_rejected: None,
             rejections_since_restart: 0,
-            ladder: None,
         }
+    }
+
+    /// The configuration the session asks for next.
+    fn next(&mut self, space: &ConfigSpace) -> TunedConfig {
+        if let Some(settled) = self.settled {
+            return settled;
+        }
+        let point = self.session.next_point();
+        self.awaiting = self.session.awaiting_report();
+        let cfg = space.decode(&point);
+        if !self.awaiting && self.session.converged() {
+            self.settled = Some(cfg);
+        }
+        cfg
     }
 }
 
@@ -283,17 +329,8 @@ fn freeze_region(
     stats: &mut TunerStats,
     state: &mut RegionState,
 ) {
-    let cfg = state
-        .session
-        .as_ref()
-        .map(|s| space.decode(&s.best_point()))
-        .or(state.pinned)
-        .unwrap_or_else(|| space.decode(&space.default_point()));
-    state.pinned = Some(cfg);
-    state.session = None;
-    state.awaiting = false;
-    state.pending_scores.clear();
-    state.last_rejected = None;
+    let cfg = state.best(space);
+    state.mode = Mode::Pinned { config: cfg, tuned: true, ladder: None };
     stats.frozen_regions += 1;
     if let Some(sink) = trace {
         if sink.enabled() {
@@ -330,6 +367,7 @@ pub struct RegionTuner {
     /// region's pays the change cost on every entry — which is how the
     /// paper's per-region-invocation overhead arises (§III-C).
     last_applied: Option<TunedConfig>,
+    /// Counters; [`RegionTuner::stats`] reads `regions` off the records.
     stats: TunerStats,
     trace: Option<Arc<dyn TraceSink>>,
     metrics: Option<Arc<MetricsRegistry>>,
@@ -377,14 +415,11 @@ impl RegionTuner {
         let mut tuner = RegionTuner::new(TunerOptions::offline_replay(space, History::new("")));
         tuner.fixed = true;
         for name in regions {
-            if tuner.slots.contains_key(name) {
-                continue;
-            }
-            let mut state = RegionState::searching(name, None, Some(config_for(name).into()));
-            state.skipped = true;
-            state.ladder = ladder.then(Ladder::default);
-            tuner.slots.insert(name.to_owned(), tuner.regions.len());
-            tuner.regions.push(state);
+            tuner.slot_of(name, |_| Mode::Pinned {
+                config: config_for(name).into(),
+                tuned: false,
+                ladder: ladder.then(Ladder::default),
+            });
         }
         tuner
     }
@@ -425,7 +460,7 @@ impl RegionTuner {
         self.degraded = true;
         for &slot in self.slots.values() {
             let state = &mut self.regions[slot];
-            if state.session.is_some() {
+            if let Mode::Searching(_) = state.mode {
                 freeze_region(&self.options.space, &self.trace, &mut self.stats, state);
             }
         }
@@ -440,12 +475,17 @@ impl RegionTuner {
     }
 
     pub fn stats(&self) -> TunerStats {
-        self.stats
+        TunerStats { regions: self.regions.len() as u64, ..self.stats }
     }
 
     /// What a run report shows as its `tuner`: nothing for a fixed run.
     pub(crate) fn run_stats(&self) -> Option<TunerStats> {
-        (!self.fixed).then_some(self.stats)
+        (!self.fixed).then(|| self.stats())
+    }
+
+    /// The name of the region at `slot`.
+    pub(crate) fn name(&self, slot: usize) -> &str {
+        &self.regions[slot].name
     }
 
     pub fn space(&self) -> &ConfigSpace {
@@ -467,15 +507,14 @@ impl RegionTuner {
     /// Search evaluations spent on `region` so far (0 for pinned or
     /// unknown regions).
     pub fn evaluations(&self, region: &str) -> usize {
-        self.state(region).and_then(|s| s.session.as_ref()).map(|s| s.evaluations()).unwrap_or(0)
+        match self.state(region).map(|s| &s.mode) {
+            Some(Mode::Searching(search)) => search.session.evaluations(),
+            _ => 0,
+        }
     }
 
     fn state(&self, region: &str) -> Option<&RegionState> {
         self.slots.get(region).map(|&slot| &self.regions[slot])
-    }
-
-    fn default_config(&self) -> TunedConfig {
-        self.default_cfg
     }
 
     /// Called at region fork. Returns the configuration to apply.
@@ -490,13 +529,23 @@ impl RegionTuner {
     /// [`RegionTuner::begin_at`], so a region's state is still created at
     /// its first `begin`.
     pub(crate) fn resolve(&mut self, region: &str) -> usize {
+        self.slot_of(region, |tuner| tuner.new_mode(region))
+    }
+
+    /// The slot of `region`; on first sight a new record in state
+    /// `mode(self)`. The one way a region enters the tuner.
+    fn slot_of(&mut self, region: &str, mode: impl FnOnce(&Self) -> Mode) -> usize {
         if let Some(&slot) = self.slots.get(region) {
             return slot;
         }
-        self.stats.regions += 1;
-        let state = self.new_region_state(region);
+        let mode = mode(self);
         let slot = self.regions.len();
-        self.regions.push(state);
+        self.regions.push(RegionState {
+            name: region.to_owned(),
+            invocations: 0,
+            total_time_s: 0.0,
+            mode,
+        });
         self.slots.insert(region.to_owned(), slot);
         slot
     }
@@ -504,41 +553,26 @@ impl RegionTuner {
     /// [`RegionTuner::begin`] for a resolved slot.
     pub(crate) fn begin_at(&mut self, slot: usize) -> TunerDecision {
         self.stats.invocations += 1;
-        let default_cfg = self.default_config();
         let threshold = self.options.min_region_time_s;
         let state = &mut self.regions[slot];
 
         // Selective tuning: once a region has a few samples and its mean
-        // time is below the threshold, pin it to the default configuration.
-        if !state.skipped
-            && threshold > 0.0
+        // time is below the threshold, pin it to the default configuration
+        // and drop any search point in flight.
+        if threshold > 0.0
             && state.invocations >= 3
             && state.total_time_s / state.invocations as f64 + 1e-12 < threshold
+            && !matches!(state.mode, Mode::Pinned { tuned: false, .. })
         {
-            state.skipped = true;
-            state.session = None;
-            state.pinned = Some(default_cfg);
+            state.mode = Mode::Pinned { config: self.default_cfg, tuned: false, ladder: None };
             self.stats.skipped_regions += 1;
         }
 
-        let mut config = if let Some(pinned) = state.pinned {
-            pinned
-        } else if let Some(settled) = state.settled {
-            settled
-        } else if let Some(session) = &mut state.session {
-            let point = session.next_point();
-            state.awaiting = session.awaiting_report();
-            let cfg = self.options.space.decode(&point);
-            if !state.awaiting && session.converged() {
-                state.settled = Some(cfg);
-            }
-            cfg
-        } else {
-            default_cfg
+        let (mut config, tuned, ladder) = match &mut state.mode {
+            Mode::Pinned { config, tuned, ladder } => (*config, *tuned, ladder.as_mut()),
+            Mode::Searching(search) => (search.next(&self.options.space), true, None),
         };
-
-        let tuned = !state.skipped;
-        let changed = match &mut state.ladder {
+        let changed = match ladder {
             // A rung move is a change against the region's own last run.
             Some(ladder) => ladder.apply(&mut config.omp.schedule),
             // Compare against the *global* runtime state, not this
@@ -577,11 +611,10 @@ impl RegionTuner {
         let state = &mut self.regions[slot];
         state.invocations += 1;
         state.total_time_s += time_s;
-        if !state.awaiting || state.session.is_none() {
-            state.awaiting = false;
+        let Mode::Searching(search) = &mut state.mode else { return };
+        if !std::mem::take(&mut search.awaiting) {
             return;
         }
-        state.awaiting = false;
         let res = self.resilience;
 
         // Rung 2 of the ladder: MAD outlier rejection. A rejected point
@@ -590,18 +623,18 @@ impl RegionTuner {
         // rejected is accepted: consistent across re-measurement means
         // the configuration really is that bad, not that a timer
         // glitched.
-        if res.mad_threshold > 0.0 && state.accepted.len() >= MIN_WINDOW_FOR_REJECTION {
+        if res.mad_threshold > 0.0 && search.accepted.len() >= MIN_WINDOW_FOR_REJECTION {
             self.window.clear();
-            self.window.extend(state.accepted.iter().copied());
+            self.window.extend(search.accepted.iter().copied());
             let (median, mad) = median_and_mad(&mut self.window);
             let spread = (res.mad_threshold * mad).max(1e-3 * median.abs());
             let deviant = (score - median).abs() > spread;
-            let confirmed = state
+            let confirmed = search
                 .last_rejected
                 .is_some_and(|r| (score - r).abs() <= 0.05 * r.abs().max(f64::MIN_POSITIVE));
             if deviant && !confirmed {
-                state.last_rejected = Some(score);
-                state.rejections_since_restart += 1;
+                search.last_rejected = Some(score);
+                search.rejections_since_restart += 1;
                 self.stats.rejected += 1;
                 if let Some(sink) = &self.trace {
                     if sink.enabled() {
@@ -623,16 +656,13 @@ impl RegionTuner {
                 // poisoned — restart it at its best-known point, and
                 // freeze the region once the restart budget is spent.
                 if res.restart_after_rejections > 0
-                    && state.rejections_since_restart >= res.restart_after_rejections
+                    && search.rejections_since_restart >= res.restart_after_rejections
                 {
-                    state.rejections_since_restart = 0;
-                    state.last_rejected = None;
-                    state.pending_scores.clear();
-                    let spent = state.session.as_ref().map(|s| s.restarts()).unwrap_or(0);
-                    if spent < res.max_restarts {
-                        if let Some(session) = &mut state.session {
-                            session.restart();
-                        }
+                    search.rejections_since_restart = 0;
+                    search.last_rejected = None;
+                    search.pending_scores.clear();
+                    if search.session.restarts() < res.max_restarts {
+                        search.session.restart();
                         self.stats.restarts += 1;
                     } else {
                         freeze_region(&self.options.space, &self.trace, &mut self.stats, state);
@@ -642,25 +672,23 @@ impl RegionTuner {
             }
         }
 
-        state.last_rejected = None;
-        if state.accepted.len() >= res.outlier_window.max(1) {
-            state.accepted.pop_front();
+        search.last_rejected = None;
+        if search.accepted.len() >= res.outlier_window.max(1) {
+            search.accepted.pop_front();
         }
-        state.accepted.push_back(score);
+        search.accepted.push_back(score);
         if res.measure_k > 1 {
             // Median-of-k re-measurement: the point stays pending until
             // k accepted scores arrived; their median is what the
             // session learns.
-            state.pending_scores.push(score);
-            if state.pending_scores.len() >= res.measure_k {
-                let median = median_in_place(&mut state.pending_scores);
-                state.pending_scores.clear();
-                if let Some(session) = &mut state.session {
-                    session.report(median);
-                }
+            search.pending_scores.push(score);
+            if search.pending_scores.len() >= res.measure_k {
+                let median = median_in_place(&mut search.pending_scores);
+                search.pending_scores.clear();
+                search.session.report(median);
             }
-        } else if let Some(session) = &mut state.session {
-            session.report(score);
+        } else {
+            search.session.report(score);
         }
     }
 
@@ -672,13 +700,13 @@ impl RegionTuner {
     #[inline]
     pub(crate) fn observe_at(&mut self, slot: usize, features: &RegionFeatures, t_s: f64) {
         let state = &mut self.regions[slot];
-        let (Some(ladder), Some(pinned)) = (&mut state.ladder, state.pinned) else { return };
+        let Mode::Pinned { config, ladder: Some(ladder), .. } = &mut state.mode else { return };
         let denom = features.busy_s + features.barrier_s;
         let imbalance = if denom > 0.0 { features.barrier_s / denom } else { 0.0 };
         let from = ladder.arm;
         let Some(ewma) = ladder.observe(imbalance) else { return };
         if let Some(sink) = &self.trace {
-            let policy = |arm| Ladder::rung(pinned.omp.schedule, arm).kind.name().to_string();
+            let policy = |arm| Ladder::rung(config.omp.schedule, arm).kind.name().to_string();
             sink.record(
                 Some(t_s),
                 TraceEvent::PolicySwitched {
@@ -692,93 +720,78 @@ impl RegionTuner {
         }
     }
 
-    fn new_region_state(&self, region: &str) -> RegionState {
+    /// The state `region` starts in, at its first `begin`.
+    fn new_mode(&self, region: &str) -> Mode {
         let space = &self.options.space;
-        if self.degraded {
+        let (strategy, label) = match &self.options.mode {
             // A frozen tuner makes no new search decisions: regions
             // first seen after degradation run the default configuration.
-            return RegionState::searching(region, None, Some(self.default_config()));
-        }
-        match &self.options.mode {
+            _ if self.degraded => {
+                return Mode::Pinned { config: self.default_cfg, tuned: true, ladder: None };
+            }
             TuningMode::OfflineReplay(history) => {
                 // "The saved values can be used instead of repeating the
                 // search process." Unknown regions fall back to default.
                 // Histories store the paper's 3 knobs; replayed configs
                 // run at the uncapped frequency.
-                let pinned = history
+                let config = history
                     .get(region)
                     .map(|e| TunedConfig { omp: e.config, freq_ghz: None })
-                    .unwrap_or_else(|| self.default_config());
-                RegionState::searching(region, None, Some(pinned))
+                    .unwrap_or(self.default_cfg);
+                return Mode::Pinned { config, tuned: true, ladder: None };
             }
-            mode => {
-                let (strategy, label) = match mode {
-                    TuningMode::OfflineTrain => (StrategyKind::exhaustive(), "exhaustive"),
-                    TuningMode::Online(opts) => (StrategyKind::NelderMead(*opts), "nelder-mead"),
-                    TuningMode::OnlinePro(opts) => (StrategyKind::ParallelRankOrder(*opts), "pro"),
-                    TuningMode::OnlineRandom { seed, max_evals } => {
-                        (StrategyKind::random(*seed, *max_evals), "random")
-                    }
-                    TuningMode::OfflineReplay(_) => unreachable!(),
-                };
-                let mut session =
-                    Session::new(space.to_search_space(), strategy, space.default_point());
-                if let Some(registry) = &self.metrics {
-                    session = session.with_eval_counter(
-                        registry.counter(&format!("harmony/evaluations/{label}")),
+            TuningMode::OfflineTrain => (StrategyKind::exhaustive(), "exhaustive"),
+            TuningMode::Online(opts) => (StrategyKind::NelderMead(*opts), "nelder-mead"),
+            TuningMode::OnlinePro(opts) => (StrategyKind::ParallelRankOrder(*opts), "pro"),
+            TuningMode::OnlineRandom { seed, max_evals } => {
+                (StrategyKind::random(*seed, *max_evals), "random")
+            }
+        };
+        let mut session = Session::new(space.to_search_space(), strategy, space.default_point());
+        if let Some(registry) = &self.metrics {
+            session = session
+                .with_eval_counter(registry.counter(&format!("harmony/evaluations/{label}")));
+        }
+        if let Some(sink) = &self.trace {
+            if sink.enabled() {
+                let sink = Arc::clone(sink);
+                let region_name = region.to_owned();
+                let objective = self.options.objective;
+                session = session.with_observer(move |step| {
+                    sink.record(
+                        None,
+                        TraceEvent::SearchIteration {
+                            region: region_name.clone(),
+                            evaluations: step.evaluations as u64,
+                            point: step.point.clone(),
+                            value: step.value,
+                            best_point: step.best_point.clone(),
+                            best_value: step.best_value,
+                            converged: step.converged,
+                            simplex: step
+                                .candidates
+                                .iter()
+                                .map(|c| SearchCandidate { point: c.point.clone(), value: c.value })
+                                .collect(),
+                            objective,
+                        },
                     );
-                }
-                if let Some(sink) = &self.trace {
-                    if sink.enabled() {
-                        let sink = Arc::clone(sink);
-                        let region_name = region.to_owned();
-                        let objective = self.options.objective;
-                        session = session.with_observer(move |step| {
-                            sink.record(
-                                None,
-                                TraceEvent::SearchIteration {
-                                    region: region_name.clone(),
-                                    evaluations: step.evaluations as u64,
-                                    point: step.point.clone(),
-                                    value: step.value,
-                                    best_point: step.best_point.clone(),
-                                    best_value: step.best_value,
-                                    converged: step.converged,
-                                    simplex: step
-                                        .candidates
-                                        .iter()
-                                        .map(|c| SearchCandidate {
-                                            point: c.point.clone(),
-                                            value: c.value,
-                                        })
-                                        .collect(),
-                                    objective,
-                                },
-                            );
-                        });
-                    }
-                }
-                RegionState::searching(region, Some(session), None)
+                });
             }
         }
+        Mode::Searching(Box::new(Search::new(session)))
     }
 
     /// Are all (non-pinned) sessions converged? False until at least one
     /// region has been encountered (so callers can loop on `!converged()`
     /// from a cold start).
     pub fn converged(&self) -> bool {
-        !self.regions.is_empty()
-            && self.regions.iter().all(|s| match &s.session {
-                Some(session) => session.converged(),
-                None => true,
-            })
+        !self.regions.is_empty() && self.regions.iter().all(RegionState::converged)
     }
 
     /// Has `region` converged (or is it pinned)?
     pub fn region_converged(&self, region: &str) -> bool {
-        self.state(region)
-            .map(|s| s.session.as_ref().is_none_or(|sess| sess.converged()))
-            .unwrap_or(false)
+        self.state(region).is_some_and(RegionState::converged)
     }
 
     /// Region states in `slots` order (see [`RegionTuner::freeze_all`]).
@@ -788,17 +801,7 @@ impl RegionTuner {
 
     /// Best configuration found (or pinned) per region, across every knob.
     pub fn best_tuned_configs(&self) -> HashMap<String, TunedConfig> {
-        self.states()
-            .map(|st| {
-                let cfg = st
-                    .pinned
-                    .or_else(|| {
-                        st.session.as_ref().map(|s| self.options.space.decode(&s.best_point()))
-                    })
-                    .unwrap_or_else(|| self.default_config());
-                (st.name.clone(), cfg)
-            })
-            .collect()
+        self.states().map(|st| (st.name.clone(), st.best(&self.options.space))).collect()
     }
 
     /// Best OpenMP triple found (or pinned) per region — the paper's view
@@ -815,17 +818,14 @@ impl RegionTuner {
     pub fn export_history(&self, context: impl Into<String>) -> History<OmpConfig> {
         let mut h = History::new(context);
         for st in self.states() {
-            if let Some(session) = &st.session {
-                if let Some((point, value)) = session.best() {
-                    h.insert(
-                        st.name.clone(),
-                        self.options.space.decode(&point).omp,
-                        value,
-                        session.evaluations(),
-                    );
+            match &st.mode {
+                Mode::Searching(search) => {
+                    if let Some((point, value)) = search.session.best() {
+                        let config = self.options.space.decode(&point).omp;
+                        h.insert(st.name.clone(), config, value, search.session.evaluations());
+                    }
                 }
-            } else if let Some(pinned) = st.pinned {
-                h.insert(st.name.clone(), pinned.omp, f64::NAN, 0);
+                Mode::Pinned { config, .. } => h.insert(st.name.clone(), config.omp, f64::NAN, 0),
             }
         }
         h
@@ -974,6 +974,36 @@ mod tests {
             tuner.end("tiny", 0.001);
         }
         assert_eq!(tuner.stats().config_changes, before);
+    }
+
+    #[test]
+    fn selective_tuning_unpins_a_small_replayed_region_to_the_untuned_default() {
+        let saved = OmpConfig { threads: 8, schedule: Schedule::dynamic(16) };
+        let default = OmpConfig::default_for(&arcs_powersim::Machine::crill());
+        let mut h = History::new("test");
+        h.insert("small", saved, 0.001, 252);
+        h.insert("big", saved, 1.0, 252);
+        let opts = TunerOptions::offline_replay(space(), h).with_min_region_time(0.05);
+        let mut tuner = RegionTuner::new(opts);
+        let mut invoke = |region: &str, time_s: f64| {
+            let d = tuner.begin(region);
+            tuner.end(region, time_s);
+            (d.config.omp, d.changed, d.tuned)
+        };
+        // Replayed and tuned until three samples show the mean is small.
+        // Both replay one config, so only the very first entry moves the ICVs.
+        for i in 0..3 {
+            assert_eq!(invoke("small", 0.001), (saved, i == 0, true));
+            assert_eq!(invoke("big", 1.0), (saved, false, true));
+        }
+        // From the fourth invocation on, the default runs untouched.
+        for _ in 0..5 {
+            assert_eq!(invoke("small", 0.001), (default, false, false));
+            assert_eq!(invoke("big", 1.0), (saved, false, true));
+        }
+        assert_eq!(tuner.stats().skipped_regions, 1);
+        assert_eq!(tuner.best_configs()["small"], default);
+        assert!(tuner.export_history("replayed").get("small").unwrap().value.is_nan());
     }
 
     #[test]
