@@ -8,9 +8,11 @@ cd "$(dirname "$0")"
 # adds only the vendored stand-ins' own tests.
 cargo build --release
 cargo test --workspace -q
-# The exactness oracle again, optimised: the integrator's lane loops are
-# optimised only in release, which is the build that ships.
+# The exactness oracle and the reference driver again, optimised: the
+# integrator's lane loops, and the executor's borrowed-report and meter
+# paths, are optimised only in release, which is the build that ships.
 cargo test --release -q -p arcs-powersim --test reference_oracle
+cargo test --release -q --test reference_driver
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

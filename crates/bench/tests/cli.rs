@@ -392,3 +392,16 @@ fn offline_selective_thresholds_the_replayed_run() {
         );
     }
 }
+
+#[test]
+fn offline_training_too_short_to_converge_is_a_run_error() {
+    let cell = |t: &str| {
+        arcs_sim(&["run", "--workload", "sp.S", "--strategy", "offline", "--timesteps", t])
+    };
+    let short = cell("3");
+    let stderr = String::from_utf8_lossy(&short.stderr);
+    assert_eq!(short.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("5 region(s) still searching after 64 training passes"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(cell("4").status.success());
+}

@@ -206,6 +206,8 @@ pub enum RunError {
     /// A package-meter read failed past the retry budget and no error
     /// budget was configured to absorb it.
     Measure(MeasureError),
+    /// [`Runner::train`] ran out of passes with regions still searching.
+    Untrained { passes: usize, searching: usize },
 }
 
 impl fmt::Display for RunError {
@@ -221,6 +223,9 @@ impl fmt::Display for RunError {
             }
             RunError::Measure(e) => {
                 write!(f, "unrecoverable measurement failure: {e}")
+            }
+            RunError::Untrained { passes, searching } => {
+                write!(f, "{searching} region(s) still searching after {passes} training passes")
             }
         }
     }
@@ -471,7 +476,8 @@ impl<'a, B: Backend> Runner<'a, B> {
     /// second execution, which replays the saved optimum). Any strategy
     /// set on the builder is ignored; [`Runner::objective`] (if set)
     /// overrides the options' objective. A workload that invokes no region
-    /// trains nothing and returns an empty history.
+    /// trains nothing and returns an empty history; one too short for its
+    /// sweeps to finish in the pass budget is [`RunError::Untrained`].
     pub fn train(
         mut self,
         options: TunerOptions,
@@ -484,17 +490,18 @@ impl<'a, B: Backend> Runner<'a, B> {
         let b = self.backend;
         let mut tuner = RegionTuner::new(options);
         wire_tuner(b, &mut tuner, self.objective, self.resilience);
-        // Bound the number of training executions defensively; each pass
-        // offers `timesteps` measurements per region against a 252-point
-        // space, so a handful of passes always suffices.
-        for _pass in 0..64 {
+        // Bound the number of training executions; each pass offers
+        // `timesteps` measurements per region against a 252-point space,
+        // so a handful of passes suffices unless the run is very short.
+        const PASSES: usize = 64;
+        for _pass in 0..PASSES {
             drive(b, wl, &mut tuner, "arcs-offline-train", self.resilience, false)?;
             // A workload that invokes no region has nothing to train.
             if tuner.converged() || tuner.stats().regions == 0 {
                 return Ok(tuner.export_history(context));
             }
         }
-        panic!("offline training failed to converge")
+        Err(RunError::Untrained { passes: PASSES, searching: tuner.searching() })
     }
 }
 

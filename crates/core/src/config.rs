@@ -272,14 +272,14 @@ impl ConfigSpace {
     /// threads / schedule / chunk, uncapped frequency) — the start point
     /// for simplex searches.
     pub fn default_point(&self) -> Point {
-        let mut p = vec![self.threads.len() - 1, self.schedules.len() - 1, self.chunks.len() - 1];
-        if self.has_freq_knob() {
-            // The ladders built here always end with the uncapped choice;
-            // hand-built ladders should follow the same convention so the
-            // search starts from the paper's baseline.
-            p.push(self.freqs_ghz.len() - 1);
-        }
-        p
+        // The ladders built here always end with the uncapped choice;
+        // hand-built ladders should follow the same convention so the
+        // search starts from the paper's baseline.
+        let freq = self.has_freq_knob().then(|| self.freqs_ghz.len() - 1);
+        [self.threads.len() - 1, self.schedules.len() - 1, self.chunks.len() - 1]
+            .into_iter()
+            .chain(freq)
+            .collect()
     }
 }
 

@@ -25,8 +25,12 @@
 //! so concurrent cells never re-simulate a configuration another cell
 //! already priced).
 //! Each region's slot also keeps the last cell it priced, so a settled
-//! region's repeat invocations are answered without probing the cache —
-//! and counted as the hits they would have been (DESIGN.md §3.13).
+//! region's repeat invocations are answered by borrowing the slot's
+//! report, with no cache probe and no refcount traffic — and counted as
+//! the hits they would have been. Likewise a meter read samples RAPL
+//! only when RAPL advanced since the last sample; otherwise the
+//! unchanged register would add nothing, and the read answers the
+//! meter's total (DESIGN.md §3.13).
 //!
 //! Simulated region durations are also pushed into an optional APEX
 //! instance, the introspection state the live path populates. Fig. 9's
@@ -45,6 +49,7 @@ use arcs_powersim::{
     WeightTable,
 };
 use arcs_trace::TraceSink;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -58,6 +63,13 @@ struct RegionSlot {
     table: Option<Arc<WeightTable>>,
     invocations: u64,
     last: Option<(CellInputs, Arc<SimReport>)>,
+}
+
+impl RegionSlot {
+    /// The report of the cell [`SimExecutor::price`] left in the slot.
+    fn report(&self) -> &Arc<SimReport> {
+        &self.last.as_ref().expect("a priced slot remembers its cell").1
+    }
 }
 
 /// Everything a memo-cache key holds besides the region id. A settled
@@ -113,6 +125,9 @@ pub struct SimExecutor {
     apex: Option<Arc<Apex>>,
     noise: Option<NoiseModel>,
     energy_meter: PackageEnergy,
+    /// Has RAPL advanced since `energy_meter` last sampled it? Until it
+    /// has, a read answers the meter's total without sampling.
+    resample: bool,
     /// Per-region slots, in first-seen order. The invocation ordinal
     /// feeds the stateless noise model and persists across runs, so
     /// repeated training passes see fresh noise.
@@ -187,6 +202,7 @@ impl SimExecutor {
             apex: None,
             noise: None,
             energy_meter: PackageEnergy::new(),
+            resample: true,
             slots: Vec::new(),
             by_name: HashMap::default(),
             positions: Vec::new(),
@@ -308,7 +324,8 @@ impl SimExecutor {
         freq_limit_ghz: Option<f64>,
     ) -> Arc<SimReport> {
         let slot = self.slot(&region.name);
-        self.price(slot, region, cfg, freq_limit_ghz)
+        self.price(slot, region, cfg, freq_limit_ghz);
+        Arc::clone(self.slots[slot].report())
     }
 
     /// The slot of the region called `name`, made on first sight.
@@ -354,8 +371,10 @@ impl SimExecutor {
     }
 
     /// Price `region` at `cfg` for the slot's region under the current
-    /// cap: the slot's last cell when this is a repeat of it (counted as
-    /// a cache hit), the shared memo cache otherwise — keyed, and
+    /// cap, leaving the report as the slot's last cell for the caller to
+    /// borrow ([`RegionSlot::report`]). A repeat of that cell is counted
+    /// as a cache hit and touches nothing else — no probe, no refcount.
+    /// Any other cell comes from the shared memo cache — keyed, and
     /// simulated, at the cell's operating point and canonical schedule,
     /// so every cap that clamps the team to one frequency, and every
     /// schedule that dispatches one chunk stream, shares one cell.
@@ -365,7 +384,7 @@ impl SimExecutor {
         region: &RegionModel,
         cfg: SimConfig,
         freq_limit_ghz: Option<f64>,
-    ) -> Arc<SimReport> {
+    ) {
         let SimExecutor { machine, perturb, cache, scratch, f_caps, slots, .. } = self;
         let cap_w = perturb.cap_w();
         let slot = &mut slots[slot];
@@ -375,11 +394,9 @@ impl SimExecutor {
             cap_bits: cap_w.to_bits(),
             freq_bits: freq_limit_ghz.map(f64::to_bits),
         };
-        if let Some((last, rep)) = &slot.last {
-            if *last == inputs {
-                cache.note_hit(slot.id);
-                return Arc::clone(rep);
-            }
+        if matches!(&slot.last, Some((last, _)) if *last == inputs) {
+            cache.note_hit(slot.id);
+            return;
         }
         let f_cap = f_caps.get(machine, cap_w, cfg.threads);
         let (key_cap_w, key_limit_ghz) = machine.operating_point(cap_w, f_cap, freq_limit_ghz);
@@ -417,8 +434,7 @@ impl SimExecutor {
             "the cell at ({key_cap_w} W, {key_limit_ghz:?}) runs at another frequency than \
              ({cap_w} W, {freq_limit_ghz:?})"
         );
-        slot.last = Some((inputs, Arc::clone(&rep)));
-        rep
+        slot.last = Some((inputs, rep));
     }
 }
 
@@ -438,6 +454,7 @@ impl Backend for SimExecutor {
     fn begin_run(&mut self) {
         self.energy_meter = PackageEnergy::new();
         self.energy_meter.sample(&self.rapl); // prime against the current counter
+        self.resample = false;
         self.perturb.begin_run();
         self.positions.clear();
     }
@@ -445,6 +462,7 @@ impl Backend for SimExecutor {
     fn charge_overhead(&mut self, dt_s: f64) {
         let p = backend::overhead_power_w(&self.machine);
         self.rapl.advance(dt_s, p);
+        self.resample = true;
     }
 
     fn run_region(&mut self, region: &RegionModel, cfg: TunedConfig) -> RegionRun {
@@ -456,17 +474,20 @@ impl Backend for SimExecutor {
         // cache key) see the new envelope.
         let faults =
             self.perturb.before_invocation(&region.name, inv, |w| self.rapl.set_package_cap(w));
-        let mut rep = self.price(slot, region, cfg.omp.as_sim(), cfg.freq_ghz);
-        if let Some(f) = faults.filter(|f| f.straggler_factor > 1.0) {
+        self.price(slot, region, cfg.omp.as_sim(), cfg.freq_ghz);
+        let rep = self.slots[slot].report();
+        let rep = match faults.filter(|f| f.straggler_factor > 1.0) {
             // A real slowdown: machine state (time and energy) grows,
             // not just the observation.
-            rep = Arc::new(rep.with_straggler(&self.machine, f.straggler_factor));
-        }
+            Some(f) => Cow::Owned(rep.with_straggler(&self.machine, f.straggler_factor)),
+            None => Cow::Borrowed(&**rep),
+        };
         let fnoise = match &self.noise {
             Some(n) => n.factor(&region.name, inv),
             None => 1.0,
         };
         self.rapl.advance(rep.time_s * fnoise, rep.avg_power_w());
+        self.resample = true;
         RegionRun {
             time_s: self.perturb.after_invocation(&region.name, faults, rep.time_s * fnoise),
             features: RegionFeatures {
@@ -481,9 +502,11 @@ impl Backend for SimExecutor {
 
     fn energy_j(&mut self) -> Result<f64, MeasureError> {
         // A dropped sample answers the stale counter value without
-        // resampling RAPL.
-        let stale = self.perturb.meter_read()?;
-        Ok(if stale { self.energy_meter.total_j() } else { self.energy_meter.sample(&self.rapl) })
+        // resampling RAPL, and so does a read with no RAPL advance since
+        // the last sample: the unchanged register would add `+0.0` to the
+        // total. The fault plan sees every read either way.
+        let fresh = !self.perturb.meter_read()? && std::mem::take(&mut self.resample);
+        Ok(if fresh { self.energy_meter.sample(&self.rapl) } else { self.energy_meter.total_j() })
     }
 
     fn attach_faults(&mut self, plan: FaultPlan) {
@@ -748,6 +771,61 @@ mod tests {
         }
         let s = exec.shared_cache().stats();
         assert_eq!((s.hits, s.misses), (2, 1));
+    }
+
+    #[test]
+    fn unmoved_meter_reads_keep_the_sampled_bits_and_the_plans_read_ordinals() {
+        // `old` resamples RAPL on every read, as the meter did before it
+        // skipped samples of a register nothing has advanced; `new` must
+        // answer each read with the same bits, and fail the same reads.
+        let m = Machine::crill();
+        let plan = FaultPlan {
+            rapl_fault_rate: 0.2,
+            rapl_burst_len: 1,
+            sample_drop_rate: 0.3,
+            straggler_rate: 0.2,
+            straggler_factor: 1.8,
+            ..FaultPlan::new(11)
+        };
+        let sink = Arc::new(arcs_trace::VecSink::new());
+        let mut new =
+            SimExecutor::new(m.clone(), 85.0).with_faults(plan.clone()).with_trace(sink.clone());
+        let mut old = SimExecutor::new(m.clone(), 85.0).with_faults(plan.clone());
+        let cfg = TunedConfig::from(OmpConfig::default_for(&m));
+        let (mut reads, mut failed) = (0, 0);
+        let mut read_both = |new: &mut SimExecutor, old: &mut SimExecutor, n: usize| {
+            for _ in 0..n {
+                old.resample = true;
+                let (a, b) = (new.energy_j(), old.energy_j());
+                assert_eq!(a.is_err(), plan.rapl_read_fails(reads), "read {reads}");
+                failed += usize::from(a.is_err());
+                assert_eq!(a.ok().map(f64::to_bits), b.ok().map(f64::to_bits), "read {reads}");
+                reads += 1;
+            }
+        };
+        new.begin_run();
+        old.begin_run();
+        read_both(&mut new, &mut old, 2);
+        for (i, region) in small_bt().step.iter().cycle().take(40).enumerate() {
+            if i % 3 == 0 {
+                new.charge_overhead(1e-3);
+                old.charge_overhead(1e-3);
+                read_both(&mut new, &mut old, 2);
+            }
+            assert_eq!(new.run_region(region, cfg), old.run_region(region, cfg));
+            read_both(&mut new, &mut old, 3);
+        }
+        let kinds: Vec<_> = sink
+            .drain()
+            .into_iter()
+            .filter_map(|r| match r.event {
+                arcs_trace::TraceEvent::FaultInjected { kind, .. } => Some(kind),
+                _ => None,
+            })
+            .collect();
+        assert!(failed > 0, "the plan fails some reads");
+        assert!(kinds.iter().any(|k| k == "sample_drop"), "the plan drops some samples");
+        assert!(kinds.iter().any(|k| k == "straggler"), "the plan straggles some invocations");
     }
 
     #[test]

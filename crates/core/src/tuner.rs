@@ -763,15 +763,18 @@ impl RegionTuner {
                         TraceEvent::SearchIteration {
                             region: region_name.clone(),
                             evaluations: step.evaluations as u64,
-                            point: step.point.clone(),
+                            point: step.point.to_vec(),
                             value: step.value,
-                            best_point: step.best_point.clone(),
+                            best_point: step.best_point.to_vec(),
                             best_value: step.best_value,
                             converged: step.converged,
                             simplex: step
                                 .candidates
                                 .iter()
-                                .map(|c| SearchCandidate { point: c.point.clone(), value: c.value })
+                                .map(|c| SearchCandidate {
+                                    point: c.point.to_vec(),
+                                    value: c.value,
+                                })
                                 .collect(),
                             objective,
                         },
@@ -787,6 +790,11 @@ impl RegionTuner {
     /// from a cold start).
     pub fn converged(&self) -> bool {
         !self.regions.is_empty() && self.regions.iter().all(RegionState::converged)
+    }
+
+    /// How many regions have not converged.
+    pub(crate) fn searching(&self) -> usize {
+        self.regions.iter().filter(|r| !r.converged()).count()
     }
 
     /// Has `region` converged (or is it pinned)?

@@ -91,7 +91,8 @@ impl Session {
     /// Create a session. `start` seeds simplex strategies (ARCS uses the
     /// default configuration) and serves as the fallback point if the
     /// search converges without any measurement.
-    pub fn new(space: SearchSpace, strategy: StrategyKind, start: Point) -> Self {
+    pub fn new(space: SearchSpace, strategy: StrategyKind, start: impl Into<Point>) -> Self {
+        let start = start.into();
         assert!(space.contains(&start), "start point outside the space");
         let search = build_search(&space, &strategy, &start);
         // Exhaustive sweeps re-measure nothing, and repeated measurements
@@ -185,8 +186,8 @@ impl Session {
     /// The configuration to use for the next invocation. Before convergence
     /// this drives the search; after convergence it is the best point found.
     pub fn next_point(&mut self) -> Point {
-        if let Some(p) = &self.pending {
-            return p.clone();
+        if let Some(p) = self.pending {
+            return p;
         }
         loop {
             match self.search.ask() {
@@ -201,7 +202,7 @@ impl Session {
                             continue;
                         }
                     }
-                    self.pending = Some(p.clone());
+                    self.pending = Some(p);
                     return p;
                 }
             }
@@ -234,12 +235,12 @@ impl Session {
 
     /// Best point observed, or the start point if nothing was measured.
     pub fn best_point(&self) -> Point {
-        self.search.best().map(|(p, _)| p.clone()).unwrap_or_else(|| self.fallback.clone())
+        self.search.best().map_or(self.fallback, |(p, _)| *p)
     }
 
     /// Best (point, value) observed.
     pub fn best(&self) -> Option<(Point, f64)> {
-        self.search.best().map(|(p, v)| (p.clone(), v))
+        self.search.best().map(|(p, v)| (*p, v))
     }
 
     /// Number of `tell`s the strategy has processed (cached replays count).
@@ -285,7 +286,7 @@ mod tests {
         let (s, runs) = drive(Session::new(space(), StrategyKind::exhaustive(), vec![5, 0]), 1000);
         assert!(s.converged());
         assert_eq!(runs, 36);
-        assert_eq!(s.best_point(), vec![2, 4]);
+        assert_eq!(s.best_point()[..], [2, 4]);
     }
 
     #[test]
@@ -331,7 +332,7 @@ mod tests {
     #[test]
     fn fallback_point_used_when_unmeasured() {
         let s = Session::new(space(), StrategyKind::exhaustive(), vec![3, 3]);
-        assert_eq!(s.best_point(), vec![3, 3]);
+        assert_eq!(s.best_point()[..], [3, 3]);
     }
 
     #[test]
@@ -364,7 +365,7 @@ mod tests {
     fn restart_before_any_measurement_reseeds_at_start() {
         let mut s = Session::new(space(), StrategyKind::nelder_mead(), vec![3, 3]);
         s.restart();
-        assert_eq!(s.best_point(), vec![3, 3]);
+        assert_eq!(s.best_point()[..], [3, 3]);
         let (s, _) = drive(s, 1000);
         assert!(s.converged());
     }
@@ -384,7 +385,7 @@ mod tests {
                     steps.fetch_add(1, Ordering::Relaxed);
                     assert!(step.value.is_finite());
                     assert!(step.best_value <= step.value, "best can never exceed a told value");
-                    *last_best.lock() = Some((step.best_point.clone(), step.best_value));
+                    *last_best.lock() = Some((*step.best_point, step.best_value));
                 },
             )
         };
@@ -393,7 +394,7 @@ mod tests {
         // One observer step per strategy evaluation: cached replays count.
         assert_eq!(steps.load(Ordering::Relaxed), s.evaluations());
         assert!(real_runs <= s.evaluations());
-        let (best_point, best_value) = last_best.lock().clone().unwrap();
+        let (best_point, best_value) = last_best.lock().unwrap();
         assert_eq!(s.best().unwrap(), (best_point, best_value));
     }
 

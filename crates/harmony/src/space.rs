@@ -9,7 +9,8 @@
 //! domains. The mapping from indices back to meaningful values (thread
 //! counts, schedules, chunks) lives with the caller.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use std::fmt;
 
 /// One tunable parameter: a name and the number of admissible levels.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -25,8 +26,69 @@ impl Param {
     }
 }
 
+/// The most parameters a [`SearchSpace`] may have: the three Table I
+/// knobs (threads, schedule, chunk) plus the DVFS axis.
+pub const MAX_DIM: usize = 4;
+
 /// A point in the index grid: `point[i] < params[i].levels`.
-pub type Point = Vec<usize>;
+///
+/// Held inline and `Copy` (at most [`MAX_DIM`] indices), so asking,
+/// caching and comparing points allocates nothing. It reads as a
+/// `[usize]` slice, prints like one, and serialises as the same integer
+/// sequence a `Vec<usize>` does.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct Point {
+    len: usize,
+    /// Indices past `len` stay zero, so the derived equality and hash
+    /// are the slice's.
+    idx: [usize; MAX_DIM],
+}
+
+impl std::ops::Deref for Point {
+    type Target = [usize];
+    fn deref(&self) -> &[usize] {
+        &self.idx[..self.len]
+    }
+}
+
+impl FromIterator<usize> for Point {
+    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
+        let mut p = Point::default();
+        for i in iter {
+            p.idx[p.len] = i; // panics past MAX_DIM indices
+            p.len += 1;
+        }
+        p
+    }
+}
+
+impl From<Vec<usize>> for Point {
+    fn from(indices: Vec<usize>) -> Self {
+        indices.into_iter().collect()
+    }
+}
+
+impl fmt::Debug for Point {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self[..].fmt(f)
+    }
+}
+
+impl Serialize for Point {
+    fn to_value(&self) -> Value {
+        self.to_vec().to_value()
+    }
+}
+
+impl Deserialize for Point {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let indices = Vec::<usize>::from_value(v)?;
+        match indices.len() {
+            0..=MAX_DIM => Ok(indices.into()),
+            _ => Err(serde::Error::custom(format!("a point holds at most {MAX_DIM} indices"))),
+        }
+    }
+}
 
 /// The Cartesian product of parameter domains.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,6 +99,7 @@ pub struct SearchSpace {
 impl SearchSpace {
     pub fn new(params: Vec<Param>) -> Self {
         assert!(!params.is_empty(), "search space needs at least one parameter");
+        assert!(params.len() <= MAX_DIM, "a search space has at most {MAX_DIM} parameters");
         SearchSpace { params }
     }
 
@@ -62,9 +125,9 @@ impl SearchSpace {
     /// the last parameter varies fastest).
     pub fn unrank(&self, mut rank: usize) -> Point {
         assert!(rank < self.size(), "rank out of range");
-        let mut point = vec![0; self.dim()];
+        let mut point = Point { len: self.dim(), idx: [0; MAX_DIM] };
         for (i, p) in self.params.iter().enumerate().rev() {
-            point[i] = rank % p.levels;
+            point.idx[i] = rank % p.levels;
             rank /= p.levels;
         }
         point
@@ -151,8 +214,8 @@ mod tests {
     #[test]
     fn round_clamps_and_rounds() {
         let s = space();
-        assert_eq!(s.round(&[-3.0, 1.4, 100.0]), vec![0, 1, 8]);
-        assert_eq!(s.round(&[2.5, 2.51, 2.49]), vec![3, 3, 2]);
+        assert_eq!(s.round(&[-3.0, 1.4, 100.0])[..], [0, 1, 8]);
+        assert_eq!(s.round(&[2.5, 2.51, 2.49])[..], [3, 3, 2]);
     }
 
     #[test]
@@ -161,6 +224,24 @@ mod tests {
         assert!(!s.contains(&[7, 0, 0]));
         assert!(!s.contains(&[0, 0]));
         assert!(s.contains(&[6, 3, 8]));
+    }
+
+    #[test]
+    fn a_point_serialises_and_prints_as_the_vec_it_reads_as() {
+        let s = space();
+        for p in s.iter_points() {
+            let json = serde_json::to_string(&p).unwrap();
+            assert_eq!(json, serde_json::to_string(&p.to_vec()).unwrap());
+            assert_eq!(serde_json::from_str::<Point>(&json).unwrap(), p);
+            assert_eq!(format!("{p:?}"), format!("{:?}", p.to_vec()));
+        }
+        assert!(serde_json::from_str::<Point>("[0,1,2,3,4]").is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4 parameters")]
+    fn a_fifth_parameter_is_rejected() {
+        SearchSpace::new((0..5).map(|i| Param::new(format!("p{i}"), 2)).collect());
     }
 
     #[test]

@@ -43,15 +43,10 @@ impl Exhaustive {
 
 impl Search for Exhaustive {
     fn ask(&mut self) -> Option<Point> {
-        if let Some(p) = &self.pending {
-            return Some(p.clone());
+        if self.pending.is_none() && self.next_rank < self.space.size() {
+            self.pending = Some(self.space.unrank(self.next_rank));
         }
-        if self.next_rank >= self.space.size() {
-            return None;
-        }
-        let p = self.space.unrank(self.next_rank);
-        self.pending = Some(p.clone());
-        Some(p)
+        self.pending
     }
 
     fn tell(&mut self, value: f64) {
@@ -112,7 +107,7 @@ mod tests {
         assert!(s.converged());
         assert_eq!(s.evaluations(), 20);
         let (best, val) = s.best().unwrap();
-        assert_eq!(best, &vec![3, 1]);
+        assert_eq!(best[..], [3, 1]);
         assert_eq!(val, 0.0);
     }
 
@@ -128,7 +123,7 @@ mod tests {
         }
         assert_eq!(s.evaluations(), 60);
         let (best, val) = s.best().unwrap();
-        assert_eq!(best, &vec![3, 1]);
+        assert_eq!(best[..], [3, 1]);
         assert!(val.abs() < 1e-9);
     }
 

@@ -321,7 +321,7 @@ mod tests {
             nm.tell(v);
         }
         let (p, v) = nm.best().unwrap();
-        (p.clone(), v, nm.evaluations())
+        (*p, v, nm.evaluations())
     }
 
     #[test]

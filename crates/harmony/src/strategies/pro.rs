@@ -303,7 +303,7 @@ mod tests {
             s.tell(v);
         }
         let (p, v) = s.best().unwrap();
-        (p.clone(), v, s.evaluations())
+        (*p, v, s.evaluations())
     }
 
     #[test]

@@ -54,16 +54,11 @@ fn gcd(a: usize, b: usize) -> usize {
 
 impl Search for RandomSearch {
     fn ask(&mut self) -> Option<Point> {
-        if self.converged() {
-            return None;
+        if self.pending.is_none() && !self.converged() {
+            let rank = (self.offset + self.next_index * self.stride) % self.space.size();
+            self.pending = Some(self.space.unrank(rank));
         }
-        if let Some(p) = &self.pending {
-            return Some(p.clone());
-        }
-        let rank = (self.offset + self.next_index * self.stride) % self.space.size();
-        let p = self.space.unrank(rank);
-        self.pending = Some(p.clone());
-        Some(p)
+        self.pending
     }
 
     fn tell(&mut self, value: f64) {
@@ -142,7 +137,7 @@ mod tests {
         }
         assert_eq!(r.evaluations(), s.size());
         let (best, v) = r.best().unwrap();
-        assert_eq!(best, &vec![2, 5]);
+        assert_eq!(best[..], [2, 5]);
         assert_eq!(v, 0.0);
     }
 }
