@@ -126,6 +126,19 @@ if [ -n "$strays" ]; then
     exit 1
 fi
 
+# One setting per search: ARCS runs the stock strategies with fixed
+# coefficients and budgets (constants beside each strategy) and the
+# self-healing ladder with a fixed outlier window and no median-of-k. No
+# non-test source may bring back their option structs or knobs.
+strays="$(find crates src examples -name '*.rs' -not -path '*/tests/*' \
+    -exec awk '/#\[cfg\(test\)\]/ { nextfile }
+        /NmOptions|ProOptions|with_repeats|measure_k|outlier_window/ { print FILENAME ":" FNR ": " $0 }' {} +)"
+if [ -n "$strays" ]; then
+    echo "ci: a search or self-healing knob only its default reaches:" >&2
+    echo "$strays" >&2
+    exit 1
+fi
+
 # Trace smoke: a tuned run must emit JSONL that validates against the
 # published schema (--check exits non-zero otherwise) plus a Chrome trace.
 trace_tmp="$(mktemp -d)"

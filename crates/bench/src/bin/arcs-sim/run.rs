@@ -8,7 +8,7 @@ use arcs::{
     AppRunReport, ConfigSpace, Objective, OmpConfig, RegionTuner, ResilienceOptions, RunError,
     Runner, SimExecutor, TunerOptions, TuningMode,
 };
-use arcs_harmony::{History, NmOptions, ProOptions};
+use arcs_harmony::History;
 use arcs_powersim::{FaultPlan, Machine};
 use arcs_trace::{
     chrome_trace, to_jsonl, validate_jsonl, TraceEvent, TraceRecord, TraceSink, VecSink,
@@ -158,8 +158,8 @@ pub fn main(argv: &[String]) {
     });
     let search = |mode| TunerOptions::new(space.clone(), mode).with_min_region_time(selective);
     let mut tuner = match strategy {
-        "online" => Some(search(TuningMode::Online(NmOptions::default()))),
-        "pro" => Some(search(TuningMode::OnlinePro(ProOptions::default()))),
+        "online" => Some(search(TuningMode::Online)),
+        "pro" => Some(search(TuningMode::OnlinePro)),
         "exhaustive" => Some(search(TuningMode::OfflineTrain)),
         "offline" => trained.clone().map(|h| search(TuningMode::OfflineReplay(h))),
         _ => None,

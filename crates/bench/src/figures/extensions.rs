@@ -9,7 +9,6 @@ use arcs::{
     AppRunReport, ConfigSpace, OmpConfig, RegionTuner, Runner, SimExecutor, SweepEngine, SweepGrid,
     SweepStrategy, TunerOptions, TuningMode,
 };
-use arcs_harmony::{NmOptions, ProOptions};
 use arcs_kernels::{model, Class};
 use arcs_omprt::{Schedule, ScheduleKind};
 use arcs_powersim::{simulate_region_at_freq, Machine, SimReport};
@@ -68,8 +67,8 @@ pub fn ablation(out: &mut dyn Write) -> io::Result<()> {
         let mut rows = Vec::new();
         for (name, mode) in [
             ("exhaustive", TuningMode::OfflineTrain),
-            ("nelder-mead", TuningMode::Online(NmOptions::default())),
-            ("parallel-rank-order", TuningMode::OnlinePro(ProOptions::default())),
+            ("nelder-mead", TuningMode::Online),
+            ("parallel-rank-order", TuningMode::OnlinePro),
             // Random baseline at the budget NM typically needs.
             ("random-20", TuningMode::OnlineRandom { seed: 0xA5C5, max_evals: 20 }),
         ] {

@@ -177,11 +177,7 @@ impl NoiseModel {
             h = (h ^ b as u64).wrapping_mul(0x100_0000_01B3);
         }
         h ^= invocation.wrapping_mul(0xA24B_AED4_963E_E407);
-        // splitmix64 finaliser.
-        let mut z = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = arcs_powersim::splitmix64(h.wrapping_add(0x9E37_79B9_7F4A_7C15));
         let u = (z >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
         let a = (self.cv * 3f64.sqrt()).min(0.95);
         1.0 - a + 2.0 * a * u

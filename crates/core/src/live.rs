@@ -374,7 +374,6 @@ mod tests {
     use crate::backend::Runner;
     use crate::config::ConfigSpace;
     use crate::tuner::TuningMode;
-    use arcs_harmony::NmOptions;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn small_space(default_threads: usize) -> ConfigSpace {
@@ -397,10 +396,7 @@ mod tests {
     #[test]
     fn live_tuning_drives_configs_through_the_runtime() {
         let rt = Arc::new(Runtime::new(4));
-        let options = TunerOptions::new(
-            small_space(4),
-            TuningMode::Online(NmOptions { max_evals: 30, ..NmOptions::default() }),
-        );
+        let options = TunerOptions::new(small_space(4), TuningMode::Online);
         let live = ArcsLive::attach(Arc::clone(&rt), options);
 
         let region = rt.register_region("live/loop");
@@ -430,10 +426,7 @@ mod tests {
     #[test]
     fn live_history_export_roundtrips() {
         let rt = Arc::new(Runtime::new(2));
-        let options = TunerOptions::new(
-            small_space(2),
-            TuningMode::Online(NmOptions { max_evals: 10, ..NmOptions::default() }),
-        );
+        let options = TunerOptions::new(small_space(2), TuningMode::Online);
         let live = ArcsLive::attach(Arc::clone(&rt), options);
         let region = rt.register_region("live/export");
         for _ in 0..12 {
@@ -479,10 +472,7 @@ mod tests {
 
         // Tuned run: overheads are charged by the same driver code path
         // the simulator uses.
-        let mut tuner = RegionTuner::new(TunerOptions::new(
-            small_space(4),
-            TuningMode::Online(NmOptions { max_evals: 10, ..NmOptions::default() }),
-        ));
+        let mut tuner = RegionTuner::new(TunerOptions::new(small_space(4), TuningMode::Online));
         let tuned = Runner::new(&mut exec).workload(&wl).tuner(&mut tuner).run().unwrap();
         let m = exec.machine().clone();
         assert!((tuned.instrumentation_overhead_s - 6.0 * m.instrumentation_s).abs() < 1e-12);

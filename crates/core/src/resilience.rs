@@ -50,17 +50,10 @@ pub struct ResilienceOptions {
     /// [`Backend::charge_overhead`](crate::backend::Backend::charge_overhead);
     /// the driver clock is not advanced.
     pub retry_backoff_s: f64,
-    /// Accepted measurements collected per search point before the
-    /// median is reported to the session. 1 reports every accepted
-    /// measurement directly.
-    pub measure_k: usize,
     /// Reject a measurement when `|score − median| > mad_threshold ×
-    /// MAD` over the region's accepted-score window. 0 disables
-    /// rejection.
+    /// MAD` over the region's accepted-score window (its last 16
+    /// scores). 0 disables rejection.
     pub mad_threshold: f64,
-    /// Size of the per-region accepted-score window the median/MAD are
-    /// computed over.
-    pub outlier_window: usize,
     /// Hard meter faults absorbed (the read is answered with the last
     /// known meter value) before the tuner freezes and the run degrades.
     /// `None` means hard faults are run errors
@@ -81,9 +74,7 @@ impl Default for ResilienceOptions {
         ResilienceOptions {
             max_read_retries: 0,
             retry_backoff_s: 0.0,
-            measure_k: 1,
             mad_threshold: 0.0,
-            outlier_window: 16,
             error_budget: None,
             restart_after_rejections: 0,
             max_restarts: 0,
@@ -101,9 +92,7 @@ impl ResilienceOptions {
         ResilienceOptions {
             max_read_retries: 3,
             retry_backoff_s: 1e-4,
-            measure_k: 1,
             mad_threshold: 4.0,
-            outlier_window: 16,
             error_budget: Some(16),
             restart_after_rejections: 6,
             max_restarts: 2,
@@ -118,7 +107,7 @@ impl ResilienceOptions {
 
 /// Median of a slice (the slice is sorted in place). Empty slices
 /// return 0.
-pub(crate) fn median_in_place(values: &mut [f64]) -> f64 {
+fn median_in_place(values: &mut [f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
@@ -150,7 +139,6 @@ mod tests {
     fn default_disables_every_rung() {
         let d = ResilienceOptions::default();
         assert_eq!(d.max_read_retries, 0);
-        assert_eq!(d.measure_k, 1);
         assert_eq!(d.mad_threshold, 0.0);
         assert_eq!(d.error_budget, None);
         assert_eq!(d.restart_after_rejections, 0);

@@ -18,7 +18,7 @@
 //! [`SweepStrategy`] is the one table of run recipes: each strategy is a
 //! [`Runner`] chain in [`SweepEngine`]'s `run_cell`.
 
-use crate::backend::Runner;
+use crate::backend::{RunError, Runner};
 use crate::config::{ConfigSpace, OmpConfig};
 use crate::executor::SimExecutor;
 use crate::report::AppRunReport;
@@ -217,7 +217,17 @@ impl SweepEngine {
     /// Execute every cell of `grid` and collect the results in declaration
     /// order. Cells are distributed over the worker pool; see the module
     /// docs for why the outcome is identical at any worker count.
+    ///
+    /// # Panics
+    /// Panics if a cell fails; [`SweepEngine::try_run`] returns the error.
     pub fn run(&self, grid: &SweepGrid) -> SweepReport {
+        self.try_run(grid).unwrap_or_else(|e| panic!("a sweep cell failed: {e}"))
+    }
+
+    /// [`SweepEngine::run`], returning the first failing cell's error in
+    /// declaration order (e.g. an Offline cell too short to finish its
+    /// training sweeps).
+    pub fn try_run(&self, grid: &SweepGrid) -> Result<SweepReport, RunError> {
         assert_eq!(
             grid.machine.name, self.machine.name,
             "one engine serves one machine model (its cache is machine-specific)"
@@ -239,7 +249,7 @@ impl SweepEngine {
 
         let before = self.cache.stats();
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<CellResult>>> =
+        let slots: Vec<Mutex<Option<Result<CellResult, RunError>>>> =
             cells.iter().map(|_| Mutex::new(None)).collect();
         let workers = self.workers.min(cells.len()).max(1);
         std::thread::scope(|s| {
@@ -254,9 +264,11 @@ impl SweepEngine {
                 });
             }
         });
-        let results =
-            slots.into_iter().map(|slot| slot.into_inner().expect("every cell ran")).collect();
-        SweepReport { cells: results, cache: self.cache.stats().delta_since(&before), workers }
+        let cells = slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("every cell ran"))
+            .collect::<Result<_, _>>()?;
+        Ok(SweepReport { cells, cache: self.cache.stats().delta_since(&before), workers })
     }
 
     fn executor(&self, cap_w: f64, noise: Option<(f64, u64)>) -> SimExecutor {
@@ -283,7 +295,7 @@ impl SweepEngine {
         strategy: SweepStrategy,
         objective: Objective,
         noise: Option<(f64, u64)>,
-    ) -> CellResult {
+    ) -> Result<CellResult, RunError> {
         let mut exec = self.executor(cap_w, noise);
         let space = ConfigSpace::for_machine(&self.machine);
         let label = strategy.label();
@@ -312,14 +324,14 @@ impl SweepEngine {
                 let context = format!("{name}.{machine}.{cap}W{suffix}");
                 let train = TunerOptions::offline_train(space.clone()).with_objective(objective);
                 let history = Runner::new(&mut exec).workload(wl).train(train, &context);
-                let history = history.expect("training a sweep cell cannot fail");
+                let history = history?;
                 let replay = TunerOptions::offline_replay(space, history.clone());
                 let replay = replay.with_objective(objective);
                 (tuned(&mut self.executor(cap_w, noise), replay), Some(history))
             }
         };
-        let report = report.expect("a sweep cell sets its workload and injects no faults");
-        CellResult { workload: wl.name.clone(), cap_w, strategy, objective, report, history }
+        let report = report?;
+        Ok(CellResult { workload: wl.name.clone(), cap_w, strategy, objective, report, history })
     }
 }
 
@@ -354,6 +366,22 @@ mod tests {
         );
         assert!(rep.cell("sp.B", 85.0, "default").is_some());
         assert!(rep.cell("sp.B", 85.0, "oracle").is_none());
+    }
+
+    #[test]
+    fn an_offline_cell_too_short_to_train_is_an_error_not_a_worker_panic() {
+        let m = Machine::crill();
+        let mut wl = model::sp(Class::S);
+        wl.timesteps = 3;
+        let grid = SweepGrid::new(m.clone())
+            .workload(wl)
+            .caps(&[85.0])
+            .strategies(&[SweepStrategy::Offline]);
+        let err = SweepEngine::new(m).try_run(&grid).unwrap_err();
+        assert!(
+            matches!(err, RunError::Untrained { passes: 64, searching: 5 }),
+            "unexpected error: {err:?}"
+        );
     }
 
     #[test]

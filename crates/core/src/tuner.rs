@@ -59,8 +59,8 @@
 
 use crate::backend::RegionFeatures;
 use crate::config::{ConfigSpace, OmpConfig, TunedConfig};
-use crate::resilience::{median_and_mad, median_in_place, ResilienceOptions};
-use arcs_harmony::{History, NmOptions, ProOptions, Session, StrategyKind};
+use crate::resilience::{median_and_mad, ResilienceOptions};
+use arcs_harmony::{History, Session, StrategyKind};
 use arcs_metrics::MetricsRegistry;
 use arcs_omprt::{Schedule, ScheduleKind};
 use arcs_powersim::{FxBuildHasher, Machine};
@@ -73,6 +73,10 @@ use std::sync::Arc;
 /// below this the median/MAD are too unstable to call anything an
 /// outlier, so the warmup measurements are always accepted.
 const MIN_WINDOW_FOR_REJECTION: usize = 5;
+
+/// Accepted scores a region keeps for the MAD outlier test: the median
+/// and MAD are computed over its last this many.
+const OUTLIER_WINDOW: usize = 16;
 
 /// The portfolio ladder's rule: smoothing of the imbalance EWMA, the
 /// level (≥ 15 % of thread time waiting at the barrier) above which an
@@ -91,9 +95,9 @@ pub enum TuningMode {
     /// ARCS-Offline *measured* run).
     OfflineReplay(History<OmpConfig>),
     /// Nelder–Mead search within the run (ARCS-Online).
-    Online(NmOptions),
+    Online,
     /// Parallel Rank Order search within the run.
-    OnlinePro(ProOptions),
+    OnlinePro,
     /// Uniform random sampling within the run (ablation baseline).
     OnlineRandom { seed: u64, max_evals: usize },
 }
@@ -117,7 +121,7 @@ impl TunerOptions {
     }
 
     pub fn online(space: ConfigSpace) -> Self {
-        TunerOptions::new(space, TuningMode::Online(NmOptions::default()))
+        TunerOptions::new(space, TuningMode::Online)
     }
 
     pub fn offline_train(space: ConfigSpace) -> Self {
@@ -228,9 +232,6 @@ struct Search {
     /// Window of accepted scores (resilience only): what the MAD
     /// outlier test compares a new measurement against.
     accepted: VecDeque<f64>,
-    /// Accepted scores for the *pending* search point (median-of-k
-    /// re-measurement buffer; resilience only).
-    pending_scores: Vec<f64>,
     /// The score the last rejection discarded: a re-measurement that
     /// reproduces it is accepted (consistent means real).
     last_rejected: Option<f64>,
@@ -246,7 +247,6 @@ impl Search {
             settled: None,
             awaiting: false,
             accepted: VecDeque::new(),
-            pending_scores: Vec::new(),
             last_rejected: None,
             rejections_since_restart: 0,
         }
@@ -660,7 +660,6 @@ impl RegionTuner {
                 {
                     search.rejections_since_restart = 0;
                     search.last_rejected = None;
-                    search.pending_scores.clear();
                     if search.session.restarts() < res.max_restarts {
                         search.session.restart();
                         self.stats.restarts += 1;
@@ -673,23 +672,11 @@ impl RegionTuner {
         }
 
         search.last_rejected = None;
-        if search.accepted.len() >= res.outlier_window.max(1) {
+        if search.accepted.len() >= OUTLIER_WINDOW {
             search.accepted.pop_front();
         }
         search.accepted.push_back(score);
-        if res.measure_k > 1 {
-            // Median-of-k re-measurement: the point stays pending until
-            // k accepted scores arrived; their median is what the
-            // session learns.
-            search.pending_scores.push(score);
-            if search.pending_scores.len() >= res.measure_k {
-                let median = median_in_place(&mut search.pending_scores);
-                search.pending_scores.clear();
-                search.session.report(median);
-            }
-        } else {
-            search.session.report(score);
-        }
+        search.session.report(score);
     }
 
     /// Feed the portfolio ladder (a no-op for regions off it) the
@@ -741,8 +728,8 @@ impl RegionTuner {
                 return Mode::Pinned { config, tuned: true, ladder: None };
             }
             TuningMode::OfflineTrain => (StrategyKind::exhaustive(), "exhaustive"),
-            TuningMode::Online(opts) => (StrategyKind::NelderMead(*opts), "nelder-mead"),
-            TuningMode::OnlinePro(opts) => (StrategyKind::ParallelRankOrder(*opts), "pro"),
+            TuningMode::Online => (StrategyKind::nelder_mead(), "nelder-mead"),
+            TuningMode::OnlinePro => (StrategyKind::parallel_rank_order(), "pro"),
             TuningMode::OnlineRandom { seed, max_evals } => {
                 (StrategyKind::random(*seed, *max_evals), "random")
             }
@@ -1270,25 +1257,6 @@ mod resilience_tests {
     }
 
     #[test]
-    fn median_of_k_reports_once_per_k_measurements() {
-        let res =
-            ResilienceOptions { measure_k: 3, mad_threshold: 0.0, ..ResilienceOptions::default() };
-        let mut tuner = RegionTuner::new(TunerOptions::online(space()));
-        tuner.set_resilience(res);
-        let mut points = Vec::new();
-        for _ in 0..9 {
-            let d = tuner.begin("r");
-            points.push(d.config);
-            tuner.end("r", measure(&d.config.omp));
-        }
-        // Each search point is held for 3 invocations.
-        assert_eq!(points[0], points[1]);
-        assert_eq!(points[1], points[2]);
-        assert_eq!(points[3], points[4]);
-        assert_eq!(tuner.evaluations("r"), 3, "9 invocations = 3 reported evaluations");
-    }
-
-    #[test]
     fn rejection_streak_restarts_then_freezes() {
         let res = ResilienceOptions {
             mad_threshold: 2.0,
@@ -1364,7 +1332,7 @@ mod resilience_tests {
         let space = space();
         let mut session = Session::new(
             space.to_search_space(),
-            StrategyKind::NelderMead(NmOptions::default()),
+            StrategyKind::nelder_mead(),
             space.default_point(),
         );
         let mut tuner = RegionTuner::new(TunerOptions::online(space.clone()));

@@ -6,7 +6,7 @@ use arcs::{
     ConfigSpace, OmpConfig, RegionTuner, ResilienceOptions, Runner, SimExecutor, TunerOptions,
     TuningMode,
 };
-use arcs_harmony::{History, NmOptions, ProOptions};
+use arcs_harmony::History;
 use arcs_powersim::{FaultPlan, Machine};
 use proptest::prelude::*;
 
@@ -45,8 +45,8 @@ proptest! {
         let space = ConfigSpace::crill();
         let mode = match strategy_pick {
             0 => TuningMode::OfflineTrain,
-            1 => TuningMode::Online(NmOptions::default()),
-            _ => TuningMode::OnlinePro(ProOptions::default()),
+            1 => TuningMode::Online,
+            _ => TuningMode::OnlinePro,
         };
         let mut tuner = RegionTuner::new(TunerOptions::new(space.clone(), mode));
         let mut state = seed | 1;
@@ -184,7 +184,7 @@ proptest! {
         let space = ConfigSpace::crill();
         let mut tuner = RegionTuner::new(TunerOptions::new(
             space.clone(),
-            TuningMode::Online(NmOptions { max_evals: 40, ..NmOptions::default() }),
+            TuningMode::Online,
         ));
         let mut s = seed | 1;
         for _ in 0..80 {

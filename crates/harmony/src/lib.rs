@@ -35,6 +35,5 @@ pub use history::{Entry, History};
 pub use session::{Session, SessionObserver, StrategyKind};
 pub use space::{Param, Point, SearchSpace};
 pub use strategies::{
-    Candidate, Exhaustive, NelderMead, NmOptions, ParallelRankOrder, ProOptions, RandomSearch,
-    Search, SearchStep,
+    Candidate, Exhaustive, NelderMead, ParallelRankOrder, RandomSearch, Search, SearchStep,
 };

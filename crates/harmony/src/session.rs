@@ -14,8 +14,7 @@
 
 use crate::space::{Point, SearchSpace};
 use crate::strategies::{
-    Exhaustive, NelderMead, NmOptions, ParallelRankOrder, ProOptions, RandomSearch, Search,
-    SearchStep,
+    Exhaustive, NelderMead, ParallelRankOrder, RandomSearch, Search, SearchStep,
 };
 use arcs_metrics::Counter;
 use std::collections::HashMap;
@@ -24,16 +23,16 @@ use std::collections::HashMap;
 /// real runs *and* cached replays — with a [`SearchStep`] snapshot.
 pub type SessionObserver = Box<dyn FnMut(&SearchStep<'_>) + Send>;
 
-/// Which search algorithm a session runs.
+/// Which search algorithm a session runs. The coefficients and budgets of
+/// each strategy are constants beside its implementation.
 #[derive(Debug, Clone)]
 pub enum StrategyKind {
-    /// Full sweep (ARCS-Offline training), averaging `repeats` samples per
-    /// configuration.
-    Exhaustive { repeats: usize },
+    /// Full sweep (ARCS-Offline training).
+    Exhaustive,
     /// Nelder–Mead simplex (ARCS-Online).
-    NelderMead(NmOptions),
+    NelderMead,
     /// Parallel Rank Order.
-    ParallelRankOrder(ProOptions),
+    ParallelRankOrder,
     /// Uniform random sampling (the ablation baseline): `seed`,
     /// `max_evals`.
     Random { seed: u64, max_evals: usize },
@@ -41,15 +40,15 @@ pub enum StrategyKind {
 
 impl StrategyKind {
     pub fn exhaustive() -> Self {
-        StrategyKind::Exhaustive { repeats: 1 }
+        StrategyKind::Exhaustive
     }
 
     pub fn nelder_mead() -> Self {
-        StrategyKind::NelderMead(NmOptions::default())
+        StrategyKind::NelderMead
     }
 
     pub fn parallel_rank_order() -> Self {
-        StrategyKind::ParallelRankOrder(ProOptions::default())
+        StrategyKind::ParallelRankOrder
     }
 
     pub fn random(seed: u64, max_evals: usize) -> Self {
@@ -60,13 +59,9 @@ impl StrategyKind {
 /// Build the boxed strategy `kind` describes, seeded at `start`.
 fn build_search(space: &SearchSpace, kind: &StrategyKind, start: &Point) -> Box<dyn Search> {
     match kind {
-        StrategyKind::Exhaustive { repeats } => {
-            Box::new(Exhaustive::with_repeats(space.clone(), *repeats))
-        }
-        StrategyKind::NelderMead(opts) => Box::new(NelderMead::new(space.clone(), start, *opts)),
-        StrategyKind::ParallelRankOrder(opts) => {
-            Box::new(ParallelRankOrder::new(space.clone(), start, *opts))
-        }
+        StrategyKind::Exhaustive => Box::new(Exhaustive::new(space.clone())),
+        StrategyKind::NelderMead => Box::new(NelderMead::new(space.clone(), start)),
+        StrategyKind::ParallelRankOrder => Box::new(ParallelRankOrder::new(space.clone(), start)),
         StrategyKind::Random { seed, max_evals } => {
             Box::new(RandomSearch::new(space.clone(), *seed, *max_evals))
         }
@@ -95,10 +90,12 @@ impl Session {
         let start = start.into();
         assert!(space.contains(&start), "start point outside the space");
         let search = build_search(&space, &strategy, &start);
-        // Exhaustive sweeps re-measure nothing, and repeated measurements
-        // are how it averages noise; caching would defeat `repeats`.
+        // A sweep proposes each point once, so a cache could only answer
+        // the rerun after a `restart`; that rerun re-measures the grid
+        // instead of replaying values taken before the rejection streak
+        // that restarted it.
         let cache = match strategy {
-            StrategyKind::Exhaustive { .. } => None,
+            StrategyKind::Exhaustive => None,
             _ => Some(HashMap::new()),
         };
         Session {

@@ -2,8 +2,7 @@
 //!
 //! The strategy behind **ARCS-Offline**: during the training execution every
 //! configuration in the (manually reduced) search space is measured; the
-//! best one is stored and replayed by later executions. Supports averaging
-//! over repeated measurements to tolerate live-run noise.
+//! best one is stored and replayed by later executions.
 
 use super::Search;
 use crate::space::{Point, SearchSpace};
@@ -11,33 +10,14 @@ use crate::space::{Point, SearchSpace};
 pub struct Exhaustive {
     space: SearchSpace,
     next_rank: usize,
-    repeats: usize,
-    rep_done: usize,
-    acc: f64,
     pending: Option<Point>,
     best: Option<(Point, f64)>,
-    evals: usize,
 }
 
 impl Exhaustive {
     /// Sweep every point once.
     pub fn new(space: SearchSpace) -> Self {
-        Self::with_repeats(space, 1)
-    }
-
-    /// Sweep every point, averaging `repeats` measurements per point.
-    pub fn with_repeats(space: SearchSpace, repeats: usize) -> Self {
-        assert!(repeats >= 1);
-        Exhaustive {
-            space,
-            next_rank: 0,
-            repeats,
-            rep_done: 0,
-            acc: 0.0,
-            pending: None,
-            best: None,
-            evals: 0,
-        }
+        Exhaustive { space, next_rank: 0, pending: None, best: None }
     }
 }
 
@@ -51,20 +31,9 @@ impl Search for Exhaustive {
 
     fn tell(&mut self, value: f64) {
         let point = self.pending.take().expect("tell without pending ask");
-        self.evals += 1;
-        self.acc += value;
-        self.rep_done += 1;
-        if self.rep_done < self.repeats {
-            // Ask for the same point again.
-            self.pending = Some(point);
-            return;
-        }
-        let mean = self.acc / self.repeats as f64;
-        self.acc = 0.0;
-        self.rep_done = 0;
         self.next_rank += 1;
-        if self.best.as_ref().is_none_or(|(_, b)| mean < *b) {
-            self.best = Some((point, mean));
+        if self.best.as_ref().is_none_or(|(_, b)| value < *b) {
+            self.best = Some((point, value));
         }
     }
 
@@ -77,7 +46,7 @@ impl Search for Exhaustive {
     }
 
     fn evaluations(&self) -> usize {
-        self.evals
+        self.next_rank
     }
 }
 
@@ -109,22 +78,6 @@ mod tests {
         let (best, val) = s.best().unwrap();
         assert_eq!(best[..], [3, 1]);
         assert_eq!(val, 0.0);
-    }
-
-    #[test]
-    fn repeats_average_noise() {
-        let mut s = Exhaustive::with_repeats(space(), 3);
-        let mut call = 0usize;
-        while let Some(p) = s.ask() {
-            // Deterministic "noise" that averages to zero over 3 repeats.
-            let noise = [-0.4, 0.0, 0.4][call % 3];
-            call += 1;
-            s.tell(f(&p) + noise);
-        }
-        assert_eq!(s.evaluations(), 60);
-        let (best, val) = s.best().unwrap();
-        assert_eq!(best[..], [3, 1]);
-        assert!(val.abs() < 1e-9);
     }
 
     #[test]

@@ -13,8 +13,8 @@ mod random;
 mod simplex;
 
 pub use exhaustive::Exhaustive;
-pub use nelder_mead::{NelderMead, NmOptions};
-pub use pro::{ParallelRankOrder, ProOptions};
+pub use nelder_mead::NelderMead;
+pub use pro::ParallelRankOrder;
 pub use random::RandomSearch;
 
 use crate::space::Point;

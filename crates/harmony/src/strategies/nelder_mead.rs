@@ -15,45 +15,26 @@ use super::simplex::{self, Tally, Vertex};
 use super::Search;
 use crate::space::{Point, SearchSpace};
 
-/// Nelder–Mead coefficients and termination settings.
-#[derive(Debug, Clone, Copy)]
-pub struct NmOptions {
-    /// Reflection coefficient (α > 0).
-    pub alpha: f64,
-    /// Expansion coefficient (γ > 1).
-    pub gamma: f64,
-    /// Contraction coefficient (0 < ρ ≤ 0.5).
-    pub rho: f64,
-    /// Shrink coefficient (0 < σ < 1).
-    pub sigma: f64,
-    /// Stop when the simplex diameter (L∞) drops below this many grid steps.
-    pub xtol: f64,
-    /// Hard cap on evaluations.
-    pub max_evals: usize,
-    /// Stop after this many consecutive evaluations without improving the
-    /// incumbent best.
-    pub stall_limit: usize,
-    /// When the simplex collapses (`xtol`), restart it around the incumbent
-    /// best with halved steps this many times before declaring convergence.
-    /// This is the standard "oriented restart" remedy for premature
-    /// collapse on clamped/rounded domains.
-    pub max_restarts: usize,
-}
-
-impl Default for NmOptions {
-    fn default() -> Self {
-        NmOptions {
-            alpha: 1.0,
-            gamma: 2.0,
-            rho: 0.5,
-            sigma: 0.5,
-            xtol: 0.9,
-            max_evals: 120,
-            stall_limit: 25,
-            max_restarts: 1,
-        }
-    }
-}
+/// Reflection coefficient (α > 0).
+const ALPHA: f64 = 1.0;
+/// Expansion coefficient (γ > 1).
+const GAMMA: f64 = 2.0;
+/// Contraction coefficient (0 < ρ ≤ 0.5).
+const RHO: f64 = 0.5;
+/// Shrink coefficient (0 < σ < 1).
+const SIGMA: f64 = 0.5;
+/// Stop when the simplex diameter (L∞) drops below this many grid steps.
+const XTOL: f64 = 0.9;
+/// Hard cap on evaluations.
+const MAX_EVALS: usize = 120;
+/// Stop after this many consecutive evaluations without improving the
+/// incumbent best.
+const STALL_LIMIT: usize = 25;
+/// When the simplex collapses (`XTOL`), restart it around the incumbent
+/// best with halved steps this many times before declaring convergence.
+/// This is the standard "oriented restart" remedy for premature collapse
+/// on clamped/rounded domains.
+const MAX_RESTARTS: usize = 1;
 
 #[derive(Debug)]
 enum Role {
@@ -82,7 +63,6 @@ struct Pending {
 
 pub struct NelderMead {
     space: SearchSpace,
-    opts: NmOptions,
     simplex: Vec<Vertex>,
     proto: Vec<Vec<f64>>,
     pending: Option<Pending>,
@@ -96,13 +76,12 @@ pub struct NelderMead {
 
 impl NelderMead {
     /// Start a search from `start` (typically the default configuration).
-    pub fn new(space: SearchSpace, start: &[usize], opts: NmOptions) -> Self {
+    pub fn new(space: SearchSpace, start: &[usize]) -> Self {
         assert!(space.contains(start), "start point outside the space");
         let x0: Vec<f64> = start.iter().map(|&i| i as f64).collect();
         let proto = simplex::axis_simplex(&space, &x0, 1.0);
         NelderMead {
             space,
-            opts,
             simplex: Vec::new(),
             proto,
             pending: None,
@@ -119,14 +98,14 @@ impl NelderMead {
     }
 
     fn check_termination(&mut self) {
-        if self.tally.exhausted(self.opts.max_evals, self.opts.stall_limit) {
+        if self.tally.exhausted(MAX_EVALS, STALL_LIMIT) {
             self.done = true;
             return;
         }
         let collapsed = self.simplex.len() == self.space.dim() + 1
-            && simplex::diameter(&self.simplex, &self.simplex[0].x) < self.opts.xtol;
+            && simplex::diameter(&self.simplex, &self.simplex[0].x) < XTOL;
         if collapsed {
-            if self.restarts < self.opts.max_restarts {
+            if self.restarts < MAX_RESTARTS {
                 // Oriented restart: new simplex around the incumbent best
                 // with halved steps.
                 self.restarts += 1;
@@ -173,7 +152,7 @@ impl NelderMead {
             return;
         }
         let centroid = self.centroid();
-        let xr = self.propose(&centroid, self.opts.alpha);
+        let xr = self.propose(&centroid, ALPHA);
         self.pending = Some(Pending { x: xr, role: Role::Reflect { centroid } });
     }
 
@@ -183,7 +162,7 @@ impl NelderMead {
         let best = self.simplex[0].x.clone();
         for v in &mut self.simplex[1..] {
             for (xi, bi) in v.x.iter_mut().zip(&best) {
-                *xi = bi + self.opts.sigma * (*xi - *bi);
+                *xi = bi + SIGMA * (*xi - *bi);
             }
             v.f = f64::NAN;
         }
@@ -234,18 +213,18 @@ impl Search for NelderMead {
                 let f_worst = self.simplex[n - 1].f;
                 if value < f_best {
                     // Try expanding further along the same direction.
-                    let xe = self.propose(&centroid, self.opts.alpha * self.opts.gamma);
+                    let xe = self.propose(&centroid, ALPHA * GAMMA);
                     self.pending = Some(Pending { x: xe, role: Role::Expand { xr: x, fr: value } });
                 } else if value < f_second_worst {
                     *self.simplex.last_mut().unwrap() = Vertex { x, f: value };
                 } else if value < f_worst {
                     // Outside contraction: between centroid and reflection.
-                    let xc = self.propose(&centroid, self.opts.alpha * self.opts.rho);
+                    let xc = self.propose(&centroid, ALPHA * RHO);
                     self.pending =
                         Some(Pending { x: xc, role: Role::ContractOutside { xr: x, fr: value } });
                 } else {
                     // Inside contraction: between centroid and worst.
-                    let xc = self.propose(&centroid, -self.opts.rho);
+                    let xc = self.propose(&centroid, -RHO);
                     self.pending = Some(Pending { x: xc, role: Role::ContractInside });
                 }
             }
@@ -281,7 +260,7 @@ impl Search for NelderMead {
 
         // The evaluation budget and stall limit are hard caps enforced on
         // every path, even mid-move (the simplex state is simply abandoned).
-        if self.tally.exhausted(self.opts.max_evals, self.opts.stall_limit) {
+        if self.tally.exhausted(MAX_EVALS, STALL_LIMIT) {
             self.done = true;
             self.pending = None;
         }
@@ -327,7 +306,7 @@ mod tests {
     #[test]
     fn minimises_convex_bowl() {
         let s = space();
-        let nm = NelderMead::new(s, &[16, 0, 8], NmOptions::default());
+        let nm = NelderMead::new(s, &[16, 0, 8]);
         let (best, val, evals) = run(nm, |p| {
             let a = p[0] as f64 - 5.0;
             let b = p[1] as f64 - 9.0;
@@ -336,14 +315,14 @@ mod tests {
         });
         // NM on a rounded grid should land at or adjacent to the optimum.
         assert!(val <= 3.0, "best={best:?} val={val} evals={evals}");
-        assert!(evals <= NmOptions::default().max_evals);
+        assert!(evals <= MAX_EVALS);
     }
 
     #[test]
     fn far_fewer_evaluations_than_exhaustive() {
         let s = space();
         let total = s.size();
-        let nm = NelderMead::new(s, &[0, 0, 0], NmOptions::default());
+        let nm = NelderMead::new(s, &[0, 0, 0]);
         let (_, _, evals) = run(nm, |p| (p[0] as f64 - 8.0).powi(2) + p[1] as f64 + p[2] as f64);
         assert!(evals < total / 4, "evals={evals} space={total}");
     }
@@ -351,7 +330,7 @@ mod tests {
     #[test]
     fn stays_inside_domain() {
         let s = space();
-        let mut nm = NelderMead::new(s.clone(), &[16, 16, 8], NmOptions::default());
+        let mut nm = NelderMead::new(s.clone(), &[16, 16, 8]);
         while let Some(p) = nm.ask() {
             assert!(s.contains(&p), "proposed out-of-domain point {p:?}");
             nm.tell(p.iter().map(|&i| i as f64).sum());
@@ -361,7 +340,7 @@ mod tests {
     #[test]
     fn handles_single_level_params() {
         let s = SearchSpace::new(vec![Param::new("fixed", 1), Param::new("free", 21)]);
-        let nm = NelderMead::new(s, &[0, 20], NmOptions::default());
+        let nm = NelderMead::new(s, &[0, 20]);
         let (best, val, _) = run(nm, |p| (p[1] as f64 - 4.0).abs());
         assert_eq!(best[0], 0);
         // From f=16 at the start point NM must get close to the optimum;
@@ -371,26 +350,30 @@ mod tests {
 
     #[test]
     fn respects_max_evals() {
-        let s = space();
-        let opts = NmOptions { max_evals: 10, ..NmOptions::default() };
-        let nm = NelderMead::new(s, &[0, 0, 0], opts);
-        let (_, _, evals) = run(nm, |p| p[0] as f64);
-        assert!(evals <= 10);
+        // Every measurement improves on the last, so the stall rule never
+        // fires: only the budget can stop the search.
+        let mut calls = 0.0;
+        let nm = NelderMead::new(space(), &[0, 0, 0]);
+        let (_, _, evals) = run(nm, |_| {
+            calls += 1.0;
+            -calls
+        });
+        assert_eq!(evals, MAX_EVALS);
     }
 
     #[test]
     fn stall_limit_terminates_flat_objective() {
-        let s = space();
-        let opts = NmOptions { stall_limit: 8, max_evals: 1000, ..NmOptions::default() };
-        let nm = NelderMead::new(s, &[8, 8, 4], opts);
+        // Nothing ever beats the first measurement: the stall rule stops
+        // the search once that many evaluations follow it.
+        let nm = NelderMead::new(space(), &[8, 8, 4]);
         let (_, _, evals) = run(nm, |_| 42.0);
-        assert!(evals < 1000, "flat objective should stall out, took {evals}");
+        assert_eq!(evals, STALL_LIMIT + 1, "flat objective should stall out");
     }
 
     #[test]
     fn survives_noisy_objective() {
         let s = space();
-        let nm = NelderMead::new(s, &[16, 16, 0], NmOptions::default());
+        let nm = NelderMead::new(s, &[16, 16, 0]);
         let mut i = 0u64;
         let (best, _, _) = run(nm, |p| {
             i = i.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);

@@ -14,43 +14,27 @@
 //! 3. if no reflection was accepted, shrink all non-best vertices toward
 //!    the best and re-measure them.
 //!
-//! Terminates on simplex collapse (diameter below `xtol`), evaluation
+//! Terminates on simplex collapse (diameter below `XTOL`), evaluation
 //! budget, or stall.
 
 use super::simplex::{self, Tally, Vertex};
 use super::Search;
 use crate::space::{Point, SearchSpace};
 
-#[derive(Debug, Clone, Copy)]
-pub struct ProOptions {
-    /// Number of simplex vertices (`>= dim + 1`; 0 = auto `dim + 1`).
-    pub simplex_size: usize,
-    /// Expansion step multiplier applied on a best-beating reflection.
-    pub expand: f64,
-    /// Shrink factor toward the best vertex.
-    pub shrink: f64,
-    /// Stop when the simplex L∞ diameter drops below this many grid steps.
-    pub xtol: f64,
-    pub max_evals: usize,
-    pub stall_limit: usize,
-    /// On simplex collapse, rebuild around the incumbent best (with
-    /// shrinking steps) this many times before declaring convergence.
-    pub max_reseeds: usize,
-}
-
-impl Default for ProOptions {
-    fn default() -> Self {
-        ProOptions {
-            simplex_size: 0,
-            expand: 2.0,
-            shrink: 0.5,
-            xtol: 0.9,
-            max_evals: 150,
-            stall_limit: 30,
-            max_reseeds: 2,
-        }
-    }
-}
+/// Expansion step multiplier applied on a best-beating reflection.
+const EXPAND: f64 = 2.0;
+/// Shrink factor toward the best vertex.
+const SHRINK: f64 = 0.5;
+/// Stop when the simplex L∞ diameter drops below this many grid steps.
+const XTOL: f64 = 0.9;
+/// Hard cap on evaluations.
+const MAX_EVALS: usize = 150;
+/// Stop after this many consecutive evaluations without improving the
+/// incumbent best.
+const STALL_LIMIT: usize = 30;
+/// On simplex collapse, rebuild around the incumbent best (with shrinking
+/// steps) this many times before declaring convergence.
+const MAX_RESEEDS: usize = 2;
 
 #[derive(Debug)]
 enum Role {
@@ -67,7 +51,6 @@ struct Pending {
 
 pub struct ParallelRankOrder {
     space: SearchSpace,
-    opts: ProOptions,
     proto_points: Vec<Vec<f64>>,
     vertices: Vec<Vertex>,
     pending: Option<Pending>,
@@ -83,29 +66,15 @@ pub struct ParallelRankOrder {
 }
 
 impl ParallelRankOrder {
-    pub fn new(space: SearchSpace, start: &[usize], opts: ProOptions) -> Self {
+    pub fn new(space: SearchSpace, start: &[usize]) -> Self {
         assert!(space.contains(start), "start point outside the space");
-        let size = if opts.simplex_size == 0 {
-            space.dim() + 1
-        } else {
-            opts.simplex_size.max(space.dim() + 1)
-        };
-        // Initial simplex: the start point, one axis-stepped vertex per
-        // dimension (affine independence, like Nelder–Mead), and any extra
-        // vertices spread across the grid at evenly spaced ranks.
+        // Initial simplex: the start point and one axis-stepped vertex per
+        // dimension (`dim + 1` vertices, affinely independent, like
+        // Nelder–Mead).
         let x0: Vec<f64> = start.iter().map(|&i| i as f64).collect();
-        let mut proto_points = simplex::axis_simplex(&space, &x0, 1.0);
-        let total = space.size();
-        let extra = size - proto_points.len().min(size);
-        for k in 1..=extra {
-            let rank = (k * total) / (extra + 1);
-            let p = space.unrank(rank.min(total - 1));
-            proto_points.push(p.iter().map(|&i| i as f64).collect());
-        }
-        proto_points.truncate(size);
+        let proto_points = simplex::axis_simplex(&space, &x0, 1.0);
         ParallelRankOrder {
             space,
-            opts,
             proto_points,
             vertices: Vec::new(),
             pending: None,
@@ -138,13 +107,13 @@ impl ParallelRankOrder {
     }
 
     fn start_round(&mut self) {
-        if self.tally.exhausted(self.opts.max_evals, self.opts.stall_limit) {
+        if self.tally.exhausted(MAX_EVALS, STALL_LIMIT) {
             self.done = true;
             return;
         }
         let best = &self.vertices[self.best_idx()].x;
-        if simplex::diameter(&self.vertices, best) < self.opts.xtol {
-            if self.reseeds < self.opts.max_reseeds {
+        if simplex::diameter(&self.vertices, best) < XTOL {
+            if self.reseeds < MAX_RESEEDS {
                 self.reseeds += 1;
                 self.reseed();
                 return;
@@ -172,7 +141,7 @@ impl ParallelRankOrder {
                     continue;
                 }
                 for (xi, b) in self.vertices[i].x.iter_mut().zip(&best) {
-                    *xi = b + self.opts.shrink * (*xi - *b);
+                    *xi = b + SHRINK * (*xi - *b);
                 }
                 self.shrink_queue.push(i);
             }
@@ -245,7 +214,7 @@ impl Search for ParallelRankOrder {
                     self.vertices[idx] = Vertex { x, f: value };
                     if beat_best {
                         // Chase the descent direction with an expansion.
-                        let xe = self.reflect_through_best(idx, self.opts.expand);
+                        let xe = self.reflect_through_best(idx, EXPAND);
                         self.pending = Some(Pending { x: xe, role: Role::Expand { idx } });
                         return;
                     }
@@ -264,7 +233,7 @@ impl Search for ParallelRankOrder {
             }
         }
 
-        if self.tally.exhausted(self.opts.max_evals, self.opts.stall_limit) {
+        if self.tally.exhausted(MAX_EVALS, STALL_LIMIT) {
             self.done = true;
         }
     }
@@ -308,7 +277,7 @@ mod tests {
 
     #[test]
     fn minimises_convex_bowl() {
-        let s = ParallelRankOrder::new(space(), &[12, 12], ProOptions::default());
+        let s = ParallelRankOrder::new(space(), &[12, 12]);
         let (best, val, _) = run(s, |p| (p[0] as f64 - 4.0).powi(2) + (p[1] as f64 - 7.0).powi(2));
         assert!(val <= 2.0, "best={best:?} val={val}");
     }
@@ -317,7 +286,7 @@ mod tests {
     fn cheaper_than_exhaustive() {
         let sp = space();
         let total = sp.size();
-        let s = ParallelRankOrder::new(sp, &[0, 0], ProOptions::default());
+        let s = ParallelRankOrder::new(sp, &[0, 0]);
         let (_, _, evals) = run(s, |p| p[0] as f64 + p[1] as f64);
         assert!(evals < total, "evals={evals} total={total}");
     }
@@ -325,7 +294,7 @@ mod tests {
     #[test]
     fn stays_inside_domain() {
         let sp = space();
-        let mut s = ParallelRankOrder::new(sp.clone(), &[6, 6], ProOptions::default());
+        let mut s = ParallelRankOrder::new(sp.clone(), &[6, 6]);
         while let Some(p) = s.ask() {
             assert!(sp.contains(&p));
             s.tell((p[0] * 13 + p[1]) as f64);
@@ -334,9 +303,21 @@ mod tests {
 
     #[test]
     fn respects_eval_budget() {
-        let opts = ProOptions { max_evals: 12, ..ProOptions::default() };
-        let s = ParallelRankOrder::new(space(), &[0, 0], opts);
-        let (_, _, evals) = run(s, |p| p[0] as f64);
-        assert!(evals <= 12);
+        // The corner optimum deepens with every visit, so the search keeps
+        // improving (no stall streak) and never collapses (no reseed): only
+        // the budget can stop it.
+        let mut calls = 0.0;
+        let (mut best, mut streak, mut longest) = (f64::INFINITY, 0, 0);
+        let mut s = ParallelRankOrder::new(space(), &[6, 6]);
+        while let Some(p) = s.ask() {
+            calls += 1.0;
+            let v = -((p[0] + p[1]) as f64) - 1e-3 * calls;
+            streak = if v < best { 0 } else { streak + 1 };
+            (best, longest) = (best.min(v), longest.max(streak));
+            s.tell(v);
+        }
+        assert_eq!(s.evaluations(), MAX_EVALS);
+        assert!(longest < STALL_LIMIT, "a stall streak of {longest}");
+        assert_eq!(s.reseeds, 0);
     }
 }

@@ -2,10 +2,13 @@
 //! optimality of the exhaustive sweep, and serialisation.
 
 use arcs_harmony::{
-    History, NelderMead, NmOptions, ParallelRankOrder, Param, ProOptions, Search, SearchSpace,
-    Session, StrategyKind,
+    History, NelderMead, ParallelRankOrder, Param, Search, SearchSpace, Session, StrategyKind,
 };
 use proptest::prelude::*;
+
+/// The evaluation budgets the two simplex strategies hold as constants.
+const NM_MAX_EVALS: usize = 120;
+const PRO_MAX_EVALS: usize = 150;
 
 fn arb_space() -> impl Strategy<Value = SearchSpace> {
     proptest::collection::vec(1usize..8, 1..4).prop_map(|levels| {
@@ -58,8 +61,7 @@ proptest! {
     fn nelder_mead_is_safe_and_bounded(space in arb_space(), seed in any::<u64>()) {
         let start = space.unrank(space.size() / 2);
         let start_val = objective(seed, &start);
-        let opts = NmOptions { max_evals: 80, ..NmOptions::default() };
-        let mut nm = NelderMead::new(space.clone(), &start, opts);
+        let mut nm = NelderMead::new(space.clone(), &start);
         let mut evals = 0;
         while let Some(p) = nm.ask() {
             prop_assert!(space.contains(&p), "out-of-domain proposal {:?}", p);
@@ -68,7 +70,7 @@ proptest! {
             prop_assert!(evals <= 200, "runaway ask/tell loop");
         }
         prop_assert!(nm.converged());
-        prop_assert!(evals <= 80);
+        prop_assert!(evals <= NM_MAX_EVALS);
         let (_, best_val) = nm.best().unwrap();
         prop_assert!(best_val <= start_val + 1e-12);
     }
@@ -77,8 +79,7 @@ proptest! {
     #[test]
     fn pro_is_safe_and_bounded(space in arb_space(), seed in any::<u64>()) {
         let start = space.unrank(0);
-        let opts = ProOptions { max_evals: 80, ..ProOptions::default() };
-        let mut pro = ParallelRankOrder::new(space.clone(), &start, opts);
+        let mut pro = ParallelRankOrder::new(space.clone(), &start);
         let mut evals = 0;
         while let Some(p) = pro.ask() {
             prop_assert!(space.contains(&p));
@@ -87,7 +88,7 @@ proptest! {
             prop_assert!(evals <= 200);
         }
         prop_assert!(pro.converged());
-        prop_assert!(evals <= 80);
+        prop_assert!(evals <= PRO_MAX_EVALS);
     }
 
     /// Sessions never hand out more *real* measurements than the space has

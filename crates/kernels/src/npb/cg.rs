@@ -44,10 +44,7 @@ impl Csr {
 /// analogue of NPB's `randlc`).
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
+    arcs_powersim::splitmix64(*state)
 }
 
 /// Build a deterministic random symmetric positive-definite CSR matrix of

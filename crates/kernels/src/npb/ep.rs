@@ -108,10 +108,7 @@ impl EpAccum {
 /// Deterministic hash of `i` to a uniform in (0, 1).
 #[inline]
 fn hash_unit(i: u64, salt: u64) -> f64 {
-    let mut z = i.wrapping_mul(salt).wrapping_add(salt);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^= z >> 31;
+    let z = arcs_powersim::splitmix64(i.wrapping_mul(salt).wrapping_add(salt));
     ((z >> 11) as f64 + 0.5) / (1u64 << 53) as f64
 }
 

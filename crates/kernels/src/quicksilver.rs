@@ -238,13 +238,11 @@ fn track_particle_fate(i: u64, n: usize) -> Fate {
 /// per-index streams).
 #[inline]
 fn unit(i: u64, draw: u64) -> f64 {
-    let mut z = i
-        .wrapping_mul(0x9E3779B97F4A7C15)
-        .wrapping_add(draw.wrapping_mul(0xC2B2AE3D27D4EB4F))
-        .wrapping_add(0xD6E8FEB86659FD93);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^= z >> 31;
+    let z = arcs_powersim::splitmix64(
+        i.wrapping_mul(0x9E3779B97F4A7C15)
+            .wrapping_add(draw.wrapping_mul(0xC2B2AE3D27D4EB4F))
+            .wrapping_add(0xD6E8FEB86659FD93),
+    );
     ((z >> 11) as f64 + 0.5) / (1u64 << 53) as f64
 }
 

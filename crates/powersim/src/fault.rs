@@ -466,10 +466,7 @@ fn mix(seed: u64, tag: u8, key: &str, ordinal: u64) -> u64 {
         h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3);
     }
     h ^= ordinal.wrapping_mul(0xA24B_AED4_963E_E407);
-    let mut z = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    crate::splitmix64(h.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Map a hash to `[0, 1)` with 53 bits of precision.

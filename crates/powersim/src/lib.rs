@@ -76,3 +76,14 @@ pub use workload::{
     ImbalanceProfile, MemoryProfile, RegionModel, StrideClass, WeightStream, WeightTable,
     WorkloadDescriptor,
 };
+
+/// The splitmix64 output mix: a bijective avalanche of `z`, which every
+/// seeded stream and stateless hash of the workspace ends with. A
+/// splitmix64 generator step is `state += 0x9E37_79B9_7F4A_7C15` followed
+/// by `splitmix64(state)`.
+#[inline]
+pub fn splitmix64(z: u64) -> u64 {
+    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

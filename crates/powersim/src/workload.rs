@@ -128,10 +128,7 @@ fn blocked_weight(i: usize, heavy: usize, heavy_w: f64, light_w: f64) -> f64 {
 fn random_weight(state: &mut u64, a: f64) -> f64 {
     // splitmix64 → uniform in [0,1).
     *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    let u = ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64;
+    let u = (crate::splitmix64(*state) >> 11) as f64 / (1u64 << 53) as f64;
     1.0 - a + 2.0 * a * u
 }
 

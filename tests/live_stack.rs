@@ -3,7 +3,6 @@
 
 use arcs::TuningMode;
 use arcs::{ArcsLive, ChunkChoice, ConfigSpace, ScheduleChoice, ThreadChoice, TunerOptions};
-use arcs_harmony::NmOptions;
 use arcs_kernels::{BtSolver, Class, Lulesh, SpSolver};
 use arcs_omprt::{Runtime, ScheduleKind};
 use std::sync::Arc;
@@ -24,10 +23,7 @@ fn tiny_space(default_threads: usize) -> ConfigSpace {
 }
 
 fn online_options(threads: usize) -> TunerOptions {
-    TunerOptions::new(
-        tiny_space(threads),
-        TuningMode::Online(NmOptions { max_evals: 40, ..NmOptions::default() }),
-    )
+    TunerOptions::new(tiny_space(threads), TuningMode::Online)
 }
 
 /// BT keeps converging to the manufactured solution while ARCS retunes it

@@ -12,7 +12,6 @@ use arcs::dvfs::tune_region;
 use arcs::{
     ConfigSpace, Objective, OmpConfig, RegionTuner, Runner, SimExecutor, TunerOptions, TuningMode,
 };
-use arcs_harmony::NmOptions;
 use arcs_kernels::{model, Class};
 use arcs_powersim::{simulate_region_at_freq, Machine, RegionModel};
 use arcs_trace::{TraceEvent, VecSink};
@@ -101,14 +100,7 @@ fn nelder_mead_works_on_the_extended_space() {
     let m = Machine::crill();
     let s = ConfigSpace::with_dvfs(&m, 4);
     let region = z_solve();
-    let nm = tune_region(
-        &m,
-        85.0,
-        &region,
-        &s,
-        Objective::Energy,
-        TuningMode::Online(NmOptions::default()),
-    );
+    let nm = tune_region(&m, 85.0, &region, &s, Objective::Energy, TuningMode::Online);
     let ex = tune_region(&m, 85.0, &region, &s, Objective::Energy, TuningMode::OfflineTrain);
     assert!(
         nm.evaluations < ex.evaluations / 3,
@@ -190,10 +182,8 @@ fn dvfs_runs_emit_the_standard_trace_taxonomy() {
     wl.timesteps = 8;
     let sink = Arc::new(VecSink::new());
     let mut exec = SimExecutor::new(m.clone(), 85.0).with_trace(sink.clone());
-    let mut tuner = RegionTuner::new(TunerOptions::new(
-        ConfigSpace::with_dvfs(&m, 3),
-        TuningMode::Online(NmOptions::default()),
-    ));
+    let mut tuner =
+        RegionTuner::new(TunerOptions::new(ConfigSpace::with_dvfs(&m, 3), TuningMode::Online));
     Runner::new(&mut exec)
         .workload(&wl)
         .tuner(&mut tuner)

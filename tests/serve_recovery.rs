@@ -189,6 +189,49 @@ fn a_torn_journal_tail_is_dropped_not_fatal() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Journals written while `measure_k` and `outlier_window` were still
+/// resilience options carry both in the header's resilience JSON.
+/// Recovery ignores the retired keys and still reaches the uninterrupted
+/// broker.
+#[test]
+fn a_journal_naming_retired_resilience_knobs_still_recovers() {
+    let dir = temp_dir("retired-knobs");
+    let journal_path = dir.join("broker.journal.jsonl");
+    let mut cfg = chaos_config();
+    cfg.resilience = Some(arcs::ResilienceOptions::standard());
+
+    let full_sink = Arc::new(VecSink::new());
+    let mut full = Broker::new(
+        Fleet::homogeneous(Machine::crill(), 2),
+        cfg,
+        full_sink.clone() as Arc<dyn arcs_trace::TraceSink>,
+    );
+    full.attach_journal(BrokerJournal::create(&journal_path).unwrap());
+    drive(&mut full);
+    let full_trace = trace_text(&full_sink.drain());
+
+    // The header as those builds wrote it: `measure_k` just before
+    // `mad_threshold`, `outlier_window` just after it, at the only values
+    // they ever held.
+    let text = std::fs::read_to_string(&journal_path).unwrap();
+    let (header, ops) = text.split_once('\n').unwrap();
+    let old_header = header
+        .replacen(r#"\"mad_threshold\""#, r#"\"measure_k\":1,\"mad_threshold\""#, 1)
+        .replacen(r#"\"error_budget\""#, r#"\"outlier_window\":16,\"error_budget\""#, 1);
+    assert!(old_header.contains("measure_k") && old_header.contains("outlier_window"));
+    let old_path = dir.join("old.jsonl");
+    std::fs::write(&old_path, format!("{old_header}\n{ops}")).unwrap();
+
+    let sink = Arc::new(VecSink::new());
+    let recovered =
+        Broker::recover(&old_path, sink.clone() as Arc<dyn arcs_trace::TraceSink>, None)
+            .expect("retired resilience keys must not block recovery");
+    assert_eq!(recovered.counters(), full.counters());
+    assert_eq!(recovered.now_s(), full.now_s());
+    assert_eq!(trace_text(&sink.drain()), full_trace);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A recovered broker keeps journaling: recover with a NEW journal
 /// attached, apply more work, kill, recover again — the lineage of
 /// journals still reconstructs the final state, and the second journal
