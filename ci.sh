@@ -139,6 +139,20 @@ if [ -n "$strays" ]; then
     exit 1
 fi
 
+# One ADI timestep and one live region profile: BT and SP are schemes over
+# `npb::adi` (`BtSolver`/`SpSolver` are type aliases), the live Fig. 9
+# breakdown is `TraceTool` -> `arcs-sim report`, and the runtime has no
+# collapse(2) entry point. No non-test source may bring back a solver
+# struct per scheme, the second profile aggregator or `parallel_for_2d`.
+strays="$(find crates src examples -name '*.rs' -not -path '*/tests/*' \
+    -exec awk '/#\[cfg\(test\)\]/ { nextfile }
+        /OmptProfiler|parallel_for_2d|struct BtSolver|struct SpSolver/ { print FILENAME ":" FNR ": " $0 }' {} +)"
+if [ -n "$strays" ]; then
+    echo "ci: a second ADI timestep, live region profile or collapse entry point:" >&2
+    echo "$strays" >&2
+    exit 1
+fi
+
 # Trace smoke: a tuned run must emit JSONL that validates against the
 # published schema (--check exits non-zero otherwise) plus a Chrome trace.
 trace_tmp="$(mktemp -d)"

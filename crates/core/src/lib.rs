@@ -67,7 +67,6 @@ pub mod dvfs;
 pub mod executor;
 pub mod faults;
 pub mod live;
-pub mod profiler;
 pub mod report;
 pub mod resilience;
 pub mod sweep;
@@ -82,7 +81,6 @@ pub use dvfs::DvfsOutcome;
 pub use executor::{NoiseModel, SimExecutor};
 pub use faults::{FaultClock, MeterFault};
 pub use live::{ArcsLive, LiveExecutor};
-pub use profiler::{OmptProfiler, RegionProfile};
 pub use report::{AppRunReport, FaultRecovery, RegionSummary, RunStatus};
 pub use resilience::ResilienceOptions;
 pub use sweep::{CellResult, SweepEngine, SweepGrid, SweepReport, SweepStrategy};

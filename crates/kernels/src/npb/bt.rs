@@ -13,20 +13,25 @@
 //! | `z_solve`     | j rows        | k              | long             |
 //! | `add`         | k planes      | —              | unit             |
 
-use super::{spatial_operator, Advection, Class, Problem};
-use crate::grid::{Field, FieldView, NCOMP};
+use super::adi::{line_point, Adi, Scheme};
+use super::Problem;
+use crate::grid::{FieldView, NCOMP};
 use crate::linalg::{block_tridiag_solve, Mat5, Vec5, ZERO_MAT};
-use arcs_omprt::{RegionId, Runtime};
-use std::sync::Arc;
+
+/// The BT application: state + the five tunable parallel regions.
+pub type BtSolver = Adi<Bt>;
 
 /// Full 5×5 advection coupling: `A_d = diag(speeds_d) + ε·S_d` with fixed
 /// skew couplings `S_d`, so the implicit systems genuinely need block
 /// solves.
-struct BlockAdvection {
+pub struct Bt {
     mats: [Mat5; 3],
 }
 
-impl BlockAdvection {
+impl Scheme for Bt {
+    const REGIONS: [&'static str; 5] =
+        ["bt/compute_rhs", "bt/x_solve", "bt/y_solve", "bt/z_solve", "bt/add"];
+
     fn new(prob: &Problem) -> Self {
         let eps = 0.15;
         let mut mats = [ZERO_MAT; 3];
@@ -39,12 +44,10 @@ impl BlockAdvection {
                 mat[m2][m] -= eps;
             }
         }
-        BlockAdvection { mats }
+        Bt { mats }
     }
-}
 
-impl Advection for BlockAdvection {
-    fn apply(&self, d: usize, du: &[f64; NCOMP], out: &mut [f64; NCOMP]) {
+    fn advect(&self, d: usize, du: &[f64; NCOMP], out: &mut [f64; NCOMP]) {
         let a = &self.mats[d];
         for m in 0..NCOMP {
             let mut s = 0.0;
@@ -54,136 +57,11 @@ impl Advection for BlockAdvection {
             out[m] += s;
         }
     }
-}
 
-struct Regions {
-    compute_rhs: RegionId,
-    x_solve: RegionId,
-    y_solve: RegionId,
-    z_solve: RegionId,
-    add: RegionId,
-}
-
-/// The BT application: state + the five tunable parallel regions.
-pub struct BtSolver {
-    pub prob: Problem,
-    rt: Arc<Runtime>,
-    u: Field,
-    rhs: Field,
-    forcing: Field,
-    adv: BlockAdvection,
-    regions: Regions,
-    steps_done: usize,
-}
-
-impl BtSolver {
-    pub fn new(rt: Arc<Runtime>, class: Class) -> Self {
-        let prob = Problem::new(class);
-        let n = prob.n;
-        let mut u = Field::new(n, n, n);
-        let rhs = Field::new(n, n, n);
-        let mut forcing = Field::new(n, n, n);
-        let adv = BlockAdvection::new(&prob);
-
-        prob.fill_initial(&mut u);
-        // Forcing = L(u*) with the same discrete operators: makes the
-        // manufactured solution an exact steady state of the scheme.
-        let mut exact = Field::new(n, n, n);
-        prob.fill_exact(&mut exact);
-        let read = |i: usize, j: usize, k: usize| *exact.at(i, j, k);
-        for k in 1..n - 1 {
-            for j in 1..n - 1 {
-                for i in 1..n - 1 {
-                    *forcing.at_mut(i, j, k) = spatial_operator(&prob, &adv, &read, i, j, k);
-                }
-            }
-        }
-
-        let regions = Regions {
-            compute_rhs: rt.register_region("bt/compute_rhs"),
-            x_solve: rt.register_region("bt/x_solve"),
-            y_solve: rt.register_region("bt/y_solve"),
-            z_solve: rt.register_region("bt/z_solve"),
-            add: rt.register_region("bt/add"),
-        };
-        BtSolver { prob, rt, u, rhs, forcing, adv, regions, steps_done: 0 }
-    }
-
-    /// Region names in per-step execution order (matches the descriptor in
-    /// [`crate::model`]).
-    pub fn region_names() -> [&'static str; 5] {
-        ["bt/compute_rhs", "bt/x_solve", "bt/y_solve", "bt/z_solve", "bt/add"]
-    }
-
-    /// One ADI timestep: rhs, three sweeps, add.
-    pub fn step(&mut self) {
-        self.compute_rhs();
-        self.x_solve();
-        self.y_solve();
-        self.z_solve();
-        self.add();
-        self.steps_done += 1;
-    }
-
-    pub fn run(&mut self, steps: usize) {
-        for _ in 0..steps {
-            self.step();
-        }
-    }
-
-    pub fn steps_done(&self) -> usize {
-        self.steps_done
-    }
-
-    /// RMS error against the manufactured solution — the verification
-    /// metric (must decrease from the perturbed initial state).
-    pub fn error_rms(&self) -> f64 {
-        let n = self.prob.n;
-        let mut ss = 0.0;
-        for k in 0..n {
-            for j in 0..n {
-                for i in 0..n {
-                    let e = self.prob.exact(i, j, k);
-                    let u = self.u.at(i, j, k);
-                    for m in 0..NCOMP {
-                        let d = u[m] - e[m];
-                        ss += d * d;
-                    }
-                }
-            }
-        }
-        (ss / (n * n * n) as f64).sqrt()
-    }
-
-    fn compute_rhs(&mut self) {
-        let n = self.prob.n;
-        let prob = self.prob;
-        let u = &self.u;
-        let forcing = &self.forcing;
-        let adv = &self.adv;
-        let read = |i: usize, j: usize, k: usize| *u.at(i, j, k);
-        let view = FieldView::new(&mut self.rhs);
-        self.rt.parallel_for(self.regions.compute_rhs, 1..n - 1, |k| {
-            for j in 1..n - 1 {
-                for i in 1..n - 1 {
-                    let lu = spatial_operator(&prob, adv, &read, i, j, k);
-                    let f = forcing.at(i, j, k);
-                    // SAFETY: each thread owns distinct k planes.
-                    unsafe {
-                        let p = view.point_mut(i, j, k);
-                        for m in 0..NCOMP {
-                            p[m] = prob.dt * (lu[m] - f[m]);
-                        }
-                    }
-                }
-            }
-        });
-    }
-
-    /// Build the constant implicit line blocks for direction `d`.
-    fn line_blocks(&self, d: usize) -> (Mat5, Mat5, Mat5) {
-        let prob = &self.prob;
-        let a = &self.adv.mats[d];
+    /// One block-tridiagonal solve per line, over the constant implicit
+    /// line blocks for direction `axis`.
+    fn line_solver(&self, prob: &Problem, axis: usize) -> impl Fn(&FieldView, usize, usize) + Sync {
+        let a = &self.mats[axis];
         let r_nu = prob.dt * prob.nu / (prob.h * prob.h);
         let r_adv = prob.dt / (2.0 * prob.h);
         let mut sub = ZERO_MAT;
@@ -198,20 +76,8 @@ impl BtSolver {
             sup[m][m] -= r_nu;
             diag[m][m] = 1.0 + 2.0 * r_nu;
         }
-        (sub, diag, sup)
-    }
-
-    /// Generic sweep: for each perpendicular index pair, solve the block
-    /// line system in place in `rhs`. `axis` selects which index runs along
-    /// the line.
-    fn sweep(&mut self, axis: usize, region: RegionId) {
-        let n = self.prob.n;
-        let interior = n - 2;
-        let (sub, diag, sup) = self.line_blocks(axis);
-        let view = FieldView::new(&mut self.rhs);
-        // Parallel dimension: k for x/y sweeps, j for the z sweep (NPB's
-        // choice, which is what makes z_solve long-stride).
-        let solve_line = |fixed1: usize, fixed2: usize| {
+        let interior = prob.n - 2;
+        move |view: &FieldView, fixed1: usize, fixed2: usize| {
             let mut a = vec![sub; interior];
             let mut b = vec![diag; interior];
             let mut c = vec![sup; interior];
@@ -233,61 +99,16 @@ impl BtSolver {
                     view.point_mut(i, j, k).copy_from_slice(v);
                 }
             }
-        };
-        self.rt.parallel_for(region, 1..n - 1, |outer| {
-            for inner in 1..n - 1 {
-                solve_line(inner, outer);
-            }
-        });
-    }
-
-    fn x_solve(&mut self) {
-        self.sweep(0, self.regions.x_solve);
-    }
-
-    fn y_solve(&mut self) {
-        self.sweep(1, self.regions.y_solve);
-    }
-
-    fn z_solve(&mut self) {
-        self.sweep(2, self.regions.z_solve);
-    }
-
-    fn add(&mut self) {
-        let n = self.prob.n;
-        let rhs = &self.rhs;
-        let view = FieldView::new(&mut self.u);
-        self.rt.parallel_for(self.regions.add, 1..n - 1, |k| {
-            for j in 1..n - 1 {
-                for i in 1..n - 1 {
-                    let d = rhs.at(i, j, k);
-                    unsafe {
-                        let p = view.point_mut(i, j, k);
-                        for m in 0..NCOMP {
-                            p[m] += d[m];
-                        }
-                    }
-                }
-            }
-        });
-    }
-}
-
-/// Map (line position `t`, perpendicular `fixed1`, parallel-dim `fixed2`)
-/// to grid coordinates for each sweep axis. For axes 0 and 1 the parallel
-/// dimension is `k`; for axis 2 it is `j`.
-#[inline]
-fn line_point(axis: usize, t: usize, fixed1: usize, fixed2: usize) -> (usize, usize, usize) {
-    match axis {
-        0 => (t, fixed1, fixed2), // line along i; fixed j, parallel k
-        1 => (fixed1, t, fixed2), // line along j; fixed i, parallel k
-        _ => (fixed1, fixed2, t), // line along k; fixed i, parallel j
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::npb::Class;
+    use arcs_omprt::Runtime;
+    use std::sync::Arc;
 
     fn runtime() -> Arc<Runtime> {
         Arc::new(Runtime::new(4))

@@ -3,164 +3,51 @@
 //! The five components are decoupled (per-component scalar advection
 //! speeds), and the 4th-order dissipation is treated *implicitly* — which
 //! widens each implicit line system to five scalar bands per component:
-//! NPB SP's defining trait. Same region structure and parallelisation as
-//! [BT](super::bt): `compute_rhs` / `x_solve` / `y_solve` / `z_solve`
-//! parallel over k, k, k, j respectively, plus `add`.
+//! NPB SP's defining trait. The timestep is the ADI step [BT](super::bt)
+//! runs too — `compute_rhs` / `x_solve` / `y_solve` / `z_solve` parallel
+//! over k, k, k, j respectively, plus `add` — with SP's coupling and line
+//! systems plugged in.
 //!
 //! SP's paper-relevant personality: good load balance but *poor cache
 //! behaviour* (larger per-point state traffic in the penta sweeps and no
 //! blocking), which is where ARCS finds its 26–40% headroom.
 
-use super::{spatial_operator, Advection, Class, Problem};
-use crate::grid::{Field, FieldView, NCOMP};
+use super::adi::{line_point, Adi, Scheme};
+use super::Problem;
+use crate::grid::{FieldView, NCOMP};
 use crate::linalg::penta_solve;
-use arcs_omprt::{RegionId, Runtime};
-use std::sync::Arc;
 
-struct ScalarAdvection {
+/// The SP application: state + the five tunable parallel regions.
+pub type SpSolver = Adi<Sp>;
+
+/// Per-direction, per-component scalar advection speeds.
+pub struct Sp {
     speeds: [[f64; NCOMP]; 3],
 }
 
-impl Advection for ScalarAdvection {
-    fn apply(&self, d: usize, du: &[f64; NCOMP], out: &mut [f64; NCOMP]) {
+impl Scheme for Sp {
+    const REGIONS: [&'static str; 5] =
+        ["sp/compute_rhs", "sp/x_solve", "sp/y_solve", "sp/z_solve", "sp/add"];
+
+    fn new(prob: &Problem) -> Self {
+        Sp { speeds: prob.speeds }
+    }
+
+    fn advect(&self, d: usize, du: &[f64; NCOMP], out: &mut [f64; NCOMP]) {
         for m in 0..NCOMP {
             out[m] += self.speeds[d][m] * du[m];
         }
     }
-}
 
-struct Regions {
-    compute_rhs: RegionId,
-    x_solve: RegionId,
-    y_solve: RegionId,
-    z_solve: RegionId,
-    add: RegionId,
-}
-
-/// The SP application: state + the five tunable parallel regions.
-pub struct SpSolver {
-    pub prob: Problem,
-    rt: Arc<Runtime>,
-    u: Field,
-    rhs: Field,
-    forcing: Field,
-    adv: ScalarAdvection,
-    regions: Regions,
-    steps_done: usize,
-}
-
-impl SpSolver {
-    pub fn new(rt: Arc<Runtime>, class: Class) -> Self {
-        let prob = Problem::new(class);
-        let n = prob.n;
-        let mut u = Field::new(n, n, n);
-        let rhs = Field::new(n, n, n);
-        let mut forcing = Field::new(n, n, n);
-        let adv = ScalarAdvection { speeds: prob.speeds };
-
-        prob.fill_initial(&mut u);
-        let mut exact = Field::new(n, n, n);
-        prob.fill_exact(&mut exact);
-        let read = |i: usize, j: usize, k: usize| *exact.at(i, j, k);
-        for k in 1..n - 1 {
-            for j in 1..n - 1 {
-                for i in 1..n - 1 {
-                    *forcing.at_mut(i, j, k) = spatial_operator(&prob, &adv, &read, i, j, k);
-                }
-            }
-        }
-
-        let regions = Regions {
-            compute_rhs: rt.register_region("sp/compute_rhs"),
-            x_solve: rt.register_region("sp/x_solve"),
-            y_solve: rt.register_region("sp/y_solve"),
-            z_solve: rt.register_region("sp/z_solve"),
-            add: rt.register_region("sp/add"),
-        };
-        SpSolver { prob, rt, u, rhs, forcing, adv, regions, steps_done: 0 }
-    }
-
-    pub fn region_names() -> [&'static str; 5] {
-        ["sp/compute_rhs", "sp/x_solve", "sp/y_solve", "sp/z_solve", "sp/add"]
-    }
-
-    pub fn step(&mut self) {
-        self.compute_rhs();
-        self.sweep(0, self.regions.x_solve);
-        self.sweep(1, self.regions.y_solve);
-        self.sweep(2, self.regions.z_solve);
-        self.add();
-        self.steps_done += 1;
-    }
-
-    pub fn run(&mut self, steps: usize) {
-        for _ in 0..steps {
-            self.step();
-        }
-    }
-
-    pub fn steps_done(&self) -> usize {
-        self.steps_done
-    }
-
-    /// RMS error against the manufactured steady solution.
-    pub fn error_rms(&self) -> f64 {
-        let n = self.prob.n;
-        let mut ss = 0.0;
-        for k in 0..n {
-            for j in 0..n {
-                for i in 0..n {
-                    let e = self.prob.exact(i, j, k);
-                    let u = self.u.at(i, j, k);
-                    for m in 0..NCOMP {
-                        let d = u[m] - e[m];
-                        ss += d * d;
-                    }
-                }
-            }
-        }
-        (ss / (n * n * n) as f64).sqrt()
-    }
-
-    fn compute_rhs(&mut self) {
-        let n = self.prob.n;
-        let prob = self.prob;
-        let u = &self.u;
-        let forcing = &self.forcing;
-        let adv = &self.adv;
-        let read = |i: usize, j: usize, k: usize| *u.at(i, j, k);
-        let view = FieldView::new(&mut self.rhs);
-        self.rt.parallel_for(self.regions.compute_rhs, 1..n - 1, |k| {
-            for j in 1..n - 1 {
-                for i in 1..n - 1 {
-                    let lu = spatial_operator(&prob, adv, &read, i, j, k);
-                    let f = forcing.at(i, j, k);
-                    // SAFETY: threads own distinct k planes.
-                    unsafe {
-                        let p = view.point_mut(i, j, k);
-                        for m in 0..NCOMP {
-                            p[m] = prob.dt * (lu[m] - f[m]);
-                        }
-                    }
-                }
-            }
-        });
-    }
-
-    /// One implicit sweep along `axis`: five scalar pentadiagonal solves
-    /// per grid line (advection + diffusion + implicit 4th-order
-    /// dissipation).
-    fn sweep(&mut self, axis: usize, region: RegionId) {
-        let n = self.prob.n;
-        let interior = n - 2;
-        let prob = self.prob;
-        let speeds = prob.speeds[axis];
+    /// Five scalar pentadiagonal solves per grid line (advection +
+    /// diffusion + implicit 4th-order dissipation).
+    fn line_solver(&self, prob: &Problem, axis: usize) -> impl Fn(&FieldView, usize, usize) + Sync {
+        let interior = prob.n - 2;
+        let speeds = self.speeds[axis];
         let r_nu = prob.dt * prob.nu / (prob.h * prob.h);
         let r_adv = prob.dt / (2.0 * prob.h);
         let r_e4 = prob.dt * prob.eps4;
-        let view = FieldView::new(&mut self.rhs);
-
-        let solve_line = |fixed1: usize, fixed2: usize| {
+        move |view: &FieldView, fixed1: usize, fixed2: usize| {
             let mut e = vec![0.0; interior];
             let mut a = vec![0.0; interior];
             let mut b = vec![0.0; interior];
@@ -186,46 +73,16 @@ impl SpSolver {
                     unsafe { view.set(i, j, k, m, v) };
                 }
             }
-        };
-        self.rt.parallel_for(region, 1..n - 1, |outer| {
-            for inner in 1..n - 1 {
-                solve_line(inner, outer);
-            }
-        });
-    }
-
-    fn add(&mut self) {
-        let n = self.prob.n;
-        let rhs = &self.rhs;
-        let view = FieldView::new(&mut self.u);
-        self.rt.parallel_for(self.regions.add, 1..n - 1, |k| {
-            for j in 1..n - 1 {
-                for i in 1..n - 1 {
-                    let d = rhs.at(i, j, k);
-                    unsafe {
-                        let p = view.point_mut(i, j, k);
-                        for m in 0..NCOMP {
-                            p[m] += d[m];
-                        }
-                    }
-                }
-            }
-        });
-    }
-}
-
-#[inline]
-fn line_point(axis: usize, t: usize, fixed1: usize, fixed2: usize) -> (usize, usize, usize) {
-    match axis {
-        0 => (t, fixed1, fixed2),
-        1 => (fixed1, t, fixed2),
-        _ => (fixed1, fixed2, t),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::npb::Class;
+    use arcs_omprt::Runtime;
+    use std::sync::Arc;
 
     fn runtime() -> Arc<Runtime> {
         Arc::new(Runtime::new(4))

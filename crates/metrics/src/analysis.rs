@@ -34,8 +34,9 @@ fn per(total: f64, n: u64) -> f64 {
     }
 }
 
-/// Per-region profile reconstructed from `RegionEnd` events — the trace
-/// counterpart of the live `OmptProfiler` rows.
+/// Per-region profile reconstructed from `RegionEnd` events: the OMPT
+/// wall / loop / barrier breakdown of the paper's Fig. 9, for live
+/// (`TraceTool`) and simulated runs alike.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RegionBreakdown {
     pub invocations: u64,

@@ -319,36 +319,6 @@ impl Runtime {
         })
     }
 
-    /// Work-share the collapsed product of two ranges, invoking
-    /// `body(i, j)` once per pair — the `#pragma omp parallel for
-    /// collapse(2)` shape. Collapsing multiplies the trip count, which is
-    /// how OpenMP codes fight the granularity imbalance of coarse outer
-    /// loops (e.g. 100 planes on 32 threads → 10 000 collapsed pairs).
-    pub fn parallel_for_2d<F>(
-        &self,
-        region: RegionId,
-        rows: Range<usize>,
-        cols: Range<usize>,
-        body: F,
-    ) -> RegionRecord
-    where
-        F: Fn(usize, usize) + Sync,
-    {
-        assert!(rows.start <= rows.end && cols.start <= cols.end);
-        let (r0, c0) = (rows.start, cols.start);
-        let ncols = cols.end - cols.start;
-        let len = (rows.end - rows.start) * ncols;
-        if ncols == 0 {
-            // Empty inner range: nothing to do, but still emit the events.
-            return self.parallel_for_chunks(region, 0..0, |_| {});
-        }
-        self.parallel_for_chunks(region, 0..len, |chunk| {
-            for k in chunk {
-                body(r0 + k / ncols, c0 + k % ncols);
-            }
-        })
-    }
-
     /// Work-shared reduction: each thread folds its iterations with `fold`
     /// starting from `identity.clone()`; partial results are merged with
     /// `combine` in thread order.
@@ -596,54 +566,6 @@ mod tests {
             assert!(t.busy + t.barrier_wait <= rec.duration + Duration::from_millis(5));
         }
         assert!(rec.duration >= Duration::from_millis(20));
-    }
-}
-
-#[cfg(test)]
-mod collapse_tests {
-    use super::*;
-    use crate::schedule::Schedule;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn collapse_covers_every_pair_once() {
-        let rt = Runtime::new(4);
-        let region = rt.register_region("collapse");
-        for sched in [Schedule::static_block(), Schedule::dynamic(7), Schedule::guided(3)] {
-            rt.set_schedule(sched);
-            let hits: Vec<AtomicUsize> = (0..6 * 9).map(|_| AtomicUsize::new(0)).collect();
-            let rec = rt.parallel_for_2d(region, 2..8, 1..10, |i, j| {
-                assert!((2..8).contains(&i) && (1..10).contains(&j));
-                hits[(i - 2) * 9 + (j - 1)].fetch_add(1, Ordering::Relaxed);
-            });
-            assert_eq!(rec.iterations, 54);
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "{sched}");
-        }
-    }
-
-    #[test]
-    fn collapse_multiplies_trip_count_for_balance() {
-        // A coarse 5-iteration outer loop on 4 threads is badly quantised;
-        // collapsing with a 100-wide inner loop yields 500 iterations that
-        // split evenly.
-        let rt = Runtime::new(4);
-        let region = rt.register_region("collapse/balance");
-        let rec = rt.parallel_for_2d(region, 0..5, 0..100, |_, _| {});
-        assert_eq!(rec.iterations, 500);
-        let per_thread: Vec<usize> = rec.per_thread.iter().map(|t| t.iterations).collect();
-        let max = *per_thread.iter().max().unwrap();
-        let min = *per_thread.iter().min().unwrap();
-        assert!(max - min <= 1, "collapsed loop must balance: {per_thread:?}");
-    }
-
-    #[test]
-    fn collapse_handles_empty_ranges() {
-        let rt = Runtime::new(2);
-        let region = rt.register_region("collapse/empty");
-        let rec = rt.parallel_for_2d(region, 0..0, 0..10, |_, _| panic!("no rows"));
-        assert_eq!(rec.iterations, 0);
-        let rec = rt.parallel_for_2d(region, 0..10, 3..3, |_, _| panic!("no cols"));
-        assert_eq!(rec.iterations, 0);
     }
 }
 

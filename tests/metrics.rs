@@ -5,11 +5,11 @@
 //! attached are bit-identical to runs that never heard of metrics.
 
 use arcs::prelude::*;
-use arcs::OmptProfiler;
 use arcs_kernels::{model, Class};
 use arcs_metrics::{analyze, MetricsRegistry, TraceReader};
-use arcs_omprt::{Runtime, TraceTool};
+use arcs_omprt::{RegionRecord, Runtime, TraceTool};
 use arcs_trace::{to_jsonl, VecSink};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn tiny_sp() -> arcs_powersim::WorkloadDescriptor {
@@ -22,41 +22,53 @@ fn analyze_jsonl(text: &str) -> arcs_metrics::TraceReport {
     analyze(TraceReader::new(std::io::Cursor::new(text.to_string()))).expect("trace parses")
 }
 
-/// A live run's JSONL trace carries enough per-thread data to rebuild the
-/// OMPT profiler's report: invocation counts exactly, the wall / loop /
-/// barrier breakdown up to floating-point summation order.
+/// A live run's JSONL trace carries enough per-thread data to rebuild each
+/// region's OMPT breakdown. The reference is independent of the trace: the
+/// `RegionRecord`s the runtime hands back at every join, summed here —
+/// invocation counts exactly, the wall / loop / barrier breakdown up to
+/// floating-point summation order.
 #[test]
 fn live_trace_rebuilds_the_ompt_profile() {
     let rt = Arc::new(Runtime::new(4));
     let sink = Arc::new(VecSink::new());
     TraceTool::attach(&rt, sink.clone());
-    let profiler = OmptProfiler::attach(&rt);
 
     let even = rt.register_region("live/even");
     let skewed = rt.register_region("live/skewed");
+    // Per region: invocations, Σ wall, Σ loop, Σ barrier.
+    let mut sums: BTreeMap<&str, (u64, f64, f64, f64)> = BTreeMap::new();
+    let mut add = |name, rec: RegionRecord| {
+        let sum = sums.entry(name).or_default();
+        sum.0 += 1;
+        sum.1 += rec.duration.as_secs_f64();
+        for t in &rec.per_thread {
+            sum.2 += t.busy.as_secs_f64();
+            sum.3 += t.barrier_wait.as_secs_f64();
+        }
+    };
     for _ in 0..6 {
-        rt.parallel_for(even, 0..256, |i| {
+        let rec = rt.parallel_for(even, 0..256, |i| {
             std::hint::black_box(i * i);
         });
-        rt.parallel_for(skewed, 0..64, |i| {
+        add("live/even", rec);
+        let rec = rt.parallel_for(skewed, 0..64, |i| {
             if i < 8 {
                 std::thread::sleep(std::time::Duration::from_micros(100));
             }
         });
+        add("live/skewed", rec);
     }
 
     let report = analyze_jsonl(&to_jsonl(&sink.drain()).unwrap());
-    let rows = profiler.report_named(&rt);
-    assert_eq!(rows.len(), 2);
     assert_eq!(report.regions.len(), 2);
-    for row in &rows {
-        let rebuilt = &report.regions[&row.region];
-        assert_eq!(rebuilt.invocations, row.invocations);
+    for (region, (invocations, wall_s, loop_s, barrier_s)) in sums {
+        let rebuilt = &report.regions[region];
+        assert_eq!(rebuilt.invocations, invocations);
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1e-9);
-        assert!(close(rebuilt.wall_s, row.wall_s), "{}: wall", row.region);
-        assert!(close(rebuilt.busy_s, row.loop_s), "{}: loop", row.region);
-        assert!(close(rebuilt.barrier_s, row.barrier_s), "{}: barrier", row.region);
-        assert!(close(rebuilt.implicit_task_s(), row.implicit_task_s), "{}: task", row.region);
+        assert!(close(rebuilt.wall_s, wall_s), "{region}: wall");
+        assert!(close(rebuilt.busy_s, loop_s), "{region}: loop");
+        assert!(close(rebuilt.barrier_s, barrier_s), "{region}: barrier");
+        assert!(close(rebuilt.implicit_task_s(), loop_s + barrier_s), "{region}: task");
     }
     // Live traces have no simulator clock: the driver-level overhead
     // cross-check does not apply (no OverheadCharged events at all here).
