@@ -153,6 +153,27 @@ if [ -n "$strays" ]; then
     exit 1
 fi
 
+# One region profile and one cache-binding route: the simulated path
+# keeps its per-region profile in the run report alone (no APEX hop, no
+# APEX counters), a cache of another machine is a typed error only
+# through `Runner::shared_cache`, and the runtime has no host-sized
+# constructor. `PolicyFired` is read from v8 and older traces, and no
+# non-test source outside the trace crate may name it, so nothing emits
+# it; the APEX crate does not depend on the trace crate at all.
+strays="$(find crates src examples -name '*.rs' -not -path '*/tests/*' \
+    -exec awk '/#\[cfg\(test\)\]/ { nextfile }
+        /with_apex|record_counter|try_with_shared_cache|with_host_parallelism/ { print FILENAME ":" FNR ": " $0 }
+        FILENAME !~ /^crates\/trace\// && /PolicyFired/ { print FILENAME ":" FNR ": " $0 }' {} +)"
+if [ -n "$strays" ]; then
+    echo "ci: a second region profile, cache-binding route or PolicyFired emitter:" >&2
+    echo "$strays" >&2
+    exit 1
+fi
+if grep -q 'arcs-trace' crates/apex/Cargo.toml; then
+    echo "ci: arcs-apex depends on arcs-trace again" >&2
+    exit 1
+fi
+
 # Trace smoke: a tuned run must emit JSONL that validates against the
 # published schema (--check exits non-zero otherwise) plus a Chrome trace.
 trace_tmp="$(mktemp -d)"

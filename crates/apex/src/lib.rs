@@ -4,10 +4,8 @@
 //! eXascale). It provides:
 //!
 //! * **timers** keyed by interned task names (one task per parallel
-//!   region), with wall-clock start/stop and direct sample injection for
-//!   simulated backends;
-//! * **counters** for introspection values (energy, power, custom metrics);
-//! * running [profiles](profile::Profile) per task/counter;
+//!   region), with wall-clock start/stop and direct sample injection;
+//! * running [profiles](profile::Profile) per task;
 //! * the [policy engine](policy::PolicyEngine): event-triggered and
 //!   periodic callbacks that observe the APEX state and adapt the runtime
 //!   (ARCS's policy lives on top of this).
@@ -27,7 +25,7 @@
 //! });
 //!
 //! let task = apex.task("x_solve");
-//! apex.sample(task, 0.25); // inject a measurement (simulated backends)
+//! apex.sample(task, 0.25); // inject a measurement without a wall clock
 //! assert_eq!(fired.load(Ordering::Relaxed), 1);
 //! assert_eq!(apex.profile(task).unwrap().count, 1);
 //! ```
@@ -52,7 +50,6 @@ struct State {
     names: Vec<String>,
     by_name: HashMap<String, TaskId>,
     profiles: HashMap<TaskId, Profile>,
-    counters: HashMap<String, Profile>,
     active: HashMap<TaskId, Instant>,
 }
 
@@ -60,7 +57,7 @@ struct State {
 pub struct Apex {
     state: Mutex<State>,
     // Separate lock so policy callbacks may freely re-enter the state
-    // (read profiles, record counters) without self-deadlock.
+    // (read profiles) without self-deadlock.
     engine: Mutex<PolicyEngine>,
 }
 
@@ -85,16 +82,6 @@ impl Apex {
         st.names.push(name.to_owned());
         st.by_name.insert(name.to_owned(), id);
         id
-    }
-
-    pub fn task_name(&self, id: TaskId) -> String {
-        self.state.lock().names[id.0 as usize].clone()
-    }
-
-    /// All interned tasks in creation order.
-    pub fn tasks(&self) -> Vec<(TaskId, String)> {
-        let st = self.state.lock();
-        st.names.iter().enumerate().map(|(i, n)| (TaskId(i as u32), n.clone())).collect()
     }
 
     /// Start the wall-clock timer for `task` and fire `OnTimerStart`
@@ -125,8 +112,8 @@ impl Apex {
     }
 
     /// Inject a measurement for `task` without wall-clock timing — fires
-    /// the same start/stop policy pair a real timer would. This is how the
-    /// simulated backend drives APEX with simulated region durations.
+    /// the same start/stop policy pair a real timer would, with
+    /// `duration_s` as the stopped timer's sample.
     pub fn sample(&self, task: TaskId, duration_s: f64) {
         let name = self.state.lock().names[task.0 as usize].clone();
         self.dispatch(PolicyEvent {
@@ -154,37 +141,19 @@ impl Apex {
         });
     }
 
-    /// Record an introspection counter sample (energy, power, …).
-    pub fn record_counter(&self, name: &str, value: f64) {
-        self.state.lock().counters.entry(name.to_owned()).or_default().record(value);
-    }
-
     /// Profile of a task's samples so far.
     pub fn profile(&self, task: TaskId) -> Option<Profile> {
         self.state.lock().profiles.get(&task).copied()
     }
 
-    /// Profile of a counter's samples so far.
-    pub fn counter(&self, name: &str) -> Option<Profile> {
-        self.state.lock().counters.get(name).copied()
-    }
-
-    /// Register a policy with the engine.
-    pub fn register_policy<F>(&self, name: &str, trigger: PolicyTrigger, callback: F) -> usize
+    /// Register a policy with the engine. `_name` labels the policy at
+    /// its call site, as APEX's registration does; the engine keeps only
+    /// the trigger and the callback.
+    pub fn register_policy<F>(&self, _name: &str, trigger: PolicyTrigger, callback: F) -> usize
     where
         F: FnMut(&PolicyEvent) + Send + 'static,
     {
-        self.engine.lock().register(name, trigger, callback)
-    }
-
-    /// Emit a [`arcs_trace::TraceEvent::PolicyFired`] record on `sink` each
-    /// time a registered policy callback runs.
-    pub fn set_trace(&self, sink: std::sync::Arc<dyn arcs_trace::TraceSink>) {
-        self.engine.lock().set_trace(sink);
-    }
-
-    pub fn policy_count(&self) -> usize {
-        self.engine.lock().policy_count()
+        self.engine.lock().register(trigger, callback)
     }
 
     fn dispatch(&self, event: PolicyEvent) {
@@ -205,8 +174,7 @@ mod tests {
         let b = apex.task("x_solve");
         assert_eq!(apex.task("compute_rhs"), a);
         assert_ne!(a, b);
-        assert_eq!(apex.task_name(b), "x_solve");
-        assert_eq!(apex.tasks().len(), 2);
+        assert_eq!(apex.task("x_solve"), b);
     }
 
     #[test]
@@ -251,24 +219,15 @@ mod tests {
         // deadlock (state and engine use separate locks).
         let apex = Arc::new(Apex::new());
         let apex2 = apex.clone();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let s = seen.clone();
         let t = apex.task("reentrant");
         apex.register_policy("reader", PolicyTrigger::OnTimerStop, move |ev| {
-            let _ = apex2.profile(ev.task);
-            apex2.record_counter("observed", 1.0);
+            s.lock().push(apex2.profile(ev.task).map(|p| p.count));
         });
         apex.sample(t, 0.1);
-        assert_eq!(apex.counter("observed").unwrap().count, 1);
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let apex = Apex::new();
-        apex.record_counter("energy_j", 10.0);
-        apex.record_counter("energy_j", 30.0);
-        let c = apex.counter("energy_j").unwrap();
-        assert_eq!(c.count, 2);
-        assert_eq!(c.total, 40.0);
-        assert!(apex.counter("missing").is_none());
+        apex.sample(t, 0.2);
+        assert_eq!(*seen.lock(), vec![Some(1), Some(2)]);
     }
 
     #[test]

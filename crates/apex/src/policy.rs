@@ -9,8 +9,6 @@
 
 use crate::profile::Profile;
 use crate::TaskId;
-use arcs_trace::{TraceEvent, TraceSink};
-use std::sync::Arc;
 
 /// What fired a policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,7 +47,6 @@ pub(crate) type PolicyFn = Box<dyn FnMut(&PolicyEvent) + Send>;
 pub(crate) struct PolicyEntry {
     pub trigger: PolicyTrigger,
     pub callback: PolicyFn,
-    pub name: String,
 }
 
 /// Dispatches events to registered policies in registration order.
@@ -57,7 +54,6 @@ pub(crate) struct PolicyEntry {
 pub struct PolicyEngine {
     policies: Vec<PolicyEntry>,
     events: u64,
-    trace: Option<Arc<dyn TraceSink>>,
 }
 
 impl PolicyEngine {
@@ -65,40 +61,13 @@ impl PolicyEngine {
         Self::default()
     }
 
-    /// Emit a [`TraceEvent::PolicyFired`] per policy callback invocation.
-    pub fn set_trace(&mut self, sink: Arc<dyn TraceSink>) {
-        self.trace = Some(sink);
-    }
-
     /// Register a policy; returns its index.
-    pub fn register<F>(
-        &mut self,
-        name: impl Into<String>,
-        trigger: PolicyTrigger,
-        callback: F,
-    ) -> usize
+    pub fn register<F>(&mut self, trigger: PolicyTrigger, callback: F) -> usize
     where
         F: FnMut(&PolicyEvent) + Send + 'static,
     {
-        self.policies.push(PolicyEntry {
-            trigger,
-            callback: Box::new(callback),
-            name: name.into(),
-        });
+        self.policies.push(PolicyEntry { trigger, callback: Box::new(callback) });
         self.policies.len() - 1
-    }
-
-    pub fn policy_count(&self) -> usize {
-        self.policies.len()
-    }
-
-    pub fn policy_names(&self) -> Vec<&str> {
-        self.policies.iter().map(|p| p.name.as_str()).collect()
-    }
-
-    /// Total events dispatched so far.
-    pub fn events(&self) -> u64 {
-        self.events
     }
 
     pub(crate) fn dispatch(&mut self, event: &PolicyEvent) {
@@ -118,17 +87,6 @@ impl PolicyEngine {
                     event.clone()
                 };
                 (p.callback)(&ev);
-                if let Some(sink) = &self.trace {
-                    if sink.enabled() {
-                        sink.record(
-                            None,
-                            TraceEvent::PolicyFired {
-                                policy: p.name.clone(),
-                                task: ev.task_name.clone(),
-                            },
-                        );
-                    }
-                }
             }
         }
     }
@@ -151,13 +109,13 @@ mod tests {
         let stops = Arc::new(AtomicUsize::new(0));
         {
             let s = starts.clone();
-            engine.register("starts", PolicyTrigger::OnTimerStart, move |_| {
+            engine.register(PolicyTrigger::OnTimerStart, move |_| {
                 s.fetch_add(1, Ordering::Relaxed);
             });
         }
         {
             let s = stops.clone();
-            engine.register("stops", PolicyTrigger::OnTimerStop, move |_| {
+            engine.register(PolicyTrigger::OnTimerStop, move |_| {
                 s.fetch_add(1, Ordering::Relaxed);
             });
         }
@@ -173,7 +131,7 @@ mod tests {
         let mut engine = PolicyEngine::new();
         let hits = Arc::new(AtomicUsize::new(0));
         let h = hits.clone();
-        engine.register("periodic", PolicyTrigger::Periodic(3), move |ev| {
+        engine.register(PolicyTrigger::Periodic(3), move |ev| {
             assert!(matches!(ev.kind, PolicyEventKind::Periodic { .. }));
             h.fetch_add(1, Ordering::Relaxed);
         });
@@ -188,7 +146,7 @@ mod tests {
         let mut engine = PolicyEngine::new();
         let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let s = seen.clone();
-        engine.register("obs", PolicyTrigger::OnTimerStop, move |ev| {
+        engine.register(PolicyTrigger::OnTimerStop, move |ev| {
             if let PolicyEventKind::TimerStop { duration_s } = ev.kind {
                 s.lock().push(duration_s);
             }
@@ -196,37 +154,5 @@ mod tests {
         engine.dispatch(&event(PolicyEventKind::TimerStop { duration_s: 1.5 }));
         engine.dispatch(&event(PolicyEventKind::TimerStop { duration_s: 2.5 }));
         assert_eq!(*seen.lock(), vec![1.5, 2.5]);
-    }
-
-    #[test]
-    fn firing_policies_emit_trace_records() {
-        use arcs_trace::VecSink;
-
-        let mut engine = PolicyEngine::new();
-        engine.register("on-stop", PolicyTrigger::OnTimerStop, |_| {});
-        engine.register("never", PolicyTrigger::OnTimerStart, |_| {});
-        let sink = Arc::new(VecSink::new());
-        engine.set_trace(sink.clone());
-
-        engine.dispatch(&event(PolicyEventKind::TimerStop { duration_s: 0.1 }));
-        engine.dispatch(&event(PolicyEventKind::TimerStop { duration_s: 0.2 }));
-
-        let records = sink.drain();
-        assert_eq!(records.len(), 2);
-        for r in &records {
-            assert_eq!(
-                r.event,
-                TraceEvent::PolicyFired { policy: "on-stop".into(), task: "t".into() }
-            );
-        }
-    }
-
-    #[test]
-    fn registration_metadata() {
-        let mut engine = PolicyEngine::new();
-        engine.register("a", PolicyTrigger::OnTimerStart, |_| {});
-        engine.register("b", PolicyTrigger::Periodic(5), |_| {});
-        assert_eq!(engine.policy_count(), 2);
-        assert_eq!(engine.policy_names(), vec!["a", "b"]);
     }
 }

@@ -149,8 +149,9 @@ pub trait Backend {
     /// backend's cap then stays run-constant.
     fn attach_cap_handle(&mut self, _handle: CapHandle) {}
 
-    /// Introspection hook, called once per invocation after energy
-    /// sampling (the simulator routes this into APEX). Default: no-op.
+    /// A per-invocation introspection hook the driver does not call. It
+    /// is a no-op kept only because the benchmark's forwarding backend
+    /// implements it, and goes with the next change to the benchmark.
     fn record_sample(&mut self, _region: &str, _time_s: f64, _energy_total_j: f64) {}
 
     /// The trace sink attached to this backend, if any. The driver reads
@@ -694,7 +695,7 @@ fn drive<B: Backend>(
             // objective. Its search events precede the region's end.
             acc.timed(Phase::Tune, || tuner.end_at(slot, meas.time_s, meas.energy_j));
             let energy_total_j = acc.timed(Phase::Meter, || meter.read(b))?;
-            acc.region(b, slot, &region.name, cfg, &meas, change_s, instr_s, energy_total_j);
+            acc.region(slot, &region.name, cfg, &meas, change_s, instr_s, energy_total_j);
             tuner.observe_at(slot, &meas.features, acc.time_s);
             // Error budget exhausted: freeze every region to its best-known
             // configuration and ride the run out (final rung of the
@@ -853,9 +854,8 @@ impl Accum {
 
     /// Account one invocation of region `name`, at tuner slot `slot`.
     #[allow(clippy::too_many_arguments)]
-    fn region<B: Backend>(
+    fn region(
         &mut self,
-        b: &mut B,
         slot: usize,
         name: &str,
         cfg: TunedConfig,
@@ -889,7 +889,6 @@ impl Accum {
         entry.l3_miss_rate += (meas.features.l3_miss_rate - entry.l3_miss_rate) / k;
         entry.final_config = Some(cfg.omp);
 
-        b.record_sample(name, meas.time_s, energy_total_j);
         if let Some(sink) = &self.sink {
             sink.record(
                 Some(self.time_s),

@@ -31,17 +31,11 @@
 //! only when RAPL advanced since the last sample; otherwise the
 //! unchanged register would add nothing, and the read answers the
 //! meter's total (DESIGN.md §3.13).
-//!
-//! Simulated region durations are also pushed into an optional APEX
-//! instance, the introspection state the live path populates. Fig. 9's
-//! breakdown does not read it: it renders the run report's
-//! `AppRunReport::per_region` summaries.
 
 use crate::backend::{self, Backend, RegionFeatures, RegionRun, RunError};
 use crate::cap::CapHandle;
 use crate::config::TunedConfig;
 use crate::faults::Perturbation;
-use arcs_apex::Apex;
 use arcs_metrics::MetricsRegistry;
 use arcs_powersim::{
     simulate_region_with_table, CacheBindError, FaultPlan, FxBuildHasher, Machine, MeasureError,
@@ -122,7 +116,6 @@ pub struct SimExecutor {
     scratch: SimScratch,
     /// The effective cap's team frequencies (memo-probe path only).
     f_caps: CapFrequencies,
-    apex: Option<Arc<Apex>>,
     noise: Option<NoiseModel>,
     energy_meter: PackageEnergy,
     /// Has RAPL advanced since `energy_meter` last sampled it? Until it
@@ -195,7 +188,6 @@ impl SimExecutor {
             cache,
             scratch: SimScratch::default(),
             f_caps: CapFrequencies::default(),
-            apex: None,
             noise: None,
             energy_meter: PackageEnergy::new(),
             resample: true,
@@ -217,15 +209,6 @@ impl SimExecutor {
         self
     }
 
-    /// Route region samples into an APEX instance as well.
-    pub fn with_apex(mut self, apex: Arc<Apex>) -> Self {
-        if let Some(sink) = &self.perturb.trace {
-            apex.set_trace(Arc::clone(sink));
-        }
-        self.apex = Some(apex);
-        self
-    }
-
     /// Perturb every region invocation's measured time (and energy) by
     /// deterministic multiplicative noise.
     pub fn with_noise(mut self, cv: f64, seed: u64) -> Self {
@@ -242,8 +225,8 @@ impl SimExecutor {
         self
     }
 
-    /// Attach a trace sink: the driver's region/power events, the memo
-    /// cache's hit/miss events and APEX's policy events all flow into it.
+    /// Attach a trace sink: the driver's region/power events and the memo
+    /// cache's hit/miss events both flow into it.
     pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
         Backend::attach_trace(&mut self, sink);
         self
@@ -257,26 +240,14 @@ impl SimExecutor {
         self
     }
 
-    /// Attach a memo cache shared with other executors, checking that it
-    /// belongs to this executor's machine model — reports are
-    /// machine-dependent and the machine is not part of the cache key.
-    pub fn try_with_shared_cache(
-        mut self,
-        cache: Arc<SharedSimCache>,
-    ) -> Result<Self, CacheBindError> {
-        self.bind_cache(cache)?;
-        Ok(self)
-    }
-
-    /// Attach a memo cache shared with other executors. Machine mismatches
-    /// panic in debug builds; release builds keep the private cache. Use
-    /// [`SimExecutor::try_with_shared_cache`] to handle the mismatch.
+    /// Attach a memo cache shared with other executors. Reports are
+    /// machine-dependent and the machine is not part of the cache key, so
+    /// a cache of another machine model panics; a run that should surface
+    /// the mismatch as a typed error binds through
+    /// [`Runner::shared_cache`](crate::backend::Runner::shared_cache)
+    /// ([`RunError::CacheBind`]).
     pub fn with_shared_cache(mut self, cache: Arc<SharedSimCache>) -> Self {
-        let bound = self.bind_cache(cache);
-        debug_assert!(
-            bound.is_ok(),
-            "shared cache belongs to a different machine model: {bound:?}"
-        );
+        self.bind_cache(cache).unwrap_or_else(|e| panic!("{e}"));
         self
     }
 
@@ -513,25 +484,12 @@ impl Backend for SimExecutor {
         self.perturb.watch_cap(handle, |w| self.rapl.set_package_cap(w));
     }
 
-    fn record_sample(&mut self, region: &str, time_s: f64, energy_total_j: f64) {
-        if let Some(apex) = &self.apex {
-            let task = apex.task(region);
-            apex.sample(task, time_s);
-            // Energy introspection: the unwrapped RAPL reading, as a
-            // periodic APEX sampler would record it.
-            apex.record_counter("rapl/package_energy_j", energy_total_j);
-        }
-    }
-
     fn trace(&self) -> Option<&Arc<dyn TraceSink>> {
         self.perturb.trace.as_ref()
     }
 
     fn attach_trace(&mut self, sink: Arc<dyn TraceSink>) {
         self.cache.attach_trace(Arc::clone(&sink));
-        if let Some(apex) = &self.apex {
-            apex.set_trace(Arc::clone(&sink));
-        }
         self.perturb.trace = Some(sink);
     }
 
@@ -826,20 +784,24 @@ mod tests {
 
     #[test]
     fn shared_cache_rejects_wrong_machine() {
-        let cache = Arc::new(SharedSimCache::new("minotaur"));
-        let err = SimExecutor::new(Machine::crill(), 85.0)
-            .try_with_shared_cache(cache)
+        let mut wl = model::sp(Class::B);
+        wl.timesteps = 4;
+        let mut exec = SimExecutor::new(Machine::crill(), 85.0);
+        let err = Runner::new(&mut exec)
+            .workload(&wl)
+            .shared_cache(Arc::new(SharedSimCache::new("minotaur")))
+            .run()
             .map(|_| ())
             .unwrap_err();
-        assert_eq!(err.cache_machine, "minotaur");
-        assert_eq!(err.machine, "crill");
-        assert!(err.to_string().contains("different machine model"));
+        let RunError::CacheBind(bind) = &err else { panic!("got {err:?}") };
+        assert_eq!(bind.cache_machine, "minotaur");
+        assert_eq!(bind.machine, "crill");
+        assert!(err.to_string().contains("different machine model"), "{err}");
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "different machine model")]
-    fn shared_cache_mismatch_panics_in_debug_builds() {
+    fn shared_cache_mismatch_panics() {
         let cache = Arc::new(SharedSimCache::new("minotaur"));
         let _ = SimExecutor::new(Machine::crill(), 85.0).with_shared_cache(cache);
     }
@@ -1043,30 +1005,5 @@ mod noise_tests {
             .unwrap();
         let ratio = replay.time_s / clean_base.time_s;
         assert!(ratio < 0.85, "noisy-trained configs must still win: {ratio}");
-    }
-}
-
-#[cfg(test)]
-mod apex_integration_tests {
-    use super::*;
-    use crate::backend::Runner;
-    use arcs_kernels::{model, Class};
-
-    #[test]
-    fn sim_runs_populate_apex_profiles_and_energy_counters() {
-        let m = Machine::crill();
-        let mut wl = model::bt(Class::W);
-        wl.timesteps = 10;
-        let apex = Arc::new(Apex::new());
-        let mut exec = SimExecutor::new(m, 115.0).with_apex(Arc::clone(&apex));
-        let rep = Runner::new(&mut exec).workload(&wl).run().unwrap();
-        // Timers: one profile per region, one sample per invocation.
-        let task = apex.task("bt/x_solve");
-        assert_eq!(apex.profile(task).unwrap().count, 10);
-        // Energy counter: monotone, final reading equals the report total.
-        let e = apex.counter("rapl/package_energy_j").unwrap();
-        assert_eq!(e.count, 50);
-        assert!(e.max >= e.min);
-        assert!((e.last - rep.energy_j).abs() / rep.energy_j < 0.02);
     }
 }

@@ -841,15 +841,15 @@ mod tests {
         let n = TraceReader::new(good.as_bytes()).filter(|r| r.is_ok()).count();
         assert_eq!(n, sample_trace().len());
 
-        // Older schema versions still parse (their fields are a strict
-        // subset of the current layout)...
+        // Older schema versions inside the window still parse (their
+        // fields are a strict subset of the current layout)...
         let old_schema =
-            jsonl(&[TraceRecord { schema: 1, ..rec(0, None, E::CacheHit { region: "r".into() }) }]);
+            jsonl(&[TraceRecord { schema: 5, ..rec(0, None, E::CacheHit { region: "r".into() }) }]);
         assert!(TraceReader::new(old_schema.as_bytes()).next().unwrap().is_ok());
 
-        // ...while versions the reader cannot know — newer, or not a real
-        // version at all — are hard errors.
-        for bad in [0u32, SCHEMA_VERSION + 1] {
+        // ...while versions the reader does not accept — retired, newer,
+        // or not a real version at all — are hard errors.
+        for bad in [0u32, 4, SCHEMA_VERSION + 1] {
             let bad_schema = jsonl(&[TraceRecord {
                 schema: bad,
                 ..rec(0, None, E::CacheHit { region: "r".into() })

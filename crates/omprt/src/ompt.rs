@@ -55,15 +55,6 @@ impl ToolRegistry {
         tools.len() - 1
     }
 
-    /// Detach every tool (used between experiment phases).
-    pub fn clear(&self) {
-        self.tools.write().clear();
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.tools.read().is_empty()
-    }
-
     pub(crate) fn emit_parallel_begin(&self, region: RegionId) {
         for t in self.tools.read().iter() {
             t.parallel_begin(region);
@@ -139,16 +130,5 @@ mod tests {
             assert_eq!(c.ends.load(Ordering::Relaxed), 1);
             assert_eq!(c.tasks.load(Ordering::Relaxed), 4);
         }
-    }
-
-    #[test]
-    fn clear_detaches() {
-        let reg = ToolRegistry::new();
-        let a = Arc::new(Counter::default());
-        reg.register(a.clone());
-        reg.clear();
-        assert!(reg.is_empty());
-        reg.emit_parallel_begin(RegionId(0));
-        assert_eq!(a.begins.load(Ordering::Relaxed), 0);
     }
 }

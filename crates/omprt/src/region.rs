@@ -75,20 +75,6 @@ impl Runtime {
         }
     }
 
-    /// Create a runtime sized to the host's available parallelism.
-    pub fn with_host_parallelism() -> Self {
-        let n = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        Self::new(n)
-    }
-
-    /// The process-wide runtime (lazy, host-sized). Library users that do
-    /// not need multiple runtimes can use this like the OpenMP runtime
-    /// singleton.
-    pub fn global() -> &'static Runtime {
-        static GLOBAL: OnceLock<Runtime> = OnceLock::new();
-        GLOBAL.get_or_init(Runtime::with_host_parallelism)
-    }
-
     /// Maximum team size (`omp_get_max_threads` upper bound).
     pub fn max_threads(&self) -> usize {
         self.pool.max_threads()

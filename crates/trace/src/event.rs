@@ -10,11 +10,12 @@ use serde::{Deserialize, Serialize};
 pub const SCHEMA_VERSION: u32 = 9;
 
 /// The schema versions a reader accepts — the support window, stated
-/// once. It reaches back to v1 only because every field added since
-/// carries a serde default, so an old record's fields are a subset of
+/// once. It starts at v5, the oldest version a pinned fixture still
+/// carries, and reaches that far back only because every field added
+/// since carries a serde default, so a v5 record's fields are a subset of
 /// today's layout; a change that is not such a superset must raise the
 /// window's start along with [`SCHEMA_VERSION`].
-pub const SUPPORTED_SCHEMAS: std::ops::RangeInclusive<u32> = 1..=SCHEMA_VERSION;
+pub const SUPPORTED_SCHEMAS: std::ops::RangeInclusive<u32> = 5..=SCHEMA_VERSION;
 
 /// One running job's share of the global power budget, as carried by
 /// [`TraceEvent::CapReallocated`] (v5). `cap_w` is the *node-level*
@@ -67,15 +68,13 @@ pub enum TraceEvent {
     /// per-thread loop-body and barrier-wait sums (OMPT `OpenMP_LOOP` /
     /// `OpenMP_BARRIER`), so per-region profiles are reconstructible from
     /// the trace alone. `objective_value` (v3) is the invocation's score
-    /// under the run's objective — `None` in untuned runs and in older
-    /// traces.
+    /// under the run's objective — `None` in untuned runs.
     RegionEnd {
         region: String,
         time_s: f64,
         energy_j: f64,
         busy_s: f64,
         barrier_s: f64,
-        #[serde(default)]
         objective_value: Option<f64>,
     },
     /// Average package power over the last region invocation plus the
@@ -93,14 +92,13 @@ pub enum TraceEvent {
         /// The point just measured.
         point: Vec<usize>,
         /// Objective value reported for `point`, in the `objective`'s
-        /// unit (seconds under `Time`, the default in pre-v3 traces).
+        /// unit (seconds under `Time`).
         value: f64,
         best_point: Vec<usize>,
         best_value: f64,
         converged: bool,
         simplex: Vec<SearchCandidate>,
-        /// What the session is minimising (v3; `Time` in older traces).
-        #[serde(default)]
+        /// What the session is minimising (v3).
         objective: Objective,
     },
     /// The tuner moved the global ICVs to a new configuration (§III-C
@@ -109,14 +107,8 @@ pub enum TraceEvent {
     /// §III-C overhead charged before a region invocation, split into its
     /// two components (either may be zero). `energy_j` (v3) is the
     /// package energy drawn over the overhead interval at near-idle
-    /// power, as differenced from the meter (0 in older traces).
-    OverheadCharged {
-        region: String,
-        config_change_s: f64,
-        instrumentation_s: f64,
-        #[serde(default)]
-        energy_j: f64,
-    },
+    /// power, as differenced from the meter.
+    OverheadCharged { region: String, config_change_s: f64, instrumentation_s: f64, energy_j: f64 },
     /// Simulation memo-cache lookup answered from the cache.
     CacheHit { region: String },
     /// Simulation memo-cache lookup that had to simulate.
@@ -133,7 +125,8 @@ pub enum TraceEvent {
         shard_occupancy: Vec<u64>,
         interner_size: u64,
     },
-    /// An APEX policy callback fired for a task.
+    /// An APEX policy callback fired for a task. Nothing emits it; it
+    /// stays so that v8 and older traces, which carry it, still parse.
     PolicyFired { policy: String, task: String },
     /// A fault-plan perturbation fired (v4). `kind` names the fault
     /// class (`rapl_read`, `sample_drop`, `timer_spike`, `straggler`,

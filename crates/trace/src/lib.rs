@@ -1,8 +1,8 @@
 //! # arcs-trace — structured event tracing for the ARCS stack
 //!
 //! Every layer of the reproduction — the omprt runtime, the powersim RAPL
-//! model, the harmony search, the core run driver, the APEX policy engine
-//! — can narrate what it does as typed [`TraceEvent`]s delivered to a
+//! model, the harmony search, the core run driver, the serve broker — can
+//! narrate what it does as typed [`TraceEvent`]s delivered to a
 //! [`TraceSink`]. End-of-run aggregates tell you *what* a strategy
 //! achieved; the trace tells you *how*: which simplex the Nelder–Mead
 //! search held at each step, when the cap moved, where §III-C overheads
@@ -245,12 +245,12 @@ mod tests {
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].seq, 0);
 
-        // Older (but real) schema versions still parse: new fields take
-        // their serde defaults.
+        // Older schema versions inside the window still parse: new fields
+        // take their serde defaults.
         let older = jsonl
-            .replace(&format!("\"schema\":{SCHEMA_VERSION}"), "\"schema\":2")
-            .replacen("\"schema\":2", "\"schema\":1", 1);
-        let old_records = validate_jsonl(&older).expect("v1/v2 records stay readable");
+            .replace(&format!("\"schema\":{SCHEMA_VERSION}"), "\"schema\":6")
+            .replacen("\"schema\":6", "\"schema\":5", 1);
+        let old_records = validate_jsonl(&older).expect("v5/v6 records stay readable");
         assert_eq!(old_records.len(), 2);
 
         let foreign = jsonl.replace(
@@ -423,7 +423,8 @@ mod tests {
     #[test]
     fn schema_version_is_stable() {
         // Bumping SCHEMA_VERSION is a conscious act: readers keep
-        // accepting every older version via serde defaults, but writers
+        // accepting the older versions in SUPPORTED_SCHEMAS via serde
+        // defaults, but writers
         // must never reuse a number. If this assertion fails you changed
         // the record layout — bump the version AND this test together.
         // (v1 → v2: RegionEnd gained `busy_s`/`barrier_s`. v2 → v3:

@@ -20,9 +20,10 @@ pub enum TraceReadError {
         source: serde_json::Error,
     },
     /// The record was written by a schema outside [`SUPPORTED_SCHEMAS`]
-    /// (newer than [`crate::SCHEMA_VERSION`], or not a real version at all);
-    /// reading on would silently misinterpret fields. Older versions are
-    /// fine — fields added since deserialize to their defaults.
+    /// (newer than [`crate::SCHEMA_VERSION`], older than the window's
+    /// start, or not a real version at all); reading on would silently
+    /// misinterpret fields. Versions inside the window are fine — fields
+    /// added since deserialize to their defaults.
     SchemaMismatch {
         line: usize,
         found: u32,

@@ -109,26 +109,15 @@ fn noisy_training_keeps_most_of_the_gain() {
     }
 }
 
-/// The live OMPT profiler and the simulator agree on LULESH's Fig. 9
-/// ordering: EvalEOS tops the inclusive time with a dominant barrier
-/// share, and the balanced kernels show ~zero barrier.
+/// The simulated run report carries LULESH's Fig. 9 shape: EvalEOS
+/// spends most of its time in the barrier, and the balanced kernels show
+/// almost none.
 #[test]
-fn fig9_shape_from_the_simulated_apex_path() {
-    use arcs_apex::Apex;
-    use std::sync::Arc;
+fn fig9_barrier_shares_from_the_simulated_report() {
     let m = Machine::crill();
     let mut wl = model::lulesh(45);
     wl.timesteps = 5;
-    let apex = Arc::new(Apex::new());
-    let mut exec = SimExecutor::new(m, 115.0).with_apex(Arc::clone(&apex));
-    let rep = Runner::new(&mut exec).workload(&wl).run().unwrap();
-    // APEX profiles carry the same per-region means the report does.
-    for (name, summary) in &rep.per_region {
-        let task = apex.task(name);
-        let p = apex.profile(task).expect(name);
-        assert_eq!(p.count, summary.invocations);
-        assert!((p.mean() - summary.mean_time_s()).abs() < 1e-12);
-    }
+    let rep = Runner::new(&mut SimExecutor::new(m, 115.0)).workload(&wl).run().unwrap();
     // Barrier ordering (from the report, which fig9 prints).
     let eos = &rep.per_region["lulesh/EvalEOSForElems"];
     let kin = &rep.per_region["lulesh/CalcKinematicsForElems"];

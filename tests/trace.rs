@@ -164,108 +164,48 @@ fn objective_fields_round_trip_through_jsonl() {
     assert!(search_steps > 0 && scored_ends > 0);
 }
 
-/// Traces written before the objective layer (schema v2) still parse:
-/// the new fields take their documented defaults and the metrics
-/// analysis pipeline accepts the stream unchanged.
-#[test]
-fn schema_v2_traces_still_parse() {
-    let text = include_str!("fixtures/trace_v2.jsonl");
-    let records = validate_jsonl(text).expect("v2 fixture must stay readable");
-    assert!(records.iter().all(|r| r.schema == 2));
-    for r in &records {
-        match &r.event {
-            TraceEvent::SearchIteration { objective, .. } => {
-                assert_eq!(*objective, Objective::Time, "pre-v3 searches were time-scored");
-            }
-            TraceEvent::RegionEnd { objective_value, .. } => {
-                assert_eq!(*objective_value, None);
-            }
-            TraceEvent::OverheadCharged { energy_j, .. } => {
-                assert_eq!(*energy_j, 0.0);
-            }
-            _ => {}
+/// Schemas 1–4 are outside the support window (`5..=9`): a record of a
+/// retired version is refused with a typed schema mismatch, not read with
+/// defaulted fields. The record is a `CapChange`, whose fields have not
+/// changed since v1, so only the version can refuse it.
+fn assert_retired_schema_refused(version: u32) {
+    assert_eq!(*arcs_trace::SUPPORTED_SCHEMAS.start(), 5);
+    let line = format!(
+        "{{\"schema\":{version},\"seq\":0,\"t_s\":0.0,\"event\":\
+         {{\"CapChange\":{{\"requested_w\":85.0,\"effective_w\":85.0}}}}}}\n"
+    );
+    let mut reader = arcs_trace::TraceReader::new(line.as_bytes());
+    match reader.next() {
+        Some(Err(arcs_trace::TraceReadError::SchemaMismatch { line: 1, found, expected })) => {
+            assert_eq!((found, expected), (version, SCHEMA_VERSION));
         }
+        other => panic!("v{version}: expected a schema mismatch, got {other:?}"),
     }
-    let report = arcs_metrics::analyze(arcs_metrics::TraceReader::new(std::io::Cursor::new(
-        text.to_string(),
-    )))
-    .expect("v2 traces must flow through the analysis pipeline");
-    assert_eq!(report.objective, Objective::Time);
-    let invocations: u64 = report.regions.values().map(|r| r.invocations).sum();
-    assert_eq!(invocations, 2);
+    let err = validate_jsonl(&line).unwrap_err();
+    assert!(err.contains(&format!("schema {version}, this reader expects 5..=")), "{err}");
+    let fresh =
+        line.replace(&format!("\"schema\":{version}"), &format!("\"schema\":{SCHEMA_VERSION}"));
+    validate_jsonl(&fresh).expect("the same record at the current version reads");
 }
 
-/// Traces written before the fault substrate (schema v3) still parse:
-/// objective fields are honoured, the fault-event variants simply never
-/// appear, and the analysis pipeline reports a clean fault summary.
 #[test]
-fn schema_v3_traces_still_parse() {
-    let text = include_str!("fixtures/trace_v3.jsonl");
-    let records = validate_jsonl(text).expect("v3 fixture must stay readable");
-    assert!(records.iter().all(|r| r.schema == 3));
-    let mut scored_ends = 0;
-    for r in &records {
-        match &r.event {
-            TraceEvent::SearchIteration { objective, .. } => {
-                assert_eq!(*objective, Objective::EnergyDelay);
-            }
-            TraceEvent::RegionEnd { objective_value, .. } if objective_value.is_some() => {
-                scored_ends += 1;
-            }
-            TraceEvent::FaultInjected { .. }
-            | TraceEvent::MeasurementRejected { .. }
-            | TraceEvent::TunerDegraded { .. } => {
-                panic!("v3 traces cannot carry v4 fault events")
-            }
-            _ => {}
-        }
-    }
-    assert!(scored_ends > 0, "the fixture carries scored region ends");
-    let report = arcs_metrics::analyze(arcs_metrics::TraceReader::new(std::io::Cursor::new(
-        text.to_string(),
-    )))
-    .expect("v3 traces must flow through the analysis pipeline");
-    assert_eq!(report.objective, Objective::EnergyDelay);
-    assert_eq!(report.faults.injected_total(), 0, "pre-fault traces summarise clean");
-    assert_eq!(report.faults.rejected, 0);
-    let invocations: u64 = report.regions.values().map(|r| r.invocations).sum();
-    assert_eq!(invocations, 2);
+fn schema_v1_traces_are_refused() {
+    assert_retired_schema_refused(1);
 }
 
-/// Traces written before the broker layer (schema v4) still parse: the
-/// fault events are honoured, the broker-event variants simply never
-/// appear, and the analysis pipeline reports a clean broker summary.
 #[test]
-fn schema_v4_traces_still_parse() {
-    let text = include_str!("fixtures/trace_v4.jsonl");
-    let records = validate_jsonl(text).expect("v4 fixture must stay readable");
-    assert!(records.iter().all(|r| r.schema == 4));
-    let mut faults = 0;
-    for r in &records {
-        match &r.event {
-            TraceEvent::FaultInjected { .. } => faults += 1,
-            TraceEvent::JobSubmitted { .. }
-            | TraceEvent::JobRejected { .. }
-            | TraceEvent::JobScheduled { .. }
-            | TraceEvent::CapReallocated { .. }
-            | TraceEvent::JobCompleted { .. } => {
-                panic!("v4 traces cannot carry v5 broker events")
-            }
-            _ => {}
-        }
-    }
-    assert_eq!(faults, 2, "the fixture carries injected faults");
-    let report = arcs_metrics::analyze(arcs_metrics::TraceReader::new(std::io::Cursor::new(
-        text.to_string(),
-    )))
-    .expect("v4 traces must flow through the analysis pipeline");
-    assert_eq!(report.faults.injected_total(), 2);
-    assert_eq!(report.faults.rejected, 1);
-    assert_eq!(report.faults.degraded_regions, vec!["sp/y_solve".to_string()]);
-    assert!(!report.broker.any(), "pre-broker traces summarise clean");
-    assert_eq!(report.broker.lost_jobs(), 0);
-    let invocations: u64 = report.regions.values().map(|r| r.invocations).sum();
-    assert_eq!(invocations, 2);
+fn schema_v2_traces_are_refused() {
+    assert_retired_schema_refused(2);
+}
+
+#[test]
+fn schema_v3_traces_are_refused() {
+    assert_retired_schema_refused(3);
+}
+
+#[test]
+fn schema_v4_traces_are_refused() {
+    assert_retired_schema_refused(4);
 }
 
 /// Backward compatibility with schema 8 (pre-resilience: unified chunk
