@@ -8,11 +8,13 @@ cd "$(dirname "$0")"
 # adds only the vendored stand-ins' own tests.
 cargo build --release
 cargo test --workspace -q
-# The exactness oracle and the reference driver again, optimised: the
-# integrator's lane loops, and the executor's borrowed-report and meter
-# paths, are optimised only in release, which is the build that ships.
+# The exactness oracle, the reference driver and the JSON stand-in again,
+# optimised: the integrator's lane loops, the executor's borrowed-report
+# and meter paths and the string scanner (whose linear-time test times
+# it) are optimised only in release, which is the build that ships.
 cargo test --release -q -p arcs-powersim --test reference_oracle
 cargo test --release -q --test reference_driver
+cargo test --release -q -p serde_json
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

@@ -268,4 +268,30 @@ mod tests {
         assert_eq!(err.error.as_deref(), Some("bad op"));
         assert_eq!(err.stats, None);
     }
+
+    /// A client reading a reply cut short (a dropped connection) gets a
+    /// parse error, never a shorter reply: no proper prefix of a `stats`
+    /// reply parses.
+    #[test]
+    fn every_proper_prefix_of_a_stats_reply_fails_to_parse() {
+        let tenant = arcs_metrics::TenantTelemetry { weight: 2.0, queued: 3, ..Default::default() };
+        let telemetry = TelemetrySnapshot {
+            now_s: 12.5,
+            budget_w: 400.0,
+            tenants: [("acme".to_string(), tenant), ("t\"é✓".to_string(), Default::default())]
+                .into(),
+            events: vec!["t=1.000 submit acme#0 \"sp.W\"".into(), "t=2.5e-3 done\n".into()],
+            ..Default::default()
+        };
+        let mut resp = Response::empty_ok();
+        resp.stats =
+            Some(StatsBody { submitted: 4, queued: 3, budget_w: 400.0, ..Default::default() });
+        resp.telemetry = Some(telemetry);
+        let line = serde_json::to_string(&resp).unwrap();
+        assert_eq!(serde_json::from_str::<Response>(&line).unwrap(), resp);
+        for (cut, _) in line.char_indices() {
+            let torn = &line[..cut];
+            assert!(serde_json::from_str::<Response>(torn).is_err(), "{torn} parsed");
+        }
+    }
 }

@@ -235,6 +235,34 @@ mod tests {
         }
     }
 
+    /// What the reader counts a torn final line by: no proper prefix of a
+    /// record line parses, so the stream ends there with one gap.
+    #[test]
+    fn every_proper_prefix_of_a_record_line_is_a_torn_line() {
+        let records: Vec<TraceRecord> = sample_events()
+            .into_iter()
+            .enumerate()
+            .map(|(i, event)| TraceRecord {
+                schema: SCHEMA_VERSION,
+                seq: i as u64,
+                t_s: Some(1.5),
+                event,
+            })
+            .collect();
+        let head = to_jsonl(&records[..2]).unwrap();
+        for record in &records {
+            let line = serde_json::to_string(record).unwrap();
+            for (cut, _) in line.char_indices().skip(1) {
+                let torn = &line[..cut];
+                assert!(serde_json::from_str::<TraceRecord>(torn).is_err(), "{torn} parsed");
+                let stream = format!("{head}{torn}");
+                let mut reader = TraceReader::new(stream.as_bytes());
+                assert_eq!(reader.by_ref().filter(|r| r.is_ok()).count(), 2, "{torn}");
+                assert_eq!(reader.gaps(), 1, "{torn}");
+            }
+        }
+    }
+
     #[test]
     fn validate_jsonl_accepts_sink_output_and_rejects_foreign_schema() {
         let sink = VecSink::new();
