@@ -35,7 +35,7 @@ test "$(ls vendor | xargs)" = "parking_lot proptest serde serde_derive serde_jso
 
 # Code size, printed and not gated: non-blank, non-`//` lines above the
 # first column-0 `#[cfg(test)]` of every crates/*/src/**/*.rs — the count
-# the shrink PRs quote (16289 at bf1b734) — and the five largest files.
+# the shrink PRs quote — and the five largest files.
 find crates/*/src -name '*.rs' | sort | xargs awk '
     FNR == 1 { in_tests = 0 }
     /^#\[cfg\(test\)\]/ { in_tests = 1 }
@@ -46,114 +46,80 @@ find crates/*/src -name '*.rs' | sort | xargs awk '
         for (file in lines) printf "ci:   %5d %s\n", lines[file], file | "sort -k2,2nr | head -5"
     }'
 
+# Stray names. `forbid MESSAGE CONDITION [FIND_ARGS...]` fails with
+# MESSAGE and every offending line when a line of a `.rs` file matches the
+# awk CONDITION. The files are those `find FIND_ARGS -name '*.rs'` lists,
+# by default every source under crates, src and examples outside a tests
+# directory. Test modules sit at the end of a file by convention here, so
+# everything from `#[cfg(test)]` on is skipped.
+forbid() {
+    local message="$1" condition="$2" strays
+    shift 2
+    [ $# -gt 0 ] || set -- crates src examples -not -path '*/tests/*'
+    strays="$(find "$@" -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { nextfile }
+        '"$condition"' { print FILENAME ":" FNR ": " $0 }' {} +)"
+    if [ -n "$strays" ]; then
+        echo "ci: $message:" >&2
+        echo "$strays" >&2
+        exit 1
+    fi
+}
+
 # One interpreter: outside the trace crate (definition), the broker
 # (emission) and the fold (meaning), no source may match a broker event.
 # `JobRequeued` stands in for the family — whoever re-interprets the
-# stream needs it. Test modules sit at the end of a file by convention
-# here, so everything from `#[cfg(test)]` on is skipped.
-strays="$(find crates src examples -name '*.rs' \
-    -not -path 'crates/trace/*' -not -path '*/tests/*' \
-    -not -path 'crates/serve/src/broker.rs' \
-    -not -path 'crates/metrics/src/broker_fold.rs' \
-    -exec awk '/#\[cfg\(test\)\]/ { nextfile } /TraceEvent::JobRequeued/ { print FILENAME ":" FNR ": " $0 }' {} +)"
-if [ -n "$strays" ]; then
-    echo "ci: broker events are interpreted outside BrokerFold:" >&2
-    echo "$strays" >&2
-    exit 1
-fi
+# stream needs it.
+forbid "broker events are interpreted outside BrokerFold" '/TraceEvent::JobRequeued/' \
+    crates src examples -not -path 'crates/trace/*' -not -path '*/tests/*' \
+    -not -path 'crates/serve/src/broker.rs' -not -path 'crates/metrics/src/broker_fold.rs'
 
 # One run API: a workload runs through a `Runner` chain and a grid through
 # `SweepEngine`, whose `run_cell` holds the recipes. No non-test source may
 # bring back the second API (`runs::*`, the `SimExecutor` run helpers) or
 # the ladder as a `Runner` switch behind a private APEX policy.
-strays="$(find crates src examples -name '*.rs' -not -path '*/tests/*' \
-    -exec awk '/#\[cfg\(test\)\]/ { nextfile }
-        /runs::|fn run_default|fn run_fixed|fn run_tuned|fn train_offline|adaptive_schedule|"adaptive-schedule"/ {
-            print FILENAME ":" FNR ": " $0
-        }' {} +)"
-if [ -n "$strays" ]; then
-    echo "ci: a second way to start a run:" >&2
-    echo "$strays" >&2
-    exit 1
-fi
+forbid "a second way to start a run" \
+    '/runs::|fn run_default|fn run_fixed|fn run_tuned|fn train_offline|adaptive_schedule|"adaptive-schedule"/'
 
 # One selector: every run flavour reaches the driver as one `RegionTuner`
 # (a fixed run's regions pinned and untuned, the portfolio ladder
 # per-region tuner state). No non-test source may bring back the driver's
 # flavour enum, its adaptive state or the name-keyed ladder.
-strays="$(find crates src examples -name '*.rs' -not -path '*/tests/*' \
-    -exec awk '/#\[cfg\(test\)\]/ { nextfile }
-        /enum Source|AdaptiveState|AdaptiveLadder|ArmSwitch/ { print FILENAME ":" FNR ": " $0 }' {} +)"
-if [ -n "$strays" ]; then
-    echo "ci: a second selector:" >&2
-    echo "$strays" >&2
-    exit 1
-fi
+forbid "a second selector" '/enum Source|AdaptiveState|AdaptiveLadder|ArmSwitch/'
 
 # One region key: the run's per-region state is indexed by the tuner's
 # slot, which `drive` resolves once per step position. The non-test part
 # of the run driver may keep no second region index beside it.
-strays="$(awk '/#\[cfg\(test\)\]/ { nextfile }
-    /HashMap|summary_of/ { print FILENAME ":" FNR ": " $0 }' crates/core/src/backend.rs)"
-if [ -n "$strays" ]; then
-    echo "ci: a second region index in the run driver:" >&2
-    echo "$strays" >&2
-    exit 1
-fi
+forbid "a second region index in the run driver" '/HashMap|summary_of/' \
+    crates/core/src/backend.rs
 
 # One search space and one way to label a series: the Table I grid and
 # its optional frequency axis are `ConfigSpace` alone, and a labeled
 # series is a registry name built by `labeled`. No non-test source may
 # bring back the wrapper space, its module, the label families or the
 # histogram timer guard.
-strays="$(find crates src examples -name '*.rs' -not -path '*/tests/*' \
-    -exec awk '/#\[cfg\(test\)\]/ { nextfile }
-        /TunableSpace|mod tunable|_family\(|start_timer/ { print FILENAME ":" FNR ": " $0 }' {} +)"
-if [ -n "$strays" ]; then
-    echo "ci: a second search space or label API:" >&2
-    echo "$strays" >&2
-    exit 1
-fi
+forbid "a second search space or label API" '/TunableSpace|mod tunable|_family\(|start_timer/'
 
 # One quantum path: the broker simulates a quantum only through its
 # quantum memo (`quantum.rs`), which recalls a retraced quantum and builds
 # a job's executor and tuner at its first miss. No other non-test source
 # of the serve crate may build an executor or start a run.
-strays="$(find crates/serve/src -name '*.rs' -not -path 'crates/serve/src/quantum.rs' \
-    -exec awk '/#\[cfg\(test\)\]/ { nextfile }
-        /Runner::new|SimExecutor::new/ { print FILENAME ":" FNR ": " $0 }' {} +)"
-if [ -n "$strays" ]; then
-    echo "ci: a quantum simulated outside the quantum memo:" >&2
-    echo "$strays" >&2
-    exit 1
-fi
+forbid "a quantum simulated outside the quantum memo" '/Runner::new|SimExecutor::new/' \
+    crates/serve/src -not -path 'crates/serve/src/quantum.rs'
 
 # One setting per search: ARCS runs the stock strategies with fixed
 # coefficients and budgets (constants beside each strategy) and the
 # self-healing ladder with a fixed outlier window and no median-of-k. No
 # non-test source may bring back their option structs or knobs.
-strays="$(find crates src examples -name '*.rs' -not -path '*/tests/*' \
-    -exec awk '/#\[cfg\(test\)\]/ { nextfile }
-        /NmOptions|ProOptions|with_repeats|measure_k|outlier_window/ { print FILENAME ":" FNR ": " $0 }' {} +)"
-if [ -n "$strays" ]; then
-    echo "ci: a search or self-healing knob only its default reaches:" >&2
-    echo "$strays" >&2
-    exit 1
-fi
+forbid "a search or self-healing knob only its default reaches" \
+    '/NmOptions|ProOptions|with_repeats|measure_k|outlier_window/'
 
 # One ADI timestep and one live region profile: BT and SP are schemes over
 # `npb::adi` (`BtSolver`/`SpSolver` are type aliases), the live Fig. 9
 # breakdown is `TraceTool` -> `arcs-sim report`, and the runtime has no
 # collapse(2) entry point. No non-test source may bring back a solver
 # struct per scheme, the second profile aggregator or `parallel_for_2d`.
-strays="$(find crates src examples -name '*.rs' -not -path '*/tests/*' \
-    -exec awk '/#\[cfg\(test\)\]/ { nextfile }
-        /OmptProfiler|parallel_for_2d|struct BtSolver|struct SpSolver/ { print FILENAME ":" FNR ": " $0 }' {} +)"
-if [ -n "$strays" ]; then
-    echo "ci: a second ADI timestep, live region profile or collapse entry point:" >&2
-    echo "$strays" >&2
-    exit 1
-fi
+forbid "a second ADI timestep, live region profile or collapse entry point" \
+    '/OmptProfiler|parallel_for_2d|struct BtSolver|struct SpSolver/'
 
 # One region profile and one cache-binding route: the simulated path
 # keeps its per-region profile in the run report alone (no APEX hop, no
@@ -162,17 +128,42 @@ fi
 # constructor. `PolicyFired` is read from v8 and older traces, and no
 # non-test source outside the trace crate may name it, so nothing emits
 # it; the APEX crate does not depend on the trace crate at all.
-strays="$(find crates src examples -name '*.rs' -not -path '*/tests/*' \
-    -exec awk '/#\[cfg\(test\)\]/ { nextfile }
-        /with_apex|record_counter|try_with_shared_cache|with_host_parallelism/ { print FILENAME ":" FNR ": " $0 }
-        FILENAME !~ /^crates\/trace\// && /PolicyFired/ { print FILENAME ":" FNR ": " $0 }' {} +)"
-if [ -n "$strays" ]; then
-    echo "ci: a second region profile, cache-binding route or PolicyFired emitter:" >&2
-    echo "$strays" >&2
-    exit 1
-fi
+forbid "a second region profile, cache-binding route or PolicyFired emitter" \
+    '/with_apex|record_counter|try_with_shared_cache|with_host_parallelism/ || (FILENAME !~ /^crates\/trace\// && /PolicyFired/)'
 if grep -q 'arcs-trace' crates/apex/Cargo.toml; then
     echo "ci: arcs-apex depends on arcs-trace again" >&2
+    exit 1
+fi
+
+# Doc drift. Every backticked repository path in the three prose documents
+# names a file or directory that exists: a `<placeholder>` or `*` matches
+# anything, `{a,b}` expands, and a `::item` or `:line` suffix is dropped.
+# Every `DESIGN.md §N` cited from code, README.md or this script (a wrapped
+# citation included) names a heading of DESIGN.md. DESIGN.md stays a
+# reference of at most 50 000 bytes: a fact has one home, and a module's
+# own `//!` header is the home of what only that module does.
+drift=""
+while IFS= read -r span; do
+    path="${span%%[ :]*}"
+    path="${path//<*>/*}"
+    mapfile -t globs < <(set -f; eval "printf '%s\n' $path")
+    for glob in "${globs[@]}"; do
+        compgen -G "$glob" > /dev/null || drift+="no such path: $span"$'\n'
+    done
+done < <(grep -ho '`\(crates\|tests\|benchmarks\|vendor\|examples\|results\)/[^`]*`' \
+    DESIGN.md README.md EXPERIMENTS.md | tr -d '`' | sort -u)
+for file in $(find crates src tests examples benchmarks/src -name '*.rs') README.md ci.sh; do
+    for section in $(awk '{ sub(/^[[:space:]]*(\/\/[!\/]?|#)[[:space:]]*/, ""); printf "%s ", $0 }' "$file" \
+        | grep -o 'DESIGN\.md`\? §[0-9][0-9a-z.]*' | sed 's/.*§//; s/\.$//' | sort -u); do
+        grep -Eq "^#+ ${section//./\\.}\.? " DESIGN.md \
+            || drift+="$file cites DESIGN.md §$section, which has no heading"$'\n'
+    done
+done
+design_bytes="$(wc -c < DESIGN.md)"
+[ "$design_bytes" -le 50000 ] || drift+="DESIGN.md is $design_bytes bytes, above 50000"$'\n'
+if [ -n "$drift" ]; then
+    echo "ci: the documents drifted from the tree:" >&2
+    printf '%s' "$drift" >&2
     exit 1
 fi
 

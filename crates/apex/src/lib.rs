@@ -10,6 +10,10 @@
 //!   periodic callbacks that observe the APEX state and adapt the runtime
 //!   (ARCS's policy lives on top of this).
 //!
+//! Its one caller on the run path is the live ARCS adapter (`ArcsLive` in
+//! `arcs`). The simulated path keeps its per-region profile in the run
+//! report and never goes through APEX, and this crate writes no trace.
+//!
 //! ```
 //! use arcs_apex::{Apex, PolicyTrigger, PolicyEventKind};
 //! use std::sync::{Arc, atomic::{AtomicUsize, Ordering}};

@@ -5,7 +5,8 @@
 //! N events). A policy inspects the event — task identity, duration,
 //! running profile — and reacts by whatever means it captured (the ARCS
 //! policy captures the runtime handle and tuning sessions and mutates the
-//! OpenMP knobs).
+//! OpenMP knobs). The scheduling-portfolio ladder of an adaptive run is
+//! not a policy: it is per-region tuner state in `arcs`.
 
 use crate::profile::Profile;
 use crate::TaskId;

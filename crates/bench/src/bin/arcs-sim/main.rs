@@ -61,6 +61,12 @@
 //! arcs-sim run --workload lulesh --cap 60 --plan flaky-rapl --seed 7 --timesteps 40
 //! arcs-sim fig extension_schedule
 //! ```
+//!
+//! Each verb is one module, and `main` is one `match` on the first
+//! argument. Every verb, like the three `arcs-serve` binaries, parses
+//! with the one `arcs::cli::Flags` reader: a missing or unparsable value
+//! or an unknown flag prints the reason, then that command's usage, and
+//! exits 2. Files are written through one `write_or_exit`.
 
 mod compare;
 mod fig;

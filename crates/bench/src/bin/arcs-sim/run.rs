@@ -1,6 +1,9 @@
 //! `arcs-sim run`: one (workload, cap, strategy) cell, reported against
 //! the default configuration — optionally traced, and optionally under a
 //! deterministic fault plan with the standard self-healing ladder.
+//! Workloads are named only through `model::by_spec` (`APP[.CLASS]`), and
+//! every run of a cell — training, the measured run, the default
+//! baseline — is built through `Runner`.
 
 use crate::write_or_exit;
 use arcs::cli::Flags;

@@ -1,5 +1,12 @@
 //! The experiment registry: every table and figure of the paper's
 //! evaluation (plus this repo's extensions) as one row of [`FIGURES`].
+//!
+//! Render functions are grouped by family (`regions`, `sweeps`,
+//! `framework`, `extensions`) and hand-roll no experiment loop:
+//! application-level figures build a [`arcs::SweepGrid`], run it on a
+//! [`arcs::SweepEngine`] and read it back through shared row builders.
+//! Every render is a pure function of the code; fig2's live invocation
+//! counts go to stderr, never to the writer.
 
 mod extensions;
 mod framework;

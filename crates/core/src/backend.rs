@@ -14,6 +14,15 @@
 //! backends nor the strategies can drift: the baseline and every selected
 //! strategy are measured by the same harness.
 //!
+//! A run reads `Runner::new(backend).workload(wl)`, then at most one of
+//! `.fixed(..)`, `.adaptive(..)` and `.tuner(..)`, then options, then
+//! [`run`](Runner::run) or [`train`](Runner::train). The strategy field
+//! is private, so those three calls are the one way to choose it, and a
+//! tuner run with the portfolio ladder switched on cannot be written.
+//! `run`'s tuner arm and `train` share one wiring helper (objective
+//! override, sink, registry, resilience). Misconfiguration is a typed
+//! [`RunError`], never a panic.
+//!
 //! ## Energy attribution
 //!
 //! Backends expose one cumulative package meter ([`Backend::energy_j`]).
@@ -42,7 +51,9 @@
 //! invocation, and `ConfigSwitch`/`OverheadCharged` when a tuner moves the
 //! ICVs. Emission is guarded by [`TraceSink::enabled`], so a
 //! [`arcs_trace::NullSink`] costs one branch per invocation and the
-//! untraced path allocates nothing.
+//! untraced path allocates nothing. The runner hands the backend's sink
+//! to the tuner (`SearchIteration`) and to the shared memo (`CacheHit` /
+//! `CacheMiss`), so one attachment traces every layer.
 
 use crate::cap::CapHandle;
 use crate::config::OmpConfig;
@@ -602,14 +613,14 @@ impl Meter {
 
 /// The run loop — the only caller of [`Backend::run_region`]. Every run
 /// flavour on every backend is this choreography, and both its meter-read
-/// order and its event order are contract (DESIGN.md §3.11): each
+/// order and its event order are contract (DESIGN.md §3.2): each
 /// [`Backend::energy_j`] attempt advances an attached fault plan's read
 /// ordinal, so one read more or fewer moves every later fault.
 ///
 /// Per-region tables are indexed by the tuner's slot, not by region name:
 /// each step position resolves to its slot once per run, at its first
 /// `begin`, and the executor finds its own slot from the order of its
-/// calls (DESIGN.md §3.13).
+/// calls (DESIGN.md §3.2).
 fn drive<B: Backend>(
     b: &mut B,
     wl: &WorkloadDescriptor,

@@ -83,11 +83,6 @@ impl CapHandle {
     pub fn version(&self) -> u64 {
         self.cell.version.load(Ordering::Acquire)
     }
-
-    /// Two handles watch the same cell.
-    pub fn same_cell(&self, other: &CapHandle) -> bool {
-        Arc::ptr_eq(&self.cell, &other.cell)
-    }
 }
 
 /// A backend's view of an attached [`CapHandle`]: the handle plus the
@@ -133,8 +128,6 @@ mod tests {
         let h2 = h.clone();
         h.set(65.0);
         assert_eq!(h2.get(), 65.0);
-        assert!(h.same_cell(&h2));
-        assert!(!h.same_cell(&CapHandle::new(65.0)));
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! the hits they would have been. Likewise a meter read samples RAPL
 //! only when RAPL advanced since the last sample; otherwise the
 //! unchanged register would add nothing, and the read answers the
-//! meter's total (DESIGN.md §3.13).
+//! meter's total (DESIGN.md §3.4).
 
 use crate::backend::{self, Backend, RegionFeatures, RegionRun, RunError};
 use crate::cap::CapHandle;

@@ -25,7 +25,7 @@
 //! * [`executor::SimExecutor`] drives the deterministic power-capped
 //!   machine simulator (`arcs-powersim`), which is where the paper's
 //!   power-sweep experiments run (RAPL capping is simulated; see
-//!   DESIGN.md);
+//!   DESIGN.md §2);
 //! * [`live::LiveExecutor`] runs region models as calibrated spin loops on
 //!   a real [`arcs_omprt::Runtime`] — and [`live::ArcsLive`] attaches ARCS
 //!   to any runtime through the OMPT-like tool interface and APEX policies

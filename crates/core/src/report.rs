@@ -15,7 +15,7 @@ pub enum RunStatus {
     Ok,
     /// The run completed, but the measurement error budget was exhausted
     /// and the tuner froze to its best-known configurations (graceful
-    /// degradation — see DESIGN.md §3.11).
+    /// degradation — see DESIGN.md §3.3).
     Degraded,
 }
 

@@ -2,7 +2,7 @@
 //!
 //! [`ResilienceOptions`] configures every rung of the degradation ladder
 //! the driver and tuner climb when the measurement stack misbehaves (see
-//! DESIGN.md §3.11):
+//! DESIGN.md §3.3):
 //!
 //! 1. **retry** — a failed meter read is retried up to
 //!    [`max_read_retries`](ResilienceOptions::max_read_retries) times,
@@ -98,11 +98,6 @@ impl ResilienceOptions {
             max_restarts: 2,
         }
     }
-
-    /// Is any recovery rung enabled?
-    pub fn any_enabled(&self) -> bool {
-        *self != ResilienceOptions::default()
-    }
 }
 
 /// Median of a slice (the slice is sorted in place). Empty slices
@@ -142,8 +137,6 @@ mod tests {
         assert_eq!(d.mad_threshold, 0.0);
         assert_eq!(d.error_budget, None);
         assert_eq!(d.restart_after_rejections, 0);
-        assert!(!d.any_enabled());
-        assert!(ResilienceOptions::standard().any_enabled());
     }
 
     #[test]

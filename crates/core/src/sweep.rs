@@ -98,7 +98,9 @@ impl SweepGrid {
         self
     }
 
-    /// Replace the objective axis (the default is `[Time]`).
+    /// Replace the objective axis (the default is `[Time]`). It is the
+    /// innermost axis of the cell order, so a `[Time]` grid runs its cells
+    /// in the order of a grid with no objective axis.
     pub fn objectives(mut self, objectives: &[Objective]) -> Self {
         self.objectives = objectives.to_vec();
         self

@@ -46,7 +46,7 @@
 //!
 //! ## The portfolio ladder
 //!
-//! An adaptive run's regions also carry the ladder (§3.15): per region,
+//! An adaptive run's regions also carry the ladder: per region,
 //! an EWMA (α = 0.5) of the invocation's imbalance signal
 //! `barrier / (busy + barrier)`; once it stays above 0.15 for 3
 //! consecutive invocations, the region escalates one rung — configured

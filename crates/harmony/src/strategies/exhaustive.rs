@@ -2,7 +2,8 @@
 //!
 //! The strategy behind **ARCS-Offline**: during the training execution every
 //! configuration in the (manually reduced) search space is measured; the
-//! best one is stored and replayed by later executions.
+//! best one is stored and replayed by later executions. Each point is
+//! measured once.
 
 use super::Search;
 use crate::space::{Point, SearchSpace};

@@ -5,6 +5,11 @@
 //! objective value (smaller is better — ARCS minimises region execution
 //! time) for the most recently asked point. The protocol is sequential
 //! because a tuning session measures one region invocation at a time.
+//!
+//! ARCS runs each search with one setting, so a strategy's coefficients,
+//! collapse tolerance, evaluation budget, stall limit and restart count
+//! are private constants beside it, and the variants of
+//! [`StrategyKind`](crate::StrategyKind) carry no options.
 
 mod exhaustive;
 mod nelder_mead;

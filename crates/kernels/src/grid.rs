@@ -80,18 +80,6 @@ impl Field {
         let ss: f64 = self.data.iter().map(|&x| x * x).sum();
         (ss / (self.nx * self.ny * self.nz) as f64).sqrt()
     }
-
-    /// Per-component RMS norms (the NPB verification metric shape).
-    pub fn rms_by_component(&self) -> [f64; NCOMP] {
-        let mut ss = [0.0; NCOMP];
-        for chunk in self.data.chunks_exact(NCOMP) {
-            for (s, &v) in ss.iter_mut().zip(chunk) {
-                *s += v * v;
-            }
-        }
-        let pts = (self.nx * self.ny * self.nz) as f64;
-        ss.map(|s| (s / pts).sqrt())
-    }
 }
 
 /// Unsafe accessors over a raw field view, used inside parallel regions.
@@ -181,9 +169,6 @@ mod tests {
         f.at_mut(1, 0, 0).copy_from_slice(&[0.0, 4.0, 0.0, 0.0, 0.0]);
         // ss = 25, points = 2 → rms = sqrt(12.5)
         assert!((f.rms() - 12.5f64.sqrt()).abs() < 1e-12);
-        let by_c = f.rms_by_component();
-        assert!((by_c[0] - (9.0f64 / 2.0).sqrt()).abs() < 1e-12);
-        assert!((by_c[1] - (16.0f64 / 2.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! LULESH 2.0 proxy: shock-hydrodynamics timestep on a structured hex mesh.
 //!
-//! ## Substitution note (see DESIGN.md)
+//! ## Substitution note (see DESIGN.md §2)
 //!
 //! Full LULESH is ~5 k lines of Lagrangian hydro; this proxy keeps what the
 //! paper's analysis depends on — the *named parallel regions*, their

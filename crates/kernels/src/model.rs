@@ -1,6 +1,7 @@
-//! Simulator descriptors for the three applications.
+//! Simulator descriptors for the paper's three applications and the
+//! suite's four extensions (CG, EP, MG and Monte-Carlo transport).
 //!
-//! Each function maps a real kernel (BT / SP / LULESH) to the analytic
+//! Each function maps a real kernel of this crate to the analytic
 //! [`WorkloadDescriptor`] the power simulator consumes. Iteration counts
 //! and parallel shapes come directly from the loop structure of the real
 //! implementations in this crate; per-iteration cycle counts and memory

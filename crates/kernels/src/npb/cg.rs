@@ -12,7 +12,7 @@
 //! The matrix is a deterministic random SPD matrix in CSR form
 //! (diagonally dominant, symmetric pattern), so CG provably converges —
 //! the built-in verification. NPB's reference eigenvalue machinery is
-//! replaced by the residual-norm contract (see DESIGN.md).
+//! replaced by the residual-norm contract (see DESIGN.md §2).
 
 use super::Class;
 use arcs_omprt::{RegionId, Runtime, SyncSlice};

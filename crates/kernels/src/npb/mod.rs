@@ -1,6 +1,6 @@
 //! NPB-style BT and SP proxy solvers.
 //!
-//! ## Substitution note (see DESIGN.md)
+//! ## Substitution note (see DESIGN.md §2)
 //!
 //! The original NAS BT/SP kernels solve the 3-D compressible Navier–Stokes
 //! equations via ADI approximate factorisation, with verification against

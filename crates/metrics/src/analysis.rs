@@ -10,6 +10,10 @@
 //! `arcs-trace` sinks write, one record at a time — a multi-gigabyte
 //! trace streams through [`TraceAnalysis`] in constant memory (the cache
 //! timeline decimates itself, see [`CacheReport::timeline`]).
+//!
+//! A report carries no wall-clock field: `arcs-sim report --format json`
+//! is a pure function of the trace, so two reports of one trace are
+//! byte-identical.
 
 use crate::broker_fold::BrokerFold;
 use arcs_trace::{Objective, TraceEvent, TraceRecord};

@@ -24,6 +24,16 @@
 //! power-budget broker's events, which keeps the `serve/*` series in a
 //! registry and reads out dashboard frames ([`TelemetrySnapshot`]) and
 //! the analyser's [`BrokerReport`]/[`RecoveryReport`] alike.
+//!
+//! What the stack records, by layer: `omprt/{regions,chunks,iterations,
+//! dynamic_chunks}` (pool and scheduler), `powersim/cache/{hits,misses,
+//! inserts}` (the memo, mirroring its own `stats()`),
+//! `harmony/evaluations/<strategy>` (one per `tell`, cached replays
+//! included), `core/{configs_switched,overhead_s,region_time_s}` and
+//! `core/phase/*_s` (the run driver), `arcs/faults/<kind>` and
+//! `core/degraded` (the fault path), and the broker's `serve/*` series
+//! ([`broker_fold`]). One `with_metrics` call on an executor or the
+//! sweep engine wires every layer of a run.
 
 pub mod analysis;
 pub mod broker_fold;

@@ -140,11 +140,6 @@ impl Runtime {
         self.names.read()[id.0 as usize].clone()
     }
 
-    /// Number of registered regions.
-    pub fn region_count(&self) -> usize {
-        self.names.read().len()
-    }
-
     /// Work-share `range` across the current team, invoking `body` once per
     /// chunk (a contiguous sub-range). This is the preferred entry point for
     /// cache-aware kernels; [`Runtime::parallel_for`] wraps it per-iteration.
@@ -428,7 +423,6 @@ mod tests {
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(rt.region_name(a), "x_solve");
-        assert_eq!(rt.region_count(), 2);
     }
 
     #[test]

@@ -30,9 +30,22 @@
 //!    bounds;
 //! 4. per-chunk dispatch costs: bookkeeping for static, an atomic
 //!    grab (plus contention) for dynamic/guided;
-//! 5. the region ends at a tree barrier after the slowest thread; energy
-//!    integrates busy/idle core power over the region plus per-miss
-//!    L3/DRAM energy.
+//! 5. SMT siblings on one core progress at `eff(k)` and speed up as
+//!    siblings finish (POWER8's `eff` peaks at SMT4); a DRAM bandwidth
+//!    floor stretches every thread alike once L3 miss traffic exceeds
+//!    the controllers, and an uncore-DVFS coupling inflates miss latency
+//!    under deep caps;
+//! 6. the region ends at a tree barrier after the slowest thread, plus
+//!    any master-only `critical_s` section (measured as barrier time,
+//!    untunable); energy integrates busy/idle core power over the region
+//!    plus per-miss L3/DRAM energy.
+//!
+//! The on-demand dispatcher is a ring of the team sorted by
+//! `(integer clock, thread)`, so its front is what a
+//! `BinaryHeap<Reverse<(clock, thread)>>` would pop, and assignment and
+//! every per-thread sum are bit-identical to a chunk-by-chunk walk;
+//! `tests/reference_oracle.rs` holds the whole integrator to its first
+//! version.
 
 use crate::cache::{analyze, CacheReport};
 use crate::machine::Machine;

@@ -74,16 +74,6 @@ pub struct InvocationFaults {
     pub cap_change_w: Option<f64>,
 }
 
-impl InvocationFaults {
-    /// True when this invocation is entirely unperturbed.
-    pub fn is_clean(&self) -> bool {
-        self.straggler_factor == 1.0
-            && self.spike_factor == 1.0
-            && !self.drop_sample
-            && self.cap_change_w.is_none()
-    }
-}
-
 /// Seeded, fully deterministic fault schedule. All rates are per-event
 /// probabilities in `[0, 1)`; a default plan injects nothing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -484,8 +474,14 @@ mod tests {
         for read in 0..10_000 {
             assert!(!p.rapl_read_fails(read));
         }
+        let clean = InvocationFaults {
+            straggler_factor: 1.0,
+            spike_factor: 1.0,
+            drop_sample: false,
+            cap_change_w: None,
+        };
         for inv in 0..1000 {
-            assert!(p.invocation_faults("sp/x_solve", inv, inv).is_clean());
+            assert_eq!(p.invocation_faults("sp/x_solve", inv, inv), clean);
         }
     }
 

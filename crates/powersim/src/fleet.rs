@@ -124,11 +124,6 @@ impl Fleet {
     pub fn total_max_cap_w(&self) -> f64 {
         self.nodes.iter().map(FleetNode::max_cap_w).sum()
     }
-
-    /// Σ node floor caps — the budget needed to run every node at once.
-    pub fn total_min_cap_w(&self) -> f64 {
-        self.nodes.iter().map(FleetNode::min_cap_w).sum()
-    }
 }
 
 #[cfg(test)]
@@ -174,6 +169,5 @@ mod tests {
         assert!((node.min_cap_w() - 57.5).abs() < 1e-12);
         assert!((node.package_cap_w(200.0) - 100.0).abs() < 1e-12);
         assert!((fleet.total_max_cap_w() - 460.0).abs() < 1e-12);
-        assert!((fleet.total_min_cap_w() - 115.0).abs() < 1e-12);
     }
 }

@@ -56,10 +56,6 @@ impl Rapl {
         self.cap_w
     }
 
-    pub fn package_cap(&self) -> f64 {
-        self.cap_w
-    }
-
     /// Advance simulated time by `dt_s` at average package power `power_w`.
     ///
     /// Negative durations or powers are programming errors in the caller
@@ -135,7 +131,6 @@ mod tests {
         assert_eq!(r.set_package_cap(85.0), 85.0);
         assert_eq!(r.set_package_cap(500.0), 115.0);
         assert_eq!(r.set_package_cap(1.0), 115.0 * 0.25);
-        assert_eq!(r.package_cap(), 115.0 * 0.25);
     }
 
     #[test]

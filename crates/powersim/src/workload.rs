@@ -297,11 +297,6 @@ impl WorkloadDescriptor {
         }
         seen
     }
-
-    /// Total region invocations over the whole run.
-    pub fn total_invocations(&self) -> usize {
-        self.step.len() * self.timesteps
-    }
 }
 
 #[cfg(test)]
@@ -419,6 +414,5 @@ mod tests {
             timesteps: 5,
         };
         assert_eq!(w.region_names(), vec!["a", "b"]);
-        assert_eq!(w.total_invocations(), 15);
     }
 }

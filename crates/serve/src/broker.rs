@@ -54,6 +54,24 @@
 //!   above the floor, which both preserves the invariant under float
 //!   arithmetic and keeps the per-cap memo-cache key space small.
 //!
+//! # Node faults and overload
+//!
+//! A [`NodeFaultPlan`] takes nodes down on a seeded schedule: a *crash*
+//! loses the in-flight quantum, a *drain* lets it finish and requeues
+//! its job for free, a *permanent* outage never recovers. Events due at one instant apply in the order
+//! recover, release, quantum, node failure, so a quantum ending as its
+//! node fails still lands. A crash victim keeps its completed quanta and
+//! requeues (`JobRequeued`) after a virtual-time back-off of
+//! `backoff_base_s · 2^min(attempt−1, 6)`, for at most
+//! [`BrokerConfig::max_retries`] placements; beyond that, or when no
+//! surviving node can host it, it fails typed (`JobFailed`). Every
+//! transition re-divides the budget over the surviving nodes.
+//!
+//! [`BrokerConfig::max_queue`] bounds the admission queue: a submission
+//! beyond it is shed typed (`JobShed`, and a wire answer carrying
+//! `retry_after_s` and `queue_depth`). A shed job counts as submitted,
+//! so `submitted == completed + rejected + failed + shed` holds exactly.
+//!
 //! # Reporting
 //!
 //! The broker keeps what it needs to *arbitrate* and nothing else.

@@ -6,6 +6,13 @@
 //! virtual clock one quantum event at a time, so arrivals always
 //! preempt simulated work at an event boundary. Connections are framed
 //! NDJSON (see [`crate::protocol`]) served on a [`ThreadPool`].
+//!
+//! The connection loop reads bounded lines: a line over
+//! [`MAX_LINE_BYTES`] gets a typed error and the reader resyncs at the
+//! next newline instead of hanging up, and a line that is not UTF-8 gets
+//! a typed error too. Pool workers run each connection under
+//! `catch_unwind`, count panics in `serve/pool/panics`, and a respawn
+//! guard keeps the pool at size if a panic escapes anyway.
 
 use crate::broker::{Broker, CompletedJob, SubmitOutcome};
 use crate::job::{JobSpec, JobState};

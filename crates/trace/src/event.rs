@@ -1,4 +1,19 @@
 //! The typed event taxonomy and the versioned record envelope.
+//!
+//! Every record is `{schema, seq, t_s, event}`: `seq` strictly increases
+//! within one sink, and `t_s` is seconds since run start on the emitting
+//! backend's clock, or `None` for events with no timeline position
+//! (cache traffic from many worker threads). The events fall into
+//! families by the layer that narrates them: region lifecycle and the
+//! RAPL view (`RegionBegin`, `RegionEnd`, `PowerSample`, `CapChange`),
+//! the search, the portfolio ladder and their §III-C costs
+//! (`SearchIteration`, `PolicySwitched`, `ConfigSwitch`,
+//! `OverheadCharged`), the memo (`CacheHit`,
+//! `CacheMiss`, `CacheStats`), faults and recovery (`FaultInjected`,
+//! `MeasurementRejected`, `TunerDegraded`), the driver's self-profile
+//! (`DriverPhases`), and the broker and its journal (`Job*`, `Node*`,
+//! `CapReallocated`, `BrokerConfigured`, `BrokerStep`,
+//! `CheckpointRecovered`).
 
 use crate::Objective;
 use serde::{Deserialize, Serialize};

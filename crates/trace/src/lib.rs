@@ -16,10 +16,11 @@
 //!   allocates nothing. Behaviour never depends on the sink — tracing a
 //!   run and not tracing it produce bit-identical reports.
 //! * **Versioned schema.** Every serialized record carries
-//!   [`SCHEMA_VERSION`]; consumers reject records from a different
-//!   version rather than misreading them. Any change to an existing
-//!   event's fields bumps the version; purely *additive* new variants do
-//!   too (old readers cannot name them).
+//!   [`SCHEMA_VERSION`]; the reader accepts the window
+//!   [`SUPPORTED_SCHEMAS`] and refuses records outside it rather than
+//!   misreading them. Any change to an existing event's fields bumps the
+//!   version; purely *additive* new variants do too (old readers cannot
+//!   name them). DESIGN.md §3.6 states the window's contract.
 //! * **Sinks are thread-safe.** Sweep cells trace concurrently into one
 //!   sink; [`VecSink`] shards its buffers and merges by sequence number
 //!   on drain.

@@ -9,6 +9,11 @@
 //! The contract is deliberately tiny: an [`Objective`] is a pure scoring
 //! function over the two quantities every backend can measure — wall time
 //! and package energy of one region invocation. Lower is always better.
+//! It is applied in one place, `arcs`'s `RegionTuner::end_measured`, to
+//! meter deltas the run driver measured, and [`Objective::Time`] scores
+//! are exactly the measured seconds, so a time-objective run is the
+//! paper's run bit for bit. Schema v3 stamps `SearchIteration` with the
+//! session's objective and `RegionEnd` with the invocation's score.
 
 use serde::{Deserialize, Serialize};
 

@@ -1,4 +1,12 @@
 //! Sink implementations: where trace events go.
+//!
+//! [`NullSink`] is disabled (`enabled() == false`), so the guarded call
+//! sites build no event. [`VecSink`] keeps records in memory, sharded
+//! for concurrent emitters, and `drain()` returns them in `seq` order.
+//! [`JsonlSink`] buffers one record per line and defers I/O errors: it
+//! keeps writing what it can, counts what it drops (mirrored into an
+//! attached registry as `arcs/trace/write_errors`) and reports the first
+//! error through `last_error` and `flush`.
 
 use crate::event::{TraceEvent, TraceRecord, SCHEMA_VERSION};
 use parking_lot::Mutex;

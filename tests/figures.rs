@@ -57,3 +57,27 @@ fn the_registry_and_the_results_directory_name_the_same_figures() {
         .collect();
     assert_eq!(ids, stems, "results/*.txt and FIGURES disagree — `{REGENERATE}`");
 }
+
+/// README.md quotes the scheduling-portfolio table of
+/// `results/extension_schedule.txt`, as `# `-prefixed lines under the
+/// `fig extension_schedule` command. The quote must be the file's table,
+/// from its `schedule portfolio:` line to its end, so the sample cannot
+/// drift from the byte-gated output.
+#[test]
+fn the_readme_portfolio_sample_is_the_checked_in_table() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md exists");
+    let quoted: Vec<&str> = readme
+        .lines()
+        .skip_while(|l| !l.ends_with("fig extension_schedule"))
+        .skip(1)
+        .take_while(|l| *l != "```")
+        .map(|l| l.strip_prefix("# ").unwrap_or_else(|| panic!("unquoted sample line {l:?}")))
+        .collect();
+    assert!(!quoted.is_empty(), "README.md quotes no `fig extension_schedule` sample");
+    let checked_in = std::fs::read_to_string(results_dir().join("extension_schedule.txt"))
+        .expect("results/extension_schedule.txt exists");
+    let table: Vec<&str> =
+        checked_in.lines().skip_while(|l| !l.starts_with("schedule portfolio:")).collect();
+    assert_eq!(quoted, table, "README.md's portfolio sample differs from the checked-in table");
+}
