@@ -135,6 +135,14 @@ if grep -q 'arcs-trace' crates/apex/Cargo.toml; then
     exit 1
 fi
 
+# One request path in the broker service: each wire op is one closure the
+# broker thread runs (`ask`, or `drain` for shutdown), a `stats` reply is
+# `BrokerCounters` itself and the pool always has its metrics. No non-test
+# source of the serve crate may bring back a command enum and its
+# dispatcher, the wire mirror of the counters or the optional-metrics pool.
+forbid "a second request path, stats mirror or optional pool metrics" \
+    '/StatsBody|enum Command|fn dispatch|ThreadPool::with_metrics/' crates/serve/src
+
 # Doc drift. Every backticked repository path in the three prose documents
 # names a file or directory that exists: a `<placeholder>` or `*` matches
 # anything, `{a,b}` expands, and a `::item` or `:line` suffix is dropped.

@@ -1,18 +1,18 @@
 //! The execution backend abstraction and the single run driver.
 //!
-//! Live and simulated execution used to duplicate the whole run loop —
-//! §III-C overhead charging, energy metering, [`AppRunReport`] assembly.
-//! This module holds the loop once: a [`Backend`] only knows how to run
-//! one region invocation at one configuration (and how to account idle-ish
-//! overhead time), while the [`Runner`] builder feeds every run flavour —
-//! default, [fixed](Runner::fixed), [adaptive](Runner::adaptive),
-//! [tuned](Runner::tuner), [training](Runner::train) — through one private
-//! `drive` loop for *any* backend. Every flavour reaches that loop as one
-//! [`RegionTuner`]: a fixed run's is built from its per-region map, with
-//! every region pinned and untuned (and, when adaptive, on the portfolio
-//! ladder), so the loop never asks which flavour it runs and neither the
-//! backends nor the strategies can drift: the baseline and every selected
-//! strategy are measured by the same harness.
+//! Live and simulated execution share one run loop — §III-C overhead
+//! charging, energy metering, [`AppRunReport`] assembly. A [`Backend`]
+//! only knows how to run one region invocation at one configuration (and
+//! how to account idle-ish overhead time), while the [`Runner`] builder
+//! feeds every run flavour — default, [fixed](Runner::fixed),
+//! [adaptive](Runner::adaptive), [tuned](Runner::tuner),
+//! [training](Runner::train) — through one private `drive` loop for *any*
+//! backend. Every flavour reaches that loop as one [`RegionTuner`]: a
+//! fixed run's is built from its per-region map, with every region pinned
+//! and untuned (and, when adaptive, on the portfolio ladder), so the loop
+//! never asks which flavour it runs and neither the backends nor the
+//! strategies can drift: the baseline and every selected strategy are
+//! measured by the same harness.
 //!
 //! A run reads `Runner::new(backend).workload(wl)`, then at most one of
 //! `.fixed(..)`, `.adaptive(..)` and `.tuner(..)`, then options, then

@@ -1,13 +1,11 @@
 //! The watchable power-cap handle: an externally-owned cap a run observes
 //! mid-flight.
 //!
-//! The paper's runs hold one cap for their whole duration, so PR 1–4
-//! treated the cap as a per-run constant baked into the backend at
-//! construction. Two things broke that assumption: PR 5's fault plans
-//! reprogram the cap *inside* a run (the `cap_change` fault class), and
-//! the `arcs-serve` broker moves caps between concurrently running jobs
-//! whenever tenancy changes. [`CapHandle`] promotes the cap to a shared,
-//! watchable cell: the owner (a broker, a test harness, an operator CLI)
+//! The paper's runs hold one cap for their whole duration, but a cap can
+//! also move *inside* a run: a fault plan reprograms it (the
+//! `cap_change` fault class), and the `arcs-serve` broker moves caps
+//! between concurrently running jobs whenever tenancy changes.
+//! [`CapHandle`] makes the cap a shared, watchable cell: the owner (a broker, a test harness, an operator CLI)
 //! calls [`CapHandle::set`], and every backend holding the handle applies
 //! the new value at its next region boundary — through exactly the same
 //! clamp-and-trace path a scheduled cap fault uses, so a reallocation is
@@ -33,7 +31,8 @@
 //!   effective value in its `CapChange` trace event, exactly like a
 //!   constructor-supplied cap.
 //! * **No handle, no cost.** Backends without a handle skip one `Option`
-//!   check; unfaulted, un-brokered runs stay bit-identical to PR 5.
+//!   check; an unfaulted, un-brokered run prices every invocation at the
+//!   constructor's cap.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -709,8 +709,6 @@ mod tests {
         let r = &d.step[0];
         let def = simulate_region(&m, 115.0, r, default_cfg(&m));
         let mut best = f64::INFINITY;
-        let space = crate::npb::cg::cg_size(Class::S).0; // placeholder to avoid unused warn
-        let _ = space;
         for threads in [2usize, 4, 8, 16, 24, 32] {
             for sched in [Schedule::static_block(), Schedule::dynamic(64), Schedule::guided(8)] {
                 let t =

@@ -382,10 +382,6 @@ impl Snapshot {
         }
     }
 
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("snapshot serializes")
-    }
-
     /// Render in the Prometheus text exposition format.
     ///
     /// Registry names are slash-separated (`arcs/serve/queue_wait_s`) and
@@ -428,36 +424,6 @@ impl Snapshot {
                     ));
                     out.push_str(&format!("{base}_sum{labels} {}\n", h.total));
                     out.push_str(&format!("{base}_count{labels} {}\n", h.count));
-                }
-            }
-        }
-        out
-    }
-
-    pub fn from_json(text: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(text)
-    }
-
-    /// Render as an aligned text table: name, type, and either the value
-    /// or the histogram's count/mean/p50/p90/p99.
-    pub fn to_table(&self) -> String {
-        let name_w =
-            self.metrics.iter().map(|m| m.name.len()).max().unwrap_or(6).max("metric".len());
-        let mut out = String::new();
-        out.push_str(&format!("{:<name_w$}  {:<9}  value\n", "metric", "type"));
-        for m in &self.metrics {
-            match &m.value {
-                MetricValue::Counter(n) => {
-                    out.push_str(&format!("{:<name_w$}  {:<9}  {n}\n", m.name, "counter"));
-                }
-                MetricValue::Gauge(v) => {
-                    out.push_str(&format!("{:<name_w$}  {:<9}  {v:.6}\n", m.name, "gauge"));
-                }
-                MetricValue::Histogram(h) => {
-                    out.push_str(&format!(
-                        "{:<name_w$}  {:<9}  n={} mean={:.6} p50={:.6} p90={:.6} p99={:.6}\n",
-                        m.name, "histogram", h.count, h.mean, h.p50, h.p90, h.p99
-                    ));
                 }
             }
         }
@@ -663,7 +629,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_sorts_serializes_and_renders() {
+    fn snapshot_sorts_and_reads_counters() {
         let reg = MetricsRegistry::new();
         reg.counter("b/count").add(2);
         reg.gauge("a/level").set(1.5);
@@ -673,14 +639,5 @@ mod tests {
         assert_eq!(names, ["a/level", "b/count", "c/lat"]);
         assert_eq!(snap.counter("b/count"), 2);
         assert_eq!(snap.counter("a/level"), 0, "gauges don't read as counters");
-
-        let back = Snapshot::from_json(&snap.to_json()).unwrap();
-        assert_eq!(back, snap);
-
-        let table = snap.to_table();
-        assert!(table.contains("a/level"));
-        assert!(table.contains("histogram"));
-        let header_cols = table.lines().next().unwrap().find("value").unwrap();
-        assert!(header_cols > "a/level".len(), "name column is padded");
     }
 }

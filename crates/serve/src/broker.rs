@@ -96,6 +96,7 @@ use arcs::{CapHandle, ResilienceOptions, RunStatus};
 use arcs_metrics::{BrokerFold, MetricsRegistry, TelemetrySnapshot};
 use arcs_powersim::{Fleet, NodeFaultClass, NodeFaultPlan};
 use arcs_trace::{JobAllocation, TraceEvent, TraceSink};
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
@@ -209,8 +210,10 @@ struct Progress {
     requeued: bool,
 }
 
-/// Aggregate counters for the `stats` op and load-generator summaries.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// Aggregate counters for load-generator summaries, and the body of a
+/// `stats` reply as is: the field order is the wire order, and a reply
+/// from before v9 decodes with the v9 counters at 0.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct BrokerCounters {
     pub submitted: u64,
     pub queued: u64,
@@ -219,13 +222,21 @@ pub struct BrokerCounters {
     pub rejected: u64,
     pub degraded: u64,
     /// Terminal failures: retry budget exhausted or stranded (v9).
+    #[serde(default)]
     pub failed: u64,
     /// Turned away by load shedding at admission (v9).
+    #[serde(default)]
     pub shed: u64,
-    /// Requeue events so far (crash and drain requeues both).
+    /// Requeue events so far, crash and drain requeues both (v9).
+    #[serde(default)]
     pub requeued: u64,
-    /// Nodes currently out of service (down or draining).
+    /// Nodes currently out of service, down or draining (v9).
+    #[serde(default)]
     pub nodes_down: u64,
+    /// The global budget, watts.
+    pub budget_w: f64,
+    /// Virtual time, seconds.
+    pub now_s: f64,
 }
 
 /// One `watch` subscriber: a channel plus its push period in quantum
@@ -386,6 +397,8 @@ impl Broker {
             shed: self.shed.len() as u64,
             requeued: self.fold.requeues(),
             nodes_down: (self.down_nodes.len() + self.draining.len()) as u64,
+            budget_w: self.budget_w(),
+            now_s: self.now_s(),
         }
     }
 

@@ -28,8 +28,11 @@
 //! * [`protocol`] — newline-delimited JSON request/response types for
 //!   the TCP service (`submit`, `status`, `stats`, `metrics`, `watch`,
 //!   `shutdown`).
-//! * [`server`] — the long-running service: one thread owns the broker,
-//!   a hand-rolled [`pool::ThreadPool`] serves framed connections.
+//! * [`server`] — the long-running service: one thread owns the broker
+//!   and runs each request's closure over it; a hand-rolled
+//!   [`pool::ThreadPool`] serves framed connections, building and
+//!   encoding every response, with its queue, busy and panic series in
+//!   the broker's registry.
 //! * [`telemetry`] — the live telemetry plane: one
 //!   [`TelemetrySnapshot`] frame type shared by the `stats`/`watch`
 //!   ops and the `arcs-serve-top` dashboard. Frames are a read-out of

@@ -40,7 +40,7 @@ impl PoolMetrics {
 struct Shared {
     queue: Mutex<Queue>,
     available: Condvar,
-    metrics: Option<PoolMetrics>,
+    metrics: PoolMetrics,
 }
 
 struct Queue {
@@ -54,13 +54,9 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    pub fn new(threads: usize) -> Self {
-        ThreadPool::with_metrics(threads, None)
-    }
-
-    /// Like [`ThreadPool::new`], but every queue/busy transition also
-    /// updates the given metric handles.
-    pub fn with_metrics(threads: usize, metrics: Option<PoolMetrics>) -> Self {
+    /// Start `threads` workers (at least one); every queue/busy
+    /// transition updates `metrics`.
+    pub fn new(threads: usize, metrics: PoolMetrics) -> Self {
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue { jobs: VecDeque::new(), closed: false }),
             available: Condvar::new(),
@@ -88,9 +84,7 @@ impl ThreadPool {
         queue.jobs.push_back(Box::new(job));
         let depth = queue.jobs.len();
         drop(queue);
-        if let Some(m) = &self.shared.metrics {
-            m.queue_depth.set(depth as f64);
-        }
+        self.shared.metrics.queue_depth.set(depth as f64);
         self.shared.available.notify_one();
         true
     }
@@ -143,20 +137,17 @@ fn worker(shared: Arc<Shared>, index: usize) {
                 shared.available.wait(&mut queue);
             }
         };
-        if let Some(m) = &shared.metrics {
-            m.queue_depth.set(depth as f64);
-            m.busy.add(1.0);
-            m.jobs.inc();
-        }
+        let m = &shared.metrics;
+        m.queue_depth.set(depth as f64);
+        m.busy.add(1.0);
+        m.jobs.inc();
         // Contain the job: one panicking connection handler must not
         // take its worker (or the whole process, under panic=abort-free
         // builds) with it.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-        if let Some(m) = &shared.metrics {
-            m.busy.add(-1.0);
-            if outcome.is_err() {
-                m.panics.inc();
-            }
+        m.busy.add(-1.0);
+        if outcome.is_err() {
+            m.panics.inc();
         }
     }
 }
@@ -166,10 +157,14 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    fn unwatched(threads: usize) -> ThreadPool {
+        ThreadPool::new(threads, PoolMetrics::resolve(&MetricsRegistry::new()))
+    }
+
     #[test]
     fn pool_runs_every_job_and_joins_on_drop() {
         let ran = Arc::new(AtomicUsize::new(0));
-        let pool = ThreadPool::new(4);
+        let pool = unwatched(4);
         for _ in 0..64 {
             let ran = Arc::clone(&ran);
             assert!(pool.execute(move || {
@@ -186,7 +181,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let metrics = PoolMetrics::resolve(&registry);
         let ran = Arc::new(AtomicUsize::new(0));
-        let pool = ThreadPool::with_metrics(1, Some(metrics.clone()));
+        let pool = ThreadPool::new(1, metrics.clone());
         // One worker: if the panic killed it, nothing after could run.
         for i in 0..8 {
             let ran = Arc::clone(&ran);
@@ -205,7 +200,7 @@ mod tests {
 
     #[test]
     fn a_closed_pool_refuses_work() {
-        let pool = ThreadPool::new(1);
+        let pool = unwatched(1);
         pool.shared.queue.lock().closed = true;
         pool.shared.available.notify_all();
         assert!(!pool.execute(|| {}));

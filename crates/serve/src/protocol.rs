@@ -27,7 +27,7 @@ use crate::job::JobSpec;
 use crate::telemetry::TelemetrySnapshot;
 use serde::{Deserialize, Serialize};
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Request {
     pub op: String,
     #[serde(default)]
@@ -53,15 +53,13 @@ pub struct Request {
 impl Request {
     pub fn submit(spec: &JobSpec) -> Self {
         Request {
-            op: "submit".into(),
             tenant: Some(spec.tenant.clone()),
             workload: Some(spec.workload.clone()),
             timesteps: (spec.timesteps > 0).then_some(spec.timesteps),
             floor_w: spec.floor_w,
             weight: (spec.weight > 0.0 && spec.weight != 1.0).then_some(spec.weight),
             fault_seed: spec.fault_seed,
-            job: None,
-            every: None,
+            ..Request::op_only("submit")
         }
     }
 
@@ -70,17 +68,7 @@ impl Request {
     }
 
     pub fn op_only(op: &str) -> Self {
-        Request {
-            op: op.into(),
-            tenant: None,
-            workload: None,
-            timesteps: None,
-            floor_w: None,
-            weight: None,
-            fault_seed: None,
-            job: None,
-            every: None,
-        }
+        Request { op: op.into(), ..Default::default() }
     }
 
     /// Build the broker-side job spec from a `submit` request, or say
@@ -105,52 +93,7 @@ impl Request {
     }
 }
 
-/// Wire mirror of [`BrokerCounters`] (kept separate so the core type
-/// never grows serde obligations it doesn't need).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct StatsBody {
-    pub submitted: u64,
-    pub queued: u64,
-    pub running: u64,
-    pub completed: u64,
-    pub rejected: u64,
-    pub degraded: u64,
-    /// Terminal failures — retry budget exhausted or stranded (v9).
-    #[serde(default)]
-    pub failed: u64,
-    /// Jobs shed at admission by the bounded queue (v9).
-    #[serde(default)]
-    pub shed: u64,
-    /// Requeue events so far (v9).
-    #[serde(default)]
-    pub requeued: u64,
-    /// Nodes currently out of service (v9).
-    #[serde(default)]
-    pub nodes_down: u64,
-    pub budget_w: f64,
-    pub now_s: f64,
-}
-
-impl StatsBody {
-    pub fn from_counters(c: BrokerCounters, budget_w: f64, now_s: f64) -> Self {
-        StatsBody {
-            submitted: c.submitted,
-            queued: c.queued,
-            running: c.running,
-            completed: c.completed,
-            rejected: c.rejected,
-            degraded: c.degraded,
-            failed: c.failed,
-            shed: c.shed,
-            requeued: c.requeued,
-            nodes_down: c.nodes_down,
-            budget_w,
-            now_s,
-        }
-    }
-}
-
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Response {
     pub ok: bool,
     #[serde(default)]
@@ -184,7 +127,7 @@ pub struct Response {
     #[serde(default)]
     pub energy_j: Option<f64>,
     #[serde(default)]
-    pub stats: Option<StatsBody>,
+    pub stats: Option<BrokerCounters>,
     /// `stats`: one telemetry snapshot taken at the same instant as the
     /// counters, so the two cannot disagree about queue depths.
     #[serde(default)]
@@ -196,22 +139,7 @@ pub struct Response {
 
 impl Response {
     pub fn empty_ok() -> Self {
-        Response {
-            ok: true,
-            error: None,
-            job: None,
-            accepted: None,
-            reason: None,
-            retry_after_s: None,
-            queue_depth: None,
-            state: None,
-            status: None,
-            time_s: None,
-            energy_j: None,
-            stats: None,
-            telemetry: None,
-            metrics: None,
-        }
+        Response { ok: true, ..Default::default() }
     }
 
     pub fn err(message: impl Into<String>) -> Self {
@@ -269,6 +197,52 @@ mod tests {
         assert_eq!(err.stats, None);
     }
 
+    /// The `stats` body is `BrokerCounters` itself: its keys, in order,
+    /// are the wire shape, and a reply from before v9 still decodes.
+    #[test]
+    fn the_stats_body_keeps_its_wire_shape() {
+        // Every value is a number, so the flat object splits on , and :.
+        let line = serde_json::to_string(&BrokerCounters::default()).unwrap();
+        let keys: Vec<&str> = line
+            .trim_matches(|c| c == '{' || c == '}')
+            .split(',')
+            .map(|field| field.split(':').next().unwrap().trim_matches('"'))
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "submitted",
+                "queued",
+                "running",
+                "completed",
+                "rejected",
+                "degraded",
+                "failed",
+                "shed",
+                "requeued",
+                "nodes_down",
+                "budget_w",
+                "now_s"
+            ]
+        );
+        let pre_v9 = r#"{"submitted":5,"queued":1,"running":2,"completed":1,"rejected":1,"degraded":0,"budget_w":400.0,"now_s":3.5}"#;
+        let old: BrokerCounters = serde_json::from_str(pre_v9).unwrap();
+        assert_eq!(
+            old,
+            BrokerCounters {
+                submitted: 5,
+                queued: 1,
+                running: 2,
+                completed: 1,
+                rejected: 1,
+                budget_w: 400.0,
+                now_s: 3.5,
+                ..Default::default()
+            }
+        );
+        assert_eq!((old.failed, old.shed, old.requeued, old.nodes_down), (0, 0, 0, 0));
+    }
+
     /// A client reading a reply cut short (a dropped connection) gets a
     /// parse error, never a shorter reply: no proper prefix of a `stats`
     /// reply parses.
@@ -285,7 +259,7 @@ mod tests {
         };
         let mut resp = Response::empty_ok();
         resp.stats =
-            Some(StatsBody { submitted: 4, queued: 3, budget_w: 400.0, ..Default::default() });
+            Some(BrokerCounters { submitted: 4, queued: 3, budget_w: 400.0, ..Default::default() });
         resp.telemetry = Some(telemetry);
         let line = serde_json::to_string(&resp).unwrap();
         assert_eq!(serde_json::from_str::<Response>(&line).unwrap(), resp);

@@ -2,10 +2,13 @@
 //!
 //! One dedicated thread owns the [`Broker`] (it is single-threaded by
 //! design — determinism falls out of the total order of commands) and
-//! drains a command channel; between commands it advances the broker's
-//! virtual clock one quantum event at a time, so arrivals always
-//! preempt simulated work at an event boundary. Connections are framed
-//! NDJSON (see [`crate::protocol`]) served on a [`ThreadPool`].
+//! runs the commands pool threads send it: each is a closure over the
+//! broker, made by `ask` for a read or a submit and by `drain` for the
+//! one shutdown path. Between commands it advances the broker's virtual
+//! clock one quantum event at a time, so arrivals always preempt
+//! simulated work at an event boundary. Connections are framed
+//! NDJSON (see [`crate::protocol`]) served on a [`ThreadPool`], whose
+//! threads build and encode every [`Response`].
 //!
 //! The connection loop reads bounded lines: a line over
 //! [`MAX_LINE_BYTES`] gets a typed error and the reader resyncs at the
@@ -14,11 +17,10 @@
 //! `catch_unwind`, count panics in `serve/pool/panics`, and a respawn
 //! guard keeps the pool at size if a panic escapes anyway.
 
-use crate::broker::{Broker, CompletedJob, SubmitOutcome};
-use crate::job::{JobSpec, JobState};
+use crate::broker::Broker;
+use crate::job::SubmitOutcome;
 use crate::pool::{PoolMetrics, ThreadPool};
-use crate::protocol::{Request, Response, StatsBody};
-use crate::telemetry::TelemetrySnapshot;
+use crate::protocol::{Request, Response};
 use arcs_metrics::MetricsRegistry;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -28,46 +30,37 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-enum Command {
-    Submit(JobSpec, Sender<SubmitOutcome>),
-    Status(u64, Sender<(Option<JobState>, Option<CompletedJob>, Option<String>)>),
-    /// Counters and a telemetry snapshot taken at the same broker
-    /// instant, so they can never disagree about queue depths.
-    Stats(Sender<(StatsBody, TelemetrySnapshot)>),
-    /// Subscribe to a snapshot push every N virtual-time quanta.
-    Watch(Sender<TelemetrySnapshot>, u64),
-    /// Drain every admitted job, then acknowledge and stop.
-    Shutdown(Sender<()>),
+/// Work for the broker thread; `Break` stops the thread after it.
+type Command = Box<dyn FnOnce(&mut Broker) -> ControlFlow<()> + Send>;
+
+/// Run `f` on the broker thread and wait for its answer; `None` once the
+/// broker is shut down.
+fn ask<T: Send + 'static>(
+    cmds: &Sender<Command>,
+    f: impl FnOnce(&mut Broker) -> T + Send + 'static,
+) -> Option<T> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    cmds.send(Box::new(move |broker: &mut Broker| {
+        let _ = tx.send(f(broker));
+        ControlFlow::Continue(())
+    }))
+    .ok()?;
+    rx.recv().ok()
 }
 
-/// Apply one client command to the broker; `Break` once a shutdown has
-/// drained it and been acknowledged.
-fn dispatch(broker: &mut Broker, cmd: Command) -> ControlFlow<()> {
-    match cmd {
-        Command::Submit(spec, reply) => {
-            let _ = reply.send(broker.submit(spec));
-        }
-        Command::Status(job, reply) => {
-            let state = broker.job_state(job);
-            let done = broker.completed_jobs().get(&job).cloned();
-            let reason = broker.rejection_reason(job).map(str::to_string);
-            let _ = reply.send((state, done, reason));
-        }
-        Command::Stats(reply) => {
-            let body =
-                StatsBody::from_counters(broker.counters(), broker.budget_w(), broker.now_s());
-            let _ = reply.send((body, broker.telemetry()));
-        }
-        Command::Watch(tx, every) => {
-            broker.watch(every, tx);
-        }
-        Command::Shutdown(reply) => {
-            broker.run_until_idle();
-            let _ = reply.send(());
-            return ControlFlow::Break(());
-        }
+/// Drain every admitted job, then stop the broker thread. Returns once
+/// the drain is done (or the broker was already gone), so whoever waits
+/// on it knows every admitted job completed and was traced.
+fn drain(cmds: &Sender<Command>) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let cmd: Command = Box::new(move |broker| {
+        broker.run_until_idle();
+        let _ = tx.send(());
+        ControlFlow::Break(())
+    });
+    if cmds.send(cmd).is_ok() {
+        let _ = rx.recv();
     }
-    ControlFlow::Continue(())
 }
 
 fn broker_loop(mut broker: Broker, rx: Receiver<Command>) {
@@ -88,7 +81,7 @@ fn broker_loop(mut broker: Broker, rx: Receiver<Command>) {
         };
         match cmd {
             Some(cmd) => {
-                if dispatch(&mut broker, cmd).is_break() {
+                if cmd(&mut broker).is_break() {
                     return;
                 }
             }
@@ -99,97 +92,79 @@ fn broker_loop(mut broker: Broker, rx: Receiver<Command>) {
     }
 }
 
+/// Answer one request line; `None` when the broker is shut down.
 fn handle_request(
     req: &Request,
     cmds: &Sender<Command>,
     stopping: &AtomicBool,
     registry: &MetricsRegistry,
-) -> Response {
+) -> Option<Response> {
     let mut resp = Response::empty_ok();
     match req.op.as_str() {
         "submit" => {
             let spec = match req.to_spec() {
                 Ok(spec) => spec,
-                Err(reason) => return Response::err(reason),
+                Err(reason) => return Some(Response::err(reason)),
             };
-            let (tx, rx) = std::sync::mpsc::channel();
-            if cmds.send(Command::Submit(spec, tx)).is_err() {
-                return Response::err("broker is shut down");
-            }
-            match rx.recv() {
-                Ok(SubmitOutcome::Admitted(job)) => {
+            match ask(cmds, move |broker| broker.submit(spec))? {
+                SubmitOutcome::Admitted(job) => {
                     resp.job = Some(job);
                     resp.accepted = Some(true);
                 }
-                Ok(SubmitOutcome::Rejected { job, reason }) => {
+                SubmitOutcome::Rejected { job, reason } => {
                     resp.job = Some(job);
                     resp.accepted = Some(false);
                     resp.reason = Some(reason);
                 }
-                Ok(SubmitOutcome::Shed { job, reason, retry_after_s, queue_depth }) => {
+                SubmitOutcome::Shed { job, reason, retry_after_s, queue_depth } => {
                     resp.job = Some(job);
                     resp.accepted = Some(false);
                     resp.reason = Some(reason);
                     resp.retry_after_s = Some(retry_after_s);
                     resp.queue_depth = Some(queue_depth);
                 }
-                Err(_) => return Response::err("broker is shut down"),
             }
         }
         "status" => {
             let Some(job) = req.job else {
-                return Response::err("status requires a job id");
+                return Some(Response::err("status requires a job id"));
             };
-            let (tx, rx) = std::sync::mpsc::channel();
-            if cmds.send(Command::Status(job, tx)).is_err() {
-                return Response::err("broker is shut down");
-            }
-            match rx.recv() {
-                Ok((state, done, reason)) => {
-                    let Some(state) = state else {
-                        return Response::err(format!("unknown job {job}"));
-                    };
-                    resp.job = Some(job);
-                    resp.state = Some(state.to_string());
-                    resp.reason = reason;
-                    if let Some(done) = done {
-                        resp.status = Some(done.status.to_string());
-                        resp.time_s = Some(done.time_s);
-                        resp.energy_j = Some(done.energy_j);
-                    }
-                }
-                Err(_) => return Response::err("broker is shut down"),
+            let (state, done, reason) = ask(cmds, move |broker| {
+                let done = broker.completed_jobs().get(&job).cloned();
+                (broker.job_state(job), done, broker.rejection_reason(job).map(str::to_string))
+            })?;
+            let Some(state) = state else {
+                return Some(Response::err(format!("unknown job {job}")));
+            };
+            resp.job = Some(job);
+            resp.state = Some(state.to_string());
+            resp.reason = reason;
+            if let Some(done) = done {
+                resp.status = Some(done.status.to_string());
+                resp.time_s = Some(done.time_s);
+                resp.energy_j = Some(done.energy_j);
             }
         }
         "stats" => {
-            let (tx, rx) = std::sync::mpsc::channel();
-            if cmds.send(Command::Stats(tx)).is_err() {
-                return Response::err("broker is shut down");
-            }
-            match rx.recv() {
-                Ok((stats, telemetry)) => {
-                    resp.stats = Some(stats);
-                    resp.telemetry = Some(telemetry);
-                }
-                Err(_) => return Response::err("broker is shut down"),
-            }
+            // Counters and telemetry from the same broker instant, so
+            // they can never disagree about queue depths.
+            let (stats, telemetry) = ask(cmds, |broker| (broker.counters(), broker.telemetry()))?;
+            resp.stats = Some(stats);
+            resp.telemetry = Some(telemetry);
         }
         // Rendered straight from the shared registry — no broker
         // roundtrip, so scrapes stay cheap even mid-quantum.
         "metrics" => resp.metrics = Some(registry.snapshot().to_prometheus()),
         "shutdown" => {
-            let (tx, rx) = std::sync::mpsc::channel();
-            if cmds.send(Command::Shutdown(tx)).is_ok() {
-                // The ack arrives only after the broker drained all
-                // admitted jobs, so a client that waits for this
-                // response knows its work is done and traced.
-                let _ = rx.recv();
-            }
+            // The ack goes out only after the broker drained all
+            // admitted jobs, so a client that waits for this response
+            // knows its work is done and traced.
+            drain(cmds);
             stopping.store(true, Ordering::SeqCst);
         }
-        other => return Response::err(format!("unknown op {other:?}")),
+        other => return Some(Response::err(format!("unknown op {other:?}"))),
     }
-    resp
+    Some(resp)
 }
 
 /// Stream telemetry snapshots to one `watch` subscriber as raw NDJSON
@@ -197,7 +172,7 @@ fn handle_request(
 /// the server starts stopping.
 fn stream_watch(writer: &mut TcpStream, cmds: &Sender<Command>, stopping: &AtomicBool, every: u64) {
     let (tx, rx) = std::sync::mpsc::channel();
-    if cmds.send(Command::Watch(tx, every)).is_err() {
+    if ask(cmds, move |broker| broker.watch(every, tx)).is_none() {
         return;
     }
     loop {
@@ -225,6 +200,12 @@ fn stream_watch(writer: &mut TcpStream, cmds: &Sender<Command>, stopping: &Atomi
 /// hostile client, and an unbounded `read_until` would let one
 /// connection grow the buffer without limit.
 pub const MAX_LINE_BYTES: usize = 256 * 1024;
+
+/// A read that ended on the short socket timeout rather than an error:
+/// the caller checks the stop flag and reads on.
+fn timed_out(err: &std::io::Error) -> bool {
+    matches!(err.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
+}
 
 fn write_response(writer: &mut TcpStream, resp: &Response) -> bool {
     let mut out = serde_json::to_string(resp).expect("responses always serialize");
@@ -272,10 +253,7 @@ fn serve_connection(
                         match reader.by_ref().take(64 * 1024).read_until(b'\n', &mut buf) {
                             Ok(0) => return,
                             Ok(_) => synced = buf.ends_with(b"\n"),
-                            Err(err)
-                                if err.kind() == std::io::ErrorKind::WouldBlock
-                                    || err.kind() == std::io::ErrorKind::TimedOut =>
-                            {
+                            Err(err) if timed_out(&err) => {
                                 if stopping.load(Ordering::SeqCst) {
                                     return;
                                 }
@@ -310,7 +288,8 @@ fn serve_connection(
                             stream_watch(&mut writer, &cmds, &stopping, every);
                             return;
                         }
-                        Ok(req) => handle_request(&req, &cmds, &stopping, &registry),
+                        Ok(req) => handle_request(&req, &cmds, &stopping, &registry)
+                            .unwrap_or_else(|| Response::err("broker is shut down")),
                         Err(err) => Response::err(format!("bad request: {err}")),
                     },
                     Err(_) => Response::err("bad request: line is not valid UTF-8"),
@@ -320,12 +299,7 @@ fn serve_connection(
                 }
                 buf.clear();
             }
-            Err(err)
-                if err.kind() == std::io::ErrorKind::WouldBlock
-                    || err.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
+            Err(err) if timed_out(&err) => continue,
             Err(_) => return,
         }
     }
@@ -378,10 +352,7 @@ impl Server {
             std::thread::Builder::new()
                 .name("arcs-serve-acceptor".into())
                 .spawn(move || {
-                    let pool = ThreadPool::with_metrics(
-                        pool_threads,
-                        Some(PoolMetrics::resolve(&registry)),
-                    );
+                    let pool = ThreadPool::new(pool_threads, PoolMetrics::resolve(&registry));
                     for stream in listener.incoming() {
                         if stopping.load(Ordering::SeqCst) {
                             break;
@@ -432,24 +403,11 @@ impl ServerHandle {
     /// Ask the server to drain and stop, then join its threads. Goes
     /// straight to the broker's command channel (not over TCP), so it
     /// works even when every pool worker is pinned by an open
-    /// connection. Safe to call after a client already sent `shutdown`.
-    pub fn shutdown(mut self) {
-        let (tx, rx) = std::sync::mpsc::channel();
-        if self.cmds.send(Command::Shutdown(tx)).is_ok() {
-            // The broker may already be gone (client-initiated
-            // shutdown); then the reply channel just closes.
-            let _ = rx.recv();
-        }
-        self.stopping.store(true, Ordering::SeqCst);
-        if let Some(broker) = self.broker.take() {
-            let _ = broker.join();
-        }
-        // One last connection unblocks the acceptor if it is still
-        // parked in `incoming()` after the stop flag went up.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
+    /// connection. Safe to call after a client already sent `shutdown`:
+    /// the broker is then gone and the drain returns at once.
+    pub fn shutdown(self) {
+        drain(&self.cmds);
+        self.wait();
     }
 }
 
@@ -492,6 +450,7 @@ impl Client {
 mod tests {
     use super::*;
     use crate::broker::BrokerConfig;
+    use crate::job::{JobSpec, JobState};
     use arcs_powersim::{Fleet, Machine};
     use arcs_trace::{NullSink, TraceEvent, VecSink};
 
@@ -653,9 +612,9 @@ mod tests {
         // own: how much virtual time passes between two round trips is
         // then zero, not whatever the scheduler allowed, so the queue
         // holds exactly what the three submits put there.
-        fn dispatch_only(mut broker: Broker, rx: Receiver<Command>) {
+        fn commands_only(mut broker: Broker, rx: Receiver<Command>) {
             for cmd in rx {
-                if dispatch(&mut broker, cmd).is_break() {
+                if cmd(&mut broker).is_break() {
                     return;
                 }
             }
@@ -666,7 +625,7 @@ mod tests {
             cfg.quantum_timesteps = 2;
             cfg.max_queue = Some(1); // one waiter beyond the running job
             let broker = Broker::new(fleet, cfg, Arc::new(NullSink));
-            Server::start_with(broker, "127.0.0.1:0", 1, dispatch_only).unwrap()
+            Server::start_with(broker, "127.0.0.1:0", 1, commands_only).unwrap()
         };
         let mut client = Client::connect(&handle.addr().to_string()).unwrap();
         let spec = JobSpec::new("acme", "sp.S").timesteps(4);
