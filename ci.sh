@@ -143,6 +143,21 @@ fi
 forbid "a second request path, stats mirror or optional pool metrics" \
     '/StatsBody|enum Command|fn dispatch|ThreadPool::with_metrics/' crates/serve/src
 
+# One reporting channel in the tuning stack: a run reports through its
+# trace alone, and the registry holds only the power-budget service's
+# series. No non-test source of the runtime, the simulator, the search or
+# the run driver may resolve a registry handle or bring back an attach
+# point (the `Backend` trait's no-op `fn attach_metrics` has no leading
+# dot), and the runtime, the simulator and the search do not depend on
+# the metrics crate at all.
+forbid "a registry handle in the tuning stack" \
+    '/with_metrics|set_metrics|with_eval_counter|\.attach_metrics|\.counter\(|\.gauge\(|\.histogram\(/' \
+    crates/core/src crates/omprt/src crates/powersim/src crates/harmony/src -not -path '*/tests/*'
+if grep -l 'arcs-metrics' crates/{omprt,powersim,harmony}/Cargo.toml >&2; then
+    echo "ci: the manifests above depend on arcs-metrics again" >&2
+    exit 1
+fi
+
 # Doc drift. Every backticked repository path in the three prose documents
 # names a file or directory that exists: a `<placeholder>` or `*` matches
 # anything, `{a,b}` expands, and a `::item` or `:line` suffix is dropped.

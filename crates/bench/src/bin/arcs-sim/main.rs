@@ -29,6 +29,7 @@
 //!   --check                     re-validate the emitted JSONL against the schema
 //!   --self-profile              emit a DriverPhases span summary into the
 //!                               trace so `report` prints a self-profile
+//!                               (needs --trace)
 //!
 //! arcs-sim fig <id>... | --all [options]      regenerate paper artefacts
 //!   <id>                        table1 | fig1 … fig10 | table2 | overheads |

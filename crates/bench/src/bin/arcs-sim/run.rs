@@ -29,7 +29,7 @@ fn usage() -> ! {
          [--machine-file PATH] [--cap WATTS] [--strategy {}] \
          [--objective time|energy|edp] [--timesteps N] [--selective SECONDS] \
          [--save-history PATH] [--load-history PATH] [--plan {}] [--seed N] \
-         [--budget N|none] [--json] [--trace PATH] [--chrome PATH] [--check] [--self-profile]",
+         [--budget N|none] [--json] [--trace PATH [--self-profile]] [--chrome PATH] [--check]",
         STRATEGIES.join("|"),
         FaultPlan::names().join("|")
     );
@@ -121,6 +121,10 @@ pub fn main(argv: &[String]) {
     let selective = selective.unwrap_or(0.0);
     if plan_name.is_none() && (seed.is_some() || budget.is_some()) {
         eprintln!("--seed and --budget shape a fault plan: give --plan");
+        usage()
+    }
+    if self_profile && trace.is_none() {
+        eprintln!("--self-profile writes its spans into the trace: give --trace");
         usage()
     }
     // Resilience changes the search, so the ladder comes only with a plan.

@@ -57,6 +57,8 @@ const USAGE_ERRORS: &[(&[&str], &str)] = &[
     (&["run", "--timesteps", "0"], RUN),
     (&["run", "--strategy", "offline", "--timesteps", "0"], RUN),
     (&["run", "--seed", "7"], RUN),
+    // Self-profile spans go into the trace, so they need one.
+    (&["run", "--self-profile"], RUN),
     (&["run", "--plan", "nosuch"], RUN),
     (&["run", "--plan", "flaky-rapl", "--budget", "x"], RUN),
     (&["report"], REPORT),

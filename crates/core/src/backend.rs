@@ -20,8 +20,8 @@
 //! is private, so those three calls are the one way to choose it, and a
 //! tuner run with the portfolio ladder switched on cannot be written.
 //! `run`'s tuner arm and `train` share one wiring helper (objective
-//! override, sink, registry, resilience). Misconfiguration is a typed
-//! [`RunError`], never a panic.
+//! override, sink, resilience). Misconfiguration is a typed [`RunError`],
+//! never a panic.
 //!
 //! ## Energy attribution
 //!
@@ -62,7 +62,7 @@ use crate::report::{AppRunReport, FaultRecovery, RegionSummary, RunStatus};
 use crate::resilience::ResilienceOptions;
 use crate::tuner::{RegionTuner, TunerOptions, TuningMode};
 use arcs_harmony::History;
-use arcs_metrics::{Counter, Gauge, Histogram, MetricsRegistry};
+use arcs_metrics::MetricsRegistry;
 use arcs_powersim::{
     CacheBindError, FaultPlan, Machine, MeasureError, RegionModel, SharedSimCache,
     WorkloadDescriptor,
@@ -175,15 +175,15 @@ pub trait Backend {
     /// sink; both shipped backends store it.
     fn attach_trace(&mut self, _sink: Arc<dyn TraceSink>) {}
 
-    /// The metrics registry attached to this backend, if any. Mirrors
-    /// [`Backend::trace`]: the driver resolves its handles once per run.
+    /// A registry hook nothing reads: a run reports through its trace
+    /// alone. Like [`Backend::record_sample`] it is kept only because the
+    /// benchmark's forwarding backend implements it, and goes with the
+    /// next change to the benchmark.
     fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
         None
     }
 
-    /// Attach a metrics registry. Backends propagate it to their layers
-    /// (memo cache, runtime) the same way [`Backend::attach_trace`]
-    /// propagates a sink; the default ignores it.
+    /// A no-op kept beside [`Backend::metrics`], for the same reason.
     fn attach_metrics(&mut self, _registry: Arc<MetricsRegistry>) {}
 
     /// Bind a memo cache shared with other executors. Only meaningful for
@@ -428,9 +428,7 @@ impl<'a, B: Backend> Runner<'a, B> {
     /// [`TraceEvent::DriverPhases`] summary at run end when a trace sink
     /// is attached. Off by default — the spans are real elapsed times
     /// that vary run to run, so deterministic byte-compared traces must
-    /// not opt in. Phase histograms (`core/phase/*`) are recorded
-    /// whenever a metrics registry is attached, independent of this
-    /// switch.
+    /// not opt in. Without an enabled sink no span is taken.
     pub fn self_profile(mut self, on: bool) -> Self {
         self.self_profile = on;
         self
@@ -518,9 +516,9 @@ impl<'a, B: Backend> Runner<'a, B> {
 }
 
 /// Point `tuner` at what the run was built with — the objective override,
-/// the backend's sink (when enabled) and registry, the self-healing
-/// ladder — before its first invocation. The one wiring behind
-/// [`Runner::run`] and [`Runner::train`].
+/// the backend's sink (when enabled), the self-healing ladder — before its
+/// first invocation. The one wiring behind [`Runner::run`] and
+/// [`Runner::train`].
 fn wire_tuner<B: Backend>(
     b: &B,
     tuner: &mut RegionTuner,
@@ -532,9 +530,6 @@ fn wire_tuner<B: Backend>(
     }
     if let Some(sink) = b.trace().filter(|sink| sink.enabled()) {
         tuner.set_trace(Arc::clone(sink));
-    }
-    if let Some(registry) = b.metrics() {
-        tuner.set_metrics(Arc::clone(registry));
     }
     if let Some(res) = res {
         tuner.set_resilience(res);
@@ -720,25 +715,6 @@ fn drive<B: Backend>(
     acc.finish(b, tuner, &mut meter)
 }
 
-/// Driver-level handles resolved once per run from the backend's
-/// registry (mirrors the `sink: Option<_>` discipline — absent registry
-/// means zero work per invocation).
-struct DriverMetrics {
-    /// `core/configs_switched`: ICV moves the tuner requested.
-    configs_switched: Counter,
-    /// `core/overhead_s`: cumulative §III-C seconds charged.
-    overhead_s: Gauge,
-    /// `core/region_time_s`: distribution of region invocation times.
-    region_time_s: Histogram,
-    /// `core/phase/{tune,measure,overhead,meter}_s`: per-run wall-clock
-    /// totals of the driver's own phases — one sample per run, so the
-    /// histogram reads as a distribution over runs.
-    phase_tune_s: Histogram,
-    phase_measure_s: Histogram,
-    phase_overhead_s: Histogram,
-    phase_meter_s: Histogram,
-}
-
 /// Which driver phase a wall-clock span belongs to.
 #[derive(Clone, Copy)]
 enum Phase {
@@ -754,8 +730,8 @@ enum Phase {
 }
 
 /// Wall-clock totals of the driver's own phases for one run. Present only
-/// when a metrics registry is attached or the run self-profiles — the
-/// plain path never calls [`Instant::now`].
+/// when the run self-profiles into an enabled sink — the plain path never
+/// calls [`Instant::now`].
 #[derive(Default)]
 struct Spans {
     tune_s: f64,
@@ -790,14 +766,9 @@ struct Accum {
     /// Present only when the backend carries an *enabled* sink, so the
     /// untraced and `NullSink` paths skip all event construction.
     sink: Option<Arc<dyn TraceSink>>,
-    /// Present only when the backend carries a registry.
-    metrics: Option<DriverMetrics>,
-    /// Wall-clock phase accounting; `None` unless metrics or
-    /// self-profiling ask for it.
+    /// Emitted as [`TraceEvent::DriverPhases`] at `finish` (explicit
+    /// opt-in: wall-clock spans would break byte-compared traces).
     spans: Option<Spans>,
-    /// Emit [`TraceEvent::DriverPhases`] at `finish` (explicit opt-in:
-    /// wall-clock spans would break byte-compared deterministic traces).
-    self_profile: bool,
 }
 
 impl Accum {
@@ -810,17 +781,7 @@ impl Accum {
     ) -> Self {
         b.begin_run();
         let sink = b.trace().filter(|s| s.enabled()).map(Arc::clone);
-        let metrics = b.metrics().map(|registry| DriverMetrics {
-            configs_switched: registry.counter("core/configs_switched"),
-            overhead_s: registry.gauge("core/overhead_s"),
-            region_time_s: registry.histogram("core/region_time_s"),
-            phase_tune_s: registry.histogram("core/phase/tune_s"),
-            phase_measure_s: registry.histogram("core/phase/measure_s"),
-            phase_overhead_s: registry.histogram("core/phase/overhead_s"),
-            phase_meter_s: registry.histogram("core/phase/meter_s"),
-        });
-        let self_profile = self_profile && sink.is_some();
-        let spans = (metrics.is_some() || self_profile).then(Spans::default);
+        let spans = (self_profile && sink.is_some()).then(Spans::default);
         if let Some(s) = &sink {
             s.record(
                 Some(0.0),
@@ -839,9 +800,7 @@ impl Accum {
             instr_overhead_s: 0.0,
             per_region: Vec::new(),
             sink,
-            metrics,
             spans,
-            self_profile,
         }
     }
 
@@ -879,15 +838,6 @@ impl Accum {
         self.time_s += meas.time_s + overhead_s;
         self.config_overhead_s += change_s;
         self.instr_overhead_s += instr_s;
-        if let Some(m) = &self.metrics {
-            if change_s > 0.0 {
-                m.configs_switched.inc();
-            }
-            if overhead_s > 0.0 {
-                m.overhead_s.add(overhead_s);
-            }
-            m.region_time_s.record(meas.time_s);
-        }
 
         let entry = &mut self.per_region[slot];
         entry.invocations += 1;
@@ -931,29 +881,19 @@ impl Accum {
         meter: &mut Meter,
     ) -> Result<AppRunReport, RunError> {
         let energy_j = meter.read(b)?;
-        if let Some(spans) = &self.spans {
-            if let Some(m) = &self.metrics {
-                m.phase_tune_s.record(spans.tune_s);
-                m.phase_measure_s.record(spans.measure_s);
-                m.phase_overhead_s.record(spans.overhead_s);
-                m.phase_meter_s.record(spans.meter_s);
-            }
-            if self.self_profile {
-                if let Some(sink) = &self.sink {
-                    let invocations = self.per_region.iter().map(|r| r.invocations).sum();
-                    sink.record(
-                        None,
-                        TraceEvent::DriverPhases {
-                            workload: self.app.clone(),
-                            invocations,
-                            tune_s: spans.tune_s,
-                            measure_s: spans.measure_s,
-                            overhead_s: spans.overhead_s,
-                            meter_s: spans.meter_s,
-                        },
-                    );
-                }
-            }
+        if let (Some(spans), Some(sink)) = (&self.spans, &self.sink) {
+            let invocations = self.per_region.iter().map(|r| r.invocations).sum();
+            sink.record(
+                None,
+                TraceEvent::DriverPhases {
+                    workload: self.app.clone(),
+                    invocations,
+                    tune_s: spans.tune_s,
+                    measure_s: spans.measure_s,
+                    overhead_s: spans.overhead_s,
+                    meter_s: spans.meter_s,
+                },
+            );
         }
         let tuner_stats = tuner.run_stats();
         let degraded = meter.degraded || tuner.degraded();

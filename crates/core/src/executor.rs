@@ -36,7 +36,6 @@ use crate::backend::{self, Backend, RegionFeatures, RegionRun, RunError};
 use crate::cap::CapHandle;
 use crate::config::TunedConfig;
 use crate::faults::Perturbation;
-use arcs_metrics::MetricsRegistry;
 use arcs_powersim::{
     simulate_region_with_table, CacheBindError, FaultPlan, FxBuildHasher, Machine, MeasureError,
     PackageEnergy, Rapl, RegionId, RegionModel, SharedSimCache, SimConfig, SimReport, SimScratch,
@@ -134,7 +133,7 @@ pub struct SimExecutor {
     positions: Vec<(usize, usize)>,
     cursor: usize,
     /// The cap (requested and RAPL-clamped), the watched handle, the
-    /// fault plan, and the sink and registry — shared with the live path.
+    /// fault plan, and the sink — shared with the live path.
     perturb: Perturbation,
 }
 
@@ -218,8 +217,7 @@ impl SimExecutor {
 
     /// Attach a deterministic [`FaultPlan`]: meter reads and region
     /// invocations are perturbed per the plan's seeded schedule. Every
-    /// injected fault is traced as a `FaultInjected` event and counted
-    /// under `arcs/faults/<kind>`.
+    /// injected fault is traced as a `FaultInjected` event.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         Backend::attach_faults(&mut self, plan);
         self
@@ -229,14 +227,6 @@ impl SimExecutor {
     /// cache's hit/miss events both flow into it.
     pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
         Backend::attach_trace(&mut self, sink);
-        self
-    }
-
-    /// Attach a metrics registry: the driver's counters, the memo cache's
-    /// hit/miss/insert counters and the tuner's evaluation counters all
-    /// resolve their handles against it.
-    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        Backend::attach_metrics(&mut self, registry);
         self
     }
 
@@ -255,9 +245,6 @@ impl SimExecutor {
         cache.check_machine(&self.machine.name)?;
         if let Some(sink) = &self.perturb.trace {
             cache.attach_trace(Arc::clone(sink));
-        }
-        if let Some(registry) = &self.perturb.metrics {
-            cache.attach_metrics(registry);
         }
         // Interned ids (and the reports the slots remember) belong to the
         // cache that issued them — re-resolve lazily against the new one.
@@ -491,15 +478,6 @@ impl Backend for SimExecutor {
     fn attach_trace(&mut self, sink: Arc<dyn TraceSink>) {
         self.cache.attach_trace(Arc::clone(&sink));
         self.perturb.trace = Some(sink);
-    }
-
-    fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.perturb.metrics.as_ref()
-    }
-
-    fn attach_metrics(&mut self, registry: Arc<MetricsRegistry>) {
-        self.cache.attach_metrics(&registry);
-        self.perturb.metrics = Some(registry);
     }
 
     fn bind_shared_cache(&mut self, cache: Arc<SharedSimCache>) -> Result<(), RunError> {

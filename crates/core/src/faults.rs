@@ -14,12 +14,11 @@
 //!   everything about a perturbation that is not physics: polling the
 //!   [`CapHandle`], drawing the invocation's faults, the order a handle
 //!   move and a scheduled cap fault apply in, both views of the cap, the
-//!   traced `CapChange`, the `FaultInjected` breadcrumb with its
-//!   `arcs/faults/<kind>` counter, the timer spike, arming and draining
-//!   the stale read, failing a meter read. A backend keeps what only it
-//!   can know: how a cap is programmed (`Rapl::set_package_cap` against a
-//!   clamp), how a straggler stretches the invocation, what a stale read
-//!   answers.
+//!   traced `CapChange`, the `FaultInjected` breadcrumb, the timer
+//!   spike, arming and draining the stale read, failing a meter read. A
+//!   backend keeps what only it can know: how a cap is programmed
+//!   (`Rapl::set_package_cap` against a clamp), how a straggler stretches
+//!   the invocation, what a stale read answers.
 //!
 //! The contract that keeps one plan perturbing every backend identically:
 //!
@@ -34,7 +33,6 @@
 //!   so the fault wins when both land on one boundary.
 
 use crate::cap::{CapHandle, CapWatch};
-use arcs_metrics::MetricsRegistry;
 use arcs_powersim::{FaultPlan, InvocationFaults, MeasureError};
 use arcs_trace::{TraceEvent, TraceSink};
 use std::sync::Arc;
@@ -109,12 +107,11 @@ impl FaultClock {
 
 /// A backend's perturbable envelope — the power cap in both views, the
 /// watched [`CapHandle`], the attached plan's [`FaultClock`] — and the
-/// sink and registry its breadcrumbs go to. See the module docs for the
-/// split between this type and a backend's physics.
+/// sink its breadcrumbs go to. See the module docs for the split between
+/// this type and a backend's physics.
 #[derive(Default)]
 pub(crate) struct Perturbation {
     pub(crate) trace: Option<Arc<dyn TraceSink>>,
-    pub(crate) metrics: Option<Arc<MetricsRegistry>>,
     /// The cap as last requested, before the backend's clamp.
     requested_cap_w: f64,
     /// The cap the backend answered that request with.
@@ -245,7 +242,7 @@ impl Perturbation {
         }
     }
 
-    /// Emit the trace/metrics breadcrumbs for one injected fault.
+    /// Emit the trace breadcrumb for one injected fault.
     fn note_fault(&self, kind: &str, region: &str, magnitude: f64) {
         if let Some(sink) = self.trace.as_ref().filter(|s| s.enabled()) {
             sink.record(
@@ -256,9 +253,6 @@ impl Perturbation {
                     magnitude,
                 },
             );
-        }
-        if let Some(registry) = &self.metrics {
-            registry.counter(&format!("arcs/faults/{kind}")).inc();
         }
     }
 }

@@ -21,7 +21,6 @@ use crate::config::TunedConfig;
 use crate::faults::Perturbation;
 use crate::tuner::{RegionTuner, TunerOptions};
 use arcs_apex::{Apex, PolicyEventKind, PolicyTrigger};
-use arcs_metrics::MetricsRegistry;
 use arcs_omprt::{RegionId, RegionRecord, Runtime, Tool};
 use arcs_powersim::{FaultPlan, Machine, MeasureError, RegionModel};
 use arcs_trace::TraceSink;
@@ -140,7 +139,7 @@ pub struct LiveExecutor {
     /// mirroring the simulator's counter).
     invocations: HashMap<String, u64>,
     /// The cap (requested and clamped), the watched handle, the fault
-    /// plan, and the sink and registry — the same `Perturbation` the
+    /// plan, and the sink — the same `Perturbation` the
     /// simulator holds, so one plan perturbs both backends identically.
     perturb: Perturbation,
 }
@@ -181,13 +180,6 @@ impl LiveExecutor {
     /// like the executor's accounting).
     pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.perturb.trace = Some(sink);
-        self
-    }
-
-    /// Attach a metrics registry; the wrapped runtime's region/chunk
-    /// counters and the shared driver's counters resolve against it.
-    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        Backend::attach_metrics(&mut self, registry);
         self
     }
 
@@ -356,15 +348,6 @@ impl Backend for LiveExecutor {
 
     fn attach_trace(&mut self, sink: Arc<dyn TraceSink>) {
         self.perturb.trace = Some(sink);
-    }
-
-    fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.perturb.metrics.as_ref()
-    }
-
-    fn attach_metrics(&mut self, registry: Arc<MetricsRegistry>) {
-        self.rt.attach_metrics(&registry);
-        self.perturb.metrics = Some(registry);
     }
 }
 

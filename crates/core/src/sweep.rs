@@ -24,7 +24,6 @@ use crate::executor::SimExecutor;
 use crate::report::AppRunReport;
 use crate::tuner::{RegionTuner, TunerOptions};
 use arcs_harmony::History;
-use arcs_metrics::MetricsRegistry;
 use arcs_powersim::{CacheSnapshot, Machine, SharedSimCache, WorkloadDescriptor};
 use arcs_trace::{Objective, TraceSink};
 use parking_lot::Mutex;
@@ -175,14 +174,13 @@ pub struct SweepEngine {
     cache: Arc<SharedSimCache>,
     workers: usize,
     trace: Option<Arc<dyn TraceSink>>,
-    metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl SweepEngine {
     pub fn new(machine: Machine) -> Self {
         let cache = Arc::new(SharedSimCache::new(&machine.name));
         let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8);
-        SweepEngine { machine, cache, workers, trace: None, metrics: None }
+        SweepEngine { machine, cache, workers, trace: None }
     }
 
     /// Fix the worker-pool size (1 = serial, for determinism checks).
@@ -199,15 +197,6 @@ impl SweepEngine {
     pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.cache.attach_trace(Arc::clone(&sink));
         self.trace = Some(sink);
-        self
-    }
-
-    /// Aggregate every cell's counters into `registry`. Counters are
-    /// lossless under concurrency, so totals are identical at any worker
-    /// count (unlike a trace, there is no interleaving to worry about).
-    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.cache.attach_metrics(&registry);
-        self.metrics = Some(registry);
         self
     }
 
@@ -281,9 +270,6 @@ impl SweepEngine {
         }
         if let Some(sink) = &self.trace {
             exec = exec.with_trace(Arc::clone(sink));
-        }
-        if let Some(registry) = &self.metrics {
-            exec = exec.with_metrics(Arc::clone(registry));
         }
         exec
     }

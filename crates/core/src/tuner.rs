@@ -61,7 +61,6 @@ use crate::backend::RegionFeatures;
 use crate::config::{ConfigSpace, OmpConfig, TunedConfig};
 use crate::resilience::{median_and_mad, ResilienceOptions};
 use arcs_harmony::{History, Session, StrategyKind};
-use arcs_metrics::MetricsRegistry;
 use arcs_omprt::{Schedule, ScheduleKind};
 use arcs_powersim::{FxBuildHasher, Machine};
 use arcs_trace::{Objective, SearchCandidate, TraceEvent, TraceSink};
@@ -370,7 +369,6 @@ pub struct RegionTuner {
     /// Counters; [`RegionTuner::stats`] reads `regions` off the records.
     stats: TunerStats,
     trace: Option<Arc<dyn TraceSink>>,
-    metrics: Option<Arc<MetricsRegistry>>,
     /// Self-healing policy. The default disables every rung, so every
     /// measurement is accepted and reported as it arrives.
     resilience: ResilienceOptions,
@@ -393,7 +391,6 @@ impl RegionTuner {
             last_applied: None,
             stats: TunerStats::default(),
             trace: None,
-            metrics: None,
             resilience: ResilienceOptions::default(),
             degraded: false,
             fixed: false,
@@ -432,14 +429,6 @@ impl RegionTuner {
         self.trace = Some(sink);
     }
 
-    /// Count search evaluations per strategy on `registry`
-    /// (`harmony/evaluations/<strategy>`, cached replays included). Like
-    /// [`RegionTuner::set_trace`], only sessions created after the call
-    /// are counted — the run drivers attach before the first invocation.
-    pub fn set_metrics(&mut self, registry: Arc<MetricsRegistry>) {
-        self.metrics = Some(registry);
-    }
-
     /// Enable the self-healing ladder (outlier rejection, re-measurement,
     /// session restart, freezing) on every region encountered from now
     /// on. The run drivers call this before the first invocation.
@@ -451,8 +440,7 @@ impl RegionTuner {
     /// degradation: the measurement error budget is exhausted, so no
     /// further search decisions can be trusted). Idempotent. A fixed run's
     /// selector has nothing to freeze, so there it does nothing: no
-    /// `TunerDegraded`, no `core/degraded` — the run degrades through its
-    /// meter alone.
+    /// `TunerDegraded` — the run degrades through its meter alone.
     pub fn freeze_all(&mut self) {
         if self.degraded || self.fixed {
             return;
@@ -463,9 +451,6 @@ impl RegionTuner {
             if let Mode::Searching(_) = state.mode {
                 freeze_region(&self.options.space, &self.trace, &mut self.stats, state);
             }
-        }
-        if let Some(registry) = &self.metrics {
-            registry.counter("core/degraded").inc();
         }
     }
 
@@ -649,9 +634,6 @@ impl RegionTuner {
                         );
                     }
                 }
-                if let Some(registry) = &self.metrics {
-                    registry.counter("core/measurements_rejected").inc();
-                }
                 // Rungs 3–4: a rejection streak means the search is
                 // poisoned — restart it at its best-known point, and
                 // freeze the region once the restart budget is spent.
@@ -710,7 +692,7 @@ impl RegionTuner {
     /// The state `region` starts in, at its first `begin`.
     fn new_mode(&self, region: &str) -> Mode {
         let space = &self.options.space;
-        let (strategy, label) = match &self.options.mode {
+        let strategy = match &self.options.mode {
             // A frozen tuner makes no new search decisions: regions
             // first seen after degradation run the default configuration.
             _ if self.degraded => {
@@ -727,18 +709,12 @@ impl RegionTuner {
                     .unwrap_or(self.default_cfg);
                 return Mode::Pinned { config, tuned: true, ladder: None };
             }
-            TuningMode::OfflineTrain => (StrategyKind::exhaustive(), "exhaustive"),
-            TuningMode::Online => (StrategyKind::nelder_mead(), "nelder-mead"),
-            TuningMode::OnlinePro => (StrategyKind::parallel_rank_order(), "pro"),
-            TuningMode::OnlineRandom { seed, max_evals } => {
-                (StrategyKind::random(*seed, *max_evals), "random")
-            }
+            TuningMode::OfflineTrain => StrategyKind::exhaustive(),
+            TuningMode::Online => StrategyKind::nelder_mead(),
+            TuningMode::OnlinePro => StrategyKind::parallel_rank_order(),
+            TuningMode::OnlineRandom { seed, max_evals } => StrategyKind::random(*seed, *max_evals),
         };
         let mut session = Session::new(space.to_search_space(), strategy, space.default_point());
-        if let Some(registry) = &self.metrics {
-            session = session
-                .with_eval_counter(registry.counter(&format!("harmony/evaluations/{label}")));
-        }
         if let Some(sink) = &self.trace {
             if sink.enabled() {
                 let sink = Arc::clone(sink);
@@ -1055,24 +1031,6 @@ mod tests {
             last_evals = *evaluations;
             assert!(best_value <= value);
         }
-    }
-
-    #[test]
-    fn metrics_count_one_evaluation_per_search_step() {
-        use arcs_trace::VecSink;
-        use std::sync::Arc;
-
-        let registry = Arc::new(MetricsRegistry::new());
-        let sink = Arc::new(VecSink::new());
-        let mut tuner = RegionTuner::new(TunerOptions::online(space()));
-        tuner.set_trace(sink.clone());
-        tuner.set_metrics(Arc::clone(&registry));
-        drive(&mut tuner, "r", 40);
-        // Both channels fire once per strategy `tell` (cached replays
-        // included), so the counter must equal the SearchIteration count.
-        let evals = registry.snapshot().counter("harmony/evaluations/nelder-mead");
-        assert!(evals > 0);
-        assert_eq!(evals, sink.drain().len() as u64);
     }
 
     #[test]

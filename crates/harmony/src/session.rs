@@ -16,7 +16,6 @@ use crate::space::{Point, SearchSpace};
 use crate::strategies::{
     Exhaustive, NelderMead, ParallelRankOrder, RandomSearch, Search, SearchStep,
 };
-use arcs_metrics::Counter;
 use std::collections::HashMap;
 
 /// Callback invoked after every measurement the strategy processes —
@@ -78,7 +77,6 @@ pub struct Session {
     pending: Option<Point>,
     fallback: Point,
     observer: Option<SessionObserver>,
-    eval_counter: Option<Counter>,
     restarts: u32,
 }
 
@@ -106,7 +104,6 @@ impl Session {
             pending: None,
             fallback: start,
             observer: None,
-            eval_counter: None,
             restarts: 0,
         }
     }
@@ -132,15 +129,6 @@ impl Session {
         self.restarts
     }
 
-    /// Bump `counter` once per `tell` the strategy processes — real runs
-    /// *and* cached replays, matching [`Session::evaluations`]. Callers
-    /// typically resolve one counter per strategy kind (e.g.
-    /// `harmony/evaluations/nelder-mead`) from a metrics registry.
-    pub fn with_eval_counter(mut self, counter: Counter) -> Self {
-        self.eval_counter = Some(counter);
-        self
-    }
-
     /// Observe every measurement the strategy processes: the callback
     /// fires after each `tell` — including cached replays, which advance
     /// the search without a real region run — with the strategy's
@@ -148,15 +136,6 @@ impl Session {
     pub fn with_observer(mut self, observer: impl FnMut(&SearchStep<'_>) + Send + 'static) -> Self {
         self.observer = Some(Box::new(observer));
         self
-    }
-
-    /// Account and announce the measurement just processed for `point`
-    /// (counter first, then observer).
-    fn after_tell(&mut self, point: &Point, value: f64) {
-        if let Some(c) = &self.eval_counter {
-            c.inc();
-        }
-        self.notify(point, value);
     }
 
     /// Fire the observer for the measurement just processed for `point`.
@@ -195,7 +174,7 @@ impl Session {
                             // Known point: replay the cached measurement and
                             // let the strategy advance without a real run.
                             self.search.tell(v);
-                            self.after_tell(&p, v);
+                            self.notify(&p, v);
                             continue;
                         }
                     }
@@ -218,7 +197,7 @@ impl Session {
             cache.insert(self.space.rank(&p), value);
         }
         self.search.tell(value);
-        self.after_tell(&p, value);
+        self.notify(&p, value);
     }
 
     /// Is a measurement currently outstanding?
@@ -393,20 +372,6 @@ mod tests {
         assert!(real_runs <= s.evaluations());
         let (best_point, best_value) = last_best.lock().unwrap();
         assert_eq!(s.best().unwrap(), (best_point, best_value));
-    }
-
-    #[test]
-    fn eval_counter_counts_every_tell() {
-        let registry = arcs_metrics::MetricsRegistry::new();
-        let session = Session::new(space(), StrategyKind::nelder_mead(), vec![5, 0])
-            .with_eval_counter(registry.counter("harmony/evaluations/nelder-mead"));
-        let (s, real_runs) = drive(session, 1000);
-        assert!(s.converged());
-        let counted = registry.snapshot().counter("harmony/evaluations/nelder-mead");
-        assert_eq!(counted, s.evaluations() as u64);
-        // Cached replays are tells without runs, so the counter can exceed
-        // the number of real region invocations but never undercounts them.
-        assert!(counted >= real_runs as u64);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! ARCS observability substrate: a metrics aggregation registry and a
 //! trace analysis engine.
 //!
-//! The **registry** half ([`registry`]) gives every layer of the stack —
-//! the `omprt` thread pool, the `powersim` memo cache, the run driver,
-//! the `harmony` search — cheap named [`Counter`]s, [`Gauge`]s and
-//! log-bucketed [`Histogram`]s behind the same zero-cost-when-disabled
-//! discipline as the trace layer: a component holds an `Option` of
-//! resolved handles, so without an attached [`MetricsRegistry`] the hot
-//! path pays one branch and allocates nothing.
+//! The **registry** half ([`registry`]) holds cheap named [`Counter`]s,
+//! [`Gauge`]s and log-bucketed [`Histogram`]s for the power-budget
+//! service: the broker's `serve/*` series (kept by [`broker_fold`]), the
+//! thread pool's `serve/pool/*` gauges, and the journal's and trace
+//! sink's `arcs/{journal,trace}/write_errors` counters. It is what the
+//! `metrics` op scrapes. The tuning stack under the broker keeps no
+//! registry: a run reports through its trace alone.
 //!
 //! The **analysis** half ([`analysis`]) replays the JSONL traces the
 //! `arcs-trace` sinks write: `arcs-trace`'s own [`TraceReader`] streams
@@ -24,16 +24,6 @@
 //! power-budget broker's events, which keeps the `serve/*` series in a
 //! registry and reads out dashboard frames ([`TelemetrySnapshot`]) and
 //! the analyser's [`BrokerReport`]/[`RecoveryReport`] alike.
-//!
-//! What the stack records, by layer: `omprt/{regions,chunks,iterations,
-//! dynamic_chunks}` (pool and scheduler), `powersim/cache/{hits,misses,
-//! inserts}` (the memo, mirroring its own `stats()`),
-//! `harmony/evaluations/<strategy>` (one per `tell`, cached replays
-//! included), `core/{configs_switched,overhead_s,region_time_s}` and
-//! `core/phase/*_s` (the run driver), `arcs/faults/<kind>` and
-//! `core/degraded` (the fault path), and the broker's `serve/*` series
-//! ([`broker_fold`]). One `with_metrics` call on an executor or the
-//! sweep engine wires every layer of a run.
 
 pub mod analysis;
 pub mod broker_fold;

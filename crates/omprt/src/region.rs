@@ -10,13 +10,11 @@ use crate::ompt::ToolRegistry;
 use crate::pool::Pool;
 use crate::schedule::{static_chunks_for_thread, Dispenser, Schedule};
 use crate::stats::{RegionRecord, ThreadStats};
-use arcs_metrics::{Counter, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Stable identifier for a parallel region (the analogue of an OMPT
@@ -36,21 +34,6 @@ struct Icv {
     schedule: Schedule,
 }
 
-/// Handles the runtime bumps once per region join (cold path — never
-/// inside the worker loop). Resolved once at [`Runtime::attach_metrics`].
-struct RuntimeMetrics {
-    /// `omprt/regions`: parallel regions executed.
-    regions: Counter,
-    /// `omprt/chunks`: loop chunks executed across all schedules.
-    chunks: Counter,
-    /// `omprt/iterations`: loop iterations executed.
-    iterations: Counter,
-    /// `omprt/dynamic_chunks`: chunks handed out by the on-demand
-    /// dispenser (`dynamic`/`guided`), i.e. dispatches that paid the
-    /// shared-counter cost.
-    dynamic_chunks: Counter,
-}
-
 /// An OpenMP-like shared-memory runtime with tunable execution knobs.
 pub struct Runtime {
     pool: Pool,
@@ -58,7 +41,6 @@ pub struct Runtime {
     names: RwLock<Vec<String>>,
     by_name: Mutex<HashMap<String, RegionId>>,
     tools: ToolRegistry,
-    metrics: OnceLock<RuntimeMetrics>,
 }
 
 impl Runtime {
@@ -71,7 +53,6 @@ impl Runtime {
             names: RwLock::new(Vec::new()),
             by_name: Mutex::new(HashMap::new()),
             tools: ToolRegistry::new(),
-            metrics: OnceLock::new(),
         }
     }
 
@@ -103,22 +84,6 @@ impl Runtime {
     /// The OMPT-like tool chain; attach observers here.
     pub fn tools(&self) -> &ToolRegistry {
         &self.tools
-    }
-
-    /// Resolve the runtime's counters (`omprt/regions`, `omprt/chunks`,
-    /// `omprt/iterations`, `omprt/dynamic_chunks`) against `registry` and
-    /// start recording. Attach-once, like a trace sink: returns `false`
-    /// (and changes nothing) if metrics were already attached. Without
-    /// this call the per-region accounting is a single `OnceLock` load.
-    pub fn attach_metrics(&self, registry: &MetricsRegistry) -> bool {
-        self.metrics
-            .set(RuntimeMetrics {
-                regions: registry.counter("omprt/regions"),
-                chunks: registry.counter("omprt/chunks"),
-                iterations: registry.counter("omprt/iterations"),
-                dynamic_chunks: registry.counter("omprt/dynamic_chunks"),
-            })
-            .is_ok()
     }
 
     /// Intern a region name, returning its stable id. Repeated calls with
@@ -254,16 +219,6 @@ impl Runtime {
             duration: total,
             per_thread,
         };
-        // Once per join, after the team has parked — off the worker path.
-        if let Some(m) = self.metrics.get() {
-            let total_chunks = record.total_chunks();
-            m.regions.inc();
-            m.chunks.add(total_chunks);
-            m.iterations.add(len as u64);
-            if dispenser.is_some() {
-                m.dynamic_chunks.add(total_chunks);
-            }
-        }
         self.tools.emit_parallel_end(region, &record);
         record
     }
@@ -428,21 +383,16 @@ mod tests {
     #[test]
     fn metrics_count_regions_chunks_and_dispatches() {
         let rt = rt(4);
-        let registry = arcs_metrics::MetricsRegistry::new();
-        assert!(rt.attach_metrics(&registry));
-        assert!(!rt.attach_metrics(&registry), "metrics attach once");
         let region = rt.register_region("counted");
-        rt.set_schedule(Schedule::static_block());
-        rt.parallel_for(region, 0..100, |_| {});
-        rt.set_schedule(Schedule::dynamic(10));
-        rt.parallel_for(region, 0..100, |_| {});
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("omprt/regions"), 2);
-        assert_eq!(snap.counter("omprt/iterations"), 200);
-        // dynamic(10) over 100 iterations hands out exactly 10 chunks;
-        // static block on 4 threads adds 4 dispatch-free ones.
-        assert_eq!(snap.counter("omprt/dynamic_chunks"), 10);
-        assert_eq!(snap.counter("omprt/chunks"), 14);
+        // Static block on 4 threads runs one chunk per thread; dynamic(10)
+        // over 100 iterations hands out exactly 10.
+        for (schedule, chunks) in [(Schedule::static_block(), 4), (Schedule::dynamic(10), 10)] {
+            rt.set_schedule(schedule);
+            let rec = rt.parallel_for(region, 0..100, |_| {});
+            assert_eq!(rec.total_chunks(), chunks, "{schedule}");
+            assert_eq!(rec.iterations, 100);
+            assert_eq!(rec.per_thread.iter().map(|t| t.iterations).sum::<usize>(), 100);
+        }
     }
 
     #[test]

@@ -45,7 +45,6 @@
 
 use crate::exec::{SimConfig, SimReport};
 use crate::workload::{ImbalanceProfile, RegionModel, WeightTable};
-use arcs_metrics::{Counter, MetricsRegistry};
 use arcs_trace::{TraceEvent, TraceSink};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -325,19 +324,6 @@ pub struct SharedSimCache {
     /// Optional event sink; set once, read with one atomic load per
     /// lookup (the hot path stays branch-and-load when unset).
     trace: OnceLock<Arc<dyn TraceSink>>,
-    /// Optional registry counters, same set-once discipline as `trace`.
-    metrics: OnceLock<CacheMetrics>,
-}
-
-/// Counters mirrored into an attached [`MetricsRegistry`].
-struct CacheMetrics {
-    /// `powersim/cache/hits`.
-    hits: Counter,
-    /// `powersim/cache/misses`.
-    misses: Counter,
-    /// `powersim/cache/inserts`: entries that actually landed. A raced
-    /// compute neither inserts nor counts as a miss, so inserts == misses.
-    inserts: Counter,
 }
 
 impl SharedSimCache {
@@ -350,7 +336,6 @@ impl SharedSimCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             trace: OnceLock::new(),
-            metrics: OnceLock::new(),
         }
     }
 
@@ -415,19 +400,6 @@ impl SharedSimCache {
         self.trace.set(sink).is_ok()
     }
 
-    /// Resolve `powersim/cache/{hits,misses,inserts}` counters against
-    /// `registry` and mirror every lookup into them. Set-once like the
-    /// trace sink; returns `false` if metrics were already attached.
-    pub fn attach_metrics(&self, registry: &MetricsRegistry) -> bool {
-        self.metrics
-            .set(CacheMetrics {
-                hits: registry.counter("powersim/cache/hits"),
-                misses: registry.counter("powersim/cache/misses"),
-                inserts: registry.counter("powersim/cache/inserts"),
-            })
-            .is_ok()
-    }
-
     fn trace_lookup(&self, region: RegionId, hit: bool) {
         if let Some(sink) = self.trace.get() {
             if sink.enabled() {
@@ -446,26 +418,19 @@ impl SharedSimCache {
         }
     }
 
-    /// Count one hit on `region`: the counter, the `powersim/cache/hits`
-    /// metric and the `CacheHit` event. Lookups call it; so does an
-    /// executor that answers a repeat of the cell its region priced last
-    /// from its own copy of the report — the same counts as probing.
+    /// Count one hit on `region`: the counter and the `CacheHit` event.
+    /// Lookups call it; so does an executor that answers a repeat of the
+    /// cell its region priced last from its own copy of the report — the
+    /// same counts as probing.
     #[inline]
     pub fn note_hit(&self, region: RegionId) {
         self.hits.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.metrics.get() {
-            m.hits.inc();
-        }
         self.trace_lookup(region, true);
     }
 
     #[inline]
     fn note_miss(&self, region: RegionId) {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.metrics.get() {
-            m.misses.inc();
-            m.inserts.inc();
-        }
         self.trace_lookup(region, false);
     }
 
@@ -742,28 +707,6 @@ mod tests {
         assert_eq!(cache.interner().resolve(a).as_deref(), Some("sp/x_solve"));
         assert_eq!(cache.interner().resolve(RegionId(99)), None);
         assert_eq!(cache.interner().len(), 2);
-    }
-
-    #[test]
-    fn metrics_mirror_hits_misses_and_inserts() {
-        let m = Machine::crill();
-        let cache = SharedSimCache::new(&m.name);
-        let registry = MetricsRegistry::new();
-        assert!(cache.attach_metrics(&registry));
-        assert!(!cache.attach_metrics(&registry), "metrics attach once");
-
-        let r = region("a");
-        let cfg = SimConfig { threads: 8, schedule: Schedule::static_block() };
-        let mut reader = cache.reader();
-        for _ in 0..3 {
-            lookup(&cache, &mut reader, &m, &r, cfg, 85.0);
-        }
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("powersim/cache/hits"), 2);
-        assert_eq!(snap.counter("powersim/cache/misses"), 1);
-        assert_eq!(snap.counter("powersim/cache/inserts"), 1);
-        // Registry counters agree with the cache's own accounting.
-        assert_eq!(counters(&cache), (2, 1));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use arcs::prelude::*;
 use arcs_kernels::model;
+use arcs_metrics::{analyze, TraceReader};
 use arcs_trace::to_jsonl;
 use std::sync::Arc;
 
@@ -50,6 +51,11 @@ fn flaky_rapl_lulesh_self_heals_and_is_deterministic() {
     let count = |trace: &str, kind: &str| trace.matches(kind).count();
     assert!(count(&trace_a, "FaultInjected") >= 1);
     assert!(count(&trace_a, "MeasurementRejected") >= 1);
+    // The trace's fault ledger is the run's own: every rejection the
+    // tuner reports and every injected fault is one traced event.
+    let faults = analyze(TraceReader::new(trace_a.as_bytes())).expect("trace parses").faults;
+    assert_eq!(faults.rejected, rep.faults.rejected);
+    assert_eq!(faults.injected_total(), count(&trace_a, "FaultInjected") as u64);
 
     // Determinism contract: same seed ⇒ bit-identical fault schedule,
     // recovery decisions and trace bytes.

@@ -40,7 +40,6 @@ use arcs::LiveExecutor;
 use arcs::TuningMode;
 use arcs_harmony::History;
 use arcs_kernels::{model, Class};
-use arcs_metrics::MetricsRegistry;
 use arcs_omprt::{Runtime, Schedule};
 use arcs_powersim::{
     CapFault, ImbalanceProfile, MemoryProfile, RegionModel, StrideClass, WorkloadDescriptor,
@@ -238,15 +237,14 @@ fn outage_exhausts_the_budget_and_freezes() {
 
 /// The same outage under the default strategy: there is no search to
 /// freeze, so the run ends `Degraded` through the meter alone — no
-/// `TunerDegraded`, no `core/degraded` and `tuner: null` — traced and
+/// `TunerDegraded`, no frozen region and `tuner: null` — traced and
 /// untraced alike. Both pins were generated at `1185aac`, the last commit
 /// whose driver ran fixed runs without a `RegionTuner`.
 #[test]
 fn fixed_run_exhausts_the_budget_without_freezing() {
     let res = ResilienceOptions { error_budget: Some(4), ..ResilienceOptions::standard() };
     let run = |sink: Option<&Arc<VecSink>>| {
-        let registry = Arc::new(MetricsRegistry::new());
-        let mut exec = SimExecutor::new(Machine::crill(), 70.0).with_metrics(registry.clone());
+        let mut exec = SimExecutor::new(Machine::crill(), 70.0);
         let wl = sp(20);
         let mut runner =
             Runner::new(&mut exec).workload(&wl).faults(FaultPlan::rapl_outage(3)).resilience(res);
@@ -255,7 +253,7 @@ fn fixed_run_exhausts_the_budget_without_freezing() {
         }
         let rep = runner.run().unwrap();
         assert!(rep.status == RunStatus::Degraded && rep.tuner.is_none(), "{rep:?}");
-        assert!(registry.snapshot().get("core/degraded").is_none(), "nothing was frozen");
+        assert_eq!(rep.faults.frozen_regions, 0, "nothing was frozen");
         (rep, exec)
     };
     let sink = Arc::new(VecSink::new());

@@ -1,12 +1,11 @@
 //! Cross-crate contract of the arcs-metrics layer: the trace analysis
-//! engine rebuilds live OMPT profiles and the simulator's §III-C overhead
-//! accounting from JSONL alone, the metrics registry mirrors every layer's
-//! own counters, and — the zero-cost contract — runs without a registry
-//! attached are bit-identical to runs that never heard of metrics.
+//! engine rebuilds live OMPT profiles, the simulator's §III-C overhead
+//! accounting and every layer's own counters from JSONL alone, and a
+//! parallel sweep is bit-identical to the serial one.
 
 use arcs::prelude::*;
 use arcs_kernels::{model, Class};
-use arcs_metrics::{analyze, MetricsRegistry, TraceReader};
+use arcs_metrics::{analyze, TraceReader};
 use arcs_omprt::{RegionRecord, Runtime, TraceTool};
 use arcs_trace::{to_jsonl, VecSink};
 use std::collections::BTreeMap;
@@ -77,7 +76,9 @@ fn live_trace_rebuilds_the_ompt_profile() {
 
 /// A traced simulated tuned run round-trips through JSONL into an analysis
 /// whose overhead ledger matches the driver's own §III-C accounting — and
-/// the cross-check (wall = Σ region + Σ overhead) holds to rounding.
+/// the cross-check (wall = Σ region + Σ overhead) holds to rounding. The
+/// cache, switch and search counts the trace reports equal what the memo
+/// and the tuner count themselves.
 #[test]
 fn sim_trace_overhead_cross_check_matches_the_app_report() {
     let m = Machine::crill();
@@ -113,11 +114,20 @@ fn sim_trace_overhead_cross_check_matches_the_app_report() {
         assert!(curve.windows(2).all(|w| w[1].best_value <= w[0].best_value));
     }
     assert!(report.cache.lookups() > 0);
+
+    let cache = exec.shared_cache().stats();
+    assert_eq!((report.cache.hits, report.cache.misses), (cache.hits, cache.misses));
+    let switches: u64 = report.regions.values().map(|r| r.config_switches).sum();
+    assert_eq!(switches, tuner.stats().config_changes);
+    assert!(switches > 0);
+    for region in report.regions.keys() {
+        let steps = report.convergence.get(region).map_or(0, Vec::len);
+        assert_eq!(steps, tuner.evaluations(region), "{region}");
+    }
 }
 
-/// The zero-cost contract at sweep scale: a parallel sweep without a
-/// registry is bit-identical to the serial baseline, and attaching a
-/// registry changes observability only — every report stays the same.
+/// Determinism at sweep scale: a parallel sweep is bit-identical to the
+/// serial baseline, reports and Offline histories alike.
 #[test]
 fn metrics_registry_changes_no_numbers_on_the_sweep_path() {
     let m = Machine::crill();
@@ -128,110 +138,12 @@ fn metrics_registry_changes_no_numbers_on_the_sweep_path() {
         .with_noise(0.1, 9);
 
     let serial = SweepEngine::new(m.clone()).with_workers(1).run(&grid);
-    let plain = SweepEngine::new(m.clone()).run(&grid);
-    let registry = Arc::new(MetricsRegistry::new());
-    let metered = SweepEngine::new(m.clone()).with_metrics(Arc::clone(&registry)).run(&grid);
+    let parallel = SweepEngine::new(m.clone()).with_workers(2).run(&grid);
 
     assert_eq!(serial.cells.len(), 6);
-    for ((s, p), q) in serial.cells.iter().zip(&plain.cells).zip(&metered.cells) {
-        assert_eq!(
-            s.report,
-            p.report,
-            "{} @ {}W diverged without metrics",
-            s.strategy.label(),
-            s.cap_w
-        );
-        assert_eq!(
-            s.report,
-            q.report,
-            "{} @ {}W diverged under metrics",
-            s.strategy.label(),
-            s.cap_w
-        );
-        assert_eq!(s.history, q.history);
+    for (s, p) in serial.cells.iter().zip(&parallel.cells) {
+        assert_eq!(s.report, p.report, "{} @ {}W diverged", s.strategy.label(), s.cap_w);
+        assert_eq!(s.history, p.history);
     }
-    assert_eq!(serial.cache.misses, metered.cache.misses);
-
-    // The registry mirrored the cache's own accounting while changing it.
-    let snap = registry.snapshot();
-    assert_eq!(snap.counter("powersim/cache/hits"), metered.cache.hits);
-    assert_eq!(snap.counter("powersim/cache/misses"), metered.cache.misses);
-}
-
-/// One tuned simulated run populates every layer's metrics: cache traffic,
-/// per-strategy search evaluations, and the driver's switch/overhead/time
-/// series — each agreeing with the layer's own report of the same run.
-#[test]
-fn registry_covers_every_sim_layer_after_a_tuned_run() {
-    use arcs_metrics::MetricValue;
-    let m = Machine::crill();
-    let wl = tiny_sp();
-    let registry = Arc::new(MetricsRegistry::new());
-    let sink = Arc::new(VecSink::new());
-    let mut exec = SimExecutor::new(m.clone(), 80.0)
-        .with_metrics(Arc::clone(&registry))
-        .with_trace(sink.clone());
-    let mut tuner = RegionTuner::new(TunerOptions::online(ConfigSpace::for_machine(&m)));
-    let rep = Runner::new(&mut exec).workload(&wl).tuner(&mut tuner).run().unwrap();
-    let stats = tuner.stats();
-    let records = sink.drain();
-    let count = |kind: &str| records.iter().filter(|r| r.event.kind() == kind).count() as u64;
-
-    let snap = registry.snapshot();
-    let cache = exec.shared_cache().stats();
-    assert_eq!(snap.counter("powersim/cache/hits"), cache.hits);
-    assert_eq!(snap.counter("powersim/cache/misses"), cache.misses);
-    assert_eq!(snap.counter("harmony/evaluations/nelder-mead"), count("SearchIteration"));
-    assert!(snap.counter("harmony/evaluations/nelder-mead") > 0);
-    assert_eq!(snap.counter("core/configs_switched"), stats.config_changes);
-    match snap.get("core/overhead_s") {
-        Some(MetricValue::Gauge(total)) => {
-            let expect = rep.config_change_overhead_s + rep.instrumentation_overhead_s;
-            assert!((total - expect).abs() <= 1e-12 * expect.abs().max(1e-12));
-        }
-        other => panic!("core/overhead_s missing or mistyped: {other:?}"),
-    }
-    match snap.get("core/region_time_s") {
-        Some(MetricValue::Histogram(h)) => {
-            assert_eq!(h.count, 20); // 5 regions × 4 timesteps
-            assert!(h.p50 > 0.0 && h.p50 <= h.p99);
-        }
-        other => panic!("core/region_time_s missing or mistyped: {other:?}"),
-    }
-}
-
-/// The live backend wires the registry through to the omprt runtime: real
-/// fork/join counters land next to the shared driver's series.
-#[test]
-fn registry_covers_the_live_runtime() {
-    use arcs::LiveExecutor;
-    use arcs_powersim::{ImbalanceProfile, MemoryProfile, RegionModel, StrideClass};
-    let region = RegionModel {
-        name: "live/metered".into(),
-        iterations: 64,
-        cycles_per_iter: 50_000.0,
-        imbalance: ImbalanceProfile::Uniform,
-        memory: MemoryProfile {
-            footprint_bytes: 1e6,
-            accesses_per_iter: 10.0,
-            stride: StrideClass::Medium,
-            temporal_reuse: 0.5,
-            hot_bytes_per_thread: 4096.0,
-        },
-        serial_s: 0.0,
-        critical_s: 0.0,
-    };
-    let wl = WorkloadDescriptor { name: "live-metered".into(), step: vec![region], timesteps: 5 };
-    let rt = Arc::new(Runtime::new(4));
-    let registry = Arc::new(MetricsRegistry::new());
-    let mut exec = LiveExecutor::new(Arc::clone(&rt), Machine::crill(), 85.0)
-        .with_time_scale(1e-2)
-        .with_metrics(Arc::clone(&registry));
-    let rep = Runner::new(&mut exec).workload(&wl).run().unwrap();
-    assert_eq!(rep.per_region["live/metered"].invocations, 5);
-
-    let snap = registry.snapshot();
-    assert_eq!(snap.counter("omprt/regions"), 5);
-    assert_eq!(snap.counter("omprt/iterations"), 5 * 64);
-    assert!(snap.counter("omprt/chunks") >= 5);
+    assert_eq!(serial.cache.misses, parallel.cache.misses);
 }
