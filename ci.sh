@@ -13,6 +13,8 @@ cargo test --workspace -q
 # and meter paths and the string scanner (whose linear-time test times
 # it) are optimised only in release, which is the build that ships.
 cargo test --release -q -p arcs-powersim --test reference_oracle
+# The broker's allocation budget, counted in the build that ships.
+cargo test --release -q --test serve_allocations
 cargo test --release -q --test reference_driver
 cargo test --release -q -p serde_json
 cargo clippy --workspace --all-targets -- -D warnings
@@ -103,7 +105,7 @@ forbid "a second search space or label API" '/TunableSpace|mod tunable|_family\(
 # quantum memo (`quantum.rs`), which recalls a retraced quantum and builds
 # a job's executor and tuner at its first miss. No other non-test source
 # of the serve crate may build an executor or start a run.
-forbid "a quantum simulated outside the quantum memo" '/Runner::new|SimExecutor::new/' \
+forbid "a quantum simulated outside the quantum memo" '/Runner::new|SimExecutor::(new|on_cache)/' \
     crates/serve/src -not -path 'crates/serve/src/quantum.rs'
 
 # One setting per search: ARCS runs the stock strategies with fixed
@@ -157,6 +159,15 @@ if grep -l 'arcs-metrics' crates/{omprt,powersim,harmony}/Cargo.toml >&2; then
     echo "ci: the manifests above depend on arcs-metrics again" >&2
     exit 1
 fi
+
+# One spec parser, asked once per spec, and search state off the heap:
+# admission asks the quantum memo whether a workload resolves (the memo
+# parses each spec the first time), so the arbitration rules never build a
+# workload model; and the simplex methods hold relaxed coordinates inline
+# (`Coords`), so no search step allocates.
+forbid "admission parses a workload spec itself" '/by_spec/' crates/serve/src/arbitration.rs
+forbid "simplex coordinates on the heap" '/Vec<f64>/' \
+    crates/harmony/src/strategies/{nelder_mead,pro,simplex}.rs
 
 # Doc drift. Every backticked repository path in the three prose documents
 # names a file or directory that exists: a `<placeholder>` or `*` matches

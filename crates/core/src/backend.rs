@@ -60,7 +60,7 @@ use crate::config::OmpConfig;
 use crate::config::TunedConfig;
 use crate::report::{AppRunReport, FaultRecovery, RegionSummary, RunStatus};
 use crate::resilience::ResilienceOptions;
-use crate::tuner::{RegionTuner, TunerOptions, TuningMode};
+use crate::tuner::{RegionTuner, RunTables, TunerOptions, TuningMode};
 use arcs_harmony::History;
 use arcs_metrics::MetricsRegistry;
 use arcs_powersim::{
@@ -68,6 +68,7 @@ use arcs_powersim::{
     WorkloadDescriptor,
 };
 use arcs_trace::{Objective, TraceEvent, TraceSink};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -265,6 +266,9 @@ impl From<MeasureError> for RunError {
     }
 }
 
+/// A fixed run's per-region configuration map.
+type ConfigFor<'a> = Box<dyn Fn(&str) -> OmpConfig + 'a>;
+
 /// Builder unifying every run flavour over any [`Backend`].
 ///
 /// ```
@@ -286,13 +290,13 @@ pub struct Runner<'a, B: Backend> {
     /// fixed selector from `config_for` and `ladder`.
     tuner: Option<&'a mut RegionTuner>,
     /// Each region's configuration on a fixed run, as [`Runner::fixed`] or
-    /// [`Runner::adaptive`] set it; the paper's baseline unless set.
-    config_for: Box<dyn Fn(&str) -> OmpConfig + 'a>,
+    /// [`Runner::adaptive`] set it; the paper's baseline when `None`.
+    config_for: Option<ConfigFor<'a>>,
     /// Walk each region of a fixed run up the portfolio ladder.
     ladder: bool,
     /// What the report calls that strategy unless [`Runner::label`]
     /// overrides it.
-    strategy: String,
+    strategy: Cow<'a, str>,
     objective: Option<Objective>,
     trace: Option<Arc<dyn TraceSink>>,
     cache: Option<Arc<SharedSimCache>>,
@@ -305,14 +309,13 @@ pub struct Runner<'a, B: Backend> {
 
 impl<'a, B: Backend> Runner<'a, B> {
     pub fn new(backend: &'a mut B) -> Self {
-        let default_cfg = OmpConfig::default_for(backend.machine());
         Runner {
             backend,
             workload: None,
             tuner: None,
-            config_for: Box::new(move |_| default_cfg),
+            config_for: None,
             ladder: false,
-            strategy: "default".into(),
+            strategy: Cow::Borrowed("default"),
             objective: None,
             trace: None,
             cache: None,
@@ -342,9 +345,9 @@ impl<'a, B: Backend> Runner<'a, B> {
         label: impl Into<String>,
     ) -> Self {
         self.tuner = None;
-        self.config_for = Box::new(config_for);
+        self.config_for = Some(Box::new(config_for));
         self.ladder = false;
-        self.strategy = label.into();
+        self.strategy = Cow::Owned(label.into());
         self
     }
 
@@ -372,7 +375,7 @@ impl<'a, B: Backend> Runner<'a, B> {
     /// Offline-replay, depending on the tuner's mode), reported as `arcs`.
     pub fn tuner(mut self, tuner: &'a mut RegionTuner) -> Self {
         self.tuner = Some(tuner);
-        self.strategy = "arcs".into();
+        self.strategy = Cow::Borrowed("arcs");
         self
     }
 
@@ -463,7 +466,19 @@ impl<'a, B: Backend> Runner<'a, B> {
     }
 
     /// Execute the workload and assemble the report.
-    pub fn run(mut self) -> Result<AppRunReport, RunError> {
+    pub fn run(self) -> Result<AppRunReport, RunError> {
+        let mut report = AppRunReport::default();
+        self.run_into(&mut report)?;
+        Ok(report)
+    }
+
+    /// [`Runner::run`] into `report`, which it overwrites, reusing what
+    /// `report` already holds: its strings, and the per-region entries
+    /// when this run invokes the same regions. A caller that runs one
+    /// workload again and again (the broker runs a job quantum by
+    /// quantum) allocates nothing to report it. On an error `report` is
+    /// left as it was.
+    pub fn run_into(mut self, report: &mut AppRunReport) -> Result<(), RunError> {
         let wl = self.prepare()?;
         let mut fixed;
         let tuner = match self.tuner.take() {
@@ -471,13 +486,16 @@ impl<'a, B: Backend> Runner<'a, B> {
             None => {
                 let regions = wl.step.iter().map(|r| r.name.as_str());
                 let machine = self.backend.machine();
-                fixed = RegionTuner::fixed(machine, regions, &self.config_for, self.ladder);
+                let default_cfg = OmpConfig::default_for(machine);
+                let default_for = move |_: &str| default_cfg;
+                let config_for = self.config_for.as_deref().unwrap_or(&default_for);
+                fixed = RegionTuner::fixed(machine, regions, config_for, self.ladder);
                 &mut fixed
             }
         };
         wire_tuner(self.backend, tuner, self.objective, self.resilience);
         let label = self.label.as_deref().unwrap_or(&self.strategy);
-        drive(self.backend, wl, tuner, label, self.resilience, self.self_profile)
+        drive(self.backend, wl, tuner, label, self.resilience, self.self_profile, report)
     }
 
     /// ARCS-Offline training: repeat the application until every region's
@@ -500,12 +518,13 @@ impl<'a, B: Backend> Runner<'a, B> {
         let b = self.backend;
         let mut tuner = RegionTuner::new(options);
         wire_tuner(b, &mut tuner, self.objective, self.resilience);
+        let mut report = AppRunReport::default();
         // Bound the number of training executions; each pass offers
         // `timesteps` measurements per region against a 252-point space,
         // so a handful of passes suffices unless the run is very short.
         const PASSES: usize = 64;
         for _pass in 0..PASSES {
-            drive(b, wl, &mut tuner, "arcs-offline-train", self.resilience, false)?;
+            drive(b, wl, &mut tuner, "arcs-offline-train", self.resilience, false, &mut report)?;
             // A workload that invokes no region has nothing to train.
             if tuner.converged() || tuner.stats().regions == 0 {
                 return Ok(tuner.export_history(context));
@@ -615,7 +634,7 @@ impl Meter {
 /// Per-region tables are indexed by the tuner's slot, not by region name:
 /// each step position resolves to its slot once per run, at its first
 /// `begin`, and the executor finds its own slot from the order of its
-/// calls (DESIGN.md §3.2).
+/// calls (DESIGN.md §3.2). The run's report is written into `report`.
 fn drive<B: Backend>(
     b: &mut B,
     wl: &WorkloadDescriptor,
@@ -623,10 +642,15 @@ fn drive<B: Backend>(
     strategy: &str,
     res: Option<ResilienceOptions>,
     self_profile: bool,
-) -> Result<AppRunReport, RunError> {
-    let mut acc = Accum::new(b, wl, strategy, tuner.objective(), self_profile);
+    report: &mut AppRunReport,
+) -> Result<(), RunError> {
+    let mut tables = std::mem::take(&mut tuner.run_tables);
+    tables.slots.clear();
+    tables.slots.resize(wl.step.len(), None);
+    tables.per_region.clear();
+    let RunTables { slots, per_region } = &mut tables;
+    let mut acc = Accum::new(b, wl, strategy, tuner.objective(), self_profile, per_region);
     let mut meter = Meter::new(res);
-    let mut slots = vec![None; wl.step.len()];
     for _ts in 0..wl.timesteps {
         for (pos, region) in wl.step.iter().enumerate() {
             let slot = *slots[pos].get_or_insert_with(|| acc.track(tuner.resolve(&region.name)));
@@ -712,7 +736,9 @@ fn drive<B: Backend>(
             }
         }
     }
-    acc.finish(b, tuner, &mut meter)
+    acc.finish(b, tuner, &mut meter, report)?;
+    tuner.run_tables = tables;
+    Ok(())
 }
 
 /// Which driver phase a wall-clock span belongs to.
@@ -753,16 +779,16 @@ impl Spans {
 
 /// Shared accumulation for all run flavours: the ONE place overheads,
 /// per-region aggregates, trace emission and report assembly live.
-struct Accum {
-    app: String,
-    strategy: String,
+struct Accum<'w> {
+    app: &'w str,
+    strategy: &'w str,
     objective: Objective,
     time_s: f64,
     config_overhead_s: f64,
     instr_overhead_s: f64,
     /// One summary per tuner slot, named and sorted into the report's
     /// `BTreeMap` once, at `finish`.
-    per_region: Vec<RegionSummary>,
+    per_region: &'w mut Vec<RegionSummary>,
     /// Present only when the backend carries an *enabled* sink, so the
     /// untraced and `NullSink` paths skip all event construction.
     sink: Option<Arc<dyn TraceSink>>,
@@ -771,13 +797,14 @@ struct Accum {
     spans: Option<Spans>,
 }
 
-impl Accum {
+impl<'w> Accum<'w> {
     fn new<B: Backend>(
         b: &mut B,
-        wl: &WorkloadDescriptor,
-        strategy: &str,
+        wl: &'w WorkloadDescriptor,
+        strategy: &'w str,
         objective: Objective,
         self_profile: bool,
+        per_region: &'w mut Vec<RegionSummary>,
     ) -> Self {
         b.begin_run();
         let sink = b.trace().filter(|s| s.enabled()).map(Arc::clone);
@@ -792,13 +819,13 @@ impl Accum {
             );
         }
         Accum {
-            app: wl.name.clone(),
-            strategy: strategy.to_string(),
+            app: &wl.name,
+            strategy,
             objective,
             time_s: 0.0,
             config_overhead_s: 0.0,
             instr_overhead_s: 0.0,
-            per_region: Vec::new(),
+            per_region,
             sink,
             spans,
         }
@@ -879,14 +906,15 @@ impl Accum {
         b: &mut B,
         tuner: &RegionTuner,
         meter: &mut Meter,
-    ) -> Result<AppRunReport, RunError> {
+        report: &mut AppRunReport,
+    ) -> Result<(), RunError> {
         let energy_j = meter.read(b)?;
         if let (Some(spans), Some(sink)) = (&self.spans, &self.sink) {
             let invocations = self.per_region.iter().map(|r| r.invocations).sum();
             sink.record(
                 None,
                 TraceEvent::DriverPhases {
-                    workload: self.app.clone(),
+                    workload: self.app.to_string(),
                     invocations,
                     tune_s: spans.tune_s,
                     measure_s: spans.measure_s,
@@ -904,28 +932,41 @@ impl Accum {
             restarts: tuner_stats.map_or(0, |s| s.restarts),
             frozen_regions: tuner_stats.map_or(0, |s| s.frozen_regions),
         };
-        Ok(AppRunReport {
-            app: self.app,
-            machine: b.machine().name.clone(),
-            power_cap_w: b.power_cap_w(),
-            strategy: self.strategy,
-            objective: self.objective,
-            time_s: self.time_s,
-            energy_j,
-            config_change_overhead_s: self.config_overhead_s,
-            instrumentation_overhead_s: self.instr_overhead_s,
-            // Regions never invoked (a zero-timestep run) stay out.
-            per_region: self
-                .per_region
-                .into_iter()
-                .enumerate()
-                .filter(|(_, r)| r.invocations > 0)
-                .map(|(slot, r)| (tuner.name(slot).to_owned(), r))
-                .collect(),
-            tuner: tuner_stats,
-            status: if degraded { RunStatus::Degraded } else { RunStatus::Ok },
-            faults,
-        })
+        let overwrite = |field: &mut String, value: &str| {
+            field.clear();
+            field.push_str(value);
+        };
+        overwrite(&mut report.app, self.app);
+        overwrite(&mut report.machine, &b.machine().name);
+        report.power_cap_w = b.power_cap_w();
+        overwrite(&mut report.strategy, self.strategy);
+        report.objective = self.objective;
+        report.time_s = self.time_s;
+        report.energy_j = energy_j;
+        report.config_change_overhead_s = self.config_overhead_s;
+        report.instrumentation_overhead_s = self.instr_overhead_s;
+        // Regions never invoked (a zero-timestep run) stay out. A report
+        // that holds exactly this run's regions keeps its entries and
+        // their names; any other starts over.
+        let invoked = || self.per_region.iter().enumerate().filter(|(_, r)| r.invocations > 0);
+        let per_region = &mut report.per_region;
+        if per_region.len() != invoked().count()
+            || invoked().any(|(slot, _)| !per_region.contains_key(tuner.name(slot)))
+        {
+            per_region.clear();
+        }
+        for (slot, r) in invoked() {
+            match per_region.get_mut(tuner.name(slot)) {
+                Some(entry) => *entry = r.clone(),
+                None => {
+                    per_region.insert(tuner.name(slot).to_owned(), r.clone());
+                }
+            }
+        }
+        report.tuner = tuner_stats;
+        report.status = if degraded { RunStatus::Degraded } else { RunStatus::Ok };
+        report.faults = faults;
+        Ok(())
     }
 }
 

@@ -51,7 +51,8 @@ use std::sync::Arc;
 /// (resolved on the first miss), the invocation ordinal feeding the noise
 /// model, and the last cell the region priced.
 struct RegionSlot {
-    name: String,
+    /// Shared with the slot's key in `by_name`.
+    name: Arc<str>,
     id: RegionId,
     table: Option<Arc<WeightTable>>,
     invocations: u64,
@@ -125,13 +126,17 @@ pub struct SimExecutor {
     /// repeated training passes see fresh noise.
     slots: Vec<RegionSlot>,
     /// Region name → slot: the cold path, once per name per cache bind.
-    by_name: HashMap<String, usize, FxBuildHasher>,
+    by_name: HashMap<Arc<str>, usize, FxBuildHasher>,
     /// This run's call positions: the address of each `RegionModel`
     /// [`Backend::run_region`] was handed, and its slot. The driver walks
     /// the workload's step in order, timestep after timestep, so a warm
-    /// call is found at `cursor` (or at position 0 once a timestep wraps).
+    /// call is found at `cursor` (or at position 0 once a timestep wraps),
+    /// and until the first timestep wraps each call is a new position.
     positions: Vec<(usize, usize)>,
     cursor: usize,
+    /// Has a call of this run come back to a registered position? Until
+    /// one has, a call past the last position appends without a scan.
+    revisited: bool,
     /// The cap (requested and RAPL-clamped), the watched handle, the
     /// fault plan, and the sink — shared with the live path.
     perturb: Perturbation,
@@ -178,9 +183,17 @@ impl NoiseModel {
 
 impl SimExecutor {
     pub fn new(machine: Machine, cap_w: f64) -> Self {
+        let cache = Arc::new(SharedSimCache::new(&machine.name));
+        Self::on_cache(machine, cap_w, cache)
+    }
+
+    /// [`SimExecutor::new`] on a memo cache shared with other executors:
+    /// [`SimExecutor::with_shared_cache`] without building a private cache
+    /// first. Panics on a cache of another machine model, as that does.
+    pub fn on_cache(machine: Machine, cap_w: f64, cache: Arc<SharedSimCache>) -> Self {
+        cache.check_machine(&machine.name).unwrap_or_else(|e| panic!("{e}"));
         let mut rapl = Rapl::new(&machine);
         let perturb = Perturbation::new(cap_w, rapl.set_package_cap(cap_w));
-        let cache = Arc::new(SharedSimCache::new(&machine.name));
         SimExecutor {
             machine,
             rapl,
@@ -194,6 +207,7 @@ impl SimExecutor {
             by_name: HashMap::default(),
             positions: Vec::new(),
             cursor: 0,
+            revisited: false,
             perturb,
         }
     }
@@ -251,6 +265,8 @@ impl SimExecutor {
         self.slots.clear();
         self.by_name.clear();
         self.positions.clear();
+        self.cursor = 0;
+        self.revisited = false;
         self.cache = cache;
         Ok(())
     }
@@ -289,14 +305,15 @@ impl SimExecutor {
         }
         let id = self.cache.intern(name);
         let slot = self.slots.len();
+        let name: Arc<str> = Arc::from(name);
         self.slots.push(RegionSlot {
-            name: name.to_string(),
+            name: Arc::clone(&name),
             id,
             table: None,
             invocations: 0,
             last: None,
         });
-        self.by_name.insert(name.to_string(), slot);
+        self.by_name.insert(name, slot);
         slot
     }
 
@@ -304,21 +321,29 @@ impl SimExecutor {
     /// comparison when the call is at the position after the previous
     /// call's, the name map otherwise (once per position per run). The
     /// name is checked too, so a `RegionModel` that reuses a freed one's
-    /// address is never mistaken for it.
+    /// address is never mistaken for it. A run's first timestep appends
+    /// each position without scanning the ones before it; a call out of
+    /// that order, or after the first wrap, scans.
     fn slot_at(&mut self, region: &RegionModel) -> usize {
         let addr = region as *const RegionModel as usize;
-        let is = |&(a, slot): &(usize, usize)| a == addr && self.slots[slot].name == region.name;
-        let at = if self.cursor < self.positions.len() { self.cursor } else { 0 };
-        let at = match self.positions.get(at) {
-            Some(p) if is(p) => at,
-            _ => match self.positions.iter().position(is) {
-                Some(at) => at,
-                None => {
-                    let slot = self.slot(&region.name);
-                    self.positions.push((addr, slot));
-                    self.positions.len() - 1
-                }
-            },
+        let is = |&(a, slot): &(usize, usize)| a == addr && *self.slots[slot].name == *region.name;
+        let at_end = self.cursor >= self.positions.len();
+        let at = if at_end { 0 } else { self.cursor };
+        let found = match self.positions.get(at) {
+            Some(p) if is(p) => Some(at),
+            _ if at_end && !self.revisited => None,
+            _ => self.positions.iter().position(is),
+        };
+        let at = match found {
+            Some(at) => {
+                self.revisited = true;
+                at
+            }
+            None => {
+                let slot = self.slot(&region.name);
+                self.positions.push((addr, slot));
+                self.positions.len() - 1
+            }
         };
         self.cursor = at + 1;
         self.positions[at].1
@@ -411,6 +436,8 @@ impl Backend for SimExecutor {
         self.resample = false;
         self.perturb.begin_run();
         self.positions.clear();
+        self.cursor = 0;
+        self.revisited = false;
     }
 
     fn charge_overhead(&mut self, dt_s: f64) {

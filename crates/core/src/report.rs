@@ -97,7 +97,7 @@ impl RegionSummary {
 }
 
 /// Whole-application run report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct AppRunReport {
     pub app: String,
     pub machine: String,

@@ -59,14 +59,15 @@
 
 use crate::backend::RegionFeatures;
 use crate::config::{ConfigSpace, OmpConfig, TunedConfig};
+use crate::report::RegionSummary;
 use crate::resilience::{median_and_mad, ResilienceOptions};
-use arcs_harmony::{History, Session, StrategyKind};
+use arcs_harmony::{History, SearchSpace, Session, StrategyKind};
 use arcs_omprt::{Schedule, ScheduleKind};
 use arcs_powersim::{FxBuildHasher, Machine};
 use arcs_trace::{Objective, SearchCandidate, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 /// Accepted scores a region must hold before MAD rejection can fire —
 /// below this the median/MAD are too unstable to call anything an
@@ -179,7 +180,8 @@ pub struct TunerStats {
 
 /// One region of the run, found by its slot.
 struct RegionState {
-    name: String,
+    /// Shared with the region's key in `slots`.
+    name: Arc<str>,
     invocations: u64,
     total_time_s: f64,
     mode: Mode,
@@ -230,7 +232,7 @@ struct Search {
     awaiting: bool,
     /// Window of accepted scores (resilience only): what the MAD
     /// outlier test compares a new measurement against.
-    accepted: VecDeque<f64>,
+    accepted: Accepted,
     /// The score the last rejection discarded: a re-measurement that
     /// reproduces it is accepted (consistent means real).
     last_rejected: Option<f64>,
@@ -239,13 +241,37 @@ struct Search {
     rejections_since_restart: u32,
 }
 
+/// The last [`OUTLIER_WINDOW`] accepted scores, inline: a new score
+/// overwrites the oldest. Their order is not kept, since the outlier test
+/// sorts them.
+#[derive(Default)]
+struct Accepted {
+    scores: [f64; OUTLIER_WINDOW],
+    pushed: usize,
+}
+
+impl Accepted {
+    fn push(&mut self, score: f64) {
+        self.scores[self.pushed % OUTLIER_WINDOW] = score;
+        self.pushed += 1;
+    }
+
+    fn scores(&self) -> &[f64] {
+        &self.scores[..self.pushed.min(OUTLIER_WINDOW)]
+    }
+
+    fn len(&self) -> usize {
+        self.scores().len()
+    }
+}
+
 impl Search {
     fn new(session: Session) -> Self {
         Search {
             session,
             settled: None,
             awaiting: false,
-            accepted: VecDeque::new(),
+            accepted: Accepted::default(),
             last_rejected: None,
             rejections_since_restart: 0,
         }
@@ -336,7 +362,7 @@ fn freeze_region(
             sink.record(
                 None,
                 TraceEvent::TunerDegraded {
-                    region: state.name.clone(),
+                    region: state.name.to_string(),
                     threads: cfg.omp.threads,
                     schedule: cfg.omp.schedule.to_string(),
                 },
@@ -351,12 +377,15 @@ pub struct RegionTuner {
     /// Decoded once at construction: `begin` needs it on every invocation
     /// and the space never changes after the tuner is built.
     default_cfg: TunedConfig,
+    /// The index grid of `options.space`, built at the first session:
+    /// every region's session shares it.
+    search_space: OnceLock<SearchSpace>,
     /// Per-region state, one slot per region, made at its first `begin`.
     regions: Vec<RegionState>,
     /// Region name → slot. Its iteration order is the order
     /// `freeze_all`, `best_tuned_configs` and `export_history` visit
     /// regions in.
-    slots: HashMap<String, usize, FxBuildHasher>,
+    slots: HashMap<Arc<str>, usize, FxBuildHasher>,
     /// Reused by the outlier test, so a searching invocation allocates
     /// nothing to take the window's median and MAD.
     window: Vec<f64>,
@@ -377,12 +406,24 @@ pub struct RegionTuner {
     degraded: bool,
     /// Built by [`RegionTuner::fixed`]: every region pinned and untuned.
     fixed: bool,
+    /// The run driver's per-run tables, kept between runs.
+    pub(crate) run_tables: RunTables,
+}
+
+/// What the run driver indexes per run: each step position's slot, and
+/// each slot's summary. The tuner keeps them between runs, so a tuner that
+/// drives one workload run after run (the broker's quanta) reuses them.
+#[derive(Default)]
+pub(crate) struct RunTables {
+    pub(crate) slots: Vec<Option<usize>>,
+    pub(crate) per_region: Vec<RegionSummary>,
 }
 
 impl RegionTuner {
     pub fn new(options: TunerOptions) -> Self {
         let default_cfg = options.space.decode(&options.space.default_point());
         RegionTuner {
+            search_space: OnceLock::new(),
             options,
             default_cfg,
             regions: Vec::new(),
@@ -394,6 +435,7 @@ impl RegionTuner {
             resilience: ResilienceOptions::default(),
             degraded: false,
             fixed: false,
+            run_tables: RunTables::default(),
         }
     }
 
@@ -525,13 +567,14 @@ impl RegionTuner {
         }
         let mode = mode(self);
         let slot = self.regions.len();
+        let name: Arc<str> = Arc::from(region);
         self.regions.push(RegionState {
-            name: region.to_owned(),
+            name: Arc::clone(&name),
             invocations: 0,
             total_time_s: 0.0,
             mode,
         });
-        self.slots.insert(region.to_owned(), slot);
+        self.slots.insert(name, slot);
         slot
     }
 
@@ -610,7 +653,7 @@ impl RegionTuner {
         // glitched.
         if res.mad_threshold > 0.0 && search.accepted.len() >= MIN_WINDOW_FOR_REJECTION {
             self.window.clear();
-            self.window.extend(search.accepted.iter().copied());
+            self.window.extend_from_slice(search.accepted.scores());
             let (median, mad) = median_and_mad(&mut self.window);
             let spread = (res.mad_threshold * mad).max(1e-3 * median.abs());
             let deviant = (score - median).abs() > spread;
@@ -626,7 +669,7 @@ impl RegionTuner {
                         sink.record(
                             None,
                             TraceEvent::MeasurementRejected {
-                                region: state.name.clone(),
+                                region: state.name.to_string(),
                                 value: score,
                                 median,
                                 mad,
@@ -654,10 +697,7 @@ impl RegionTuner {
         }
 
         search.last_rejected = None;
-        if search.accepted.len() >= OUTLIER_WINDOW {
-            search.accepted.pop_front();
-        }
-        search.accepted.push_back(score);
+        search.accepted.push(score);
         search.session.report(score);
     }
 
@@ -679,7 +719,7 @@ impl RegionTuner {
             sink.record(
                 Some(t_s),
                 TraceEvent::PolicySwitched {
-                    region: state.name.clone(),
+                    region: state.name.to_string(),
                     from: policy(from),
                     to: policy(ladder.arm),
                     invocation: state.invocations,
@@ -714,7 +754,8 @@ impl RegionTuner {
             TuningMode::OnlinePro => StrategyKind::parallel_rank_order(),
             TuningMode::OnlineRandom { seed, max_evals } => StrategyKind::random(*seed, *max_evals),
         };
-        let mut session = Session::new(space.to_search_space(), strategy, space.default_point());
+        let search_space = self.search_space.get_or_init(|| space.to_search_space());
+        let mut session = Session::new(search_space.clone(), strategy, space.default_point());
         if let Some(sink) = &self.trace {
             if sink.enabled() {
                 let sink = Arc::clone(sink);
@@ -772,7 +813,7 @@ impl RegionTuner {
 
     /// Best configuration found (or pinned) per region, across every knob.
     pub fn best_tuned_configs(&self) -> HashMap<String, TunedConfig> {
-        self.states().map(|st| (st.name.clone(), st.best(&self.options.space))).collect()
+        self.states().map(|st| (st.name.to_string(), st.best(&self.options.space))).collect()
     }
 
     /// Best OpenMP triple found (or pinned) per region — the paper's view
@@ -793,10 +834,12 @@ impl RegionTuner {
                 Mode::Searching(search) => {
                     if let Some((point, value)) = search.session.best() {
                         let config = self.options.space.decode(&point).omp;
-                        h.insert(st.name.clone(), config, value, search.session.evaluations());
+                        h.insert(st.name.to_string(), config, value, search.session.evaluations());
                     }
                 }
-                Mode::Pinned { config, .. } => h.insert(st.name.clone(), config.omp, f64::NAN, 0),
+                Mode::Pinned { config, .. } => {
+                    h.insert(st.name.to_string(), config.omp, f64::NAN, 0)
+                }
             }
         }
         h

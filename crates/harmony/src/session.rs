@@ -16,7 +16,6 @@ use crate::space::{Point, SearchSpace};
 use crate::strategies::{
     Exhaustive, NelderMead, ParallelRankOrder, RandomSearch, Search, SearchStep,
 };
-use std::collections::HashMap;
 
 /// Callback invoked after every measurement the strategy processes —
 /// real runs *and* cached replays — with a [`SearchStep`] snapshot.
@@ -73,7 +72,8 @@ pub struct Session {
     search: Box<dyn Search>,
     /// Kept so [`Session::restart`] can rebuild the strategy.
     strategy: StrategyKind,
-    cache: Option<HashMap<usize, f64>>,
+    /// Measured values by grid rank, one slot per point of the space.
+    cache: Option<Vec<Option<f64>>>,
     pending: Option<Point>,
     fallback: Point,
     observer: Option<SessionObserver>,
@@ -94,7 +94,7 @@ impl Session {
         // that restarted it.
         let cache = match strategy {
             StrategyKind::Exhaustive => None,
-            _ => Some(HashMap::new()),
+            _ => Some(vec![None; space.size()]),
         };
         Session {
             space,
@@ -170,7 +170,7 @@ impl Session {
                 None => return self.best_point(),
                 Some(p) => {
                     if let Some(cache) = &self.cache {
-                        if let Some(&v) = cache.get(&self.space.rank(&p)) {
+                        if let Some(v) = cache[self.space.rank(&p)] {
                             // Known point: replay the cached measurement and
                             // let the strategy advance without a real run.
                             self.search.tell(v);
@@ -194,7 +194,7 @@ impl Session {
             return;
         };
         if let Some(cache) = &mut self.cache {
-            cache.insert(self.space.rank(&p), value);
+            cache[self.space.rank(&p)] = Some(value);
         }
         self.search.tell(value);
         self.notify(&p, value);

@@ -8,9 +8,15 @@
 //! grid point, which is exactly how Active Harmony handles enumerated
 //! domains. The mapping from indices back to meaningful values (thread
 //! counts, schedules, chunks) lives with the caller.
+//!
+//! Search state allocates nothing per step: a [`Point`] and a relaxed
+//! [`Coords`] are both inline and `Copy`, and cloning a [`SearchSpace`]
+//! shares its parameter list, so a tuner builds its space once and every
+//! session and strategy holds that one.
 
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// One tunable parameter: a name and the number of admissible levels.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -90,17 +96,69 @@ impl Deserialize for Point {
     }
 }
 
-/// The Cartesian product of parameter domains.
+/// A point of the relaxed index space: one real coordinate per
+/// parameter, in `[0, levels-1]`, as Nelder–Mead and PRO move it before
+/// rounding to a [`Point`].
+///
+/// Held inline and `Copy` like `Point` (at most [`MAX_DIM`] coordinates),
+/// so vertices, centroids and proposals allocate nothing. It reads as a
+/// `[f64]` slice and prints like one.
+#[derive(Clone, Copy, Default, PartialEq)]
+pub struct Coords {
+    len: usize,
+    x: [f64; MAX_DIM],
+}
+
+impl Coords {
+    /// `len` zeros.
+    pub fn zeros(len: usize) -> Self {
+        assert!(len <= MAX_DIM, "at most {MAX_DIM} coordinates");
+        Coords { len, x: [0.0; MAX_DIM] }
+    }
+}
+
+impl std::ops::Deref for Coords {
+    type Target = [f64];
+    fn deref(&self) -> &[f64] {
+        &self.x[..self.len]
+    }
+}
+
+impl std::ops::DerefMut for Coords {
+    fn deref_mut(&mut self) -> &mut [f64] {
+        &mut self.x[..self.len]
+    }
+}
+
+impl FromIterator<f64> for Coords {
+    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
+        let mut c = Coords::default();
+        for v in iter {
+            c.x[c.len] = v; // panics past MAX_DIM coordinates
+            c.len += 1;
+        }
+        c
+    }
+}
+
+impl fmt::Debug for Coords {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self[..].fmt(f)
+    }
+}
+
+/// The Cartesian product of parameter domains. A clone shares the
+/// parameter list.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SearchSpace {
-    params: Vec<Param>,
+    params: Arc<Vec<Param>>,
 }
 
 impl SearchSpace {
     pub fn new(params: Vec<Param>) -> Self {
         assert!(!params.is_empty(), "search space needs at least one parameter");
         assert!(params.len() <= MAX_DIM, "a search space has at most {MAX_DIM} parameters");
-        SearchSpace { params }
+        SearchSpace { params: Arc::new(params) }
     }
 
     pub fn params(&self) -> &[Param] {
@@ -118,7 +176,8 @@ impl SearchSpace {
 
     /// Is `point` inside the grid?
     pub fn contains(&self, point: &[usize]) -> bool {
-        point.len() == self.dim() && point.iter().zip(&self.params).all(|(&i, p)| i < p.levels)
+        point.len() == self.dim()
+            && point.iter().zip(self.params.iter()).all(|(&i, p)| i < p.levels)
     }
 
     /// Decode a flat rank in `[0, size)` into a point (row-major order:
@@ -153,7 +212,7 @@ impl SearchSpace {
     pub fn round(&self, x: &[f64]) -> Point {
         debug_assert_eq!(x.len(), self.dim());
         x.iter()
-            .zip(&self.params)
+            .zip(self.params.iter())
             .map(|(&v, p)| {
                 let hi = (p.levels - 1) as f64;
                 (v.clamp(0.0, hi) + 0.5).floor() as usize
@@ -163,13 +222,13 @@ impl SearchSpace {
 
     /// Clamp a continuous vector into the relaxed domain `[0, levels-1]^d`.
     pub fn clamp(&self, x: &mut [f64]) {
-        for (v, p) in x.iter_mut().zip(&self.params) {
+        for (v, p) in x.iter_mut().zip(self.params.iter()) {
             *v = v.clamp(0.0, (p.levels - 1) as f64);
         }
     }
 
     /// The continuous-domain upper bound per dimension.
-    pub fn upper(&self) -> Vec<f64> {
+    pub fn upper(&self) -> Coords {
         self.params.iter().map(|p| (p.levels - 1) as f64).collect()
     }
 }

@@ -11,9 +11,9 @@
 //! single point the classic algorithm would evaluate next, and `tell`
 //! advances the simplex.
 
-use super::simplex::{self, Tally, Vertex};
+use super::simplex::{self, Simplex, Tally, Vertex};
 use super::Search;
-use crate::space::{Point, SearchSpace};
+use crate::space::{Coords, Point, SearchSpace};
 
 /// Reflection coefficient (α > 0).
 const ALPHA: f64 = 1.0;
@@ -41,14 +41,14 @@ enum Role {
     /// Filling the initial simplex, vertex index.
     Init(usize),
     Reflect {
-        centroid: Vec<f64>,
+        centroid: Coords,
     },
     Expand {
-        xr: Vec<f64>,
+        xr: Coords,
         fr: f64,
     },
     ContractOutside {
-        xr: Vec<f64>,
+        xr: Coords,
         fr: f64,
     },
     ContractInside,
@@ -57,14 +57,14 @@ enum Role {
 }
 
 struct Pending {
-    x: Vec<f64>,
+    x: Coords,
     role: Role,
 }
 
 pub struct NelderMead {
     space: SearchSpace,
-    simplex: Vec<Vertex>,
-    proto: Vec<Vec<f64>>,
+    simplex: Simplex<Vertex>,
+    proto: Simplex<Coords>,
     pending: Option<Pending>,
     init_next: usize,
     tally: Tally,
@@ -78,11 +78,10 @@ impl NelderMead {
     /// Start a search from `start` (typically the default configuration).
     pub fn new(space: SearchSpace, start: &[usize]) -> Self {
         assert!(space.contains(start), "start point outside the space");
-        let x0: Vec<f64> = start.iter().map(|&i| i as f64).collect();
-        let proto = simplex::axis_simplex(&space, &x0, 1.0);
+        let proto = simplex::axis_simplex(&space, &simplex::relax(start), 1.0);
         NelderMead {
             space,
-            simplex: Vec::new(),
+            simplex: Simplex::default(),
             proto,
             pending: None,
             init_next: 0,
@@ -110,7 +109,7 @@ impl NelderMead {
                 // with halved steps.
                 self.restarts += 1;
                 self.step_scale *= 0.5;
-                let x0 = self.tally.best_x().unwrap_or_else(|| self.simplex[0].x.clone());
+                let x0 = self.tally.best_x().unwrap_or(self.simplex[0].x);
                 self.proto = simplex::axis_simplex(&self.space, &x0, self.step_scale);
                 self.simplex.clear();
                 self.init_next = 0;
@@ -121,25 +120,25 @@ impl NelderMead {
     }
 
     /// Centroid of all vertices except the worst (assumes sorted simplex).
-    fn centroid(&self) -> Vec<f64> {
+    fn centroid(&self) -> Coords {
         let n = self.simplex.len() - 1;
-        let mut c = vec![0.0; self.space.dim()];
+        let mut c = Coords::zeros(self.space.dim());
         for v in &self.simplex[..n] {
-            for (ci, xi) in c.iter_mut().zip(&v.x) {
+            for (ci, xi) in c.iter_mut().zip(v.x.iter()) {
                 *ci += xi;
             }
         }
-        for ci in &mut c {
+        for ci in c.iter_mut() {
             *ci /= n as f64;
         }
         c
     }
 
-    fn propose(&self, centroid: &[f64], coeff: f64) -> Vec<f64> {
+    fn propose(&self, centroid: &Coords, coeff: f64) -> Coords {
         // x = centroid + coeff * (centroid - worst)
         let worst = &self.simplex.last().unwrap().x;
-        let mut x: Vec<f64> =
-            centroid.iter().zip(worst).map(|(c, w)| c + coeff * (c - w)).collect();
+        let mut x: Coords =
+            centroid.iter().zip(worst.iter()).map(|(c, w)| c + coeff * (c - w)).collect();
         self.space.clamp(&mut x);
         x
     }
@@ -159,14 +158,14 @@ impl NelderMead {
     fn begin_shrink(&mut self) {
         // Shrink every non-best vertex toward the best, then re-evaluate
         // them one at a time (roles Shrink(1..=dim)).
-        let best = self.simplex[0].x.clone();
+        let best = self.simplex[0].x;
         for v in &mut self.simplex[1..] {
-            for (xi, bi) in v.x.iter_mut().zip(&best) {
+            for (xi, bi) in v.x.iter_mut().zip(best.iter()) {
                 *xi = bi + SIGMA * (*xi - *bi);
             }
             v.f = f64::NAN;
         }
-        let x = self.simplex[1].x.clone();
+        let x = self.simplex[1].x;
         self.pending = Some(Pending { x, role: Role::Shrink(1) });
     }
 }
@@ -181,7 +180,7 @@ impl Search for NelderMead {
                 return Some(self.space.round(&p.x));
             }
             if self.init_next < self.proto.len() {
-                let x = self.proto[self.init_next].clone();
+                let x = self.proto[self.init_next];
                 self.pending = Some(Pending { x, role: Role::Init(self.init_next) });
                 continue;
             }
@@ -252,7 +251,7 @@ impl Search for NelderMead {
                 self.simplex[idx].f = value;
                 debug_assert_eq!(self.space.round(&self.simplex[idx].x), self.space.round(&x));
                 if idx + 1 < self.simplex.len() {
-                    let xn = self.simplex[idx + 1].x.clone();
+                    let xn = self.simplex[idx + 1].x;
                     self.pending = Some(Pending { x: xn, role: Role::Shrink(idx + 1) });
                 }
             }

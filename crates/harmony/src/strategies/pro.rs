@@ -17,9 +17,9 @@
 //! Terminates on simplex collapse (diameter below `XTOL`), evaluation
 //! budget, or stall.
 
-use super::simplex::{self, Tally, Vertex};
+use super::simplex::{self, Simplex, Tally, Vertex};
 use super::Search;
-use crate::space::{Point, SearchSpace};
+use crate::space::{Coords, Point, SearchSpace};
 
 /// Expansion step multiplier applied on a best-beating reflection.
 const EXPAND: f64 = 2.0;
@@ -45,14 +45,14 @@ enum Role {
 }
 
 struct Pending {
-    x: Vec<f64>,
+    x: Coords,
     role: Role,
 }
 
 pub struct ParallelRankOrder {
     space: SearchSpace,
-    proto_points: Vec<Vec<f64>>,
-    vertices: Vec<Vertex>,
+    proto_points: Simplex<Coords>,
+    vertices: Simplex<Vertex>,
     pending: Option<Pending>,
     /// Vertices still to reflect this round (indices into `vertices`).
     queue: Vec<usize>,
@@ -71,12 +71,11 @@ impl ParallelRankOrder {
         // Initial simplex: the start point and one axis-stepped vertex per
         // dimension (`dim + 1` vertices, affinely independent, like
         // Nelder–Mead).
-        let x0: Vec<f64> = start.iter().map(|&i| i as f64).collect();
-        let proto_points = simplex::axis_simplex(&space, &x0, 1.0);
+        let proto_points = simplex::axis_simplex(&space, &simplex::relax(start), 1.0);
         ParallelRankOrder {
             space,
             proto_points,
-            vertices: Vec::new(),
+            vertices: Simplex::default(),
             pending: None,
             queue: Vec::new(),
             round_improved: false,
@@ -98,10 +97,10 @@ impl ParallelRankOrder {
         bi
     }
 
-    fn reflect_through_best(&self, idx: usize, coeff: f64) -> Vec<f64> {
+    fn reflect_through_best(&self, idx: usize, coeff: f64) -> Coords {
         let b = &self.vertices[self.best_idx()].x;
         let v = &self.vertices[idx].x;
-        let mut x: Vec<f64> = b.iter().zip(v).map(|(bi, vi)| bi + coeff * (bi - vi)).collect();
+        let mut x: Coords = b.iter().zip(v.iter()).map(|(bi, vi)| bi + coeff * (bi - vi)).collect();
         self.space.clamp(&mut x);
         x
     }
@@ -122,7 +121,8 @@ impl ParallelRankOrder {
             return;
         }
         let bi = self.best_idx();
-        self.queue = (0..self.vertices.len()).filter(|&i| i != bi).collect();
+        self.queue.clear();
+        self.queue.extend((0..self.vertices.len()).filter(|&i| i != bi));
         self.round_improved = false;
         self.next_trial();
     }
@@ -134,13 +134,13 @@ impl ParallelRankOrder {
         } else if !self.round_improved {
             // No reflection helped: shrink everyone toward the best.
             let bi = self.best_idx();
-            let best = self.vertices[bi].x.clone();
+            let best = self.vertices[bi].x;
             self.shrink_queue.clear();
             for i in 0..self.vertices.len() {
                 if i == bi {
                     continue;
                 }
-                for (xi, b) in self.vertices[i].x.iter_mut().zip(&best) {
+                for (xi, b) in self.vertices[i].x.iter_mut().zip(best.iter()) {
                     *xi = b + SHRINK * (*xi - *b);
                 }
                 self.shrink_queue.push(i);
@@ -153,7 +153,7 @@ impl ParallelRankOrder {
 
     fn next_shrink_eval(&mut self) {
         if let Some(idx) = self.shrink_queue.pop() {
-            let x = self.vertices[idx].x.clone();
+            let x = self.vertices[idx].x;
             self.pending = Some(Pending { x, role: Role::ShrinkEval(idx) });
         } else {
             self.start_round();
@@ -166,10 +166,10 @@ impl ParallelRankOrder {
     /// simplex lies in).
     fn reseed(&mut self) {
         let scale = 0.5f64.powi(self.reseeds as i32);
-        let x0 = self.tally.best_x().unwrap_or_else(|| self.vertices[self.best_idx()].x.clone());
+        let x0 = self.tally.best_x().unwrap_or(self.vertices[self.best_idx()].x);
         let fresh = simplex::axis_simplex(&self.space, &x0, scale);
         self.shrink_queue.clear();
-        for (i, x) in fresh.into_iter().enumerate().take(self.vertices.len()) {
+        for (i, &x) in fresh.iter().enumerate().take(self.vertices.len()) {
             self.vertices[i] = Vertex { x, f: f64::INFINITY };
             self.shrink_queue.push(i);
         }
@@ -186,7 +186,7 @@ impl Search for ParallelRankOrder {
             return Some(self.space.round(&p.x));
         }
         if self.init_next < self.proto_points.len() {
-            let x = self.proto_points[self.init_next].clone();
+            let x = self.proto_points[self.init_next];
             self.pending = Some(Pending { x, role: Role::Init(self.init_next) });
             return self.pending.as_ref().map(|p| self.space.round(&p.x));
         }

@@ -3,32 +3,67 @@
 //! start simplex both build (and rebuild on restart), the L∞ collapse
 //! measure, the observer read-out, and the tally of evaluations,
 //! incumbent best and stall count their termination rules read.
+//!
+//! Coordinates are inline [`Coords`], like [`Point`], and a simplex is an
+//! inline array of them, so no step of either method allocates.
 
 use super::Candidate;
-use crate::space::{Point, SearchSpace};
+use crate::space::{Coords, Point, SearchSpace, MAX_DIM};
 
 /// One simplex vertex in the relaxed (continuous) index space.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(super) struct Vertex {
-    pub x: Vec<f64>,
+    pub x: Coords,
     /// Measured objective; non-finite while a moved vertex awaits
     /// re-evaluation.
     pub f: f64,
 }
 
+/// At most a simplex's worth (`MAX_DIM + 1`) of items, inline. It reads
+/// as a slice of the items pushed so far.
+#[derive(Clone, Copy, Default)]
+pub(super) struct Simplex<T> {
+    len: usize,
+    items: [T; MAX_DIM + 1],
+}
+
+impl<T> Simplex<T> {
+    /// Append `item`; panics past `MAX_DIM + 1` items.
+    pub fn push(&mut self, item: T) {
+        self.items[self.len] = item;
+        self.len += 1;
+    }
+
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+}
+
+impl<T> std::ops::Deref for Simplex<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.items[..self.len]
+    }
+}
+
+impl<T> std::ops::DerefMut for Simplex<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.items[..self.len]
+    }
+}
+
 /// Build a start simplex: `x0` plus one vertex per dimension, stepped by
 /// `scale × (domain / 2)` (at least one grid cell) away from the nearer edge.
-pub(super) fn axis_simplex(space: &SearchSpace, x0: &[f64], scale: f64) -> Vec<Vec<f64>> {
+pub(super) fn axis_simplex(space: &SearchSpace, x0: &Coords, scale: f64) -> Simplex<Coords> {
     let upper = space.upper();
-    let mut simplex = vec![x0.to_vec()];
+    let mut simplex = Simplex { len: space.dim() + 1, items: [*x0; MAX_DIM + 1] };
     for j in 0..space.dim() {
-        let mut v = x0.to_vec();
+        let v = &mut simplex.items[j + 1];
         if upper[j] > 0.0 {
             let step = (upper[j] / 2.0 * scale).max(1.0);
             v[j] = if x0[j] + step <= upper[j] { x0[j] + step } else { x0[j] - step };
             v[j] = v[j].clamp(0.0, upper[j]);
         }
-        simplex.push(v);
     }
     simplex
 }
@@ -78,12 +113,17 @@ impl Tally {
 
     /// The incumbent best in relaxed coordinates — where a restart
     /// rebuilds the simplex.
-    pub fn best_x(&self) -> Option<Vec<f64>> {
-        self.best.as_ref().map(|(p, _)| p.iter().map(|&i| i as f64).collect())
+    pub fn best_x(&self) -> Option<Coords> {
+        self.best.as_ref().map(|(p, _)| relax(p))
     }
 
     /// The hard caps every strategy enforces on every path.
     pub fn exhausted(&self, max_evals: usize, stall_limit: usize) -> bool {
         self.evals >= max_evals || self.stall >= stall_limit
     }
+}
+
+/// `point` as relaxed coordinates.
+pub(super) fn relax(point: &[usize]) -> Coords {
+    point.iter().map(|&i| i as f64).collect()
 }

@@ -23,7 +23,9 @@
 //!
 //! Per-job facts (tenant, submit time, requeued flag) die at the job's
 //! terminal event, so state is O(tenants + live jobs) however long the
-//! stream. Waits and turnarounds are differenced in seconds from the
+//! stream. The event pane is a ring of [`EVENT_PANE`] lines, and once it
+//! is full each new line is written into the buffer of the line it
+//! evicts, so narrating an event allocates nothing. Waits and turnarounds are differenced in seconds from the
 //! `t_s` the events carry, so a live fold and a replay of its trace
 //! record bit-identical samples.
 //!
@@ -43,6 +45,7 @@ use crate::registry::{labeled, Counter, Gauge, Histogram, HistogramSummary, Metr
 use arcs_trace::{TraceEvent, TraceRecord};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// How many event lines a snapshot's rolling pane keeps.
@@ -249,7 +252,7 @@ impl BrokerFold {
             jobs: BTreeMap::new(),
             running: BTreeMap::new(),
             down: BTreeSet::new(),
-            events: VecDeque::new(),
+            events: VecDeque::with_capacity(EVENT_PANE),
         }
     }
 
@@ -302,12 +305,16 @@ impl BrokerFold {
         self.tenants.get_mut(name).expect("just ensured")
     }
 
-    /// Append one line to the rolling event pane.
+    /// Append one line to the rolling event pane, written into the
+    /// buffer of the line it evicts once the pane is full.
     fn narrate(&mut self, t_s: f64, text: std::fmt::Arguments<'_>) {
-        if self.events.len() == EVENT_PANE {
-            self.events.pop_front();
-        }
-        self.events.push_back(format!("[{t_s:9.3}s] {text}"));
+        let mut line = match self.events.len() {
+            EVENT_PANE => self.events.pop_front().unwrap_or_default(),
+            _ => String::new(),
+        };
+        line.clear();
+        let _ = write!(line, "[{t_s:9.3}s] {text}");
+        self.events.push_back(line);
     }
 
     /// [`apply`](Self::apply) a trace record; one without a timestamp
@@ -402,15 +409,16 @@ impl BrokerFold {
                 }
                 self.realloc_churn_w.record(churn_w);
                 // Every tenant's gauge is rewritten: one with nothing
-                // running drops to 0.
-                let mut by_tenant: BTreeMap<&str, f64> = BTreeMap::new();
-                for (job, alloc_w) in &self.running {
-                    if let Some(facts) = self.jobs.get(job) {
-                        *by_tenant.entry(&facts.tenant).or_insert(0.0) += alloc_w;
-                    }
-                }
+                // running drops to 0. Each sums its running jobs in job
+                // order.
                 for (name, t) in &self.tenants {
-                    t.alloc_w.set(by_tenant.get(&**name).copied().unwrap_or(0.0));
+                    let mut alloc_w = 0.0;
+                    for (job, a) in &self.running {
+                        if self.jobs.get(job).is_some_and(|facts| facts.tenant == *name) {
+                            alloc_w += a;
+                        }
+                    }
+                    t.alloc_w.set(alloc_w);
                 }
                 self.narrate(
                     t_s,

@@ -18,7 +18,6 @@
 //!   the surplus by tenant weight.
 
 use crate::job::JobSpec;
-use arcs_kernels::model;
 use arcs_powersim::{Fleet, FleetNode};
 use std::collections::BTreeMap;
 
@@ -45,18 +44,25 @@ pub fn effective_floor(requested_w: f64, node: &FleetNode) -> Option<f64> {
 /// Admission control: `(floor_w, verdict)`. `floor_w` is the cheapest
 /// effective floor over the nodes that could host the job at all (the
 /// bare request when none can) — what `JobSubmitted` records either way.
-/// The verdict refuses only what could never run, most specific reason
-/// first: no fleet, unknown workload, more than [`MAX_JOB_TIMESTEPS`]
-/// timesteps, a floor above every node's maximum, a floor above the
-/// whole budget.
-pub fn admit(spec: &JobSpec, fleet: &Fleet, budget_w: f64) -> (f64, Result<(), String>) {
+/// `resolves` says whether `spec.workload` names a workload: the broker
+/// asks its quantum memo, which parses each spec once, so admission never
+/// builds a workload model. The verdict refuses only what could never
+/// run, most specific reason first: no fleet, unknown workload, more than
+/// [`MAX_JOB_TIMESTEPS`] timesteps, a floor above every node's maximum, a
+/// floor above the whole budget.
+pub fn admit(
+    spec: &JobSpec,
+    resolves: bool,
+    fleet: &Fleet,
+    budget_w: f64,
+) -> (f64, Result<(), String>) {
     let requested_w = spec.requested_floor_w();
     let min_floor =
         fleet.nodes().iter().filter_map(|n| effective_floor(requested_w, n)).reduce(f64::min);
     let floor_w = min_floor.unwrap_or(requested_w);
     let verdict = if fleet.is_empty() {
         Err("the fleet has no nodes".to_string())
-    } else if model::by_spec(&spec.workload).is_none() {
+    } else if !resolves {
         Err(format!("unknown workload {:?}", spec.workload))
     } else if spec.timesteps > MAX_JOB_TIMESTEPS {
         Err(format!("{} timesteps exceed the per-job limit of {MAX_JOB_TIMESTEPS}", spec.timesteps))
@@ -107,30 +113,30 @@ pub struct Claim {
     pub weight: f64,
 }
 
-/// One [`Claim`] per running job, in the order given. `running` yields
-/// `(tenant, degraded, floor_w, max_w)`. A tenant's weight (1 when
-/// `tenant_weights` does not know it) is split evenly across its running
-/// jobs, so more jobs never buy a tenant more aggregate share; a degraded
-/// job earns no surplus at all.
+/// One [`Claim`] per running job, in the order given, written over
+/// `claims`. `running` yields `(tenant, degraded, floor_w, max_w)`. A
+/// tenant's weight (1 when `tenant_weights` does not know it) is split
+/// evenly across its running jobs, so more jobs never buy a tenant more
+/// aggregate share; a degraded job earns no surplus at all.
 pub fn claims<'a>(
     tenant_weights: &BTreeMap<String, f64>,
     running: impl Iterator<Item = (&'a str, bool, f64, f64)> + Clone,
-) -> Vec<Claim> {
+    claims: &mut Vec<Claim>,
+) {
     let mut tenant_jobs: BTreeMap<&str, f64> = BTreeMap::new();
     for (tenant, ..) in running.clone() {
         *tenant_jobs.entry(tenant).or_insert(0.0) += 1.0;
     }
-    running
-        .map(|(tenant, degraded, floor_w, max_w)| Claim {
-            floor_w,
-            max_w,
-            weight: if degraded {
-                0.0
-            } else {
-                tenant_weights.get(tenant).copied().unwrap_or(1.0) / tenant_jobs[tenant]
-            },
-        })
-        .collect()
+    claims.clear();
+    claims.extend(running.map(|(tenant, degraded, floor_w, max_w)| Claim {
+        floor_w,
+        max_w,
+        weight: if degraded {
+            0.0
+        } else {
+            tenant_weights.get(tenant).copied().unwrap_or(1.0) / tenant_jobs[tenant]
+        },
+    }));
 }
 
 /// Split `budget_w` over `claims`: every floor first, then the surplus
@@ -140,34 +146,42 @@ pub fn claims<'a>(
 /// somebody or distributes everything, so this terminates). The surplus
 /// part of each allocation is then quantized down to
 /// [`ALLOC_QUANTUM_W`] steps, so Σ never creeps past the budget and
-/// per-cap cache keys stay coarse. The result is in claim order.
-pub fn water_fill(budget_w: f64, claims: &[Claim]) -> Vec<f64> {
-    let mut alloc: Vec<f64> = claims.iter().map(|c| c.floor_w).collect();
-    let mut unsat: Vec<usize> = (0..claims.len())
-        .filter(|&i| claims[i].weight > 0.0 && claims[i].max_w > claims[i].floor_w + EPS_W)
-        .collect();
+/// per-cap cache keys stay coarse. The result is written over `alloc`,
+/// in claim order.
+pub fn water_fill(budget_w: f64, claims: &[Claim], alloc: &mut Vec<f64>) {
+    alloc.clear();
+    alloc.extend(claims.iter().map(|c| c.floor_w));
+    // A claim can take surplus while it earns some and sits below its
+    // maximum; saturating sets it to exactly its maximum, which an
+    // unsaturated claim never reaches.
+    let unsat = |alloc: &[f64], i: usize| {
+        let c = &claims[i];
+        c.weight > 0.0 && c.max_w > c.floor_w + EPS_W && alloc[i] != c.max_w
+    };
     loop {
         let used: f64 = alloc.iter().sum();
         let surplus = budget_w - used;
-        if surplus <= ALLOC_QUANTUM_W / 2.0 || unsat.is_empty() {
+        if surplus <= ALLOC_QUANTUM_W / 2.0 || !(0..claims.len()).any(|i| unsat(alloc, i)) {
             break;
         }
-        let total_weight: f64 = unsat.iter().map(|&i| claims[i].weight).sum();
-        let before = unsat.len();
-        unsat.retain(|&i| {
-            let give = surplus * claims[i].weight / total_weight;
-            let saturates = alloc[i] + give >= claims[i].max_w - EPS_W;
-            alloc[i] = if saturates { claims[i].max_w } else { alloc[i] + give };
-            !saturates
-        });
-        if unsat.len() == before {
+        let total_weight: f64 =
+            (0..claims.len()).filter(|&i| unsat(alloc, i)).map(|i| claims[i].weight).sum();
+        let mut saturated = false;
+        for i in 0..claims.len() {
+            if unsat(alloc, i) {
+                let give = surplus * claims[i].weight / total_weight;
+                let saturates = alloc[i] + give >= claims[i].max_w - EPS_W;
+                alloc[i] = if saturates { claims[i].max_w } else { alloc[i] + give };
+                saturated |= saturates;
+            }
+        }
+        if !saturated {
             break;
         }
     }
     for (a, c) in alloc.iter_mut().zip(claims) {
         *a = c.floor_w + ((*a - c.floor_w) / ALLOC_QUANTUM_W).floor() * ALLOC_QUANTUM_W;
     }
-    alloc
 }
 
 #[cfg(test)]
@@ -182,6 +196,12 @@ mod tests {
 
     fn job(floor_w: Option<f64>) -> JobSpec {
         JobSpec { floor_w, ..JobSpec::new("acme", "sp.S") }
+    }
+
+    /// [`admit`] with the workload resolved by parsing it afresh.
+    fn admit(spec: &JobSpec, fleet: &Fleet, budget_w: f64) -> (f64, Result<(), String>) {
+        let resolves = arcs_kernels::model::by_spec(&spec.workload).is_some();
+        super::admit(spec, resolves, fleet, budget_w)
     }
 
     #[test]
@@ -304,7 +324,8 @@ mod tests {
             ("light", true, 57.5, 230.0),
             ("stranger", false, 57.5, 230.0),
         ];
-        let got = claims(&weights, running.iter().copied());
+        let mut got = Vec::new();
+        claims(&weights, running.iter().copied(), &mut got);
         let weights_out: Vec<f64> = got.iter().map(|c| c.weight).collect();
         // Two jobs of one tenant halve its weight — a degraded job still
         // counts as one of them but earns nothing; an unknown tenant
@@ -313,12 +334,18 @@ mod tests {
         // Floors and maxima pass through, in order.
         assert_eq!(got[1], Claim { floor_w: 60.0, max_w: 230.0, weight: 0.5 });
         assert_eq!(got[2].max_w, 200.0);
-        assert!(claims(&weights, std::iter::empty()).is_empty());
+        claims(&weights, std::iter::empty(), &mut got);
+        assert!(got.is_empty());
     }
 
     #[test]
     fn water_filling_respects_floors_maxima_weights_and_the_budget() {
         let claim = |floor_w, max_w, weight| Claim { floor_w, max_w, weight };
+        let water_fill = |budget_w, claims: &[Claim]| {
+            let mut caps = vec![f64::NAN; 7];
+            super::water_fill(budget_w, claims, &mut caps);
+            caps
+        };
         // Surplus 185 split 2:1, nobody saturates.
         let caps = water_fill(300.0, &[claim(57.5, 230.0, 2.0), claim(57.5, 230.0, 1.0)]);
         assert!(((caps[0] - 57.5) / (caps[1] - 57.5) - 2.0).abs() < 0.02, "{caps:?}");

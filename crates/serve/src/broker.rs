@@ -87,7 +87,7 @@
 //! underneath is deterministic — the same submission sequence always
 //! produces byte-identical traces.
 
-use crate::arbitration::{self, EPS_W};
+use crate::arbitration::{self, Claim, EPS_W};
 use crate::job::{JobSpec, JobState};
 use crate::journal::BrokerJournal;
 use crate::quantum::{JobPath, QuantumMemo, QuantumResult};
@@ -291,6 +291,11 @@ pub struct Broker {
     /// Every quantum any job ran, so a retracing job recalls instead of
     /// simulating.
     quanta: QuantumMemo,
+    /// The jobs one `schedule` placed, and one reallocation's claims and
+    /// caps, kept for the next.
+    placed: Vec<u64>,
+    claims: Vec<Claim>,
+    caps: Vec<f64>,
 }
 
 impl Broker {
@@ -335,6 +340,9 @@ impl Broker {
             fold: BrokerFold::new(),
             watchers: Vec::new(),
             quanta: QuantumMemo::new(),
+            placed: Vec::new(),
+            claims: Vec::new(),
+            caps: Vec::new(),
         };
         // The budget is known from birth, not from the first
         // reallocation: the fold learns it the way a journal reader does.
@@ -474,9 +482,13 @@ impl Broker {
         // non-finite weight is the default, like a non-positive one.
         spec.floor_w = spec.floor_w.filter(|f| f.is_finite());
         let weight = if spec.weight.is_finite() && spec.weight > 0.0 { spec.weight } else { 1.0 };
-        self.tenants.entry(spec.tenant.clone()).or_insert(weight);
+        if !self.tenants.contains_key(&spec.tenant) {
+            self.tenants.insert(spec.tenant.clone(), weight);
+        }
 
-        let (floor_w, verdict) = arbitration::admit(&spec, &self.fleet, self.cfg.budget_w);
+        let resolves = self.quanta.resolve(&spec.workload).is_some();
+        let (floor_w, verdict) =
+            arbitration::admit(&spec, resolves, &self.fleet, self.cfg.budget_w);
         // The submitted event doubles as the journal's op record, so it
         // carries everything needed to rebuild the spec on replay.
         let submitted = TraceEvent::JobSubmitted {
@@ -489,7 +501,9 @@ impl Broker {
             fault_seed: spec.fault_seed,
             requested_floor_w: spec.floor_w,
         };
-        self.journal_op(submitted.clone());
+        if self.journal.is_some() {
+            self.journal_op(submitted.clone());
+        }
         self.emit(submitted);
 
         if let Err(reason) = verdict {
@@ -785,7 +799,8 @@ impl Broker {
     /// slipping past it). Newly placed jobs trigger one `scheduled`
     /// reallocation and start their first quantum.
     fn schedule(&mut self) {
-        let mut placed = Vec::new();
+        let mut placed = std::mem::take(&mut self.placed);
+        placed.clear();
         while let Some(&job) = self.queue.front() {
             let requested = self.queued[&job].spec.requested_floor_w();
             let committed: f64 = self.running.values().map(|r| r.floor_w).sum();
@@ -800,10 +815,11 @@ impl Broker {
         }
         if !placed.is_empty() {
             self.reallocate("scheduled");
-            for job in placed {
+            for &job in &placed {
                 self.start_quantum(job);
             }
         }
+        self.placed = placed;
     }
 
     /// Bind a job to a node: root its walk through the quantum memo, cap
@@ -868,17 +884,18 @@ impl Broker {
     /// Emits [`TraceEvent::CapReallocated`] and moves the cap handles of
     /// every job whose allocation changed.
     fn reallocate(&mut self, reason: &str) {
-        let claims = arbitration::claims(
+        arbitration::claims(
             &self.tenants,
             self.running.values().map(|rj| {
                 (rj.progress.spec.tenant.as_str(), rj.progress.degraded, rj.floor_w, rj.max_w)
             }),
+            &mut self.claims,
         );
-        let caps = arbitration::water_fill(self.cfg.budget_w, &claims);
+        arbitration::water_fill(self.cfg.budget_w, &self.claims, &mut self.caps);
 
-        let total_w: f64 = caps.iter().sum();
-        let mut allocations = Vec::with_capacity(caps.len());
-        for ((&job, rj), &cap_w) in self.running.iter_mut().zip(&caps) {
+        let total_w: f64 = self.caps.iter().sum();
+        let mut allocations = Vec::with_capacity(self.caps.len());
+        for ((&job, rj), &cap_w) in self.running.iter_mut().zip(&self.caps) {
             allocations.push(JobAllocation { job, node: rj.node, cap_w });
             if (rj.alloc_w - cap_w).abs() > EPS_W {
                 rj.alloc_w = cap_w;
@@ -943,7 +960,7 @@ impl Broker {
 mod tests {
     use super::*;
     use crate::journal::JournalError;
-    use crate::quantum::MemoCounters;
+    use crate::quantum::{MemoCounters, QuantumMemo};
     use arcs_powersim::Machine;
     use arcs_trace::{TraceRecord, VecSink};
     use std::path::Path;
@@ -1413,6 +1430,59 @@ mod tests {
         assert!((squeezed_cap - squeezed / 2.0).abs() < 1e-9);
         broker.run_until_idle();
         conservation_holds(&sink.drain());
+    }
+
+    /// Admission asks the quantum memo whether a workload resolves, and
+    /// answers what it answered when it parsed the spec afresh on every
+    /// submission; a broker parses each distinct workload once, and an
+    /// unknown spec every time (it is never kept).
+    #[test]
+    fn admission_resolves_through_the_memo_as_it_did_by_parsing() {
+        let specs = [
+            "sp.S",
+            "cg.S",
+            "mg.W",
+            "lulesh.B",
+            "lulesh.45",
+            "nope.S",
+            "sp.Q",
+            "sp",
+            ".S",
+            "sp.S.x",
+            "",
+            "SP.S",
+            "sp.S",
+            "cg.S",
+            "lulesh.45",
+            "sp.S.x",
+        ];
+        let fleet = Fleet::homogeneous(Machine::crill(), 2);
+        let mut memo = QuantumMemo::new();
+        for workload in specs {
+            for floor_w in [None, Some(90.0), Some(500.0)] {
+                let spec = JobSpec { floor_w, ..JobSpec::new("acme", workload) };
+                let parsed = arcs_kernels::model::by_spec(workload).is_some();
+                let resolved = memo.resolve(workload).is_some();
+                assert_eq!(resolved, parsed, "{workload:?}");
+                assert_eq!(
+                    arbitration::admit(&spec, resolved, &fleet, 400.0),
+                    arbitration::admit(&spec, parsed, &fleet, 400.0),
+                    "{workload:?} at {floor_w:?}"
+                );
+            }
+        }
+
+        let mut broker = small_broker(400.0, 2, Arc::new(VecSink::new()));
+        let mut unknown = 0;
+        for workload in specs {
+            let resolves = arcs_kernels::model::by_spec(workload).is_some();
+            unknown += u64::from(!resolves);
+            let outcome = broker.submit(JobSpec::new("acme", workload).timesteps(4));
+            assert_eq!(matches!(outcome, SubmitOutcome::Admitted(_)), resolves, "{workload:?}");
+        }
+        broker.run_until_idle();
+        let distinct = ["sp.S", "cg.S", "mg.W", "lulesh.B"].len() as u64;
+        assert_eq!(broker.quanta.counters.parsed, distinct + unknown);
     }
 
     /// The stream behind `every_memo_path_fires_and_the_trace_keeps_its_bytes`,

@@ -49,6 +49,15 @@
 //! carries the fault clock and the tuner state forward, and still walks
 //! the trie so later jobs can recall what it ran.
 //!
+//! A rebuild copies nothing the memo already holds. Each workload spec
+//! resolves once (admission asks the same table, [`QuantumMemo::resolve`]),
+//! and its descriptor is kept once per quantum length, shared by every
+//! executor that runs a quantum of that length; every quantum of a
+//! workload is reported into one report the memo keeps, of which only
+//! the totals are read. Each machine model's [`ConfigSpace`] is built
+//! once. The executor is built on its node's shared memo cache, with no
+//! private cache of its own.
+//!
 //! Outcomes are exact, so every trace, journal and digest is what
 //! simulating every quantum gives. Only the node memo cache's hit count
 //! falls, because a recalled quantum prices nothing.
@@ -63,7 +72,8 @@
 use crate::job::JobSpec;
 use arcs::backend::Runner;
 use arcs::{
-    CapHandle, ConfigSpace, RegionTuner, ResilienceOptions, RunStatus, SimExecutor, TunerOptions,
+    AppRunReport, CapHandle, ConfigSpace, RegionTuner, ResilienceOptions, RunStatus, SimExecutor,
+    TunerOptions,
 };
 use arcs_kernels::model;
 use arcs_powersim::{FaultPlan, FleetNode, WorkloadDescriptor};
@@ -123,16 +133,23 @@ pub(crate) struct MemoCounters {
     pub(crate) replayed: u64,
     /// Placements rooted at a requeued job's banked boundary.
     pub(crate) resumed: u64,
+    /// Workload specs parsed: each one that resolves once, each one that
+    /// does not every time it is asked.
+    pub(crate) parsed: u64,
 }
 
 /// The per-broker quantum memo (see the module docs).
 #[derive(Default)]
 pub(crate) struct QuantumMemo {
-    /// Interned model names and workload specs, so a root key holds no
-    /// string, and each workload's descriptor, parsed once.
+    /// Interned model names, so a root key holds no string, and each
+    /// model's search space.
     models: BTreeMap<String, u32>,
+    spaces: Vec<ConfigSpace>,
+    /// Interned workload specs, and what each resolved one keeps.
     workload_ids: BTreeMap<String, u32>,
-    workloads: Vec<WorkloadDescriptor>,
+    workloads: Vec<Workload>,
+    /// A rebuild's replay path, kept for the next rebuild.
+    path: Vec<Quantum>,
     roots: BTreeMap<RootKey, u32>,
     /// (node, cap bits, steps) → the node that quantum leads to.
     edges: BTreeMap<(u32, u64, usize), u32>,
@@ -140,6 +157,14 @@ pub(crate) struct QuantumMemo {
     nodes: Vec<Option<Quantum>>,
     limit: usize,
     pub(crate) counters: MemoCounters,
+}
+
+/// A resolved workload spec: its descriptor at the spec's own length
+/// first, then one per quantum length run so far, and the report every
+/// quantum of it is written into (only its totals are read).
+struct Workload {
+    lengths: Vec<Arc<WorkloadDescriptor>>,
+    report: AppRunReport,
 }
 
 /// One placement's walk through the memo.
@@ -155,20 +180,21 @@ pub(crate) struct JobPath {
 struct Live {
     exec: SimExecutor,
     tuner: RegionTuner,
-    wl: WorkloadDescriptor,
     resilience: Option<ResilienceOptions>,
 }
 
 impl Live {
-    fn run(&mut self, steps: usize) -> QuantumResult {
-        self.wl.timesteps = steps;
-        let mut runner = Runner::new(&mut self.exec).workload(&self.wl).tuner(&mut self.tuner);
+    /// Run one quantum of `workload` at `steps` timesteps.
+    fn run(&mut self, workload: &mut Workload, steps: usize) -> QuantumResult {
+        let wl = workload.at(steps);
+        let mut runner = Runner::new(&mut self.exec).workload(&wl).tuner(&mut self.tuner);
         if let Some(res) = self.resilience {
             runner = runner.resilience(res);
         }
-        let report = runner.run().expect("a resilient simulated quantum cannot error");
+        let report = &mut workload.report;
+        runner.run_into(report).expect("a resilient simulated quantum cannot error");
         QuantumResult {
-            steps,
+            steps: wl.timesteps,
             time_s: report.time_s,
             energy_j: report.energy_j,
             degraded: report.status == RunStatus::Degraded,
@@ -193,6 +219,22 @@ impl QuantumMemo {
         })
     }
 
+    /// The id of workload `spec`, or `None` when it names no workload.
+    /// A spec is parsed ([`model::by_spec`]) the first time it resolves,
+    /// and its descriptor kept from then on. One that does not resolve is
+    /// not remembered, so unknown names cannot grow the table.
+    pub(crate) fn resolve(&mut self, spec: &str) -> Option<u32> {
+        if let Some(&id) = self.workload_ids.get(spec) {
+            return Some(id);
+        }
+        self.counters.parsed += 1;
+        let wl = model::by_spec(spec)?;
+        let id = intern(&mut self.workload_ids, spec);
+        let report = AppRunReport::default();
+        self.workloads.push(Workload { lengths: vec![Arc::new(wl)], report });
+        Some(id)
+    }
+
     /// Root a placement of `spec` on `node`. `banked` is a requeued job's
     /// remaining timesteps (`None` for a fresh job, which runs the spec's
     /// length or the workload's default). Returns the walk and the
@@ -204,18 +246,17 @@ impl QuantumMemo {
         banked: Option<usize>,
     ) -> (JobPath, usize) {
         let model = intern(&mut self.models, &node.machine.name);
-        let workload = intern(&mut self.workload_ids, &spec.workload);
-        if workload as usize == self.workloads.len() {
-            let wl = model::by_spec(&spec.workload).expect("admission resolved the workload");
-            self.workloads.push(wl);
+        if model as usize == self.spaces.len() {
+            self.spaces.push(ConfigSpace::for_machine(&node.machine));
         }
+        let workload = self.resolve(&spec.workload).expect("admission resolved the workload");
         let remaining = match banked {
             Some(banked) => {
                 self.counters.resumed += 1;
                 banked
             }
             None if spec.timesteps > 0 => spec.timesteps,
-            None => self.workloads[workload as usize].timesteps,
+            None => self.workloads[workload as usize].lengths[0].timesteps,
         };
         let root = RootKey { model, workload, fault_seed: spec.fault_seed, remaining };
         let at = match self.roots.get(&root) {
@@ -259,7 +300,7 @@ impl QuantumMemo {
                     Some(live) => live,
                     None => live.insert(self.rebuild(job.root, job.at, node, handle, resilience)),
                 };
-                let result = live.run(steps);
+                let result = live.run(&mut self.workloads[job.root.workload as usize], steps);
                 self.counters.simulated += 1;
                 if let Some(known) = known_result {
                     debug_assert_eq!(result.bits(), known.bits(), "a live quantum left its memo");
@@ -293,7 +334,8 @@ impl QuantumMemo {
         resilience: Option<ResilienceOptions>,
     ) -> Box<Live> {
         let cap_w = handle.get();
-        let mut path = Vec::new();
+        let mut path = std::mem::take(&mut self.path);
+        path.clear();
         let mut cursor = at;
         while let Some(q) = cursor.and_then(|id| self.nodes[id as usize]) {
             path.push(q);
@@ -301,8 +343,7 @@ impl QuantumMemo {
         }
         path.reverse();
 
-        let mut exec = SimExecutor::new(node.machine.clone(), cap_w)
-            .with_shared_cache(Arc::clone(&node.cache))
+        let mut exec = SimExecutor::on_cache(node.machine.clone(), cap_w, Arc::clone(&node.cache))
             .with_cap_handle(handle.clone());
         let mut resilience = resilience;
         if let Some(seed) = root.fault_seed {
@@ -313,18 +354,33 @@ impl QuantumMemo {
             // hard meter faults into run errors; force the standard one.
             resilience = Some(resilience.unwrap_or_else(ResilienceOptions::standard));
         }
-        let wl = self.workloads[root.workload as usize].clone();
-        let tuner = RegionTuner::new(TunerOptions::online(ConfigSpace::for_machine(&node.machine)));
-        let mut live = Box::new(Live { exec, tuner, wl, resilience });
+        let tuner =
+            RegionTuner::new(TunerOptions::online(self.spaces[root.model as usize].clone()));
+        let mut live = Box::new(Live { exec, tuner, resilience });
+        let workload = &mut self.workloads[root.workload as usize];
         for q in &path {
             handle.set(q.cap_w);
-            let replayed = live.run(q.result.steps);
+            let replayed = live.run(workload, q.result.steps);
             debug_assert_eq!(replayed.bits(), q.result.bits(), "a replayed quantum left its memo");
         }
         handle.set(cap_w);
         self.counters.rebuilds += 1;
         self.counters.replayed += path.len() as u64;
+        self.path = path;
         live
+    }
+}
+
+impl Workload {
+    /// The workload at `steps` timesteps, shared: built from the spec's
+    /// descriptor the first time a quantum of that length runs.
+    fn at(&mut self, steps: usize) -> Arc<WorkloadDescriptor> {
+        if let Some(wl) = self.lengths.iter().find(|wl| wl.timesteps == steps) {
+            return Arc::clone(wl);
+        }
+        let wl = Arc::new(WorkloadDescriptor { timesteps: steps, ..(*self.lengths[0]).clone() });
+        self.lengths.push(Arc::clone(&wl));
+        wl
     }
 }
 

@@ -42,7 +42,8 @@ proptest! {
         // The broker places a job only while Σ floors fits the budget.
         let budget_w = running.iter().map(|j| j.2).sum::<f64>() + headroom_w;
 
-        let got: Vec<Claim> = claims(&tenant_weights, running.iter().copied());
+        let mut got: Vec<Claim> = Vec::new();
+        claims(&tenant_weights, running.iter().copied(), &mut got);
         prop_assert_eq!(got.len(), running.len());
         for (claim, &(tenant, degraded, floor_w, max_w)) in got.iter().zip(&running) {
             prop_assert_eq!((claim.floor_w, claim.max_w), (floor_w, max_w));
@@ -51,7 +52,8 @@ proptest! {
             prop_assert_eq!(claim.weight, if degraded { 0.0 } else { weight / peers });
         }
 
-        let caps = water_fill(budget_w, &got);
+        let mut caps = Vec::new();
+        water_fill(budget_w, &got, &mut caps);
         prop_assert_eq!(caps.len(), got.len());
         prop_assert!(caps.iter().sum::<f64>() <= budget_w + 1e-6, "Σ {:?} > {}", caps, budget_w);
         for (&cap_w, claim) in caps.iter().zip(&got) {
@@ -77,7 +79,9 @@ proptest! {
         rotated.rotate_left(k);
         let mut expected = caps.clone();
         expected.rotate_left(k);
-        for (a, b) in water_fill(budget_w, &rotated).iter().zip(&expected) {
+        let mut rotated_caps = Vec::new();
+        water_fill(budget_w, &rotated, &mut rotated_caps);
+        for (a, b) in rotated_caps.iter().zip(&expected) {
             prop_assert!(
                 (a - b).abs() <= ALLOC_QUANTUM_W + 1e-9,
                 "{} vs {} after rotating by {}", a, b, k
