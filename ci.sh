@@ -13,8 +13,10 @@ cargo test --workspace -q
 # and meter paths and the string scanner (whose linear-time test times
 # it) are optimised only in release, which is the build that ships.
 cargo test --release -q -p arcs-powersim --test reference_oracle
-# The broker's allocation budget, counted in the build that ships.
+# The broker's and the warm sweep's allocation budgets, counted in the
+# build that ships.
 cargo test --release -q --test serve_allocations
+cargo test --release -q --test warm_allocations
 cargo test --release -q --test reference_driver
 cargo test --release -q -p serde_json
 cargo clippy --workspace --all-targets -- -D warnings
@@ -122,6 +124,11 @@ forbid "a search or self-healing knob only its default reaches" \
 # struct per scheme, the second profile aggregator or `parallel_for_2d`.
 forbid "a second ADI timestep, live region profile or collapse entry point" \
     '/OmptProfiler|parallel_for_2d|struct BtSolver|struct SpSolver/'
+
+# EP is modelled, not run: `model::ep` is its descriptor, and the kernels
+# crate keeps only its class sizes (`npb::ep::ep_log2_pairs`). No
+# non-test source may bring back the live solver.
+forbid "a live EP kernel" '/npb::ep::Ep|Ep::new/'
 
 # One region profile and one cache-binding route: the simulated path
 # keeps its per-region profile in the run report alone (no APEX hop, no

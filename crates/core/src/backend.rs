@@ -54,13 +54,22 @@
 //! untraced path allocates nothing. The runner hands the backend's sink
 //! to the tuner (`SearchIteration`) and to the shared memo (`CacheHit` /
 //! `CacheMiss`), so one attachment traces every layer.
+//!
+//! ## Settled replay
+//!
+//! The driver keeps, per step position and across runs of the same step,
+//! the tuner slot, and for a settled region the decision and the
+//! [`PricedCell`] its last invocation resolved. An untraced invocation
+//! that repeats them counts the decision, charges and meters exactly as
+//! any other, and has the backend replay the cell
+//! ([`Backend::replay_region`]) instead of running it (DESIGN.md §3.2).
 
 use crate::cap::CapHandle;
 use crate::config::OmpConfig;
 use crate::config::TunedConfig;
 use crate::report::{AppRunReport, FaultRecovery, RegionSummary, RunStatus};
 use crate::resilience::ResilienceOptions;
-use crate::tuner::{RegionTuner, RunTables, TunerOptions, TuningMode};
+use crate::tuner::{RegionTuner, Settled, TunerOptions, TuningMode};
 use arcs_harmony::History;
 use arcs_metrics::MetricsRegistry;
 use arcs_powersim::{
@@ -109,6 +118,24 @@ pub struct Measurement {
     pub features: RegionFeatures,
 }
 
+/// What a backend priced for one region invocation, as [`Backend::priced`]
+/// hands it to the driver: the backend's own key for the cell, and what a
+/// repeat of the invocation measures. The driver keeps one per step
+/// position and offers it back to [`Backend::replay_region`]. Only the
+/// backend that priced it can read or replay it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PricedCell {
+    /// The pricing executor's stamp, its slot for the region, and how
+    /// often that slot had priced a new cell.
+    pub(crate) owner: u64,
+    pub(crate) slot: usize,
+    pub(crate) repriced: u64,
+    /// The invocation's time, and the package power RAPL advanced at.
+    pub(crate) time_s: f64,
+    pub(crate) power_w: f64,
+    pub(crate) features: RegionFeatures,
+}
+
 /// An execution substrate: something that can run one parallel region at
 /// one configuration and account for time and energy.
 ///
@@ -139,6 +166,27 @@ pub trait Backend {
     /// backend's clock and energy meter. Backends without frequency
     /// control ignore `cfg.freq_ghz`.
     fn run_region(&mut self, region: &RegionModel, cfg: TunedConfig) -> RegionRun;
+
+    /// The cell the last [`Backend::run_region`] priced, when a repeat of
+    /// that invocation can be replayed ([`Backend::replay_region`]). The
+    /// default has none, so the driver runs every invocation.
+    fn priced(&self) -> Option<PricedCell> {
+        None
+    }
+
+    /// Replay an invocation of `region` at `cfg` that repeats `cell`: do to
+    /// the backend exactly what [`Backend::run_region`] would do, and
+    /// return true; the invocation measured `cell`'s time and features.
+    /// Return false, having changed nothing, when the invocation would
+    /// price something else or be perturbed. The default replays nothing.
+    fn replay_region(
+        &mut self,
+        _region: &RegionModel,
+        _cfg: TunedConfig,
+        _cell: &PricedCell,
+    ) -> bool {
+        false
+    }
 
     /// Cumulative package energy since [`begin_run`](Backend::begin_run),
     /// joules. The driver differences this meter around every invocation
@@ -584,45 +632,86 @@ impl Meter {
         }
     }
 
+    #[inline]
     fn read<B: Backend>(&mut self, b: &mut B) -> Result<f64, RunError> {
-        let mut attempts: u32 = 0;
-        loop {
-            match b.energy_j() {
-                Ok(j) => {
-                    self.last_j = j;
-                    return Ok(j);
-                }
-                Err(e) => {
-                    attempts += 1;
-                    if attempts <= self.res.max_read_retries {
-                        self.retries += 1;
-                        // Linear backoff, charged as overhead *energy*
-                        // only: the driver clock does not advance, so
-                        // trace timelines stay comparable to clean runs.
-                        if self.res.retry_backoff_s > 0.0 {
-                            b.charge_overhead(self.res.retry_backoff_s * attempts as f64);
-                        }
-                        continue;
-                    }
-                    self.hard_faults += 1;
-                    return match &mut self.budget_left {
-                        Some(0) => {
-                            self.degraded = true;
-                            Ok(self.last_j)
-                        }
-                        Some(n) => {
-                            *n -= 1;
-                            if *n == 0 {
-                                self.degraded = true;
-                            }
-                            Ok(self.last_j)
-                        }
-                        None => Err(RunError::Measure(e)),
-                    };
-                }
+        match b.energy_j() {
+            Ok(j) => {
+                self.last_j = j;
+                Ok(j)
             }
+            Err(e) => self.retry(b, e),
         }
     }
+
+    /// The rest of [`Meter::read`] once its first attempt failed with `e`.
+    #[cold]
+    fn retry<B: Backend>(&mut self, b: &mut B, mut e: MeasureError) -> Result<f64, RunError> {
+        let mut attempts: u32 = 1;
+        loop {
+            if attempts <= self.res.max_read_retries {
+                self.retries += 1;
+                // Linear backoff, charged as overhead *energy* only: the
+                // driver clock does not advance, so trace timelines stay
+                // comparable to clean runs.
+                if self.res.retry_backoff_s > 0.0 {
+                    b.charge_overhead(self.res.retry_backoff_s * attempts as f64);
+                }
+                match b.energy_j() {
+                    Ok(j) => {
+                        self.last_j = j;
+                        return Ok(j);
+                    }
+                    Err(next) => {
+                        e = next;
+                        attempts += 1;
+                        continue;
+                    }
+                }
+            }
+            self.hard_faults += 1;
+            return match &mut self.budget_left {
+                Some(0) => {
+                    self.degraded = true;
+                    Ok(self.last_j)
+                }
+                Some(n) => {
+                    *n -= 1;
+                    if *n == 0 {
+                        self.degraded = true;
+                    }
+                    Ok(self.last_j)
+                }
+                None => Err(RunError::Measure(e)),
+            };
+        }
+    }
+}
+
+/// What the run driver keeps per step position: the tuner slot it
+/// resolved, and what its last invocation resolved when the next one may
+/// repeat it.
+#[derive(Clone, Copy)]
+struct Position {
+    slot: usize,
+    replay: Option<Replay>,
+}
+
+/// A settled invocation, resolved: the tuner's decision and the cell the
+/// backend priced for it.
+#[derive(Clone, Copy)]
+struct Replay {
+    settled: Settled,
+    cell: PricedCell,
+}
+
+/// What the run driver indexes per run: each step position, and each
+/// slot's summary. The tuner keeps them between runs, so a tuner that
+/// drives one step run after run (the broker's quanta, training passes)
+/// neither resolves its positions again nor re-prices what they settled on.
+#[derive(Default)]
+pub(crate) struct RunTables {
+    positions: Vec<Option<Position>>,
+    per_region: Vec<RegionSummary>,
 }
 
 /// The run loop — the only caller of [`Backend::run_region`]. Every run
@@ -632,9 +721,13 @@ impl Meter {
 /// ordinal, so one read more or fewer moves every later fault.
 ///
 /// Per-region tables are indexed by the tuner's slot, not by region name:
-/// each step position resolves to its slot once per run, at its first
-/// `begin`, and the executor finds its own slot from the order of its
-/// calls (DESIGN.md §3.2). The run's report is written into `report`.
+/// each step position resolves to its slot at its first `begin`, and keeps
+/// it for every later run of a step with the same region names. The
+/// executor finds its own slot from the order of its calls (DESIGN.md
+/// §3.2). An invocation that repeats the cell its position priced last is
+/// replayed ([`Backend::replay_region`]) instead of run, with every other
+/// step of the choreography unchanged. The run's report is written into
+/// `report`.
 fn drive<B: Backend>(
     b: &mut B,
     wl: &WorkloadDescriptor,
@@ -645,16 +738,35 @@ fn drive<B: Backend>(
     report: &mut AppRunReport,
 ) -> Result<(), RunError> {
     let mut tables = std::mem::take(&mut tuner.run_tables);
-    tables.slots.clear();
-    tables.slots.resize(wl.step.len(), None);
-    tables.per_region.clear();
-    let RunTables { slots, per_region } = &mut tables;
+    let RunTables { positions, per_region } = &mut tables;
+    let same_step = positions.len() == wl.step.len()
+        && positions
+            .iter()
+            .zip(&wl.step)
+            .all(|(at, region)| at.as_ref().is_none_or(|at| tuner.name(at.slot) == region.name));
+    if !same_step {
+        positions.clear();
+        positions.resize(wl.step.len(), None);
+    }
+    per_region.clear();
+    per_region.resize_with(tuner.stats().regions as usize, Default::default);
     let mut acc = Accum::new(b, wl, strategy, tuner.objective(), self_profile, per_region);
+    // A sink sees every invocation the backend runs, so a traced run
+    // replays nothing.
+    let replay = acc.sink.is_none();
     let mut meter = Meter::new(res);
     for _ts in 0..wl.timesteps {
         for (pos, region) in wl.step.iter().enumerate() {
-            let slot = *slots[pos].get_or_insert_with(|| acc.track(tuner.resolve(&region.name)));
-            let decision = acc.timed(Phase::Tune, || tuner.begin_at(slot));
+            let at = positions[pos].get_or_insert_with(|| Position {
+                slot: acc.track(tuner.resolve(&region.name)),
+                replay: None,
+            });
+            let slot = at.slot;
+            let replayed = at.replay.filter(|_| replay);
+            let decision = match &replayed {
+                Some(r) => tuner.repeat_begin(r.settled),
+                None => acc.timed(Phase::Tune, || tuner.begin_at(slot)),
+            };
             let cfg = decision.config;
             // The change cost fires whenever the global ICVs must move —
             // with per-region configurations that is typically on every
@@ -713,7 +825,20 @@ fn drive<B: Backend>(
                 );
             }
             let e_pre = acc.timed(Phase::Meter, || meter.read(b))?;
-            let run = acc.timed(Phase::Measure, || b.run_region(region, cfg));
+            let run = match &replayed {
+                Some(r) if b.replay_region(region, cfg, &r.cell) => {
+                    RegionRun { time_s: r.cell.time_s, features: r.cell.features }
+                }
+                _ => {
+                    let run = acc.timed(Phase::Measure, || b.run_region(region, cfg));
+                    if replay {
+                        at.replay = tuner
+                            .settled(slot)
+                            .and_then(|settled| b.priced().map(|cell| Replay { settled, cell }));
+                    }
+                    run
+                }
+            };
             let e_post = acc.timed(Phase::Meter, || meter.read(b))?;
             let meas = Measurement {
                 time_s: run.time_s,
@@ -723,10 +848,16 @@ fn drive<B: Backend>(
             // The tuner optimises what the instrumentation saw — the noisy
             // APEX timer and the differenced package meter — scored by its
             // objective. Its search events precede the region's end.
-            acc.timed(Phase::Tune, || tuner.end_at(slot, meas.time_s, meas.energy_j));
+            match replayed {
+                Some(_) => tuner.repeat_end(slot, meas.time_s),
+                None => acc.timed(Phase::Tune, || tuner.end_at(slot, meas.time_s, meas.energy_j)),
+            }
             let energy_total_j = acc.timed(Phase::Meter, || meter.read(b))?;
             acc.region(slot, &region.name, cfg, &meas, change_s, instr_s, energy_total_j);
-            tuner.observe_at(slot, &meas.features, acc.time_s);
+            // A settled region is off the ladder.
+            if replayed.is_none() {
+                tuner.observe_at(slot, &meas.features, acc.time_s);
+            }
             // Error budget exhausted: freeze every region to its best-known
             // configuration and ride the run out (final rung of the
             // degradation ladder — the run completes `Degraded` rather
@@ -851,6 +982,7 @@ impl<'w> Accum<'w> {
 
     /// Account one invocation of region `name`, at tuner slot `slot`.
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     fn region(
         &mut self,
         slot: usize,

@@ -111,6 +111,12 @@ impl CapWatch {
         Some(self.handle.get())
     }
 
+    /// Has the handle moved since the last poll? [`CapWatch::poll`]
+    /// without marking anything seen.
+    pub(crate) fn moved(&self) -> bool {
+        self.handle.version() != self.seen
+    }
+
     /// The watched handle.
     pub fn handle(&self) -> &CapHandle {
         &self.handle

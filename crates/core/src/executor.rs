@@ -31,8 +31,15 @@
 //! only when RAPL advanced since the last sample; otherwise the
 //! unchanged register would add nothing, and the read answers the
 //! meter's total (DESIGN.md §3.4).
+//!
+//! A settled invocation the driver replays skips even that: it hands back
+//! the [`PricedCell`] the executor priced at its step position, and
+//! [`Backend::replay_region`] checks that the slot still holds that cell at
+//! the current cap, with no fault plan, noise or unapplied cap move, then
+//! does only what the invocation changes — the ordinal, one memo hit, the
+//! RAPL advance (DESIGN.md §3.2).
 
-use crate::backend::{self, Backend, RegionFeatures, RegionRun, RunError};
+use crate::backend::{self, Backend, PricedCell, RegionFeatures, RegionRun, RunError};
 use crate::cap::CapHandle;
 use crate::config::TunedConfig;
 use crate::faults::Perturbation;
@@ -44,7 +51,13 @@ use arcs_powersim::{
 use arcs_trace::TraceSink;
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Where each slot table's stamp comes from: one per executor and per
+/// cache bind, unique in the process, so a [`PricedCell`] names the slot
+/// table that priced it.
+static STAMPS: AtomicU64 = AtomicU64::new(0);
 
 /// Per-region executor state, one per region name: the cache-interned id
 /// (resolved once, not per lookup), the cache's shared weight table
@@ -57,6 +70,9 @@ struct RegionSlot {
     table: Option<Arc<WeightTable>>,
     invocations: u64,
     last: Option<(CellInputs, Arc<SimReport>)>,
+    /// How many times `last` was replaced: a [`PricedCell`] taken with
+    /// this count still describes `last`.
+    repriced: u64,
 }
 
 impl RegionSlot {
@@ -125,6 +141,13 @@ pub struct SimExecutor {
     /// feeds the stateless noise model and persists across runs, so
     /// repeated training passes see fresh noise.
     slots: Vec<RegionSlot>,
+    /// This slot table's stamp (see [`STAMPS`]), and the slot the last
+    /// [`Backend::run_region`] priced.
+    stamp: u64,
+    last_slot: usize,
+    /// Invocations [`Backend::replay_region`] served.
+    #[cfg(test)]
+    replayed: u64,
     /// Region name → slot: the cold path, once per name per cache bind.
     by_name: HashMap<Arc<str>, usize, FxBuildHasher>,
     /// This run's call positions: the address of each `RegionModel`
@@ -204,6 +227,10 @@ impl SimExecutor {
             energy_meter: PackageEnergy::new(),
             resample: true,
             slots: Vec::new(),
+            stamp: STAMPS.fetch_add(1, Ordering::Relaxed),
+            last_slot: 0,
+            #[cfg(test)]
+            replayed: 0,
             by_name: HashMap::default(),
             positions: Vec::new(),
             cursor: 0,
@@ -263,6 +290,7 @@ impl SimExecutor {
         // Interned ids (and the reports the slots remember) belong to the
         // cache that issued them — re-resolve lazily against the new one.
         self.slots.clear();
+        self.stamp = STAMPS.fetch_add(1, Ordering::Relaxed);
         self.by_name.clear();
         self.positions.clear();
         self.cursor = 0;
@@ -312,6 +340,7 @@ impl SimExecutor {
             table: None,
             invocations: 0,
             last: None,
+            repriced: 0,
         });
         self.by_name.insert(name, slot);
         slot
@@ -414,6 +443,7 @@ impl SimExecutor {
              ({cap_w} W, {freq_limit_ghz:?})"
         );
         slot.last = Some((inputs, rep));
+        slot.repriced += 1;
     }
 }
 
@@ -448,6 +478,7 @@ impl Backend for SimExecutor {
 
     fn run_region(&mut self, region: &RegionModel, cfg: TunedConfig) -> RegionRun {
         let slot = self.slot_at(region);
+        self.last_slot = slot;
         let inv = self.slots[slot].invocations;
         self.slots[slot].invocations += 1;
         // A cap move — broker reallocation or scheduled fault — reprograms
@@ -471,16 +502,60 @@ impl Backend for SimExecutor {
         self.resample = true;
         RegionRun {
             time_s: self.perturb.after_invocation(&region.name, faults, rep.time_s * fnoise),
-            features: RegionFeatures {
-                busy_s: rep.busy_total_s(),
-                barrier_s: rep.barrier_total_s(),
-                l1_miss_rate: rep.cache.l1_miss_rate,
-                l2_miss_rate: rep.cache.l2_miss_rate,
-                l3_miss_rate: rep.cache.l3_miss_rate,
-            },
+            features: features(&rep),
         }
     }
 
+    fn priced(&self) -> Option<PricedCell> {
+        if self.noise.is_some() || self.perturb.faulted() {
+            return None;
+        }
+        let slot = self.slots.get(self.last_slot)?;
+        let (_, rep) = slot.last.as_ref()?;
+        Some(PricedCell {
+            owner: self.stamp,
+            slot: self.last_slot,
+            repriced: slot.repriced,
+            time_s: rep.time_s,
+            power_w: rep.avg_power_w(),
+            features: features(rep),
+        })
+    }
+
+    /// What [`Backend::run_region`] does for an unperturbed repeat of the
+    /// slot's last cell, without resolving the slot or the cell again: the
+    /// slot's invocation ordinal, one memo hit, RAPL advanced by the cell.
+    #[inline]
+    fn replay_region(&mut self, region: &RegionModel, cfg: TunedConfig, cell: &PricedCell) -> bool {
+        if cell.owner != self.stamp || self.noise.is_some() || !self.perturb.quiet() {
+            return false;
+        }
+        let repeat = CellInputs {
+            iterations: region.iterations,
+            cfg: cfg.omp.as_sim(),
+            cap_bits: self.perturb.cap_w().to_bits(),
+            freq_bits: cfg.freq_ghz.map(f64::to_bits),
+        };
+        let slot = &mut self.slots[cell.slot];
+        if slot.repriced != cell.repriced
+            || !matches!(&slot.last, Some((last, _)) if *last == repeat)
+        {
+            return false;
+        }
+        slot.invocations += 1;
+        self.cache.note_hit(slot.id);
+        self.rapl.advance(cell.time_s, cell.power_w);
+        self.resample = true;
+        // Calls this run skipped: the next `slot_at` must scan, not append.
+        self.revisited = true;
+        #[cfg(test)]
+        {
+            self.replayed += 1;
+        }
+        true
+    }
+
+    #[inline]
     fn energy_j(&mut self) -> Result<f64, MeasureError> {
         // A dropped sample answers the stale counter value without
         // resampling RAPL, and so does a read with no RAPL advance since
@@ -509,6 +584,17 @@ impl Backend for SimExecutor {
 
     fn bind_shared_cache(&mut self, cache: Arc<SharedSimCache>) -> Result<(), RunError> {
         self.bind_cache(cache).map_err(RunError::from)
+    }
+}
+
+/// What the instrumentation reads of a priced cell.
+fn features(rep: &SimReport) -> RegionFeatures {
+    RegionFeatures {
+        busy_s: rep.busy_total_s(),
+        barrier_s: rep.barrier_total_s(),
+        l1_miss_rate: rep.cache.l1_miss_rate,
+        l2_miss_rate: rep.cache.l2_miss_rate,
+        l3_miss_rate: rep.cache.l3_miss_rate,
     }
 }
 
@@ -809,6 +895,78 @@ mod tests {
     fn shared_cache_mismatch_panics() {
         let cache = Arc::new(SharedSimCache::new("minotaur"));
         let _ = SimExecutor::new(Machine::crill(), 85.0).with_shared_cache(cache);
+    }
+}
+
+#[cfg(test)]
+mod replay_tests {
+    //! Byte gates cannot see a replay that never fires: these count it.
+
+    use super::*;
+    use crate::backend::Runner;
+    use crate::config::{ConfigSpace, OmpConfig};
+    use crate::tuner::{RegionTuner, TunerOptions};
+    use arcs_harmony::History;
+    use arcs_kernels::{model, Class};
+    use arcs_powersim::WorkloadDescriptor;
+
+    fn sp_b(timesteps: usize) -> WorkloadDescriptor {
+        let mut wl = model::sp(Class::B);
+        wl.timesteps = timesteps;
+        wl
+    }
+
+    #[test]
+    fn a_warm_default_run_replays_every_invocation_after_the_first_step() {
+        let m = Machine::crill();
+        let wl = sp_b(20);
+        let cache = Arc::new(SharedSimCache::new(&m.name));
+        let _ = Runner::new(&mut SimExecutor::on_cache(m.clone(), 85.0, Arc::clone(&cache)))
+            .workload(&wl)
+            .run()
+            .unwrap();
+        let mut exec = SimExecutor::on_cache(m, 85.0, cache);
+        let rep = Runner::new(&mut exec).workload(&wl).run().unwrap();
+        let positions = wl.step.len() as u64;
+        assert_eq!(exec.replayed, 20 * positions - positions);
+        assert_eq!(rep.per_region.values().map(|r| r.invocations).sum::<u64>(), 20 * positions);
+    }
+
+    #[test]
+    fn an_offline_replay_run_replays_every_invocation_after_the_first_step() {
+        let m = Machine::crill();
+        let wl = sp_b(20);
+        let mut h = History::new("replay");
+        for r in &wl.step {
+            h.insert(r.name.clone(), OmpConfig::default_for(&m), 1.0, 252);
+        }
+        let mut tuner =
+            RegionTuner::new(TunerOptions::offline_replay(ConfigSpace::for_machine(&m), h));
+        let mut exec = SimExecutor::new(m, 85.0);
+        Runner::new(&mut exec).workload(&wl).tuner(&mut tuner).run().unwrap();
+        let positions = wl.step.len() as u64;
+        assert_eq!(exec.replayed, 20 * positions - positions);
+    }
+
+    #[test]
+    fn broker_quanta_of_cg_s_mostly_replay() {
+        // One executor and one tuner across 4-timestep runs at a fixed
+        // cap, as the broker drives a job quantum by quantum.
+        let m = Machine::crill();
+        let mut wl = model::cg(Class::S);
+        wl.timesteps = 4;
+        let mut tuner = RegionTuner::new(TunerOptions::online(ConfigSpace::for_machine(&m)));
+        let mut exec = SimExecutor::new(m, 85.0);
+        let mut invocations = 0;
+        for _ in 0..25 {
+            let rep = Runner::new(&mut exec).workload(&wl).tuner(&mut tuner).run().unwrap();
+            invocations += rep.per_region.values().map(|r| r.invocations).sum::<u64>();
+        }
+        assert!(
+            exec.replayed * 10 >= invocations * 9,
+            "{} of {invocations} invocations replayed",
+            exec.replayed
+        );
     }
 }
 

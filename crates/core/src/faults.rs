@@ -139,6 +139,17 @@ impl Perturbation {
         self.requested_cap_w
     }
 
+    /// Is a fault plan attached?
+    pub(crate) fn faulted(&self) -> bool {
+        self.clock.is_some()
+    }
+
+    /// Would [`Perturbation::before_invocation`] do nothing: no plan
+    /// attached, and the watched handle (if any) not moved?
+    pub(crate) fn quiet(&self) -> bool {
+        self.clock.is_none() && self.cap_watch.as_ref().is_none_or(|w| !w.moved())
+    }
+
     pub(crate) fn attach_faults(&mut self, plan: FaultPlan) {
         self.clock = Some(FaultClock::new(plan));
     }

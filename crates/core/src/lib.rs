@@ -73,7 +73,7 @@ pub mod sweep;
 pub mod tuner;
 
 pub use backend::{
-    overhead_power_w, Backend, Measurement, RegionFeatures, RegionRun, RunError, Runner,
+    overhead_power_w, Backend, Measurement, PricedCell, RegionFeatures, RegionRun, RunError, Runner,
 };
 pub use cap::{CapHandle, CapWatch};
 pub use config::{ChunkChoice, ConfigSpace, OmpConfig, ScheduleChoice, ThreadChoice, TunedConfig};

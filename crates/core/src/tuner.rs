@@ -57,9 +57,8 @@
 //! [`TraceEvent::PolicySwitched`]. Every decision is a pure function of
 //! the imbalance stream, so adaptive runs are byte-reproducible.
 
-use crate::backend::RegionFeatures;
+use crate::backend::{RegionFeatures, RunTables};
 use crate::config::{ConfigSpace, OmpConfig, TunedConfig};
-use crate::report::RegionSummary;
 use crate::resilience::{median_and_mad, ResilienceOptions};
 use arcs_harmony::{History, SearchSpace, Session, StrategyKind};
 use arcs_omprt::{Schedule, ScheduleKind};
@@ -156,6 +155,13 @@ pub struct TunerDecision {
     /// both Online and Offline strategies"). Regions excluded by selective
     /// tuning run untouched and pay nothing.
     pub tuned: bool,
+}
+
+/// A decision that repeats: what [`RegionTuner::settled`] answers.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Settled {
+    config: TunedConfig,
+    tuned: bool,
 }
 
 /// Aggregate overhead/bookkeeping counters.
@@ -410,15 +416,6 @@ pub struct RegionTuner {
     pub(crate) run_tables: RunTables,
 }
 
-/// What the run driver indexes per run: each step position's slot, and
-/// each slot's summary. The tuner keeps them between runs, so a tuner that
-/// drives one workload run after run (the broker's quanta) reuses them.
-#[derive(Default)]
-pub(crate) struct RunTables {
-    pub(crate) slots: Vec<Option<usize>>,
-    pub(crate) per_region: Vec<RegionSummary>,
-}
-
 impl RegionTuner {
     pub fn new(options: TunerOptions) -> Self {
         let default_cfg = options.space.decode(&options.space.default_point());
@@ -580,7 +577,6 @@ impl RegionTuner {
 
     /// [`RegionTuner::begin`] for a resolved slot.
     pub(crate) fn begin_at(&mut self, slot: usize) -> TunerDecision {
-        self.stats.invocations += 1;
         let threshold = self.options.min_region_time_s;
         let state = &mut self.regions[slot];
 
@@ -600,13 +596,46 @@ impl RegionTuner {
             Mode::Pinned { config, tuned, ladder } => (*config, *tuned, ladder.as_mut()),
             Mode::Searching(search) => (search.next(&self.options.space), true, None),
         };
-        let changed = match ladder {
-            // A rung move is a change against the region's own last run.
-            Some(ladder) => ladder.apply(&mut config.omp.schedule),
-            // Compare against the *global* runtime state, not this
-            // region's last configuration: the ICVs are process-wide.
-            None => tuned && self.last_applied != Some(config),
-        };
+        // A rung move is a change against the region's own last run.
+        let moved = ladder.map(|ladder| ladder.apply(&mut config.omp.schedule));
+        self.count_begin(Settled { config, tuned }, moved)
+    }
+
+    /// The decision [`RegionTuner::begin_at`] makes for `slot` on every
+    /// invocation from now on, when it is one decision: a region pinned off
+    /// the ladder, or a search that has settled, and no selective tuning to
+    /// pin it elsewhere. It does not change: freezing pins a settled search
+    /// at its best point, which is the point it settled on.
+    pub(crate) fn settled(&self, slot: usize) -> Option<Settled> {
+        if self.options.min_region_time_s > 0.0 {
+            return None;
+        }
+        match &self.regions[slot].mode {
+            Mode::Pinned { config, tuned, ladder: None } => {
+                Some(Settled { config: *config, tuned: *tuned })
+            }
+            Mode::Searching(search) => search.settled.map(|config| Settled { config, tuned: true }),
+            Mode::Pinned { ladder: Some(_), .. } => None,
+        }
+    }
+
+    /// [`RegionTuner::begin_at`] for a slot [`RegionTuner::settled`]
+    /// answered `settled` for: the same counters, without finding the
+    /// decision again.
+    #[inline]
+    pub(crate) fn repeat_begin(&mut self, settled: Settled) -> TunerDecision {
+        self.count_begin(settled, None)
+    }
+
+    /// Count one invocation that runs `settled`, and whether it moves the
+    /// ICVs: by the ladder's rung move when the region is on the ladder,
+    /// else against the *global* runtime state, not the region's last
+    /// configuration, since the ICVs are process-wide.
+    #[inline]
+    fn count_begin(&mut self, settled: Settled, rung_moved: Option<bool>) -> TunerDecision {
+        let Settled { config, tuned } = settled;
+        self.stats.invocations += 1;
+        let changed = rung_moved.unwrap_or_else(|| tuned && self.last_applied != Some(config));
         if changed {
             self.stats.config_changes += 1;
         }
@@ -636,9 +665,8 @@ impl RegionTuner {
     /// [`RegionTuner::end_measured`] for a resolved slot.
     pub(crate) fn end_at(&mut self, slot: usize, time_s: f64, energy_j: f64) {
         let score = self.options.objective.score(time_s, energy_j);
+        self.repeat_end(slot, time_s);
         let state = &mut self.regions[slot];
-        state.invocations += 1;
-        state.total_time_s += time_s;
         let Mode::Searching(search) = &mut state.mode else { return };
         if !std::mem::take(&mut search.awaiting) {
             return;
@@ -699,6 +727,15 @@ impl RegionTuner {
         search.last_rejected = None;
         search.accepted.push(score);
         search.session.report(score);
+    }
+
+    /// [`RegionTuner::end_at`] for a settled slot, whose search (if any)
+    /// awaits no measurement: count the invocation and its time.
+    #[inline]
+    pub(crate) fn repeat_end(&mut self, slot: usize, time_s: f64) {
+        let state = &mut self.regions[slot];
+        state.invocations += 1;
+        state.total_time_s += time_s;
     }
 
     /// Feed the portfolio ladder (a no-op for regions off it) the

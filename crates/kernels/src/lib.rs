@@ -7,7 +7,6 @@
 //! * [`npb::bt`] — block-tridiagonal ADI solver (NPB BT shape);
 //! * [`npb::sp`] — scalar-pentadiagonal ADI solver (NPB SP shape);
 //! * [`npb::cg`] — sparse conjugate-gradient kernel (irregular, NPB CG shape);
-//! * [`npb::ep`] — embarrassingly-parallel Gaussian pairs (NPB EP shape);
 //! * [`npb::mg`] — multigrid V-cycle Poisson solver (NPB MG shape);
 //! * [`lulesh`] — shock-hydro proxy with LULESH 2.0's named regions;
 //! * [`quicksilver`] — Monte-Carlo particle transport (Quicksilver shape):
@@ -33,7 +32,6 @@ pub mod quicksilver;
 pub use lulesh::Lulesh;
 pub use npb::bt::BtSolver;
 pub use npb::cg::CgSolver;
-pub use npb::ep::Ep;
 pub use npb::mg::MgSolver;
 pub use npb::sp::SpSolver;
 pub use npb::Class;

@@ -400,22 +400,28 @@ impl SharedSimCache {
         self.trace.set(sink).is_ok()
     }
 
+    #[inline]
     fn trace_lookup(&self, region: RegionId, hit: bool) {
         if let Some(sink) = self.trace.get() {
-            if sink.enabled() {
-                let region = self
-                    .interner
-                    .resolve(region)
-                    .map(|n| n.to_string())
-                    .unwrap_or_else(|| format!("region#{}", region.index()));
-                let event = if hit {
-                    TraceEvent::CacheHit { region }
-                } else {
-                    TraceEvent::CacheMiss { region }
-                };
-                sink.record(None, event);
-            }
+            self.record_lookup(sink, region, hit);
         }
+    }
+
+    /// `trace_lookup` with a sink attached: kept out of
+    /// line, so the untraced hit path stays small.
+    #[cold]
+    fn record_lookup(&self, sink: &Arc<dyn TraceSink>, region: RegionId, hit: bool) {
+        if !sink.enabled() {
+            return;
+        }
+        let region = self
+            .interner
+            .resolve(region)
+            .map(|n| n.to_string())
+            .unwrap_or_else(|| format!("region#{}", region.index()));
+        let event =
+            if hit { TraceEvent::CacheHit { region } } else { TraceEvent::CacheMiss { region } };
+        sink.record(None, event);
     }
 
     /// Count one hit on `region`: the counter and the `CacheHit` event.

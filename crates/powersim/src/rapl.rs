@@ -62,6 +62,7 @@ impl Rapl {
     /// (all call sites derive them from simulated region reports, which
     /// are non-negative by construction), so this is a debug-only
     /// invariant rather than a release-mode panic path.
+    #[inline]
     pub fn advance(&mut self, dt_s: f64, power_w: f64) {
         debug_assert!(dt_s >= 0.0 && power_w >= 0.0);
         self.exact_uj += power_w * dt_s * 1e6;
@@ -73,6 +74,7 @@ impl Rapl {
     }
 
     /// Read the (wrapping, quantised) energy register, µJ.
+    #[inline]
     pub fn read_energy_uj(&self) -> u64 {
         (self.visible_uj as u64) % COUNTER_WRAP_UJ
     }
@@ -98,6 +100,7 @@ impl PackageEnergy {
     }
 
     /// Sample the register; accumulates the delta, handling wrap-around.
+    #[inline]
     pub fn sample(&mut self, rapl: &Rapl) -> f64 {
         let raw = rapl.read_energy_uj();
         if self.primed {
@@ -114,6 +117,7 @@ impl PackageEnergy {
     }
 
     /// Total unwrapped energy observed, joules.
+    #[inline]
     pub fn total_j(&self) -> f64 {
         self.total_j
     }

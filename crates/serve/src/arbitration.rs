@@ -117,15 +117,23 @@ pub struct Claim {
 /// `claims`. `running` yields `(tenant, degraded, floor_w, max_w)`. A
 /// tenant's weight (1 when `tenant_weights` does not know it) is split
 /// evenly across its running jobs, so more jobs never buy a tenant more
-/// aggregate share; a degraded job earns no surplus at all.
+/// aggregate share; a degraded job earns no surplus at all. The jobs are
+/// counted into `tenant_jobs`, which keeps one entry per tenant it has
+/// seen, so a caller that keeps it allocates only for a new tenant.
 pub fn claims<'a>(
     tenant_weights: &BTreeMap<String, f64>,
     running: impl Iterator<Item = (&'a str, bool, f64, f64)> + Clone,
+    tenant_jobs: &mut BTreeMap<String, f64>,
     claims: &mut Vec<Claim>,
 ) {
-    let mut tenant_jobs: BTreeMap<&str, f64> = BTreeMap::new();
+    tenant_jobs.values_mut().for_each(|n| *n = 0.0);
     for (tenant, ..) in running.clone() {
-        *tenant_jobs.entry(tenant).or_insert(0.0) += 1.0;
+        match tenant_jobs.get_mut(tenant) {
+            Some(n) => *n += 1.0,
+            None => {
+                tenant_jobs.insert(tenant.to_string(), 1.0);
+            }
+        }
     }
     claims.clear();
     claims.extend(running.map(|(tenant, degraded, floor_w, max_w)| Claim {
@@ -324,8 +332,8 @@ mod tests {
             ("light", true, 57.5, 230.0),
             ("stranger", false, 57.5, 230.0),
         ];
-        let mut got = Vec::new();
-        claims(&weights, running.iter().copied(), &mut got);
+        let (mut tenant_jobs, mut got) = (BTreeMap::new(), Vec::new());
+        claims(&weights, running.iter().copied(), &mut tenant_jobs, &mut got);
         let weights_out: Vec<f64> = got.iter().map(|c| c.weight).collect();
         // Two jobs of one tenant halve its weight — a degraded job still
         // counts as one of them but earns nothing; an unknown tenant
@@ -334,7 +342,11 @@ mod tests {
         // Floors and maxima pass through, in order.
         assert_eq!(got[1], Claim { floor_w: 60.0, max_w: 230.0, weight: 0.5 });
         assert_eq!(got[2].max_w, 200.0);
-        claims(&weights, std::iter::empty(), &mut got);
+        // The counts start again from zero: one heavy job keeps its
+        // tenant's whole weight.
+        claims(&weights, running[..1].iter().copied(), &mut tenant_jobs, &mut got);
+        assert_eq!(got[0].weight, 2.0);
+        claims(&weights, std::iter::empty(), &mut tenant_jobs, &mut got);
         assert!(got.is_empty());
     }
 

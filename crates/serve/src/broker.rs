@@ -291,9 +291,10 @@ pub struct Broker {
     /// Every quantum any job ran, so a retracing job recalls instead of
     /// simulating.
     quanta: QuantumMemo,
-    /// The jobs one `schedule` placed, and one reallocation's claims and
-    /// caps, kept for the next.
+    /// The jobs one `schedule` placed, and one reallocation's running
+    /// jobs per tenant, claims and caps, kept for the next.
     placed: Vec<u64>,
+    tenant_jobs: BTreeMap<String, f64>,
     claims: Vec<Claim>,
     caps: Vec<f64>,
 }
@@ -341,6 +342,7 @@ impl Broker {
             watchers: Vec::new(),
             quanta: QuantumMemo::new(),
             placed: Vec::new(),
+            tenant_jobs: BTreeMap::new(),
             claims: Vec::new(),
             caps: Vec::new(),
         };
@@ -889,6 +891,7 @@ impl Broker {
             self.running.values().map(|rj| {
                 (rj.progress.spec.tenant.as_str(), rj.progress.degraded, rj.floor_w, rj.max_w)
             }),
+            &mut self.tenant_jobs,
             &mut self.claims,
         );
         arbitration::water_fill(self.cfg.budget_w, &self.claims, &mut self.caps);

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The bound the broker must stay under, per submitted job.
-const MAX_ALLOCS_PER_JOB: f64 = 60.0;
+const MAX_ALLOCS_PER_JOB: f64 = 57.0;
 
 const JOBS: usize = 1000;
 const NODES: usize = 8;

@@ -43,7 +43,7 @@ proptest! {
         let budget_w = running.iter().map(|j| j.2).sum::<f64>() + headroom_w;
 
         let mut got: Vec<Claim> = Vec::new();
-        claims(&tenant_weights, running.iter().copied(), &mut got);
+        claims(&tenant_weights, running.iter().copied(), &mut BTreeMap::new(), &mut got);
         prop_assert_eq!(got.len(), running.len());
         for (claim, &(tenant, degraded, floor_w, max_w)) in got.iter().zip(&running) {
             prop_assert_eq!((claim.floor_w, claim.max_w), (floor_w, max_w));
