@@ -13,10 +13,11 @@ cargo test --workspace -q
 # and meter paths and the string scanner (whose linear-time test times
 # it) are optimised only in release, which is the build that ships.
 cargo test --release -q -p arcs-powersim --test reference_oracle
-# The broker's and the warm sweep's allocation budgets, counted in the
-# build that ships.
+# The broker's, the warm sweep's and the trace codec's allocation
+# budgets, counted in the build that ships.
 cargo test --release -q --test serve_allocations
 cargo test --release -q --test warm_allocations
+cargo test --release -q --test trace_allocations
 cargo test --release -q --test reference_driver
 cargo test --release -q -p serde_json
 cargo clippy --workspace --all-targets -- -D warnings
@@ -95,6 +96,14 @@ forbid "a second selector" '/enum Source|AdaptiveState|AdaptiveLadder|ArmSwitch/
 # of the run driver may keep no second region index beside it.
 forbid "a second region index in the run driver" '/HashMap|summary_of/' \
     crates/core/src/backend.rs
+
+# One record per step position: the driver's record holds a position's
+# tuner slot, settled decision and priced cell, and hands the cell to the
+# backend through `Backend::run_at`. No non-test source may bring back the
+# second trait pair that fetched and replayed the cell, or an executor
+# that works out positions again from the order and addresses of its calls.
+forbid "a second step-position table or replay path" \
+    '/replay_region|fn priced\(|slot_at|revisited|last_slot/'
 
 # One search space and one way to label a series: the Table I grid and
 # its optional frequency axis are `ConfigSpace` alone, and a labeled

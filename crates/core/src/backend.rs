@@ -57,12 +57,13 @@
 //!
 //! ## Settled replay
 //!
-//! The driver keeps, per step position and across runs of the same step,
-//! the tuner slot, and for a settled region the decision and the
-//! [`PricedCell`] its last invocation resolved. An untraced invocation
-//! that repeats them counts the decision, charges and meters exactly as
-//! any other, and has the backend replay the cell
-//! ([`Backend::replay_region`]) instead of running it (DESIGN.md §3.2).
+//! The driver keeps one record per step position, across runs of the same
+//! step: the tuner slot, the decision once the region has settled, and the
+//! [`PricedCell`] the backend left for it. Each invocation hands the
+//! backend its position's cell ([`Backend::run_at`]); an untraced one that
+//! repeats it is replayed instead of run, and a settled decision is counted
+//! instead of found again, with every charge and meter read unchanged
+//! (DESIGN.md §3.2).
 
 use crate::cap::CapHandle;
 use crate::config::OmpConfig;
@@ -79,6 +80,7 @@ use arcs_powersim::{
 use arcs_trace::{Objective, TraceEvent, TraceSink};
 use std::borrow::Cow;
 use std::fmt;
+use std::num::NonZeroU64;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -118,16 +120,16 @@ pub struct Measurement {
     pub features: RegionFeatures,
 }
 
-/// What a backend priced for one region invocation, as [`Backend::priced`]
-/// hands it to the driver: the backend's own key for the cell, and what a
-/// repeat of the invocation measures. The driver keeps one per step
-/// position and offers it back to [`Backend::replay_region`]. Only the
-/// backend that priced it can read or replay it.
+/// What a backend priced for one region invocation, as
+/// [`Backend::run_at`] leaves it in the driver's record of the invocation's
+/// step position: the backend's own key for the cell, and what a repeat of
+/// the invocation measures. Only the backend that priced it can read or
+/// replay it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PricedCell {
     /// The pricing executor's stamp, its slot for the region, and how
     /// often that slot had priced a new cell.
-    pub(crate) owner: u64,
+    pub(crate) owner: NonZeroU64,
     pub(crate) slot: usize,
     pub(crate) repriced: u64,
     /// The invocation's time, and the package power RAPL advanced at.
@@ -167,25 +169,18 @@ pub trait Backend {
     /// control ignore `cfg.freq_ghz`.
     fn run_region(&mut self, region: &RegionModel, cfg: TunedConfig) -> RegionRun;
 
-    /// The cell the last [`Backend::run_region`] priced, when a repeat of
-    /// that invocation can be replayed ([`Backend::replay_region`]). The
-    /// default has none, so the driver runs every invocation.
-    fn priced(&self) -> Option<PricedCell> {
-        None
-    }
-
-    /// Replay an invocation of `region` at `cfg` that repeats `cell`: do to
-    /// the backend exactly what [`Backend::run_region`] would do, and
-    /// return true; the invocation measured `cell`'s time and features.
-    /// Return false, having changed nothing, when the invocation would
-    /// price something else or be perturbed. The default replays nothing.
-    fn replay_region(
+    /// [`Backend::run_region`] at a step position whose record holds `at`:
+    /// the cell this backend left there for the position's last invocation,
+    /// if any. A backend that can replay a repeat of that cell does so, and
+    /// leaves the cell it priced in `at` either way. The default runs the
+    /// invocation and leaves `at` alone.
+    fn run_at(
         &mut self,
-        _region: &RegionModel,
-        _cfg: TunedConfig,
-        _cell: &PricedCell,
-    ) -> bool {
-        false
+        _at: &mut Option<PricedCell>,
+        region: &RegionModel,
+        cfg: TunedConfig,
+    ) -> RegionRun {
+        self.run_region(region, cfg)
     }
 
     /// Cumulative package energy since [`begin_run`](Backend::begin_run),
@@ -687,21 +682,15 @@ impl Meter {
     }
 }
 
-/// What the run driver keeps per step position: the tuner slot it
-/// resolved, and what its last invocation resolved when the next one may
-/// repeat it.
+/// The run driver's record of one step position, the one place its state
+/// lives between invocations: the tuner slot it resolved, the decision once
+/// the region has settled, and the cell the backend priced for its last
+/// invocation.
 #[derive(Clone, Copy)]
 struct Position {
     slot: usize,
-    replay: Option<Replay>,
-}
-
-/// A settled invocation, resolved: the tuner's decision and the cell the
-/// backend priced for it.
-#[derive(Clone, Copy)]
-struct Replay {
-    settled: Settled,
-    cell: PricedCell,
+    settled: Option<Settled>,
+    cell: Option<PricedCell>,
 }
 
 /// What the run driver indexes per run: each step position, and each
@@ -714,7 +703,7 @@ pub(crate) struct RunTables {
     per_region: Vec<RegionSummary>,
 }
 
-/// The run loop — the only caller of [`Backend::run_region`]. Every run
+/// The run loop — the only caller of [`Backend::run_at`]. Every run
 /// flavour on every backend is this choreography, and both its meter-read
 /// order and its event order are contract (DESIGN.md §3.2): each
 /// [`Backend::energy_j`] attempt advances an attached fault plan's read
@@ -722,12 +711,11 @@ pub(crate) struct RunTables {
 ///
 /// Per-region tables are indexed by the tuner's slot, not by region name:
 /// each step position resolves to its slot at its first `begin`, and keeps
-/// it for every later run of a step with the same region names. The
-/// executor finds its own slot from the order of its calls (DESIGN.md
-/// §3.2). An invocation that repeats the cell its position priced last is
-/// replayed ([`Backend::replay_region`]) instead of run, with every other
-/// step of the choreography unchanged. The run's report is written into
-/// `report`.
+/// it for every later run of a step with the same region names. An
+/// untraced invocation of a settled region counts its decision instead of
+/// finding it again, and hands the backend the position's last cell, which
+/// it replays when the invocation repeats it; every other step of the
+/// choreography is unchanged. The run's report is written into `report`.
 fn drive<B: Backend>(
     b: &mut B,
     wl: &WorkloadDescriptor,
@@ -751,21 +739,28 @@ fn drive<B: Backend>(
     per_region.clear();
     per_region.resize_with(tuner.stats().regions as usize, Default::default);
     let mut acc = Accum::new(b, wl, strategy, tuner.objective(), self_profile, per_region);
-    // A sink sees every invocation the backend runs, so a traced run
-    // replays nothing.
-    let replay = acc.sink.is_none();
+    // A sink sees every invocation the backend runs and every decision the
+    // tuner makes, so a traced run replays nothing.
+    let untraced = acc.sink.is_none();
     let mut meter = Meter::new(res);
     for _ts in 0..wl.timesteps {
         for (pos, region) in wl.step.iter().enumerate() {
             let at = positions[pos].get_or_insert_with(|| Position {
                 slot: acc.track(tuner.resolve(&region.name)),
-                replay: None,
+                settled: None,
+                cell: None,
             });
             let slot = at.slot;
-            let replayed = at.replay.filter(|_| replay);
-            let decision = match &replayed {
-                Some(r) => tuner.repeat_begin(r.settled),
-                None => acc.timed(Phase::Tune, || tuner.begin_at(slot)),
+            let settled = at.settled.filter(|_| untraced);
+            let decision = match settled {
+                Some(settled) => tuner.repeat_begin(settled),
+                None => {
+                    let decision = acc.timed(Phase::Tune, || tuner.begin_at(slot));
+                    if untraced {
+                        at.settled = tuner.settled(slot);
+                    }
+                    decision
+                }
             };
             let cfg = decision.config;
             // The change cost fires whenever the global ICVs must move —
@@ -825,20 +820,9 @@ fn drive<B: Backend>(
                 );
             }
             let e_pre = acc.timed(Phase::Meter, || meter.read(b))?;
-            let run = match &replayed {
-                Some(r) if b.replay_region(region, cfg, &r.cell) => {
-                    RegionRun { time_s: r.cell.time_s, features: r.cell.features }
-                }
-                _ => {
-                    let run = acc.timed(Phase::Measure, || b.run_region(region, cfg));
-                    if replay {
-                        at.replay = tuner
-                            .settled(slot)
-                            .and_then(|settled| b.priced().map(|cell| Replay { settled, cell }));
-                    }
-                    run
-                }
-            };
+            let mut fresh = None;
+            let cell = if untraced { &mut at.cell } else { &mut fresh };
+            let run = acc.timed(Phase::Measure, || b.run_at(cell, region, cfg));
             let e_post = acc.timed(Phase::Meter, || meter.read(b))?;
             let meas = Measurement {
                 time_s: run.time_s,
@@ -848,14 +832,14 @@ fn drive<B: Backend>(
             // The tuner optimises what the instrumentation saw — the noisy
             // APEX timer and the differenced package meter — scored by its
             // objective. Its search events precede the region's end.
-            match replayed {
+            match settled {
                 Some(_) => tuner.repeat_end(slot, meas.time_s),
                 None => acc.timed(Phase::Tune, || tuner.end_at(slot, meas.time_s, meas.energy_j)),
             }
             let energy_total_j = acc.timed(Phase::Meter, || meter.read(b))?;
             acc.region(slot, &region.name, cfg, &meas, change_s, instr_s, energy_total_j);
             // A settled region is off the ladder.
-            if replayed.is_none() {
+            if settled.is_none() {
                 tuner.observe_at(slot, &meas.features, acc.time_s);
             }
             // Error budget exhausted: freeze every region to its best-known
@@ -878,7 +862,7 @@ enum Phase {
     /// Choosing the configuration: the tuner's `begin` decisions and
     /// `end_measured` scoring; on fixed runs the pinned lookup.
     Tune,
-    /// The backend's region execution ([`Backend::run_region`]).
+    /// The backend's region execution ([`Backend::run_at`]).
     Measure,
     /// §III-C overhead charging ([`Backend::charge_overhead`]).
     Overhead,

@@ -32,12 +32,14 @@
 //! unchanged register would add nothing, and the read answers the
 //! meter's total (DESIGN.md §3.4).
 //!
-//! A settled invocation the driver replays skips even that: it hands back
-//! the [`PricedCell`] the executor priced at its step position, and
-//! [`Backend::replay_region`] checks that the slot still holds that cell at
-//! the current cap, with no fault plan, noise or unapplied cap move, then
-//! does only what the invocation changes — the ordinal, one memo hit, the
-//! RAPL advance (DESIGN.md §3.2).
+//! An invocation that repeats its step position's last cell skips even
+//! that. [`Backend::run_at`] is handed the [`PricedCell`] the executor
+//! left in the driver's record of the position, and when the slot still
+//! holds that cell at the current cap, with no fault plan, noise or
+//! unapplied cap move, it does only what the invocation changes — the
+//! ordinal, one memo hit, the RAPL advance (DESIGN.md §3.2). Otherwise it
+//! prices the invocation on the record's slot, or on the name's slot when
+//! the position has no record yet, and leaves the new cell in the record.
 
 use crate::backend::{self, Backend, PricedCell, RegionFeatures, RegionRun, RunError};
 use crate::cap::CapHandle;
@@ -51,21 +53,25 @@ use arcs_powersim::{
 use arcs_trace::TraceSink;
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Where each slot table's stamp comes from: one per executor and per
 /// cache bind, unique in the process, so a [`PricedCell`] names the slot
 /// table that priced it.
-static STAMPS: AtomicU64 = AtomicU64::new(0);
+static STAMPS: AtomicU64 = AtomicU64::new(1);
+
+/// A fresh slot-table stamp.
+fn stamp() -> NonZeroU64 {
+    NonZeroU64::new(STAMPS.fetch_add(1, Ordering::Relaxed)).expect("stamps start at 1")
+}
 
 /// Per-region executor state, one per region name: the cache-interned id
 /// (resolved once, not per lookup), the cache's shared weight table
 /// (resolved on the first miss), the invocation ordinal feeding the noise
 /// model, and the last cell the region priced.
 struct RegionSlot {
-    /// Shared with the slot's key in `by_name`.
-    name: Arc<str>,
     id: RegionId,
     table: Option<Arc<WeightTable>>,
     invocations: u64,
@@ -141,25 +147,13 @@ pub struct SimExecutor {
     /// feeds the stateless noise model and persists across runs, so
     /// repeated training passes see fresh noise.
     slots: Vec<RegionSlot>,
-    /// This slot table's stamp (see [`STAMPS`]), and the slot the last
-    /// [`Backend::run_region`] priced.
-    stamp: u64,
-    last_slot: usize,
-    /// Invocations [`Backend::replay_region`] served.
+    /// This slot table's stamp (see [`STAMPS`]).
+    stamp: NonZeroU64,
+    /// Invocations [`Backend::run_at`] replayed.
     #[cfg(test)]
     replayed: u64,
     /// Region name → slot: the cold path, once per name per cache bind.
-    by_name: HashMap<Arc<str>, usize, FxBuildHasher>,
-    /// This run's call positions: the address of each `RegionModel`
-    /// [`Backend::run_region`] was handed, and its slot. The driver walks
-    /// the workload's step in order, timestep after timestep, so a warm
-    /// call is found at `cursor` (or at position 0 once a timestep wraps),
-    /// and until the first timestep wraps each call is a new position.
-    positions: Vec<(usize, usize)>,
-    cursor: usize,
-    /// Has a call of this run come back to a registered position? Until
-    /// one has, a call past the last position appends without a scan.
-    revisited: bool,
+    by_name: HashMap<Box<str>, usize, FxBuildHasher>,
     /// The cap (requested and RAPL-clamped), the watched handle, the
     /// fault plan, and the sink — shared with the live path.
     perturb: Perturbation,
@@ -227,14 +221,10 @@ impl SimExecutor {
             energy_meter: PackageEnergy::new(),
             resample: true,
             slots: Vec::new(),
-            stamp: STAMPS.fetch_add(1, Ordering::Relaxed),
-            last_slot: 0,
+            stamp: stamp(),
             #[cfg(test)]
             replayed: 0,
             by_name: HashMap::default(),
-            positions: Vec::new(),
-            cursor: 0,
-            revisited: false,
             perturb,
         }
     }
@@ -290,11 +280,8 @@ impl SimExecutor {
         // Interned ids (and the reports the slots remember) belong to the
         // cache that issued them — re-resolve lazily against the new one.
         self.slots.clear();
-        self.stamp = STAMPS.fetch_add(1, Ordering::Relaxed);
+        self.stamp = stamp();
         self.by_name.clear();
-        self.positions.clear();
-        self.cursor = 0;
-        self.revisited = false;
         self.cache = cache;
         Ok(())
     }
@@ -333,49 +320,9 @@ impl SimExecutor {
         }
         let id = self.cache.intern(name);
         let slot = self.slots.len();
-        let name: Arc<str> = Arc::from(name);
-        self.slots.push(RegionSlot {
-            name: Arc::clone(&name),
-            id,
-            table: None,
-            invocations: 0,
-            last: None,
-            repriced: 0,
-        });
-        self.by_name.insert(name, slot);
+        self.slots.push(RegionSlot { id, table: None, invocations: 0, last: None, repriced: 0 });
+        self.by_name.insert(name.into(), slot);
         slot
-    }
-
-    /// The slot of the region [`Backend::run_region`] was handed: one
-    /// comparison when the call is at the position after the previous
-    /// call's, the name map otherwise (once per position per run). The
-    /// name is checked too, so a `RegionModel` that reuses a freed one's
-    /// address is never mistaken for it. A run's first timestep appends
-    /// each position without scanning the ones before it; a call out of
-    /// that order, or after the first wrap, scans.
-    fn slot_at(&mut self, region: &RegionModel) -> usize {
-        let addr = region as *const RegionModel as usize;
-        let is = |&(a, slot): &(usize, usize)| a == addr && *self.slots[slot].name == *region.name;
-        let at_end = self.cursor >= self.positions.len();
-        let at = if at_end { 0 } else { self.cursor };
-        let found = match self.positions.get(at) {
-            Some(p) if is(p) => Some(at),
-            _ if at_end && !self.revisited => None,
-            _ => self.positions.iter().position(is),
-        };
-        let at = match found {
-            Some(at) => {
-                self.revisited = true;
-                at
-            }
-            None => {
-                let slot = self.slot(&region.name);
-                self.positions.push((addr, slot));
-                self.positions.len() - 1
-            }
-        };
-        self.cursor = at + 1;
-        self.positions[at].1
     }
 
     /// Price `region` at `cfg` for the slot's region under the current
@@ -445,6 +392,56 @@ impl SimExecutor {
         slot.last = Some((inputs, rep));
         slot.repriced += 1;
     }
+
+    /// [`Backend::run_at`] for an invocation it does not replay: price it
+    /// on `at`'s slot (the name's when `at` holds no cell of this
+    /// executor's), perturb it, and leave the cell it priced in `at`.
+    #[inline(never)]
+    fn run_priced(
+        &mut self,
+        at: &mut Option<PricedCell>,
+        region: &RegionModel,
+        cfg: TunedConfig,
+    ) -> RegionRun {
+        let slot = match at {
+            Some(cell) if cell.owner == self.stamp => cell.slot,
+            _ => self.slot(&region.name),
+        };
+        let inv = self.slots[slot].invocations;
+        self.slots[slot].invocations += 1;
+        // A cap move — broker reallocation or scheduled fault — reprograms
+        // RAPL before the invocation, so the simulation (and the memo
+        // cache key) see the new envelope.
+        let faults =
+            self.perturb.before_invocation(&region.name, inv, |w| self.rapl.set_package_cap(w));
+        self.price(slot, region, cfg.omp.as_sim(), cfg.freq_ghz);
+        let priced = &self.slots[slot];
+        let rep = priced.report();
+        *at = Some(PricedCell {
+            owner: self.stamp,
+            slot,
+            repriced: priced.repriced,
+            time_s: rep.time_s,
+            power_w: rep.avg_power_w(),
+            features: features(rep),
+        });
+        let rep = match faults.filter(|f| f.straggler_factor > 1.0) {
+            // A real slowdown: machine state (time and energy) grows,
+            // not just the observation.
+            Some(f) => Cow::Owned(rep.with_straggler(&self.machine, f.straggler_factor)),
+            None => Cow::Borrowed(&**rep),
+        };
+        let fnoise = match &self.noise {
+            Some(n) => n.factor(&region.name, inv),
+            None => 1.0,
+        };
+        self.rapl.advance(rep.time_s * fnoise, rep.avg_power_w());
+        self.resample = true;
+        RegionRun {
+            time_s: self.perturb.after_invocation(&region.name, faults, rep.time_s * fnoise),
+            features: features(&rep),
+        }
+    }
 }
 
 impl Backend for SimExecutor {
@@ -465,9 +462,6 @@ impl Backend for SimExecutor {
         self.energy_meter.sample(&self.rapl); // prime against the current counter
         self.resample = false;
         self.perturb.begin_run();
-        self.positions.clear();
-        self.cursor = 0;
-        self.revisited = false;
     }
 
     fn charge_overhead(&mut self, dt_s: f64) {
@@ -477,82 +471,45 @@ impl Backend for SimExecutor {
     }
 
     fn run_region(&mut self, region: &RegionModel, cfg: TunedConfig) -> RegionRun {
-        let slot = self.slot_at(region);
-        self.last_slot = slot;
-        let inv = self.slots[slot].invocations;
-        self.slots[slot].invocations += 1;
-        // A cap move — broker reallocation or scheduled fault — reprograms
-        // RAPL before the invocation, so the simulation (and the memo
-        // cache key) see the new envelope.
-        let faults =
-            self.perturb.before_invocation(&region.name, inv, |w| self.rapl.set_package_cap(w));
-        self.price(slot, region, cfg.omp.as_sim(), cfg.freq_ghz);
-        let rep = self.slots[slot].report();
-        let rep = match faults.filter(|f| f.straggler_factor > 1.0) {
-            // A real slowdown: machine state (time and energy) grows,
-            // not just the observation.
-            Some(f) => Cow::Owned(rep.with_straggler(&self.machine, f.straggler_factor)),
-            None => Cow::Borrowed(&**rep),
-        };
-        let fnoise = match &self.noise {
-            Some(n) => n.factor(&region.name, inv),
-            None => 1.0,
-        };
-        self.rapl.advance(rep.time_s * fnoise, rep.avg_power_w());
-        self.resample = true;
-        RegionRun {
-            time_s: self.perturb.after_invocation(&region.name, faults, rep.time_s * fnoise),
-            features: features(&rep),
-        }
+        self.run_priced(&mut None, region, cfg)
     }
 
-    fn priced(&self) -> Option<PricedCell> {
-        if self.noise.is_some() || self.perturb.faulted() {
-            return None;
-        }
-        let slot = self.slots.get(self.last_slot)?;
-        let (_, rep) = slot.last.as_ref()?;
-        Some(PricedCell {
-            owner: self.stamp,
-            slot: self.last_slot,
-            repriced: slot.repriced,
-            time_s: rep.time_s,
-            power_w: rep.avg_power_w(),
-            features: features(rep),
-        })
-    }
-
-    /// What [`Backend::run_region`] does for an unperturbed repeat of the
-    /// slot's last cell, without resolving the slot or the cell again: the
-    /// slot's invocation ordinal, one memo hit, RAPL advanced by the cell.
+    /// A repeat of `at`'s cell, unperturbed, is replayed: the slot's
+    /// invocation ordinal, one memo hit, RAPL advanced by the cell — what
+    /// the priced path does for it, without resolving the slot or the cell
+    /// again. Anything else takes the priced path.
     #[inline]
-    fn replay_region(&mut self, region: &RegionModel, cfg: TunedConfig, cell: &PricedCell) -> bool {
-        if cell.owner != self.stamp || self.noise.is_some() || !self.perturb.quiet() {
-            return false;
+    fn run_at(
+        &mut self,
+        at: &mut Option<PricedCell>,
+        region: &RegionModel,
+        cfg: TunedConfig,
+    ) -> RegionRun {
+        if let Some(cell) = at.as_ref().filter(|cell| cell.owner == self.stamp) {
+            if self.noise.is_none() && self.perturb.quiet() {
+                let repeat = CellInputs {
+                    iterations: region.iterations,
+                    cfg: cfg.omp.as_sim(),
+                    cap_bits: self.perturb.cap_w().to_bits(),
+                    freq_bits: cfg.freq_ghz.map(f64::to_bits),
+                };
+                let slot = &mut self.slots[cell.slot];
+                if slot.repriced == cell.repriced
+                    && matches!(&slot.last, Some((last, _)) if *last == repeat)
+                {
+                    slot.invocations += 1;
+                    self.cache.note_hit(slot.id);
+                    self.rapl.advance(cell.time_s, cell.power_w);
+                    self.resample = true;
+                    #[cfg(test)]
+                    {
+                        self.replayed += 1;
+                    }
+                    return RegionRun { time_s: cell.time_s, features: cell.features };
+                }
+            }
         }
-        let repeat = CellInputs {
-            iterations: region.iterations,
-            cfg: cfg.omp.as_sim(),
-            cap_bits: self.perturb.cap_w().to_bits(),
-            freq_bits: cfg.freq_ghz.map(f64::to_bits),
-        };
-        let slot = &mut self.slots[cell.slot];
-        if slot.repriced != cell.repriced
-            || !matches!(&slot.last, Some((last, _)) if *last == repeat)
-        {
-            return false;
-        }
-        slot.invocations += 1;
-        self.cache.note_hit(slot.id);
-        self.rapl.advance(cell.time_s, cell.power_w);
-        self.resample = true;
-        // Calls this run skipped: the next `slot_at` must scan, not append.
-        self.revisited = true;
-        #[cfg(test)]
-        {
-            self.replayed += 1;
-        }
-        true
+        self.run_priced(at, region, cfg)
     }
 
     #[inline]
@@ -932,20 +889,68 @@ mod replay_tests {
         assert_eq!(rep.per_region.values().map(|r| r.invocations).sum::<u64>(), 20 * positions);
     }
 
+    /// An Offline-replay tuner whose history pins every region of `wl`.
+    fn offline_replay(m: &Machine, wl: &WorkloadDescriptor) -> RegionTuner {
+        let mut h = History::new("replay");
+        for r in &wl.step {
+            h.insert(r.name.clone(), OmpConfig::default_for(m), 1.0, 252);
+        }
+        RegionTuner::new(TunerOptions::offline_replay(ConfigSpace::for_machine(m), h))
+    }
+
     #[test]
     fn an_offline_replay_run_replays_every_invocation_after_the_first_step() {
         let m = Machine::crill();
         let wl = sp_b(20);
-        let mut h = History::new("replay");
-        for r in &wl.step {
-            h.insert(r.name.clone(), OmpConfig::default_for(&m), 1.0, 252);
-        }
-        let mut tuner =
-            RegionTuner::new(TunerOptions::offline_replay(ConfigSpace::for_machine(&m), h));
+        let mut tuner = offline_replay(&m, &wl);
         let mut exec = SimExecutor::new(m, 85.0);
         Runner::new(&mut exec).workload(&wl).tuner(&mut tuner).run().unwrap();
         let positions = wl.step.len() as u64;
         assert_eq!(exec.replayed, 20 * positions - positions);
+    }
+
+    #[test]
+    fn a_kept_record_never_crosses_executors() {
+        // One tuner keeps its step positions' records across runs: the
+        // cells one executor left there must be refused by another, and
+        // by the same executor once a cache bind has re-issued its slots.
+        let m = Machine::crill();
+        let wl = sp_b(20);
+        let positions = wl.step.len() as u64;
+        let cache = Arc::new(SharedSimCache::new(&m.name));
+        let mut tuner = offline_replay(&m, &wl);
+        let mut a = SimExecutor::on_cache(m.clone(), 85.0, Arc::clone(&cache));
+        let mut b = SimExecutor::on_cache(m.clone(), 85.0, Arc::clone(&cache));
+        let mut run = |exec: &mut SimExecutor| {
+            let before = exec.replayed;
+            let rep = Runner::new(exec).workload(&wl).tuner(&mut tuner).run().unwrap();
+            (rep, exec.replayed - before)
+        };
+        run(&mut a);
+        let (on_b, replayed) = run(&mut b);
+        assert_eq!(replayed, 19 * positions, "B replays none of its first timestep");
+
+        // The same two runs on fresh executors and a fresh tuner, the
+        // second traced, so that it replays nothing.
+        let mut fresh = offline_replay(&m, &wl);
+        Runner::new(&mut SimExecutor::new(m.clone(), 85.0))
+            .workload(&wl)
+            .tuner(&mut fresh)
+            .run()
+            .unwrap();
+        let sink = Arc::new(arcs_trace::VecSink::new());
+        let traced = Runner::new(&mut SimExecutor::new(m, 85.0))
+            .workload(&wl)
+            .tuner(&mut fresh)
+            .trace(sink)
+            .run()
+            .unwrap();
+        assert_eq!(on_b, traced);
+
+        assert_eq!(run(&mut a).1, 19 * positions, "A refuses the cells B left");
+        assert_eq!(run(&mut a).1, 20 * positions, "A replays its own");
+        a.bind_shared_cache(Arc::clone(&cache)).unwrap();
+        assert_eq!(run(&mut a).1, 19 * positions, "a rebound A refuses its old cells");
     }
 
     #[test]

@@ -139,11 +139,6 @@ impl Perturbation {
         self.requested_cap_w
     }
 
-    /// Is a fault plan attached?
-    pub(crate) fn faulted(&self) -> bool {
-        self.clock.is_some()
-    }
-
     /// Would [`Perturbation::before_invocation`] do nothing: no plan
     /// attached, and the watched handle (if any) not moved?
     pub(crate) fn quiet(&self) -> bool {

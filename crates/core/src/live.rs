@@ -131,13 +131,13 @@ pub struct LiveExecutor {
     machine: Machine,
     /// Multiplier from modelled region seconds to real spin seconds.
     time_scale: f64,
-    regions: HashMap<String, RegionId>,
+    /// Per region name: its runtime id, and the ordinal of its last
+    /// invocation (keys the fault plan's decisions, mirroring the
+    /// simulator's counter).
+    regions: HashMap<String, (RegionId, u64)>,
     energy_acc_j: f64,
     /// Last meter value handed out — the stale answer for dropped samples.
     last_read_j: f64,
-    /// Invocation ordinal per region (keys the fault plan's decisions,
-    /// mirroring the simulator's counter).
-    invocations: HashMap<String, u64>,
     /// The cap (requested and clamped), the watched handle, the fault
     /// plan, and the sink — the same `Perturbation` the
     /// simulator holds, so one plan perturbs both backends identically.
@@ -162,7 +162,6 @@ impl LiveExecutor {
             regions: HashMap::new(),
             energy_acc_j: 0.0,
             last_read_j: 0.0,
-            invocations: HashMap::new(),
             perturb,
         }
     }
@@ -203,33 +202,24 @@ impl LiveExecutor {
         self
     }
 
-    /// Next invocation ordinal for `region` (0-based).
-    fn next_invocation(&mut self, region: &str) -> u64 {
-        match self.invocations.get_mut(region) {
-            Some(n) => {
+    /// The runtime id of the region called `name`, registered at its
+    /// first invocation, and this invocation's ordinal (0-based).
+    fn next_invocation(&mut self, name: &str) -> (RegionId, u64) {
+        match self.regions.get_mut(name) {
+            Some((id, n)) => {
                 *n += 1;
-                *n
+                (*id, *n)
             }
             None => {
-                self.invocations.insert(region.to_string(), 0);
-                0
+                let id = self.rt.register_region(name);
+                self.regions.insert(name.to_string(), (id, 0));
+                (id, 0)
             }
         }
     }
 
     pub fn runtime(&self) -> &Arc<Runtime> {
         &self.rt
-    }
-
-    fn region_id(&mut self, name: &str) -> RegionId {
-        match self.regions.get(name) {
-            Some(&id) => id,
-            None => {
-                let id = self.rt.register_region(name);
-                self.regions.insert(name.to_string(), id);
-                id
-            }
-        }
     }
 
     /// Average package power while `threads` are busy under the cap.
@@ -287,10 +277,9 @@ impl Backend for LiveExecutor {
     // are priced) at whatever the cap allows — exactly the base paper's
     // behaviour. The simulator is the backend that honours the knob.
     fn run_region(&mut self, region: &RegionModel, cfg: TunedConfig) -> RegionRun {
-        let inv = self.next_invocation(&region.name);
+        let (id, inv) = self.next_invocation(&region.name);
         let faults =
             self.perturb.before_invocation(&region.name, inv, |w| clamp_cap(&self.machine, w));
-        let id = self.region_id(&region.name);
         let threads = cfg.omp.threads.clamp(1, self.rt.max_threads());
         self.rt.set_num_threads(threads);
         self.rt.set_schedule(cfg.omp.schedule);

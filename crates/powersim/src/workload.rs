@@ -243,7 +243,7 @@ pub struct MemoryProfile {
     /// can hit in cache if that buffer fits. High for line sweeps, low for
     /// streaming.
     pub temporal_reuse: f64,
-    /// Size of that revisited working buffer per thread, bytes (e.g. the
+    /// Size of that hot working buffer per thread, bytes (e.g. the
     /// block-tridiagonal line arrays of one pencil).
     pub hot_bytes_per_thread: f64,
 }

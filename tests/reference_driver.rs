@@ -375,26 +375,22 @@ impl Backend for Mover {
     }
 
     fn run_region(&mut self, region: &RegionModel, cfg: TunedConfig) -> RegionRun {
+        self.run_at(&mut None, region, cfg)
+    }
+
+    /// The executor sees the handle move exactly where a bare invocation
+    /// would: it declines to replay, and applies the move.
+    fn run_at(
+        &mut self,
+        at: &mut Option<PricedCell>,
+        region: &RegionModel,
+        cfg: TunedConfig,
+    ) -> RegionRun {
         if let Some((_, to_w)) = self.cap_move.filter(|&(at, _)| at == self.calls) {
             self.handle.set(to_w);
         }
         self.calls += 1;
-        self.exec.run_region(region, cfg)
-    }
-
-    fn priced(&self) -> Option<PricedCell> {
-        self.exec.priced()
-    }
-
-    /// The replay sees the handle move exactly where `run_region` would:
-    /// it declines, and the driver's `run_region` applies the move.
-    fn replay_region(&mut self, region: &RegionModel, cfg: TunedConfig, cell: &PricedCell) -> bool {
-        if let Some((_, to_w)) = self.cap_move.filter(|&(at, _)| at == self.calls) {
-            self.handle.set(to_w);
-        }
-        let replayed = self.exec.replay_region(region, cfg, cell);
-        self.calls += usize::from(replayed);
-        replayed
+        self.exec.run_at(at, region, cfg)
     }
 
     fn energy_j(&mut self) -> Result<f64, MeasureError> {
